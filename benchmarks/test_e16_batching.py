@@ -32,7 +32,7 @@ from repro.components import (
     PolicyEnforcementPoint,
 )
 from repro.simnet import INTRA_DOMAIN_LATENCY, Link, Network
-from repro.workloads import run_closed_loop
+from repro.workloads import drive_closed_loop
 from repro.wss import KeyStore
 from repro.wss.pki import CertificateAuthority, TrustValidator
 from repro.xacml import (
@@ -159,6 +159,11 @@ def request_mix(count: int, seed: int = 7) -> list[RequestContext]:
     ]
 
 
+def drive(pep, requests, concurrency):
+    """One PEP's closed loop; returns the run's fleet summary."""
+    return drive_closed_loop([pep], [requests], concurrency).fleet
+
+
 def test_e16_batching_and_replication(benchmark):
     experiment = Experiment(
         exp_id="E16",
@@ -182,9 +187,7 @@ def test_e16_batching_and_replication(benchmark):
         for batch in BATCH_SIZES:
             for replicas in REPLICA_COUNTS:
                 network, pep, pdps, dispatcher = build_fabric(batch, replicas)
-                stats = run_closed_loop(
-                    pep, request_mix(EVENTS), concurrency=concurrency
-                )
+                stats = drive(pep, request_mix(EVENTS), concurrency)
                 assert stats.completed == EVENTS, (
                     f"batch={batch} replicas={replicas}: only "
                     f"{stats.completed}/{EVENTS} completed"
@@ -233,7 +236,7 @@ def test_e16_batching_and_replication(benchmark):
         )
 
     benchmark(
-        lambda: run_closed_loop(
+        lambda: drive(
             build_fabric(BATCH_SIZES[-1], 2, seed=161)[1],
             request_mix(60, seed=8),
             concurrency=8,
@@ -256,7 +259,7 @@ def test_e16_dispatch_policies_balance_load():
         )
         requests = request_mix(90 if SMOKE else 240, seed=9)
         pdps[0].crash()
-        stats = run_closed_loop(pep, requests, concurrency=12)
+        stats = drive(pep, requests, concurrency=12)
         per_replica = [pdp.decisions_made for pdp in pdps]
         experiment.add_row(
             policy, str(per_replica), pep.coalescer.failovers, stats.completed
@@ -291,9 +294,7 @@ def test_e16_secure_batch_amortises_signatures():
             batch, 1, seed=163, secure=True
         )
         bytes_before = network.metrics.bytes_sent
-        stats = run_closed_loop(
-            pep, request_mix(events, seed=10), concurrency=16
-        )
+        stats = drive(pep, request_mix(events, seed=10), concurrency=16)
         assert stats.completed == events
         assert pep.fail_safe_denials == 0
         bytes_per_decision = (

@@ -36,7 +36,7 @@ from repro.components import (
     PolicyEnforcementPoint,
 )
 from repro.simnet import INTRA_DOMAIN_LATENCY, Link, Network
-from repro.workloads import run_closed_loop_multi
+from repro.workloads import drive_closed_loop
 from repro.xacml import (
     Policy,
     RequestContext,
@@ -199,7 +199,7 @@ def drive(network, peps, concurrency=CONCURRENCY, events=EVENTS):
         request_mix(events, seed=100 + index)
         for index in range(len(peps))
     ]
-    return run_closed_loop_multi(peps, requests, concurrency=concurrency)
+    return drive_closed_loop(peps, requests, concurrency=concurrency)
 
 
 def test_e17_gateway_vs_per_pep(benchmark):

@@ -56,9 +56,9 @@ from repro.revocation import (
 )
 from repro.workloads import (
     StalenessAudit,
+    drive_closed_loop,
     federated_resource_id,
     multi_domain_request_mix,
-    run_closed_loop_federated,
 )
 from repro.xacml import (
     Policy,
@@ -411,26 +411,29 @@ def drive(
     observer=None,
 ):
     names = sorted(peps_by_domain)
-    requests_by_domain = {}
+    peps, requests, owners = [], [], []
     for domain_index, name in enumerate(names):
-        requests_by_domain[name] = [
-            multi_domain_request_mix(
-                name,
-                names,
-                events,
-                remote_fraction,
-                resources_per_domain=RESOURCES_PER_DOMAIN,
-                subjects=subjects,
-                read_fraction=read_fraction,
-                seed=1000 + 37 * domain_index + pep_index,
+        for pep_index, pep in enumerate(peps_by_domain[name]):
+            peps.append(pep)
+            owners.append(name)
+            requests.append(
+                multi_domain_request_mix(
+                    name,
+                    names,
+                    events,
+                    remote_fraction,
+                    resources_per_domain=RESOURCES_PER_DOMAIN,
+                    subjects=subjects,
+                    read_fraction=read_fraction,
+                    seed=1000 + 37 * domain_index + pep_index,
+                )
             )
-            for pep_index in range(len(peps_by_domain[name]))
-        ]
-    return run_closed_loop_federated(
-        peps_by_domain,
-        requests_by_domain,
+    return drive_closed_loop(
+        peps,
+        requests,
         concurrency=concurrency,
         observer=observer,
+        groups=owners,
     )
 
 

@@ -96,12 +96,11 @@ def _headline(network, fleet) -> dict:
 def run_e16_tier(sample_rate: float):
     """Single-PEP coalescing fabric (E16's headline configuration)."""
     import test_e16_batching as e16
-    from repro.workloads import run_closed_loop as drive
 
     _reset_wire_ids()
     network, pep, pdps, dispatcher = e16.build_fabric(8, 2)
     network.tracer.sample_rate = sample_rate
-    stats = drive(pep, e16.request_mix(e16.EVENTS), concurrency=8)
+    stats = e16.drive(pep, e16.request_mix(e16.EVENTS), concurrency=8)
     return network, _headline(network, stats)
 
 

@@ -4,6 +4,16 @@ PEP enforces, PDP decides, PAP administers, PIP informs.  All are
 network-attached :class:`~repro.components.base.Component` subclasses that
 exchange real XML over the simulated network, plus the TTL caches and the
 context handler the architecture calls for.
+
+Every decision exchange — PEP→PDP, gateway→PDP, gateway→gateway,
+replica→replica — is sealed and opened by one
+:class:`~repro.components.channel.DecisionChannel` (plain body under a
+base action, or one signed SOAP envelope under ``base + ".secure"``;
+replies pinned to the destination asked), and the PDP serves every query
+action from one table through one pipeline, so the signature policy
+cannot be skipped by an endpoint::
+
+    PEP / queue / gateway ── channel.seal ──▶ PDP: authenticate → decode → answer → sign ── channel.open_(batch_)reply ──▶ enforce
 """
 
 from .base import (
@@ -28,6 +38,7 @@ from .obligations import (
     quota_handler,
     register_standard_handlers,
 )
+from .channel import DecisionChannel, secure_action
 from .context_handler import (
     ContextHandlerError,
     from_http_request,
@@ -108,6 +119,7 @@ __all__ = [
     "CoalescingDecisionQueue",
     "DEFAULT_FORWARD_TTL",
     "DISPATCH_POLICIES",
+    "DecisionChannel",
     "DecisionDispatcher",
     "DomainDecisionGateway",
     "FORWARD_ACTION",
@@ -144,6 +156,7 @@ __all__ = [
     "notify_handler",
     "quota_handler",
     "register_standard_handlers",
+    "secure_action",
     "Component",
     "ComponentIdentity",
     "ContextHandlerError",

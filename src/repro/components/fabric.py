@@ -10,8 +10,9 @@ path into a batched, load-balanced pipeline:
   than only an availability one;
 * :class:`BatchWireCore` — the shared wire machinery every batching
   tier rides on: the in-flight map, timeout failover across replicas,
-  reply validation (batch id + statement count, plus the caller's
-  signature check) and fail-safe fan-out.  The per-PEP queue, the
+  sealing and reply validation through the job's
+  :class:`~repro.components.channel.DecisionChannel`, and fail-safe
+  fan-out.  The per-PEP queue, the
   domain gateway and the cross-domain federated gateway all delegate to
   one core instead of carrying private copies;
 * :class:`CoalescingDecisionQueue` — accumulates a PEP's outbound
@@ -49,20 +50,10 @@ from ..observability.tracing import TRACE_HEADER
 from ..simnet.events import EventHandle
 from ..simnet.message import Message
 from ..simnet.network import Network
-from ..wsvc.soap import SoapEnvelope
-from ..wsvc.ws_security import (
-    SecurityConfig,
-    WsSecurityError,
-    secure_envelope,
-    signer_of,
-    verify_envelope,
-)
-from ..saml.xacml_profile import (
-    XacmlAuthzDecisionBatchQuery,
-    XacmlAuthzDecisionBatchStatement,
-)
+from ..saml.xacml_profile import XacmlAuthzDecisionBatchQuery
 from ..xacml.context import RequestContext
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout, _parse_fault
+from .channel import DecisionChannel
 from .pdp import BATCH_QUERY_ACTION, SECURE_BATCH_QUERY_ACTION
 from .placement import PlacementMap, PlacementSpec
 
@@ -426,6 +417,11 @@ class _PendingDecision:
 # -- the shared wire core ----------------------------------------------------------
 
 
+def _batch_body(batch: XacmlAuthzDecisionBatchQuery) -> tuple[str, str]:
+    """The default envelope body: the batch query itself, PDP-bound."""
+    return BATCH_QUERY_ACTION, batch.to_xml()
+
+
 @dataclass
 class WireJob:
     """How one class of envelopes travels: the core's variation points.
@@ -433,19 +429,19 @@ class WireJob:
     A tier configures a default job at construction; sends may override
     it per envelope (the federated gateway uses that to aim the same
     core at local replicas, peer gateways and remote replica sets).
+    Every in-flight item carries its ``request``; the core batches
+    those, and the job's channel seals the query and opens the reply —
+    signature policy lives there, not in per-tier callbacks.
 
     Attributes:
         select: pick the next destination given the already-tried list;
             None means every candidate is exhausted (fail-safe).
-        build: turn the in-flight items into ``(action, payload,
-            batch)``; called once per transmit attempt so a failover
-            re-send gets a fresh envelope.
-        parse: turn a reply message from ``replica`` into an
-            :class:`XacmlAuthzDecisionBatchStatement`; the place to
-            enforce the tier's signature policy.
         deliver: fan a validated statement list out to the items.
         fail: fan one exception out to the items (fail-safe deny).
         timeout: per-attempt reply deadline in simulated seconds.
+        channel: the sending component's decision channel.
+        encode: turn the batch query into ``(base action, body)``;
+            the federated gateway wraps forwards here.
         dispatcher: optional dispatcher whose outstanding counters and
             failover tally this job maintains.
         on_sent: called with the items after each transmit attempt
@@ -453,11 +449,13 @@ class WireJob:
     """
 
     select: Callable[[Sequence[str]], Optional[str]]
-    build: Callable[[list], tuple]
-    parse: Callable[[Message, str], XacmlAuthzDecisionBatchStatement]
     deliver: Callable[[list, Sequence], None]
     fail: Callable[[list, Exception], None]
     timeout: float
+    channel: DecisionChannel
+    encode: Callable[[XacmlAuthzDecisionBatchQuery], tuple[str, str]] = (
+        _batch_body
+    )
     dispatcher: Optional[DecisionDispatcher] = None
     on_sent: Optional[Callable[[list], None]] = None
 
@@ -466,7 +464,7 @@ class WireJob:
 class _InflightEnvelope:
     """One batch envelope on the wire, awaiting its reply or deadline."""
 
-    batch: object  # anything with .batch_id
+    batch: XacmlAuthzDecisionBatchQuery
     items: list
     replica: str
     tried: list[str]
@@ -491,8 +489,8 @@ class BatchWireCore:
 
     Owns exactly the four duplicated pieces the tiers used to carry
     privately: the in-flight map (msg_id → envelope), timeout failover
-    across replicas, reply validation (batch id and statement count on
-    top of the job's parse/signature step) and fail-safe fan-out on
+    across replicas, reply validation (the job channel's signature,
+    batch id and statement count checks) and fail-safe fan-out on
     faults, forged replies and replica exhaustion.
 
     The core is deliberately policy-free: *what* travels, *where* it
@@ -549,7 +547,14 @@ class BatchWireCore:
     def _transmit(
         self, replica: str, items: list, tried: list[str], job: WireJob
     ) -> float:
-        action, payload, batch = job.build(items)
+        # Built per transmit attempt: a failover re-send gets a fresh
+        # batch id and a fresh signature.
+        batch = XacmlAuthzDecisionBatchQuery.for_requests(
+            [item.request for item in items],
+            issuer=self.component.name,
+            issue_instant=self.component.now,
+        )
+        action, payload = job.channel.seal(*job.encode(batch))
         message = Message(
             sender=self.component.name,
             recipient=replica,
@@ -565,7 +570,7 @@ class BatchWireCore:
             envelope_trace = tracer.envelope_sent(
                 self.component,
                 items,
-                batch_id=getattr(batch, "batch_id", ""),
+                batch_id=batch.batch_id,
                 kind=action,
                 replica=replica,
                 attempt=len(tried) + 1,
@@ -642,17 +647,12 @@ class BatchWireCore:
             return None  # late reply after a timeout-triggered failover
         job = inflight.job
         try:
-            statement_batch = job.parse(message, inflight.replica)
-            if statement_batch.in_response_to != inflight.batch.batch_id:
-                raise ValueError(
-                    f"reply answers {statement_batch.in_response_to!r}, "
-                    f"expected {inflight.batch.batch_id!r}"
-                )
-            if len(statement_batch.statements) != len(inflight.items):
-                raise ValueError(
-                    f"reply has {len(statement_batch.statements)} statements "
-                    f"for {len(inflight.items)} requests"
-                )
+            statement_batch = job.channel.open_batch_reply(
+                message,
+                inflight.replica,
+                inflight.batch.batch_id,
+                len(inflight.items),
+            )
         except Exception as exc:  # malformed/forged reply: fail safe
             if inflight.trace is not None:
                 self.component.network.tracer.envelope_done(
@@ -744,11 +744,10 @@ class CoalescingDecisionQueue:
             pep,
             WireJob(
                 select=self._select_replica,
-                build=self._build_envelope,
-                parse=self._parse_envelope_reply,
                 deliver=self._deliver_entries,
                 fail=self._fail_batch,
                 timeout=pep.config.pdp_timeout,
+                channel=pep.channel,
                 dispatcher=dispatcher,
                 on_sent=self._note_batch_sent,
             ),
@@ -895,16 +894,6 @@ class CoalescingDecisionQueue:
         if exclude:
             return None  # no dispatcher: a timeout has nowhere to go
         return self.pep._choose_pdp()
-
-    def _build_envelope(self, entries: list) -> tuple:
-        return self.pep._build_batch_query(
-            [entry.request for entry in entries]
-        )
-
-    def _parse_envelope_reply(
-        self, message: Message, replica: str
-    ) -> XacmlAuthzDecisionBatchStatement:
-        return self.pep._parse_batch_reply(message, replica)
 
     def _note_batch_sent(self, entries: list) -> None:
         self.batches_sent += 1
@@ -1080,15 +1069,15 @@ class DomainDecisionGateway(Component):
             raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         if fairness_cap is not None and fairness_cap < 1:
             raise ValueError(f"fairness_cap must be >= 1, got {fairness_cap}")
-        if secure_channel and identity is None:
-            raise ValueError(
-                f"gateway {name} needs an identity for the secure channel"
-            )
+        #: How every envelope this gateway sends (PDP-bound, forwarded)
+        #: or serves is sealed and opened.
+        self.channel = DecisionChannel(
+            self, secure=secure_channel, role="gateway"
+        )
         self.dispatcher = dispatcher
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.fairness_cap = fairness_cap
-        self.secure_channel = secure_channel
         self.pdp_timeout = pdp_timeout
         self._queues: dict[str, CoalescingDecisionQueue] = {}
         self._owner_order: list[str] = []
@@ -1119,11 +1108,10 @@ class DomainDecisionGateway(Component):
             self,
             WireJob(
                 select=self._select_replica,
-                build=self._build_super_batch,
-                parse=self._parse_super_reply,
                 deliver=self._deliver_slots,
                 fail=self._fail_slots,
                 timeout=pdp_timeout,
+                channel=self.channel,
                 dispatcher=dispatcher,
                 on_sent=self._note_super_batch,
             ),
@@ -1330,69 +1318,9 @@ class DomainDecisionGateway(Component):
     def _select_replica(self, exclude: Sequence[str]) -> Optional[str]:
         return self.dispatcher.select(exclude=exclude)
 
-    def _secure_payload(self, action: str, body_xml: str) -> SoapEnvelope:
-        if self.identity is None:
-            raise ValueError(
-                f"gateway {self.name} has no identity for secure mode"
-            )
-        envelope = SoapEnvelope(action=action, body_xml=body_xml)
-        return secure_envelope(
-            envelope,
-            self.identity.keypair,
-            self.identity.certificate,
-            self.identity.keystore,
-        )
-
-    def _build_batch_query(
-        self, requests: list[RequestContext]
-    ) -> tuple[str, object, XacmlAuthzDecisionBatchQuery]:
-        """The (action, payload, batch) triple for one PDP-bound envelope."""
-        batch = XacmlAuthzDecisionBatchQuery.for_requests(
-            requests, issuer=self.name, issue_instant=self.now
-        )
-        if self.secure_channel:
-            action = SECURE_BATCH_QUERY_ACTION
-            payload: object = self._secure_payload(action, batch.to_xml())
-        else:
-            action = BATCH_QUERY_ACTION
-            payload = batch.to_xml()
-        return action, payload, batch
-
-    def _build_super_batch(self, slots: list[_WireSlot]) -> tuple:
-        return self._build_batch_query([slot.request for slot in slots])
-
     def _note_super_batch(self, slots: list[_WireSlot]) -> None:
         self.super_batches_sent += 1
         self.network.metrics.record_sample(SUPER_BATCH_SERIES, len(slots))
-
-    def _verify_reply_body(self, reply: Message, signer: str) -> str:
-        envelope = reply.payload
-        if not isinstance(envelope, SoapEnvelope):
-            raise RpcFault("gateway:bad-reply", "peer returned non-SOAP payload")
-        clear = verify_envelope(
-            envelope,
-            self.identity.keystore,
-            self.identity.validator,
-            decrypt_with=self.identity.keypair,
-            config=SecurityConfig(require_signature=True),
-            at=self.now,
-        )
-        if signer_of(clear) != signer:
-            raise WsSecurityError(
-                f"decision signed by {signer_of(clear)!r}, "
-                f"expected {signer!r}"
-            )
-        return clear.body_xml
-
-    def _parse_super_reply(
-        self, message: Message, replica: str
-    ) -> XacmlAuthzDecisionBatchStatement:
-        body = (
-            self._verify_reply_body(message, replica)
-            if self.secure_channel
-            else str(message.payload)
-        )
-        return XacmlAuthzDecisionBatchStatement.from_xml(body)
 
     def _deliver_slots(self, slots: list[_WireSlot], statements: Sequence) -> None:
         for slot, statement in zip(slots, statements, strict=False):

@@ -50,13 +50,7 @@ from ..saml.xacml_profile import (
     XacmlAuthzDecisionStatement,
 )
 from ..simnet.message import Message
-from ..wsvc.soap import SoapEnvelope
-from ..wsvc.ws_security import (
-    SecurityConfig,
-    WsSecurityError,
-    signer_of,
-    verify_envelope,
-)
+from ..wsvc.ws_security import WsSecurityError
 from ..xacml.context import (
     Decision,
     RequestContext,
@@ -68,6 +62,7 @@ from ..xacml.context import (
 from ..xmlutil import parse_attrs
 from .base import RpcFault
 from .cache import TtlCache
+from .channel import is_secure_action, secure_action
 from .fabric import (
     DecisionDispatcher,
     DomainDecisionGateway,
@@ -77,7 +72,7 @@ from .fabric import (
 
 #: Gateway→gateway forwarded decision traffic.
 FORWARD_ACTION = "xacml.request.forward"
-SECURE_FORWARD_ACTION = "xacml.request.forward.secure"
+SECURE_FORWARD_ACTION = secure_action(FORWARD_ACTION)
 
 #: Default maximum number of gateway hops a forwarded batch may take.
 DEFAULT_FORWARD_TTL = 3
@@ -311,12 +306,7 @@ class _ServiceContext:
             issuer=gateway.name,
             issue_instant=gateway.now,
         )
-        if self.message.kind == SECURE_FORWARD_ACTION:
-            payload: object = gateway._secure_payload(
-                f"{self.message.kind}:result", answer.to_xml()
-            )
-        else:
-            payload = answer.to_xml()
+        payload = gateway.channel.seal_reply(self.message, answer.to_xml())
         gateway.forwarded_decisions_returned += len(self.statements)
         if self.serve_ctx is not None:
             gateway.network.tracer.emit(
@@ -772,16 +762,24 @@ class FederatedGateway(DomainDecisionGateway):
         def select(exclude: Sequence[str]) -> Optional[str]:
             return None if peer in exclude else peer
 
+        def encode(batch: XacmlAuthzDecisionBatchQuery) -> tuple[str, str]:
+            forwarded = ForwardedBatchQuery(
+                batch=batch,
+                origin_domain=self.domain,
+                origin_gateway=self.name,
+                ttl=hops,
+            )
+            return FORWARD_ACTION, forwarded.to_xml()
+
         return WireJob(
             select=select,
-            build=lambda items: self._build_forward(items, hops),
-            # The inherited reply parse applies unchanged: the core pins
-            # the expected signer to the envelope's destination, which
-            # for a forward job is the peer gateway.
-            parse=self._parse_super_reply,
+            # The channel pins the reply's signer to the envelope's
+            # destination, which for a forward job is the peer gateway.
             deliver=deliver if deliver is not None else self._deliver_remote_slots,
             fail=fail if fail is not None else self._fail_forwarded_slots,
             timeout=self.peer_timeout,
+            channel=self.channel,
+            encode=encode,
             on_sent=self._note_forward,
         )
 
@@ -789,11 +787,10 @@ class FederatedGateway(DomainDecisionGateway):
         dispatcher = self._direct[target]
         return WireJob(
             select=lambda exclude: dispatcher.select(exclude=exclude),
-            build=self._build_super_batch,
-            parse=self._parse_super_reply,
             deliver=self._deliver_remote_slots,
             fail=self._fail_slots,
             timeout=self.pdp_timeout,
+            channel=self.channel,
             dispatcher=dispatcher,
             on_sent=self._note_direct,
         )
@@ -802,35 +799,12 @@ class FederatedGateway(DomainDecisionGateway):
         """Local PDP-tier service of (part of) an inbound forwarded batch."""
         return WireJob(
             select=self._select_replica,
-            build=lambda items: self._build_batch_query(
-                [part.request for part in items]
-            ),
-            parse=self._parse_super_reply,
             deliver=deliver,
             fail=fail,
             timeout=self.pdp_timeout,
+            channel=self.channel,
             dispatcher=self.dispatcher,
         )
-
-    def _build_forward(self, items: list, ttl: int) -> tuple:
-        batch = XacmlAuthzDecisionBatchQuery.for_requests(
-            [item.request for item in items],
-            issuer=self.name,
-            issue_instant=self.now,
-        )
-        forwarded = ForwardedBatchQuery(
-            batch=batch,
-            origin_domain=self.domain,
-            origin_gateway=self.name,
-            ttl=ttl,
-        )
-        if self.secure_channel:
-            action = SECURE_FORWARD_ACTION
-            payload: object = self._secure_payload(action, forwarded.to_xml())
-        else:
-            action = FORWARD_ACTION
-            payload = forwarded.to_xml()
-        return action, payload, batch
 
     def _note_forward(self, items: list) -> None:
         self.forwarded_batches_sent += 1
@@ -858,29 +832,6 @@ class FederatedGateway(DomainDecisionGateway):
 
     # -- the serving side ------------------------------------------------------------
 
-    def _unwrap_forward(
-        self, message: Message
-    ) -> tuple[ForwardedBatchQuery, Optional[str]]:
-        """Decode an inbound forward; returns (query, envelope signer)."""
-        if message.kind == SECURE_FORWARD_ACTION:
-            envelope = message.payload
-            if not isinstance(envelope, SoapEnvelope):
-                raise RpcFault(
-                    "federation:bad-forward", "forward carries no SOAP envelope"
-                )
-            clear = verify_envelope(
-                envelope,
-                self.identity.keystore,
-                self.identity.validator,
-                decrypt_with=self.identity.keypair,
-                config=SecurityConfig(require_signature=True),
-                at=self.now,
-            )
-            forwarded = ForwardedBatchQuery.from_xml(clear.body_xml)
-            return self._attach_trace(forwarded, message), signer_of(clear)
-        forwarded = ForwardedBatchQuery.from_xml(str(message.payload))
-        return self._attach_trace(forwarded, message), None
-
     def _attach_trace(
         self, forwarded: ForwardedBatchQuery, message: Message
     ) -> ForwardedBatchQuery:
@@ -898,13 +849,16 @@ class FederatedGateway(DomainDecisionGateway):
         return RpcFault(code, reason)
 
     def _handle_forward(self, message: Message) -> None:
-        if self.secure_channel and message.kind != SECURE_FORWARD_ACTION:
+        if self.channel.secure and not is_secure_action(message.kind):
             raise self._reject_origin(
                 "federation:insecure-forward",
                 "this gateway only accepts signed forwards",
             )
         try:
-            forwarded, signer = self._unwrap_forward(message)
+            body, signer = self.channel.open_request(message)
+            forwarded = self._attach_trace(
+                ForwardedBatchQuery.from_xml(body), message
+            )
         except (WsSecurityError, RpcFault) as exc:
             raise self._reject_origin("federation:bad-signature", str(exc)) from exc
         except Exception as exc:

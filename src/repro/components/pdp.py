@@ -31,29 +31,29 @@ from ..saml.xacml_profile import (
     XacmlAuthzDecisionStatement,
 )
 from ..simnet.network import Network
-from ..wsvc.soap import SoapEnvelope
-from ..wsvc.ws_security import (
-    SecurityConfig,
-    WsSecurityError,
-    secure_envelope,
-    verify_envelope,
-)
+from ..wsvc.ws_security import WsSecurityError
 from ..xacml.attributes import AttributeValue, Category, DataType
 from ..xacml.context import RequestContext
 from ..xacml.engine import EngineResponse, PdpEngine, PolicyStore
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
+from .channel import (
+    DecisionChannel,
+    base_action,
+    is_secure_action,
+    secure_action,
+)
 from .pap import parse_bundle, parse_revision
 from .pip import parse_pip_response, serialize_pip_query
 from .placement import AttributePartition, AttributeResolver, PlacementSpec
 
 QUERY_ACTION = "xacml.request"
-SECURE_QUERY_ACTION = "xacml.request.secure"
 BATCH_QUERY_ACTION = "xacml.request.batch"
-SECURE_BATCH_QUERY_ACTION = "xacml.request.batch.secure"
-#: Replica→replica reforward of misrouted batch slots.  The handler
+#: Replica→replica reforward of misrouted batch slots.  The endpoint
 #: evaluates locally and never forwards again (one-hop TTL), so stale
 #: routing views cannot create forwarding loops.
 OWNED_BATCH_QUERY_ACTION = "xacml.request.batch.owned"
+SECURE_QUERY_ACTION = secure_action(QUERY_ACTION)
+SECURE_BATCH_QUERY_ACTION = secure_action(BATCH_QUERY_ACTION)
 
 #: Sample series fed with per-decision candidate-set sizes (index
 #: selectivity, per replica via the engine's evaluation stats).
@@ -171,11 +171,18 @@ class PolicyDecisionPoint(Component):
         self.reforwarded_batches = 0
         self.owned_batches_served = 0
         self._busy_until = 0.0
-        self.on(QUERY_ACTION, self._handle_query)
-        self.on(SECURE_QUERY_ACTION, self._handle_secure_query)
-        self.on(BATCH_QUERY_ACTION, self._handle_batch_query)
-        self.on(SECURE_BATCH_QUERY_ACTION, self._handle_secure_batch_query)
-        self.on(OWNED_BATCH_QUERY_ACTION, self._handle_owned_batch_query)
+        #: Serves every endpoint; as a client (replica→replica
+        #: reforwards) a signed-queries-only tier signs its own.  A
+        #: replica without an identity can still refuse unsigned
+        #: queries, it just has nothing to sign reforwards with.
+        self.channel = DecisionChannel(
+            self,
+            secure=self.config.require_signed_queries and identity is not None,
+            role="pdp",
+        )
+        for action in self._ENDPOINTS:
+            self.on(action, self._serve_query)
+            self.on(secure_action(action), self._serve_query)
 
     # -- policy management ------------------------------------------------------
 
@@ -393,43 +400,60 @@ class PolicyDecisionPoint(Component):
             workers=self.config.worker_count,
         )
 
-    # -- message handlers ---------------------------------------------------------------
+    # -- the serving pipeline -------------------------------------------------------------
 
-    def _handle_query(self, message: Message):
-        if self.config.require_signed_queries:
+    def _serve_query(self, message: Message):
+        """Every query endpoint: authenticate → decode → answer → sign.
+
+        The endpoints differ only in how the body decodes and which
+        method answers it (:attr:`_ENDPOINTS`); whether the query may be
+        answered at all, and how the reply is protected, is decided
+        here once, so no endpoint can skip the signature policy.  One
+        signature is verified and one made per envelope however many
+        decisions ride it — the fabric's amortisation on the
+        authenticated channel.
+        """
+        if self.config.require_signed_queries and not is_secure_action(
+            message.kind
+        ):
             self.rejected_queries += 1
             raise RpcFault(
                 "pdp:authentication-required",
                 "this PDP only answers signed queries",
             )
-        query = XacmlAuthzDecisionQuery.from_xml(str(message.payload))
-        engine_response = self.evaluate(query.request)
-        statement = XacmlAuthzDecisionStatement(
-            response=engine_response.response,
-            in_response_to=query.query_id,
-            issuer=self.name,
-            issue_instant=self.now,
-            request_echo=query.request if query.return_context else None,
+        try:
+            body, _ = self.channel.open_request(message)
+        except WsSecurityError as exc:
+            self.rejected_queries += 1
+            raise RpcFault("pdp:authentication-failed", str(exc)) from exc
+        decode, answer = self._ENDPOINTS[base_action(message.kind)]
+        query = decode(body)
+        statement, decisions, exchange_id = answer(self, query)
+        reply = self.channel.seal_reply(
+            message, statement.to_xml(), sign=self.config.sign_responses
         )
         return self._reply_after_service(
-            message, statement.to_xml(), decisions=1, batch_id=query.query_id
+            message, reply, decisions=decisions, batch_id=exchange_id
         )
 
-    def _handle_batch_query(self, message: Message):
-        if self.config.require_signed_queries:
-            self.rejected_queries += 1
-            raise RpcFault(
-                "pdp:authentication-required",
-                "this PDP only answers signed queries",
-            )
-        batch = XacmlAuthzDecisionBatchQuery.from_xml(str(message.payload))
-        reply = self._answer_batch(batch)
-        return self._reply_after_service(
-            message,
-            reply.to_xml(),
-            decisions=len(batch.queries),
-            batch_id=batch.batch_id,
-        )
+    def _answer_query(self, query: XacmlAuthzDecisionQuery):
+        statement = self._statement_for(query, self.evaluate(query.request))
+        return statement, 1, query.query_id
+
+    def _answer_routed_batch(self, batch: XacmlAuthzDecisionBatchQuery):
+        return self._answer_batch(batch), len(batch.queries), batch.batch_id
+
+    def _answer_owned_batch(self, batch: XacmlAuthzDecisionBatchQuery):
+        """Answer a peer replica's reforward of slots this replica owns.
+
+        Never forwards again even if the local view disagrees (one-hop
+        TTL — two replicas with divergent rings must not bounce a slot
+        forever); evaluating locally is always correct because the
+        attribute resolver is authoritative.
+        """
+        self.owned_batches_served += 1
+        answer = self._answer_batch(batch, allow_forward=False)
+        return answer, len(batch.queries), batch.batch_id
 
     def _statement_for(
         self, query: XacmlAuthzDecisionQuery, engine_response: EngineResponse
@@ -510,19 +534,17 @@ class PolicyDecisionPoint(Component):
                 issue_instant=self.now,
             )
             answers = None
+            action, payload = self.channel.seal(
+                OWNED_BATCH_QUERY_ACTION, sub_batch.to_xml()
+            )
             try:
                 reply = self.call(
-                    owner,
-                    OWNED_BATCH_QUERY_ACTION,
-                    sub_batch.to_xml(),
-                    timeout=self.config.forward_timeout,
+                    owner, action, payload, timeout=self.config.forward_timeout
                 )
-                answer = XacmlAuthzDecisionBatchStatement.from_xml(
-                    str(reply.payload)
-                )
-                if len(answer.statements) == len(group):
-                    answers = answer.statements
-            except (RpcTimeout, RpcFault):
+                answers = self.channel.open_batch_reply(
+                    reply, owner, sub_batch.batch_id, len(group)
+                ).statements
+            except (RpcTimeout, RpcFault, WsSecurityError):
                 answers = None
             if answers is not None:
                 self.reforwarded_batches += 1
@@ -539,24 +561,6 @@ class PolicyDecisionPoint(Component):
             ):
                 statements[index] = self._statement_for(query, engine_response)
         return tuple(statements)
-
-    def _handle_owned_batch_query(self, message: Message):
-        """Answer a peer replica's reforward of slots this replica owns.
-
-        Never forwards again even if the local view disagrees (one-hop
-        TTL — two replicas with divergent rings must not bounce a slot
-        forever); evaluating locally is always correct because the
-        attribute resolver is authoritative.
-        """
-        batch = XacmlAuthzDecisionBatchQuery.from_xml(str(message.payload))
-        self.owned_batches_served += 1
-        reply = self._answer_batch(batch, allow_forward=False)
-        return self._reply_after_service(
-            message,
-            reply.to_xml(),
-            decisions=len(batch.queries),
-            batch_id=batch.batch_id,
-        )
 
     # -- placement lifecycle ------------------------------------------------------------
 
@@ -597,72 +601,16 @@ class PolicyDecisionPoint(Component):
             )
         return stats
 
-    def _verify_secure_query(self, message: Message):
-        """Shared front half of the secure endpoints: verify, or fault."""
-        envelope = message.payload
-        if not isinstance(envelope, SoapEnvelope):
-            raise RpcFault("pdp:bad-request", "expected a SOAP envelope")
-        if self.identity is None:
-            raise RpcFault("pdp:misconfigured", "secure endpoint without identity")
-        try:
-            return verify_envelope(
-                envelope,
-                self.identity.keystore,
-                self.identity.validator,
-                decrypt_with=self.identity.keypair,
-                config=SecurityConfig(require_signature=True),
-                at=self.now,
-            )
-        except WsSecurityError as exc:
-            self.rejected_queries += 1
-            raise RpcFault("pdp:authentication-failed", str(exc)) from exc
-
-    def _sign_reply(self, action: str, body_xml: str) -> SoapEnvelope:
-        reply = SoapEnvelope(action=action, body_xml=body_xml)
-        if self.config.sign_responses:
-            reply = secure_envelope(
-                reply,
-                self.identity.keypair,
-                self.identity.certificate,
-                self.identity.keystore,
-            )
-        return reply
-
-    def _handle_secure_query(self, message: Message):
-        clear = self._verify_secure_query(message)
-        query = XacmlAuthzDecisionQuery.from_xml(clear.body_xml)
-        engine_response = self.evaluate(query.request)
-        statement = XacmlAuthzDecisionStatement(
-            response=engine_response.response,
-            in_response_to=query.query_id,
-            issuer=self.name,
-            issue_instant=self.now,
-            request_echo=query.request if query.return_context else None,
-        )
-        reply = self._sign_reply(
-            f"{SECURE_QUERY_ACTION}:result", statement.to_xml()
-        )
-        return self._reply_after_service(
-            message, reply, decisions=1, batch_id=query.query_id
-        )
-
-    def _handle_secure_batch_query(self, message: Message):
-        """One signature verified, one signed for the whole batch.
-
-        This is the fabric's amortisation on the authenticated channel:
-        the WS-Security processing (and the simulated envelope overhead)
-        is per envelope, so N requests cost one verify + one sign instead
-        of N of each.
-        """
-        clear = self._verify_secure_query(message)
-        batch = XacmlAuthzDecisionBatchQuery.from_xml(clear.body_xml)
-        answer = self._answer_batch(batch)
-        reply = self._sign_reply(
-            f"{SECURE_BATCH_QUERY_ACTION}:result", answer.to_xml()
-        )
-        return self._reply_after_service(
-            message,
-            reply,
-            decisions=len(batch.queries),
-            batch_id=batch.batch_id,
-        )
+    #: base action → (decode the query body, answer it).  Each is served
+    #: plain and under its ``.secure`` twin by :meth:`_serve_query`.
+    _ENDPOINTS = {
+        QUERY_ACTION: (XacmlAuthzDecisionQuery.from_xml, _answer_query),
+        BATCH_QUERY_ACTION: (
+            XacmlAuthzDecisionBatchQuery.from_xml,
+            _answer_routed_batch,
+        ),
+        OWNED_BATCH_QUERY_ACTION: (
+            XacmlAuthzDecisionBatchQuery.from_xml,
+            _answer_owned_batch,
+        ),
+    }

@@ -32,14 +32,7 @@ from ..saml.xacml_profile import (
 )
 from ..simnet.message import Message
 from ..simnet.network import Network
-from ..wsvc.soap import SoapEnvelope
-from ..wsvc.ws_security import (
-    SecurityConfig,
-    WsSecurityError,
-    secure_envelope,
-    signer_of,
-    verify_envelope,
-)
+from ..wsvc.ws_security import WsSecurityError
 from ..xacml.context import (
     Decision,
     Obligation,
@@ -50,13 +43,9 @@ from ..xacml.context import (
 )
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
 from .cache import TtlCache
+from .channel import DecisionChannel
 from .fabric import CoalescingDecisionQueue, DecisionDispatcher
-from .pdp import (
-    BATCH_QUERY_ACTION,
-    QUERY_ACTION,
-    SECURE_BATCH_QUERY_ACTION,
-    SECURE_QUERY_ACTION,
-)
+from .pdp import BATCH_QUERY_ACTION, QUERY_ACTION
 
 #: Obligation handler: receives the obligation and the request, performs
 #: the action, returns True when fulfilled.
@@ -113,6 +102,11 @@ class PolicyEnforcementPoint(Component):
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.config = config if config is not None else PepConfig()
+        #: How every decision exchange of this PEP (blocking single,
+        #: blocking batch, coalesced) is sealed and opened.
+        self.channel = DecisionChannel(
+            self, secure=self.config.secure_channel, role="pep"
+        )
         self.pdp_address = pdp_address
         #: Dynamic PDP selection hook (discovery, replication router).
         self.pdp_selector = pdp_selector
@@ -171,36 +165,6 @@ class PolicyEnforcementPoint(Component):
                 return chosen
         return self.pdp_address
 
-    def _secure_payload(self, action: str, body_xml: str) -> SoapEnvelope:
-        if self.identity is None:
-            raise ValueError(f"PEP {self.name} has no identity for secure mode")
-        envelope = SoapEnvelope(action=action, body_xml=body_xml)
-        return secure_envelope(
-            envelope,
-            self.identity.keypair,
-            self.identity.certificate,
-            self.identity.keystore,
-        )
-
-    def _verify_reply_body(self, reply: Message, pdp: str) -> str:
-        """Verify a secure reply envelope came from ``pdp``; return its body."""
-        reply_envelope = reply.payload
-        if not isinstance(reply_envelope, SoapEnvelope):
-            raise RpcFault("pep:bad-reply", "PDP returned non-SOAP payload")
-        clear = verify_envelope(
-            reply_envelope,
-            self.identity.keystore,
-            self.identity.validator,
-            decrypt_with=self.identity.keypair,
-            config=SecurityConfig(require_signature=True),
-            at=self.now,
-        )
-        if signer_of(clear) != pdp:
-            raise WsSecurityError(
-                f"decision signed by {signer_of(clear)!r}, expected {pdp!r}"
-            )
-        return clear.body_xml
-
     def _exchange(self, action: str, payload) -> tuple[Message, str]:
         """One decision round-trip: dispatcher failover or the single PDP."""
         if self.dispatcher is not None:
@@ -217,64 +181,25 @@ class PolicyEnforcementPoint(Component):
         query = XacmlAuthzDecisionQuery(
             request=request, issuer=self.name, issue_instant=self.now
         )
-        if self.config.secure_channel:
-            payload = self._secure_payload(SECURE_QUERY_ACTION, query.to_xml())
-            reply, pdp = self._exchange(SECURE_QUERY_ACTION, payload)
-            return XacmlAuthzDecisionStatement.from_xml(
-                self._verify_reply_body(reply, pdp)
-            )
-        reply, _ = self._exchange(QUERY_ACTION, query.to_xml())
-        return XacmlAuthzDecisionStatement.from_xml(str(reply.payload))
-
-    # -- batched decision queries ------------------------------------------------------
-
-    def _build_batch_query(
-        self, requests: list[RequestContext]
-    ) -> tuple[str, object, XacmlAuthzDecisionBatchQuery]:
-        """Build the wire form of a batch query: (action, payload, query).
-
-        On the secure channel the whole batch rides under one
-        WS-Security signature — the per-envelope amortisation the
-        decision fabric exists for.
-        """
-        batch = XacmlAuthzDecisionBatchQuery.for_requests(
-            requests, issuer=self.name, issue_instant=self.now
+        action, payload = self.channel.seal(QUERY_ACTION, query.to_xml())
+        reply, pdp = self._exchange(action, payload)
+        return XacmlAuthzDecisionStatement.from_xml(
+            self.channel.open_reply(reply, pdp)
         )
-        if self.config.secure_channel:
-            payload = self._secure_payload(
-                SECURE_BATCH_QUERY_ACTION, batch.to_xml()
-            )
-            return SECURE_BATCH_QUERY_ACTION, payload, batch
-        return BATCH_QUERY_ACTION, batch.to_xml(), batch
-
-    def _parse_batch_reply(
-        self, reply: Message, pdp: str
-    ) -> XacmlAuthzDecisionBatchStatement:
-        if self.config.secure_channel:
-            return XacmlAuthzDecisionBatchStatement.from_xml(
-                self._verify_reply_body(reply, pdp)
-            )
-        return XacmlAuthzDecisionBatchStatement.from_xml(str(reply.payload))
 
     def _query_pdp_batch(
         self, requests: list[RequestContext]
     ) -> XacmlAuthzDecisionBatchStatement:
-        action, payload, batch = self._build_batch_query(requests)
+        """One batch round-trip; on the secure channel the whole batch
+        rides under one WS-Security signature each way."""
+        batch = XacmlAuthzDecisionBatchQuery.for_requests(
+            requests, issuer=self.name, issue_instant=self.now
+        )
+        action, payload = self.channel.seal(BATCH_QUERY_ACTION, batch.to_xml())
         reply, pdp = self._exchange(action, payload)
-        statement_batch = self._parse_batch_reply(reply, pdp)
-        if statement_batch.in_response_to != batch.batch_id:
-            raise RpcFault(
-                "pep:bad-reply",
-                f"reply answers {statement_batch.in_response_to!r}, "
-                f"expected {batch.batch_id!r}",
-            )
-        if len(statement_batch.statements) != len(requests):
-            raise RpcFault(
-                "pep:bad-reply",
-                f"{len(statement_batch.statements)} statements for "
-                f"{len(requests)} requests",
-            )
-        return statement_batch
+        return self.channel.open_batch_reply(
+            reply, pdp, batch.batch_id, len(requests)
+        )
 
     def enable_batching(
         self,

@@ -14,20 +14,14 @@ from .highload import (
     ClosedLoopRun,
     ClosedLoopStats,
     GroupLoadStats,
-    MultiPepStats,
     PepLoadStats,
     access_requests,
     drive_closed_loop,
-    run_closed_loop,
-    run_closed_loop_multi,
 )
 from .multidomain import (
-    DomainLoadStats,
-    FederatedLoadStats,
     StalenessAudit,
     federated_resource_id,
     multi_domain_request_mix,
-    run_closed_loop_federated,
 )
 from .population import (
     Population,
@@ -50,11 +44,8 @@ __all__ = [
     "AccessEvent",
     "ClosedLoopRun",
     "ClosedLoopStats",
-    "DomainLoadStats",
-    "FederatedLoadStats",
     "GeneratedWorkload",
     "GroupLoadStats",
-    "MultiPepStats",
     "PepLoadStats",
     "PolicyCorpusSpec",
     "Population",
@@ -77,7 +68,4 @@ __all__ = [
     "multi_domain_request_mix",
     "request_stream",
     "revocation_churn",
-    "run_closed_loop",
-    "run_closed_loop_multi",
-    "run_closed_loop_federated",
 ]

@@ -11,11 +11,7 @@ submit→completion latency (experiment E16's three reported axes).
 
 :func:`drive_closed_loop` is the one driver every closed-loop shape
 runs on: one PEP, a whole domain of them, or several domains' fleets
-grouped for per-domain reporting (experiments E16/E17/E18/E19).  The
-historic entry points — :func:`run_closed_loop`,
-:func:`run_closed_loop_multi` and :func:`~repro.workloads.multidomain.
-run_closed_loop_federated` — survive as thin deprecated wrappers with
-their original signatures and return shapes.
+grouped for per-domain reporting (experiments E16/E17/E18/E19).
 
 The driver is fully event-driven on top of
 :meth:`~repro.components.pep.PolicyEnforcementPoint.submit` (the
@@ -25,7 +21,6 @@ without growing the Python stack.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,20 +73,6 @@ class PepLoadStats:
 
 
 @dataclass(frozen=True)
-class MultiPepStats:
-    """What one multi-PEP closed-loop run measured.
-
-    ``fleet`` aggregates the whole domain (its ``offered_concurrency``
-    is the sum over PEPs, its latency the pooled samples); ``per_pep``
-    carries each PEP's own completion counts and latency distribution —
-    the view the gateway's fairness cap is judged against.
-    """
-
-    fleet: ClosedLoopStats
-    per_pep: tuple[PepLoadStats, ...]
-
-
-@dataclass(frozen=True)
 class GroupLoadStats:
     """One PEP group's share of a closed-loop run (e.g. one domain)."""
 
@@ -111,8 +92,8 @@ class ClosedLoopRun:
 
     ``fleet`` pools every PEP; ``per_pep`` breaks the run down per PEP;
     ``per_group`` (only when the driver was given group labels)
-    regroups the per-PEP shares — the per-domain view of the federated
-    wrapper.
+    regroups the per-PEP shares — the per-domain view of a federated
+    run.
     """
 
     fleet: ClosedLoopStats
@@ -211,9 +192,9 @@ def drive_closed_loop(
             pump()
 
         def pump() -> None:
-            # Same re-entrancy guard as the single-PEP driver: a
-            # synchronous completion inside submit must not recurse
-            # into the refill loop already running above it.
+            # Re-entrancy guard: a synchronous completion inside
+            # submit must not recurse into the refill loop already
+            # running above it.
             if state["pumping"]:
                 return
             state["pumping"] = True
@@ -316,54 +297,3 @@ def _group_stats(
         ),
         per_pep=shares,
     )
-
-
-# -- deprecated wrappers (historic call sites and return shapes) ----------------------
-
-
-def run_closed_loop(
-    pep,
-    requests: Sequence[RequestContext],
-    concurrency: int,
-    horizon: float = 300.0,
-) -> ClosedLoopStats:
-    """Deprecated: :func:`drive_closed_loop` with a one-PEP fleet.
-
-    Kept for historic call sites; returns the fleet summary exactly as
-    it always did.
-    """
-    warnings.warn(
-        "run_closed_loop is deprecated; use drive_closed_loop",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return drive_closed_loop(
-        [pep], [requests], concurrency, horizon=horizon
-    ).fleet
-
-
-def run_closed_loop_multi(
-    peps: Sequence,
-    requests_by_pep: Sequence[Sequence[RequestContext]],
-    concurrency,
-    horizon: float = 300.0,
-    observer=None,
-) -> MultiPepStats:
-    """Deprecated: :func:`drive_closed_loop` without grouping.
-
-    Kept for historic call sites; returns the same
-    :class:`MultiPepStats` shape as always.
-    """
-    warnings.warn(
-        "run_closed_loop_multi is deprecated; use drive_closed_loop",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    run = drive_closed_loop(
-        peps,
-        requests_by_pep,
-        concurrency,
-        horizon=horizon,
-        observer=observer,
-    )
-    return MultiPepStats(fleet=run.fleet, per_pep=run.per_pep)

@@ -9,23 +9,19 @@ the traffic that must cross the gateway→gateway path (or, in the naive
 baseline, go per-PEP straight at the remote PDP tier).
 
 :func:`multi_domain_request_mix` builds one PEP's stream over the
-VO-wide resource population with a given remote fraction;
-:func:`run_closed_loop_federated` is a deprecated wrapper that drives
-every domain's PEPs through :func:`~repro.workloads.highload.
-drive_closed_loop` (one driver, one implementation) with the domain
-names as group labels and re-dresses the per-group results in the
-historic per-domain shape.
+VO-wide resource population with a given remote fraction; every
+domain's PEPs then run through :func:`~repro.workloads.highload.
+drive_closed_loop` with the domain names as ``groups`` labels, and
+:class:`StalenessAudit` is the observer that prices cache staleness
+against a mid-run revocation.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..xacml.context import RequestContext
-from .highload import ClosedLoopStats, PepLoadStats, drive_closed_loop
 
 
 def federated_resource_id(domain_name: str, index: int) -> str:
@@ -150,107 +146,3 @@ class StalenessAudit:
             f"window={self.coherence_window}, "
             f"violations={self.violation_count})"
         )
-
-
-@dataclass(frozen=True)
-class DomainLoadStats:
-    """One domain's share of a federated closed-loop run."""
-
-    name: str
-    submitted: int
-    completed: int
-    granted: int
-    denied: int
-    #: Worst per-PEP p95 submit→completion delay inside this domain.
-    worst_pep_p95: float
-    per_pep: tuple[PepLoadStats, ...]
-
-
-@dataclass(frozen=True)
-class FederatedLoadStats:
-    """What one multi-domain closed-loop run measured.
-
-    ``fleet`` aggregates the whole VO (every domain's PEPs pooled);
-    ``per_domain`` regroups the per-PEP breakdowns by owning domain.
-    """
-
-    fleet: ClosedLoopStats
-    per_domain: tuple[DomainLoadStats, ...]
-
-    def domain(self, name: str) -> DomainLoadStats:
-        for stats in self.per_domain:
-            if stats.name == name:
-                return stats
-        raise KeyError(f"no domain {name!r} in this run")
-
-
-def run_closed_loop_federated(
-    peps_by_domain: Mapping[str, Sequence],
-    requests_by_domain: Mapping[str, Sequence[Sequence[RequestContext]]],
-    concurrency: int,
-    horizon: float = 300.0,
-    observer=None,
-) -> FederatedLoadStats:
-    """Deprecated: :func:`~repro.workloads.highload.drive_closed_loop`
-    with the domain names as group labels.
-
-    Kept for historic call sites; returns the same
-    :class:`FederatedLoadStats` shape as always.
-
-    Args:
-        peps_by_domain: domain name → that domain's PEPs (batching
-            enabled, registered with the domain's gateway or carrying
-            their own dispatch — both E18 modes use this driver).
-        requests_by_domain: domain name → one request sequence per PEP,
-            aligned with ``peps_by_domain``.
-        concurrency: outstanding-request window per PEP.
-        horizon: simulated-seconds safety stop.
-        observer: optional per-completion ``observer(pep, request,
-            result)`` callback, passed through to the shared driver
-            (staleness accounting for the E18 cache grid).
-    """
-    warnings.warn(
-        "run_closed_loop_federated is deprecated; use "
-        "repro.workloads.highload.drive_closed_loop with groups=",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if set(peps_by_domain) != set(requests_by_domain):
-        raise ValueError(
-            f"domains differ: {sorted(peps_by_domain)} vs "
-            f"{sorted(requests_by_domain)}"
-        )
-    domain_names = sorted(peps_by_domain)
-    peps, requests, owners = [], [], []
-    for domain_name in domain_names:
-        domain_peps = list(peps_by_domain[domain_name])
-        domain_requests = list(requests_by_domain[domain_name])
-        if len(domain_peps) != len(domain_requests):
-            raise ValueError(
-                f"domain {domain_name!r}: {len(domain_peps)} PEPs but "
-                f"{len(domain_requests)} request sequences"
-            )
-        peps.extend(domain_peps)
-        requests.extend(domain_requests)
-        owners.extend([domain_name] * len(domain_peps))
-    run = drive_closed_loop(
-        peps,
-        requests,
-        concurrency,
-        horizon=horizon,
-        observer=observer,
-        groups=owners,
-    )
-    per_domain = tuple(
-        DomainLoadStats(
-            name=group.name,
-            submitted=group.submitted,
-            completed=group.completed,
-            granted=group.granted,
-            denied=group.denied,
-            worst_pep_p95=group.worst_pep_p95,
-            per_pep=group.per_pep,
-        )
-        for group in run.per_group
-    )
-    return FederatedLoadStats(fleet=run.fleet, per_domain=per_domain)

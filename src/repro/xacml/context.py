@@ -162,6 +162,18 @@ class RequestContext:
             )
         return Bag(collected)
 
+    def values(
+        self, category: Category, attribute_id: str
+    ) -> list[AttributeValue]:
+        """Every value the request carries for one attribute id, of any
+        data type and across repeated attributes (the whole bag)."""
+        return [
+            value
+            for attribute in self._attributes[category]
+            if attribute.attribute_id == attribute_id
+            for value in attribute.values
+        ]
+
     def first_value(
         self, category: Category, attribute_id: str
     ) -> Optional[AttributeValue]:

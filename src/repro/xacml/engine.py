@@ -24,6 +24,24 @@ from .policy import Policy, PolicyResult, PolicySet, child_identifier
 
 PolicyElement = Union[Policy, PolicySet]
 
+#: The store indexes on the three canonical identifiers only; anything
+#: else is resolvable via PIP and cannot be judged from the raw request.
+_INDEXED_IDS = (
+    (Category.SUBJECT, SUBJECT_ID),
+    (Category.RESOURCE, RESOURCE_ID),
+    (Category.ACTION, ACTION_ID),
+)
+
+
+def _index_keys(request: RequestContext) -> tuple:
+    """Every index bucket a request can hit: one per value of each
+    canonical identifier's bag (a multi-valued id hits several)."""
+    return tuple(
+        (category, attribute_id, value.lexical())
+        for category, attribute_id in _INDEXED_IDS
+        for value in request.values(category, attribute_id)
+    )
+
 
 @dataclass
 class EvaluationStats:
@@ -60,11 +78,13 @@ class AnalysisGateError(ValueError):
 class PolicyStore:
     """Holds top-level policy elements and finds the applicable ones.
 
-    With ``indexed=True`` the store maintains inverted indexes over the
-    literal equality keys of each element's target.  A request then only
-    evaluates elements whose indexed constraints are satisfiable, plus all
-    unindexable elements.  Indexing never changes decisions — only which
-    elements get *checked* — and a property test asserts exactly that.
+    With ``indexed=True`` the store maintains an inverted index over the
+    values a canonical identifier *must* take for each element's target
+    to match (:meth:`~repro.xacml.targets.AnyOf.constraining_values`).
+    A request then only evaluates elements whose indexed constraint is
+    satisfiable, plus all unindexable elements.  Indexing never changes
+    decisions — only which elements get *checked* — and a property test
+    asserts exactly that against the ``indexed=False`` oracle.
 
     ``analysis_gate`` opts into pre-deployment static analysis on every
     :meth:`add`: ``"error"`` refuses elements with ERROR-severity
@@ -141,29 +161,21 @@ class PolicyStore:
         return list(self._elements.values())
 
     def _index_element(self, identifier: str, element: PolicyElement) -> None:
-        if not self.indexed:
-            self._unindexable.add(identifier)
-            return
-        keys = element.target.literal_equality_keys()
-        # Index on the three canonical identifiers only; anything else is
-        # resolvable via PIP and cannot be judged from the raw request.
-        indexable = {
-            (Category.SUBJECT, SUBJECT_ID),
-            (Category.RESOURCE, RESOURCE_ID),
-            (Category.ACTION, ACTION_ID),
-        }
-        chosen: Optional[tuple[Category, str]] = None
-        for key in keys:
-            if key in indexable:
-                chosen = key
-                break
-        if chosen is None:
-            self._unindexable.add(identifier)
-            return
-        for value in keys[chosen]:
-            self._index.setdefault((chosen[0], chosen[1], value), set()).add(
-                identifier
-            )
+        if self.indexed:
+            # The first AnyOf group, in target order, that soundly
+            # constrains a canonical identifier is the index key; a
+            # group with an unconstrained alternative is skipped.
+            for any_of in element.target.any_ofs:
+                for category, attribute_id in _INDEXED_IDS:
+                    values = any_of.constraining_values(category, attribute_id)
+                    if values is None:
+                        continue
+                    for value in values:
+                        self._index.setdefault(
+                            (category, attribute_id, value), set()
+                        ).add(identifier)
+                    return
+        self._unindexable.add(identifier)
 
     @property
     def element_count(self) -> int:
@@ -171,23 +183,23 @@ class PolicyStore:
         return len(self._elements)
 
     def candidates(
-        self, request: RequestContext, stats: Optional[EvaluationStats] = None
+        self,
+        request: RequestContext,
+        stats: Optional[EvaluationStats] = None,
+        keys: Optional[tuple] = None,
     ) -> list[PolicyElement]:
-        """Elements worth evaluating for this request, in insertion order."""
+        """Elements worth evaluating for this request, in insertion order.
+
+        ``keys`` lets a caller that already derived the request's
+        :func:`_index_keys` (the batch memo) pass them in.
+        """
         if not self.indexed:
             if stats is not None:
                 stats.candidate_set_size = len(self._elements)
             return self.elements()
         wanted: set[str] = set(self._unindexable)
-        lookups = (
-            (Category.SUBJECT, SUBJECT_ID, request.subject_id),
-            (Category.RESOURCE, RESOURCE_ID, request.resource_id),
-            (Category.ACTION, ACTION_ID, request.action_id),
-        )
-        for category, attribute_id, value in lookups:
-            if value is None:
-                continue
-            wanted |= self._index.get((category, attribute_id, value), set())
+        for key in keys if keys is not None else _index_keys(request):
+            wanted.update(self._index.get(key, ()))
         if stats is not None:
             stats.policies_skipped_by_index += len(self._elements) - len(wanted)
             stats.candidate_set_size = len(wanted)
@@ -295,9 +307,9 @@ class PdpEngine:
 
         Element-wise equivalent to calling :meth:`evaluate` on each
         request in order (a property test asserts exactly that), but the
-        batch shares target-index lookups: requests naming the same
-        (subject, resource, action) triple resolve their candidate list
-        once.  The store is not refreshed or mutated between elements —
+        batch shares target-index lookups: requests carrying the same
+        subject/resource/action identifier bags resolve their candidate
+        list once.  The store is not refreshed or mutated between elements —
         the "one policy snapshot" guarantee a batched decision query
         carries.
 
@@ -314,10 +326,10 @@ class PdpEngine:
         for request in requests:
             self.evaluations += 1
             stats = EvaluationStats()
-            key = (request.subject_id, request.resource_id, request.action_id)
+            key = _index_keys(request)
             candidates = memo.get(key)
             if candidates is None:
-                candidates = self.store.candidates(request, stats)
+                candidates = self.store.candidates(request, stats, keys=key)
                 memo[key] = candidates
             else:
                 self.candidate_lookups_shared += 1

@@ -99,6 +99,13 @@ def _make_equal(name: str, data_type: DataType) -> None:
 for _name, _dt in _EQUALITY_TYPES.items():
     _make_equal(_name, _dt)
 
+#: The exact ``type-equal`` function ids.  Target summaries test
+#: membership here — a suffix test would also catch the ordered
+#: ``-greater-than-or-equal`` / ``-less-than-or-equal`` comparisons.
+EQUALITY_FUNCTIONS = frozenset(
+    FUNCTION_PREFIX_1_0 + _name for _name in _EQUALITY_TYPES
+)
+
 
 # -- ordering ------------------------------------------------------------------
 

@@ -100,6 +100,31 @@ class AnyOf:
             return MatchResult.INDETERMINATE
         return MatchResult.NO_MATCH
 
+    def constraining_values(
+        self, category: Category, attribute_id: str
+    ) -> "set[str] | None":
+        """Values the attribute *must* take for this group to match.
+
+        Sound only when every AllOf alternative carries an equality
+        match on the attribute — the union of those literals is then a
+        superset of the matchable values; one unconstrained alternative
+        (``AnyOf[AllOf(resource=r1), AllOf(subject=s1)]`` matches any
+        resource via the subject branch) makes the answer None.
+        """
+        values: set[str] = set()
+        for all_of in self.all_ofs:
+            found = {
+                match.value.lexical()
+                for match in all_of.matches
+                if match.match_function in functions.EQUALITY_FUNCTIONS
+                and match.designator.category is category
+                and match.designator.attribute_id == attribute_id
+            }
+            if not found:
+                return None
+            values |= found
+        return values if self.all_ofs else None
+
 
 @dataclass(frozen=True)
 class Target:
@@ -124,17 +149,18 @@ class Target:
         return not self.any_ofs
 
     def literal_equality_keys(self) -> dict[tuple[Category, str], set[str]]:
-        """Extract {(category, attribute_id): {values}} for target indexing.
+        """Extract the {(category, attribute_id): {values}} a target mentions.
 
-        Only single-AllOf/single-Match equality structures are indexable;
-        anything richer falls back to linear scan.  Used by the engine's
-        policy finder for E14 scalability.
+        Collects equality literals from *every* branch, so it describes
+        what a target talks about (scope and footprint summaries), not
+        what it requires — see :meth:`constraining_values` for the
+        sound criterion indexing and partitioning use.
         """
         keys: dict[tuple[Category, str], set[str]] = {}
         for any_of in self.any_ofs:
             for all_of in any_of.all_ofs:
                 for match in all_of.matches:
-                    if not match.match_function.endswith("-equal"):
+                    if match.match_function not in functions.EQUALITY_FUNCTIONS:
                         continue
                     key = (match.designator.category, match.designator.attribute_id)
                     keys.setdefault(key, set()).add(match.value.lexical())
@@ -148,33 +174,18 @@ class Target:
         Returns a set ``V`` such that the target can only match requests
         whose ``(category, attribute_id)`` value is in ``V``, or None
         when the target does not constrain that attribute.  This is the
-        sound criterion store partitioning needs —
+        sound criterion store indexing and partitioning need —
         :meth:`literal_equality_keys` is *not* enough, because it
-        collects equality matches from any branch: a target like
-        ``AnyOf[AllOf(resource=r1), AllOf(subject=s1)]`` mentions ``r1``
-        yet matches any resource via the subject branch.
+        collects equality matches from any branch.
 
         The target is a conjunction of AnyOf groups, so it is enough for
-        *one* AnyOf to be fully constrained: every AllOf alternative in
-        that group carries an equality match on the attribute, making
-        the union of those literals a superset of the matchable values.
+        *one* group to be fully constrained
+        (:meth:`AnyOf.constraining_values`); the first such group in
+        target order answers.
         """
         for any_of in self.any_ofs:
-            values: set[str] = set()
-            fully_constrained = bool(any_of.all_ofs)
-            for all_of in any_of.all_ofs:
-                found = {
-                    match.value.lexical()
-                    for match in all_of.matches
-                    if match.match_function.endswith("-equal")
-                    and match.designator.category is category
-                    and match.designator.attribute_id == attribute_id
-                }
-                if not found:
-                    fully_constrained = False
-                    break
-                values |= found
-            if fully_constrained:
+            values = any_of.constraining_values(category, attribute_id)
+            if values is not None:
                 return values
         return None
 

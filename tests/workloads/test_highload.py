@@ -12,11 +12,7 @@ from repro.components import (
     PolicyEnforcementPoint,
 )
 from repro.simnet import Network
-from repro.workloads import (
-    access_requests,
-    run_closed_loop,
-    run_closed_loop_multi,
-)
+from repro.workloads import access_requests, drive_closed_loop
 from repro.workloads.generator import AccessEvent
 from repro.xacml import Policy, RequestContext, combining, permit_rule
 
@@ -59,7 +55,7 @@ def distinct_requests(count):
 
 def test_completes_every_request():
     network, pep = build_env()
-    stats = run_closed_loop(pep, distinct_requests(40), concurrency=8)
+    stats = drive_closed_loop([pep], [distinct_requests(40)], 8).fleet
     assert stats.submitted == 40
     assert stats.completed == 40
     assert stats.granted == 40
@@ -84,7 +80,7 @@ def test_concurrency_window_is_respected():
 
     queue.submit = tracking_submit
     pep.coalescer = queue
-    run_closed_loop(pep, distinct_requests(30), concurrency=5)
+    drive_closed_loop([pep], [distinct_requests(30)], 5)
     assert observed["max"] <= 5
 
 
@@ -93,7 +89,7 @@ def test_cache_hits_complete_synchronously():
     pep.config = PepConfig(decision_cache_ttl=600.0)
     pep.decision_cache.ttl = 600.0
     request = RequestContext.simple("user-0", "res", "read")
-    stats = run_closed_loop(pep, [request] * 20, concurrency=4)
+    stats = drive_closed_loop([pep], [[request] * 20], 4).fleet
     assert stats.completed == 20
     # Only the first submission crossed the wire; 19 were dedup/cache.
     assert stats.queue_latency.count <= 4
@@ -112,7 +108,7 @@ def test_access_requests_converts_events():
 def test_rejects_non_positive_concurrency():
     network, pep = build_env()
     with pytest.raises(ValueError, match="concurrency"):
-        run_closed_loop(pep, distinct_requests(2), concurrency=0)
+        drive_closed_loop([pep], [distinct_requests(2)], 0)
 
 
 def build_domain_env(pep_count=3, gateway=True, service=True):
@@ -164,7 +160,7 @@ def build_domain_env(pep_count=3, gateway=True, service=True):
 class TestMultiPepDriver:
     def test_completes_every_pep_sequence(self):
         network, peps, hub = build_domain_env()
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps, [distinct_requests(20) for _ in peps], concurrency=4
         )
         assert stats.fleet.offered_concurrency == 12
@@ -178,7 +174,7 @@ class TestMultiPepDriver:
 
     def test_uneven_sequences_complete(self):
         network, peps, hub = build_domain_env(pep_count=2)
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps,
             [distinct_requests(15), distinct_requests(3)],
             concurrency=4,
@@ -188,14 +184,14 @@ class TestMultiPepDriver:
 
     def test_works_without_gateway(self):
         network, peps, hub = build_domain_env(gateway=False)
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps, [distinct_requests(8) for _ in peps], concurrency=4
         )
         assert stats.fleet.completed == 24
 
     def test_per_pep_latency_series_are_disjoint(self):
         network, peps, hub = build_domain_env(pep_count=2)
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps,
             [distinct_requests(10), distinct_requests(10)],
             concurrency=2,
@@ -206,11 +202,11 @@ class TestMultiPepDriver:
     def test_rejects_mismatched_sequences(self):
         network, peps, hub = build_domain_env(pep_count=2)
         with pytest.raises(ValueError, match="request sequences"):
-            run_closed_loop_multi(peps, [distinct_requests(2)], concurrency=1)
+            drive_closed_loop(peps, [distinct_requests(2)], concurrency=1)
         with pytest.raises(ValueError, match="concurrency"):
-            run_closed_loop_multi(
+            drive_closed_loop(
                 peps, [distinct_requests(2), distinct_requests(2)],
                 concurrency=0,
             )
         with pytest.raises(ValueError, match="at least one"):
-            run_closed_loop_multi([], [], concurrency=1)
+            drive_closed_loop([], [], concurrency=1)

@@ -12,9 +12,9 @@ from repro.components import (
 )
 from repro.simnet import Network
 from repro.workloads import (
+    drive_closed_loop,
     federated_resource_id,
     multi_domain_request_mix,
-    run_closed_loop_federated,
 )
 from repro.xacml import (
     Policy,
@@ -104,40 +104,34 @@ class TestFederatedDriver:
     def test_run_groups_results_by_domain(self):
         network, peps_by_domain, hubs = build_mini_federation()
         names = sorted(peps_by_domain)
-        requests_by_domain = {
-            name: [
-                multi_domain_request_mix(
-                    name, names, 20, remote_fraction=0.5, seed=11 + i
-                )
-            ]
+        peps = [peps_by_domain[name][0] for name in names]
+        requests = [
+            multi_domain_request_mix(
+                name, names, 20, remote_fraction=0.5, seed=11 + i
+            )
             for i, name in enumerate(names)
-        }
-        stats = run_closed_loop_federated(
-            peps_by_domain, requests_by_domain, concurrency=4
-        )
+        ]
+        stats = drive_closed_loop(peps, requests, concurrency=4, groups=names)
         assert stats.fleet.completed == 40
-        assert [share.name for share in stats.per_domain] == names
-        assert sum(s.completed for s in stats.per_domain) == 40
-        assert sum(s.granted for s in stats.per_domain) == stats.fleet.granted
-        assert stats.domain("da").completed == 20
-        assert stats.domain("da").per_pep[0].name == "pep.da"
-        assert stats.domain("da").worst_pep_p95 >= 0.0
+        assert [share.name for share in stats.per_group] == names
+        assert sum(s.completed for s in stats.per_group) == 40
+        assert sum(s.granted for s in stats.per_group) == stats.fleet.granted
+        assert stats.group("da").completed == 20
+        assert stats.group("da").per_pep[0].name == "pep.da"
+        assert stats.group("da").worst_pep_p95 >= 0.0
         # Remote halves actually crossed the federation.
         assert sum(hub.forwarded_batches_sent for hub in hubs.values()) > 0
         with pytest.raises(KeyError):
-            stats.domain("nope")
+            stats.group("nope")
 
     def test_domain_mismatch_rejected(self):
         network, peps_by_domain, hubs = build_mini_federation()
-        with pytest.raises(ValueError, match="domains differ"):
-            run_closed_loop_federated(
-                peps_by_domain, {"da": [[]]}, concurrency=1
-            )
+        peps = [peps_by_domain[name][0] for name in sorted(peps_by_domain)]
+        with pytest.raises(ValueError, match="group labels"):
+            drive_closed_loop(peps, [[], []], concurrency=1, groups=["da"])
         with pytest.raises(ValueError, match="request sequences"):
-            run_closed_loop_federated(
-                peps_by_domain,
-                {"da": [[], []], "db": [[]]},
-                concurrency=1,
+            drive_closed_loop(
+                peps, [[]], concurrency=1, groups=["da", "db"]
             )
 
     def test_resource_naming_helper(self):

@@ -1,6 +1,6 @@
 """Observer hook threading: every completion hands a *matching* triple.
 
-The closed-loop drivers invoke ``observer(pep, request, result)`` on
+The closed-loop driver invokes ``observer(pep, request, result)`` on
 every completion.  These tests pin the pairing — the exact submitted
 request object, handed back with *its* PEP and *its* result — across
 every completion path: the ordinary batched round trip, coalesced
@@ -20,10 +20,7 @@ from repro.components import (
     PolicyEnforcementPoint,
 )
 from repro.simnet import Network
-from repro.workloads import (
-    run_closed_loop_federated,
-    run_closed_loop_multi,
-)
+from repro.workloads import drive_closed_loop
 from repro.xacml import (
     Policy,
     RequestContext,
@@ -140,7 +137,7 @@ class TestMultiPepObserver:
         network, pdps, peps = build_domain()
         streams = [mixed_requests(12, f"doc{i}") for i in range(len(peps))]
         recorder = TripleRecorder()
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps, streams, concurrency=4, observer=recorder
         )
         assert stats.fleet.completed == 24
@@ -157,7 +154,7 @@ class TestMultiPepObserver:
             for index in range(8)
         ]
         recorder = TripleRecorder()
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps, [stream], concurrency=8, observer=recorder
         )
         assert stats.fleet.completed == 8
@@ -171,7 +168,7 @@ class TestMultiPepObserver:
         streams = [mixed_requests(16, f"doc{i}") for i in range(len(peps))]
         recorder = TripleRecorder()
         network.loop.schedule(0.004, pdps[0].crash, label="kill-pdp-0")
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps, streams, concurrency=4, observer=recorder
         )
         assert stats.fleet.completed == 32
@@ -189,7 +186,7 @@ class TestMultiPepObserver:
             pdp.crash()
         stream = mixed_requests(6)
         recorder = TripleRecorder()
-        stats = run_closed_loop_multi(
+        stats = drive_closed_loop(
             peps, [stream], concurrency=6, observer=recorder
         )
         assert stats.fleet.completed == 6
@@ -252,30 +249,26 @@ class TestFederatedObserver:
         # The west PEP asks about the *east* resource over and over
         # (fresh objects each time) with an interleaved delete, plus
         # local traffic; east mirrors it.
-        streams = {}
-        for name, other in (("west", "east"), ("east", "west")):
-            streams[name] = [
-                [
-                    RequestContext.simple(
-                        "alice",
-                        f"res.{other if index % 2 else name}",
-                        "read" if index != 5 else "delete",
-                    )
-                    for index in range(10)
-                ]
+        names = sorted(peps_by_domain)
+        peps = [peps_by_domain[name][0] for name in names]
+        streams = [
+            [
+                RequestContext.simple(
+                    "alice",
+                    f"res.{other if index % 2 else name}",
+                    "read" if index != 5 else "delete",
+                )
+                for index in range(10)
             ]
+            for name, other in zip(names, reversed(names), strict=True)
+        ]
         recorder = TripleRecorder()
-        stats = run_closed_loop_federated(
-            peps_by_domain, streams, concurrency=2, observer=recorder
+        stats = drive_closed_loop(
+            peps, streams, concurrency=2, observer=recorder, groups=names
         )
         assert stats.fleet.completed == 20
         assert sum(hub.remote_cache_hits for hub in hubs.values()) > 0, (
             "no remote-decision cache hit — the scenario is not "
             "exercising the cached delivery path"
         )
-        recorder.assert_matches(
-            {
-                peps_by_domain[name][0]: streams[name][0]
-                for name in peps_by_domain
-            }
-        )
+        recorder.assert_matches(dict(zip(peps, streams, strict=True)))

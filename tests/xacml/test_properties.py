@@ -5,21 +5,36 @@ Invariants checked:
 * combining-algorithm algebra (deny/permit-overrides invariance under
   permutation; deny-overrides never yields Permit if any child denies);
 * serializer/parser round-trip over randomly generated policies;
-* target indexing never changes engine decisions;
+* target indexing never changes engine decisions — over conjunctive,
+  disjunctive and ordered-comparison targets and multi-valued id bags;
 * request cache keys are stable under attribute reordering.
 """
 
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.xacml import (
+    ACTION_ID,
+    AllOf,
+    AnyOf,
+    Attribute,
+    AttributeDesignator,
+    Category,
+    DataType,
     Decision,
+    Match,
     PdpEngine,
     Policy,
     PolicyStore,
+    RESOURCE_ID,
     RequestContext,
+    SUBJECT_ID,
+    Target,
     combining,
     deny_rule,
+    functions,
+    match_equal,
     parse_policy,
     permit_rule,
     serialize_policy,
@@ -100,6 +115,49 @@ class TestCombiningAlgebra:
             assert decision is Decision.NOT_APPLICABLE
 
 
+def subject_at_most(bound):
+    """``subject-id <= bound``: an ordered comparison whose function id
+    also ends in ``-equal``."""
+    return Match(
+        match_function=(
+            functions.FUNCTION_PREFIX_1_0 + "string-greater-than-or-equal"
+        ),
+        value=string(bound),
+        designator=AttributeDesignator(
+            Category.SUBJECT, SUBJECT_ID, DataType.STRING
+        ),
+    )
+
+
+def either(*matches):
+    """One AnyOf group with a single-match alternative per argument."""
+    return AnyOf(all_ofs=tuple(AllOf(matches=(m,)) for m in matches))
+
+
+@st.composite
+def random_targets(draw):
+    """A policy target: mostly today's conjunctive shape, sometimes with
+    a disjunctive or an ordered-comparison group in front of it."""
+    conjunctive = subject_resource_action_target(
+        draw(st.one_of(st.none(), subjects)),
+        draw(st.one_of(st.none(), resources)),
+        None,
+    )
+    shape = draw(st.sampled_from(["conjunctive", "disjunctive", "ordered"]))
+    if shape == "disjunctive":
+        extra = either(
+            match_equal(
+                Category.RESOURCE, RESOURCE_ID, string(draw(resources))
+            ),
+            match_equal(Category.SUBJECT, SUBJECT_ID, string(draw(subjects))),
+        )
+    elif shape == "ordered":
+        extra = either(subject_at_most(draw(subjects)))
+    else:
+        return conjunctive
+    return Target(any_ofs=(extra,) + conjunctive.any_ofs)
+
+
 @st.composite
 def random_policies(draw):
     rule_count = draw(st.integers(min_value=1, max_value=5))
@@ -126,11 +184,7 @@ def random_policies(draw):
         policy_id=f"gen-{policy_id}",
         rules=tuple(rules),
         rule_combining=algorithm,
-        target=subject_resource_action_target(
-            draw(st.one_of(st.none(), subjects)),
-            draw(st.one_of(st.none(), resources)),
-            None,
-        ),
+        target=draw(random_targets()),
     )
 
 
@@ -153,24 +207,91 @@ class TestRoundTripProperties:
         assert original == reparsed
 
 
+def request_with_subjects(subject_ids, resource, action):
+    """A request whose subject-id bag carries every given value."""
+    request = RequestContext()
+    request.add(
+        Category.SUBJECT,
+        Attribute(SUBJECT_ID, tuple(string(s) for s in subject_ids)),
+    )
+    request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, string(resource)))
+    request.add(Category.ACTION, Attribute.of(ACTION_ID, string(action)))
+    return request
+
+
+def decide_both_ways(policies, requests):
+    """Per-request decisions of the indexed store and of the linear
+    oracle, singly and as one batch."""
+    indexed = PdpEngine(PolicyStore(indexed=True))
+    linear = PdpEngine(PolicyStore(indexed=False))
+    for policy in policies:
+        indexed.add_policy(policy)
+        linear.add_policy(policy)
+    return (
+        [indexed.decide(request) for request in requests],
+        [r.decision for r in indexed.evaluate_batch(requests)],
+        [linear.decide(request) for request in requests],
+    )
+
+
 class TestIndexingProperties:
     @given(
         st.lists(random_policies(), min_size=1, max_size=10, unique_by=lambda p: p.policy_id),
-        subjects,
-        resources,
-        actions,
+        st.lists(
+            st.tuples(
+                st.lists(subjects, min_size=1, max_size=3),
+                resources,
+                actions,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
     )
-    @settings(max_examples=40)
-    def test_indexing_never_changes_decisions(
-        self, policies, subject, resource, action
+    @settings(max_examples=60)
+    def test_indexing_never_changes_decisions(self, policies, triples):
+        requests = [request_with_subjects(*triple) for triple in triples]
+        single, batched, oracle = decide_both_ways(policies, requests)
+        assert single == oracle
+        assert batched == oracle
+
+    @pytest.mark.parametrize(
+        "target, subject_ids, resource",
+        [
+            # A disjunctive group mentions r1 but matches any resource
+            # through its subject branch.
+            (
+                Target(
+                    any_ofs=(
+                        either(
+                            match_equal(
+                                Category.RESOURCE, RESOURCE_ID, string("r1")
+                            ),
+                            match_equal(
+                                Category.SUBJECT, SUBJECT_ID, string("s1")
+                            ),
+                        ),
+                    )
+                ),
+                ["s1"],
+                "r2",
+            ),
+            # "m" >= subject-id is an ordering, not an equality on "m".
+            (Target(any_ofs=(either(subject_at_most("m")),)), ["a"], "r1"),
+            # The matching value is the bag's second.
+            (subject_resource_action_target("s1"), ["s0", "s1"], "r1"),
+        ],
+        ids=["disjunctive", "ordered-comparison", "multi-valued"],
+    )
+    def test_index_counter_examples_decide_like_the_oracle(
+        self, target, subject_ids, resource
     ):
-        indexed = PdpEngine(PolicyStore(indexed=True))
-        linear = PdpEngine(PolicyStore(indexed=False))
-        for policy in policies:
-            indexed.add_policy(policy)
-            linear.add_policy(policy)
-        request = RequestContext.simple(subject, resource, action)
-        assert indexed.decide(request) == linear.decide(request)
+        policy = Policy(
+            policy_id="p", rules=(permit_rule("allow"),), target=target
+        )
+        request = request_with_subjects(subject_ids, resource, "read")
+        single, batched, oracle = decide_both_ways([policy], [request])
+        assert oracle == [Decision.PERMIT]
+        assert single == batched == oracle
 
 
 class TestCacheKeyProperties:
@@ -189,8 +310,6 @@ class TestCacheKeyProperties:
         st.randoms(),
     )
     def test_cache_key_order_insensitive(self, pairs, rnd):
-        from repro.xacml import Attribute, Category
-
         def build(ordering):
             request = RequestContext.simple("s", "r", "read")
             for attr_id, value in ordering:
