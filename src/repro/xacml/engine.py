@@ -1,14 +1,22 @@
 """The XACML evaluation engine: what beats inside every PDP.
 
 The engine evaluates a request context against a policy store and returns
-a response context.  Two store strategies are provided:
+a response context.  :class:`PolicyStore` holds the top-level elements
+and picks the ones worth evaluating:
 
-* :class:`PolicyStore` — the straightforward "evaluate the root element"
-  model of the standard;
-* target indexing — an optimisation that buckets policies by the literal
-  subject/resource/action equality constraints in their targets, so that
-  requests only evaluate plausibly-applicable policies.  This is the
-  mechanism behind the scalability shape of experiment E14.
+* ``indexed=False`` — the straightforward "evaluate every element" model
+  of the standard, kept as the oracle the property tests compare with;
+* ``indexed=True`` (the default) — target indexing: elements are posted
+  under the literal subject/resource/action values their targets
+  require, so a request only evaluates plausibly-applicable elements.
+  This is the mechanism behind the scalability shape of experiment E14.
+
+Cost model of the indexed store (``K`` = index keys of one element,
+``M`` = elements posted under the request's keys plus the unindexable
+ones): ``candidates()`` is O(M log M) and never looks at the rest of
+the store; ``add()``, ``remove()`` and ``replace()`` are O(K).  The one
+exception is a request that *omits* a canonical identifier: it walks
+every index key of that identifier (see :func:`_index_keys`).
 """
 
 from __future__ import annotations
@@ -32,15 +40,33 @@ _INDEXED_IDS = (
     (Category.ACTION, ACTION_ID),
 )
 
+#: ``(category, attribute_id, value)``; a request-side key whose value is
+#: None stands for every value of that identifier.
+IndexKey = tuple[Category, str, Optional[str]]
 
-def _index_keys(request: RequestContext) -> tuple:
+#: One posting list: insertion ordinal -> element.  Ordinals only grow
+#: and entries are only appended or deleted, so each list is in ordinal
+#: (= store insertion) order by itself.
+Postings = dict[int, PolicyElement]
+
+
+def _index_keys(request: RequestContext) -> tuple[IndexKey, ...]:
     """Every index bucket a request can hit: one per value of each
-    canonical identifier's bag (a multi-valued id hits several)."""
-    return tuple(
-        (category, attribute_id, value.lexical())
-        for category, attribute_id in _INDEXED_IDS
-        for value in request.values(category, attribute_id)
-    )
+    canonical identifier's bag (a multi-valued id hits several).
+
+    An identifier the request omits yields one wildcard key (value
+    None) that hits every bucket of that identifier: a PIP finder may
+    supply the value at evaluation time, so no element indexed under it
+    can be ruled out from the raw request.
+    """
+    keys: list[IndexKey] = []
+    for category, attribute_id in _INDEXED_IDS:
+        values = request.values(category, attribute_id)
+        if not values:
+            keys.append((category, attribute_id, None))
+        for value in values:
+            keys.append((category, attribute_id, value.lexical()))
+    return tuple(keys)
 
 
 @dataclass
@@ -83,14 +109,28 @@ class PolicyStore:
     to match (:meth:`~repro.xacml.targets.AnyOf.constraining_values`).
     A request then only evaluates elements whose indexed constraint is
     satisfiable, plus all unindexable elements.  Indexing never changes
-    decisions — only which elements get *checked* — and a property test
-    asserts exactly that against the ``indexed=False`` oracle.
+    decisions — only which elements get *checked* — and property tests
+    assert exactly that against the ``indexed=False`` oracle.
+
+    Every element gets a monotonically increasing insertion ordinal at
+    :meth:`add`; each index bucket, and the unindexable set, is a
+    posting list ``ordinal -> element``.  :meth:`candidates` merges the
+    posting lists the request hits and returns them in ordinal order —
+    the order :meth:`elements` has, which order-dependent combining
+    (first-applicable, only-one-applicable) relies on — in
+    O(matches · log matches), whatever the store holds.  :meth:`add` and
+    :meth:`remove` touch only the buckets of the element's own keys,
+    re-derived from its (immutable) target rather than stored per
+    element; a bucket goes when its last entry does.  :meth:`replace`
+    re-queues the element at the end of the insertion order.
 
     ``analysis_gate`` opts into pre-deployment static analysis on every
-    :meth:`add`: ``"error"`` refuses elements with ERROR-severity
-    findings (shadowed rules, masked effects, only-one-applicable
-    overlaps), ``"warning"`` refuses on any finding at all.  Refusals
-    raise :class:`AnalysisGateError` and leave the store unchanged.
+    :meth:`add` and :meth:`replace`: ``"error"`` refuses elements with
+    ERROR-severity findings (shadowed rules, masked effects,
+    only-one-applicable overlaps), ``"warning"`` refuses on any finding
+    at all.  Refusals raise :class:`AnalysisGateError` and leave the
+    store unchanged — a refused replacement leaves the deployed version
+    in force.
     """
 
     def __init__(
@@ -107,9 +147,12 @@ class PolicyStore:
         self.indexed = indexed
         self.analysis_gate = analysis_gate
         self.metrics = metrics
+        #: id -> element, in insertion (= ordinal) order.
         self._elements: dict[str, PolicyElement] = {}
-        self._index: dict[tuple[Category, str, str], set[str]] = {}
-        self._unindexable: set[str] = set()
+        self._ordinals: dict[str, int] = {}
+        self._next_ordinal = 0
+        self._index: dict[IndexKey, Postings] = {}
+        self._unindexable: Postings = {}
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -118,12 +161,12 @@ class PolicyStore:
         identifier = child_identifier(element)
         if identifier in self._elements:
             raise ValueError(f"duplicate policy element id {identifier!r}")
-        if self.analysis_gate is not None:
-            self._gate_check(identifier, element)
-        self._elements[identifier] = element
-        self._index_element(identifier, element)
+        self._gate_check(identifier, element)
+        self._post(identifier, element)
 
     def _gate_check(self, identifier: str, element: PolicyElement) -> None:
+        if self.analysis_gate is None:
+            return
         from .analysis import analyze  # deferred: analysis imports this module
         from .validation import Severity
 
@@ -145,14 +188,27 @@ class PolicyStore:
             raise AnalysisGateError(identifier, blocking)
 
     def remove(self, identifier: str) -> None:
-        self._elements.pop(identifier, None)
-        self._unindexable.discard(identifier)
-        for bucket in self._index.values():
-            bucket.discard(identifier)
+        element = self._elements.pop(identifier, None)
+        if element is None:
+            return
+        ordinal = self._ordinals.pop(identifier)
+        keys = self._keys_for(element)
+        if not keys:
+            del self._unindexable[ordinal]
+        for key in keys:
+            postings = self._index[key]
+            del postings[ordinal]
+            if not postings:
+                del self._index[key]
 
     def replace(self, element: PolicyElement) -> None:
-        self.remove(child_identifier(element))
-        self.add(element)
+        """Swap in a new version of an element (or add a first one), at
+        the end of the insertion order.  The gate judges the replacement
+        before the deployed version goes."""
+        identifier = child_identifier(element)
+        self._gate_check(identifier, element)
+        self.remove(identifier)
+        self._post(identifier, element)
 
     def get(self, identifier: str) -> Optional[PolicyElement]:
         return self._elements.get(identifier)
@@ -160,22 +216,34 @@ class PolicyStore:
     def elements(self) -> list[PolicyElement]:
         return list(self._elements.values())
 
-    def _index_element(self, identifier: str, element: PolicyElement) -> None:
+    def _keys_for(self, element: PolicyElement) -> list[IndexKey]:
+        """The index keys an element is posted under; none means
+        unindexable.
+
+        The first AnyOf group, in target order, that soundly constrains
+        a canonical identifier is the index key; a group with an
+        unconstrained alternative is skipped.
+        """
         if self.indexed:
-            # The first AnyOf group, in target order, that soundly
-            # constrains a canonical identifier is the index key; a
-            # group with an unconstrained alternative is skipped.
             for any_of in element.target.any_ofs:
                 for category, attribute_id in _INDEXED_IDS:
                     values = any_of.constraining_values(category, attribute_id)
-                    if values is None:
-                        continue
-                    for value in values:
-                        self._index.setdefault(
-                            (category, attribute_id, value), set()
-                        ).add(identifier)
-                    return
-        self._unindexable.add(identifier)
+                    if values is not None:
+                        return [
+                            (category, attribute_id, value) for value in values
+                        ]
+        return []
+
+    def _post(self, identifier: str, element: PolicyElement) -> None:
+        ordinal = self._next_ordinal
+        self._next_ordinal += 1
+        self._elements[identifier] = element
+        self._ordinals[identifier] = ordinal
+        keys = self._keys_for(element)
+        if not keys:
+            self._unindexable[ordinal] = element
+        for key in keys:
+            self._index.setdefault(key, {})[ordinal] = element
 
     @property
     def element_count(self) -> int:
@@ -186,7 +254,7 @@ class PolicyStore:
         self,
         request: RequestContext,
         stats: Optional[EvaluationStats] = None,
-        keys: Optional[tuple] = None,
+        keys: Optional[tuple[IndexKey, ...]] = None,
     ) -> list[PolicyElement]:
         """Elements worth evaluating for this request, in insertion order.
 
@@ -197,17 +265,20 @@ class PolicyStore:
             if stats is not None:
                 stats.candidate_set_size = len(self._elements)
             return self.elements()
-        wanted: set[str] = set(self._unindexable)
+        merged: Postings = dict(self._unindexable)
         for key in keys if keys is not None else _index_keys(request):
-            wanted.update(self._index.get(key, ()))
+            category, attribute_id, value = key
+            if value is None:
+                # The request omits this identifier: every bucket of it.
+                for posted, postings in self._index.items():
+                    if posted[0] is category and posted[1] == attribute_id:
+                        merged.update(postings)
+            elif key in self._index:
+                merged.update(self._index[key])
         if stats is not None:
-            stats.policies_skipped_by_index += len(self._elements) - len(wanted)
-            stats.candidate_set_size = len(wanted)
-        return [
-            element
-            for identifier, element in self._elements.items()
-            if identifier in wanted
-        ]
+            stats.policies_skipped_by_index += len(self._elements) - len(merged)
+            stats.candidate_set_size = len(merged)
+        return [merged[ordinal] for ordinal in sorted(merged)]
 
     def partition_for(self, owns: Callable[[str], bool]) -> "PolicyStore":
         """Derive one shard's store under a resource placement.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.xacml import (
+    AnalysisGateError,
     Decision,
     PdpEngine,
     Policy,
@@ -45,6 +46,33 @@ class TestPolicyStore:
         store.replace(replacement)
         assert store.get("policy-doc-1") is replacement
 
+    def test_replace_requeues_at_the_end(self):
+        store = PolicyStore()
+        first, second = resource_policy("doc-1"), resource_policy("doc-2")
+        store.add(first)
+        store.add(second)
+        store.replace(first)
+        assert store.elements() == [second, first]
+
+    def test_refused_replace_keeps_the_deployed_version(self):
+        """A deny policy must not vanish (fail open) because its
+        replacement did not pass the gate."""
+        store = PolicyStore(analysis_gate="warning")
+        deployed = resource_policy("doc-1")
+        store.add(deployed)
+        shadowed = Policy(
+            policy_id=deployed.policy_id,
+            rules=(permit_rule("allow-any"), deny_rule("never-reached")),
+            rule_combining=combining.RULE_FIRST_APPLICABLE,
+            target=deployed.target,
+        )
+        with pytest.raises(AnalysisGateError):
+            store.replace(shadowed)
+        assert store.get(deployed.policy_id) is deployed
+        assert store.candidates(
+            RequestContext.simple("alice", "doc-1", "read")
+        ) == [deployed]
+
     def test_index_prunes_candidates(self):
         store = PolicyStore(indexed=True)
         for index in range(100):
@@ -75,6 +103,11 @@ class TestPolicyStore:
         store.remove("policy-doc-1")
         request = RequestContext.simple("alice", "doc-1", "read")
         assert store.candidates(request) == []
+        assert store.shard_stats() == {
+            "elements": 0,
+            "unindexable": 0,
+            "index_keys": 0,
+        }
 
 
 class TestPdpEngine:

@@ -6,13 +6,23 @@ Invariants checked:
   permutation; deny-overrides never yields Permit if any child denies);
 * serializer/parser round-trip over randomly generated policies;
 * target indexing never changes engine decisions — over conjunctive,
-  disjunctive and ordered-comparison targets and multi-valued id bags;
+  disjunctive and ordered-comparison targets, multi-valued id bags and
+  requests that leave a canonical id to the PIP finder;
+* under interleaved add / remove / replace the indexed store keeps
+  deciding like the linear oracle and keeps insertion order;
 * request cache keys are stable under attribute reordering.
 """
 
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.xacml import (
     ACTION_ID,
@@ -141,7 +151,7 @@ def random_targets(draw):
     conjunctive = subject_resource_action_target(
         draw(st.one_of(st.none(), subjects)),
         draw(st.one_of(st.none(), resources)),
-        None,
+        draw(st.one_of(st.none(), actions)),
     )
     shape = draw(st.sampled_from(["conjunctive", "disjunctive", "ordered"]))
     if shape == "disjunctive":
@@ -208,22 +218,56 @@ class TestRoundTripProperties:
 
 
 def request_with_subjects(subject_ids, resource, action):
-    """A request whose subject-id bag carries every given value."""
+    """A request whose subject-id bag carries every given value.  No
+    subject ids, or None for the resource or the action, omits that
+    identifier from the request altogether."""
     request = RequestContext()
-    request.add(
-        Category.SUBJECT,
-        Attribute(SUBJECT_ID, tuple(string(s) for s in subject_ids)),
-    )
-    request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, string(resource)))
-    request.add(Category.ACTION, Attribute.of(ACTION_ID, string(action)))
+    if subject_ids:
+        request.add(
+            Category.SUBJECT,
+            Attribute(SUBJECT_ID, tuple(string(s) for s in subject_ids)),
+        )
+    if resource is not None:
+        request.add(
+            Category.RESOURCE, Attribute.of(RESOURCE_ID, string(resource))
+        )
+    if action is not None:
+        request.add(Category.ACTION, Attribute.of(ACTION_ID, string(action)))
     return request
 
 
-def decide_both_ways(policies, requests):
+#: (subject ids, resource, action) of one request; any of the three may
+#: be left out, for the PIP finder to supply.
+request_triples = st.tuples(
+    st.lists(subjects, max_size=3),
+    st.one_of(st.none(), resources),
+    st.one_of(st.none(), actions),
+)
+
+
+def finder_supplying(subject=None, resource=None, action=None):
+    """A PIP finder that knows one value per canonical identifier; the
+    engine only asks it about identifiers the request omits."""
+    supplied = {
+        (Category.SUBJECT, SUBJECT_ID): subject,
+        (Category.RESOURCE, RESOURCE_ID): resource,
+        (Category.ACTION, ACTION_ID): action,
+    }
+
+    def finder(category, attribute_id, data_type):
+        value = supplied.get((category, attribute_id))
+        if value is None or data_type is not DataType.STRING:
+            return []
+        return [string(value)]
+
+    return finder
+
+
+def decide_both_ways(policies, requests, finder=None):
     """Per-request decisions of the indexed store and of the linear
     oracle, singly and as one batch."""
-    indexed = PdpEngine(PolicyStore(indexed=True))
-    linear = PdpEngine(PolicyStore(indexed=False))
+    indexed = PdpEngine(PolicyStore(indexed=True), attribute_finder=finder)
+    linear = PdpEngine(PolicyStore(indexed=False), attribute_finder=finder)
     for policy in policies:
         indexed.add_policy(policy)
         linear.add_policy(policy)
@@ -237,20 +281,15 @@ def decide_both_ways(policies, requests):
 class TestIndexingProperties:
     @given(
         st.lists(random_policies(), min_size=1, max_size=10, unique_by=lambda p: p.policy_id),
-        st.lists(
-            st.tuples(
-                st.lists(subjects, min_size=1, max_size=3),
-                resources,
-                actions,
-            ),
-            min_size=1,
-            max_size=3,
-        ),
+        st.lists(request_triples, min_size=1, max_size=3),
+        st.tuples(subjects, resources, actions),
     )
     @settings(max_examples=60)
-    def test_indexing_never_changes_decisions(self, policies, triples):
+    def test_indexing_never_changes_decisions(self, policies, triples, supplied):
         requests = [request_with_subjects(*triple) for triple in triples]
-        single, batched, oracle = decide_both_ways(policies, requests)
+        single, batched, oracle = decide_both_ways(
+            policies, requests, finder_supplying(*supplied)
+        )
         assert single == oracle
         assert batched == oracle
 
@@ -279,8 +318,10 @@ class TestIndexingProperties:
             (Target(any_ofs=(either(subject_at_most("m")),)), ["a"], "r1"),
             # The matching value is the bag's second.
             (subject_resource_action_target("s1"), ["s0", "s1"], "r1"),
+            # The request leaves the subject id to the finder.
+            (subject_resource_action_target("s1"), [], "r1"),
         ],
-        ids=["disjunctive", "ordered-comparison", "multi-valued"],
+        ids=["disjunctive", "ordered-comparison", "multi-valued", "omitted-id"],
     )
     def test_index_counter_examples_decide_like_the_oracle(
         self, target, subject_ids, resource
@@ -289,9 +330,124 @@ class TestIndexingProperties:
             policy_id="p", rules=(permit_rule("allow"),), target=target
         )
         request = request_with_subjects(subject_ids, resource, "read")
-        single, batched, oracle = decide_both_ways([policy], [request])
+        single, batched, oracle = decide_both_ways(
+            [policy], [request], finder_supplying(subject="s1")
+        )
         assert oracle == [Decision.PERMIT]
         assert single == batched == oracle
+
+
+def is_subsequence(part, whole):
+    remaining = iter(whole)
+    return all(any(item is other for other in remaining) for item in part)
+
+
+class StoreChurn(RuleBasedStateMachine):
+    """PAP churn against one indexed store and the linear oracle.
+
+    A plain dict is the model of the store's contents and order
+    (``replace`` is ``pop`` + insert: the element re-queues at the end).
+    """
+
+    slots = st.sampled_from([f"slot-{index}" for index in range(6)])
+
+    @initialize(
+        algorithm=st.sampled_from(
+            [
+                combining.POLICY_DENY_OVERRIDES,
+                combining.POLICY_FIRST_APPLICABLE,
+                combining.POLICY_ONLY_ONE_APPLICABLE,
+            ]
+        ),
+        supplied=st.tuples(subjects, resources, actions),
+    )
+    def build(self, algorithm, supplied):
+        finder = finder_supplying(*supplied)
+        self.indexed = PdpEngine(PolicyStore(indexed=True), algorithm, finder)
+        self.oracle = PdpEngine(PolicyStore(indexed=False), algorithm, finder)
+        self.model = {}
+
+    @rule(policy=random_policies(), slot=slots)
+    def add(self, policy, slot):
+        policy = dataclasses.replace(policy, policy_id=slot)
+        if policy.policy_id in self.model:
+            for engine in (self.indexed, self.oracle):
+                with pytest.raises(ValueError, match="duplicate"):
+                    engine.store.add(policy)
+            return
+        self.model[policy.policy_id] = policy
+        self.indexed.store.add(policy)
+        self.oracle.store.add(policy)
+
+    @rule(slot=slots)
+    def remove(self, slot):
+        # Unknown ids included: removing one is a no-op.
+        self.model.pop(slot, None)
+        self.indexed.store.remove(slot)
+        self.oracle.store.remove(slot)
+
+    @rule(policy=random_policies(), slot=slots)
+    def replace(self, policy, slot):
+        policy = dataclasses.replace(policy, policy_id=slot)
+        self.model.pop(policy.policy_id, None)
+        self.model[policy.policy_id] = policy
+        self.indexed.store.replace(policy)
+        self.oracle.store.replace(policy)
+
+    def check(self, request, response, expected):
+        store = self.indexed.store
+        assert response.decision == expected.decision
+        assert response.response.result.status == expected.response.result.status
+        assert (
+            response.stats.policies_skipped_by_index
+            + response.stats.candidate_set_size
+            == len(store)
+        )
+        # Same order as elements(): first-applicable and
+        # only-one-applicable combining depend on it.
+        assert is_subsequence(store.candidates(request), store.elements())
+
+    @rule(triple=request_triples)
+    def evaluate(self, triple):
+        request = request_with_subjects(*triple)
+        self.check(
+            request,
+            self.indexed.evaluate(request),
+            self.oracle.evaluate(request),
+        )
+
+    @rule(triples=st.lists(request_triples, min_size=1, max_size=4))
+    def evaluate_batch(self, triples):
+        requests = [request_with_subjects(*triple) for triple in triples]
+        for request, response, expected in zip(
+            requests,
+            self.indexed.evaluate_batch(requests),
+            self.oracle.evaluate_batch(requests),
+            strict=True,
+        ):
+            self.check(request, response, expected)
+
+    @invariant()
+    def holds_the_model_in_order(self):
+        held = list(self.model.values())
+        assert self.indexed.store.elements() == held
+        assert self.oracle.store.elements() == held
+        assert len(self.indexed.store) == len(held)
+
+    def teardown(self):
+        for identifier in list(self.model):
+            self.indexed.store.remove(identifier)
+        assert self.indexed.store.shard_stats() == {
+            "elements": 0,
+            "unindexable": 0,
+            "index_keys": 0,
+        }
+
+
+StoreChurn.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestStoreChurn = StoreChurn.TestCase
 
 
 class TestCacheKeyProperties:
