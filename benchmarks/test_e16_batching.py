@@ -20,16 +20,20 @@ and replicas mean real parallel capacity.
 
 import os
 import random
+from typing import Optional
 
 from repro.bench import Experiment
 from repro.components import (
     ComponentIdentity,
     DecisionDispatcher,
+    LeastOutstandingRouting,
     PdpConfig,
     PepConfig,
     PolicyAdministrationPoint,
     PolicyDecisionPoint,
     PolicyEnforcementPoint,
+    RoundRobinRouting,
+    RoutingPolicy,
 )
 from repro.simnet import INTRA_DOMAIN_LATENCY, Link, Network
 from repro.workloads import drive_closed_loop
@@ -85,7 +89,7 @@ def build_fabric(
     batch: int,
     replicas: int,
     seed: int = 16,
-    policy: str = "least-outstanding",
+    policy: Optional[RoutingPolicy] = None,
     secure: bool = False,
 ):
     network = Network(seed=seed)
@@ -132,7 +136,7 @@ def build_fabric(
         config=PepConfig(decision_cache_ttl=0.0, secure_channel=secure),
     )
     dispatcher = DecisionDispatcher(
-        [pdp.name for pdp in pdps], policy=policy
+        [pdp.name for pdp in pdps], policy=policy or LeastOutstandingRouting()
     )
     pep.enable_batching(
         max_batch=batch, max_delay=FLUSH_DELAY, dispatcher=dispatcher
@@ -253,7 +257,7 @@ def test_e16_dispatch_policies_balance_load():
         "crashes without failing open",
         columns=["policy", "decisions_per_replica", "failovers", "completed"],
     )
-    for policy in ("round-robin", "least-outstanding"):
+    for policy in (RoundRobinRouting(), LeastOutstandingRouting()):
         network, pep, pdps, dispatcher = build_fabric(
             4, 3, seed=162, policy=policy
         )
@@ -262,7 +266,10 @@ def test_e16_dispatch_policies_balance_load():
         stats = drive(pep, requests, concurrency=12)
         per_replica = [pdp.decisions_made for pdp in pdps]
         experiment.add_row(
-            policy, str(per_replica), pep.coalescer.failovers, stats.completed
+            policy.name,
+            str(per_replica),
+            pep.coalescer.failovers,
+            stats.completed,
         )
         assert stats.completed == len(requests)
         # The crashed replica served nothing; the survivors split the rest.

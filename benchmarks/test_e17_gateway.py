@@ -29,6 +29,7 @@ from repro.bench import Experiment
 from repro.components import (
     DecisionDispatcher,
     DomainDecisionGateway,
+    LeastOutstandingRouting,
     PdpConfig,
     PepConfig,
     PolicyAdministrationPoint,
@@ -139,7 +140,7 @@ def build_domain(
         hub = DomainDecisionGateway(
             "gateway",
             network,
-            DecisionDispatcher(replica_names, policy="least-outstanding"),
+            DecisionDispatcher(replica_names, policy=LeastOutstandingRouting()),
             max_batch=(
                 gateway_batch
                 if gateway_batch is not None
@@ -162,7 +163,7 @@ def build_domain(
                 max_batch=PEP_BATCH,
                 max_delay=FLUSH_DELAY,
                 dispatcher=DecisionDispatcher(
-                    replica_names, policy="least-outstanding"
+                    replica_names, policy=LeastOutstandingRouting()
                 ),
             )
         peps.append(pep)

@@ -35,6 +35,7 @@ from repro.bench import Experiment
 from repro.components import (
     DecisionDispatcher,
     FederatedGateway,
+    LeastOutstandingRouting,
     PdpConfig,
     PepConfig,
     PolicyAdministrationPoint,
@@ -293,7 +294,7 @@ def build_federated_vo(
                 f"gateway.{name}",
                 network,
                 DecisionDispatcher(
-                    replica_names[name], policy="least-outstanding"
+                    replica_names[name], policy=LeastOutstandingRouting()
                 ),
                 domain=name,
                 resolve_domain=resolve,
@@ -331,7 +332,7 @@ def build_federated_vo(
                     f"router.{pep.name}",
                     network,
                     DecisionDispatcher(
-                        replica_names[name], policy="least-outstanding"
+                        replica_names[name], policy=LeastOutstandingRouting()
                     ),
                     domain=name,
                     resolve_domain=resolve,
@@ -361,7 +362,7 @@ def build_federated_vo(
                             other,
                             DecisionDispatcher(
                                 replica_names[other],
-                                policy="least-outstanding",
+                                policy=LeastOutstandingRouting(),
                             ),
                         )
 

@@ -27,7 +27,9 @@ import os
 
 from repro.bench import Experiment
 from repro.components import (
+    ConsistentHashRouting,
     DecisionDispatcher,
+    LeastOutstandingRouting,
     PdpConfig,
     PepConfig,
     PlacementMap,
@@ -116,8 +118,11 @@ def build_tier(subjects: int, sharded: bool, seed: int = 19):
         )
         dispatcher = DecisionDispatcher(
             names,
-            policy="hash-subject" if sharded else "least-outstanding",
-            placement=shared if sharded else None,
+            policy=(
+                ConsistentHashRouting(shared)
+                if sharded
+                else LeastOutstandingRouting()
+            ),
         )
         pep.enable_batching(
             max_batch=BATCH, max_delay=FLUSH_DELAY, dispatcher=dispatcher

@@ -82,8 +82,7 @@ class ConflictFinding:
 
 def _footprint(policy: Policy, rule: Rule) -> RuleFootprint:
     def extract(target, category, attribute_id) -> Optional[frozenset[str]]:
-        keys = target.literal_equality_keys()
-        values = keys.get((category, attribute_id))
+        values = target.constraining_values(category, attribute_id)
         return frozenset(values) if values else None
 
     def merged(category, attribute_id) -> Optional[frozenset[str]]:

@@ -207,19 +207,26 @@ class DelegationRegistry:
     # -- PAP integration --------------------------------------------------------------
 
     def policy_scope(self, element: PolicyElement) -> Scope:
-        """Best-effort scope extraction from a policy's target literals."""
+        """The narrowest scope the policy's target confines it to.
+
+        A dimension is named only when the target *requires* that one
+        value (:meth:`~repro.xacml.targets.Target.constraining_values`);
+        a literal that sits in one branch of a disjunction confines
+        nothing, so the policy needs a grant for ``"*"``.
+        """
         from ..xacml.attributes import (
             ACTION_ID,
             Category,
             RESOURCE_ID,
         )
 
-        keys = element.target.literal_equality_keys()
-        resources = keys.get((Category.RESOURCE, RESOURCE_ID), set())
-        actions = keys.get((Category.ACTION, ACTION_ID), set())
+        def confined_to(category, attribute_id) -> str:
+            values = element.target.constraining_values(category, attribute_id)
+            return next(iter(values)) if values and len(values) == 1 else "*"
+
         return Scope(
-            resource_id=next(iter(resources)) if len(resources) == 1 else "*",
-            action_id=next(iter(actions)) if len(actions) == 1 else "*",
+            resource_id=confined_to(Category.RESOURCE, RESOURCE_ID),
+            action_id=confined_to(Category.ACTION, ACTION_ID),
         )
 
     def pap_guard(self, operation: str, requester: str, policy_id: str) -> bool:

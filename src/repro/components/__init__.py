@@ -14,6 +14,22 @@ action from one table through one pipeline, so the signature policy
 cannot be skipped by an endpoint::
 
     PEP / queue / gateway ── channel.seal ──▶ PDP: authenticate → decode → answer → sign ── channel.open_(batch_)reply ──▶ enforce
+
+Batching is written once as well (:mod:`~repro.components.fabric`): a
+:class:`~repro.components.fabric.Slot` is one unique request and whoever
+waits on it; a :class:`~repro.components.fabric.BatchingStage` owns the
+pending window, the in-flight map identical requests keep joining, the
+size-or-delay trigger and the fan-out of answers; every stage's drain
+sends through one :class:`~repro.components.fabric.BatchWireCore`
+(one envelope per owning shard, failover, reply validation)::
+
+    submit ─▶ Slot ─▶ BatchingStage ── drain ──▶ BatchWireCore.send ──▶ … ──▶ stage.deliver / stage.fail ─▶ waiters
+
+The per-PEP queue, the domain gateway's backlog and the federated
+gateway's per-peer forward buffers are instances of the stage; the
+only per-tier batching code is the drain — single shot (queue), at most
+``max_batch`` slots per paced step drawn fairly over the PEPs
+(gateway), back-to-back chunks of ``forward_batch`` (forward buffer).
 """
 
 from .base import (
@@ -47,9 +63,9 @@ from .context_handler import (
 )
 from .fabric import (
     BatchWireCore,
+    BatchingStage,
     CoalescingDecisionQueue,
     ConsistentHashRouting,
-    DISPATCH_POLICIES,
     DecisionDispatcher,
     DomainDecisionGateway,
     LeastOutstandingRouting,
@@ -57,8 +73,8 @@ from .fabric import (
     RoundRobinRouting,
     RoutingPolicy,
     SUPER_BATCH_SERIES,
+    Slot,
     WireJob,
-    make_routing_policy,
     pep_latency_series,
 )
 from .federation import (
@@ -115,10 +131,10 @@ __all__ = [
     "AttributeStore",
     "BATCH_QUERY_ACTION",
     "BatchWireCore",
+    "BatchingStage",
     "CacheStats",
     "CoalescingDecisionQueue",
     "DEFAULT_FORWARD_TTL",
-    "DISPATCH_POLICIES",
     "DecisionChannel",
     "DecisionDispatcher",
     "DomainDecisionGateway",
@@ -128,8 +144,8 @@ __all__ = [
     "QUEUE_LATENCY_SERIES",
     "SECURE_FORWARD_ACTION",
     "SUPER_BATCH_SERIES",
+    "Slot",
     "WireJob",
-    "make_routing_policy",
     "pep_latency_series",
     "AttributePartition",
     "ConsistentHashRouting",

@@ -1,53 +1,57 @@
-"""The batched decision fabric: coalescing, aggregation and dispatch.
+"""The batched decision fabric: slot → stage → wire core.
 
 Client-side plumbing that turns the one-query-per-message PEP→PDP hot
-path into a batched, load-balanced pipeline:
+path into a batched, load-balanced pipeline.  The paper's §3.2 lever —
+amortise the per-message cost of the pull model by batching,
+deduplicating and caching decisions — is written down once and
+instantiated per tier:
 
+* :class:`Slot` — one unique request inside one stage, and whoever
+  waits on its answer;
+* :class:`BatchingStage` — accumulate → dedup → flush → settle: a
+  pending map (the open window), an in-flight map (so identical
+  requests keep joining a slot that already left), the size-or-delay
+  trigger with its one timer, ``take`` and the fan-out of answers.
+  The per-PEP queue, the gateway backlog and each per-peer forward
+  buffer are instances; a tier hands the stage only its *drain*;
+* :class:`BatchWireCore` — what every drain sends through: one envelope
+  per owning replica when the job's dispatcher carries a placement,
+  the in-flight map, timeout failover across replicas, sealing and
+  reply validation through the job's
+  :class:`~repro.components.channel.DecisionChannel`, fail-safe
+  fan-out;
 * :class:`DecisionDispatcher` — routes decision traffic across a set of
-  PDP replicas (round-robin or least-outstanding) and fails over to the
+  PDP replicas under a :class:`RoutingPolicy` and fails over to the
   next replica on :class:`~repro.components.base.RpcTimeout`, which
   makes E11-style replication an actual *throughput* mechanism rather
-  than only an availability one;
-* :class:`BatchWireCore` — the shared wire machinery every batching
-  tier rides on: the in-flight map, timeout failover across replicas,
-  sealing and reply validation through the job's
-  :class:`~repro.components.channel.DecisionChannel`, and fail-safe
-  fan-out.  The per-PEP queue, the
-  domain gateway and the cross-domain federated gateway all delegate to
-  one core instead of carrying private copies;
-* :class:`CoalescingDecisionQueue` — accumulates a PEP's outbound
-  decision requests and flushes them as one
-  :class:`~repro.saml.xacml_profile.XacmlAuthzDecisionBatchQuery` when
-  the batch fills (``max_batch``) or ages out (``max_delay``), with
-  in-flight deduplication: identical concurrent requests ride one wire
-  slot and every waiter gets its own enforcement result;
-* :class:`DomainDecisionGateway` — a per-domain aggregation point many
-  PEPs register with.  Queue flushes from every registered PEP merge
-  into *super-batches*: identical requests from different PEPs share
-  one wire slot (cross-PEP dedup), results are demultiplexed back to
-  each owning PEP's queue for per-PEP enforcement, and an optional
-  fairness cap bounds one chatty PEP's share of any super-batch so its
-  backlog cannot starve quieter peers.
+  than only an availability one.
 
-The cross-domain tier (:class:`~repro.components.federation.
-FederatedGateway`) extends the gateway with gateway→gateway forwarding
-for requests governed by other domains.
+The three drains are the only per-tier code:
 
-The queue and gateway are fully event-driven: flushes *send* a message
-and return, and replies/timeouts are handled as ordinary inbound events,
-so a completion callback may safely submit the next request (the
-closed-loop pattern of :mod:`repro.workloads.highload`) without growing
-the stack.
+* :class:`CoalescingDecisionQueue` (per PEP) — single shot: everything
+  pending leaves as one batch query (or is handed to the gateway);
+* :class:`DomainDecisionGateway` (per domain) — at most ``max_batch``
+  unique slots per step, drawn round-robin over the registered PEPs
+  with an optional fairness cap, paced by the envelopes' serialisation
+  time, repeated until the backlog is empty;
+* :class:`~repro.components.federation.FederatedGateway` (between
+  domains) — per target domain, back-to-back chunks of
+  ``forward_batch``.
+
+Everything is event-driven: drains *send* a message and return, and
+replies/timeouts are handled as ordinary inbound events, so a
+completion callback may safely submit the next request (the closed-loop
+pattern of :mod:`repro.workloads.highload`) without growing the stack.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 from ..observability.tracing import TRACE_HEADER
-from ..simnet.events import EventHandle
+from ..simnet.events import EventHandle, EventLoop
 from ..simnet.message import Message
 from ..simnet.network import Network
 from ..saml.xacml_profile import XacmlAuthzDecisionBatchQuery
@@ -55,7 +59,7 @@ from ..xacml.context import RequestContext
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout, _parse_fault
 from .channel import DecisionChannel
 from .pdp import BATCH_QUERY_ACTION, SECURE_BATCH_QUERY_ACTION
-from .placement import PlacementMap, PlacementSpec
+from .placement import PlacementSpec
 
 #: Metrics sample series fed with per-request submit→completion delays.
 QUEUE_LATENCY_SERIES = "fabric.queue_latency"
@@ -70,17 +74,6 @@ def pep_latency_series(pep_name: str) -> str:
     return f"{QUEUE_LATENCY_SERIES}.{pep_name}"
 
 
-#: Load-balancing policies the dispatcher understands by name.  The
-#: names are a back-compat factory over the :class:`RoutingPolicy`
-#: implementations below; callers may also pass a policy object.
-DISPATCH_POLICIES = (
-    "round-robin",
-    "least-outstanding",
-    "hash-subject",
-    "hash-resource",
-)
-
-
 class RoutingPolicy(Protocol):
     """How a :class:`DecisionDispatcher` picks among live replicas.
 
@@ -89,7 +82,7 @@ class RoutingPolicy(Protocol):
     dispatcher keeps owning the counters and the failover loop.
 
     Attributes:
-        name: stable identifier, also accepted by the string factory.
+        name: stable identifier (reports and reprs).
     """
 
     name: str
@@ -149,8 +142,6 @@ class ConsistentHashRouting:
     degrades to rotation.
     """
 
-    name = "hash"
-
     def __init__(self, placement: PlacementSpec) -> None:
         if not isinstance(placement, PlacementSpec):
             raise ValueError(
@@ -171,86 +162,43 @@ class ConsistentHashRouting:
         return f"ConsistentHashRouting({self.placement.shard_by})"
 
 
-def make_routing_policy(
-    policy: Union[str, RoutingPolicy],
-    replicas: Sequence[str] = (),
-    placement: Optional[PlacementSpec] = None,
-) -> RoutingPolicy:
-    """Resolve a policy name (or pass a policy object through).
-
-    The hash policies need a placement; when none is supplied one is
-    derived from the replica list, which is correct exactly when the
-    server side shares the same default ring (the
-    :func:`~repro.components.placement.PlacementSpec` constructor
-    defaults).
-    """
-    if not isinstance(policy, str):
-        return policy
-    if policy == "round-robin":
-        return RoundRobinRouting()
-    if policy == "least-outstanding":
-        return LeastOutstandingRouting()
-    if policy in ("hash-subject", "hash-resource"):
-        if placement is None:
-            if not replicas:
-                raise ValueError(
-                    f"routing policy {policy!r} needs replicas or a placement"
-                )
-            placement = PlacementSpec(
-                shard_by=policy.removeprefix("hash-"),
-                ring=PlacementMap(replicas),
-            )
-        return ConsistentHashRouting(placement)
-    raise ValueError(
-        f"unknown dispatch policy {policy!r}; "
-        f"expected one of {DISPATCH_POLICIES}"
-    )
-
-
 class DecisionDispatcher:
     """Load-balances decision queries over PDP replicas, with failover.
 
     The dispatcher is transport-neutral bookkeeping plus two entry
     points: :meth:`dispatch` performs a synchronous RPC with failover
-    for the blocking PEP paths, while the coalescing queue drives
+    for the blocking PEP paths, while the wire core drives
     :meth:`select` / :meth:`note_sent` / :meth:`note_done` itself for
     the event-driven path.  *Which* replica a selection picks is
-    delegated to a :class:`RoutingPolicy` — pass one directly, or a
-    policy name from :data:`DISPATCH_POLICIES` for the back-compat
-    string factory.
+    delegated to the :class:`RoutingPolicy`.
 
     Args:
         replica_addresses: the PDP replica ring, in order.
-        policy: routing policy object or name.
-        placement: placement spec for the hash policies; ignored by the
-            load-based policies.  When a hash policy name is given
-            without a placement, a default ring over
-            ``replica_addresses`` is derived.
+        policy: routing policy object (default: round-robin).  A
+            :class:`ConsistentHashRouting` carries the placement that
+            makes the tier shard-aware.
     """
 
     def __init__(
         self,
         replica_addresses: Sequence[str],
-        policy: Union[str, RoutingPolicy] = "round-robin",
-        placement: Optional[PlacementSpec] = None,
+        policy: Optional[RoutingPolicy] = None,
     ) -> None:
         if not replica_addresses:
             raise ValueError("dispatcher needs at least one PDP replica")
+        if policy is None:
+            policy = RoundRobinRouting()
+        if not callable(getattr(policy, "choose", None)):
+            raise ValueError(
+                f"unknown dispatch policy {policy!r}; pass a RoutingPolicy"
+            )
         self.replicas = list(replica_addresses)
-        self.routing = make_routing_policy(
-            policy, replicas=self.replicas, placement=placement
-        )
+        self.routing = policy
         self.outstanding: dict[str, int] = {
             address: 0 for address in self.replicas
         }
-        self.dispatches = 0
         self.failovers = 0
         self._rr = 0
-
-    @property
-    def policy(self) -> str:
-        """The routing policy's name (back-compat string view)."""
-        return self.routing.name
 
     @property
     def placement(self) -> Optional[PlacementSpec]:
@@ -291,46 +239,40 @@ class DecisionDispatcher:
         self.outstanding[address] = max(0, self.outstanding[address] - 1)
 
     def partition(
-        self, items: Sequence, request_of: Callable[[object], RequestContext]
-    ) -> list[tuple[Optional[str], list]]:
-        """Group ``items`` by owning replica under the placement.
+        self, slots: list["Slot"]
+    ) -> list[tuple[Optional[str], list["Slot"]]]:
+        """Group ``slots`` by owning replica under the placement.
 
-        The shard-aware tiers call this before putting envelopes on the
-        wire so one flush becomes one envelope *per owner* instead of
-        one envelope aimed wherever the load balancer points.  Without a
-        placement everything stays in a single group with no target
-        (``None``), which the senders treat exactly like today's path.
-        Groups preserve first-seen owner order and intra-group item
-        order, so decisions still come back in a deterministic order.
+        The wire core calls this before putting envelopes on the wire
+        so one send becomes one envelope *per owner* instead of one
+        envelope aimed wherever the load balancer points.  Without a
+        placement everything stays in a single group with no owner
+        (``None``).  Groups preserve first-seen owner order and
+        intra-group slot order, so decisions still come back in a
+        deterministic order.
         """
         placement = self.placement
         if placement is None:
-            return [(None, list(items))]
-        groups: dict[str, list] = {}
-        for item in items:
-            owner = placement.owner_of(request_of(item))
-            groups.setdefault(owner, []).append(item)
+            return [(None, slots)]
+        groups: dict[str, list[Slot]] = {}
+        for slot in slots:
+            groups.setdefault(placement.owner_of(slot.request), []).append(slot)
         return list(groups.items())
 
     def selector_for(
-        self, target: Optional[str]
+        self, owner: str
     ) -> Callable[[Sequence[str]], Optional[str]]:
-        """A select callable pinned to ``target`` with rotation failover.
+        """A select callable pinned to ``owner`` with rotation failover.
 
-        Used as the per-envelope ``WireJob.select`` override for a
-        partitioned send: the first attempt goes to the owning replica,
-        a timeout fails over through the ordinary selection (the owner
-        lands in ``exclude``), and ``target=None`` degrades to plain
-        :meth:`select`.
+        The ``WireJob.select`` of one envelope of a partitioned send:
+        the first attempt goes to the owning replica, a timeout fails
+        over through the ordinary selection (the owner lands in
+        ``exclude``).
         """
 
         def select(exclude: Sequence[str] = ()) -> Optional[str]:
-            if (
-                target is not None
-                and target in self.replicas
-                and target not in exclude
-            ):
-                return target
+            if owner in self.replicas and owner not in exclude:
+                return owner
             return self.select(exclude=exclude)
 
         return select
@@ -354,7 +296,6 @@ class DecisionDispatcher:
             ``(reply, address)`` — the reply message and which replica
             produced it (secure callers pin signature checks to it).
         """
-        self.dispatches += 1
         tried: list[str] = []
         last_timeout: Optional[RpcTimeout] = None
         while True:
@@ -375,13 +316,10 @@ class DecisionDispatcher:
                 self.note_done(address)
             return reply, address
 
-    def selector(self) -> Callable[[], Optional[str]]:
-        """Adapter usable as a PEP's ``pdp_selector`` hook."""
-        return lambda: self.select()
-
     def __repr__(self) -> str:
         return (
-            f"DecisionDispatcher({self.policy}, replicas={len(self.replicas)}, "
+            f"DecisionDispatcher({self.routing.name}, "
+            f"replicas={len(self.replicas)}, "
             f"outstanding={sum(self.outstanding.values())})"
         )
 
@@ -390,28 +328,198 @@ class DecisionDispatcher:
 CompletionCallback = Callable[[object], None]
 
 
-@dataclass
-class _PendingDecision:
-    """One unique request awaiting batching, with all its waiters.
+# -- slot and stage: the one accumulate → dedup → flush → settle ----------------------
 
-    ``key`` is the *scoped* dedup key — the owning PEP's (domain, name)
-    identity plus the request's cache key — so entries from different
-    PEPs can never collide in any shared map (two PEPs behind one
-    gateway may carry identical-looking requests that must still be
-    enforced, cached and counted per PEP).  ``cache_key`` is the bare
-    request identity used for the owner's decision cache and for the
-    gateway's cross-PEP wire dedup.
+
+@dataclass
+class Slot:
+    """One unique request inside one stage, and whoever waits on it.
+
+    Attributes:
+        request: the decision request; what the wire core batches.
+        key: the dedup key in the stage holding the slot.  The per-PEP
+            queue scopes it by the PEP's (domain, name) identity —
+            ``key[1]`` is the bare request identity the decision cache
+            and the gateway tier key on — so two PEPs' lookalike
+            requests can never collide in shared bookkeeping; a
+            serving-side slot uses its index in the forwarded batch.
+        owner: the fairness lane — the name of the PEP that (first)
+            contributed the slot; at the gateway tier it also finds the
+            queue that enforces each waiting entry.
+        waiters: who gets the answer: completion callbacks at the queue
+            tier, the queue-tier slots sharing this wire slot at the
+            gateway tier (cross-PEP dedup).
+        enqueued_at: submit time (queue tier; feeds the latency series).
+        trace: sampled decision-path trace
+            (``observability.DecisionTrace``); ``None`` when tracing is
+            off or this decision was not sampled.
     """
 
     request: RequestContext
-    key: tuple
-    cache_key: tuple
-    enqueued_at: float
-    owner: "CoalescingDecisionQueue"
-    callbacks: list[CompletionCallback] = field(default_factory=list)
-    #: Sampled decision-path trace (``observability.DecisionTrace``),
-    #: ``None`` when tracing is off or this decision was not sampled.
+    key: object
+    owner: str
+    waiters: list = field(default_factory=list)
+    enqueued_at: float = 0.0
     trace: Optional[object] = None
+
+    def traces(self) -> Iterator[object]:
+        """Sampled decision traces riding this slot: its own, or those
+        of the slots waiting on it."""
+        if self.trace is not None:
+            yield self.trace
+        for waiter in self.waiters:
+            if isinstance(waiter, Slot) and waiter.trace is not None:
+                yield waiter.trace
+
+
+class BatchingStage:
+    """Accumulate → dedup → flush → settle, once for every tier.
+
+    A stage owns what the per-PEP queue, the gateway backlog and the
+    per-peer forward buffers share: the *window* of pending slots, the
+    map of slots in flight (identical requests join a slot in either),
+    the size-or-delay trigger with its single timer and its
+    ``flushes_on_size`` / ``flushes_on_delay`` counters, ``take``
+    (pending → in flight) and the fan-out that settles slots (in flight
+    → gone) when their envelope is answered or fails.  What differs per
+    tier stays in the tier, as three callables.
+
+    Args:
+        loop: the event loop the delay timer runs on.
+        max_batch: trigger a flush as soon as this many slots wait.
+        max_delay: trigger a flush this many simulated seconds after a
+            slot entered an empty window (latency bound).
+        drain: the tier's drain — take pending slots and send them.
+            Called on every flush unless :attr:`draining` is set.
+        complete: answer one slot's waiters with a decision statement.
+        deny: fail one slot's waiters safe with an exception.
+        label: event label of the delay timer.
+
+    Attributes:
+        draining: set by a drain that continues past the current call
+            (a paced, rescheduled drain).  While set, triggers and
+            :meth:`flush` leave the window alone — the drain chain picks
+            new slots up — so a nested event-loop turn cannot start a
+            second, untracked chain.
+    """
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        max_batch: int,
+        max_delay: float,
+        drain: Callable[[], None],
+        complete: Callable[[Slot, object], None],
+        deny: Callable[[Slot, Exception], None],
+        label: str,
+    ) -> None:
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if max_delay < 0:
+            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
+        self.loop = loop
+        self.max_batch = max_batch
+        self.max_delay = max_delay
+        self.drain = drain
+        self.complete = complete
+        self.deny = deny
+        self.label = label
+        self.pending: dict[object, Slot] = {}
+        self.inflight: dict[object, Slot] = {}
+        self.draining = False
+        self._timer: Optional[EventHandle] = None
+        self.flushes_on_size = 0
+        self.flushes_on_delay = 0
+
+    def downstream(
+        self, max_batch: int, max_delay: float, drain: Callable[[], None], label: str
+    ) -> "BatchingStage":
+        """A second window for slots already in flight in this stage.
+
+        The per-peer forward buffers: their slots were taken here, stay
+        in *this* stage's in-flight map while they wait again (late
+        identical requests still join them — the buffer deepens the
+        dedup window rather than bypassing it) and settle here.
+        """
+        stage = BatchingStage(
+            self.loop, max_batch, max_delay, drain, self.complete, self.deny, label
+        )
+        stage.inflight = self.inflight
+        return stage
+
+    # -- accumulate ----------------------------------------------------------------
+
+    def join(self, key: object) -> Optional[Slot]:
+        """The slot already pending or in flight for ``key``, if any."""
+        return self.pending.get(key) or self.inflight.get(key)
+
+    def open(self, slot: Slot) -> None:
+        """Add a new slot to the window (call :meth:`trigger` after)."""
+        self.pending[slot.key] = slot
+
+    def trigger(self) -> None:
+        """Size-or-delay: flush a full window now, else keep the delay
+        timer armed while the window is non-empty."""
+        if self.draining or not self.pending:
+            return
+        if len(self.pending) >= self.max_batch:
+            self.flushes_on_size += 1
+            self.flush()
+        elif self._timer is None:
+            self._timer = self.loop.schedule(
+                self.max_delay, self._on_delay, label=self.label
+            )
+
+    def _on_delay(self) -> None:
+        self._timer = None
+        if self.pending:
+            self.flushes_on_delay += 1
+            self.flush()
+
+    # -- flush ---------------------------------------------------------------------
+
+    def flush(self) -> None:
+        """Drain now: cancel the delay timer and run the tier's drain."""
+        if self._timer is not None:
+            self.loop.cancel(self._timer)
+            self._timer = None
+        if not self.draining:
+            self.drain()
+
+    def take(self, slots: Optional[list[Slot]] = None) -> list[Slot]:
+        """Pending → in flight, for ``slots`` (default: the whole window).
+
+        Taken slots stay in flight until settled, so later identical
+        requests still join them.
+        """
+        if slots is None:
+            slots = list(self.pending.values())
+        for slot in slots:
+            del self.pending[slot.key]
+            self.inflight[slot.key] = slot
+        return slots
+
+    # -- settle --------------------------------------------------------------------
+
+    def resolve(self, slot: Slot, statement) -> None:
+        """In flight → gone: answer one slot's waiters."""
+        self.inflight.pop(slot.key, None)
+        self.complete(slot, statement)
+
+    def reject(self, slot: Slot, exc: Exception) -> None:
+        """In flight → gone: fail one slot's waiters safe."""
+        self.inflight.pop(slot.key, None)
+        self.deny(slot, exc)
+
+    def deliver(self, slots: list[Slot], statements: Sequence) -> None:
+        """Fan a validated statement list out (a ``WireJob.deliver``)."""
+        for slot, statement in zip(slots, statements, strict=False):
+            self.resolve(slot, statement)
+
+    def fail(self, slots: list[Slot], exc: Exception) -> None:
+        """Fan one exception out (a ``WireJob.fail``)."""
+        for slot in slots:
+            self.reject(slot, exc)
 
 
 # -- the shared wire core ----------------------------------------------------------
@@ -429,22 +537,24 @@ class WireJob:
     A tier configures a default job at construction; sends may override
     it per envelope (the federated gateway uses that to aim the same
     core at local replicas, peer gateways and remote replica sets).
-    Every in-flight item carries its ``request``; the core batches
-    those, and the job's channel seals the query and opens the reply —
-    signature policy lives there, not in per-tier callbacks.
+    Every in-flight :class:`Slot` carries its ``request``; the core
+    batches those, and the job's channel seals the query and opens the
+    reply — signature policy lives there, not in per-tier callbacks.
 
     Attributes:
         select: pick the next destination given the already-tried list;
             None means every candidate is exhausted (fail-safe).
-        deliver: fan a validated statement list out to the items.
-        fail: fan one exception out to the items (fail-safe deny).
+        deliver: fan a validated statement list out to the slots.
+        fail: fan one exception out to the slots (fail-safe deny).
         timeout: per-attempt reply deadline in simulated seconds.
         channel: the sending component's decision channel.
         encode: turn the batch query into ``(base action, body)``;
             the federated gateway wraps forwards here.
         dispatcher: optional dispatcher whose outstanding counters and
-            failover tally this job maintains.
-        on_sent: called with the items after each transmit attempt
+            failover tally this job maintains — and whose placement,
+            when it carries one, splits every send into one envelope
+            per owning replica.
+        on_sent: called with the slots after each transmit attempt
             (per-tier counters and sample series).
     """
 
@@ -465,33 +575,25 @@ class _InflightEnvelope:
     """One batch envelope on the wire, awaiting its reply or deadline."""
 
     batch: XacmlAuthzDecisionBatchQuery
-    items: list
+    items: list[Slot]
     replica: str
     tried: list[str]
-    sent_at: float
     job: WireJob
-    #: Open envelope span for this transmit attempt (tracing only).
+    #: Open envelope span for this transmit attempt, and the serving
+    #: hop's trace context it parents under (tracing only).
     trace: Optional[object] = None
-
-    # The per-PEP tier calls its items entries; the gateway tiers call
-    # them slots.  Both views read the same list.
-    @property
-    def entries(self) -> list:
-        return self.items
-
-    @property
-    def slots(self) -> list:
-        return self.items
+    parent: Optional[object] = None
 
 
 class BatchWireCore:
-    """The shared in-flight/failover machinery of every batching tier.
+    """The shared send/in-flight/failover machinery of every tier.
 
-    Owns exactly the four duplicated pieces the tiers used to carry
-    privately: the in-flight map (msg_id → envelope), timeout failover
-    across replicas, reply validation (the job channel's signature,
-    batch id and statement count checks) and fail-safe fan-out on
-    faults, forged replies and replica exhaustion.
+    Owns exactly the pieces the tiers used to carry privately: shard
+    partitioning (one envelope per owning replica), the in-flight map
+    (msg_id → envelope), timeout failover across replicas, reply
+    validation (the job channel's signature, batch id and statement
+    count checks) and fail-safe fan-out on faults, forged replies and
+    replica exhaustion.
 
     The core is deliberately policy-free: *what* travels, *where* it
     may go and *how* results land stay with the owning tier through its
@@ -509,43 +611,65 @@ class BatchWireCore:
         self.job = job
         self.label = label
         self._inflight: dict[int, _InflightEnvelope] = {}
-        self.envelopes_sent = 0
         self.failovers = 0
         for action in actions:
             component.on(f"{action}:response", self.handle_reply)
             component.on(f"{action}:fault", self.handle_fault)
 
-    @property
-    def inflight_count(self) -> int:
-        return len(self._inflight)
-
     # -- sending ------------------------------------------------------------------
 
     def send(
-        self, items: list, tried: Sequence[str] = (), job: Optional[WireJob] = None
+        self,
+        items: list[Slot],
+        job: Optional[WireJob] = None,
+        parent: Optional[object] = None,
     ) -> float:
-        """Put one envelope on the wire; returns its serialisation time.
+        """Put ``items`` on the wire; returns their serialisation time.
 
-        The return value (message bytes over the egress link's
-        bandwidth) is what a paced drain waits before emitting the next
-        envelope.  When every destination is exhausted the items fail
-        safe immediately and 0.0 is returned.
+        A job whose dispatcher carries a placement becomes one envelope
+        per owning replica, each pinned to its owner (timeouts still
+        fail over through ordinary rotation); any other job is one
+        envelope.  The return value (message bytes over the egress
+        link's bandwidth, summed — envelopes are written to the socket
+        back to back) is what a paced drain waits before emitting the
+        next envelope.  Where every destination is exhausted the items
+        fail safe immediately and contribute 0.0.  ``parent`` is the
+        trace context the envelope spans parent under (a serving hop).
         """
         job = job if job is not None else self.job
-        replica = job.select(tried)
-        if replica is None:
-            job.fail(
-                list(items),
-                RpcTimeout(
-                    self.component.name, "<none>", "no PDP reachable",
-                    self.component.now,
-                ),
+        dispatcher = job.dispatcher
+        groups = (
+            dispatcher.partition(items)
+            if dispatcher is not None
+            else [(None, items)]
+        )
+        tx_time = 0.0
+        for owner, group in groups:
+            pinned = (
+                job
+                if owner is None
+                else replace(job, select=dispatcher.selector_for(owner))
             )
-            return 0.0
-        return self._transmit(replica, list(items), list(tried), job)
+            replica = pinned.select(())
+            if replica is None:
+                pinned.fail(
+                    group,
+                    RpcTimeout(
+                        self.component.name, "<none>", "no PDP reachable",
+                        self.component.now,
+                    ),
+                )
+            else:
+                tx_time += self._transmit(replica, group, [], pinned, parent)
+        return tx_time
 
     def _transmit(
-        self, replica: str, items: list, tried: list[str], job: WireJob
+        self,
+        replica: str,
+        items: list[Slot],
+        tried: list[str],
+        job: WireJob,
+        parent: Optional[object],
     ) -> float:
         # Built per transmit attempt: a failover re-send gets a fresh
         # batch id and a fresh signature.
@@ -574,6 +698,7 @@ class BatchWireCore:
                 kind=action,
                 replica=replica,
                 attempt=len(tried) + 1,
+                parent=parent,
             )
             message.headers[TRACE_HEADER] = envelope_trace.context.header()
         self._inflight[message.msg_id] = _InflightEnvelope(
@@ -581,13 +706,12 @@ class BatchWireCore:
             items=items,
             replica=replica,
             tried=tried + [replica],
-            sent_at=self.component.now,
             job=job,
             trace=envelope_trace,
+            parent=parent,
         )
         if job.dispatcher is not None:
             job.dispatcher.note_sent(replica)
-        self.envelopes_sent += 1
         if job.on_sent is not None:
             job.on_sent(items)
         self.component.node.send(message)
@@ -604,8 +728,6 @@ class BatchWireCore:
     def _take_inflight(
         self, reply_to: Optional[int]
     ) -> Optional[_InflightEnvelope]:
-        if reply_to is None:
-            return None
         inflight = self._inflight.pop(reply_to, None)
         if inflight is not None and inflight.job.dispatcher is not None:
             inflight.job.dispatcher.note_done(inflight.replica)
@@ -618,10 +740,9 @@ class BatchWireCore:
         job = inflight.job
         replica = job.select(inflight.tried)
         if replica is None:
-            if inflight.trace is not None:
-                self.component.network.tracer.envelope_done(
-                    inflight.trace, inflight.items, "exhausted"
-                )
+            self.component.network.tracer.envelope_done(
+                inflight.trace, inflight.items, "exhausted"
+            )
             job.fail(
                 inflight.items,
                 RpcTimeout(
@@ -635,16 +756,17 @@ class BatchWireCore:
         self.failovers += 1
         if job.dispatcher is not None:
             job.dispatcher.failovers += 1
-        if inflight.trace is not None:
-            self.component.network.tracer.envelope_done(
-                inflight.trace, inflight.items, "timeout"
-            )
-        self._transmit(replica, inflight.items, inflight.tried, job)
+        self.component.network.tracer.envelope_done(
+            inflight.trace, inflight.items, "timeout"
+        )
+        self._transmit(
+            replica, inflight.items, inflight.tried, job, inflight.parent
+        )
 
     def handle_reply(self, message: Message) -> None:
         inflight = self._take_inflight(message.reply_to)
         if inflight is None:
-            return None  # late reply after a timeout-triggered failover
+            return  # late reply after a timeout-triggered failover
         job = inflight.job
         try:
             statement_batch = job.channel.open_batch_reply(
@@ -654,31 +776,26 @@ class BatchWireCore:
                 len(inflight.items),
             )
         except Exception as exc:  # malformed/forged reply: fail safe
-            if inflight.trace is not None:
-                self.component.network.tracer.envelope_done(
-                    inflight.trace, inflight.items, "reply-rejected"
-                )
-            job.fail(inflight.items, exc)
-            return None
-        if inflight.trace is not None:
             self.component.network.tracer.envelope_done(
-                inflight.trace, inflight.items, "ok"
+                inflight.trace, inflight.items, "reply-rejected"
             )
+            job.fail(inflight.items, exc)
+            return
+        self.component.network.tracer.envelope_done(
+            inflight.trace, inflight.items, "ok"
+        )
         job.deliver(inflight.items, statement_batch.statements)
-        return None
 
     def handle_fault(self, message: Message) -> None:
         inflight = self._take_inflight(message.reply_to)
         if inflight is None:
-            return None
+            return
         code, reason = _parse_fault(str(message.payload))
-        if inflight.trace is not None:
-            self.component.network.tracer.envelope_done(
-                inflight.trace, inflight.items, "fault"
-            )
+        self.component.network.tracer.envelope_done(
+            inflight.trace, inflight.items, "fault"
+        )
         # A fault is an answer, not a crash: no failover, fail-safe deny.
         inflight.job.fail(inflight.items, RpcFault(code, reason))
-        return None
 
     def __repr__(self) -> str:
         return (
@@ -687,8 +804,53 @@ class BatchWireCore:
         )
 
 
-class CoalescingDecisionQueue:
+class _StagedTier:
+    """What a tier built from one stage and one wire core exposes."""
+
+    _stage: BatchingStage
+    _wire: BatchWireCore
+
+    @property
+    def pending_count(self) -> int:
+        """Unique requests waiting in the tier's window."""
+        return len(self._stage.pending)
+
+    @property
+    def flushes_on_size(self) -> int:
+        return self._stage.flushes_on_size
+
+    @property
+    def flushes_on_delay(self) -> int:
+        return self._stage.flushes_on_delay
+
+    @property
+    def _inflight(self) -> dict[int, _InflightEnvelope]:
+        return self._wire._inflight
+
+    @property
+    def inflight_count(self) -> int:
+        """Envelopes on the wire awaiting a reply or a deadline."""
+        return len(self._wire._inflight)
+
+    @property
+    def failovers(self) -> int:
+        return self._wire.failovers
+
+    def flush(self) -> None:
+        """Drain the tier's window now instead of waiting for the size
+        or delay trigger (a drain already in progress picks it up)."""
+        self._stage.flush()
+
+
+class CoalescingDecisionQueue(_StagedTier):
     """Client-side request coalescing in front of a PEP's PDP traffic.
+
+    The per-PEP :class:`BatchingStage`.  Its drain is single shot:
+    everything pending leaves at once — as one batch query (one per
+    owning shard under a placement-aware dispatcher), or handed to the
+    domain gateway.  A submission that arrives while a flush is on the
+    stack (a fail-safe completion resubmitting in a closed loop) opens
+    a fresh window with its own delay timer.
 
     Args:
         pep: the owning :class:`~repro.components.pep.
@@ -704,8 +866,8 @@ class CoalescingDecisionQueue:
         gateway: optional :class:`DomainDecisionGateway`; when given,
             flushes hand their entries to the gateway (the domain's
             shared aggregation point) instead of putting a per-PEP
-            envelope on the wire, and the gateway completes them via
-            :meth:`_complete_entry` / :meth:`_fail_entry`.
+            envelope on the wire, and the gateway settles them through
+            this queue's stage.
     """
 
     def __init__(
@@ -716,36 +878,36 @@ class CoalescingDecisionQueue:
         dispatcher: Optional[DecisionDispatcher] = None,
         gateway: Optional["DomainDecisionGateway"] = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self.pep = pep
-        self.max_batch = max_batch
-        self.max_delay = max_delay
         self.dispatcher = dispatcher
         self.gateway = gateway
         #: Scope prefix of every dedup key this queue mints: the owning
         #: PEP's identity.  Keeps entries from different PEPs distinct
         #: even inside shared (gateway-tier) bookkeeping.
         self._scope = (pep.domain, pep.name)
-        self._pending: dict[tuple, _PendingDecision] = {}
-        #: scoped key -> entry for every request currently on the wire,
-        #: so in-flight dedup is O(1) rather than a scan per submission.
-        self._inflight_keys: dict[tuple, _PendingDecision] = {}
-        self._flush_handle: Optional[EventHandle] = None
+        self._stage = BatchingStage(
+            pep.network.loop,
+            max_batch,
+            max_delay,
+            drain=self._drain,
+            complete=self._complete_entry,
+            deny=self._fail_entry,
+            label="fabric-flush",
+        )
         self.submissions = 0
         self.deduplicated = 0
         self.batches_sent = 0
-        self.flushes_on_size = 0
-        self.flushes_on_delay = 0
         self.completions = 0
         self._wire = BatchWireCore(
             pep,
             WireJob(
-                select=self._select_replica,
-                deliver=self._deliver_entries,
-                fail=self._fail_batch,
+                select=(
+                    dispatcher.select
+                    if dispatcher is not None
+                    else self._configured_pdp
+                ),
+                deliver=self._stage.deliver,
+                fail=self._stage.fail,
                 timeout=pep.config.pdp_timeout,
                 channel=pep.channel,
                 dispatcher=dispatcher,
@@ -760,22 +922,6 @@ class CoalescingDecisionQueue:
     def scoped_key(self, cache_key: tuple) -> tuple:
         """The PEP/domain-scoped dedup key for one request identity."""
         return (self._scope, cache_key)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def _inflight(self) -> dict[int, _InflightEnvelope]:
-        return self._wire._inflight
-
-    @property
-    def inflight_count(self) -> int:
-        return self._wire.inflight_count
-
-    @property
-    def failovers(self) -> int:
-        return self._wire.failovers
 
     # -- submission --------------------------------------------------------------
 
@@ -802,60 +948,43 @@ class CoalescingDecisionQueue:
             callback(immediate)
             return True
         key = self.scoped_key(cache_key)
-        entry = self._pending.get(key) or self._inflight_keys.get(key)
+        entry = self._stage.join(key)
         if entry is not None:
             self.deduplicated += 1
             if tracer.enabled:
                 tracer.join_decision(entry.trace)
-            entry.callbacks.append(callback)
+            entry.waiters.append(callback)
             return False
-        entry = _PendingDecision(
-            request=request,
-            key=key,
-            cache_key=cache_key,
-            enqueued_at=self.pep.now,
-            owner=self,
-            callbacks=[callback],
-            trace=(
-                tracer.begin_decision(self.pep, request)
-                if tracer.enabled
-                else None
-            ),
-        )
-        self._pending[key] = entry
-        if len(self._pending) >= self.max_batch:
-            self.flushes_on_size += 1
-            self.flush()
-        elif self._flush_handle is None:
-            self._flush_handle = self.pep.network.loop.schedule(
-                self.max_delay, self._flush_on_delay, label="fabric-flush"
+        self._stage.open(
+            Slot(
+                request=request,
+                key=key,
+                owner=self.pep.name,
+                waiters=[callback],
+                enqueued_at=self.pep.now,
+                trace=(
+                    tracer.begin_decision(self.pep, request)
+                    if tracer.enabled
+                    else None
+                ),
             )
+        )
+        self._stage.trigger()
         return False
 
-    def _flush_on_delay(self) -> None:
-        self._flush_handle = None
-        if self._pending:
-            self.flushes_on_delay += 1
-            self.flush()
-
-    def flush(self) -> None:
-        """Send everything pending as one batch query immediately.
+    def _drain(self) -> None:
+        """Send everything pending as one batch query.
 
         With a gateway attached the entries are handed to the domain's
         aggregation point instead; they count as in flight here (so
         later identical submissions still join them) and the gateway
-        completes or fails each one through this queue.
+        settles each one through this queue's stage.
         """
-        if self._flush_handle is not None:
-            self.pep.network.loop.cancel(self._flush_handle)
-            self._flush_handle = None
-        if not self._pending:
+        entries = self._stage.take()
+        if not entries:
             return
-        entries = list(self._pending.values())
-        self._pending.clear()
         now = self.pep.now
-        for entry in entries:  # stays put until completion/failure
-            self._inflight_keys[entry.key] = entry
+        for entry in entries:
             if entry.trace is not None:
                 entry.trace.mark("flush", now)
         if self.gateway is not None:
@@ -864,64 +993,37 @@ class CoalescingDecisionQueue:
             # batches_sent stays a wire-traffic counter and is not
             # incremented for hand-offs).
             self.gateway.ingest(self, entries)
-            return
-        self._send_partitioned(entries)
-
-    def _send_partitioned(self, entries: list) -> None:
-        """Send one flush, split into one envelope per owning shard.
-
-        With a placement-aware dispatcher each group is pinned to the
-        replica owning its key range (timeouts still fail over through
-        ordinary selection); otherwise the whole flush rides one
-        envelope exactly as before.
-        """
-        if self.dispatcher is None or self.dispatcher.placement is None:
+        else:
             self._wire.send(entries)
-            return
-        for target, group in self.dispatcher.partition(
-            entries, lambda entry: entry.request
-        ):
-            job = replace(
-                self._wire.job, select=self.dispatcher.selector_for(target)
-            )
-            self._wire.send(group, job=job)
 
     # -- the wire (BatchWireCore variation points) --------------------------------
 
-    def _select_replica(self, exclude: Sequence[str]) -> Optional[str]:
-        if self.dispatcher is not None:
-            return self.dispatcher.select(exclude=exclude)
-        if exclude:
-            return None  # no dispatcher: a timeout has nowhere to go
-        return self.pep._choose_pdp()
+    def _configured_pdp(self, exclude: Sequence[str]) -> Optional[str]:
+        """No dispatcher: one attempt at the PEP's configured/selected
+        PDP — a timeout has nowhere to go."""
+        return None if exclude else self.pep._choose_pdp()
 
     def _note_batch_sent(self, entries: list) -> None:
         self.batches_sent += 1
 
-    def _deliver_entries(self, entries: list, statements: Sequence) -> None:
-        for entry, statement in zip(entries, statements, strict=False):
-            self._complete_entry(entry, statement)
+    # -- per-entry completion (the stage's complete / deny) -----------------------
 
-    # -- per-entry completion (driven locally or by the gateway) -----------------
-
-    def _record_latency(self, entry: _PendingDecision) -> None:
+    def _record_latency(self, entry: Slot) -> None:
         delay = self.pep.now - entry.enqueued_at
         metrics = self.pep.network.metrics
         metrics.record_sample(QUEUE_LATENCY_SERIES, delay)
         metrics.record_sample(pep_latency_series(self.pep.name), delay)
 
-    def _complete_entry(self, entry: _PendingDecision, statement) -> None:
+    def _complete_entry(self, entry: Slot, statement) -> None:
         """Deliver one decision statement to every waiter of ``entry``.
 
         Caching, obligation enforcement and counters all happen against
         the *owning* PEP — the gateway demultiplexes a shared wire slot
         into one of these calls per contributing PEP.
         """
-        self._inflight_keys.pop(entry.key, None)
-        self.pep.decision_cache.put(entry.cache_key, statement)
+        self.pep.decision_cache.put(entry.key[1], statement)
         self._record_latency(entry)
-        last_result = None
-        for callback in entry.callbacks:
+        for callback in entry.waiters:  # never empty: a slot opens with one
             result = self.pep._enforce(
                 statement.response.decision,
                 tuple(statement.response.result.obligations),
@@ -929,82 +1031,59 @@ class CoalescingDecisionQueue:
                 source="pdp",
             )
             self.completions += 1
-            last_result = result
             callback(result)
         if entry.trace is not None:
             self.pep.network.tracer.finish_decision(
                 entry.trace,
                 self.pep,
-                granted=getattr(last_result, "granted", False),
+                granted=result.granted,
                 decision=str(statement.response.decision),
                 source="pdp",
             )
 
-    def _fail_entry(self, entry: _PendingDecision, exc: Exception) -> None:
-        """Fail-safe denial for every waiter of one entry."""
-        self._inflight_keys.pop(entry.key, None)
-        self._record_latency(entry)
-        last_result = None
-        for callback in entry.callbacks:
-            result = self.pep._fail_safe_result(exc)
-            self.completions += 1
-            last_result = result
-            callback(result)
-        if entry.trace is not None:
-            self.pep.network.tracer.finish_decision(
-                entry.trace,
-                self.pep,
-                granted=getattr(last_result, "granted", False),
-                decision=str(getattr(last_result, "decision", "")),
-                source=getattr(last_result, "source", "fail-safe"),
-                error=type(exc).__name__,
-            )
-
-    def _fail_batch(
-        self, entries: list[_PendingDecision], exc: Exception
-    ) -> None:
-        """Fail-safe denial for every waiter of every entry.
+    def _fail_entry(self, entry: Slot, exc: Exception) -> None:
+        """Fail-safe denial for every waiter of one entry.
 
         The event-driven queue has no caller to re-raise into, so it
         always enforces the deny-on-failure stance regardless of
         ``PepConfig.deny_on_failure`` — the fail-open variant only
         exists on the synchronous path.
         """
-        for entry in entries:
-            self._fail_entry(entry, exc)
+        self._record_latency(entry)
+        for callback in entry.waiters:
+            result = self.pep._fail_safe_result(exc)
+            self.completions += 1
+            callback(result)
+        if entry.trace is not None:
+            self.pep.network.tracer.finish_decision(
+                entry.trace,
+                self.pep,
+                granted=result.granted,
+                decision=str(result.decision),
+                source=result.source,
+                error=type(exc).__name__,
+            )
 
     def __repr__(self) -> str:
         return (
             f"CoalescingDecisionQueue(pep={self.pep.name}, "
-            f"max_batch={self.max_batch}, pending={len(self._pending)}, "
+            f"max_batch={self._stage.max_batch}, pending={self.pending_count}, "
             f"inflight={self.inflight_count})"
         )
 
 
-@dataclass
-class _WireSlot:
-    """One unique request at the gateway tier, shared across PEPs.
-
-    Entries from different PEPs whose requests have the same cache key
-    attach to one slot (cross-PEP dedup): the slot travels once, the
-    reply statement is enforced per entry through each owning queue.
-    """
-
-    request: RequestContext
-    cache_key: tuple
-    owner: str  # name of the PEP whose flush first contributed the slot
-    entries: list[_PendingDecision] = field(default_factory=list)
-
-
-class DomainDecisionGateway(Component):
+class DomainDecisionGateway(_StagedTier, Component):
     """Per-domain aggregation point between many PEPs and the PDP tier.
 
-    PR 2's coalescing queue amortises per-envelope cost *per PEP*; a
+    The coalescing queue amortises per-envelope cost *per PEP*; a
     domain full of PEPs still pays one envelope per PEP per flush.  The
     gateway is the missing tier the paper's multi-domain architecture
-    implies: every registered PEP's queue flushes into it, and it merges
-    those flushes into super-batches for the shared
-    :class:`DecisionDispatcher`:
+    implies: every registered PEP's queue flushes into its
+    :class:`BatchingStage`, whose drain merges those flushes into
+    super-batches for the shared :class:`DecisionDispatcher` — at most
+    ``max_batch`` unique slots per step, one step per envelope's
+    serialisation time until the backlog is empty; flushes that arrive
+    while a drain is scheduled or on the stack wait for its next step:
 
     * **cross-PEP dedup** — identical requests from different PEPs ride
       one wire slot; each PEP still gets its own enforcement (its own
@@ -1063,10 +1142,6 @@ class DomainDecisionGateway(Component):
         super().__init__(name, network, domain, identity)
         if dispatcher is None:
             raise ValueError("gateway requires a DecisionDispatcher")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         if fairness_cap is not None and fairness_cap < 1:
             raise ValueError(f"fairness_cap must be >= 1, got {fairness_cap}")
         #: How every envelope this gateway sends (PDP-bound, forwarded)
@@ -1075,41 +1150,33 @@ class DomainDecisionGateway(Component):
             self, secure=secure_channel, role="gateway"
         )
         self.dispatcher = dispatcher
-        self.max_batch = max_batch
-        self.max_delay = max_delay
         self.fairness_cap = fairness_cap
         self.pdp_timeout = pdp_timeout
         self._queues: dict[str, CoalescingDecisionQueue] = {}
-        self._owner_order: list[str] = []
-        #: Per-owner FIFO of pending slots, drawn round-robin at flush.
-        self._backlog: dict[str, deque[_WireSlot]] = {}
-        self._pending_slots: dict[tuple, _WireSlot] = {}
-        self._inflight_slots: dict[tuple, _WireSlot] = {}
-        self._flush_handle: Optional[EventHandle] = None
-        self._drain_handle: Optional[EventHandle] = None
-        #: True while a drain step is classifying/dispatching.  A drain
-        #: step may run nested event-loop turns (synchronous directory
-        #: lookups, fail-safe completion callbacks that submit the next
-        #: closed-loop request), during which ``_drain_handle`` is
-        #: None; without this guard a flush arriving in that window
-        #: would start a second, untracked drain chain and break the
-        #: one-envelope-at-a-time pacing.
-        self._draining = False
+        #: Per-owner FIFO of pending slots, in registration order, drawn
+        #: round-robin at flush.
+        self._backlog: dict[str, deque[Slot]] = {}
+        self._stage = BatchingStage(
+            network.loop,
+            max_batch,
+            max_delay,
+            drain=self._drain_step,
+            complete=self._complete_slot,
+            deny=self._fail_slot,
+            label="gateway-flush",
+        )
         self._rr_start = 0
         self.flushes_received = 0
-        self.requests_ingested = 0
         self.cross_pep_deduplicated = 0
         self.super_batches_sent = 0
-        self.flushes_on_size = 0
-        self.flushes_on_delay = 0
         self.fairness_deferrals = 0
         self.decisions_delivered = 0
         self._wire = BatchWireCore(
             self,
             WireJob(
-                select=self._select_replica,
-                deliver=self._deliver_slots,
-                fail=self._fail_slots,
+                select=dispatcher.select,
+                deliver=self._stage.deliver,
+                fail=self._stage.fail,
                 timeout=pdp_timeout,
                 channel=self.channel,
                 dispatcher=dispatcher,
@@ -1123,36 +1190,17 @@ class DomainDecisionGateway(Component):
 
     def register(self, queue: CoalescingDecisionQueue) -> None:
         """Register one PEP's coalescing queue with this gateway."""
-        pep_name = queue.pep.name
-        if pep_name not in self._queues:
-            self._owner_order.append(pep_name)
-            self._backlog[pep_name] = deque()
-        self._queues[pep_name] = queue
+        self._backlog.setdefault(queue.pep.name, deque())
+        self._queues[queue.pep.name] = queue
 
     @property
     def registered_peps(self) -> list[str]:
-        return list(self._owner_order)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending_slots)
-
-    @property
-    def _inflight(self) -> dict[int, _InflightEnvelope]:
-        return self._wire._inflight
-
-    @property
-    def inflight_count(self) -> int:
-        return self._wire.inflight_count
-
-    @property
-    def failovers(self) -> int:
-        return self._wire.failovers
+        return list(self._backlog)
 
     # -- ingestion ----------------------------------------------------------------
 
     def ingest(
-        self, queue: CoalescingDecisionQueue, entries: list[_PendingDecision]
+        self, queue: CoalescingDecisionQueue, entries: list[Slot]
     ) -> None:
         """Merge one PEP queue flush into the gateway backlog.
 
@@ -1160,52 +1208,31 @@ class DomainDecisionGateway(Component):
         identity — pending *or* already on the wire — or opens a new
         pending slot attributed to the contributing PEP.
         """
-        if queue.pep.name not in self._queues:
-            self.register(queue)
+        owner = queue.pep.name
         self.flushes_received += 1
-        self.requests_ingested += len(entries)
+        stage = self._stage
         for entry in entries:
-            slot = self._pending_slots.get(entry.cache_key)
-            if slot is None:
-                slot = self._inflight_slots.get(entry.cache_key)
-                if slot is not None and entry.trace is not None:
+            key = entry.key[1]  # the bare request identity: PEP scope off
+            slot = stage.join(key)
+            if slot is not None:
+                if entry.trace is not None and key in stage.inflight:
                     # Joining a slot already on the wire: this entry's
                     # wire phase starts now (it only waits the envelope
                     # remainder), not at the envelope's original send.
                     entry.trace.mark_first("sent", self.now)
                     entry.trace.set("joined_in_flight", True)
-            if slot is not None:
                 self.cross_pep_deduplicated += 1
-                slot.entries.append(entry)
+                slot.waiters.append(entry)
                 continue
-            slot = _WireSlot(
-                request=entry.request,
-                cache_key=entry.cache_key,
-                owner=queue.pep.name,
-                entries=[entry],
-            )
-            self._pending_slots[entry.cache_key] = slot
-            self._backlog[slot.owner].append(slot)
-        if self._drain_handle is not None or self._draining:
-            return  # a drain in progress will pick the new slots up
-        if len(self._pending_slots) >= self.max_batch:
-            self.flushes_on_size += 1
-            self.flush()
-        elif self._pending_slots and self._flush_handle is None:
-            self._flush_handle = self.network.loop.schedule(
-                self.max_delay, self._flush_on_delay, label="gateway-flush"
-            )
-
-    def _flush_on_delay(self) -> None:
-        self._flush_handle = None
-        if self._pending_slots:
-            self.flushes_on_delay += 1
-            self.flush()
+            slot = Slot(entry.request, key, owner, [entry])
+            stage.open(slot)
+            self._backlog[owner].append(slot)
+        stage.trigger()
 
     # -- super-batching -----------------------------------------------------------
 
-    def flush(self) -> None:
-        """Start draining the backlog as capped super-batches.
+    def _drain_step(self) -> None:
+        """One step of draining the backlog as capped super-batches.
 
         The drain is *paced*: one envelope goes out now, the next when
         the first has finished serialising onto the wire (its size over
@@ -1214,32 +1241,30 @@ class DomainDecisionGateway(Component):
         instant would let the simulator's per-message delivery model
         reorder small envelopes ahead of large ones.
         """
-        if self._flush_handle is not None:
-            self.network.loop.cancel(self._flush_handle)
-            self._flush_handle = None
-        if self._drain_handle is None and not self._draining:
-            self._drain_step()
-
-    def _drain_step(self) -> None:
-        self._drain_handle = None
-        if not self._pending_slots:
+        stage = self._stage
+        stage.draining = False  # this step is the drain that was pending
+        if not stage.pending:
             return
         slots = self._take_super_batch()
-        for slot in slots:  # stays put until completion/failure
-            self._inflight_slots[slot.cache_key] = slot
-        self._draining = True
+        # A step may run nested event-loop turns (synchronous directory
+        # lookups, fail-safe completion callbacks that submit the next
+        # closed-loop request); a flush arriving in that window must not
+        # start a second, untracked drain chain and break the
+        # one-envelope-at-a-time pacing.
+        stage.draining = True
         try:
             tx_time = self._dispatch_slots(slots)
         finally:
-            self._draining = False
-        # Slots that arrived while dispatching (nested loop turns) were
-        # deferred to us: this reschedule is what picks them up.
-        if self._pending_slots:
-            self._drain_handle = self.network.loop.schedule(
+            stage.draining = False
+        if stage.pending:
+            # Slots that arrived meanwhile were deferred to this
+            # reschedule, which keeps the stage's triggers held.
+            stage.draining = True
+            self.network.loop.schedule(
                 tx_time, self._drain_step, label="gateway-drain"
             )
 
-    def _dispatch_slots(self, slots: list[_WireSlot]) -> float:
+    def _dispatch_slots(self, slots: list[Slot]) -> float:
         """Put one drawn super-batch on the wire; returns its tx time.
 
         The federated gateway overrides this to classify slots by
@@ -1247,30 +1272,9 @@ class DomainDecisionGateway(Component):
         forwarding); the base gateway sends everything to the local
         replica set.
         """
-        return self._send_local(slots)
+        return self._wire.send(slots)
 
-    def _send_local(self, slots: list[_WireSlot]) -> float:
-        """Send slots to the local replica set, shard-partitioned.
-
-        With a placement-aware dispatcher the super-batch is split into
-        one envelope per owning replica; otherwise it travels whole.
-        Returns the summed serialisation time (the pacing figure the
-        drain loop waits on), matching a gateway writing the envelopes
-        to its socket back to back.
-        """
-        if self.dispatcher.placement is None:
-            return self._wire.send(slots)
-        tx_time = 0.0
-        for target, group in self.dispatcher.partition(
-            slots, lambda slot: slot.request
-        ):
-            job = replace(
-                self._wire.job, select=self.dispatcher.selector_for(target)
-            )
-            tx_time += self._wire.send(group, job=job)
-        return tx_time
-
-    def _take_super_batch(self) -> list[_WireSlot]:
+    def _take_super_batch(self) -> list[Slot]:
         """Draw the next super-batch fairly from the per-PEP backlogs.
 
         Slots are taken one at a time round-robin across registered
@@ -1280,19 +1284,18 @@ class DomainDecisionGateway(Component):
         waits for a later super-batch (counted as a deferral when the
         cap — not an empty backlog — is what stopped it).
         """
-        taken: list[_WireSlot] = []
+        taken: list[Slot] = []
         taken_per_owner: dict[str, int] = {}
-        owners = [
-            self._owner_order[(self._rr_start + i) % len(self._owner_order)]
-            for i in range(len(self._owner_order))
-        ]
+        owners = list(self._backlog)
+        start = self._rr_start % len(owners)
+        owners = owners[start:] + owners[:start]
         self._rr_start += 1
         capped_owners: set[str] = set()
         progressed = True
-        while len(taken) < self.max_batch and progressed:
+        while len(taken) < self._stage.max_batch and progressed:
             progressed = False
             for owner in owners:
-                if len(taken) >= self.max_batch:
+                if len(taken) >= self._stage.max_batch:
                     break
                 backlog = self._backlog[owner]
                 if not backlog:
@@ -1303,41 +1306,34 @@ class DomainDecisionGateway(Component):
                 ):
                     capped_owners.add(owner)
                     continue
-                slot = backlog.popleft()
-                del self._pending_slots[slot.cache_key]
-                taken.append(slot)
+                taken.append(backlog.popleft())
                 taken_per_owner[owner] = taken_per_owner.get(owner, 0) + 1
                 progressed = True
         self.fairness_deferrals += sum(
             len(self._backlog[owner]) for owner in capped_owners
         )
-        return taken
+        return self._stage.take(taken)
 
     # -- the wire (BatchWireCore variation points) ---------------------------------
 
-    def _select_replica(self, exclude: Sequence[str]) -> Optional[str]:
-        return self.dispatcher.select(exclude=exclude)
-
-    def _note_super_batch(self, slots: list[_WireSlot]) -> None:
+    def _note_super_batch(self, slots: list[Slot]) -> None:
         self.super_batches_sent += 1
         self.network.metrics.record_sample(SUPER_BATCH_SERIES, len(slots))
 
-    def _deliver_slots(self, slots: list[_WireSlot], statements: Sequence) -> None:
-        for slot, statement in zip(slots, statements, strict=False):
-            self._inflight_slots.pop(slot.cache_key, None)
-            for entry in slot.entries:
-                self.decisions_delivered += 1
-                entry.owner._complete_entry(entry, statement)
+    # -- per-slot demultiplexing (the stage's complete / deny) ----------------------
 
-    def _fail_slots(self, slots: list[_WireSlot], exc: Exception) -> None:
-        for slot in slots:
-            self._inflight_slots.pop(slot.cache_key, None)
-            for entry in slot.entries:
-                entry.owner._fail_entry(entry, exc)
+    def _complete_slot(self, slot: Slot, statement) -> None:
+        for entry in slot.waiters:
+            self.decisions_delivered += 1
+            self._queues[entry.owner]._stage.resolve(entry, statement)
+
+    def _fail_slot(self, slot: Slot, exc: Exception) -> None:
+        for entry in slot.waiters:
+            self._queues[entry.owner]._stage.reject(entry, exc)
 
     def __repr__(self) -> str:
         return (
             f"DomainDecisionGateway({self.name}, "
-            f"peps={len(self._queues)}, pending={len(self._pending_slots)}, "
+            f"peps={len(self._queues)}, pending={self.pending_count}, "
             f"inflight={self.inflight_count})"
         )

@@ -29,16 +29,23 @@ domain are forwarded onward with a decremented TTL, so a misconfigured
 directory produces a bounded forwarding chain ending in an
 Indeterminate fail-safe statement instead of a loop.
 
-All wire behaviour — the in-flight map, timeout failover, reply
-validation, fail-safe fan-out — comes from the shared
-:class:`~repro.components.fabric.BatchWireCore`; federation only adds
+Remote slots wait in one :class:`~repro.components.fabric.
+BatchingStage` per peer domain — a second window downstream of the
+gateway's own — whose drain is the only batching code here: back-to-back
+chunks of ``forward_batch`` until the buffer is empty.  All wire
+behaviour — shard partitioning, the in-flight map, timeout failover,
+reply validation, fail-safe fan-out — comes from the shared
+:class:`~repro.components.fabric.BatchWireCore`, for outbound forwards
+and for serving inbound ones alike; federation only adds
 classification, the forwarded-envelope profile and the origin checks.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 from typing import Callable, Optional, Sequence
 from xml.sax.saxutils import quoteattr
 
@@ -64,10 +71,11 @@ from .base import RpcFault
 from .cache import TtlCache
 from .channel import is_secure_action, secure_action
 from .fabric import (
+    BatchingStage,
     DecisionDispatcher,
     DomainDecisionGateway,
+    Slot,
     WireJob,
-    _WireSlot,
 )
 
 #: Gateway→gateway forwarded decision traffic.
@@ -96,10 +104,6 @@ class ForwardedBatchQuery:
     origin_domain: str
     origin_gateway: str
     ttl: int = DEFAULT_FORWARD_TTL
-    #: Trace context of the carrying envelope, re-attached from the
-    #: message *headers* on receipt (never serialised into the XML —
-    #: tracing must not change a forward's wire size by one byte).
-    trace: Optional[str] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ttl < 1:
@@ -114,10 +118,6 @@ class ForwardedBatchQuery:
             f"{self.batch.to_xml()}"
             f"</fed:ForwardedBatchQuery>"
         )
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.to_xml().encode("utf-8"))
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "ForwardedBatchQuery":
@@ -141,23 +141,16 @@ class ForwardedBatchQuery:
         )
 
 
-@dataclass
-class _ServicePart:
-    """One request of a forwarded batch being served at this gateway."""
-
-    context: "_ServiceContext"
-    index: int
-    request: RequestContext
-
-
 class _ServiceContext:
     """Gathers the answers to one inbound forwarded batch.
 
     The batch's requests may split across the local PDP tier, onward
     forwards (directory says another domain governs them) and immediate
-    fail-safe statements (TTL exhausted, unknown domain).  The context
-    holds the statement array in query order and replies to the origin
-    gateway once every group has landed.
+    fail-safe statements (TTL exhausted, unknown domain).  Each request
+    that travels is a :class:`~repro.components.fabric.Slot` keyed by
+    its index in the batch; the context holds the statement array in
+    query order and replies to the origin gateway once every slot has
+    landed.
     """
 
     def __init__(
@@ -168,19 +161,20 @@ class _ServiceContext:
         self.fwd = fwd
         self.statements: list = [None] * len(fwd.batch.queries)
         self.outstanding = 0
-        self.replied = False
         self.arrived_at = gateway.now
         # Serving-hop trace context: parented under the origin
         # envelope's span (carried in the forward's message headers),
-        # one hop deeper.  Onward envelopes sent for this context join
-        # the same trace through ``serve_ctx`` — that is how remote-hop
-        # spans parent correctly across domains.
+        # one hop deeper.  Envelopes sent for this context are handed
+        # ``serve_ctx`` as their parent — that is how remote-hop spans
+        # parent correctly across domains.
         self.serve_ctx: Optional[TraceContext] = None
         self._serve_parent: Optional[str] = None
         self._counts: Optional[dict[str, int]] = None
         tracer = gateway.network.tracer
         if tracer.enabled:
-            context = TraceContext.parse(fwd.trace)
+            # The context rides the message *headers*, never the XML:
+            # tracing must not change a forward's wire size by one byte.
+            context = TraceContext.parse(message.headers.get(TRACE_HEADER))
             if context is not None:
                 self.serve_ctx = tracer.child_context(context)
                 self._serve_parent = context.span_id
@@ -194,8 +188,9 @@ class _ServiceContext:
             gateway.ttl_denials,
             gateway.unknown_domain_denials,
         )
-        local_parts: list[_ServicePart] = []
-        onward: dict[str, list[_ServicePart]] = {}
+        #: Governing domain -> the slots travelling there (this domain's
+        #: own replica set, or onward to a peer).
+        routes: dict[str, list[Slot]] = {}
         for index, query in enumerate(self.fwd.batch.queries):
             try:
                 governing = gateway._serving_domain(query.request)
@@ -210,33 +205,32 @@ class _ServiceContext:
                     f"authoritative directory re-check failed: {exc}",
                 )
                 continue
-            if governing == gateway.domain:
-                local_parts.append(_ServicePart(self, index, query.request))
-                continue
-            # The origin believed this gateway governs the resource and
-            # the (authoritative, when configured) serving-side check
-            # disagrees: a misroute — stale origin directory cache or
-            # conflicting configuration.  Never mis-decide it locally;
-            # re-forward (below) or fail safe.
-            gateway.misroutes_detected += 1
-            gateway.network.metrics.bump("federation.misroute")
-            if governing in gateway._peers and self.fwd.ttl > 1:
+            if governing != gateway.domain:
+                # The origin believed this gateway governs the resource
+                # and the (authoritative, when configured) serving-side
+                # check disagrees: a misroute — stale origin directory
+                # cache or conflicting configuration.  Never mis-decide
+                # it locally; re-forward or fail safe.
+                gateway.misroutes_detected += 1
+                gateway.network.metrics.bump("federation.misroute")
+                if governing not in gateway._peers:
+                    gateway.unknown_domain_denials += 1
+                    gateway.network.metrics.bump("federation.unknown_domain")
+                    self.statements[index] = gateway._indeterminate_statement(
+                        query, f"no route to domain {governing!r}"
+                    )
+                    continue
+                if self.fwd.ttl <= 1:
+                    gateway.ttl_denials += 1
+                    gateway.network.metrics.bump("federation.ttl_expired")
+                    self.statements[index] = gateway._indeterminate_statement(
+                        query, f"forward TTL exhausted at {gateway.domain!r}"
+                    )
+                    continue
                 gateway.misroutes_reforwarded += 1
-                onward.setdefault(governing, []).append(
-                    _ServicePart(self, index, query.request)
-                )
-            elif governing in gateway._peers:
-                gateway.ttl_denials += 1
-                gateway.network.metrics.bump("federation.ttl_expired")
-                self.statements[index] = gateway._indeterminate_statement(
-                    query, f"forward TTL exhausted at {gateway.domain!r}"
-                )
-            else:
-                gateway.unknown_domain_denials += 1
-                gateway.network.metrics.bump("federation.unknown_domain")
-                self.statements[index] = gateway._indeterminate_statement(
-                    query, f"no route to domain {governing!r}"
-                )
+            routes.setdefault(governing, []).append(
+                Slot(query.request, index, self.fwd.origin_domain)
+            )
         if self.serve_ctx is not None:
             # ``start`` runs atomically in simulated time, so the
             # counter deltas are exactly this batch's routing outcomes —
@@ -250,55 +244,42 @@ class _ServiceContext:
                 "ttl_expired": gateway.ttl_denials - counters_before[3],
                 "unknown_domain": gateway.unknown_domain_denials
                 - counters_before[4],
-                "local": len(local_parts),
+                "local": len(routes.get(gateway.domain, ())),
             }
-        groups: list[tuple[Optional[str], list[_ServicePart]]] = []
-        if local_parts:
-            groups.append((None, local_parts))
-        groups.extend(sorted(onward.items()))
-        self.outstanding = len(groups)
-        for target, parts in groups:
-            if target is None:
-                gateway._wire.send(
-                    parts, job=gateway._service_job(self._deliver, self._fail)
-                )
-            else:
-                gateway._wire.send(
-                    parts,
-                    job=gateway._forward_job(
-                        target,
-                        ttl=self.fwd.ttl - 1,
-                        deliver=self._deliver,
-                        fail=self._fail,
-                    ),
-                )
-        if not groups:
-            self._maybe_reply()
-
-    # -- group completion ---------------------------------------------------------
-
-    def _deliver(self, parts: list[_ServicePart], statements: Sequence) -> None:
-        for part, statement in zip(parts, statements, strict=False):
-            self.statements[part.index] = statement
-        self._complete_group()
-
-    def _fail(self, parts: list[_ServicePart], exc: Exception) -> None:
-        gateway = self.gateway
-        for part in parts:
-            query = self.fwd.batch.queries[part.index]
-            self.statements[part.index] = gateway._indeterminate_statement(
-                query, f"fail-safe deny: {exc}"
+        self.outstanding = sum(map(len, routes.values()))
+        if not self.outstanding:  # nothing travels: answer at once
+            self._reply()
+        # The local replica set first (shard-partitioned by the wire
+        # core exactly like this domain's own traffic), then onward.
+        for target in sorted(routes, key=lambda t: (t != gateway.domain, t)):
+            gateway._wire.send(
+                routes[target],
+                job=gateway._serving_job(
+                    target, self.fwd.ttl - 1, self._deliver, self._fail
+                ),
+                parent=self.serve_ctx,
             )
-        self._complete_group()
 
-    def _complete_group(self) -> None:
-        self.outstanding -= 1
-        self._maybe_reply()
+    # -- slot completion ----------------------------------------------------------
 
-    def _maybe_reply(self) -> None:
-        if self.replied or self.outstanding > 0:
-            return
-        self.replied = True
+    def _deliver(self, parts: list[Slot], statements: Sequence) -> None:
+        for part, statement in zip(parts, statements, strict=False):
+            self.statements[part.key] = statement
+        self._landed(len(parts))
+
+    def _fail(self, parts: list[Slot], exc: Exception) -> None:
+        for part in parts:
+            self.statements[part.key] = self.gateway._indeterminate_statement(
+                self.fwd.batch.queries[part.key], f"fail-safe deny: {exc}"
+            )
+        self._landed(len(parts))
+
+    def _landed(self, count: int) -> None:
+        self.outstanding -= count
+        if not self.outstanding:
+            self._reply()
+
+    def _reply(self) -> None:
         gateway = self.gateway
         answer = XacmlAuthzDecisionBatchStatement(
             statements=tuple(self.statements),
@@ -353,8 +334,12 @@ class FederatedGateway(DomainDecisionGateway):
       envelope whose peer is unreachable or rejected.
 
     Remote slots are not forwarded the instant a drain step classifies
-    them: they accumulate in a per-target-domain buffer that flushes on
-    ``forward_batch`` slots or after ``forward_delay`` seconds.  The
+    them: they accumulate in a per-target-domain buffer (a
+    :class:`~repro.components.fabric.BatchingStage` downstream of the
+    gateway's own) that flushes on ``forward_batch`` slots or after
+    ``forward_delay`` seconds, as unpaced back-to-back chunks of
+    ``forward_batch``; they stay in flight at the gateway stage
+    meanwhile, so late identical requests still join them.  The
     inter-domain hop is the expensive one (WAN latency, a WS-Security
     signature per envelope), so trading a bounded extra origin-side
     delay — tune ``forward_delay`` to a fraction of the inter-domain
@@ -435,10 +420,10 @@ class FederatedGateway(DomainDecisionGateway):
         self.resolve_authoritative = resolve_authoritative
         self.forward_ttl = forward_ttl
         self.forward_batch = (
-            forward_batch if forward_batch is not None else self.max_batch
+            forward_batch if forward_batch is not None else self._stage.max_batch
         )
         self.forward_delay = (
-            forward_delay if forward_delay is not None else self.max_delay
+            forward_delay if forward_delay is not None else self._stage.max_delay
         )
         self.peer_timeout = (
             peer_timeout if peer_timeout is not None else self.pdp_timeout
@@ -450,9 +435,8 @@ class FederatedGateway(DomainDecisionGateway):
         self._origins: dict[str, str] = {}
         #: Remote domain -> dispatcher over its replicas (naive baseline).
         self._direct: dict[str, DecisionDispatcher] = {}
-        #: Remote domain -> slots awaiting the next forwarded envelope.
-        self._forward_backlog: dict[str, list[_WireSlot]] = {}
-        self._forward_handles: dict[str, object] = {}
+        #: Remote domain -> the stage buffering its next forwarded envelope.
+        self._forwards: dict[str, BatchingStage] = {}
         #: Gateway-tier cache of remote decisions, keyed by the bare
         #: request identity (cache_key) — shared across every PEP
         #: behind this gateway.
@@ -479,7 +463,6 @@ class FederatedGateway(DomainDecisionGateway):
         self.misroutes_detected = 0
         self.misroutes_reforwarded = 0
         self.recheck_failures = 0
-        self.direct_batches_sent = 0
         self.unknown_domain_denials = 0
         self.peer_failures = 0
         self.ttl_denials = 0
@@ -497,6 +480,13 @@ class FederatedGateway(DomainDecisionGateway):
         if domain_name == self.domain:
             raise ValueError(f"{domain_name!r} is this gateway's own domain")
         self._peers[domain_name] = gateway_address
+        if domain_name not in self._forwards:
+            self._forwards[domain_name] = self._stage.downstream(
+                self.forward_batch,
+                self.forward_delay,
+                drain=partial(self._drain_forward, domain_name),
+                label="federation-forward",
+            )
 
     def allow_origin(self, domain_name: str, gateway_address: str) -> None:
         """Accept forwarded batches originated by ``domain_name``.
@@ -525,10 +515,6 @@ class FederatedGateway(DomainDecisionGateway):
     def peer_domains(self) -> list[str]:
         return sorted(self._peers)
 
-    @property
-    def accepted_origins(self) -> list[str]:
-        return sorted(self._origins)
-
     # -- classification ------------------------------------------------------------
 
     def _governing_domain(self, request: RequestContext) -> str:
@@ -550,16 +536,16 @@ class FederatedGateway(DomainDecisionGateway):
             return governing or self.domain
         return self._governing_domain(request)
 
-    def _dispatch_slots(self, slots: list[_WireSlot]) -> float:
+    def _dispatch_slots(self, slots: list[Slot]) -> float:
         """Partition one drawn super-batch by governing domain and send.
 
-        Local slots ride the inherited PDP-tier path; each remote group
-        becomes one forwarded (or direct) envelope.  Unknown domains
-        fail safe immediately.  Envelopes serialise onto the same
-        egress wire, so the paced drain waits for their summed
-        transmission time.
+        Local slots ride the inherited PDP-tier path; remote ones wait
+        in their peer's forward buffer (or go straight at a direct
+        route).  Unknown domains fail safe immediately.  Envelopes
+        serialise onto the same egress wire, so the paced drain waits
+        for their summed transmission time.
         """
-        groups: dict[str, list[_WireSlot]] = {}
+        groups: dict[str, list[Slot]] = {}
         for slot in slots:
             groups.setdefault(self._governing_domain(slot.request), []).append(
                 slot
@@ -568,18 +554,19 @@ class FederatedGateway(DomainDecisionGateway):
         for target in sorted(groups, key=lambda t: (t != self.domain, t)):
             group = groups[target]
             if target == self.domain:
-                tx_time += self._send_local(group)
+                tx_time += self._wire.send(group)
             elif target in self._peers:
-                misses = self._serve_cached_remote(group)
-                if misses:
-                    self._buffer_forward(target, misses)
+                buffer = self._forwards[target]
+                for slot in self._serve_cached_remote(group):
+                    buffer.open(slot)
+                buffer.trigger()
             elif target in self._direct:
                 tx_time += self._wire.send(group, job=self._direct_job(target))
             else:
-                denied = sum(len(slot.entries) for slot in group)
+                denied = sum(len(slot.waiters) for slot in group)
                 self.unknown_domain_denials += denied
                 self.network.metrics.bump("federation.unknown_domain", denied)
-                self._fail_slots(
+                self._stage.fail(
                     group,
                     RpcFault(
                         "federation:unknown-domain",
@@ -588,11 +575,19 @@ class FederatedGateway(DomainDecisionGateway):
                 )
         return tx_time
 
+    def _drain_forward(self, target: str) -> None:
+        """One peer's forward drain: chunks of ``forward_batch``, back to
+        back and unpaced, until the buffer is empty."""
+        buffer = self._forwards[target]
+        while buffer.pending:
+            chunk = buffer.take(
+                list(islice(buffer.pending.values(), self.forward_batch))
+            )
+            self._wire.send(chunk, job=self._forward_job(target))
+
     # -- the gateway-tier remote-decision cache ---------------------------------------
 
-    def _serve_cached_remote(
-        self, slots: list[_WireSlot]
-    ) -> list[_WireSlot]:
+    def _serve_cached_remote(self, slots: list[Slot]) -> list[Slot]:
         """Serve cache hits locally; return the slots that must travel.
 
         A hit completes every waiting PEP entry of the slot through its
@@ -607,15 +602,15 @@ class FederatedGateway(DomainDecisionGateway):
         (closed loop) and flush straight back into this gateway, and a
         nested ``_drain_step`` while the outer drain is still
         classifying would break the paced-drain invariant (two
-        scheduled drains, only one tracked).  The slot stays in
-        ``_inflight_slots`` until the deferred delivery fires, so
+        scheduled drains, only one tracked).  The slot stays in flight
+        at the gateway stage until the deferred delivery fires, so
         late-joining waiters still attach and are served with it.
         """
         if not self.remote_cache.enabled:
             return slots
-        misses: list[_WireSlot] = []
+        misses: list[Slot] = []
         for slot in slots:
-            statement = self.remote_cache.get(slot.cache_key)
+            statement = self.remote_cache.get(slot.key)
             if statement is None:
                 misses.append(slot)
                 continue
@@ -630,19 +625,19 @@ class FederatedGateway(DomainDecisionGateway):
             )
         return misses
 
-    def _deliver_cached_slot(self, slot: _WireSlot, statement) -> None:
+    def _deliver_cached_slot(self, slot: Slot, statement) -> None:
         # Counted at delivery time so waiters that joined the inflight
         # slot after the hit are included.
-        self.remote_cache_decisions_served += len(slot.entries)
+        self.remote_cache_decisions_served += len(slot.waiters)
         tracer = self.network.tracer
         if tracer.enabled:
             # No envelope left this gateway: the riding decisions' wire
             # phase collapses to zero, labelled as a gateway-cache hit.
             tracer.cache_hit(self, [slot], cache="gateway-remote")
-        self._deliver_slots([slot], [statement])
+        self._stage.resolve(slot, statement)
 
     def _cache_remote_statements(
-        self, slots: list[_WireSlot], statements: Sequence
+        self, slots: list[Slot], statements: Sequence
     ) -> None:
         """Retain definitive remote decisions for the cache TTL.
 
@@ -658,7 +653,7 @@ class FederatedGateway(DomainDecisionGateway):
             if self._fenced(slot.request, statement.issue_instant):
                 self.remote_cache_fenced += 1
                 continue
-            self.remote_cache.put(slot.cache_key, statement)
+            self.remote_cache.put(slot.key, statement)
 
     def _fenced(self, request: RequestContext, issued_at: float) -> bool:
         """Was this decision issued no later than a matching fence?
@@ -714,48 +709,9 @@ class FederatedGateway(DomainDecisionGateway):
         snapshot["entries"] = len(self.remote_cache)
         return snapshot
 
-    # -- the forwarding buffer -------------------------------------------------------
-
-    def _buffer_forward(self, target: str, slots: list[_WireSlot]) -> None:
-        """Accumulate remote slots until the target's buffer fills/ages.
-
-        The slots are already marked in flight at the gateway tier, so
-        identical requests arriving meanwhile still join them (the
-        buffer deepens the dedup window rather than bypassing it).
-        """
-        backlog = self._forward_backlog.setdefault(target, [])
-        backlog.extend(slots)
-        if len(backlog) >= self.forward_batch:
-            self._flush_forward(target)
-        elif target not in self._forward_handles:
-            self._forward_handles[target] = self.network.loop.schedule(
-                self.forward_delay,
-                lambda: self._flush_forward(target),
-                label="federation-forward",
-            )
-
-    def _flush_forward(self, target: str) -> None:
-        handle = self._forward_handles.pop(target, None)
-        if handle is not None:
-            self.network.loop.cancel(handle)
-        backlog = self._forward_backlog.get(target, [])
-        while backlog:
-            chunk, backlog = (
-                backlog[: self.forward_batch],
-                backlog[self.forward_batch :],
-            )
-            self._forward_backlog[target] = backlog
-            self._wire.send(chunk, job=self._forward_job(target))
-
     # -- the forwarding wire (jobs for the shared core) -----------------------------
 
-    def _forward_job(
-        self,
-        target: str,
-        ttl: Optional[int] = None,
-        deliver=None,
-        fail=None,
-    ) -> WireJob:
+    def _forward_job(self, target: str, ttl: Optional[int] = None) -> WireJob:
         peer = self._peers[target]
         hops = self.forward_ttl if ttl is None else ttl
 
@@ -775,8 +731,8 @@ class FederatedGateway(DomainDecisionGateway):
             select=select,
             # The channel pins the reply's signer to the envelope's
             # destination, which for a forward job is the peer gateway.
-            deliver=deliver if deliver is not None else self._deliver_remote_slots,
-            fail=fail if fail is not None else self._fail_forwarded_slots,
+            deliver=self._deliver_remote_slots,
+            fail=self._fail_forwarded_slots,
             timeout=self.peer_timeout,
             channel=self.channel,
             encode=encode,
@@ -786,62 +742,46 @@ class FederatedGateway(DomainDecisionGateway):
     def _direct_job(self, target: str) -> WireJob:
         dispatcher = self._direct[target]
         return WireJob(
-            select=lambda exclude: dispatcher.select(exclude=exclude),
+            select=dispatcher.select,
             deliver=self._deliver_remote_slots,
-            fail=self._fail_slots,
+            fail=self._stage.fail,
             timeout=self.pdp_timeout,
             channel=self.channel,
             dispatcher=dispatcher,
-            on_sent=self._note_direct,
         )
 
-    def _service_job(self, deliver, fail) -> WireJob:
-        """Local PDP-tier service of (part of) an inbound forwarded batch."""
-        return WireJob(
-            select=self._select_replica,
-            deliver=deliver,
-            fail=fail,
-            timeout=self.pdp_timeout,
-            channel=self.channel,
-            dispatcher=self.dispatcher,
+    def _serving_job(self, target: str, ttl: int, deliver, fail) -> WireJob:
+        """How (part of) an inbound forwarded batch travels on: this
+        domain's own PDP-tier job or an onward forward, either answering
+        the serving context."""
+        if target == self.domain:
+            return replace(
+                self._wire.job, deliver=deliver, fail=fail, on_sent=None
+            )
+        return replace(
+            self._forward_job(target, ttl), deliver=deliver, fail=fail
         )
 
     def _note_forward(self, items: list) -> None:
         self.forwarded_batches_sent += 1
         self.requests_forwarded += len(items)
 
-    def _note_direct(self, items: list) -> None:
-        self.direct_batches_sent += 1
-
     def _deliver_remote_slots(
-        self, slots: list[_WireSlot], statements: Sequence
+        self, slots: list[Slot], statements: Sequence
     ) -> None:
         self.remote_decisions_delivered += sum(
-            len(slot.entries) for slot in slots
+            len(slot.waiters) for slot in slots
         )
         self._cache_remote_statements(slots, statements)
-        self._deliver_slots(slots, statements)
+        self._stage.deliver(slots, statements)
 
-    def _fail_forwarded_slots(
-        self, slots: list[_WireSlot], exc: Exception
-    ) -> None:
-        denied = sum(len(slot.entries) for slot in slots)
+    def _fail_forwarded_slots(self, slots: list[Slot], exc: Exception) -> None:
+        denied = sum(len(slot.waiters) for slot in slots)
         self.peer_failures += denied
         self.network.metrics.bump("federation.peer_unreachable", denied)
-        self._fail_slots(slots, exc)
+        self._stage.fail(slots, exc)
 
     # -- the serving side ------------------------------------------------------------
-
-    def _attach_trace(
-        self, forwarded: ForwardedBatchQuery, message: Message
-    ) -> ForwardedBatchQuery:
-        """Re-attach the header-borne trace context to the decoded
-        forward (the context is carried *beside* the XML, never in it,
-        so tracing cannot perturb forward sizes)."""
-        header = message.headers.get(TRACE_HEADER)
-        if header is None or not self.network.tracer.enabled:
-            return forwarded
-        return replace(forwarded, trace=str(header))
 
     def _reject_origin(self, code: str, reason: str) -> RpcFault:
         self.origin_rejections += 1
@@ -856,9 +796,7 @@ class FederatedGateway(DomainDecisionGateway):
             )
         try:
             body, signer = self.channel.open_request(message)
-            forwarded = self._attach_trace(
-                ForwardedBatchQuery.from_xml(body), message
-            )
+            forwarded = ForwardedBatchQuery.from_xml(body)
         except (WsSecurityError, RpcFault) as exc:
             raise self._reject_origin("federation:bad-signature", str(exc)) from exc
         except Exception as exc:
@@ -876,7 +814,6 @@ class FederatedGateway(DomainDecisionGateway):
             )
         self.forwarded_batches_served += 1
         _ServiceContext(self, message, forwarded).start()
-        return None
 
     def _indeterminate_statement(
         self, query: XacmlAuthzDecisionQuery, reason: str
@@ -898,5 +835,5 @@ class FederatedGateway(DomainDecisionGateway):
         return (
             f"FederatedGateway({self.name}, domain={self.domain!r}, "
             f"peps={len(self._queues)}, peers={self.peer_domains}, "
-            f"pending={len(self._pending_slots)}, inflight={self.inflight_count})"
+            f"pending={self.pending_count}, inflight={self.inflight_count})"
         )

@@ -130,6 +130,7 @@ class PolicyEnforcementPoint(Component):
         self.fail_safe_denials = 0
         self.obligation_failures = 0
         self.revocation_denials = 0
+        self.invalidations_received = 0
 
     # -- obligations --------------------------------------------------------------
 
@@ -453,11 +454,10 @@ class PolicyEnforcementPoint(Component):
         the cost of one notification message per change per PEP
         (experiment E6's 'TTL + invalidation push' row).
         """
-        self.invalidations_received = getattr(self, "invalidations_received", 0)
         self.on("pap.changed", self._handle_policy_changed)
         self.call(pap_address, "pap.subscribe", "<Subscribe/>")
 
     def _handle_policy_changed(self, message) -> None:
-        self.invalidations_received = getattr(self, "invalidations_received", 0) + 1
+        self.invalidations_received += 1
         self.decision_cache.clear()
         return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..components.base import ComponentIdentity
-from ..components.fabric import DecisionDispatcher
+from ..components.fabric import DecisionDispatcher, LeastOutstandingRouting
 from ..components.federation import FederatedGateway
 from ..components.pap import PolicyAdministrationPoint
 from ..components.pdp import PdpConfig, PolicyDecisionPoint
@@ -174,14 +174,13 @@ class AdministrativeDomain:
         resolve_domain=None,
         replicas: Optional[list[str]] = None,
         dispatcher: Optional[DecisionDispatcher] = None,
-        policy: str = "least-outstanding",
         **kwargs,
     ) -> FederatedGateway:
         """Create this domain's (federation-capable) decision gateway.
 
         Without an explicit ``dispatcher`` the gateway load-balances
-        over ``replicas`` (addresses), defaulting to the domain's own
-        PDP.  ``resolve_domain`` is usually a
+        (least-outstanding) over ``replicas`` (addresses), defaulting to
+        the domain's own PDP.  ``resolve_domain`` is usually a
         :meth:`~repro.domain.directory.ResourceDirectory.resolver`;
         peer links come from :func:`~repro.domain.federation.
         federate_gateways`, which checks the VO trust graph.
@@ -196,7 +195,9 @@ class AdministrativeDomain:
                     f"domain {self.name!r} has no PDP to dispatch to; "
                     "call create_pdp() first or pass replicas/dispatcher"
                 )
-            dispatcher = DecisionDispatcher(addresses, policy=policy)
+            dispatcher = DecisionDispatcher(
+                addresses, policy=LeastOutstandingRouting()
+            )
         self.gateway = FederatedGateway(
             address,
             self.network,

@@ -137,19 +137,11 @@ class _EnvelopeTrace:
         self.parent_id = parent_id
 
 
-def _decision_traces(items: Iterable[Any]) -> Iterable[DecisionTrace]:
-    """Duck-typed walk: pending entries carry ``.trace`` directly, wire
-    slots carry ``.entries`` of pending entries; anything else (e.g. a
-    serving-side part) contributes no decision trace."""
-    for item in items:
-        trace = getattr(item, "trace", None)
-        if trace is not None:
-            yield trace
-            continue
-        for entry in getattr(item, "entries", ()) or ():
-            trace = getattr(entry, "trace", None)
-            if trace is not None:
-                yield trace
+def _decision_traces(slots: Iterable[Any]) -> Iterable[DecisionTrace]:
+    """The sampled decisions riding these fabric slots
+    (:meth:`repro.components.fabric.Slot.traces`)."""
+    for slot in slots:
+        yield from slot.traces()
 
 
 class Tracer:
@@ -362,30 +354,25 @@ class Tracer:
         kind: str,
         replica: str,
         attempt: int,
+        parent: Optional[TraceContext] = None,
     ) -> _EnvelopeTrace:
         """One transmit attempt left a wire core: stamp every sampled
         decision riding it and open an envelope span.
 
-        The envelope joins a serving context's trace when the items
-        carry one (onward hops of a federated forward), else roots a
-        fresh envelope trace; either way the returned context's header
-        rides the message so the receiving side parents under it.
+        The envelope joins ``parent``'s trace when given one (a serving
+        hop of a federated forward sending locally or onward), else
+        roots a fresh envelope trace; either way the returned context's
+        header rides the message so the receiving side parents under it.
         """
         now = self._now()
-        parent_ctx: Optional[TraceContext] = None
-        for item in items:
-            parent_ctx = getattr(
-                getattr(item, "context", None), "serve_ctx", None
-            )
-            break
         span_id = self._next_id("s")
-        if parent_ctx is not None:
+        if parent is not None:
             context = TraceContext(
-                trace_id=parent_ctx.trace_id,
+                trace_id=parent.trace_id,
                 span_id=span_id,
-                hops=parent_ctx.hops,
+                hops=parent.hops,
             )
-            parent_id: Optional[str] = parent_ctx.span_id
+            parent_id: Optional[str] = parent.span_id
         else:
             context = TraceContext(
                 trace_id=self._next_id("t"), span_id=span_id, hops=0

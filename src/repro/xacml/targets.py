@@ -148,24 +148,6 @@ class Target:
     def matches_everything(self) -> bool:
         return not self.any_ofs
 
-    def literal_equality_keys(self) -> dict[tuple[Category, str], set[str]]:
-        """Extract the {(category, attribute_id): {values}} a target mentions.
-
-        Collects equality literals from *every* branch, so it describes
-        what a target talks about (scope and footprint summaries), not
-        what it requires — see :meth:`constraining_values` for the
-        sound criterion indexing and partitioning use.
-        """
-        keys: dict[tuple[Category, str], set[str]] = {}
-        for any_of in self.any_ofs:
-            for all_of in any_of.all_ofs:
-                for match in all_of.matches:
-                    if match.match_function not in functions.EQUALITY_FUNCTIONS:
-                        continue
-                    key = (match.designator.category, match.designator.attribute_id)
-                    keys.setdefault(key, set()).add(match.value.lexical())
-        return keys
-
     def constraining_values(
         self, category: Category, attribute_id: str
     ) -> "set[str] | None":
@@ -174,9 +156,10 @@ class Target:
         Returns a set ``V`` such that the target can only match requests
         whose ``(category, attribute_id)`` value is in ``V``, or None
         when the target does not constrain that attribute.  This is the
-        sound criterion store indexing and partitioning need —
-        :meth:`literal_equality_keys` is *not* enough, because it
-        collects equality matches from any branch.
+        sound criterion store indexing, shard partitioning, delegation
+        scopes and conflict footprints all need: collecting equality
+        literals from any branch is *not* enough, because a disjunctive
+        target matches through the branch that omits the attribute.
 
         The target is a conjunction of AnyOf groups, so it is enough for
         *one* group to be fully constrained

@@ -23,13 +23,36 @@ from repro.components import PolicyAdministrationPoint
 from repro.models import ChineseWallEngine
 from repro.simnet import Network
 from repro.xacml import (
+    AllOf,
+    AnyOf,
+    Category,
     Decision,
+    PdpEngine,
     Policy,
+    RESOURCE_ID,
     RequestContext,
+    SUBJECT_ID,
+    Target,
     deny_rule,
+    match_equal,
     permit_rule,
+    string,
     subject_resource_action_target,
 )
+
+
+def db_or_eve_target() -> Target:
+    """``resource=db OR subject=eve``: mentions ``db``, requires nothing."""
+    return Target(
+        any_ofs=(
+            AnyOf(
+                all_ofs=(
+                    AllOf((match_equal(Category.RESOURCE, RESOURCE_ID, string("db")),)),
+                    AllOf((match_equal(Category.SUBJECT, SUBJECT_ID, string("eve")),)),
+                )
+            ),
+        )
+    )
 
 
 class TestDelegation:
@@ -96,6 +119,31 @@ class TestDelegation:
         )
         assert [p.policy_id for p in effective] == ["trusted", "in-scope"]
         assert [p.policy_id for p, _ in rejected] == ["out-of-scope"]
+
+    def test_disjunctive_target_cannot_escape_the_granted_scope(self, registry):
+        """A literal in one branch of a disjunction confines nothing: the
+        policy below permits eve on *every* resource through its subject
+        branch, so a delegate scoped to ``db`` may not issue it."""
+        registry.grant(
+            "vo-authority", "dept-admin", Scope(resource_id="db"), max_depth=1
+        )
+        escape = Policy(
+            policy_id="escape",
+            rules=(permit_rule("p"),),
+            target=db_or_eve_target(),
+            issuer="dept-admin",
+        )
+        engine = PdpEngine()
+        engine.add_policy(escape)
+        reaches_payroll = engine.evaluate(
+            RequestContext.simple("eve", "payroll", "read")
+        )
+        assert reaches_payroll.decision is Decision.PERMIT
+        assert registry.policy_scope(escape) == Scope()
+        assert not registry.validate_issued(escape).valid
+        effective, rejected = effective_policies(registry, [escape])
+        assert effective == []
+        assert [p.policy_id for p, _ in rejected] == ["escape"]
 
     def test_reduction_work_counted(self, registry):
         registry.grant("vo-authority", "a", Scope(), max_depth=2)
@@ -223,6 +271,28 @@ class TestConflicts:
         )
         prints = footprints([policy])
         assert prints[0].resources == frozenset({"db"})
+
+    def test_disjunctive_target_footprint_is_not_narrowed(self):
+        """The Permit reaches (eve, payroll) through its subject branch,
+        so it conflicts with a Deny there even though it mentions db."""
+        permit = Policy(
+            policy_id="wide",
+            rules=(permit_rule("p", db_or_eve_target()),),
+        )
+        deny = Policy(
+            policy_id="guard",
+            rules=(
+                deny_rule(
+                    "d",
+                    subject_resource_action_target(
+                        subject_id="eve", resource_id="payroll"
+                    ),
+                ),
+            ),
+        )
+        assert footprints([permit])[0].resources is None
+        findings = find_modality_conflicts([permit, deny])
+        assert [f.kind for f in findings] == ["actual"]
 
     def test_footprints_flatten_policy_sets(self):
         from repro.xacml import PolicySet

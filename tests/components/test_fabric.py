@@ -5,6 +5,7 @@ import pytest
 from repro.components import (
     CoalescingDecisionQueue,
     DecisionDispatcher,
+    LeastOutstandingRouting,
     PepConfig,
     PolicyAdministrationPoint,
     PolicyDecisionPoint,
@@ -63,7 +64,7 @@ class TestDecisionDispatcher:
 
     def test_least_outstanding_prefers_idle_replica(self):
         dispatcher = DecisionDispatcher(
-            ["a", "b"], policy="least-outstanding"
+            ["a", "b"], policy=LeastOutstandingRouting()
         )
         dispatcher.note_sent("a")
         dispatcher.note_sent("a")
@@ -78,7 +79,7 @@ class TestDecisionDispatcher:
         select; ties must rotate rather than pin replica 0."""
         network, pdps, pep = build_env(replicas=3)
         pep.dispatcher = DecisionDispatcher(
-            [p.name for p in pdps], policy="least-outstanding"
+            [p.name for p in pdps], policy=LeastOutstandingRouting()
         )
         for index in range(6):
             pep.authorize_simple("alice", f"doc-{index}", "read")

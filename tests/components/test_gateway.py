@@ -251,10 +251,10 @@ class TestFairness:
         # The paced drain puts the first envelope on the wire now; the
         # second follows after the first finishes serialising.
         first = list(gateway._inflight.values())
-        assert [len(batch.slots) for batch in first] == [4]
+        assert [len(batch.items) for batch in first] == [4]
         # The quiet PEP's single slot made the first envelope despite the
         # chatty PEP's larger backlog.
-        owners = [slot.owner for slot in first[0].slots]
+        owners = [slot.owner for slot in first[0].items]
         assert owners.count("pep-1") == 1
         network.run(until=network.now + 1.0)
         assert gateway.super_batches_sent == 2

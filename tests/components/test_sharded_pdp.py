@@ -9,13 +9,16 @@ unsharded reference engine.
 """
 
 from repro.components import (
+    ConsistentHashRouting,
     DecisionDispatcher,
+    FederatedGateway,
     PdpConfig,
     PepConfig,
     PlacementMap,
     PlacementSpec,
     PolicyDecisionPoint,
     PolicyEnforcementPoint,
+    Slot,
 )
 from repro.simnet import Network
 from repro.workloads import Population, PopulationSpec
@@ -48,7 +51,7 @@ def build_tier(replicas=3, seed=19, stale_view=False, forward_timeout=2.0):
     )
     routing = spec.routing_view() if stale_view else spec
     dispatcher = DecisionDispatcher(
-        names, policy="hash-subject", placement=routing
+        names, policy=ConsistentHashRouting(routing)
     )
     pep.enable_batching(max_batch=8, max_delay=0.01, dispatcher=dispatcher)
     return network, population, spec, pdps, pep, dispatcher
@@ -114,10 +117,14 @@ class TestHashRouting:
     def test_dispatcher_partition_groups_by_owner(self):
         network, population, spec, pdps, pep, dispatcher = build_tier()
         requests = list(population.request_contexts(20, seed=5))
-        groups = dispatcher.partition(requests, lambda request: request)
+        slots = [
+            Slot(request, key=index, owner="pep")
+            for index, request in enumerate(requests)
+        ]
+        groups = dispatcher.partition(slots)
         assert sum(len(items) for _, items in groups) == len(requests)
         for owner, items in groups:
-            assert all(spec.owner_of(request) == owner for request in items)
+            assert all(spec.owner_of(slot.request) == owner for slot in items)
 
 
 class TestStaleRoutingView:
@@ -164,6 +171,76 @@ class TestStaleRoutingView:
         assert granted == reference_decisions(population, requests)
         metrics = network.metrics
         assert metrics.counters["placement.reforward_fallback"] > 0
+
+
+def build_forwarding_origin(network, names, spec):
+    """Put the sharded tier behind a gateway (domain ``east``) and aim a
+    second domain's PEP at it: everything ``pep.west`` asks is governed
+    by ``east`` and leaves ``gw.west`` as one forwarded batch."""
+    east = FederatedGateway(
+        "gw.east",
+        network,
+        DecisionDispatcher(names, policy=ConsistentHashRouting(spec)),
+        domain="east",
+        max_batch=REQUESTS + 4,
+        pdp_timeout=0.5,
+    )
+    west = FederatedGateway(
+        "gw.west",
+        network,
+        DecisionDispatcher(names),
+        domain="west",
+        resolve_domain=lambda request: "east",
+        max_batch=REQUESTS + 4,
+        max_delay=0.001,
+        peer_timeout=10.0,
+    )
+    west.add_peer("east", east.name)
+    east.allow_origin("west", west.name)
+    pep = PolicyEnforcementPoint(
+        "pep.west",
+        network,
+        domain="west",
+        config=PepConfig(decision_cache_ttl=0.0),
+    )
+    pep.enable_batching(max_batch=REQUESTS + 4, max_delay=0.001, gateway=west)
+    return west, east, pep
+
+
+class TestForwardedIntoShardedDomain:
+    """A forwarded batch is served like the domain's own traffic: one
+    envelope per owning replica, not the whole batch at whichever
+    replica rotation picks."""
+
+    def test_served_batch_is_partitioned_by_owner(self):
+        network, population, spec, pdps, _, _ = build_tier()
+        west, east, pep = build_forwarding_origin(
+            network, [pdp.name for pdp in pdps], spec
+        )
+        requests = list(population.request_contexts(REQUESTS + 4, seed=2))
+        granted = drive(network, pep, requests)
+        assert granted == reference_decisions(population, requests)
+        assert west.forwarded_batches_sent == 1
+        assert east.forwarded_batches_served == 1
+        assert network.metrics.counters["placement.misrouted"] == 0
+        assert sum(pdp.reforwarded_batches for pdp in pdps) == 0
+        # Every replica that owns a key in the batch got its own envelope.
+        owners = {spec.owner_of(request) for request in requests}
+        assert {pdp.name for pdp in pdps if pdp.decisions_made} == owners
+
+    def test_dead_owner_still_fails_over_through_rotation(self):
+        network, population, spec, pdps, _, _ = build_tier(forward_timeout=0.2)
+        west, east, pep = build_forwarding_origin(
+            network, [pdp.name for pdp in pdps], spec
+        )
+        pdps[0].crash()
+        requests = list(population.request_contexts(REQUESTS + 4, seed=2))
+        assert any(spec.owner_of(r) == pdps[0].name for r in requests)
+        granted = drive(network, pep, requests)
+        assert granted == reference_decisions(population, requests)
+        assert east.failovers > 0
+        assert pep.fail_safe_denials == 0
+        assert pdps[0].decisions_made == 0
 
 
 class TestRebalance:

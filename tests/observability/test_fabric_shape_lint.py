@@ -1,0 +1,68 @@
+"""Fabric shape lint: one batching stage, one partitioned send.
+
+The accumulate → dedup → flush → demux idea used to be written three
+times (per-PEP queue, domain gateway, federated forward buffers), each
+with its own flush-delay timer, and the shard-partition loop twice —
+while the third send path forgot it and misrouted.  :class:`repro.
+components.fabric.BatchingStage` and :meth:`repro.components.fabric.
+BatchWireCore.send` now own them; this lint is the pin that keeps the
+copies from growing back (beside ``test_channel_lint.py``, which does
+the same for the WS-Security exchange).
+"""
+
+import ast
+from pathlib import Path
+
+COMPONENTS = (
+    Path(__file__).resolve().parents[2] / "src" / "repro" / "components"
+)
+
+
+def functions():
+    """``(file.function, node)`` for every function under components/."""
+    for path in sorted(COMPONENTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.name}:{node.name}", node
+
+
+def calls(node: ast.AST, method: str):
+    """Call sites of ``<anything>.method(...)`` inside ``node``."""
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == method
+    ]
+
+
+def arms_a_flush_delay_timer(node: ast.AST) -> bool:
+    """Does it ``schedule(<something>_delay, ...)``?  (``max_delay`` and
+    ``forward_delay`` are the flush delays; timeouts and pacing are
+    scheduled under other names.)"""
+    return any(
+        call.args
+        and isinstance(call.args[0], ast.Attribute)
+        and call.args[0].attr.endswith("_delay")
+        for call in calls(node, "schedule")
+    )
+
+
+def test_one_function_arms_the_flush_delay_timer():
+    armers = [name for name, node in functions() if arms_a_flush_delay_timer(node)]
+    assert armers == ["fabric.py:trigger"], (
+        "a flush-delay timer is armed outside BatchingStage.trigger — "
+        f"instantiate the stage instead of copying its window: {armers}"
+    )
+
+
+def test_one_call_site_partitions_by_shard_owner():
+    sites = [
+        name for name, node in functions() for _ in calls(node, "partition")
+    ]
+    assert sites == ["fabric.py:send"], (
+        "DecisionDispatcher.partition is called outside BatchWireCore.send "
+        f"— send through the wire core instead: {sites}"
+    )

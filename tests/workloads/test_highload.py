@@ -73,7 +73,7 @@ def test_concurrency_window_is_respected():
 
     def tracking_submit(request, callback):
         outstanding = queue.pending_count + sum(
-            len(b.entries) for b in queue._inflight.values()
+            len(b.items) for b in queue._inflight.values()
         )
         observed["max"] = max(observed["max"], outstanding)
         return original_submit(request, callback)

@@ -14,6 +14,7 @@ detectable rather than silently plausible.
 from repro.components import (
     DecisionDispatcher,
     FederatedGateway,
+    LeastOutstandingRouting,
     PepConfig,
     PolicyAdministrationPoint,
     PolicyDecisionPoint,
@@ -125,7 +126,7 @@ def build_domain(replicas=2, pep_count=2, seed=71):
             max_batch=4,
             max_delay=0.001,
             dispatcher=DecisionDispatcher(
-                [pdp.name for pdp in pdps], policy="least-outstanding"
+                [pdp.name for pdp in pdps], policy=LeastOutstandingRouting()
             ),
         )
         peps.append(pep)

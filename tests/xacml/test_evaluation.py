@@ -179,13 +179,6 @@ class TestTargets:
         )
         assert target.evaluate(ctx) is MatchResult.MATCH
 
-    def test_literal_equality_keys_extraction(self):
-        from repro.xacml import RESOURCE_ID
-
-        target = subject_resource_action_target(resource_id="doc-9")
-        keys = target.literal_equality_keys()
-        assert keys == {(Category.RESOURCE, RESOURCE_ID): {"doc-9"}}
-
 
 class TestRules:
     def test_rule_effect_on_match(self):
