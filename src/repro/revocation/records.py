@@ -24,11 +24,11 @@ import enum
 import re
 from dataclasses import dataclass, replace
 from urllib.parse import quote
-from xml.sax.saxutils import escape, quoteattr, unescape
+from xml.sax.saxutils import escape, quoteattr
 
 # Re-exported: this module was the helpers' original home and the other
 # wire formats in this package import them from here.
-from ..xmlutil import _ATTR_ENTITIES, parse_attrs
+from ..xmlutil import parse_attrs, unescape
 
 
 class RevocationError(Exception):
@@ -186,7 +186,7 @@ class RevocationRecord:
                 subject_id=attrs["subject"],
                 resource_id=attrs["resource"],
                 signature=attrs["signature"],
-                reason=unescape(match.group(2), _ATTR_ENTITIES),
+                reason=unescape(match.group(2)),
             )
         except (KeyError, ValueError) as exc:
             raise RevocationError(

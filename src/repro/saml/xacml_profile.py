@@ -17,6 +17,18 @@ Plus the batched envelope pair the decision fabric rides on:
   (and, in secure mode, one WS-Security signature for the lot);
 * :class:`XacmlAuthzDecisionBatchStatement` — the N matching statements,
   one per inner query id, in query order.
+
+The wire contract.  ``to_xml`` formats the SAML wrapper around the
+context the XACML serializer wrote; header fields a caller chooses
+(``Issuer``, ``ID``, ``InResponseTo``) are escaped, so any string
+round-trips and benign names keep their bytes.  ``from_xml`` reads the
+wrapper with patterns compiled once, hands every ``<Request>`` /
+``<Response>`` fragment to the XACML parser (expat), and decodes a batch
+in one pass whose matches must *tile* the body: each inner element
+starts where the last ended and the last ends the body, so no text in
+the envelope — signed or not — goes unparsed.  Anything else is a
+``ValueError`` (wrapper) or :class:`~repro.xacml.parser.ParseError`
+(context).
 """
 
 from __future__ import annotations
@@ -24,14 +36,72 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..xacml.context import RequestContext, ResponseContext
 from ..xacml.parser import parse_request, parse_response
 from ..xacml.serializer import serialize_request, serialize_response
+from ..xmlutil import escape_attr, escape_text, unescape
 
 _query_ids = itertools.count(1)
 _batch_ids = itertools.count(1)
+
+#: An XACML request context as the serializer writes it; the empty
+#: request has the short form.
+_REQUEST = r"(<Request>.*?</Request>|<Request />)"
+_ISSUER = r"<saml:Issuer>([^<]*)</saml:Issuer>"
+
+_QUERY_XML = (
+    r'<xacml-samlp:XACMLAuthzDecisionQuery ID="([^"]*)" '
+    r'IssueInstant="([^"]*)" ReturnContext="([^"]*)">'
+    rf"{_ISSUER}{_REQUEST}"
+    r"</xacml-samlp:XACMLAuthzDecisionQuery>"
+)
+_STATEMENT_XML = (
+    r'<xacml-saml:XACMLAuthzDecisionStatement InResponseTo="([^"]*)" '
+    r'IssueInstant="([^"]*)">'
+    rf"{_ISSUER}(<Response>.*?</Response>){_REQUEST}?"
+    r"</xacml-saml:XACMLAuthzDecisionStatement>"
+)
+#: A message alone must be the whole text; inside a batch the same
+#: pattern is matched element after element (:func:`_tile`).
+_QUERY = re.compile(_QUERY_XML + "$", re.DOTALL)
+_BATCHED_QUERY = re.compile(_QUERY_XML, re.DOTALL)
+_STATEMENT = re.compile(_STATEMENT_XML + "$", re.DOTALL)
+_BATCHED_STATEMENT = re.compile(_STATEMENT_XML, re.DOTALL)
+_BATCH_QUERY = re.compile(
+    r'<xacml-samlp:XACMLAuthzDecisionBatchQuery ID="([^"]*)" '
+    r'IssueInstant="([^"]*)" Count="(\d+)">'
+    rf"{_ISSUER}(.*)"
+    r"</xacml-samlp:XACMLAuthzDecisionBatchQuery>$",
+    re.DOTALL,
+)
+_BATCH_STATEMENT = re.compile(
+    r"<xacml-saml:XACMLAuthzDecisionBatchStatement "
+    r'InResponseTo="([^"]*)" IssueInstant="([^"]*)" Count="(\d+)">'
+    rf"{_ISSUER}(.*)"
+    r"</xacml-saml:XACMLAuthzDecisionBatchStatement>$",
+    re.DOTALL,
+)
+
+
+def _tile(
+    pattern: re.Pattern[str], body: str, what: str
+) -> Iterator[re.Match[str]]:
+    """The matches of ``pattern`` that cover ``body`` end to end.
+
+    Each must start where the last ended and the last must end the
+    body: text between or after the inner elements is content nobody
+    would parse (and, in a signed envelope, signed content), so it is a
+    malformed batch, not something to skip.
+    """
+    position = 0
+    while position < len(body):
+        match = pattern.match(body, position)
+        if match is None:
+            raise ValueError(f"not an {what}")
+        yield match
+        position = match.end()
 
 
 @dataclass(frozen=True)
@@ -48,10 +118,11 @@ class XacmlAuthzDecisionQuery:
 
     def to_xml(self) -> str:
         return (
-            f'<xacml-samlp:XACMLAuthzDecisionQuery ID="{self.query_id}" '
+            f"<xacml-samlp:XACMLAuthzDecisionQuery "
+            f'ID="{escape_attr(self.query_id)}" '
             f'IssueInstant="{self.issue_instant}" '
             f'ReturnContext="{"true" if self.return_context else "false"}">'
-            f"<saml:Issuer>{self.issuer}</saml:Issuer>"
+            f"<saml:Issuer>{escape_text(self.issuer)}</saml:Issuer>"
             f"{serialize_request(self.request)}"
             f"</xacml-samlp:XACMLAuthzDecisionQuery>"
         )
@@ -62,24 +133,22 @@ class XacmlAuthzDecisionQuery:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "XacmlAuthzDecisionQuery":
-        import re
-
-        match = re.match(
-            r'<xacml-samlp:XACMLAuthzDecisionQuery ID="([^"]*)" '
-            r'IssueInstant="([^"]*)" ReturnContext="([^"]*)">'
-            r"<saml:Issuer>([^<]*)</saml:Issuer>(<Request>.*</Request>)"
-            r"</xacml-samlp:XACMLAuthzDecisionQuery>$",
-            xml_text,
-            re.DOTALL,
-        )
+        match = _QUERY.match(xml_text)
         if match is None:
             raise ValueError("not an XACMLAuthzDecisionQuery")
+        return cls._from_match(match)
+
+    @classmethod
+    def _from_match(cls, match: re.Match[str]) -> "XacmlAuthzDecisionQuery":
+        query_id, issue_instant, return_context, issuer, request = (
+            match.groups()
+        )
         return cls(
-            request=parse_request(match.group(5)),
-            issuer=match.group(4),
-            issue_instant=float(match.group(2)),
-            return_context=match.group(3) == "true",
-            query_id=match.group(1),
+            request=parse_request(request),
+            issuer=unescape(issuer),
+            issue_instant=float(issue_instant),
+            return_context=return_context == "true",
+            query_id=unescape(query_id),
         )
 
 
@@ -101,9 +170,9 @@ class XacmlAuthzDecisionStatement:
         )
         return (
             f'<xacml-saml:XACMLAuthzDecisionStatement '
-            f'InResponseTo="{self.in_response_to}" '
+            f'InResponseTo="{escape_attr(self.in_response_to)}" '
             f'IssueInstant="{self.issue_instant}">'
-            f"<saml:Issuer>{self.issuer}</saml:Issuer>"
+            f"<saml:Issuer>{escape_text(self.issuer)}</saml:Issuer>"
             f"{serialize_response(self.response)}{echo}"
             f"</xacml-saml:XACMLAuthzDecisionStatement>"
         )
@@ -114,25 +183,21 @@ class XacmlAuthzDecisionStatement:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "XacmlAuthzDecisionStatement":
-        import re
-
-        match = re.match(
-            r'<xacml-saml:XACMLAuthzDecisionStatement InResponseTo="([^"]*)" '
-            r'IssueInstant="([^"]*)">'
-            r"<saml:Issuer>([^<]*)</saml:Issuer>"
-            r"(<Response>.*</Response>)(<Request>.*</Request>)?"
-            r"</xacml-saml:XACMLAuthzDecisionStatement>$",
-            xml_text,
-            re.DOTALL,
-        )
+        match = _STATEMENT.match(xml_text)
         if match is None:
             raise ValueError("not an XACMLAuthzDecisionStatement")
-        echo = match.group(5)
+        return cls._from_match(match)
+
+    @classmethod
+    def _from_match(
+        cls, match: re.Match[str]
+    ) -> "XacmlAuthzDecisionStatement":
+        in_response_to, issue_instant, issuer, response, echo = match.groups()
         return cls(
-            response=parse_response(match.group(4)),
-            in_response_to=match.group(1),
-            issuer=match.group(3),
-            issue_instant=float(match.group(2)),
+            response=parse_response(response),
+            in_response_to=unescape(in_response_to),
+            issuer=unescape(issuer),
+            issue_instant=float(issue_instant),
             request_echo=parse_request(echo) if echo else None,
         )
 
@@ -177,9 +242,10 @@ class XacmlAuthzDecisionBatchQuery:
     def to_xml(self) -> str:
         inner = "".join(query.to_xml() for query in self.queries)
         return (
-            f'<xacml-samlp:XACMLAuthzDecisionBatchQuery ID="{self.batch_id}" '
+            f"<xacml-samlp:XACMLAuthzDecisionBatchQuery "
+            f'ID="{escape_attr(self.batch_id)}" '
             f'IssueInstant="{self.issue_instant}" Count="{len(self.queries)}">'
-            f"<saml:Issuer>{self.issuer}</saml:Issuer>"
+            f"<saml:Issuer>{escape_text(self.issuer)}</saml:Issuer>"
             f"{inner}"
             f"</xacml-samlp:XACMLAuthzDecisionBatchQuery>"
         )
@@ -190,35 +256,25 @@ class XacmlAuthzDecisionBatchQuery:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "XacmlAuthzDecisionBatchQuery":
-        match = re.match(
-            r'<xacml-samlp:XACMLAuthzDecisionBatchQuery ID="([^"]*)" '
-            r'IssueInstant="([^"]*)" Count="(\d+)">'
-            r"<saml:Issuer>([^<]*)</saml:Issuer>(.*)"
-            r"</xacml-samlp:XACMLAuthzDecisionBatchQuery>$",
-            xml_text,
-            re.DOTALL,
-        )
+        match = _BATCH_QUERY.match(xml_text)
         if match is None:
             raise ValueError("not an XACMLAuthzDecisionBatchQuery")
+        batch_id, issue_instant, count, issuer, body = match.groups()
         queries = tuple(
-            XacmlAuthzDecisionQuery.from_xml(m.group(0))
-            for m in re.finditer(
-                r"<xacml-samlp:XACMLAuthzDecisionQuery .*?"
-                r"</xacml-samlp:XACMLAuthzDecisionQuery>",
-                match.group(5),
-                re.DOTALL,
+            XacmlAuthzDecisionQuery._from_match(inner)
+            for inner in _tile(
+                _BATCHED_QUERY, body, "XACMLAuthzDecisionBatchQuery"
             )
         )
-        if len(queries) != int(match.group(3)):
+        if len(queries) != int(count):
             raise ValueError(
-                f"batch declares {match.group(3)} queries, "
-                f"found {len(queries)}"
+                f"batch declares {count} queries, found {len(queries)}"
             )
         return cls(
             queries=queries,
-            issuer=match.group(4),
-            issue_instant=float(match.group(2)),
-            batch_id=match.group(1),
+            issuer=unescape(issuer),
+            issue_instant=float(issue_instant),
+            batch_id=unescape(batch_id),
         )
 
 
@@ -235,10 +291,10 @@ class XacmlAuthzDecisionBatchStatement:
         inner = "".join(statement.to_xml() for statement in self.statements)
         return (
             f"<xacml-saml:XACMLAuthzDecisionBatchStatement "
-            f'InResponseTo="{self.in_response_to}" '
+            f'InResponseTo="{escape_attr(self.in_response_to)}" '
             f'IssueInstant="{self.issue_instant}" '
             f'Count="{len(self.statements)}">'
-            f"<saml:Issuer>{self.issuer}</saml:Issuer>"
+            f"<saml:Issuer>{escape_text(self.issuer)}</saml:Issuer>"
             f"{inner}"
             f"</xacml-saml:XACMLAuthzDecisionBatchStatement>"
         )
@@ -249,33 +305,23 @@ class XacmlAuthzDecisionBatchStatement:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "XacmlAuthzDecisionBatchStatement":
-        match = re.match(
-            r"<xacml-saml:XACMLAuthzDecisionBatchStatement "
-            r'InResponseTo="([^"]*)" IssueInstant="([^"]*)" Count="(\d+)">'
-            r"<saml:Issuer>([^<]*)</saml:Issuer>(.*)"
-            r"</xacml-saml:XACMLAuthzDecisionBatchStatement>$",
-            xml_text,
-            re.DOTALL,
-        )
+        match = _BATCH_STATEMENT.match(xml_text)
         if match is None:
             raise ValueError("not an XACMLAuthzDecisionBatchStatement")
+        in_response_to, issue_instant, count, issuer, body = match.groups()
         statements = tuple(
-            XacmlAuthzDecisionStatement.from_xml(m.group(0))
-            for m in re.finditer(
-                r"<xacml-saml:XACMLAuthzDecisionStatement .*?"
-                r"</xacml-saml:XACMLAuthzDecisionStatement>",
-                match.group(5),
-                re.DOTALL,
+            XacmlAuthzDecisionStatement._from_match(inner)
+            for inner in _tile(
+                _BATCHED_STATEMENT, body, "XACMLAuthzDecisionBatchStatement"
             )
         )
-        if len(statements) != int(match.group(3)):
+        if len(statements) != int(count):
             raise ValueError(
-                f"batch declares {match.group(3)} statements, "
-                f"found {len(statements)}"
+                f"batch declares {count} statements, found {len(statements)}"
             )
         return cls(
             statements=statements,
-            in_response_to=match.group(1),
-            issuer=match.group(4),
-            issue_instant=float(match.group(2)),
+            in_response_to=unescape(in_response_to),
+            issuer=unescape(issuer),
+            issue_instant=float(issue_instant),
         )

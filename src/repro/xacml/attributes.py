@@ -50,10 +50,13 @@ class DataType(enum.Enum):
 
     @classmethod
     def from_uri(cls, uri: str) -> "DataType":
-        for member in cls:
-            if member.value == uri:
-                return member
-        raise ValueError(f"unsupported data type URI {uri!r}")
+        try:
+            return _DATA_TYPE_BY_URI[uri]
+        except KeyError:
+            raise ValueError(f"unsupported data type URI {uri!r}") from None
+
+
+_DATA_TYPE_BY_URI = {member.value: member for member in DataType}
 
 
 _PYTHON_TYPES: dict[DataType, type | tuple[type, ...]] = {

@@ -3,6 +3,18 @@
 Round-tripping (``parse(serialize(x)) == x`` up to object identity) is
 asserted by property-based tests; the parser is also what PDPs use when
 policies arrive over the wire from PAPs and syndication servers.
+
+Every document and every ``<Request>`` / ``<Response>`` fragment goes
+through expat (``ET.fromstring``): text that is not well-formed XML is a
+:class:`ParseError` whatever the envelope around it looked like.  What
+the Python half adds on top is kept to what the wire needs: URIs
+resolve to ``Category`` / ``DataType`` members through dicts built once,
+and children are looked up by plain tag, which the C accelerator's
+``find`` / ``findall`` answer without entering ElementPath (a Python
+loop over the children measures slower).  Every structural rejection
+(missing ``Category`` / ``AttributeId`` / ``DataType``, unknown URI,
+attribute without values, ``Result`` without ``Decision``, empty
+``Response``, wrong root) is listed in ``tests/xacml/test_codec.py``.
 """
 
 from __future__ import annotations
@@ -46,11 +58,14 @@ class ParseError(Exception):
     """Raised when a document is not well-formed XACML."""
 
 
+_CATEGORY_BY_URI = {member.value: member for member in Category}
+
+
 def _category_from_uri(uri: str) -> Category:
-    for member in Category:
-        if member.value == uri:
-            return member
-    raise ParseError(f"unknown attribute category URI {uri!r}")
+    try:
+        return _CATEGORY_BY_URI[uri]
+    except KeyError:
+        raise ParseError(f"unknown attribute category URI {uri!r}") from None
 
 
 def _parse_value(element: ET.Element) -> AttributeValue:

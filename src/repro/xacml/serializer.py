@@ -5,6 +5,21 @@ The serializer produces compact, standard-shaped XML: policies use
 use ``Request``/``Response``.  Byte sizes of these strings are what the
 communication-performance experiments (E5, E7) measure, so the output is
 canonical-compact (no pretty-printing) and deterministic.
+
+Two writers, one form.  Policies (written when a PAP publishes, a cold
+path) are built as ``ElementTree`` trees and handed to ``ET.tostring``.
+Request and response contexts are written on every decision, so
+:func:`serialize_request` / :func:`serialize_response` write the text
+directly — the fixed opening tags are formatted once per
+``Category`` / ``DataType`` / ``Decision`` / ``StatusCode`` at import,
+values go through :func:`repro.xmlutil.escape_text` /
+:func:`~repro.xmlutil.escape_attr` — and the contract is that the result
+is **byte for byte** what ``ET.tostring`` gives for the same tree
+(attribute order, ``<Tag />`` for an element with neither text nor
+children, ``ElementTree``'s escaping).  ``tests/xacml/test_codec.py``
+holds the tree builder this writer replaced and asserts the identity
+over hostile inputs, plus golden bytes.  The rare ``<Obligations>``
+subtree of a response stays on the tree helpers the policy writer uses.
 """
 
 from __future__ import annotations
@@ -12,8 +27,15 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Union
 
-from .attributes import AttributeDesignator, AttributeValue, Category
-from .context import Obligation, RequestContext, ResponseContext
+from ..xmlutil import escape_attr, escape_text
+from .attributes import AttributeDesignator, AttributeValue, Category, DataType
+from .context import (
+    Decision,
+    Obligation,
+    RequestContext,
+    ResponseContext,
+    StatusCode,
+)
 from .expressions import (
     AllOfFunction,
     AnyOfFunction,
@@ -191,45 +213,82 @@ def serialize_policy(element: Union[Policy, PolicySet]) -> str:
     return ET.tostring(xml_el, encoding="unicode")
 
 
-def request_to_element(request: RequestContext) -> ET.Element:
-    element = ET.Element("Request")
-    for category in Category:
-        attributes = request.attributes(category)
-        if not attributes:
-            continue
-        cat_el = ET.SubElement(element, "Attributes", {"Category": category.value})
-        for attribute in attributes:
-            attrib = {"AttributeId": attribute.attribute_id}
-            if attribute.issuer is not None:
-                attrib["Issuer"] = attribute.issuer
-            attr_el = ET.SubElement(cat_el, "Attribute", attrib)
-            for value in attribute.values:
-                attr_el.append(_value_element(value))
-    return element
+_ATTRIBUTES_OPEN = {
+    category: f'<Attributes Category="{escape_attr(category.value)}">'
+    for category in Category
+}
+_VALUE_OPEN = {
+    data_type: f'<AttributeValue DataType="{escape_attr(data_type.value)}"'
+    for data_type in DataType
+}
+_DECISION = {
+    decision: f"<Decision>{escape_text(decision.value)}</Decision>"
+    for decision in Decision
+}
+_STATUS_CODE = {
+    code: f'<StatusCode Value="{escape_attr(code.value)}" />'
+    for code in StatusCode
+}
 
 
 def serialize_request(request: RequestContext) -> str:
-    return ET.tostring(request_to_element(request), encoding="unicode")
-
-
-def response_to_element(response: ResponseContext) -> ET.Element:
-    element = ET.Element("Response")
-    for result in response.results:
-        attrib = {}
-        if result.resource_id is not None:
-            attrib["ResourceId"] = result.resource_id
-        result_el = ET.SubElement(element, "Result", attrib)
-        decision_el = ET.SubElement(result_el, "Decision")
-        decision_el.text = result.decision.value
-        status_el = ET.SubElement(result_el, "Status")
-        ET.SubElement(status_el, "StatusCode", {"Value": result.status.code.value})
-        if result.status.message:
-            msg_el = ET.SubElement(status_el, "StatusMessage")
-            msg_el.text = result.status.message
-        if result.obligations:
-            result_el.append(_obligations_element(result.obligations))
-    return element
+    parts = []
+    for category, attributes_open in _ATTRIBUTES_OPEN.items():
+        attributes = request.attributes(category)
+        if not attributes:
+            continue
+        parts.append(attributes_open)
+        for attribute in attributes:
+            parts.append(
+                f'<Attribute AttributeId="{escape_attr(attribute.attribute_id)}"'
+            )
+            if attribute.issuer is not None:
+                parts.append(f' Issuer="{escape_attr(attribute.issuer)}"')
+            if not attribute.values:
+                parts.append(" />")
+                continue
+            parts.append(">")
+            for value in attribute.values:
+                value_open = _VALUE_OPEN[value.data_type]
+                text = value.lexical()
+                if text:
+                    parts.append(
+                        f"{value_open}>{escape_text(text)}</AttributeValue>"
+                    )
+                else:
+                    parts.append(f"{value_open} />")
+            parts.append("</Attribute>")
+        parts.append("</Attributes>")
+    if not parts:
+        return "<Request />"
+    return f"<Request>{''.join(parts)}</Request>"
 
 
 def serialize_response(response: ResponseContext) -> str:
-    return ET.tostring(response_to_element(response), encoding="unicode")
+    if not response.results:
+        return "<Response />"
+    parts = ["<Response>"]
+    for result in response.results:
+        parts.append(
+            "<Result>"
+            if result.resource_id is None
+            else f'<Result ResourceId="{escape_attr(result.resource_id)}">'
+        )
+        parts.append(_DECISION[result.decision])
+        parts.append("<Status>")
+        parts.append(_STATUS_CODE[result.status.code])
+        if result.status.message:
+            parts.append(
+                f"<StatusMessage>{escape_text(result.status.message)}"
+                "</StatusMessage>"
+            )
+        parts.append("</Status>")
+        if result.obligations:
+            parts.append(
+                ET.tostring(
+                    _obligations_element(result.obligations), encoding="unicode"
+                )
+            )
+        parts.append("</Result>")
+    parts.append("</Response>")
+    return "".join(parts)

@@ -119,6 +119,23 @@ class TestPdpBatchHandling:
         assert only.decision is Decision.PERMIT
         assert only.source == "pdp"
 
+    def test_empty_request_is_decided_not_a_batch_fault(self):
+        # ``RequestContext()`` travels as ``<Request />``; the PDP must
+        # read it back and decide it like any other slot.
+        network, pap, pdp, pep = self.build()
+        alice, empty, eve = pep.authorize_batch(
+            [
+                RequestContext.simple("alice", "doc", "read"),
+                RequestContext(),
+                RequestContext.simple("eve", "doc", "read"),
+            ]
+        )
+        assert [r.source for r in (alice, empty, eve)] == ["pdp"] * 3
+        assert alice.decision is Decision.PERMIT
+        assert empty.decision is Decision.DENY  # the policy's catch-all
+        assert eve.decision is Decision.DENY
+        assert pdp.batched_decisions == 3
+
     def test_duplicate_requests_share_one_wire_slot(self):
         network, pap, pdp, pep = self.build()
         request = RequestContext.simple("alice", "doc", "read")

@@ -38,6 +38,7 @@ HOSTILE_VALUES = [
     "angle<brackets>&amps;",
     'attr="injected" about="x',
     "  leading and trailing  ",
+    "line\nbreak\ttab\rreturn",
 ]
 
 

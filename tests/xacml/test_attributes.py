@@ -99,3 +99,8 @@ class TestCategory:
     def test_data_type_uri_roundtrip(self):
         for data_type in DataType:
             assert DataType.from_uri(data_type.value) is data_type
+
+    def test_unknown_data_type_uri(self):
+        # components/pip.py turns this ValueError into a bad-query fault.
+        with pytest.raises(ValueError, match="unsupported data type URI"):
+            DataType.from_uri("urn:bogus")
