@@ -4,8 +4,11 @@ Paper claims: authorisation must "scale to large user and resource bases"
 and "defining access control rules based on individual identities is not
 efficient and often not viable" — attribute/role-based policies are the
 scalable alternative.  The experiment (a) sweeps the policy count and
-compares indexed vs linear policy stores, and (b) compares per-identity
-policies against one role-based policy as the user base grows.
+compares indexed vs linear policy stores, (b) compares per-identity
+policies against one role-based policy as the user base grows, and (c)
+runs the mined role-conditioned corpus of ``Population.policy_set(N)``
+with the population as attribute authority, counting how often one
+decision asks it.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the sweeps to a CI-sized pass; the
 10,000-policy row and its flatness assertions stay, so a store whose
@@ -18,6 +21,7 @@ import time
 from repro.bench import Experiment
 from repro.components import AttributeStore
 from repro.models import RbacModel
+from repro.workloads import Population, PopulationSpec
 from repro.xacml import (
     Category,
     Decision,
@@ -162,6 +166,93 @@ def test_e14_target_indexing(benchmark):
         big.add_policy(resource_policy(index))
     hot = RequestContext.simple("owner-500", "res-500", "read")
     benchmark(lambda: big.decide(hot))
+
+
+#: Mined corpus sizes; both run in smoke mode too (the assertion is a
+#: count, and 20,000 is the size the perf lane's ``policy_heavy`` holds).
+MINED_SWEEP = (200, 20_000)
+#: Mined policies per resource: the corpus grows by covering more
+#: resources, so the candidate set of one request stays put.
+MINED_PER_RESOURCE = 10
+MINED_REQUESTS = 400
+
+
+def test_e14_mined_corpus_asks_the_authority_once(benchmark):
+    """Every rule of the mined corpus is conditioned on the subject's
+    role, which only the attribute authority knows; a decision evaluates
+    about ten candidate policies and two dozen rules.  One designator is
+    finder-backed, so one question per decision is all it may cost —
+    XACML's "each bag is populated before it is first tested and
+    thereafter immutable" — however many rules read the answer."""
+    experiment = Experiment(
+        exp_id="E14c",
+        title="Mined role-conditioned corpus: attribute-authority calls "
+        "per decision",
+        paper_claim="the PDP pulls a subject's attributes from the PIP once "
+        "per decision request (Fig. 4), whatever the policy base",
+        columns=[
+            "policies",
+            "resources",
+            "candidates_per_decision",
+            "finder_calls_per_decision",
+            "max_finder_calls",
+        ],
+    )
+    candidates_per_decision = {}
+    engine = None
+    for count in MINED_SWEEP:
+        population = Population(
+            PopulationSpec(
+                subjects=10_000, resources=count // MINED_PER_RESOURCE, seed=14
+            )
+        )
+        resolver = population.attribute_resolver()
+        asked = []
+
+        def finder_for(request, resolver=resolver, asked=asked):
+            # The shape of the PDP's own finder: every call is a fresh
+            # question to the authority about the request's subject.
+            def finder(category, attribute_id, data_type):
+                asked.append(attribute_id)
+                attributes = resolver(request.subject_id or "")
+                return [
+                    value
+                    for value in attributes.get(attribute_id, [])
+                    if value.data_type is data_type
+                ]
+
+            return finder
+
+        engine = PdpEngine(PolicyStore(indexed=True))
+        engine.add_policies(population.policy_set(policies=count))
+        requests = list(population.request_contexts(MINED_REQUESTS, seed=14))
+        responses = engine.evaluate_batch(requests, finder_for=finder_for)
+        finder_calls = [response.stats.finder_calls for response in responses]
+        candidates_per_decision[count] = sum(
+            response.stats.candidate_set_size for response in responses
+        ) / len(responses)
+        experiment.add_row(
+            count,
+            population.spec.resources,
+            round(candidates_per_decision[count], 2),
+            round(sum(finder_calls) / len(responses), 2),
+            max(finder_calls),
+        )
+        # One finder-backed designator (the subject's role): at most one
+        # question per decision, and the stats count what was asked.
+        assert max(finder_calls) <= 1
+        assert sum(finder_calls) == len(asked)
+        assert set(asked) == {SUBJECT_ROLE}
+        # Not vacuous: decisions with candidates did need the role.
+        assert sum(finder_calls) > 0.9 * len(responses)
+    experiment.show()
+
+    # Shape: a hundred times the policies, the same work per decision.
+    small, large = (candidates_per_decision[count] for count in MINED_SWEEP)
+    assert large < 1.5 * small
+
+    hot = requests[0]
+    benchmark(lambda: engine.evaluate_batch([hot], finder_for=finder_for))
 
 
 def test_e14_identity_vs_role_policies(benchmark):

@@ -9,7 +9,8 @@ This module implements that model closely following XACML 2.0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
 
@@ -126,8 +127,18 @@ def double(value: float) -> AttributeValue:
     return AttributeValue(DataType.DOUBLE, float(value))
 
 
+_TRUE = AttributeValue(DataType.BOOLEAN, True)
+_FALSE = AttributeValue(DataType.BOOLEAN, False)
+
+
 def boolean(value: bool) -> AttributeValue:
-    return AttributeValue(DataType.BOOLEAN, value)
+    """One of two shared constants (values are immutable and compare
+    by content, so every function result can be the same object)."""
+    if value is True:
+        return _TRUE
+    if value is False:
+        return _FALSE
+    return AttributeValue(DataType.BOOLEAN, value)  # raises TypeError
 
 
 def any_uri(value: str) -> AttributeValue:
@@ -231,6 +242,16 @@ class AttributeDesignator:
     When evaluated it resolves to the bag of matching values; an empty bag
     plus ``must_be_present=True`` yields Indeterminate (missing-attribute),
     which is the hook PIP-based attribute retrieval plugs into.
+
+    ``bag_key`` names the bag the designator reads — category, attribute
+    id, data type and issuer, everything but ``must_be_present`` — and
+    is what :class:`~repro.xacml.expressions.EvaluationContext` keys
+    its per-decision bag table on.  It is one interned string, so equal
+    designators share one object and a table probe hashes nothing anew
+    (enum members hash through a Python-level ``__hash__``, tuples
+    re-hash their items on every probe); ``repr`` of the two free-form
+    parts keeps distinct designators on distinct keys whatever
+    characters an identifier holds.
     """
 
     category: Category
@@ -238,6 +259,17 @@ class AttributeDesignator:
     data_type: DataType
     must_be_present: bool = False
     issuer: Optional[str] = None
+    bag_key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "bag_key",
+            sys.intern(
+                f"{self.category.name}|{self.data_type.name}|"
+                f"{self.attribute_id!r}|{self.issuer!r}"
+            ),
+        )
 
     def describe(self) -> str:
         return f"{self.category.short_name}:{self.attribute_id}"

@@ -17,6 +17,21 @@ ones): ``candidates()`` is O(M log M) and never looks at the rest of
 the store; ``add()``, ``remove()`` and ``replace()`` are O(K).  The one
 exception is a request that *omits* a canonical identifier: it walks
 every index key of that identifier (see :func:`_index_keys`).
+
+Cost model of evaluation, the other half of a decision.  Per candidate:
+its target is one flat conjunction of matches (what
+:func:`~repro.xacml.targets.target_of` builds), each a probe of the
+decision's bag table and a value compare, stopping at the first
+NO_MATCH; only candidates whose target matches go on to run their
+rules' conditions, with functions and combining algorithms bound when
+the policy was built.  Per decision: each distinct designator is
+fetched once — one scan of the request's category and, if that finds
+nothing, one call to the attribute finder — however many candidates,
+rules and matches read it (:meth:`~repro.xacml.expressions.
+EvaluationContext.resolve`; XACML's "populated before it is first
+tested, thereafter immutable").  ``EvaluationStats.finder_calls`` is
+therefore bounded by the distinct finder-backed designators of the
+candidate set, not by its size.
 """
 
 from __future__ import annotations

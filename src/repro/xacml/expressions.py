@@ -6,6 +6,30 @@ to a single boolean.  Evaluation happens against an
 and the PIP attribute-resolution hook; failures surface as
 :class:`Indeterminate`, carrying the XACML status code that ends up in the
 response.
+
+The contract of this module:
+
+* **One fetch per designator per decision.**  XACML's attribute-retrieval
+  rule (3.0 §7.3.5, the same sentence in 2.0) says "the PDP SHALL behave
+  as if each bag of attribute values is fully populated in the context
+  before it is first tested, and is thereafter immutable during
+  evaluation".  :meth:`EvaluationContext.resolve` therefore fetches a
+  designator's bag — request first, then the finder — the first time
+  anything touches it and answers every later touch in the same
+  decision from a table keyed by category, attribute id, data type and
+  issuer, empty answers included.  A decision is computed from one
+  snapshot of its attributes even when the finder is a PIP across the
+  wire whose store changes mid-evaluation, and the PIP is asked once
+  per designator, not once per rule.  ``must_be_present`` is judged
+  against the remembered bag on every touch.
+* **Bound when built.**  :class:`Apply`, :class:`AnyOfFunction` and
+  :class:`AllOfFunction` look their function up in the registry once, at
+  construction (the registry refuses to overwrite, so the binding cannot
+  go stale); an id unknown then is looked up again at evaluation.
+* **Unknown function => Indeterminate.**  An id the registry still does
+  not know at evaluation is a ``processing-error`` Indeterminate naming
+  the id, like any other function failure — a deployed policy must not
+  be able to take the PDP down.
 """
 
 from __future__ import annotations
@@ -20,6 +44,7 @@ from .attributes import (
     Bag,
     Category,
     DataType,
+    boolean,
 )
 from .context import RequestContext, Status, StatusCode
 
@@ -63,9 +88,24 @@ class EvaluationContext:
     reference_resolver: Optional[Callable[[str], Any]] = None
     #: Reference ids currently being resolved (cycle guard).
     _reference_stack: set = field(default_factory=set)
+    #: ``AttributeDesignator.bag_key`` -> the bag fetched for it; a bag,
+    #: empty or not, is fetched once and then immutable for the decision.
+    _bags: dict[str, Bag] = field(default_factory=dict)
 
     def resolve(self, designator: AttributeDesignator) -> Bag:
-        """Resolve a designator: request first, then the PIP finder."""
+        """The designator's bag: fetched on first touch (request first,
+        then the PIP finder), remembered for the rest of the decision."""
+        bag = self._bags.get(designator.bag_key)
+        if bag is None:
+            bag = self._bags[designator.bag_key] = self._fetch(designator)
+        if designator.must_be_present and bag.is_empty():
+            raise Indeterminate(
+                f"missing required attribute {designator.describe()}",
+                code=StatusCode.MISSING_ATTRIBUTE,
+            )
+        return bag
+
+    def _fetch(self, designator: AttributeDesignator) -> Bag:
         bag = self.request.bag(
             designator.category,
             designator.attribute_id,
@@ -82,12 +122,15 @@ class EvaluationContext:
                     (designator.category, designator.attribute_id)
                 )
                 bag = Bag(values)
-        if bag.is_empty() and designator.must_be_present:
-            raise Indeterminate(
-                f"missing required attribute {designator.describe()}",
-                code=StatusCode.MISSING_ATTRIBUTE,
-            )
         return bag
+
+
+def _late_lookup(function_id: str) -> functions.Function:
+    """Evaluation-time lookup of an id that was unknown at construction."""
+    try:
+        return functions.lookup(function_id)
+    except functions.FunctionError as exc:
+        raise Indeterminate(str(exc)) from exc
 
 
 class Expression:
@@ -118,14 +161,25 @@ class Designator(Expression):
 
 
 @dataclass(frozen=True)
-class Apply(Expression):
-    """Application of a registered function to argument expressions."""
+class _FunctionNode(Expression):
+    """A node that names a registry function, bound when the node is built."""
 
     function_id: str
-    arguments: tuple[Expression, ...]
+    _function: Optional[functions.Function] = field(
+        init=False, repr=False, compare=False
+    )
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_function", functions.find(self.function_id))
+
+
+@dataclass(frozen=True)
+class Apply(_FunctionNode):
+    """Application of a registered function to argument expressions."""
+
+    arguments: tuple[Expression, ...]
     def evaluate(self, ctx: EvaluationContext) -> Union[AttributeValue, Bag]:
-        func = functions.lookup(self.function_id)
+        func = self._function or _late_lookup(self.function_id)
         args = [argument.evaluate(ctx) for argument in self.arguments]
         try:
             return func(*args)
@@ -141,15 +195,13 @@ class Apply(Expression):
 
 
 @dataclass(frozen=True)
-class AnyOfFunction(Expression):
+class AnyOfFunction(_FunctionNode):
     """XACML ``any-of``: apply f(value, element) over a bag, OR results."""
 
-    function_id: str
     value: Expression
     bag: Expression
-
     def evaluate(self, ctx: EvaluationContext) -> AttributeValue:
-        func = functions.lookup(self.function_id)
+        func = self._function or _late_lookup(self.function_id)
         value = self.value.evaluate(ctx)
         bag = self.bag.evaluate(ctx)
         if not isinstance(bag, Bag):
@@ -160,20 +212,18 @@ class AnyOfFunction(Expression):
             except functions.FunctionError as exc:
                 raise Indeterminate(f"any-of: {exc}") from exc
             if isinstance(result, AttributeValue) and result.value is True:
-                return AttributeValue(DataType.BOOLEAN, True)
-        return AttributeValue(DataType.BOOLEAN, False)
+                return boolean(True)
+        return boolean(False)
 
 
 @dataclass(frozen=True)
-class AllOfFunction(Expression):
+class AllOfFunction(_FunctionNode):
     """XACML ``all-of``: apply f(value, element) over a bag, AND results."""
 
-    function_id: str
     value: Expression
     bag: Expression
-
     def evaluate(self, ctx: EvaluationContext) -> AttributeValue:
-        func = functions.lookup(self.function_id)
+        func = self._function or _late_lookup(self.function_id)
         value = self.value.evaluate(ctx)
         bag = self.bag.evaluate(ctx)
         if not isinstance(bag, Bag):
@@ -184,8 +234,8 @@ class AllOfFunction(Expression):
             except functions.FunctionError as exc:
                 raise Indeterminate(f"all-of: {exc}") from exc
             if not (isinstance(result, AttributeValue) and result.value is True):
-                return AttributeValue(DataType.BOOLEAN, False)
-        return AttributeValue(DataType.BOOLEAN, True)
+                return boolean(False)
+        return boolean(True)
 
 
 @dataclass(frozen=True)

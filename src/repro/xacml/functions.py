@@ -11,7 +11,8 @@ the standard URN identifiers.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .attributes import AttributeValue, Bag, DataType, boolean
 
@@ -43,6 +44,16 @@ def lookup(identifier: str) -> Function:
         return _REGISTRY[identifier]
     except KeyError:
         raise FunctionError(f"unknown function {identifier!r}") from None
+
+
+def find(identifier: str) -> Optional[Function]:
+    """The registered function, or None when the id is (still) unknown.
+
+    What policy nodes bind at construction: :func:`register` refuses to
+    overwrite, so a function found once never changes, and a node whose
+    id was unknown falls back to :func:`lookup` at evaluation.
+    """
+    return _REGISTRY.get(identifier)
 
 
 def known_functions() -> frozenset[str]:
@@ -99,11 +110,12 @@ def _make_equal(name: str, data_type: DataType) -> None:
 for _name, _dt in _EQUALITY_TYPES.items():
     _make_equal(_name, _dt)
 
-#: The exact ``type-equal`` function ids.  Target summaries test
-#: membership here — a suffix test would also catch the ordered
+#: The exact ``type-equal`` function ids, each with the one data type
+#: both its arguments must have.  Target summaries test membership here
+#: — a suffix test would also catch the ordered
 #: ``-greater-than-or-equal`` / ``-less-than-or-equal`` comparisons.
-EQUALITY_FUNCTIONS = frozenset(
-    FUNCTION_PREFIX_1_0 + _name for _name in _EQUALITY_TYPES
+EQUALITY_FUNCTIONS: Mapping[str, DataType] = MappingProxyType(
+    {FUNCTION_PREFIX_1_0 + _name: _dt for _name, _dt in _EQUALITY_TYPES.items()}
 )
 
 

@@ -9,7 +9,7 @@ Delegation profile (:mod:`repro.admin.delegation`) builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
 from . import combining
@@ -40,11 +40,16 @@ class Policy:
     description: str = ""
     version: str = "1.0"
     issuer: Optional[str] = None
+    _combiner: combining.Combiner = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.policy_id:
             raise ValueError("policy_id must be non-empty")
-        combining.lookup(self.rule_combining)  # fail fast on bad identifiers
+        # Fails fast on bad identifiers; the registry refuses to
+        # overwrite, so the algorithm found here is the one to keep.
+        object.__setattr__(
+            self, "_combiner", combining.lookup(self.rule_combining)
+        )
         seen: set[str] = set()
         for rule in self.rules:
             if rule.rule_id in seen:
@@ -65,11 +70,10 @@ class Policy:
                 Decision.INDETERMINATE,
                 Status(message=f"target of policy {self.policy_id} indeterminate"),
             )
-        combiner = combining.lookup(self.rule_combining)
         evaluables = [
             (lambda r=rule: _rule_outcome(r, ctx)) for rule in self.rules
         ]
-        decision, status = combiner(evaluables)
+        decision, status = self._combiner(evaluables)
         return PolicyResult(
             decision=decision,
             status=status,
@@ -147,11 +151,14 @@ class PolicySet:
     description: str = ""
     version: str = "1.0"
     issuer: Optional[str] = None
+    _combiner: combining.Combiner = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.policy_set_id:
             raise ValueError("policy_set_id must be non-empty")
-        combining.lookup(self.policy_combining)
+        object.__setattr__(
+            self, "_combiner", combining.lookup(self.policy_combining)
+        )
         seen: set[str] = set()
         for child in self.children:
             child_id = child_identifier(child)
@@ -176,7 +183,6 @@ class PolicySet:
                     message=f"target of policy set {self.policy_set_id} indeterminate"
                 ),
             )
-        combiner = combining.lookup(self.policy_combining)
         collected: list[Obligation] = []
 
         def child_evaluable(child: PolicyChild):
@@ -189,7 +195,7 @@ class PolicySet:
             return run
 
         evaluables = [child_evaluable(child) for child in self.children]
-        decision, status = combiner(evaluables)
+        decision, status = self._combiner(evaluables)
         # Only obligations whose fulfill_on matches the final decision, plus
         # this set's own, flow upward (XACML §7.14).
         child_obligations = tuple(

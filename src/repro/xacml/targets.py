@@ -1,16 +1,42 @@
 """Targets: the applicability test of rules, policies and policy sets.
 
-A target is a disjunction (AnyOf) of conjunctions (AllOf) of individual
-:class:`Match` elements, each comparing a literal against a designated
-request attribute.  Targets decide *whether a policy applies at all*,
-before conditions run — and they are the structure the engine indexes to
-stay fast at scale (experiment E14).
+A target is a conjunction of AnyOf groups, each a disjunction of AllOf
+conjunctions of individual :class:`Match` elements, each comparing a
+literal against a designated request attribute.  Targets decide *whether
+a policy applies at all*, before conditions run — and they are the
+structure the engine indexes to stay fast at scale (experiment E14).
+
+Target evaluation is what every candidate policy pays first, so it is
+kept short, and the frozen objects work out at construction what no
+evaluation can change:
+
+* a :class:`Match` binds its registry function once (the registry
+  refuses to overwrite, so the binding cannot go stale; an id unknown
+  at construction is looked up again at evaluation, and an id still
+  unknown then makes the match Indeterminate like any other function
+  failure — it does not raise out of the PDP);
+* a :class:`Match` whose function is the ``type-equal`` of both its
+  literal's and its designator's data type compares raw values instead
+  of calling the function and unwrapping the boolean it builds.  The
+  function's type guard stays: a bag value of another type (only a
+  finder can supply one) is an error, hence Indeterminate unless
+  another value matches;
+* an AnyOf with exactly one AllOf — all :func:`target_of` builds — is
+  that AllOf, and the target, a conjunction itself, evaluates its
+  matches in a row: same order, same stop at the first NO_MATCH,
+  Indeterminate remembered to the end, two ``evaluate`` frames fewer
+  per match.  Groups with more (or no) alternatives go through
+  :meth:`AnyOf.evaluate`.
+
+Bags come from :meth:`EvaluationContext.resolve`, which fetches each
+designator once per decision (see :mod:`repro.xacml.expressions`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from . import functions
 from .attributes import (
@@ -42,22 +68,47 @@ class Match:
     match_function: str
     value: AttributeValue
     designator: AttributeDesignator
+    _function: Optional[functions.Function] = field(
+        init=False, repr=False, compare=False
+    )
+    #: The function is the ``type-equal`` of the literal's and the
+    #: designator's own type: compare values, keep the type guard.
+    _by_value: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_function", functions.find(self.match_function))
+        data_type = functions.EQUALITY_FUNCTIONS.get(self.match_function)
+        object.__setattr__(
+            self,
+            "_by_value",
+            data_type is self.value.data_type
+            and data_type is self.designator.data_type,
+        )
 
     def evaluate(self, ctx: EvaluationContext) -> MatchResult:
-        func = functions.lookup(self.match_function)
         try:
+            func = self._function or functions.lookup(self.match_function)
             bag = ctx.resolve(self.designator)
-        except Indeterminate:
+        except (Indeterminate, functions.FunctionError):
             return MatchResult.INDETERMINATE
         saw_error = False
-        for candidate in bag:
-            try:
-                result = func(self.value, candidate)
-            except functions.FunctionError:
-                saw_error = True
-                continue
-            if isinstance(result, AttributeValue) and result.value is True:
-                return MatchResult.MATCH
+        if self._by_value:
+            wanted = self.value.value
+            data_type = self.value.data_type
+            for candidate in bag:
+                if candidate.data_type is not data_type:
+                    saw_error = True
+                elif candidate.value == wanted:
+                    return MatchResult.MATCH
+        else:
+            for candidate in bag:
+                try:
+                    result = func(self.value, candidate)
+                except functions.FunctionError:
+                    saw_error = True
+                    continue
+                if isinstance(result, AttributeValue) and result.value is True:
+                    return MatchResult.MATCH
         if saw_error:
             return MatchResult.INDETERMINATE
         return MatchResult.NO_MATCH
@@ -135,11 +186,19 @@ class Target:
     def evaluate(self, ctx: EvaluationContext) -> MatchResult:
         indeterminate = False
         for any_of in self.any_ofs:
-            result = any_of.evaluate(ctx)
-            if result is MatchResult.NO_MATCH:
-                return MatchResult.NO_MATCH
-            if result is MatchResult.INDETERMINATE:
-                indeterminate = True
+            # A group with one alternative *is* that AllOf, and an AllOf
+            # inside this conjunction is its matches in a row.
+            members: tuple[Match, ...] | tuple[AnyOf] = (
+                any_of.all_ofs[0].matches
+                if len(any_of.all_ofs) == 1
+                else (any_of,)
+            )
+            for member in members:
+                result = member.evaluate(ctx)
+                if result is MatchResult.NO_MATCH:
+                    return MatchResult.NO_MATCH
+                if result is MatchResult.INDETERMINATE:
+                    indeterminate = True
         if indeterminate:
             return MatchResult.INDETERMINATE
         return MatchResult.MATCH

@@ -1,5 +1,7 @@
 """Batch decision queries: wire round-trip, PDP handling, PEP paths."""
 
+import dataclasses
+
 import pytest
 
 from repro.components import (
@@ -15,12 +17,16 @@ from repro.simnet import Network
 from repro.wss import KeyStore
 from repro.wss.pki import CertificateAuthority, TrustValidator
 from repro.xacml import (
+    Condition,
     Decision,
     Policy,
     RequestContext,
+    apply_,
     combining,
     deny_rule,
+    literal,
     permit_rule,
+    string,
     subject_resource_action_target,
 )
 
@@ -135,6 +141,50 @@ class TestPdpBatchHandling:
         assert empty.decision is Decision.DENY  # the policy's catch-all
         assert eve.decision is Decision.DENY
         assert pdp.batched_decisions == 3
+
+    def test_unknown_function_costs_one_slot_not_the_batch(self):
+        # A PAP validates what it publishes; the parser and the store do
+        # not, so a local policy like this deploys.  Evaluating it used
+        # to raise FunctionError out of the PDP's handler and every slot
+        # of the envelope went unanswered.
+        network = Network(seed=41)
+        pdp = PolicyDecisionPoint("pdp", network)
+        pdp.add_local_policy(
+            dataclasses.replace(
+                alice_policy(),
+                target=subject_resource_action_target(resource_id="doc"),
+            )
+        )
+        pdp.add_local_policy(
+            Policy(
+                policy_id="bogus",
+                target=subject_resource_action_target(resource_id="vault"),
+                rules=(
+                    permit_rule(
+                        "r",
+                        condition=Condition(
+                            apply_("urn:bogus:function", literal(string("x")))
+                        ),
+                    ),
+                ),
+            )
+        )
+        pep = PolicyEnforcementPoint(
+            "pep", network, pdp_address="pdp",
+            config=PepConfig(decision_cache_ttl=0.0),
+        )
+        alice, vault, eve = pep.authorize_batch(
+            [
+                RequestContext.simple("alice", "doc", "read"),
+                RequestContext.simple("mallory", "vault", "read"),
+                RequestContext.simple("eve", "doc", "read"),
+            ]
+        )
+        assert [r.source for r in (alice, vault, eve)] == ["pdp"] * 3
+        assert alice.decision is Decision.PERMIT
+        assert vault.decision is Decision.INDETERMINATE
+        assert not vault.granted
+        assert eve.decision is Decision.DENY
 
     def test_duplicate_requests_share_one_wire_slot(self):
         network, pap, pdp, pep = self.build()

@@ -113,3 +113,28 @@ class TestEndToEnd:
             RequestContext.simple('eve"dropper', "doc", "read")
         )
         assert other.decision is Decision.DENY
+
+    def test_rules_on_one_attribute_cost_one_query(self):
+        """Three rules conditioned on the subject's role are one
+        ``pip.query`` on the wire, not one per rule evaluated: the bag
+        fetched for the first rule serves the decision."""
+        network = Network(seed=32)
+        store = AttributeStore()
+        store.set_subject_attribute("carol", SUBJECT_ROLE, [string("clerk")])
+        PolicyInformationPoint("pip", network, store=store)
+        pdp = PolicyDecisionPoint("pdp", network, pip_addresses=["pip"])
+        policy = AbacPolicyBuilder(
+            "by-role", rule_combining=combining.RULE_FIRST_APPLICABLE
+        )
+        for role in ("doctor", "nurse", "clerk"):
+            policy.rule(
+                AbacRuleBuilder(f"{role}s-read")
+                .permit()
+                .when_subject(SUBJECT_ROLE, role)
+                .build()
+            )
+        pdp.add_local_policy(policy.default_deny().build())
+        result = pdp.evaluate(RequestContext.simple("carol", "doc", "read"))
+        assert result.decision is Decision.PERMIT
+        assert result.stats.finder_calls == 1
+        assert pdp.pip_queries_sent == 1
