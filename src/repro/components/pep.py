@@ -41,6 +41,7 @@ from ..xacml.context import (
     StatusCode,
     cache_key_touches,
 )
+from ..xacml.parser import ParseError
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
 from .cache import TtlCache
 from .channel import DecisionChannel
@@ -179,14 +180,30 @@ class PolicyEnforcementPoint(Component):
         return reply, pdp
 
     def _query_pdp(self, request: RequestContext) -> XacmlAuthzDecisionStatement:
+        """One blocking round-trip.  A reply that does not decode, or
+        that answers another query, is a ``pep:bad-reply`` fault: the
+        caller fails safe on it exactly as it does on a timeout."""
         query = XacmlAuthzDecisionQuery(
             request=request, issuer=self.name, issue_instant=self.now
         )
         action, payload = self.channel.seal(QUERY_ACTION, query.to_xml())
         reply, pdp = self._exchange(action, payload)
-        return XacmlAuthzDecisionStatement.from_xml(
-            self.channel.open_reply(reply, pdp)
-        )
+        try:
+            statement = XacmlAuthzDecisionStatement.from_xml(
+                self.channel.open_reply(reply, pdp)
+            )
+        except (ValueError, ParseError) as exc:
+            raise RpcFault("pep:bad-reply", str(exc)) from exc
+        # The signature covers action and body, and every reply travels
+        # under the same action: without this check any statement the
+        # PDP ever signed would verify as the answer to this query.
+        if statement.in_response_to != query.query_id:
+            raise RpcFault(
+                "pep:bad-reply",
+                f"reply answers {statement.in_response_to!r}, "
+                f"expected {query.query_id!r}",
+            )
+        return statement
 
     def _query_pdp_batch(
         self, requests: list[RequestContext]
@@ -198,9 +215,12 @@ class PolicyEnforcementPoint(Component):
         )
         action, payload = self.channel.seal(BATCH_QUERY_ACTION, batch.to_xml())
         reply, pdp = self._exchange(action, payload)
-        return self.channel.open_batch_reply(
-            reply, pdp, batch.batch_id, len(requests)
-        )
+        try:
+            return self.channel.open_batch_reply(
+                reply, pdp, batch.batch_id, len(requests)
+            )
+        except (ValueError, ParseError) as exc:
+            raise RpcFault("pep:bad-reply", str(exc)) from exc
 
     def enable_batching(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .clock import SimClock
@@ -45,13 +45,11 @@ class TopicEvent:
     payload: Any = None
 
 
-@dataclass(order=True)
+@dataclass
 class _Entry:
-    when: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    label: str = ""
 
 
 class EventLoop:
@@ -69,7 +67,10 @@ class EventLoop:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self._heap: list[_Entry] = []
+        #: ``(when, seq, entry)``: the heap orders by the two leading
+        #: numbers, compared in C; ``seq`` is unique, so an entry itself
+        #: is never compared.  Cancelled entries stay until they surface.
+        self._heap: list[tuple[float, int, _Entry]] = []
         self._seq = itertools.count()
         self._entries: dict[int, _Entry] = {}
         self._processed = 0
@@ -106,8 +107,8 @@ class EventLoop:
                 f"cannot schedule at {when}, clock already at {self.clock.now}"
             )
         seq = next(self._seq)
-        entry = _Entry(when=when, seq=seq, callback=callback, label=label)
-        heapq.heappush(self._heap, entry)
+        entry = _Entry(callback=callback, label=label)
+        heapq.heappush(self._heap, (when, seq, entry))
         self._entries[seq] = entry
         return EventHandle(seq=seq, when=when)
 
@@ -126,11 +127,11 @@ class EventLoop:
             True if an event was executed, False if the queue was empty.
         """
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            self._entries.pop(entry.seq, None)
+            when, seq, entry = heapq.heappop(self._heap)
+            self._entries.pop(seq, None)
             if entry.cancelled:
                 continue
-            self.clock.advance_to(entry.when)
+            self.clock.advance_to(when)
             entry.callback()
             self._processed += 1
             return True
@@ -161,13 +162,9 @@ class EventLoop:
                 raise RuntimeError(
                     f"run_until exceeded max_events={max_events}"
                 )
-            head = None
-            while self._heap and self._heap[0].cancelled:
-                dropped = heapq.heappop(self._heap)
-                self._entries.pop(dropped.seq, None)
-            if self._heap:
-                head = self._heap[0]
-            if head is None or head.when > timeout_at:
+            while self._heap and self._heap[0][2].cancelled:
+                self._entries.pop(heapq.heappop(self._heap)[1], None)
+            if not self._heap or self._heap[0][0] > timeout_at:
                 if self.clock.now < timeout_at:
                     self.clock.advance_to(timeout_at)
                 return predicate()
@@ -188,12 +185,12 @@ class EventLoop:
         """
         executed = 0
         while self._heap and executed < max_events:
-            head = self._heap[0]
+            when, seq, head = self._heap[0]
             if head.cancelled:
                 heapq.heappop(self._heap)
-                self._entries.pop(head.seq, None)
+                self._entries.pop(seq, None)
                 continue
-            if until is not None and head.when > until:
+            if until is not None and when > until:
                 break
             self.step()
             executed += 1

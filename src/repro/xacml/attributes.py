@@ -73,9 +73,13 @@ _PYTHON_TYPES: dict[DataType, type | tuple[type, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeValue:
-    """A single typed value, the atom of XACML evaluation."""
+    """A single typed value, the atom of XACML evaluation.
+
+    Slotted (no ``__dict__``): values are held by every live request
+    and every cached statement, so what one costs is paid per request.
+    """
 
     data_type: DataType
     value: Any
@@ -162,9 +166,12 @@ class Bag:
 
     def __init__(self, values: Iterable[AttributeValue] = ()) -> None:
         self._values: tuple[AttributeValue, ...] = tuple(values)
-        types = {v.data_type for v in self._values}
-        if len(types) > 1:
-            raise TypeError(f"bag mixes data types: {sorted(t.name for t in types)}")
+        if self._values:
+            first = self._values[0].data_type
+            for value in self._values:
+                if value.data_type is not first:
+                    mixed = {v.data_type.name for v in self._values}
+                    raise TypeError(f"bag mixes data types: {sorted(mixed)}")
 
     @property
     def values(self) -> tuple[AttributeValue, ...]:
@@ -214,9 +221,12 @@ ENVIRONMENT_DATE_TIME = "urn:oasis:names:tc:xacml:1.0:environment:current-dateTi
 DELEGATE_ID = "urn:repro:delegate:delegate-id"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
-    """A named attribute: id, issuer and one or more typed values."""
+    """A named attribute: id, issuer and one or more typed values.
+
+    Slotted for the same reason as :class:`AttributeValue`.
+    """
 
     attribute_id: str
     values: tuple[AttributeValue, ...]

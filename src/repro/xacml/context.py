@@ -97,22 +97,50 @@ class Obligation:
         return None
 
 
+#: One attribute value as :meth:`RequestContext.cache_key` records it:
+#: category URI, attribute id, lexical value, data type URI, issuer tag.
+KeyPart = tuple[str, str, str, str, str]
+
+
 class RequestContext:
     """An access request: attributes grouped by category.
 
     Build either directly from :class:`Attribute` lists or via
     :meth:`simple`, the common subject/resource/action shorthand.
+
+    **Layout and cost model.**  A request is one insertion-ordered list
+    of ``(category, attribute)`` pairs under ``__slots__`` — no
+    ``__dict__``, no per-category containers, nothing built for a
+    category the request does not use.  A request of *n* attributes is
+    *n* + 1 objects besides the :class:`Attribute` values themselves
+    (the list and one pair each), and every read is a scan of those *n*
+    pairs (three or four on the wire) that tells categories apart with
+    ``is`` — ``Category`` members are singletons, and hashing one goes
+    through ``Enum.__hash__``, a Python-level call.  Requests are the
+    most numerous live objects wherever decisions are cached or in
+    flight, so anything added here is paid per request: a side index by
+    ``(category, id)`` measured +17 MiB on ``gateway_plain`` (ROADMAP
+    direction 3), and ``tests/xacml/test_context_oracle.py`` pins the
+    shape.  Per-category order is insertion order, which is all the
+    serializer reads.
+
+    **Identity.**  :meth:`cache_key` is what every decision-cache tier
+    and every in-flight dedup table keys a request by; see there for
+    what it covers.  It is deliberately *not* stored on the request:
+    each tier asks once (``fabric.Slot.key`` carries the answer from
+    then on), and where caches are off a request outlives any use of
+    its key.
     """
+
+    __slots__ = ("_entries",)
 
     def __init__(
         self, attributes: Optional[dict[Category, list[Attribute]]] = None
     ) -> None:
-        self._attributes: dict[Category, list[Attribute]] = {
-            category: [] for category in Category
-        }
+        self._entries: list[tuple[Category, Attribute]] = []
         if attributes:
             for category, attrs in attributes.items():
-                self._attributes[category] = list(attrs)
+                self._entries.extend((category, attribute) for attribute in attrs)
 
     @classmethod
     def simple(
@@ -138,10 +166,10 @@ class RequestContext:
         return request
 
     def add(self, category: Category, attribute: Attribute) -> None:
-        self._attributes[category].append(attribute)
+        self._entries.append((category, attribute))
 
     def attributes(self, category: Category) -> list[Attribute]:
-        return list(self._attributes[category])
+        return [attribute for held, attribute in self._entries if held is category]
 
     def bag(
         self,
@@ -152,8 +180,8 @@ class RequestContext:
     ) -> Bag:
         """Resolve a designator against this request's attributes."""
         collected: list[AttributeValue] = []
-        for attribute in self._attributes[category]:
-            if attribute.attribute_id != attribute_id:
+        for held, attribute in self._entries:
+            if held is not category or attribute.attribute_id != attribute_id:
                 continue
             if issuer is not None and attribute.issuer != issuer:
                 continue
@@ -169,16 +197,20 @@ class RequestContext:
         data type and across repeated attributes (the whole bag)."""
         return [
             value
-            for attribute in self._attributes[category]
-            if attribute.attribute_id == attribute_id
+            for held, attribute in self._entries
+            if held is category and attribute.attribute_id == attribute_id
             for value in attribute.values
         ]
 
     def first_value(
         self, category: Category, attribute_id: str
     ) -> Optional[AttributeValue]:
-        for attribute in self._attributes[category]:
-            if attribute.attribute_id == attribute_id and attribute.values:
+        for held, attribute in self._entries:
+            if (
+                held is category
+                and attribute.attribute_id == attribute_id
+                and attribute.values
+            ):
                 return attribute.values[0]
         return None
 
@@ -197,23 +229,44 @@ class RequestContext:
         value = self.first_value(Category.ACTION, ACTION_ID)
         return None if value is None else str(value.value)
 
-    def cache_key(self) -> tuple:
-        """A hashable identity for decision caching (E6)."""
+    def cache_key(self) -> tuple[KeyPart, ...]:
+        """The request's identity for decision caching and dedup (E6).
+
+        One part per attribute value, sorted: ``(category URI, attribute
+        id, lexical value, data type URI, issuer tag)`` — everything the
+        engine can tell two attributes apart by (a designator filters on
+        data type and, when it names one, on issuer), so two requests
+        share a key only if no policy can decide them differently.  The
+        issuer tag is ``""`` for no issuer and ``"=" + issuer``
+        otherwise, which keeps ``None`` apart from ``""`` and the parts
+        sortable.  Attribute order and how values are grouped into
+        attributes do not matter; repeated values do.
+
+        ``ENVIRONMENT`` attributes are left out: they change per request
+        (the current time) and would defeat caching; the staleness this
+        admits is exactly what experiment E6 measures.
+
+        The key is computed in one walk and one sort and not kept (see
+        the class docstring).
+        """
         parts = []
-        for category in Category:
-            for attribute in sorted(
-                self._attributes[category], key=lambda a: a.attribute_id
-            ):
-                if category is Category.ENVIRONMENT:
-                    # Environment attributes (e.g. current time) change per
-                    # request and would defeat caching; the staleness risk
-                    # this creates is exactly what experiment E6 measures.
-                    continue
-                for value in attribute.values:
-                    parts.append(
-                        (category.value, attribute.attribute_id, value.lexical())
+        for category, attribute in self._entries:
+            if category is Category.ENVIRONMENT:
+                continue
+            issuer = attribute.issuer
+            issuer_tag = "" if issuer is None else "=" + issuer
+            for value in attribute.values:
+                parts.append(
+                    (
+                        category._value_,
+                        attribute.attribute_id,
+                        value.lexical(),
+                        value.data_type._value_,
+                        issuer_tag,
                     )
-        return tuple(sorted(parts))
+                )
+        parts.sort()
+        return tuple(parts)
 
     def __repr__(self) -> str:
         return (
@@ -222,8 +275,12 @@ class RequestContext:
         )
 
 
+_SUBJECT_URI: str = Category.SUBJECT.value
+_RESOURCE_URI: str = Category.RESOURCE.value
+
+
 def cache_key_touches(
-    key: tuple,
+    key: tuple[KeyPart, ...],
     subject_id: Optional[str] = None,
     resource_id: Optional[str] = None,
 ) -> bool:
@@ -233,14 +290,24 @@ def cache_key_touches(
     (PEP caches, the gateway-tier remote-decision cache) applies when a
     revocation names a subject and/or resource: entries matching
     *either* filter are coherence victims.  With neither filter given
-    nothing matches (the caller should flush instead).
+    nothing matches (the caller should flush instead).  Only category,
+    id and lexical value are compared, so every typed or issued variant
+    of the id is a victim: a revocation may drop more than it must,
+    never less.
     """
-    wanted = set()
-    if subject_id is not None:
-        wanted.add((Category.SUBJECT.value, SUBJECT_ID, subject_id))
-    if resource_id is not None:
-        wanted.add((Category.RESOURCE.value, RESOURCE_ID, resource_id))
-    return any(part in wanted for part in key)
+    for part in key:
+        lexical = part[2]
+        if (
+            lexical == subject_id
+            and part[1] == SUBJECT_ID
+            and part[0] == _SUBJECT_URI
+        ) or (
+            lexical == resource_id
+            and part[1] == RESOURCE_ID
+            and part[0] == _RESOURCE_URI
+        ):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

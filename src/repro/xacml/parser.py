@@ -6,7 +6,10 @@ policies arrive over the wire from PAPs and syndication servers.
 
 Every document and every ``<Request>`` / ``<Response>`` fragment goes
 through expat (``ET.fromstring``): text that is not well-formed XML is a
-:class:`ParseError` whatever the envelope around it looked like.  What
+:class:`ParseError` whatever the envelope around it looked like.  (A
+``<Response>`` text that was accepted before is answered from
+:func:`parse_response`'s bounded memo; a text never seen, or rejected,
+is parsed in full.)  What
 the Python half adds on top is kept to what the wire needs: URIs
 resolve to ``Category`` / ``DataType`` members through dicts built once,
 and children are looked up by plain tag, which the C accelerator's
@@ -19,8 +22,10 @@ attribute without values, ``Result`` without ``Decision``, empty
 
 from __future__ import annotations
 
+import enum
+import functools
 import xml.etree.ElementTree as ET
-from typing import Union
+from typing import TypeVar, Union
 
 from .attributes import (
     Attribute,
@@ -66,6 +71,18 @@ def _category_from_uri(uri: str) -> Category:
         return _CATEGORY_BY_URI[uri]
     except KeyError:
         raise ParseError(f"unknown attribute category URI {uri!r}") from None
+
+
+_E = TypeVar("_E", bound=enum.Enum)
+
+
+def _member(enum_class: type[_E], text: object) -> _E:
+    """The member ``text`` names; a name outside the vocabulary is a
+    malformed document like any other."""
+    try:
+        return enum_class(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_value(element: ET.Element) -> AttributeValue:
@@ -307,7 +324,35 @@ def parse_request(xml_text: str) -> RequestContext:
     return request
 
 
+#: Distinct response texts :func:`parse_response` remembers.  A PDP
+#: answers from a small vocabulary (resource x decision x status): the
+#: largest perf workload sees about 4,000 texts in a run.
+RESPONSE_MEMO_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=RESPONSE_MEMO_SIZE)
 def parse_response(xml_text: str) -> ResponseContext:
+    """Parse a ``<Response>``; equal texts share one parsed result.
+
+    The memo's contract.  *Pure*: the result depends on the text alone
+    and is a frozen :class:`ResponseContext` of frozen parts, so handing
+    the same object to every caller is unobservable (``==`` and ``hash``
+    are by content) and statements held by decision caches share their
+    responses instead of each owning a copy.  *Bounded*: least recently
+    used texts fall out past :data:`RESPONSE_MEMO_SIZE`.  *Exceptions
+    are never remembered*: a text that is rejected is rejected by a full
+    parse on every call.  *Nothing is skipped*: a text seen for the
+    first time goes through expat and every check below, whole.
+
+    This is the one module-level memo under ``src/`` and is safe beside
+    "worlds own their identifiers" (ROADMAP direction 1): it maps a text
+    to the value of that text and mints nothing, so two worlds in one
+    process cannot perturb each other's results, bytes or event order
+    through it — a hit and a miss differ in host time only.  A lint for
+    module-level mutable state can allow exactly this form: an
+    ``lru_cache`` with a constant bound on a function of immutable
+    arguments returning an immutable value.
+    """
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -326,14 +371,14 @@ def parse_response(xml_text: str) -> ResponseContext:
             message_el = status_el.find("StatusMessage")
             code = StatusCode.OK
             if code_el is not None and code_el.get("Value"):
-                code = StatusCode(code_el.get("Value"))
+                code = _member(StatusCode, code_el.get("Value"))
             status = Status(
                 code=code,
                 message=(message_el.text or "") if message_el is not None else "",
             )
         results.append(
             Result(
-                decision=Decision(decision_el.text),
+                decision=_member(Decision, decision_el.text),
                 status=status,
                 obligations=_parse_obligations(result_el.find("Obligations")),
                 resource_id=result_el.get("ResourceId"),

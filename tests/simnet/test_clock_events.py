@@ -53,6 +53,36 @@ class TestEventLoop:
         loop.run()
         assert fired == [0, 1, 2, 3, 4]
 
+    def test_equal_time_events_fire_in_scheduling_order_uncompared(self):
+        """The heap orders ``(when, seq)`` and nothing else: with every
+        event at one instant, cancellations in between and a heap
+        hundreds deep, what was scheduled is never itself compared."""
+
+        class Callback:
+            def __init__(self, fired, index):
+                self.fired, self.index = fired, index
+
+            def __call__(self):
+                self.fired.append(self.index)
+
+            def __lt__(self, other):
+                raise AssertionError("the heap compared two callbacks")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        loop = EventLoop()
+        fired = []
+        handles = [
+            loop.schedule_at(1.0, Callback(fired, index)) for index in range(300)
+        ]
+        for handle in handles[::3]:
+            assert loop.cancel(handle)
+        assert loop.run_until(lambda: len(fired) == 50, timeout_at=2.0)
+        loop.step()
+        loop.run()
+        assert fired == [index for index in range(300) if index % 3]
+        assert loop.pending == 0
+
     def test_clock_advances_to_event_time(self):
         loop = EventLoop()
         seen = []

@@ -575,7 +575,7 @@ class TestMalformedContexts:
             ),
             pytest.param(
                 result_with("<Decision>Maybe</Decision>"),
-                ValueError,
+                ParseError,
                 id="unknown-decision",
             ),
             pytest.param(
@@ -583,7 +583,7 @@ class TestMalformedContexts:
                     "<Decision>Permit</Decision>"
                     '<Status><StatusCode Value="urn:bogus" /></Status>'
                 ),
-                ValueError,
+                ParseError,
                 id="unknown-status-code",
             ),
             pytest.param(
