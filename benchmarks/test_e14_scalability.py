@@ -8,7 +8,8 @@ compares indexed vs linear policy stores, (b) compares per-identity
 policies against one role-based policy as the user base grows, and (c)
 runs the mined role-conditioned corpus of ``Population.policy_set(N)``
 with the population as attribute authority, counting how often one
-decision asks it.
+decision asks it and how many of the candidates the store hands it
+have a target that matches.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the sweeps to a CI-sized pass; the
 10,000-policy row and its flatness assertions stay, so a store whose
@@ -25,6 +26,8 @@ from repro.workloads import Population, PopulationSpec
 from repro.xacml import (
     Category,
     Decision,
+    EvaluationContext,
+    MatchResult,
     PdpEngine,
     Policy,
     PolicyStore,
@@ -177,13 +180,27 @@ MINED_PER_RESOURCE = 10
 MINED_REQUESTS = 400
 
 
+def residue_share(store):
+    """Share of the store's elements whose target pins more than one
+    group: posted under the first, filtered by the rest."""
+    pinned = [
+        sum(group.pins() is not None for group in element.target.any_ofs)
+        for element in store.elements()
+    ]
+    return sum(count > 1 for count in pinned) / len(pinned)
+
+
 def test_e14_mined_corpus_asks_the_authority_once(benchmark):
     """Every rule of the mined corpus is conditioned on the subject's
-    role, which only the attribute authority knows; a decision evaluates
-    about ten candidate policies and two dozen rules.  One designator is
-    finder-backed, so one question per decision is all it may cost —
-    XACML's "each bag is populated before it is first tested and
-    thereafter immutable" — however many rules read the answer."""
+    role, which only the attribute authority knows; every policy targets
+    one ``(resource, action)`` pair, ten policies to a resource.  The
+    store keys on the resource and filters by the action, so a request
+    that carries both is handed exactly the policies whose target
+    matches — selectivity 1.0, where a resource-only index hands it all
+    ten.  One designator is finder-backed, so one question per decision
+    is all it may cost — XACML's "each bag is populated before it is
+    first tested and thereafter immutable" — however many rules read
+    the answer."""
     experiment = Experiment(
         exp_id="E14c",
         title="Mined role-conditioned corpus: attribute-authority calls "
@@ -193,7 +210,9 @@ def test_e14_mined_corpus_asks_the_authority_once(benchmark):
         columns=[
             "policies",
             "resources",
+            "residue_share",
             "candidates_per_decision",
+            "matched_per_decision",
             "finder_calls_per_decision",
             "max_finder_calls",
         ],
@@ -231,10 +250,25 @@ def test_e14_mined_corpus_asks_the_authority_once(benchmark):
         candidates_per_decision[count] = sum(
             response.stats.candidate_set_size for response in responses
         ) / len(responses)
+        matched = []
+        for request, response in zip(requests, responses, strict=True):
+            ctx = EvaluationContext(request=request)
+            matched.append(
+                sum(
+                    element.target.evaluate(ctx) is MatchResult.MATCH
+                    for element in engine.store.candidates(request)
+                )
+            )
+            # The request carries every identifier the targets pin:
+            # nothing is handed over that does not match.
+            assert response.stats.candidate_set_size == matched[-1]
+        assert sum(matched) > 0
         experiment.add_row(
             count,
             population.spec.resources,
+            round(residue_share(engine.store), 2),
             round(candidates_per_decision[count], 2),
+            round(sum(matched) / len(responses), 2),
             round(sum(finder_calls) / len(responses), 2),
             max(finder_calls),
         )

@@ -203,12 +203,26 @@ class TrustValidator:
     This is the relying-party side of the PKI: each domain configures which
     root (and hence which collaborating organisations) it trusts, realising
     the paper's per-domain trust autonomy.
+
+    A validator remembers which issuer signatures it has verified — the
+    ``(issuer key id, certificate)`` pairs, by value, at most
+    :attr:`SIGNATURES_REMEMBERED` of them, oldest out first — so a
+    certificate seen on every message is not HMACed on every message.
+    *Only the signature is remembered, and only when it verified*: the
+    validity window, issuer resolution and revocation are judged afresh
+    at every hop of every call, a certificate that differs in any field
+    is another pair, and so is the same certificate under an issuer of
+    the same name with another key.
     """
+
+    #: Bound of the verified-signature table.
+    SIGNATURES_REMEMBERED = 1024
 
     def __init__(self, keystore: KeyStore, anchors: list[CertificateAuthority]) -> None:
         self.keystore = keystore
         self._anchors: dict[str, CertificateAuthority] = {a.name: a for a in anchors}
         self._intermediates: dict[str, CertificateAuthority] = {}
+        self._verified: dict[tuple[str, Certificate], None] = {}
 
     def add_anchor(self, ca: CertificateAuthority) -> None:
         self._anchors[ca.name] = ca
@@ -248,13 +262,20 @@ class TrustValidator:
                     f"certificate #{chain_cert.serial} for "
                     f"{chain_cert.subject!r} is revoked"
                 )
-            ok = self.keystore.verify(
-                issuer.keypair.public, chain_cert.tbs_bytes(), chain_cert.signature
-            )
-            if not ok:
-                raise CertificateError(
-                    f"bad signature on certificate for {chain_cert.subject!r}"
+            pair = (issuer.keypair.public.key_id, chain_cert)
+            if pair not in self._verified:
+                ok = self.keystore.verify(
+                    issuer.keypair.public,
+                    chain_cert.tbs_bytes(),
+                    chain_cert.signature,
                 )
+                if not ok:
+                    raise CertificateError(
+                        f"bad signature on certificate for {chain_cert.subject!r}"
+                    )
+                if len(self._verified) >= self.SIGNATURES_REMEMBERED:
+                    del self._verified[next(iter(self._verified))]
+                self._verified[pair] = None
             if chain_cert.issuer in self._anchors:
                 return
             chain_cert = issuer.certificate

@@ -17,6 +17,7 @@ decrypt first, then verify the signature over the recovered body.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -28,6 +29,27 @@ from ..wss.xmlenc import EncryptedDocument, decrypt_document
 from .soap import SoapEnvelope
 
 SECURITY_HEADER = "wsse:Security"
+
+# What a receiver reads out of the header and the encrypted body, compiled
+# once (the patterns mirror what :func:`secure_envelope` writes).
+_CERT_TOKEN = re.compile(
+    r'<wsse:BinarySecurityToken subject="([^"]*)" issuer="([^"]*)" '
+    r'serial="([^"]*)" keyId="([^"]*)" notBefore="([^"]*)" '
+    r'notAfter="([^"]*)" certSig="([^"]*)" extensions="([^"]*)"/>'
+)
+_SIGNATURE_BLOCK = re.compile(
+    r"<ds:DigestValue>([0-9a-f]+)</ds:DigestValue>.*?"
+    r"<ds:SignatureValue>([0-9a-f]+)</ds:SignatureValue>",
+    re.DOTALL,
+)
+_KEY_NAME = re.compile(r"<ds:KeyName>([^<]*)</ds:KeyName>")
+_CIPHER_VALUE = re.compile(
+    r'<xenc:CipherValue nonce="([^"]*)">([^<]*)</xenc:CipherValue>'
+)
+
+#: Distinct tokens :func:`_certificate_of` remembers: one per signing
+#: identity a process hears from.
+TOKEN_MEMO_SIZE = 1024
 
 
 class WsSecurityError(Exception):
@@ -61,30 +83,50 @@ def _cert_token_xml(certificate: Certificate) -> str:
 
 
 def _parse_cert_token(header_xml: str) -> Certificate:
-    match = re.search(
-        r'<wsse:BinarySecurityToken subject="([^"]*)" issuer="([^"]*)" '
-        r'serial="([^"]*)" keyId="([^"]*)" notBefore="([^"]*)" '
-        r'notAfter="([^"]*)" certSig="([^"]*)" extensions="([^"]*)"/>',
-        header_xml,
-    )
+    match = _CERT_TOKEN.search(header_xml)
     if match is None:
         raise WsSecurityError("security header lacks a BinarySecurityToken")
-    extensions: tuple[tuple[str, str], ...] = ()
-    if match.group(8):
-        extensions = tuple(
-            tuple(pair.split("=", 1))  # type: ignore[misc]
-            for pair in match.group(8).split(";")
-            if "=" in pair
-        )
+    return _certificate_of(*match.groups())
+
+
+@functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _certificate_of(
+    subject: str,
+    issuer: str,
+    serial: str,
+    key_id: str,
+    not_before: str,
+    not_after: str,
+    signature: str,
+    extensions: str,
+) -> Certificate:
+    """The certificate a ``BinarySecurityToken``'s fields spell out;
+    equal texts share one parsed result.
+
+    The form ROADMAP direction 1's lint note allows, beside
+    ``xacml.parser.parse_response``: an ``lru_cache`` with a constant
+    bound on a pure function of immutable arguments (the token's field
+    texts) returning an immutable value (a frozen :class:`Certificate`
+    of frozen parts).  It maps texts to the value of those texts and
+    mints nothing, so two worlds in one process cannot perturb each
+    other through it, and a token that does not parse raises on every
+    call.  Parsing is all it saves: what the certificate *claims* is
+    checked by :func:`verify_envelope` and the trust validator on every
+    message.
+    """
     return Certificate(
-        subject=match.group(1),
-        issuer=match.group(2),
-        serial=int(match.group(3)),
-        public_key=PublicKey(match.group(4)),
-        not_before=float(match.group(5)),
-        not_after=float(match.group(6)),
-        signature=match.group(7),
-        extensions=extensions,
+        subject=subject,
+        issuer=issuer,
+        serial=int(serial),
+        public_key=PublicKey(key_id),
+        not_before=float(not_before),
+        not_after=float(not_after),
+        signature=signature,
+        extensions=tuple(
+            tuple(pair.split("=", 1))  # type: ignore[misc]
+            for pair in extensions.split(";")
+            if "=" in pair
+        ),
     )
 
 
@@ -170,12 +212,7 @@ def verify_envelope(
     signer_subject: Optional[str] = None
     if config.require_signature:
         certificate = _parse_cert_token(header_xml)
-        sig_match = re.search(
-            r"<ds:DigestValue>([0-9a-f]+)</ds:DigestValue>.*?"
-            r"<ds:SignatureValue>([0-9a-f]+)</ds:SignatureValue>",
-            header_xml,
-            re.DOTALL,
-        )
+        sig_match = _SIGNATURE_BLOCK.search(header_xml)
         if sig_match is None:
             raise WsSecurityError("security header lacks a signature block")
         claimed_digest, signature_value = sig_match.group(1), sig_match.group(2)
@@ -216,10 +253,8 @@ def signer_of(envelope: SoapEnvelope) -> Optional[str]:
 
 
 def _decrypt_body(body_xml: str, keypair: KeyPair) -> str:
-    key_match = re.search(r"<ds:KeyName>([^<]*)</ds:KeyName>", body_xml)
-    value_match = re.search(
-        r'<xenc:CipherValue nonce="([^"]*)">([^<]*)</xenc:CipherValue>', body_xml
-    )
+    key_match = _KEY_NAME.search(body_xml)
+    value_match = _CIPHER_VALUE.search(body_xml)
     if key_match is None or value_match is None:
         raise WsSecurityError("body is not valid xenc:EncryptedData")
     encrypted = EncryptedDocument(

@@ -18,7 +18,7 @@ from .. import combining
 from ..attributes import Attribute
 from ..context import Decision, RequestContext
 from ..expressions import EvaluationContext
-from ..policy import Policy, PolicyChild, PolicySet
+from ..policy import Policy, PolicyChild, PolicySet, outcomes
 from ..rules import Rule
 from .predicates import Clause
 
@@ -155,21 +155,14 @@ def verify_store_only_one_overlap(
     request = request_from_clause(clause)
     if request is None:
         return _UNSYNTHESIZABLE
-    ctx = _evaluation_context(request, resolver)
     combiner = combining.lookup(combining.POLICY_ONLY_ONE_APPLICABLE)
-    evaluables = [
-        (lambda e=element: _outcome(e, ctx)) for element in elements
-    ]
-    decision, status = combiner(evaluables)
+    decision, status = combiner(
+        outcomes(elements, _evaluation_context(request, resolver), [])
+    )
     message = status.message if status is not None else ""
     if decision is Decision.INDETERMINATE and "more than one" in message:
         return WitnessOutcome(ok=True, request=request, decision=decision)
     return WitnessOutcome(ok=False, request=request, reason="replay-mismatch")
-
-
-def _outcome(element: PolicyChild, ctx: EvaluationContext):
-    result = element.evaluate(ctx)
-    return result.decision, result.status
 
 
 def verify_cross_conflict(

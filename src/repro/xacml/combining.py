@@ -8,14 +8,23 @@ implement the four the paper names — deny-overrides, permit-overrides,
 first-applicable, only-one-applicable — plus their ordered variants,
 behind a registry so profiles can add more.
 
-Combiners operate over *evaluables*: anything with an
-``evaluate(ctx) -> (Decision, Status|None)`` signature; the policy module
-adapts rules and policies to that shape.
+A combiner is a fold over a *lazy* iterable of child outcomes,
+``(Decision, Status | None)`` pairs in document order: it pulls one
+outcome at a time with a plain ``for`` and returns as soon as the
+algorithm is decided.  The callers (:class:`~repro.xacml.policy.Policy`,
+:class:`~repro.xacml.policy.PolicySet`, the engine, the analyzer's
+witness replay) hand it a generator that evaluates a child only when
+its outcome is pulled, so the short circuit of the standard is real:
+children after the deciding one are never evaluated, their targets and
+conditions never touch the request, and their attribute finder is never
+asked.  A combiner must therefore not drain its argument (no
+``list(children)``) — the short-circuit and ``finder_calls`` tests hold
+it to that.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .context import Decision, Status, StatusCode
 
@@ -42,9 +51,15 @@ POLICY_ONLY_ONE_APPLICABLE = (
     "urn:oasis:names:tc:xacml:1.0:policy-combining-algorithm:only-one-applicable"
 )
 
-#: An evaluable yields (decision, status-or-None).
-Evaluable = Callable[[], tuple[Decision, Optional[Status]]]
-Combiner = Callable[[Sequence[Evaluable]], tuple[Decision, Optional[Status]]]
+#: What one child decided: (decision, status-or-None).
+Outcome = tuple[Decision, Optional[Status]]
+Combiner = Callable[[Iterable[Outcome]], Outcome]
+
+#: The bare outcomes — nothing to say beyond the decision — shared by
+#: every rule, policy and combiner that reports one.
+NOT_APPLICABLE_OUTCOME: Outcome = (Decision.NOT_APPLICABLE, None)
+PERMIT_OUTCOME: Outcome = (Decision.PERMIT, None)
+DENY_OUTCOME: Outcome = (Decision.DENY, None)
 
 _COMBINERS: dict[str, Combiner] = {}
 
@@ -70,9 +85,7 @@ def known_algorithms() -> frozenset[str]:
     return frozenset(_COMBINERS)
 
 
-def deny_overrides(
-    children: Sequence[Evaluable],
-) -> tuple[Decision, Optional[Status]]:
+def deny_overrides(children: Iterable[Outcome]) -> Outcome:
     """Deny wins over everything; Indeterminate is deny-biased.
 
     Follows XACML 2.0 Appendix C.1: any Deny returns Deny immediately; an
@@ -83,8 +96,7 @@ def deny_overrides(
     """
     saw_permit = False
     saw_indeterminate: Optional[Status] = None
-    for child in children:
-        decision, status = child()
+    for decision, status in children:
         if decision is Decision.DENY:
             return Decision.DENY, status
         if decision is Decision.INDETERMINATE:
@@ -97,19 +109,16 @@ def deny_overrides(
         # A child that errored *might* have denied: stay on the safe side.
         return Decision.INDETERMINATE, saw_indeterminate
     if saw_permit:
-        return Decision.PERMIT, None
-    return Decision.NOT_APPLICABLE, None
+        return PERMIT_OUTCOME
+    return NOT_APPLICABLE_OUTCOME
 
 
-def permit_overrides(
-    children: Sequence[Evaluable],
-) -> tuple[Decision, Optional[Status]]:
+def permit_overrides(children: Iterable[Outcome]) -> Outcome:
     """Permit wins over everything; mirrors :func:`deny_overrides`."""
     saw_deny = False
     deny_status: Optional[Status] = None
     saw_indeterminate: Optional[Status] = None
-    for child in children:
-        decision, status = child()
+    for decision, status in children:
         if decision is Decision.PERMIT:
             return Decision.PERMIT, status
         if decision is Decision.INDETERMINATE:
@@ -123,32 +132,26 @@ def permit_overrides(
         return Decision.INDETERMINATE, saw_indeterminate
     if saw_deny:
         return Decision.DENY, deny_status
-    return Decision.NOT_APPLICABLE, None
+    return NOT_APPLICABLE_OUTCOME
 
 
-def first_applicable(
-    children: Sequence[Evaluable],
-) -> tuple[Decision, Optional[Status]]:
+def first_applicable(children: Iterable[Outcome]) -> Outcome:
     """The first definitive or indeterminate child decides."""
-    for child in children:
-        decision, status = child()
+    for decision, status in children:
         if decision is Decision.NOT_APPLICABLE:
             continue
         return decision, status
-    return Decision.NOT_APPLICABLE, None
+    return NOT_APPLICABLE_OUTCOME
 
 
-def only_one_applicable(
-    children: Sequence[Evaluable],
-) -> tuple[Decision, Optional[Status]]:
+def only_one_applicable(children: Iterable[Outcome]) -> Outcome:
     """Exactly one child may apply; more than one is an error.
 
     The paper cites this algorithm for environments where overlapping
     authority would itself signal a configuration fault between domains.
     """
-    applicable: Optional[tuple[Decision, Optional[Status]]] = None
-    for child in children:
-        decision, status = child()
+    applicable: Optional[Outcome] = None
+    for decision, status in children:
         if decision is Decision.NOT_APPLICABLE:
             continue
         if decision is Decision.INDETERMINATE:
@@ -163,9 +166,7 @@ def only_one_applicable(
                 ),
             )
         applicable = (decision, status)
-    if applicable is None:
-        return Decision.NOT_APPLICABLE, None
-    return applicable
+    return applicable or NOT_APPLICABLE_OUTCOME
 
 
 register(RULE_DENY_OVERRIDES, deny_overrides)

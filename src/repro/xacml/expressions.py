@@ -49,6 +49,10 @@ from .attributes import (
 from .context import RequestContext, Status, StatusCode
 
 
+_TRUE = boolean(True)
+_FALSE = boolean(False)
+
+
 class Indeterminate(Exception):
     """Evaluation could not complete; maps to the Indeterminate decision."""
 
@@ -178,9 +182,20 @@ class Apply(_FunctionNode):
     """Application of a registered function to argument expressions."""
 
     arguments: tuple[Expression, ...]
+
     def evaluate(self, ctx: EvaluationContext) -> Union[AttributeValue, Bag]:
         func = self._function or _late_lookup(self.function_id)
-        args = [argument.evaluate(ctx) for argument in self.arguments]
+        args: list[Union[AttributeValue, Bag]] = []
+        for argument in self.arguments:
+            # The two leaves are read in place (exactly these classes:
+            # a subclass may override ``evaluate``).
+            kind = type(argument)
+            if kind is Literal:
+                args.append(argument.value)  # type: ignore[attr-defined]
+            elif kind is Designator:
+                args.append(ctx.resolve(argument.designator))  # type: ignore[attr-defined]
+            else:
+                args.append(argument.evaluate(ctx))
         try:
             return func(*args)
         except functions.FunctionError as exc:
@@ -246,6 +261,11 @@ class Condition:
 
     def evaluate(self, ctx: EvaluationContext) -> bool:
         result = self.expression.evaluate(ctx)
+        # What every boolean function returns: the two shared constants.
+        if result is _TRUE:
+            return True
+        if result is _FALSE:
+            return False
         if isinstance(result, Bag):
             raise Indeterminate("condition evaluated to a bag, expected boolean")
         if result.data_type is not DataType.BOOLEAN:

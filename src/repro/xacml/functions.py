@@ -100,7 +100,7 @@ def _make_equal(name: str, data_type: DataType) -> None:
     fid = FUNCTION_PREFIX_1_0 + name
 
     @register(fid)
-    def equal(*args: Any, _dt=data_type, _fid=fid) -> AttributeValue:
+    def equal(*args: Any, _dt: DataType = data_type, _fid: str = fid) -> AttributeValue:
         _arity(args, 2, _fid)
         a = _require_value(args[0], _dt, _fid)
         b = _require_value(args[1], _dt, _fid)
@@ -142,7 +142,12 @@ def _make_comparison(type_name: str, data_type: DataType, op_name: str) -> None:
     op = _COMPARATORS[op_name]
 
     @register(fid)
-    def compare(*args: Any, _dt=data_type, _fid=fid, _op=op) -> AttributeValue:
+    def compare(
+        *args: Any,
+        _dt: DataType = data_type,
+        _fid: str = fid,
+        _op: Callable[[Any, Any], Any] = op,
+    ) -> AttributeValue:
         _arity(args, 2, _fid)
         a = _require_value(args[0], _dt, _fid)
         b = _require_value(args[1], _dt, _fid)
@@ -167,7 +172,12 @@ def _make_arithmetic(type_name: str, data_type: DataType) -> None:
         fid = f"{FUNCTION_PREFIX_1_0}{type_name}-{op_name}"
 
         @register(fid)
-        def arith(*args: Any, _dt=data_type, _fid=fid, _op=op) -> AttributeValue:
+        def arith(
+            *args: Any,
+            _dt: DataType = data_type,
+            _fid: str = fid,
+            _op: Callable[[Any, Any], Any] = op,
+        ) -> AttributeValue:
             _arity(args, 2, _fid)
             a = _require_value(args[0], _dt, _fid)
             b = _require_value(args[1], _dt, _fid)
@@ -176,7 +186,7 @@ def _make_arithmetic(type_name: str, data_type: DataType) -> None:
     div_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-divide"
 
     @register(div_fid)
-    def divide(*args: Any, _dt=data_type, _fid=div_fid) -> AttributeValue:
+    def divide(*args: Any, _dt: DataType = data_type, _fid: str = div_fid) -> AttributeValue:
         _arity(args, 2, _fid)
         a = _require_value(args[0], _dt, _fid)
         b = _require_value(args[1], _dt, _fid)
@@ -294,7 +304,9 @@ def _make_string_predicate(name: str, predicate: Callable[[str, str], bool]) -> 
     fid = FUNCTION_PREFIX_2_0 + name
 
     @register(fid)
-    def pred(*args: Any, _fid=fid, _p=predicate) -> AttributeValue:
+    def pred(
+        *args: Any, _fid: str = fid, _p: Callable[[str, str], bool] = predicate
+    ) -> AttributeValue:
         _arity(args, 2, _fid)
         a = _require_value(args[0], DataType.STRING, _fid)
         b = _require_value(args[1], DataType.STRING, _fid)
@@ -348,7 +360,7 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     one_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-one-and-only"
 
     @register(one_fid)
-    def one_and_only(*args: Any, _dt=data_type, _fid=one_fid) -> AttributeValue:
+    def one_and_only(*args: Any, _dt: DataType = data_type, _fid: str = one_fid) -> AttributeValue:
         _arity(args, 1, _fid)
         bag = _require_bag(args[0], _fid)
         if len(bag) != 1:
@@ -363,7 +375,7 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     size_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-bag-size"
 
     @register(size_fid)
-    def bag_size(*args: Any, _fid=size_fid) -> AttributeValue:
+    def bag_size(*args: Any, _fid: str = size_fid) -> AttributeValue:
         _arity(args, 1, _fid)
         bag = _require_bag(args[0], _fid)
         return AttributeValue(DataType.INTEGER, len(bag))
@@ -371,16 +383,18 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     is_in_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-is-in"
 
     @register(is_in_fid)
-    def is_in(*args: Any, _dt=data_type, _fid=is_in_fid) -> AttributeValue:
+    def is_in(*args: Any, _dt: DataType = data_type, _fid: str = is_in_fid) -> AttributeValue:
         _arity(args, 2, _fid)
-        value = _require_value(args[0], _dt, _fid)
-        bag = _require_bag(args[1], _fid)
-        return boolean(any(v.value == value.value for v in bag))
+        wanted = _require_value(args[0], _dt, _fid).value
+        for held in _require_bag(args[1], _fid).values:
+            if held.value == wanted:
+                return boolean(True)
+        return boolean(False)
 
     bag_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-bag"
 
     @register(bag_fid)
-    def make_bag(*args: Any, _dt=data_type, _fid=bag_fid) -> Bag:
+    def make_bag(*args: Any, _dt: DataType = data_type, _fid: str = bag_fid) -> Bag:
         values = [_require_value(a, _dt, _fid) for a in args]
         return Bag(values)
 
@@ -388,7 +402,7 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     inter_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-intersection"
 
     @register(inter_fid)
-    def intersection(*args: Any, _fid=inter_fid) -> Bag:
+    def intersection(*args: Any, _fid: str = inter_fid) -> Bag:
         _arity(args, 2, _fid)
         a = _require_bag(args[0], _fid)
         b = _require_bag(args[1], _fid)
@@ -404,7 +418,7 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     union_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-union"
 
     @register(union_fid)
-    def union(*args: Any, _fid=union_fid) -> Bag:
+    def union(*args: Any, _fid: str = union_fid) -> Bag:
         _arity(args, 2, _fid)
         a = _require_bag(args[0], _fid)
         b = _require_bag(args[1], _fid)
@@ -419,7 +433,7 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     alo_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-at-least-one-member-of"
 
     @register(alo_fid)
-    def at_least_one_member_of(*args: Any, _fid=alo_fid) -> AttributeValue:
+    def at_least_one_member_of(*args: Any, _fid: str = alo_fid) -> AttributeValue:
         _arity(args, 2, _fid)
         a = _require_bag(args[0], _fid)
         b = _require_bag(args[1], _fid)
@@ -429,7 +443,7 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     subset_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-subset"
 
     @register(subset_fid)
-    def subset(*args: Any, _fid=subset_fid) -> AttributeValue:
+    def subset(*args: Any, _fid: str = subset_fid) -> AttributeValue:
         _arity(args, 2, _fid)
         a = _require_bag(args[0], _fid)
         b = _require_bag(args[1], _fid)
@@ -439,7 +453,7 @@ def _make_bag_functions(type_name: str, data_type: DataType) -> None:
     seteq_fid = f"{FUNCTION_PREFIX_1_0}{type_name}-set-equals"
 
     @register(seteq_fid)
-    def set_equals(*args: Any, _fid=seteq_fid) -> AttributeValue:
+    def set_equals(*args: Any, _fid: str = seteq_fid) -> AttributeValue:
         _arity(args, 2, _fid)
         a = _require_bag(args[0], _fid)
         b = _require_bag(args[1], _fid)

@@ -10,7 +10,7 @@ Delegation profile (:mod:`repro.admin.delegation`) builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import combining
 from .context import Decision, Obligation, Status
@@ -26,6 +26,27 @@ class PolicyResult:
     decision: Decision
     status: Optional[Status] = None
     obligations: tuple[Obligation, ...] = ()
+
+
+#: The bare results — no status, no obligations — shared (frozen).
+_NOT_APPLICABLE = PolicyResult(Decision.NOT_APPLICABLE)
+_PERMIT = PolicyResult(Decision.PERMIT)
+_DENY = PolicyResult(Decision.DENY)
+
+
+def _result(
+    decision: Decision,
+    status: Optional[Status],
+    obligations: tuple[Obligation, ...],
+) -> PolicyResult:
+    if status is None and not obligations:
+        if decision is Decision.PERMIT:
+            return _PERMIT
+        if decision is Decision.NOT_APPLICABLE:
+            return _NOT_APPLICABLE
+        if decision is Decision.DENY:
+            return _DENY
+    return PolicyResult(decision, status, obligations)
 
 
 @dataclass(frozen=True)
@@ -64,20 +85,18 @@ class Policy:
         except Indeterminate as exc:
             return PolicyResult(Decision.INDETERMINATE, exc.status)
         if match is MatchResult.NO_MATCH:
-            return PolicyResult(Decision.NOT_APPLICABLE)
+            return _NOT_APPLICABLE
         if match is MatchResult.INDETERMINATE:
             return PolicyResult(
                 Decision.INDETERMINATE,
                 Status(message=f"target of policy {self.policy_id} indeterminate"),
             )
-        evaluables = [
-            (lambda r=rule: _rule_outcome(r, ctx)) for rule in self.rules
-        ]
-        decision, status = self._combiner(evaluables)
-        return PolicyResult(
-            decision=decision,
-            status=status,
-            obligations=_matching_obligations(self.obligations, decision),
+        # Lazy: a rule is evaluated when the combiner pulls its outcome.
+        decision, status = self._combiner(
+            rule.outcome(ctx) for rule in self.rules
+        )
+        return _result(
+            decision, status, _matching_obligations(self.obligations, decision)
         )
 
     def with_issuer(self, issuer: str) -> "Policy":
@@ -175,7 +194,7 @@ class PolicySet:
         except Indeterminate as exc:
             return PolicyResult(Decision.INDETERMINATE, exc.status)
         if match is MatchResult.NO_MATCH:
-            return PolicyResult(Decision.NOT_APPLICABLE)
+            return _NOT_APPLICABLE
         if match is MatchResult.INDETERMINATE:
             return PolicyResult(
                 Decision.INDETERMINATE,
@@ -184,27 +203,18 @@ class PolicySet:
                 ),
             )
         collected: list[Obligation] = []
-
-        def child_evaluable(child: PolicyChild):
-            def run() -> tuple[Decision, Optional[Status]]:
-                result = child.evaluate(ctx)
-                if result.decision.is_definitive:
-                    collected.extend(result.obligations)
-                return result.decision, result.status
-
-            return run
-
-        evaluables = [child_evaluable(child) for child in self.children]
-        decision, status = self._combiner(evaluables)
+        decision, status = self._combiner(
+            outcomes(self.children, ctx, collected)
+        )
         # Only obligations whose fulfill_on matches the final decision, plus
         # this set's own, flow upward (XACML §7.14).
         child_obligations = tuple(
             ob for ob in collected if ob.fulfill_on is decision
         )
-        return PolicyResult(
-            decision=decision,
-            status=status,
-            obligations=child_obligations
+        return _result(
+            decision,
+            status,
+            child_obligations
             + _matching_obligations(self.obligations, decision),
         )
 
@@ -235,15 +245,27 @@ def child_identifier(child: PolicyChild) -> str:
     return child.policy_set_id
 
 
-def _rule_outcome(rule: Rule, ctx: EvaluationContext):
-    result = rule.evaluate(ctx)
-    return result.decision, result.status
+def outcomes(
+    children: Iterable[PolicyChild],
+    ctx: EvaluationContext,
+    obligations: list[Obligation],
+) -> Iterator[combining.Outcome]:
+    """The children's outcomes as a combiner wants them: one at a time,
+    each child evaluated only when its outcome is pulled.  Obligations
+    of the definitive children evaluated so far gather in
+    ``obligations``; which of them flow upward is for the caller, once
+    the combiner has decided."""
+    for child in children:
+        result = child.evaluate(ctx)
+        if result.obligations and result.decision.is_definitive:
+            obligations.extend(result.obligations)
+        yield result.decision, result.status
 
 
 def _matching_obligations(
-    obligations: Iterable[Obligation], decision: Decision
+    obligations: tuple[Obligation, ...], decision: Decision
 ) -> tuple[Obligation, ...]:
-    if decision not in (Decision.PERMIT, Decision.DENY):
+    if not obligations or decision not in (Decision.PERMIT, Decision.DENY):
         return ()
     return tuple(ob for ob in obligations if ob.fulfill_on is decision)
 

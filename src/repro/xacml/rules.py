@@ -10,6 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .combining import (
+    DENY_OUTCOME,
+    NOT_APPLICABLE_OUTCOME,
+    Outcome,
+    PERMIT_OUTCOME,
+)
 from .context import Decision, Status
 from .expressions import Condition, EvaluationContext, Indeterminate
 from .targets import ANY_TARGET, MatchResult, Target
@@ -55,26 +61,34 @@ class Rule:
                 f"rule effect must be Permit or Deny, got {self.effect.value}"
             )
 
-    def evaluate(self, ctx: EvaluationContext) -> RuleResult:
-        try:
-            match = self.target.evaluate(ctx)
-        except Indeterminate as exc:
-            return RuleResult(Decision.INDETERMINATE, exc.status)
-        if match is MatchResult.NO_MATCH:
-            return RuleResult(Decision.NOT_APPLICABLE)
-        if match is MatchResult.INDETERMINATE:
-            return RuleResult(
-                Decision.INDETERMINATE,
-                Status(message=f"target of rule {self.rule_id} indeterminate"),
-            )
+    def outcome(self, ctx: EvaluationContext) -> Outcome:
+        """The rule's ``(decision, status)``, as combiners consume it.
+
+        A target with no groups matches everything and is not evaluated.
+        """
+        if self.target.any_ofs:
+            try:
+                match = self.target.evaluate(ctx)
+            except Indeterminate as exc:
+                return Decision.INDETERMINATE, exc.status
+            if match is MatchResult.NO_MATCH:
+                return NOT_APPLICABLE_OUTCOME
+            if match is MatchResult.INDETERMINATE:
+                return (
+                    Decision.INDETERMINATE,
+                    Status(message=f"target of rule {self.rule_id} indeterminate"),
+                )
         if self.condition is not None:
             try:
                 satisfied = self.condition.evaluate(ctx)
             except Indeterminate as exc:
-                return RuleResult(Decision.INDETERMINATE, exc.status)
+                return Decision.INDETERMINATE, exc.status
             if not satisfied:
-                return RuleResult(Decision.NOT_APPLICABLE)
-        return RuleResult(self.effect)
+                return NOT_APPLICABLE_OUTCOME
+        return PERMIT_OUTCOME if self.effect is Decision.PERMIT else DENY_OUTCOME
+
+    def evaluate(self, ctx: EvaluationContext) -> RuleResult:
+        return RuleResult(*self.outcome(ctx))
 
     def is_permit(self) -> bool:
         return self.effect is Decision.PERMIT

@@ -30,13 +30,21 @@ evaluation can change:
 
 Bags come from :meth:`EvaluationContext.resolve`, which fetches each
 designator once per decision (see :mod:`repro.xacml.expressions`).
+
+There is one *summary* of a target, :meth:`AnyOf.pins`: what each
+alternative of a group pins a canonical identifier to, by bag and by
+value.  The store's index keys and residues
+(:mod:`repro.xacml.engine`) are built from it, and
+``constraining_values`` — what shard partitioning, delegation scopes
+and conflict footprints read — is a by-name view over the same walk.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import functions
 from .attributes import (
@@ -49,6 +57,20 @@ from .attributes import (
     string,
 )
 from .expressions import EvaluationContext, Indeterminate, _type_short_name
+
+#: The identifiers every request is expected to carry, and so the only
+#: ones :meth:`AnyOf.pins` reports: anything else is normally resolved
+#: through a PIP and says nothing about a request that omits it.
+CANONICAL_IDS: Mapping[str, Category] = MappingProxyType(
+    {
+        SUBJECT_ID: Category.SUBJECT,
+        RESOURCE_ID: Category.RESOURCE,
+        ACTION_ID: Category.ACTION,
+    }
+)
+
+#: One equality a target pins: the bag it reads and the value it wants.
+Pin = tuple[AttributeDesignator, AttributeValue]
 
 
 class MatchResult(enum.Enum):
@@ -151,30 +173,67 @@ class AnyOf:
             return MatchResult.INDETERMINATE
         return MatchResult.NO_MATCH
 
+    def pins(self) -> Optional[list[list[Pin]]]:
+        """Per alternative, the canonical identifiers it pins to a value.
+
+        A pin is an equality match *that compares by value*
+        (:attr:`Match._by_value`: function, literal and designator of
+        one data type) on one of :data:`CANONICAL_IDS`, given as
+        ``(designator, literal)``.  Such a match is definite whenever
+        the request itself carries the designator's bag — MATCH if the
+        literal is in it, NO_MATCH otherwise, never Indeterminate — and
+        a NO_MATCH decides its conjunction whatever the other matches
+        do.  An equality whose literal or designator is of another type
+        raises on every compare and pins nothing.
+
+        None when some alternative has no pin (it can match whatever
+        the identifiers are: ``AnyOf[AllOf(resource=r1),
+        AllOf(role=admin)]`` matches any resource through the role
+        branch) or when there is no alternative at all.  This is the one
+        walk the store index, shard partitioning, delegation scopes and
+        conflict footprints all read a target through.
+        """
+        pinned = []
+        for all_of in self.all_ofs:
+            pins = []
+            for match in all_of.matches:
+                designator = match.designator
+                if (
+                    match._by_value
+                    and CANONICAL_IDS.get(designator.attribute_id)
+                    is designator.category
+                ):
+                    pins.append((designator, match.value))
+            if not pins:
+                return None
+            pinned.append(pins)
+        return pinned or None
+
     def constraining_values(
         self, category: Category, attribute_id: str
     ) -> "set[str] | None":
         """Values the attribute *must* take for this group to match.
 
-        Sound only when every AllOf alternative carries an equality
-        match on the attribute — the union of those literals is then a
-        superset of the matchable values; one unconstrained alternative
-        (``AnyOf[AllOf(resource=r1), AllOf(subject=s1)]`` matches any
-        resource via the subject branch) makes the answer None.
+        A view over :meth:`pins`, by name: the lexical forms every
+        alternative pins ``(category, attribute_id)`` to, of whatever
+        data type and issuer; None when one alternative leaves the
+        attribute free (and for anything but a canonical identifier).
         """
+        pinned = self.pins()
+        if pinned is None:
+            return None
         values: set[str] = set()
-        for all_of in self.all_ofs:
+        for pins in pinned:
             found = {
-                match.value.lexical()
-                for match in all_of.matches
-                if match.match_function in functions.EQUALITY_FUNCTIONS
-                and match.designator.category is category
-                and match.designator.attribute_id == attribute_id
+                value.lexical()
+                for designator, value in pins
+                if designator.category is category
+                and designator.attribute_id == attribute_id
             }
             if not found:
                 return None
             values |= found
-        return values if self.all_ofs else None
+        return values
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,27 @@ class TestDelegation:
         assert effective == []
         assert [p.policy_id for p, _ in rejected] == ["escape"]
 
+    def test_an_ill_typed_equality_confines_nothing(self, registry):
+        """``string-equal`` over an anyURI literal never compares: the
+        policy is Indeterminate (a PEP denies) on every resource, so it
+        needs a grant for ``"*"`` however its literal reads."""
+        from repro.xacml import AttributeDesignator, DataType, Match, functions
+        from repro.xacml.attributes import any_uri
+
+        ill_typed = Match(
+            functions.FUNCTION_PREFIX_1_0 + "string-equal",
+            any_uri("db"),
+            AttributeDesignator(Category.RESOURCE, RESOURCE_ID, DataType.STRING),
+        )
+        policy = Policy(
+            policy_id="ill-typed",
+            rules=(deny_rule("d"),),
+            target=Target(any_ofs=(AnyOf(all_ofs=(AllOf((ill_typed,)),)),)),
+            issuer="dept-admin",
+        )
+        assert registry.policy_scope(policy) == Scope()
+        assert footprints([policy])[0].resources is None
+
     def test_reduction_work_counted(self, registry):
         registry.grant("vo-authority", "a", Scope(), max_depth=2)
         registry.grant("a", "b", Scope(), max_depth=1)

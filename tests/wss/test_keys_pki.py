@@ -167,3 +167,125 @@ class TestCertificates:
         )
         assert cert.extension("vomsFqans") == "/vo/group"
         assert cert.extension("missing") is None
+
+
+class TestVerifiedSignatureMemo:
+    """The validator remembers which issuer signatures verified — and
+    nothing else.  Every test warms the memo first: each check below
+    must hold *after* the certificate has been accepted once."""
+
+    @pytest.fixture
+    def chain(self, keystore):
+        root = CertificateAuthority("Root", keystore)
+        intermediate = CertificateAuthority("Mid", keystore, parent=root)
+        pair = keystore.generate("svc")
+        cert = intermediate.issue("svc", pair.public, not_before=0.0, lifetime=100.0)
+        validator = TrustValidator(keystore, [root])
+        validator.add_intermediate(intermediate)
+        validator.validate(cert, at=1.0)  # warm: both hops remembered
+        assert len(validator._verified) == 2
+        return root, intermediate, cert, validator
+
+    def test_revoked_after_first_use_is_refused_on_the_next_message(self, chain):
+        _, intermediate, cert, validator = chain
+        intermediate.revoke(cert)
+        with pytest.raises(CertificateError, match="revoked"):
+            validator.validate(cert, at=2.0)
+
+    def test_revocation_through_a_bound_registry_is_seen_too(self, chain):
+        from repro.revocation import RevocationRegistry
+
+        _, intermediate, cert, validator = chain
+        registry = RevocationRegistry()
+        intermediate.bind_revocation_registry(registry)
+        validator.validate(cert, at=2.0)
+        registry.revoke_certificate(cert.serial)
+        with pytest.raises(CertificateError, match="revoked"):
+            validator.validate(cert, at=3.0)
+
+    def test_expiry_is_judged_on_every_call(self, chain):
+        _, _, cert, validator = chain
+        with pytest.raises(CertificateError, match="outside validity"):
+            validator.validate(cert, at=cert.not_after + 1.0)
+        validator.validate(cert, at=cert.not_after)
+
+    def test_an_altered_certificate_fails_its_signature_every_time(self, chain):
+        from dataclasses import replace
+
+        _, _, cert, validator = chain
+        forged = replace(cert, subject="mallory")
+        for _ in range(3):
+            with pytest.raises(CertificateError, match="bad signature"):
+                validator.validate(forged, at=2.0)
+        validator.validate(cert, at=2.0)
+
+    def test_a_same_named_anchor_with_another_key_refuses_the_old_signatures(
+        self, keystore
+    ):
+        ca = CertificateAuthority("Root", keystore)
+        pair = keystore.generate("svc")
+        cert = ca.issue("svc", pair.public, not_before=0.0, lifetime=100.0)
+        validator = TrustValidator(keystore, [ca])
+        validator.validate(cert, at=1.0)
+        validator.add_anchor(CertificateAuthority("Root", keystore))
+        with pytest.raises(CertificateError, match="bad signature"):
+            validator.validate(cert, at=1.0)
+
+    def test_revoking_an_intermediate_refuses_its_leaves(self, chain):
+        root, intermediate, cert, validator = chain
+        root.revoke(intermediate.certificate)
+        with pytest.raises(CertificateError, match="revoked"):
+            validator.validate(cert, at=2.0)
+
+    def test_one_hmac_per_distinct_pair(self, chain, monkeypatch):
+        _, intermediate, cert, _ = chain
+        keystore = intermediate.keystore
+        other = intermediate.issue(
+            "other", keystore.generate("other").public, not_before=0.0, lifetime=100.0
+        )
+        verified = []
+        verify = keystore.verify
+
+        def counting(public, data, signature):
+            verified.append(data)
+            return verify(public, data, signature)
+
+        monkeypatch.setattr(keystore, "verify", counting)
+        validator = TrustValidator(keystore, [chain[0]])
+        validator.add_intermediate(intermediate)
+        for index in range(100):
+            validator.validate(cert if index % 2 else other, at=1.0)
+        # Two leaves and the intermediate they share: three pairs.
+        assert sorted(verified) == sorted(
+            c.tbs_bytes() for c in (cert, other, intermediate.certificate)
+        )
+
+    def test_the_table_never_exceeds_its_bound(self, keystore, monkeypatch):
+        monkeypatch.setattr(TrustValidator, "SIGNATURES_REMEMBERED", 8)
+        ca = CertificateAuthority("Root", keystore)
+        validator = TrustValidator(keystore, [ca])
+        certs = [
+            ca.issue(
+                f"svc-{index}",
+                keystore.generate(f"svc-{index}").public,
+                not_before=0.0,
+                lifetime=100.0,
+            )
+            for index in range(20)
+        ]
+        for cert in certs:
+            validator.validate(cert, at=1.0)
+            assert len(validator._verified) <= 8
+        # The oldest fell out, and is simply verified again.
+        assert (ca.keypair.public.key_id, certs[0]) not in validator._verified
+        validator.validate(certs[0], at=1.0)
+        assert (ca.keypair.public.key_id, certs[0]) in validator._verified
+        assert len(validator._verified) == 8
+
+    def test_a_failed_signature_is_not_remembered(self, chain):
+        from dataclasses import replace
+
+        _, _, cert, validator = chain
+        before = dict(validator._verified)
+        assert not validator.is_valid(replace(cert, subject="mallory"), at=2.0)
+        assert validator._verified == before

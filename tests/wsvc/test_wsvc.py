@@ -161,6 +161,54 @@ class TestWsSecurity:
                 SoapEnvelope.from_xml(protected.to_xml()), keystore, validator
             )
 
+    def test_token_memo_parses_a_token_once_and_checks_it_every_time(self, pki):
+        from repro.wsvc import ws_security
+
+        keystore, pair, cert, _, _, validator = pki
+        arrived = SoapEnvelope.from_xml(
+            secure_envelope(
+                request_envelope("op", "<B/>"), pair, cert, keystore
+            ).to_xml()
+        )
+        ws_security._certificate_of.cache_clear()
+        for _ in range(3):
+            assert signer_of(verify_envelope(arrived, keystore, validator)) == "sender"
+        info = ws_security._certificate_of.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert info.maxsize == ws_security.TOKEN_MEMO_SIZE
+        # Warm memo, warm validator: a revocation still lands on the
+        # very next message, and so does the clock.
+        with pytest.raises(WsSecurityError, match="outside validity"):
+            verify_envelope(arrived, keystore, validator, at=cert.not_after + 1)
+        validator._anchors["Root"].revoke(cert)
+        with pytest.raises(WsSecurityError, match="revoked"):
+            verify_envelope(arrived, keystore, validator)
+
+    def test_token_memo_keeps_altered_tokens_apart(self, pki):
+        keystore, pair, cert, _, _, validator = pki
+        protected = secure_envelope(
+            request_envelope("op", "<B/>"), pair, cert, keystore
+        ).to_xml()
+        verify_envelope(SoapEnvelope.from_xml(protected), keystore, validator)
+        forged = SoapEnvelope.from_xml(
+            protected.replace('subject="sender"', 'subject="mallory"')
+        )
+        for _ in range(3):
+            with pytest.raises(WsSecurityError, match="untrusted signer 'mallory'"):
+                verify_envelope(forged, keystore, validator)
+
+    def test_a_token_that_does_not_parse_raises_every_time(self, pki):
+        keystore, pair, cert, _, _, validator = pki
+        protected = secure_envelope(
+            request_envelope("op", "<B/>"), pair, cert, keystore
+        ).to_xml()
+        broken = SoapEnvelope.from_xml(
+            protected.replace(f'serial="{cert.serial}"', 'serial="many"')
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                verify_envelope(broken, keystore, validator)
+
     def test_security_adds_measurable_overhead(self, pki):
         keystore, pair, cert, recipient, _, _ = pki
         plain = request_envelope("op", "<Data>x</Data>")

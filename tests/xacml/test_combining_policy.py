@@ -19,12 +19,16 @@ from repro.xacml import (
 )
 
 
-def ok(decision):
-    return lambda: (decision, None)
-
-
 def make_children(*decisions):
-    return [ok(d) for d in decisions]
+    """Child outcomes the way a combiner is fed them: lazily."""
+    return ((decision, None) for decision in decisions)
+
+
+def recording(calls, *decisions):
+    """Like ``make_children``, noting each outcome as it is pulled."""
+    for decision in decisions:
+        calls.append(decision)
+        yield decision, None
 
 
 class TestCombiningAlgorithms:
@@ -88,16 +92,8 @@ class TestCombiningAlgorithms:
 
     def test_deny_overrides_short_circuits(self):
         calls = []
-
-        def child(decision):
-            def run():
-                calls.append(decision)
-                return decision, None
-
-            return run
-
         combiner = combining.lookup(combining.RULE_DENY_OVERRIDES)
-        combiner([child(Decision.DENY), child(Decision.PERMIT)])
+        combiner(recording(calls, Decision.DENY, Decision.PERMIT))
         assert calls == [Decision.DENY]
 
     def test_unknown_algorithm(self):
@@ -115,16 +111,8 @@ class TestCombiningAlgorithms:
 
     def test_first_applicable_leading_indeterminate_short_circuits(self):
         calls = []
-
-        def child(decision):
-            def run():
-                calls.append(decision)
-                return decision, None
-
-            return run
-
         combiner = combining.lookup(combining.RULE_FIRST_APPLICABLE)
-        combiner([child(Decision.INDETERMINATE), child(Decision.DENY)])
+        combiner(recording(calls, Decision.INDETERMINATE, Decision.DENY))
         assert calls == [Decision.INDETERMINATE]
 
     @pytest.mark.parametrize(

@@ -3,18 +3,30 @@
 import pytest
 
 from repro.xacml import (
+    ACTION_ID,
+    AllOf,
+    AnyOf,
     AnalysisGateError,
+    AttributeDesignator,
+    Category,
+    DataType,
     Decision,
+    Match,
     PdpEngine,
     Policy,
     PolicyStore,
+    RESOURCE_ID,
     RequestContext,
+    Target,
     combining,
     deny_rule,
+    functions,
+    match_equal,
     permit_rule,
     string,
     subject_resource_action_target,
 )
+from repro.xacml.attributes import any_uri
 
 
 def resource_policy(resource_id, subject_id="alice"):
@@ -108,6 +120,86 @@ class TestPolicyStore:
             "unindexable": 0,
             "index_keys": 0,
         }
+
+
+def ill_typed_resource_target(resource_id) -> Target:
+    """``string-equal`` over an anyURI literal: every compare raises, so
+    the target is Indeterminate wherever a resource is carried."""
+    return Target(
+        any_ofs=(
+            AnyOf(
+                all_ofs=(
+                    AllOf(
+                        (
+                            Match(
+                                functions.FUNCTION_PREFIX_1_0 + "string-equal",
+                                any_uri(resource_id),
+                                AttributeDesignator(
+                                    Category.RESOURCE, RESOURCE_ID, DataType.STRING
+                                ),
+                            ),
+                        )
+                    ),
+                )
+            ),
+        )
+    )
+
+
+class TestTargetSummaries:
+    """``AnyOf.pins()`` is the one walk; ``constraining_values`` and the
+    store's plan are views of it."""
+
+    def test_pins_report_the_bag_and_the_value(self):
+        group = subject_resource_action_target(resource_id="doc").any_ofs[0]
+        ((pin,),) = group.pins()
+        designator, value = pin
+        assert (designator.category, designator.attribute_id) == (
+            Category.RESOURCE,
+            RESOURCE_ID,
+        )
+        assert value == string("doc")
+        assert group.constraining_values(Category.RESOURCE, RESOURCE_ID) == {"doc"}
+        assert group.constraining_values(Category.ACTION, ACTION_ID) is None
+
+    def test_an_alternative_without_a_pin_unpins_the_group(self):
+        role = match_equal(Category.SUBJECT, "urn:test:role", string("admin"))
+        doc = match_equal(Category.RESOURCE, RESOURCE_ID, string("doc"))
+        assert AnyOf((AllOf((doc,)), AllOf((role,)))).pins() is None
+        assert AnyOf((AllOf((doc, role)),)).pins() is not None
+        assert AnyOf(()).pins() is None
+
+    def test_an_ill_typed_equality_pins_nothing(self):
+        target = ill_typed_resource_target("doc")
+        assert target.any_ofs[0].pins() is None
+        assert target.constraining_values(Category.RESOURCE, RESOURCE_ID) is None
+        # ... so a shard may not drop the element: it is Indeterminate
+        # (a PEP denies) for every resource, on every shard.
+        store = PolicyStore()
+        store.add(Policy(policy_id="p", rules=(deny_rule("d"),), target=target))
+        assert len(store.partition_for(lambda resource: False)) == 1
+        assert store.shard_stats()["unindexable"] == 1
+
+    def test_the_store_posts_under_the_first_group_and_keeps_the_rest(self):
+        store = PolicyStore()
+        store.add(
+            Policy(
+                policy_id="p",
+                rules=(permit_rule("r"),),
+                target=subject_resource_action_target("alice", "doc", "read"),
+            )
+        )
+        assert store.shard_stats()["index_keys"] == 1
+        for subject, resource, action, handed in (
+            ("alice", "doc", "read", 1),
+            ("bob", "doc", "read", 0),  # misses the posting key
+            ("alice", "other", "read", 0),  # dropped by the residue
+            ("alice", "doc", "write", 0),
+        ):
+            request = RequestContext.simple(subject, resource, action)
+            assert len(store.candidates(request)) == handed, (subject, resource, action)
+        # What a request does not carry rules nothing out.
+        assert len(store.candidates(RequestContext())) == 1
 
 
 class TestPdpEngine:

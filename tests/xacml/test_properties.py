@@ -8,8 +8,13 @@ Invariants checked:
 * target indexing never changes engine decisions — over conjunctive,
   disjunctive and ordered-comparison targets, multi-valued id bags and
   requests that leave a canonical id to the PIP finder;
+* the property those are instances of: the indexed store hands a
+  request every element whose target does not evaluate NO_MATCH — over
+  multi-group, multi-alternative, typed, issuer-bound and ill-typed
+  targets, and finders that supply the canonical ids;
 * under interleaved add / remove / replace the indexed store keeps
-  deciding like the linear oracle and keeps insertion order;
+  deciding like the linear oracle and keeps insertion order, and
+  leaves no bag or residue behind;
 * request cache keys are stable under attribute reordering.
 """
 
@@ -24,6 +29,12 @@ from hypothesis.stateful import (
     rule,
 )
 
+from test_evaluation_oracle import (
+    finders as oracle_finders,
+    requests as oracle_requests,
+    targets as oracle_targets,
+)
+
 from repro.xacml import (
     ACTION_ID,
     AllOf,
@@ -33,7 +44,9 @@ from repro.xacml import (
     Category,
     DataType,
     Decision,
+    EvaluationContext,
     Match,
+    MatchResult,
     PdpEngine,
     Policy,
     PolicyStore,
@@ -51,6 +64,7 @@ from repro.xacml import (
     string,
     subject_resource_action_target,
 )
+from repro.xacml.attributes import any_uri
 
 decisions = st.sampled_from(
     [Decision.PERMIT, Decision.DENY, Decision.NOT_APPLICABLE, Decision.INDETERMINATE]
@@ -62,7 +76,8 @@ actions = st.sampled_from(["read", "write", "delete"])
 
 
 def evaluables(items):
-    return [lambda d=d: (d, None) for d in items]
+    """Child outcomes the way a combiner is fed them: lazily."""
+    return ((decision, None) for decision in items)
 
 
 class TestCombiningAlgebra:
@@ -146,14 +161,35 @@ def either(*matches):
 
 @st.composite
 def random_targets(draw):
-    """A policy target: mostly today's conjunctive shape, sometimes with
-    a disjunctive or an ordered-comparison group in front of it."""
+    """A policy target: mostly today's conjunctive shape — ``(resource,
+    action)`` and ``(subject, resource, action)`` among its draws, so
+    most elements carry a residue — sometimes with a disjunctive or an
+    ordered-comparison group in front of it, or a group of several
+    alternatives behind it (a residue group that reads one bag twice,
+    or two bags)."""
     conjunctive = subject_resource_action_target(
         draw(st.one_of(st.none(), subjects)),
         draw(st.one_of(st.none(), resources)),
         draw(st.one_of(st.none(), actions)),
     )
-    shape = draw(st.sampled_from(["conjunctive", "disjunctive", "ordered"]))
+    shape = draw(
+        st.sampled_from(["conjunctive", "disjunctive", "ordered", "alternatives"])
+    )
+    if shape == "alternatives":
+        extra = either(
+            match_equal(Category.ACTION, ACTION_ID, string(draw(actions))),
+            draw(
+                st.one_of(
+                    actions.map(
+                        lambda a: match_equal(Category.ACTION, ACTION_ID, string(a))
+                    ),
+                    subjects.map(
+                        lambda s: match_equal(Category.SUBJECT, SUBJECT_ID, string(s))
+                    ),
+                )
+            ),
+        )
+        return Target(any_ofs=conjunctive.any_ofs + (extra,))
     if shape == "disjunctive":
         extra = either(
             match_equal(
@@ -336,6 +372,130 @@ class TestIndexingProperties:
         assert oracle == [Decision.PERMIT]
         assert single == batched == oracle
 
+    @pytest.mark.parametrize(
+        "designator, literal, request_resource, siblings, finds, expected",
+        [
+            # The request carries resource-id only as anyURI: the string
+            # bag the target reads is empty and the finder fills it.
+            (
+                AttributeDesignator(Category.RESOURCE, RESOURCE_ID, DataType.STRING),
+                string("res-1"),
+                any_uri("res-2"),
+                (),
+                True,
+                Decision.DENY,
+            ),
+            # The designator names an issuer: the un-issued res-2 is not
+            # in the bag it reads.
+            (
+                AttributeDesignator(
+                    Category.RESOURCE, RESOURCE_ID, DataType.STRING, issuer="hr"
+                ),
+                string("res-1"),
+                string("res-2"),
+                (),
+                True,
+                Decision.DENY,
+            ),
+            # string-equal over an anyURI literal raises on every
+            # compare: Indeterminate (a PEP denies), whatever a sibling
+            # permits.  Membership in EQUALITY_FUNCTIONS is not
+            # "compares by value".
+            (
+                AttributeDesignator(Category.RESOURCE, RESOURCE_ID, DataType.STRING),
+                any_uri("res-1"),
+                string("res-2"),
+                (Policy(policy_id="permit-all", rules=(permit_rule("p"),)),),
+                False,
+                Decision.INDETERMINATE,
+            ),
+        ],
+        ids=["typed", "issuer-bound", "ill-typed-literal"],
+    )
+    def test_index_keys_on_the_bag_the_target_reads(
+        self, designator, literal, request_resource, siblings, finds, expected
+    ):
+        """Three requests the first-identifier index lost (the first two
+        lose a Deny): it keyed a bag the engine does not read."""
+        deny = Policy(
+            policy_id="deny-res-1",
+            rules=(deny_rule("d"),),
+            target=Target(
+                any_ofs=(
+                    either(
+                        Match(
+                            match_function=functions.FUNCTION_PREFIX_1_0
+                            + "string-equal",
+                            value=literal,
+                            designator=designator,
+                        )
+                    ),
+                )
+            ),
+        )
+        request = RequestContext()
+        request.add(Category.SUBJECT, Attribute.of(SUBJECT_ID, string("s")))
+        request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, request_resource))
+        request.add(Category.ACTION, Attribute.of(ACTION_ID, string("read")))
+        single, batched, oracle = decide_both_ways(
+            [deny, *siblings],
+            [request],
+            finder_supplying(resource="res-1") if finds else None,
+        )
+        assert oracle == [expected]
+        assert single == batched == oracle
+
+    def test_an_omitted_residue_id_is_a_wildcard_too(self):
+        """Posted under the resource, filtered by the action — which
+        this request leaves to the finder: absent is not "no match"."""
+        policy = Policy(
+            policy_id="p",
+            rules=(permit_rule("allow"),),
+            target=subject_resource_action_target(
+                resource_id="r1", action_id="read"
+            ),
+        )
+        request = request_with_subjects(["s1"], "r1", None)
+        single, batched, oracle = decide_both_ways(
+            [policy], [request], finder_supplying(action="read")
+        )
+        assert oracle == [Decision.PERMIT]
+        assert single == batched == oracle
+
+    @given(
+        st.lists(oracle_targets, min_size=1, max_size=6),
+        oracle_requests(),
+        oracle_finders(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_candidates_hold_every_element_that_can_match(
+        self, targets, request, finder
+    ):
+        """What a filter must hold, and more than equal decisions: an
+        element is dropped only where its target is *definitely*
+        NO_MATCH — never where it is Indeterminate, and never on the
+        strength of a bag the request does not carry."""
+        store = PolicyStore(indexed=True)
+        for index, target in enumerate(targets):
+            store.add(
+                Policy(
+                    policy_id=f"p{index}",
+                    rules=(permit_rule("allow"),),
+                    target=target,
+                )
+            )
+        handed = store.candidates(request)
+        assert is_subsequence(handed, store.elements())
+        for element in store.elements():
+            outcome = element.target.evaluate(
+                EvaluationContext(request=request, attribute_finder=finder)
+            )
+            if outcome is not MatchResult.NO_MATCH:
+                assert any(element is held for held in handed), (
+                    element.policy_id,
+                    outcome,
+                )
+
 
 def is_subsequence(part, whole):
     remaining = iter(whole)
@@ -442,6 +602,9 @@ class StoreChurn(RuleBasedStateMachine):
             "unindexable": 0,
             "index_keys": 0,
         }
+        # Nothing outlives its last user: no bag, no shared residue.
+        assert self.indexed.store._index == {}
+        assert self.indexed.store._residues == {}
 
 
 StoreChurn.TestCase.settings = settings(
