@@ -138,10 +138,8 @@ def collect_e18() -> dict:
 
     configs = {}
     for label, mode in (("direct", "direct"), ("federated", "federated")):
-        network, peps_by_domain, hubs = e18.build_vo(
-            domains=2, replicas=1, mode=mode
-        )
-        stats = e18.drive(network, peps_by_domain, remote_fraction=0.5)
+        vo = e18.build_federated_vo(domains=2, replicas=1, mode=mode)
+        stats = e18.drive(vo.network, vo.peps_by_domain, remote_fraction=0.5)
         configs[label] = {
             "decisions_per_sec": round(stats.fleet.decisions_per_sec, 1),
             "msgs_per_decision": round(
@@ -153,7 +151,7 @@ def collect_e18() -> dict:
         }
         if mode == "federated":
             configs[label]["forwarded_batches"] = sum(
-                hub.forwarded_batches_sent for hub in hubs
+                hub.forwarded_batches_sent for hub in vo.hubs
             )
     return {
         "description": "2 domains x 3 PEPs x 1 replica, remote fraction "
@@ -178,7 +176,7 @@ def collect_e18_cache() -> dict:
         ("cache_on", e18.COVERING_TTL),
     ):
         stats, hubs, audit = e18.run_cache_cell(0.5, cache_ttl)
-        cache_stats = [hub.remote_cache_stats() for hub in hubs]
+        cache_stats = [hub.remote_cache.snapshot() for hub in hubs]
         lookups = sum(s["hits"] + s["misses"] for s in cache_stats)
         configs[label] = {
             "decisions_per_sec": round(stats.fleet.decisions_per_sec, 1),

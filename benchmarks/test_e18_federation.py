@@ -134,14 +134,7 @@ def gateway_batch_for(pep_count: int, replicas: int) -> int:
 
 @dataclass
 class FederatedVO:
-    """Everything one parameterised VO build produces.
-
-    The three historic builders (plain/cached/directory) each returned
-    a different tuple slice of this; the thin wrappers below preserve
-    those exact shapes for callers (collect.py, older tests) while new
-    consumers — E24's tracing benchmark in particular — take the whole
-    object.
-    """
+    """Everything one parameterised VO build produces."""
 
     network: Network
     peps_by_domain: dict
@@ -387,20 +380,6 @@ def build_federated_vo(
     )
 
 
-def build_vo(
-    domains: int = 2,
-    replicas: int = 1,
-    peps_per_domain: int = PEPS_PER_DOMAIN,
-    mode: str = "federated",
-    seed: int = 18,
-):
-    """Historic plain-VO shape: ``(network, peps_by_domain, hubs)``."""
-    vo = build_federated_vo(
-        domains, replicas, peps_per_domain, mode=mode, seed=seed
-    )
-    return vo.network, vo.peps_by_domain, vo.hubs
-
-
 def drive(
     network,
     peps_by_domain,
@@ -467,10 +446,9 @@ def test_e18_federated_vs_direct(benchmark):
                 measured = {}
                 grants = {}
                 for mode in ("direct", "federated"):
-                    network, peps_by_domain, hubs = build_vo(
-                        domains, replicas, mode=mode
-                    )
-                    stats = drive(network, peps_by_domain, remote_fraction)
+                    vo = build_federated_vo(domains, replicas, mode=mode)
+                    peps_by_domain, hubs = vo.peps_by_domain, vo.hubs
+                    stats = drive(vo.network, peps_by_domain, remote_fraction)
                     total = domains * PEPS_PER_DOMAIN * EVENTS
                     assert stats.fleet.completed == total, (
                         f"{mode} domains={domains} replicas={replicas} "
@@ -524,13 +502,13 @@ def test_e18_federated_vs_direct(benchmark):
     )
     experiment.show()
 
-    benchmark(
-        lambda: drive(
-            *build_vo(2, 1, peps_per_domain=2, mode="federated", seed=181)[:2],
-            remote_fraction=0.5,
-            events=16,
+    def small_run():
+        vo = build_federated_vo(2, 1, peps_per_domain=2, seed=181)
+        return drive(
+            vo.network, vo.peps_by_domain, remote_fraction=0.5, events=16
         )
-    )
+
+    benchmark(small_run)
 
 
 def test_e18_remote_fraction_cost_profile():
@@ -558,8 +536,9 @@ def test_e18_remote_fraction_cost_profile():
     fractions = (0.2, 0.8) if SMOKE else (0.1, 0.3, 0.5, 0.7, 0.9)
     cost = {}
     for remote_fraction in fractions:
-        network, peps_by_domain, hubs = build_vo(2, 1, mode="federated")
-        stats = drive(network, peps_by_domain, remote_fraction)
+        vo = build_federated_vo(2, 1)
+        hubs = vo.hubs
+        stats = drive(vo.network, vo.peps_by_domain, remote_fraction)
         assert stats.fleet.completed == 2 * PEPS_PER_DOMAIN * EVENTS
         cost[remote_fraction] = stats.fleet.messages_per_decision
         experiment.add_row(
@@ -644,37 +623,6 @@ def publish_revoked_policies(pap, domain_name: str, subject_id: str) -> None:
         )
 
 
-def build_cached_vo(
-    domains: int = 2,
-    replicas: int = 1,
-    peps_per_domain: int = PEPS_PER_DOMAIN,
-    remote_cache_ttl: float = 0.0,
-    seed: int = 18,
-):
-    """The federated VO of :func:`build_vo` plus the coherence plane.
-
-    Every domain's gateway runs the remote-decision cache at
-    ``remote_cache_ttl``; one VO-wide revocation authority pushes
-    records over the invalidation bus to a per-domain
-    :class:`CoherenceAgent` protecting that domain's gateway, and every
-    PDP subscribes to its PAP's change notifications (intra-domain
-    policy coherence), so a revocation bites fresh decisions
-    immediately and cached ones within the coherence machinery's reach.
-
-    Historic shape: ``(network, peps_by_domain, gateways, paps,
-    authority)``.
-    """
-    vo = build_federated_vo(
-        domains,
-        replicas,
-        peps_per_domain,
-        remote_cache_ttl=remote_cache_ttl,
-        coherence=True,
-        seed=seed,
-    )
-    return vo.network, vo.peps_by_domain, vo.gateways, vo.paps, vo.authority
-
-
 def schedule_revocation(network, paps, authority, audit) -> None:
     """Mid-run: every domain's policies drop the subject + one record."""
 
@@ -693,22 +641,28 @@ def run_cache_cell(
     events: int = None,
     seed: int = 18,
 ):
-    """One grid cell: hot workload + mid-run revocation, audited."""
-    network, peps_by_domain, hubs, paps, authority = build_cached_vo(
-        2, 1, remote_cache_ttl=cache_ttl, seed=seed
+    """One grid cell: hot workload + mid-run revocation, audited.
+
+    The VO carries the coherence plane (``coherence=True``): a
+    revocation bites fresh decisions immediately through the
+    change-subscribed PDPs, and cached ones within the push agents'
+    reach.
+    """
+    vo = build_federated_vo(
+        2, 1, remote_cache_ttl=cache_ttl, coherence=True, seed=seed
     )
     audit = StalenessAudit(REVOKED_SUBJECT, COHERENCE_WINDOW)
-    schedule_revocation(network, paps, authority, audit)
+    schedule_revocation(vo.network, vo.paps, vo.authority, audit)
     stats = drive(
-        network,
-        peps_by_domain,
+        vo.network,
+        vo.peps_by_domain,
         remote_fraction,
         events=events if events is not None else GRID_EVENTS,
         subjects=GRID_SUBJECTS,
         read_fraction=1.0,
         observer=audit,
     )
-    return stats, hubs, audit
+    return stats, vo.gateways, audit
 
 
 def test_e18c_gateway_cache_grid():
@@ -754,7 +708,7 @@ def test_e18c_gateway_cache_grid():
             assert audit.revoked_at is not None
             assert audit.denials_after > 0
             assert stats.fleet.duration > REVOKE_AT + COHERENCE_WINDOW
-            cache_stats = [hub.remote_cache_stats() for hub in hubs]
+            cache_stats = [hub.remote_cache.snapshot() for hub in hubs]
             hits = sum(hub.remote_cache_hits for hub in hubs)
             forwarded = sum(hub.requests_forwarded for hub in hubs)
             lookups = sum(s["hits"] + s["misses"] for s in cache_stats)
@@ -768,7 +722,7 @@ def test_e18c_gateway_cache_grid():
                 round(sum(s["hits"] for s in cache_stats) / lookups, 3)
                 if lookups
                 else 0.0,
-                sum(hub.remote_cache_fenced for hub in hubs),
+                sum(hub.remote_cache.fenced for hub in hubs),
                 audit.stale_grants_in_window,
                 audit.violation_count,
             )
@@ -826,55 +780,30 @@ TRANSFER_AT = 0.15
 DIRECTORY_TTLS = {"short": 0.01, "long": 10.0}
 
 
-def build_directory_vo(
-    directory_mode: str = "inproc",
-    directory_ttl: float = 0.02,
-    subscribe: bool = False,
-    domains: int = 2,
-    replicas: int = 1,
-    peps_per_domain: int = PEPS_PER_DOMAIN,
-    seed: int = 18,
-):
-    """A federated VO whose directory is either in-process or a service.
-
-    One resource (``res.dom0.0``, the "moving" resource) has identical
-    permit-read policies published in *both* dom0 and dom1, so its
-    decisions are routing-independent: mid-run governance transfer can
-    only move messages, never grants — which is exactly what lets the
-    profile assert grant parity against the in-process baseline while
-    the misroute counters show where stale routing had to be repaired.
-
-    Historic shape: ``(network, peps_by_domain, hubs, transfer,
-    clients)`` where ``transfer()`` performs the scheduled governance
-    move through whichever directory tier is in play.
-    """
-    vo = build_federated_vo(
-        domains,
-        replicas,
-        peps_per_domain,
-        directory_mode=directory_mode,
-        directory_ttl=directory_ttl,
-        subscribe=subscribe,
-        moving_resource=True,
-        seed=seed,
-    )
-    return vo.network, vo.peps_by_domain, vo.gateways, vo.transfer, vo.clients
-
-
 def run_directory_profile_row(
     directory_mode: str,
     directory_ttl: float = 0.02,
     subscribe: bool = False,
     remote_fraction: float = 0.5,
 ):
-    network, peps_by_domain, hubs, transfer, clients = build_directory_vo(
-        directory_mode,
+    """One profile row over a VO with a moving resource.
+
+    ``res.dom0.0`` has identical permit-read policies published in
+    *both* dom0 and dom1, so its decisions are routing-independent:
+    the mid-run governance transfer can only move messages, never
+    grants — which is what lets the profile assert grant parity against
+    the in-process baseline while the misroute counters show where
+    stale routing had to be repaired.
+    """
+    vo = build_federated_vo(
+        directory_mode=directory_mode,
         directory_ttl=directory_ttl,
         subscribe=subscribe,
+        moving_resource=True,
     )
-    network.loop.schedule(TRANSFER_AT, transfer, label="e18d-transfer")
-    stats = drive(network, peps_by_domain, remote_fraction)
-    return network, stats, hubs, clients
+    vo.network.loop.schedule(TRANSFER_AT, vo.transfer, label="e18d-transfer")
+    stats = drive(vo.network, vo.peps_by_domain, remote_fraction)
+    return vo.network, stats, vo.gateways, vo.clients
 
 
 def test_e18d_directory_staleness_profile():

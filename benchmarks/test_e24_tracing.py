@@ -122,9 +122,10 @@ def run_e18_tier(sample_rate: float):
     import test_e18_federation as e18
 
     _reset_wire_ids()
-    network, peps_by_domain, hubs = e18.build_vo(2, 1, mode="federated")
+    vo = e18.build_federated_vo(2, 1)
+    network = vo.network
     network.tracer.sample_rate = sample_rate
-    stats = e18.drive(network, peps_by_domain, remote_fraction=0.5)
+    stats = e18.drive(network, vo.peps_by_domain, remote_fraction=0.5)
     return network, _headline(network, stats.fleet)
 
 
@@ -291,15 +292,16 @@ def test_e24_trace_audit_staleness():
     import test_e18_federation as e18
 
     _reset_wire_ids()
-    network, peps_by_domain, hubs, paps, authority = e18.build_cached_vo(
-        2, 1, remote_cache_ttl=e18.COVERING_TTL
+    vo = e18.build_federated_vo(
+        2, 1, remote_cache_ttl=e18.COVERING_TTL, coherence=True
     )
+    network, hubs = vo.network, vo.gateways
     network.tracer.sample_rate = 1.0
     audit = StalenessAudit(e18.REVOKED_SUBJECT, e18.COHERENCE_WINDOW)
-    e18.schedule_revocation(network, paps, authority, audit)
+    e18.schedule_revocation(network, vo.paps, vo.authority, audit)
     stats = e18.drive(
         network,
-        peps_by_domain,
+        vo.peps_by_domain,
         0.5,
         events=e18.GRID_EVENTS,
         subjects=e18.GRID_SUBJECTS,
@@ -345,12 +347,15 @@ def test_e24_trace_audit_misroutes():
     import test_e18_federation as e18
 
     _reset_wire_ids()
-    network, peps_by_domain, hubs, transfer, clients = e18.build_directory_vo(
-        "service", directory_ttl=e18.DIRECTORY_TTLS["long"]
+    vo = e18.build_federated_vo(
+        directory_mode="service",
+        directory_ttl=e18.DIRECTORY_TTLS["long"],
+        moving_resource=True,
     )
+    network, hubs = vo.network, vo.gateways
     network.tracer.sample_rate = 1.0
-    network.loop.schedule(e18.TRANSFER_AT, transfer, label="e24-transfer")
-    stats = e18.drive(network, peps_by_domain, 0.5)
+    network.loop.schedule(e18.TRANSFER_AT, vo.transfer, label="e24-transfer")
+    stats = e18.drive(network, vo.peps_by_domain, 0.5)
     assert stats.fleet.completed == 2 * e18.PEPS_PER_DOMAIN * e18.EVENTS
     spans = network.tracer.spans
     accounting = misroute_accounting(spans)

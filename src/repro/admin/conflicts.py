@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Union
 
 from ..models.chinese_wall import ChineseWallEngine
-from ..xacml.attributes import ACTION_ID, Category, RESOURCE_ID, SUBJECT_ID
+from ..xacml.attributes import AttributeDesignator
 from ..xacml.context import Decision, RequestContext
 from ..xacml.policy import Policy, PolicySet
 from ..xacml.rules import Rule
+from ..xacml.targets import ACTION_BAG, RESOURCE_BAG, SUBJECT_BAG
 
 PolicyElement = Union[Policy, PolicySet]
 
@@ -81,13 +82,9 @@ class ConflictFinding:
 
 
 def _footprint(policy: Policy, rule: Rule) -> RuleFootprint:
-    def extract(target, category, attribute_id) -> Optional[frozenset[str]]:
-        values = target.constraining_values(category, attribute_id)
-        return frozenset(values) if values else None
-
-    def merged(category, attribute_id) -> Optional[frozenset[str]]:
-        from_policy = extract(policy.target, category, attribute_id)
-        from_rule = extract(rule.target, category, attribute_id)
+    def merged(bag: AttributeDesignator) -> Optional[frozenset[str]]:
+        from_policy = policy.target.pinned(bag)
+        from_rule = rule.target.pinned(bag)
         if from_policy is None:
             return from_rule
         if from_rule is None:
@@ -98,9 +95,9 @@ def _footprint(policy: Policy, rule: Rule) -> RuleFootprint:
         policy_id=policy.policy_id,
         rule_id=rule.rule_id,
         effect=rule.effect,
-        subjects=merged(Category.SUBJECT, SUBJECT_ID),
-        resources=merged(Category.RESOURCE, RESOURCE_ID),
-        actions=merged(Category.ACTION, ACTION_ID),
+        subjects=merged(SUBJECT_BAG),
+        resources=merged(RESOURCE_BAG),
+        actions=merged(ACTION_BAG),
         has_condition=rule.condition is not None,
     )
 

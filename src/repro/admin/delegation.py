@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from ..xacml.attributes import AttributeDesignator
 from ..xacml.policy import Policy, PolicySet
+from ..xacml.targets import ACTION_BAG, RESOURCE_BAG
 
 PolicyElement = Union[Policy, PolicySet]
 
@@ -210,23 +212,19 @@ class DelegationRegistry:
         """The narrowest scope the policy's target confines it to.
 
         A dimension is named only when the target *requires* that one
-        value (:meth:`~repro.xacml.targets.Target.constraining_values`);
-        a literal that sits in one branch of a disjunction confines
+        value of the request's own id bag
+        (:meth:`~repro.xacml.targets.Target.pinned`); a literal that
+        sits in one branch of a disjunction, or pins another bag of the
+        same name (typed ``anyURI``, bound to an issuer), confines
         nothing, so the policy needs a grant for ``"*"``.
         """
-        from ..xacml.attributes import (
-            ACTION_ID,
-            Category,
-            RESOURCE_ID,
-        )
-
-        def confined_to(category, attribute_id) -> str:
-            values = element.target.constraining_values(category, attribute_id)
+        def confined_to(bag: AttributeDesignator) -> str:
+            values = element.target.pinned(bag)
             return next(iter(values)) if values and len(values) == 1 else "*"
 
         return Scope(
-            resource_id=confined_to(Category.RESOURCE, RESOURCE_ID),
-            action_id=confined_to(Category.ACTION, ACTION_ID),
+            resource_id=confined_to(RESOURCE_BAG),
+            action_id=confined_to(ACTION_BAG),
         )
 
     def pap_guard(self, operation: str, requester: str, policy_id: str) -> bool:

@@ -39,7 +39,7 @@ from .base import (
     RpcFault,
     RpcTimeout,
 )
-from .cache import CacheStats, TtlCache
+from .cache import CacheStats, DecisionCache, TtlCache
 from .obligations import (
     AUDIT_OBLIGATION,
     ENCRYPT_RESPONSE_OBLIGATION,
@@ -135,6 +135,7 @@ __all__ = [
     "CacheStats",
     "CoalescingDecisionQueue",
     "DEFAULT_FORWARD_TTL",
+    "DecisionCache",
     "DecisionChannel",
     "DecisionDispatcher",
     "DomainDecisionGateway",

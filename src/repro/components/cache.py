@@ -11,6 +11,11 @@ access control decisions", mitigated by time constraints on validity.
 *simulated* clock, LRU capacity eviction, explicit invalidation, and
 counters that experiments E5/E6 read (hits, misses, expirations,
 stale-serve opportunities).
+
+:class:`DecisionCache` is the one cache of *decisions* — the PEP's
+``decision_cache`` and the federated gateway's ``remote_cache`` — and
+the one place their coherence lives: a revocation or policy change cuts
+the TTL short, for what is cached *and* for what is still on its way.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Optional, TypeVar
+
+from ..saml.xacml_profile import XacmlAuthzDecisionStatement
+from ..xacml.attributes import RESOURCE_ID, SUBJECT_ID, Category
+from ..xacml.context import KeyPart, cache_key_touches
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -180,3 +189,108 @@ class TtlCache(Generic[K, V]):
         if entry is None:
             return None
         return self._clock() - entry.stored_at
+
+
+#: The key-part prefix (category, attribute id; then the lexical value)
+#: ``cache_key_touches`` compares for a subject / resource id.
+_SUBJECT_PART = (Category.SUBJECT.value, SUBJECT_ID)
+_RESOURCE_PART = (Category.RESOURCE.value, RESOURCE_ID)
+_NO_FENCE = float("-inf")
+
+
+class DecisionCache(TtlCache[tuple[KeyPart, ...], XacmlAuthzDecisionStatement]):
+    """Decision statements by request identity, under one coherence rule:
+    **an invalidation beats every statement issued at or before it.**
+
+    :meth:`invalidate_for` / :meth:`invalidate_all` drop what is held
+    *and* leave a fence — the instant, per subject / resource id or
+    cache-wide; :meth:`admit` is a ``put`` that refuses a statement not
+    issued later than a fence its key touches.  Without it the answer
+    to a query sent just before a revocation, still on the wire or
+    queued at the PDP, refills the cache the revocation cleaned and is
+    served for a whole TTL (the PEP tier did, until it shared this
+    class with the gateway tier).
+
+    Sound because issue instants and fences read one simulated clock: a
+    statement issued after the fence was decided after the invalidation
+    reached this cache (how soon the PDP itself saw the change is its
+    policy cache's window, not this one's).  "At" is refused too — the
+    order within one instant is not known.  A fence only ever *refuses
+    an admission*: it serves nothing and changes no decision — the
+    refused statement still goes to the waiter that asked for it (the
+    window the coherence strategy declares), the next request misses
+    and asks again.  Keys match as :func:`~repro.xacml.context.
+    cache_key_touches` matches them — every typed or issued variant,
+    every value of a multi-valued id — so what an invalidation fences
+    is what it drops: more than it must, never less.
+
+    Cost: nothing until the first selective invalidation, then one dict
+    probe per key part per admission; one table entry per distinct
+    revoked subject / resource id, never pruned (that needs a bound on
+    delivery time the cache does not have).
+    """
+
+    def __init__(
+        self, ttl: float, clock: Callable[[], float], capacity: int = 10_000
+    ) -> None:
+        super().__init__(ttl, clock, capacity)
+        self._fence = _NO_FENCE  # cache-wide
+        #: ``(category, attribute id, lexical)`` of a revoked subject /
+        #: resource id -> when it was last invalidated.
+        self._fences: dict[tuple[str, str, str], float] = {}
+        self.fenced = 0  # admissions refused
+
+    def admit(
+        self, key: tuple[KeyPart, ...], statement: XacmlAuthzDecisionStatement
+    ) -> bool:
+        """``put`` unless an invalidation beats the statement."""
+        if not self.enabled:
+            return False
+        fence, fences = self._fence, self._fences
+        if fences:
+            for part in key:
+                at = fences.get(part[:3])
+                if at is not None and at > fence:
+                    fence = at
+        if statement.issue_instant <= fence:
+            self.fenced += 1
+            return False
+        self.put(key, statement)
+        return True
+
+    def invalidate_for(
+        self,
+        subject_id: Optional[str] = None,
+        resource_id: Optional[str] = None,
+    ) -> int:
+        """Drop, and fence, the decisions touching a subject and / or resource.
+
+        The selective coherence a revocation needs: revoking one
+        subject's rights must not cost every other cached decision
+        (paper §3.2 pits caching against revocation flexibility).
+        Entries matching *either* filter go; with neither, nothing does
+        (that is :meth:`invalidate_all`).  Returns the live entries
+        dropped.
+        """
+        if subject_id is None and resource_id is None:
+            return 0
+        now = self._clock()
+        if subject_id is not None:
+            self._fences[(*_SUBJECT_PART, subject_id)] = now
+        if resource_id is not None:
+            self._fences[(*_RESOURCE_PART, resource_id)] = now
+        return self.invalidate_where(
+            lambda key: cache_key_touches(
+                key, subject_id=subject_id, resource_id=resource_id
+            )
+        )
+
+    def invalidate_all(self) -> None:
+        """Drop every decision (a change no selective key can name)."""
+        self._fence = self._clock()
+        self.clear()
+
+    def snapshot(self) -> dict[str, float]:
+        """Hit/miss snapshot with expired entries purged first."""
+        self.purge_expired()
+        return {**self.stats.snapshot(), "entries": len(self)}

@@ -1021,15 +1021,10 @@ class CoalescingDecisionQueue(_StagedTier):
         the *owning* PEP — the gateway demultiplexes a shared wire slot
         into one of these calls per contributing PEP.
         """
-        self.pep.decision_cache.put(entry.key[1], statement)
+        self.pep.decision_cache.admit(entry.key[1], statement)
         self._record_latency(entry)
         for callback in entry.waiters:  # never empty: a slot opens with one
-            result = self.pep._enforce(
-                statement.response.decision,
-                tuple(statement.response.result.obligations),
-                entry.request,
-                source="pdp",
-            )
+            result = self.pep._settle(entry.request, statement)
             self.completions += 1
             callback(result)
         if entry.trace is not None:

@@ -64,11 +64,10 @@ from ..xacml.context import (
     ResponseContext,
     Status,
     StatusCode,
-    cache_key_touches,
 )
 from ..xmlutil import parse_attrs
 from .base import RpcFault
-from .cache import TtlCache
+from .cache import DecisionCache
 from .channel import is_secure_action, secure_action
 from .fabric import (
     BatchingStage,
@@ -359,7 +358,10 @@ class FederatedGateway(DomainDecisionGateway):
     revocation coherence: a
     :class:`~repro.revocation.coherence.CoherenceAgent` protecting the
     gateway (``protect_gateway``) selectively invalidates entries as
-    revocation records arrive (push/pull/hybrid strategies).
+    revocation records arrive (push/pull/hybrid strategies).  The cache
+    is a :class:`~repro.components.cache.DecisionCache`, the PEP tier's
+    own class: a reply issued at or before an invalidation that touches
+    it is delivered but not retained.
 
     Args:
         resolve_domain: maps a request to its governing domain name;
@@ -383,8 +385,6 @@ class FederatedGateway(DomainDecisionGateway):
         remote_cache_ttl: lifetime of gateway-tier cached remote
             decisions in simulated seconds; 0 (default) disables the
             cache — the PR 4 behaviour.
-        remote_cache_capacity: LRU capacity of the remote-decision
-            cache.
     """
 
     def __init__(
@@ -400,7 +400,6 @@ class FederatedGateway(DomainDecisionGateway):
         forward_delay: Optional[float] = None,
         peer_timeout: Optional[float] = None,
         remote_cache_ttl: float = 0.0,
-        remote_cache_capacity: int = 10_000,
         **kwargs,
     ) -> None:
         if not domain:
@@ -440,18 +439,9 @@ class FederatedGateway(DomainDecisionGateway):
         #: Gateway-tier cache of remote decisions, keyed by the bare
         #: request identity (cache_key) — shared across every PEP
         #: behind this gateway.
-        self.remote_cache: TtlCache = TtlCache(
-            ttl=remote_cache_ttl,
-            clock=lambda: self.now,
-            capacity=remote_cache_capacity,
+        self.remote_cache = DecisionCache(
+            ttl=remote_cache_ttl, clock=lambda: self.now
         )
-        #: Invalidation fences: decisions *issued* at or before the
-        #: fence must not (re-)enter the remote cache — an in-flight
-        #: reply granted under the pre-revocation world would otherwise
-        #: re-poison the cache moments after coherence cleaned it.
-        self._remote_fence = 0.0
-        self._subject_fences: dict[str, float] = {}
-        self._resource_fences: dict[str, float] = {}
         self.requests_forwarded = 0
         self.forwarded_batches_sent = 0
         self.forwarded_batches_served = 0
@@ -459,7 +449,6 @@ class FederatedGateway(DomainDecisionGateway):
         self.remote_decisions_delivered = 0
         self.remote_cache_hits = 0
         self.remote_cache_decisions_served = 0
-        self.remote_cache_fenced = 0
         self.misroutes_detected = 0
         self.misroutes_reforwarded = 0
         self.recheck_failures = 0
@@ -648,66 +637,8 @@ class FederatedGateway(DomainDecisionGateway):
         if not self.remote_cache.enabled:
             return
         for slot, statement in zip(slots, statements, strict=False):
-            if not statement.response.decision.is_definitive:
-                continue
-            if self._fenced(slot.request, statement.issue_instant):
-                self.remote_cache_fenced += 1
-                continue
-            self.remote_cache.put(slot.key, statement)
-
-    def _fenced(self, request: RequestContext, issued_at: float) -> bool:
-        """Was this decision issued no later than a matching fence?
-
-        The fence closes the re-poisoning race: a revocation's
-        invalidation can land while a pre-revocation decision is still
-        in flight; caching that reply would resurrect exactly the entry
-        coherence just killed, for a whole TTL.
-        """
-        fence = self._remote_fence
-        subject = request.subject_id
-        if subject is not None:
-            fence = max(fence, self._subject_fences.get(subject, 0.0))
-        resource = request.resource_id
-        if resource is not None:
-            fence = max(fence, self._resource_fences.get(resource, 0.0))
-        return fence > 0.0 and issued_at <= fence
-
-    def invalidate_remote_decisions(self) -> None:
-        """Drop every gateway-tier cached remote decision."""
-        self._remote_fence = self.now
-        self.remote_cache.clear()
-
-    def invalidate_remote_decisions_for(
-        self,
-        subject_id: Optional[str] = None,
-        resource_id: Optional[str] = None,
-    ) -> int:
-        """Selectively drop cached remote decisions (revocation coherence).
-
-        The gateway-tier twin of :meth:`~repro.components.pep.
-        PolicyEnforcementPoint.invalidate_decisions_for`: entries whose
-        request identity touches the revoked subject and/or resource are
-        dropped; everything else keeps amortising.  Returns the number
-        of entries invalidated.
-        """
-        if subject_id is None and resource_id is None:
-            return 0
-        if subject_id is not None:
-            self._subject_fences[subject_id] = self.now
-        if resource_id is not None:
-            self._resource_fences[resource_id] = self.now
-        return self.remote_cache.invalidate_where(
-            lambda key: cache_key_touches(
-                key, subject_id=subject_id, resource_id=resource_id
-            )
-        )
-
-    def remote_cache_stats(self) -> dict[str, float]:
-        """Hit/miss snapshot with expired entries purged first."""
-        self.remote_cache.purge_expired()
-        snapshot = self.remote_cache.stats.snapshot()
-        snapshot["entries"] = len(self.remote_cache)
-        return snapshot
+            if statement.response.decision.is_definitive:
+                self.remote_cache.admit(slot.key, statement)
 
     # -- the forwarding wire (jobs for the shared core) -----------------------------
 

@@ -241,3 +241,11 @@ def parse_revision(xml_text: str) -> int:
     if match is None:
         raise ValueError("not a PapRevision")
     return int(match.group(1))
+
+
+def parse_change_notice(xml_text: str) -> Optional[int]:
+    """The revision a ``pap.changed`` notice announces, None if malformed."""
+    match = re.match(
+        r'<PolicyChanged policyId="[^"]*" revision="(\d+)"/>$', xml_text
+    )
+    return None if match is None else int(match.group(1))

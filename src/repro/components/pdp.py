@@ -42,7 +42,7 @@ from .channel import (
     is_secure_action,
     secure_action,
 )
-from .pap import parse_bundle, parse_revision
+from .pap import parse_bundle, parse_change_notice, parse_revision
 from .pip import parse_pip_response, serialize_pip_query
 from .placement import AttributePartition, AttributeResolver, PlacementSpec
 
@@ -161,6 +161,10 @@ class PolicyDecisionPoint(Component):
             )
         self._policies_fetched_at: Optional[float] = None
         self._cached_revision: Optional[int] = None
+        #: Highest revision a change notice has named.  A bundle or a
+        #: probe answer older than it was overtaken on the wire by the
+        #: notice of a later change and must not mark the cache fresh.
+        self._announced_revision = 0
         self.decisions_made = 0
         self.pip_queries_sent = 0
         self.policy_fetches = 0
@@ -205,7 +209,7 @@ class PolicyDecisionPoint(Component):
             reply = self.call(self.pap_address, "pap.revision", "<PapQuery/>")
             self.revision_probes += 1
             revision = parse_revision(str(reply.payload))
-            if revision == self._cached_revision:
+            if revision == self._cached_revision and revision >= self._announced_revision:
                 self._policies_fetched_at = self.now
                 return
         reply = self.call(self.pap_address, "pap.retrieve", "<PapQuery scope=\"all\"/>")
@@ -216,7 +220,8 @@ class PolicyDecisionPoint(Component):
             store.add(element)
         self.engine.store = store
         self._cached_revision = revision
-        self._policies_fetched_at = self.now
+        overtaken = revision < self._announced_revision
+        self._policies_fetched_at = None if overtaken else self.now
 
     def invalidate_policy_cache(self) -> None:
         self._policies_fetched_at = None
@@ -234,6 +239,11 @@ class PolicyDecisionPoint(Component):
         self.call(self.pap_address, "pap.subscribe", "<Subscribe/>")
 
     def _handle_policy_changed(self, message: Message) -> None:
+        revision = parse_change_notice(str(message.payload))
+        if revision is not None:
+            if revision <= (self._cached_revision or 0):
+                return None  # the bundle held already includes this change
+            self._announced_revision = max(self._announced_revision, revision)
         self.invalidate_policy_cache()
         return None
 

@@ -39,11 +39,10 @@ from ..xacml.context import (
     RequestContext,
     Status,
     StatusCode,
-    cache_key_touches,
 )
 from ..xacml.parser import ParseError
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
-from .cache import TtlCache
+from .cache import DecisionCache
 from .channel import DecisionChannel
 from .fabric import CoalescingDecisionQueue, DecisionDispatcher
 from .pdp import BATCH_QUERY_ACTION, QUERY_ACTION
@@ -63,7 +62,6 @@ RevocationGuard = Callable[[RequestContext], Optional[str]]
 class PepConfig:
     #: Decision cache TTL in simulated seconds; 0 disables the cache.
     decision_cache_ttl: float = 0.0
-    decision_cache_capacity: int = 10_000
     #: Sign queries / verify response signatures (mutual authentication).
     secure_channel: bool = False
     #: Deny when no decision can be obtained (fail-safe); False would
@@ -117,10 +115,8 @@ class PolicyEnforcementPoint(Component):
         self.dispatcher: Optional[DecisionDispatcher] = None
         #: Client-side coalescing queue (see :meth:`enable_batching`).
         self.coalescer: Optional[CoalescingDecisionQueue] = None
-        self.decision_cache: TtlCache = TtlCache(
-            ttl=self.config.decision_cache_ttl,
-            clock=lambda: self.now,
-            capacity=self.config.decision_cache_capacity,
+        self.decision_cache = DecisionCache(
+            ttl=self.config.decision_cache_ttl, clock=lambda: self.now
         )
         self._obligation_handlers: dict[str, ObligationHandler] = {}
         #: Optional revocation coherence hook (see repro.revocation).
@@ -282,12 +278,7 @@ class PolicyEnforcementPoint(Component):
                 )
         cached = self.decision_cache.get(cache_key)
         if cached is not None:
-            return self._enforce(
-                cached.response.decision,
-                tuple(cached.response.result.obligations),
-                request,
-                source="cache",
-            )
+            return self._settle(request, cached, source="cache")
         return None
 
     def _fail_safe_result(self, exc: Exception) -> EnforcementResult:
@@ -332,13 +323,8 @@ class PolicyEnforcementPoint(Component):
             if self.config.deny_on_failure:
                 return self._fail_safe_result(exc)
             raise
-        self.decision_cache.put(cache_key, statement)
-        return self._enforce(
-            statement.response.decision,
-            tuple(statement.response.result.obligations),
-            request,
-            source="pdp",
-        )
+        self.decision_cache.admit(cache_key, statement)
+        return self._settle(request, statement)
 
     def authorize_batch(
         self, requests: list[RequestContext]
@@ -383,14 +369,9 @@ class PolicyEnforcementPoint(Component):
                 for (key, request), statement in zip(
                     miss_order, statement_batch.statements, strict=False
                 ):
-                    self.decision_cache.put(key, statement)
+                    self.decision_cache.admit(key, statement)
                     for index in miss_indices[key]:
-                        results[index] = self._enforce(
-                            statement.response.decision,
-                            tuple(statement.response.result.obligations),
-                            requests[index],
-                            source="pdp",
-                        )
+                        results[index] = self._settle(requests[index], statement)
         tracer = self.network.tracer
         if tracer.enabled:
             for request, result in zip(requests, results, strict=True):
@@ -399,13 +380,15 @@ class PolicyEnforcementPoint(Component):
                 )
         return results  # type: ignore[return-value]
 
-    def _enforce(
+    def _settle(
         self,
-        decision: Decision,
-        obligations: tuple[Obligation, ...],
         request: RequestContext,
-        source: str,
+        statement: XacmlAuthzDecisionStatement,
+        source: str = "pdp",
     ) -> EnforcementResult:
+        """Enforce one decision statement, fresh or cached, for one waiter."""
+        decision = statement.response.decision
+        obligations = tuple(statement.response.result.obligations)
         if decision is Decision.PERMIT:
             error = self._fulfil_obligations(obligations, request)
             if error is not None:
@@ -439,31 +422,6 @@ class PolicyEnforcementPoint(Component):
             RequestContext.simple(subject_id, resource_id, action_id)
         )
 
-    def invalidate_cached_decisions(self) -> None:
-        """Drop all cached decisions (e.g. after a known policy change)."""
-        self.decision_cache.clear()
-
-    def invalidate_decisions_for(
-        self,
-        subject_id: Optional[str] = None,
-        resource_id: Optional[str] = None,
-    ) -> int:
-        """Selectively drop cached decisions touching a subject/resource.
-
-        This is the precise form of coherence a revocation event needs:
-        revoking one subject's rights must not cost every other cached
-        decision (paper §3.2 pits caching against revocation
-        flexibility).  With both filters given, entries matching *either*
-        are dropped.  Returns the number of entries invalidated.
-        """
-        if subject_id is None and resource_id is None:
-            return 0
-        return self.decision_cache.invalidate_where(
-            lambda key: cache_key_touches(
-                key, subject_id=subject_id, resource_id=resource_id
-            )
-        )
-
     # -- revocation push (paper §3.2: caching vs revocation flexibility) ---------
 
     def subscribe_to_policy_changes(self, pap_address: str) -> None:
@@ -479,5 +437,5 @@ class PolicyEnforcementPoint(Component):
 
     def _handle_policy_changed(self, message) -> None:
         self.invalidations_received += 1
-        self.decision_cache.clear()
+        self.decision_cache.invalidate_all()
         return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..components.base import Component, ComponentIdentity
+from ..components.cache import DecisionCache
 from ..components.pdp import PolicyDecisionPoint
 from ..components.pep import PolicyEnforcementPoint
 from ..simnet.message import Message
@@ -161,38 +162,29 @@ class CoherenceAgent(Component):
         # only moves on authoritative CRL replies (fetch_delta), so a
         # lost push leaves a gap the next delta pull still recovers.
         self.records_applied += 1
-        if record.kind in (RevocationKind.DELEGATION, RevocationKind.TRUST_EDGE):
-            # Transitive blast radius: a removed delegation or trust edge
-            # kills whole chains downstream of it (cascades die
-            # implicitly via reduction / trust walks), so no selective
-            # key on the record can name every affected decision — flush
-            # both cache layers.
-            for pep in self._peps:
-                pep.invalidate_cached_decisions()
+        # A removed delegation or trust edge kills whole chains downstream
+        # of it (cascades die implicitly via reduction / trust walks), and
+        # some records carry no subject or resource at all: no selective
+        # key can name every affected decision, so the caches are flushed.
+        transitive = record.kind in (
+            RevocationKind.DELEGATION,
+            RevocationKind.TRUST_EDGE,
+        )
+        subject, resource = record.subject_id or None, record.resource_id or None
+
+        def invalidate(cache: DecisionCache) -> int:
+            if not transitive and (subject or resource):
+                return cache.invalidate_for(subject, resource)
+            cache.invalidate_all()
+            return 0
+
+        for pep in self._peps:
+            self.decision_entries_invalidated += invalidate(pep.decision_cache)
+        for gateway in self._gateways:
+            self.remote_entries_invalidated += invalidate(gateway.remote_cache)
+        if transitive:
             for pdp in self._pdps:
                 pdp.invalidate_policy_cache()
-            for gateway in self._gateways:
-                gateway.invalidate_remote_decisions()
-            return True
-        for pep in self._peps:
-            if record.subject_id or record.resource_id:
-                self.decision_entries_invalidated += pep.invalidate_decisions_for(
-                    subject_id=record.subject_id or None,
-                    resource_id=record.resource_id or None,
-                )
-            else:
-                # No selective key on the record: the whole cache is suspect.
-                pep.invalidate_cached_decisions()
-        for gateway in self._gateways:
-            if record.subject_id or record.resource_id:
-                self.remote_entries_invalidated += (
-                    gateway.invalidate_remote_decisions_for(
-                        subject_id=record.subject_id or None,
-                        resource_id=record.resource_id or None,
-                    )
-                )
-            else:
-                gateway.invalidate_remote_decisions()
         return True
 
     # -- guards ------------------------------------------------------------------

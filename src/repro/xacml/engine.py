@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Union
 
 from . import combining
-from .attributes import AttributeDesignator, Category, RESOURCE_ID
+from .attributes import AttributeDesignator
 from .context import (
     Decision,
     Obligation,
@@ -91,6 +91,7 @@ from .context import (
 )
 from .expressions import AttributeFinder, EvaluationContext
 from .policy import Policy, PolicyResult, PolicySet, child_identifier, outcomes
+from .targets import RESOURCE_BAG
 
 if TYPE_CHECKING:  # analysis imports this module
     from .analysis.findings import AnalysisReport
@@ -457,19 +458,18 @@ class PolicyStore:
         """Derive one shard's store under a resource placement.
 
         The shard keeps every element whose target provably applies only
-        to resources (:meth:`~repro.xacml.targets.Target.
-        constraining_values` on ``resource-id``) at least one of which
-        ``owns`` — plus every element with *no* sound resource
-        constraint, which must replicate to all shards because dropping
+        to resources (:meth:`~repro.xacml.targets.Target.pinned` on
+        :data:`~repro.xacml.targets.RESOURCE_BAG`, the bag a request is
+        routed by) at least one of which ``owns`` — plus every element
+        with *no* such constraint (a pin on another ``resource-id`` bag
+        included), which must replicate to all shards because dropping
         it anywhere could change decisions.  The union of all shards'
         decisions therefore equals the unsharded store's on any request
         routed by resource key.
         """
         shard = PolicyStore(indexed=self.indexed)
         for element in self._elements.values():
-            values = element.target.constraining_values(
-                Category.RESOURCE, RESOURCE_ID
-            )
+            values = element.target.pinned(RESOURCE_BAG)
             if values is None or any(owns(value) for value in values):
                 shard.add(element)
         return shard

@@ -35,8 +35,8 @@ There is one *summary* of a target, :meth:`AnyOf.pins`: what each
 alternative of a group pins a canonical identifier to, by bag and by
 value.  The store's index keys and residues
 (:mod:`repro.xacml.engine`) are built from it, and
-``constraining_values`` — what shard partitioning, delegation scopes
-and conflict footprints read — is a by-name view over the same walk.
+:meth:`Target.pinned` — what shard partitioning, delegation scopes and
+conflict footprints read — is the same walk asked about one bag.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .attributes import (
     AttributeDesignator,
     AttributeValue,
     Category,
+    DataType,
     RESOURCE_ID,
     SUBJECT_ID,
     string,
@@ -68,6 +69,13 @@ CANONICAL_IDS: Mapping[str, Category] = MappingProxyType(
         ACTION_ID: Category.ACTION,
     }
 )
+
+#: The bags requests are routed, scoped and footprinted by: the
+#: un-issued string designators :func:`subject_resource_action_target`
+#: builds (:meth:`Target.pinned` is asked about these).
+SUBJECT_BAG = AttributeDesignator(Category.SUBJECT, SUBJECT_ID, DataType.STRING)
+RESOURCE_BAG = AttributeDesignator(Category.RESOURCE, RESOURCE_ID, DataType.STRING)
+ACTION_BAG = AttributeDesignator(Category.ACTION, ACTION_ID, DataType.STRING)
 
 #: One equality a target pins: the bag it reads and the value it wants.
 Pin = tuple[AttributeDesignator, AttributeValue]
@@ -209,32 +217,6 @@ class AnyOf:
             pinned.append(pins)
         return pinned or None
 
-    def constraining_values(
-        self, category: Category, attribute_id: str
-    ) -> "set[str] | None":
-        """Values the attribute *must* take for this group to match.
-
-        A view over :meth:`pins`, by name: the lexical forms every
-        alternative pins ``(category, attribute_id)`` to, of whatever
-        data type and issuer; None when one alternative leaves the
-        attribute free (and for anything but a canonical identifier).
-        """
-        pinned = self.pins()
-        if pinned is None:
-            return None
-        values: set[str] = set()
-        for pins in pinned:
-            found = {
-                value.lexical()
-                for designator, value in pins
-                if designator.category is category
-                and designator.attribute_id == attribute_id
-            }
-            if not found:
-                return None
-            values |= found
-        return values
-
 
 @dataclass(frozen=True)
 class Target:
@@ -266,28 +248,39 @@ class Target:
     def matches_everything(self) -> bool:
         return not self.any_ofs
 
-    def constraining_values(
-        self, category: Category, attribute_id: str
-    ) -> "set[str] | None":
-        """Values the designated attribute *must* take for a match.
+    def pinned(self, designator: AttributeDesignator) -> Optional[frozenset[str]]:
+        """Values the designated bag *must* hold one of for a match.
 
-        Returns a set ``V`` such that the target can only match requests
-        whose ``(category, attribute_id)`` value is in ``V``, or None
-        when the target does not constrain that attribute.  This is the
-        sound criterion store indexing, shard partitioning, delegation
-        scopes and conflict footprints all need: collecting equality
-        literals from any branch is *not* enough, because a disjunctive
-        target matches through the branch that omits the attribute.
-
-        The target is a conjunction of AnyOf groups, so it is enough for
-        *one* group to be fully constrained
-        (:meth:`AnyOf.constraining_values`); the first such group in
-        target order answers.
+        The lexical forms ``V`` such that the target can only match
+        requests whose ``designator`` bag — that very bag: category, id,
+        data type and issuer — holds a value in ``V``; None when the
+        target does not confine it.  This is the sound criterion shard
+        partitioning, delegation scopes and conflict footprints need: a
+        literal in one branch of a disjunction confines nothing (the
+        target matches through the branch that omits it), and neither
+        does a pin on *another* bag of the same name (``resource-id`` as
+        ``anyURI``, or bound to an issuer): a request may carry another
+        value in the bag it is routed by.  A target is a conjunction, so
+        one group pinning the bag in every alternative
+        (:meth:`AnyOf.pins`) is enough; the first in target order answers.
         """
+        bag_key = designator.bag_key
         for any_of in self.any_ofs:
-            values = any_of.constraining_values(category, attribute_id)
-            if values is not None:
-                return values
+            alternatives = any_of.pins()
+            if alternatives is None:
+                continue
+            values: set[str] = set()
+            for pins in alternatives:
+                found = {
+                    value.lexical()
+                    for held, value in pins
+                    if held.bag_key == bag_key
+                }
+                if not found:
+                    break
+                values |= found
+            else:
+                return frozenset(values)
         return None
 
 

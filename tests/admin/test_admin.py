@@ -166,6 +166,43 @@ class TestDelegation:
         assert registry.policy_scope(policy) == Scope()
         assert footprints([policy])[0].resources is None
 
+    def test_a_pin_on_an_issued_bag_cannot_escape_the_granted_scope(self, registry):
+        """ISSUE 20 reproduction (b): ``resource-id == res-1`` asked of
+        the ``issuer="hr"`` bag only says what *hr* calls the resource;
+        the policy applies whatever the request's own id is, so a
+        delegate scoped to ``res-1`` may not issue it."""
+        from dataclasses import replace
+
+        from repro.xacml import Attribute, AttributeDesignator, DataType, target_of
+
+        hr_bag = AttributeDesignator(
+            Category.RESOURCE, RESOURCE_ID, DataType.STRING, issuer="hr"
+        )
+        pin = replace(
+            match_equal(Category.RESOURCE, RESOURCE_ID, string("res-1")),
+            designator=hr_bag,
+        )
+        registry.grant(
+            "vo-authority", "dept-admin", Scope(resource_id="res-1"), max_depth=1
+        )
+        escape = Policy(
+            policy_id="escape",
+            rules=(permit_rule("p"),),
+            target=target_of(pin),
+            issuer="dept-admin",
+        )
+        request = RequestContext.simple("eve", "payroll", "read")
+        request.add(
+            Category.RESOURCE, Attribute.of(RESOURCE_ID, string("res-1"), issuer="hr")
+        )
+        engine = PdpEngine()
+        engine.add_policy(escape)
+        assert request.resource_id == "payroll"
+        assert engine.evaluate(request).decision is Decision.PERMIT
+        assert registry.policy_scope(escape) == Scope()
+        assert not registry.validate_issued(escape).valid
+        assert footprints([escape])[0].resources is None
+
     def test_reduction_work_counted(self, registry):
         registry.grant("vo-authority", "a", Scope(), max_depth=2)
         registry.grant("a", "b", Scope(), max_depth=1)

@@ -1,8 +1,8 @@
 """Tests for selective cache invalidation and the PEP/PDP invalidation paths.
 
-ISSUE 1 satellite: :meth:`TtlCache.invalidate_where`,
-:meth:`PolicyEnforcementPoint.invalidate_cached_decisions` /
-``invalidate_decisions_for`` and
+ISSUE 1 satellite: :meth:`TtlCache.invalidate_where`, the PEP's
+``decision_cache.invalidate_all`` / ``invalidate_for`` (a
+:class:`~repro.components.cache.DecisionCache` since ISSUE 20) and
 :meth:`PolicyDecisionPoint.invalidate_policy_cache` previously had no
 direct unit coverage despite being the coherence substrate.
 """
@@ -90,7 +90,7 @@ class TestPepInvalidationPaths:
         pep.authorize_simple("alice", "doc", "read")
         pep.authorize_simple("bob", "doc", "read")
         assert len(pep.decision_cache) == 2
-        pep.invalidate_cached_decisions()
+        pep.decision_cache.invalidate_all()
         assert len(pep.decision_cache) == 0
         # Next access is a miss served by the PDP again.
         assert pep.authorize_simple("alice", "doc", "read").source == "pdp"
@@ -100,7 +100,7 @@ class TestPepInvalidationPaths:
         pep.authorize_simple("alice", "doc", "read")
         pep.authorize_simple("alice", "other", "read")
         pep.authorize_simple("bob", "doc", "read")
-        removed = pep.invalidate_decisions_for(subject_id="alice")
+        removed = pep.decision_cache.invalidate_for(subject_id="alice")
         assert removed == 2
         assert pep.authorize_simple("bob", "doc", "read").source == "cache"
 
@@ -109,7 +109,7 @@ class TestPepInvalidationPaths:
         pep.authorize_simple("alice", "doc", "read")
         pep.authorize_simple("bob", "doc", "write")
         pep.authorize_simple("bob", "other", "read")
-        removed = pep.invalidate_decisions_for(resource_id="doc")
+        removed = pep.decision_cache.invalidate_for(resource_id="doc")
         assert removed == 2
         assert pep.authorize_simple("bob", "other", "read").source == "cache"
 
@@ -118,7 +118,7 @@ class TestPepInvalidationPaths:
         pep.authorize_simple("alice", "a", "read")
         pep.authorize_simple("bob", "doc", "read")
         pep.authorize_simple("carol", "b", "read")
-        removed = pep.invalidate_decisions_for(
+        removed = pep.decision_cache.invalidate_for(
             subject_id="alice", resource_id="doc"
         )
         assert removed == 2
@@ -127,13 +127,13 @@ class TestPepInvalidationPaths:
     def test_no_filter_is_a_no_op(self, env):
         network, pap, pdp, pep = env
         pep.authorize_simple("alice", "doc", "read")
-        assert pep.invalidate_decisions_for() == 0
+        assert pep.decision_cache.invalidate_for() == 0
         assert len(pep.decision_cache) == 1
 
     def test_unknown_subject_removes_nothing(self, env):
         network, pap, pdp, pep = env
         pep.authorize_simple("alice", "doc", "read")
-        assert pep.invalidate_decisions_for(subject_id="nobody") == 0
+        assert pep.decision_cache.invalidate_for(subject_id="nobody") == 0
 
 
 class TestPdpInvalidationPath:
@@ -141,11 +141,11 @@ class TestPdpInvalidationPath:
         network, pap, pdp, pep = env
         pep.authorize_simple("alice", "doc", "read")
         fetches = pdp.policy_fetches
-        pep.invalidate_cached_decisions()
+        pep.decision_cache.invalidate_all()
         pep.authorize_simple("alice", "doc", "read")
         assert pdp.policy_fetches == fetches  # cache fresh: no refetch
         pdp.invalidate_policy_cache()
-        pep.invalidate_cached_decisions()
+        pep.decision_cache.invalidate_all()
         pep.authorize_simple("alice", "doc", "read")
         assert pdp.policy_fetches == fetches + 1
 
@@ -157,9 +157,35 @@ class TestPdpInvalidationPath:
         pap.publish(
             Policy(policy_id="permit-all", rules=(deny_rule("nobody"),))
         )
-        pep.invalidate_cached_decisions()
+        pep.decision_cache.invalidate_all()
         # Policy cache still fresh: stale permit.
         assert pep.authorize_simple("alice", "doc", "read").granted
         pdp.invalidate_policy_cache()
-        pep.invalidate_cached_decisions()
+        pep.decision_cache.invalidate_all()
         assert not pep.authorize_simple("alice", "doc", "read").granted
+
+
+class TestPdpChangeNotices:
+    """What a ``pap.changed`` notice does to the policy cache (the race
+    it guards against is in ``tests/integration/test_fault_invariants``)."""
+
+    def notified(self, env, payload):
+        network, pap, pdp, pep = env
+        pdp.subscribe_to_policy_changes()
+        pep.authorize_simple("alice", "doc", "read")
+        assert (pdp.policy_fetches, pdp._cached_revision) == (1, 1)
+        pap.notify("pdp", "pap.changed", payload)
+        network.run(until=network.now + 1.0)
+        pep.decision_cache.invalidate_all()
+        pep.authorize_simple("alice", "doc", "read")
+        return pdp
+
+    def test_a_notice_for_a_revision_already_held_changes_nothing(self, env):
+        pdp = self.notified(env, '<PolicyChanged policyId="x" revision="1"/>')
+        assert pdp.policy_fetches == 1
+        assert pdp._announced_revision == 0
+
+    def test_a_malformed_notice_still_invalidates(self, env):
+        pdp = self.notified(env, "<PolicyChanged/>")
+        assert pdp.policy_fetches == 2
+        assert pdp._announced_revision == 0

@@ -91,7 +91,7 @@ class TestPepDecisionCache:
         _, pdp, pep = one_domain(PepConfig(decision_cache_ttl=60))
         cold = pep.authorize(admin_says("mallory"))
         assert cold.decision is Decision.NOT_APPLICABLE
-        pep.invalidate_cached_decisions()
+        pep.decision_cache.invalidate_all()
 
         granted = pep.authorize(admin_says("hr"))
         assert granted.granted and granted.source == "pdp"
@@ -145,7 +145,7 @@ class TestPepDecisionCache:
         for issuer in ("hr", "mallory", None):
             pep.authorize(admin_says(issuer))
         assert len(pep.decision_cache) == 3
-        assert pep.invalidate_decisions_for(subject_id="alice") == 3
+        assert pep.decision_cache.invalidate_for(subject_id="alice") == 3
 
 
 class TestInFlightDedup:
@@ -211,4 +211,4 @@ class TestGatewayRemoteCache:
         pep.submit(admin_says("hr", "res.east"), done.append)
         network.run(until=network.now + 5.0)
         assert done[2].granted and hub.remote_cache_hits == 1
-        assert hub.invalidate_remote_decisions_for(subject_id="alice") == 2
+        assert hub.remote_cache.invalidate_for(subject_id="alice") == 2

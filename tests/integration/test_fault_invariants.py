@@ -6,17 +6,38 @@ Invariants (hypothesis-driven):
   unauthorised subject is never granted access;
 * **determinism**: the same seed reproduces the same simulation
   byte-for-byte (message and byte counts), which is what makes every
-  experiment in EXPERIMENTS.md repeatable.
+  experiment in EXPERIMENTS.md repeatable;
+* **no re-poisoning**: an answer overtaken by an invalidation never
+  refills the cache the invalidation cleaned — PEP decision cache,
+  gateway remote-decision cache, PDP policy cache.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.components import (
+    DecisionDispatcher,
+    FederatedGateway,
+    PdpConfig,
+    PepConfig,
+    PolicyAdministrationPoint,
+    PolicyDecisionPoint,
+    PolicyEnforcementPoint,
+)
 from repro.core import AccessControlSystem, SystemConfig
 from repro.domain import build_federation
-from repro.simnet import FailureInjector, Network
+from repro.revocation import (
+    CoherenceAgent,
+    InvalidationBus,
+    PushStrategy,
+    RevocationAuthority,
+)
+from repro.simnet import FailureInjector, Link, Network
 from repro.wss import KeyStore
 from repro.xacml import (
+    Decision,
     Policy,
+    RequestContext,
     combining,
     deny_rule,
     permit_rule,
@@ -118,3 +139,261 @@ class TestDeterminism:
     @settings(max_examples=5, deadline=None)
     def test_same_seed_same_world(self, seed):
         assert self.run_once(seed) == self.run_once(seed)
+
+
+# -- fills that race an invalidation (ISSUE 20) ---------------------------------
+#
+# A cache that is cleaned while the answer to an earlier question is still
+# on its way must not be refilled by that answer: the answer was made in
+# the world the invalidation just ended.  Three tiers, one shape.
+
+ALICE_READS_DOC = RequestContext.simple("alice", "doc", "read")
+
+
+def permit_all(policy_id="p"):
+    return Policy(policy_id=policy_id, rules=(permit_rule("all"),))
+
+
+def deny_all(policy_id="p"):
+    return Policy(policy_id=policy_id, rules=(deny_rule("none"),))
+
+
+class TestPepCacheIsNotRepoisoned:
+    """A Permit queued at the PDP when the revocation lands goes to the
+    waiter that asked for it and nowhere else."""
+
+    def build(self):
+        network = Network(seed=3)
+        bus = InvalidationBus(network)
+        authority = RevocationAuthority("authority", network, bus=bus)
+        pap = PolicyAdministrationPoint("pap", network)
+        pap.publish(permit_all())
+        pdp = PolicyDecisionPoint(
+            "pdp",
+            network,
+            pap_address="pap",
+            config=PdpConfig(envelope_overhead=0.2),
+        )
+        pdp.subscribe_to_policy_changes()
+        pep = PolicyEnforcementPoint(
+            "pep",
+            network,
+            pdp_address="pdp",
+            config=PepConfig(decision_cache_ttl=10.0),
+        )
+        pep.enable_batching(max_batch=4, max_delay=0.001)
+        agent = CoherenceAgent("agent", network, "authority", PushStrategy(bus))
+        agent.protect_pep(pep)
+        # Warm the PDP's policy cache so the race is the decision's alone.
+        assert pep.authorize_simple("bob", "other", "read").granted
+
+        def revoke():
+            # An ENTITLEMENT record the subject-access guard does not
+            # match, and nothing cached yet for invalidate_for to drop.
+            pap.publish(deny_all())
+            authority.registry.revoke_entitlement("dac", "alice", "doc", "read")
+
+        network.loop.schedule(0.1, revoke)
+        return network, pep
+
+    def ask(self, network, pep, queued):
+        if not queued:
+            return pep.authorize(ALICE_READS_DOC)
+        answers = []
+        pep.submit(ALICE_READS_DOC, answers.append)
+        network.run(until=network.now + 0.5)
+        (answer,) = answers
+        return answer
+
+    @pytest.mark.parametrize("queued", [True, False], ids=["submit", "authorize"])
+    def test_an_overtaken_permit_is_delivered_but_not_cached(self, queued):
+        network, pep = self.build()
+        asked_at = network.now
+        in_flight = self.ask(network, pep, queued)
+        assert (in_flight.decision, in_flight.source) == (Decision.PERMIT, "pdp")
+        assert pep.decision_cache.fenced == 1
+        assert len(pep.decision_cache) == 1  # bob's, untouched
+        seen = []
+        for after in (1.0, 4.0, 8.0):  # all inside the 10 s TTL
+            network.run(until=asked_at + 0.1 + after)
+            answer = self.ask(network, pep, queued)
+            seen.append((answer.decision, answer.source))
+        assert seen == [
+            (Decision.DENY, "pdp"),
+            (Decision.DENY, "cache"),
+            (Decision.DENY, "cache"),
+        ]
+
+    def test_a_policy_change_push_beats_the_decision_it_overtook(self):
+        """E6's 'TTL + invalidation push' row: same race, flush form."""
+        network = Network(seed=3)
+        pap = PolicyAdministrationPoint("pap", network)
+        pap.publish(permit_all())
+        pdp = PolicyDecisionPoint(
+            "pdp",
+            network,
+            pap_address="pap",
+            config=PdpConfig(envelope_overhead=0.2),
+        )
+        pdp.subscribe_to_policy_changes()
+        pep = PolicyEnforcementPoint(
+            "pep",
+            network,
+            pdp_address="pdp",
+            config=PepConfig(decision_cache_ttl=10.0),
+        )
+        pep.subscribe_to_policy_changes("pap")
+        assert pep.authorize_simple("bob", "other", "read").granted
+        network.loop.schedule(0.1, lambda: pap.publish(deny_all()))
+        assert pep.authorize(ALICE_READS_DOC).granted
+        assert pep.decision_cache.fenced == 1
+        network.run(until=network.now + 1.0)
+        later = pep.authorize(ALICE_READS_DOC)
+        assert (later.decision, later.source) == (Decision.DENY, "pdp")
+
+
+class TestGatewayCacheIsNotRepoisoned:
+    def test_an_overtaken_remote_permit_is_not_admitted(self):
+        network = Network(seed=3)
+        bus = InvalidationBus(network)
+        authority = RevocationAuthority("authority.east", network, bus=bus)
+        pap = PolicyAdministrationPoint("pap.east", network, domain="east")
+        pap.publish(permit_all())
+        PolicyDecisionPoint(
+            "pdp.east",
+            network,
+            domain="east",
+            pap_address="pap.east",
+            config=PdpConfig(envelope_overhead=0.2),
+        ).subscribe_to_policy_changes()
+        PolicyDecisionPoint("pdp.west", network, domain="west")
+        hubs = {
+            name: FederatedGateway(
+                f"gw.{name}",
+                network,
+                DecisionDispatcher([f"pdp.{name}"]),
+                domain=name,
+                resolve_domain=lambda request: "east",
+                max_batch=8,
+                max_delay=0.001,
+                remote_cache_ttl=10.0,
+            )
+            for name in ("west", "east")
+        }
+        hubs["west"].add_peer("east", "gw.east")
+        hubs["east"].allow_origin("west", "gw.west")
+        pep = PolicyEnforcementPoint("pep.west", network, domain="west")
+        pep.enable_batching(max_batch=4, max_delay=0.001, gateway=hubs["west"])
+        agent = CoherenceAgent(
+            "coherence.west", network, "authority.east", PushStrategy(bus)
+        )
+        agent.protect_gateway(hubs["west"])
+        cache = hubs["west"].remote_cache
+
+        def ask(request):
+            answers = []
+            pep.submit(request, answers.append)
+            network.run(until=network.now + 1.0)
+            (answer,) = answers
+            return answer
+
+        assert ask(RequestContext.simple("bob", "other", "read")).granted
+        assert len(cache) == 1
+
+        def revoke():
+            pap.publish(deny_all())
+            authority.registry.revoke_entitlement("dac", "alice", "doc", "read")
+
+        network.loop.schedule(0.1, revoke)
+        assert ask(ALICE_READS_DOC).granted  # the in-flight answer
+        assert cache.fenced == 1
+        assert len(cache) == 1
+        assert agent.remote_entries_invalidated == 0  # nothing to drop yet
+        assert not ask(ALICE_READS_DOC).granted
+        assert hubs["west"].remote_cache_hits == 0
+        assert not ask(ALICE_READS_DOC).granted
+        assert hubs["west"].remote_cache_hits == 1  # the Deny, cached
+
+
+class TestPolicyCacheIsNotRepoisoned:
+    def test_a_bundle_overtaken_by_a_change_notice_is_not_fresh(self):
+        """The ~100-byte notice of revision 402 passes the 401-policy
+        bundle of revision 401 on the wire; the bundle must not then be
+        stamped fresh for a whole ``policy_cache_ttl``."""
+        network = Network(seed=3)
+        pap = PolicyAdministrationPoint("pap", network)
+        for index in range(400):
+            pap.publish(
+                Policy(
+                    policy_id=f"filler-{index}",
+                    rules=(deny_rule("d"),),
+                    target=subject_resource_action_target(
+                        resource_id=f"other-{index}"
+                    ),
+                )
+            )
+        pap.publish(permit_all())
+        pdp = PolicyDecisionPoint(
+            "pdp",
+            network,
+            pap_address="pap",
+            config=PdpConfig(policy_cache_ttl=30.0),
+        )
+        pdp.subscribe_to_policy_changes()
+        pep = PolicyEnforcementPoint("pep", network, pdp_address="pdp")
+        serve = pap._handle_retrieve
+
+        def serve_then_republish(message):
+            network.loop.schedule(0.002, lambda: pap.publish(deny_all()))
+            return serve(message)
+
+        pap.on("pap.retrieve", serve_then_republish)
+        asked_at = network.now
+        assert pep.authorize(ALICE_READS_DOC).granted  # decided under 401
+        pap.on("pap.retrieve", serve)
+        assert (pdp._cached_revision, pap.repository.revision) == (401, 402)
+        network.run(until=asked_at + 1.0)
+        assert not pep.authorize(ALICE_READS_DOC).granted
+        assert pdp._cached_revision == 402
+        assert pdp.policy_fetches == 2
+        # ... and the cache is fresh again: no third fetch, no probe.
+        probes = pdp.revision_probes
+        network.run(until=asked_at + 10.0)
+        assert not pep.authorize(ALICE_READS_DOC).granted
+        assert (pdp.policy_fetches, pdp.revision_probes) == (2, probes)
+
+    def test_a_probe_answer_overtaken_by_a_change_notice_is_not_fresh(self):
+        """Same race on the cheap path: the probe's answer crawls over a
+        degraded link, the link heals, and the notice of the change made
+        meanwhile arrives first."""
+        network = Network(seed=3)
+        pap = PolicyAdministrationPoint("pap", network)
+        pap.publish(permit_all())
+        pdp = PolicyDecisionPoint(
+            "pdp",
+            network,
+            pap_address="pap",
+            config=PdpConfig(policy_cache_ttl=5.0),
+        )
+        pdp.subscribe_to_policy_changes()
+        pep = PolicyEnforcementPoint("pep", network, pdp_address="pdp")
+        assert pep.authorize(ALICE_READS_DOC).granted
+        network.run(until=network.now + 6.0)  # stale: the next decision probes
+        healthy = network.link_between("pap", "pdp")
+        network.set_link("pap", "pdp", Link(latency=1.0), symmetric=False)
+        answer = pap._handle_revision
+
+        def answer_then_republish(message):
+            def heal_and_republish():
+                network.set_link("pap", "pdp", healthy, symmetric=False)
+                pap.publish(deny_all())
+
+            network.loop.schedule(0.002, heal_and_republish)
+            return answer(message)
+
+        pap.on("pap.revision", answer_then_republish)
+        # The probe said "1, as cached" about a world the notice had
+        # already ended: the decision waits for the bundle instead.
+        assert not pep.authorize(ALICE_READS_DOC).granted
+        assert (pdp.revision_probes, pdp.policy_fetches) == (1, 2)
+        assert pdp._cached_revision == pap.repository.revision == 2

@@ -1,4 +1,5 @@
-"""Fabric shape lint: one batching stage, one partitioned send.
+"""Fabric shape lint: one batching stage, one partitioned send, one
+decision-cache coherence rule.
 
 The accumulate → dedup → flush → demux idea used to be written three
 times (per-PEP queue, domain gateway, federated forward buffers), each
@@ -8,14 +9,21 @@ components.fabric.BatchingStage` and :meth:`repro.components.fabric.
 BatchWireCore.send` now own them; this lint is the pin that keeps the
 copies from growing back (beside ``test_channel_lint.py``, which does
 the same for the WS-Security exchange).
+
+The same happened to decision-cache coherence: the PEP and the gateway
+each carried their own selective invalidation, and only the gateway's
+copy fenced in-flight fills — the PEP served a revoked Permit from cache
+for a whole TTL.  :class:`repro.components.cache.DecisionCache` owns
+the scan and the fences now, for both tiers.
 """
 
 import ast
 from pathlib import Path
 
-COMPONENTS = (
-    Path(__file__).resolve().parents[2] / "src" / "repro" / "components"
-)
+REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
+COMPONENTS = REPRO / "components"
+#: Where decision caches live and where they are invalidated from.
+COHERENCE = (COMPONENTS, REPRO / "revocation")
 
 
 def functions():
@@ -65,4 +73,47 @@ def test_one_call_site_partitions_by_shard_owner():
     assert sites == ["fabric.py:send"], (
         "DecisionDispatcher.partition is called outside BatchWireCore.send "
         f"— send through the wire core instead: {sites}"
+    )
+
+
+def coherence_modules():
+    """``(package/file, tree)`` for every module that may touch a
+    decision cache, but the one that implements it."""
+    for package in COHERENCE:
+        for path in sorted(package.glob("*.py")):
+            if path != COMPONENTS / "cache.py":
+                yield (
+                    f"{package.name}/{path.name}",
+                    ast.parse(path.read_text(encoding="utf-8")),
+                )
+
+
+def test_only_the_cache_scans_its_entries():
+    sites = [
+        name for name, tree in coherence_modules() if calls(tree, "invalidate_where")
+    ]
+    assert sites == [], (
+        "invalidate_where is called outside components/cache.py — a "
+        "decision cache is invalidated through DecisionCache.invalidate_for"
+        f" / invalidate_all, which also fence in-flight fills: {sites}"
+    )
+
+
+def test_only_the_cache_keeps_fences():
+    def assigned_names(tree: ast.AST):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Store
+            ):
+                yield node.id if isinstance(node, ast.Name) else node.attr
+
+    keepers = [
+        f"{name}:{assigned}"
+        for name, tree in coherence_modules()
+        for assigned in assigned_names(tree)
+        if "fence" in assigned.lower()
+    ]
+    assert keepers == [], (
+        "fence bookkeeping outside components/cache.py — admit statements "
+        f"through DecisionCache.admit instead of keeping a copy: {keepers}"
     )

@@ -463,7 +463,7 @@ class TestPdpPolicyCacheCoherence:
             RevocationKind.DELEGATION, "root->deputy#*@*"
         )
         network.run(until=network.now + 1.0)
-        pep.invalidate_cached_decisions()
+        pep.decision_cache.invalidate_all()
         pep.authorize_simple("alice", "doc", "read")
         # The PDP had to re-probe/fetch despite its long policy TTL.
         assert pdp.revision_probes + pdp.policy_fetches > fetches_before

@@ -1,12 +1,14 @@
 """Tests for the PDP engine and indexed policy store."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.xacml import (
-    ACTION_ID,
     AllOf,
     AnyOf,
     AnalysisGateError,
+    Attribute,
     AttributeDesignator,
     Category,
     DataType,
@@ -25,8 +27,10 @@ from repro.xacml import (
     permit_rule,
     string,
     subject_resource_action_target,
+    target_of,
 )
 from repro.xacml.attributes import any_uri
+from repro.xacml.targets import ACTION_BAG, RESOURCE_BAG
 
 
 def resource_policy(resource_id, subject_id="alice"):
@@ -146,8 +150,22 @@ def ill_typed_resource_target(resource_id) -> Target:
     )
 
 
+def pinning(designator, literal) -> Target:
+    """A target pinning ``designator``'s very bag to ``literal``."""
+    match = match_equal(designator.category, designator.attribute_id, literal)
+    return target_of(replace(match, designator=designator))
+
+
+URI_RESOURCE_BAG = AttributeDesignator(
+    Category.RESOURCE, RESOURCE_ID, DataType.ANY_URI
+)
+HR_RESOURCE_BAG = AttributeDesignator(
+    Category.RESOURCE, RESOURCE_ID, DataType.STRING, issuer="hr"
+)
+
+
 class TestTargetSummaries:
-    """``AnyOf.pins()`` is the one walk; ``constraining_values`` and the
+    """``AnyOf.pins()`` is the one walk; ``Target.pinned`` and the
     store's plan are views of it."""
 
     def test_pins_report_the_bag_and_the_value(self):
@@ -159,8 +177,8 @@ class TestTargetSummaries:
             RESOURCE_ID,
         )
         assert value == string("doc")
-        assert group.constraining_values(Category.RESOURCE, RESOURCE_ID) == {"doc"}
-        assert group.constraining_values(Category.ACTION, ACTION_ID) is None
+        assert Target((group,)).pinned(RESOURCE_BAG) == {"doc"}
+        assert Target((group,)).pinned(ACTION_BAG) is None
 
     def test_an_alternative_without_a_pin_unpins_the_group(self):
         role = match_equal(Category.SUBJECT, "urn:test:role", string("admin"))
@@ -169,10 +187,43 @@ class TestTargetSummaries:
         assert AnyOf((AllOf((doc, role)),)).pins() is not None
         assert AnyOf(()).pins() is None
 
+    def test_a_pin_on_another_bag_of_the_same_name_confines_nothing(self):
+        """``resource-id`` as ``anyURI``, or bound to an issuer, is not
+        the bag a request is routed by: it may hold ``res-1`` while the
+        request's own id reads ``res-2``."""
+        for bag, literal in (
+            (URI_RESOURCE_BAG, any_uri("res-1")),
+            (HR_RESOURCE_BAG, string("res-1")),
+        ):
+            target = pinning(bag, literal)
+            assert target.any_ofs[0].pins() is not None
+            assert target.pinned(bag) == {"res-1"}
+            assert target.pinned(RESOURCE_BAG) is None
+
+    def test_a_shard_keeps_what_pins_another_bag(self):
+        """ISSUE 20 reproduction (a): routed by ``res-2``, denied through
+        the ``anyURI`` bag — on the shard exactly as unsharded."""
+        store = PolicyStore()
+        store.add(
+            Policy(
+                policy_id="deny-res-1",
+                rules=(deny_rule("d"),),
+                target=pinning(URI_RESOURCE_BAG, any_uri("res-1")),
+            )
+        )
+        store.add(Policy(policy_id="permit-all", rules=(permit_rule("p"),)))
+        request = RequestContext.simple("alice", "res-2", "read")
+        request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, any_uri("res-1")))
+        assert request.resource_id == "res-2"
+        shard = store.partition_for(lambda resource: resource == "res-2")
+        assert len(shard) == 2
+        for held in (store, shard):
+            assert PdpEngine(held).evaluate(request).decision is Decision.DENY
+
     def test_an_ill_typed_equality_pins_nothing(self):
         target = ill_typed_resource_target("doc")
         assert target.any_ofs[0].pins() is None
-        assert target.constraining_values(Category.RESOURCE, RESOURCE_ID) is None
+        assert target.pinned(RESOURCE_BAG) is None
         # ... so a shard may not drop the element: it is Indeterminate
         # (a PEP denies) for every resource, on every shard.
         store = PolicyStore()
