@@ -18,7 +18,9 @@ so every PR records where the headline experiments stand:
   mismatches (pinned 0);
 * **E25** — static policy analysis: planted defects recovered exactly,
   adversarial witness replay (false positives pinned 0), clean-corpus
-  scan (findings pinned 0).
+  scan (findings pinned 0);
+* **E29a** — the refresh herd: bundle fetches per policy change per
+  PDP (pinned 1.0) and the deepest refresh nesting (pinned 1).
 
 Runs everything in smoke dimensions (the module forces
 ``REPRO_BENCH_SMOKE=1`` before importing the benchmark modules, whose
@@ -393,6 +395,24 @@ def collect_e25() -> dict:
     }
 
 
+def collect_e29() -> dict:
+    """The refresh herd: what one policy change costs a loaded PDP."""
+    import test_e29_control_plane as e29
+
+    configs = {
+        f"window_{window}": {
+            figure: round(value, 4) for figure, value in e29.run_cell(window).items()
+        }
+        for window in e29.WINDOWS
+    }
+    return {
+        "description": f"{e29.PEPS} PEPs behind a gateway, one subscribed "
+        f"PDP, all {e29.RESOURCES} policies republished every "
+        f"{e29.CHANGE_EVERY} completions ({e29.CHANGES} changes)",
+        "configs": configs,
+    }
+
+
 def collect() -> dict:
     summary = {
         "schema": 2,
@@ -408,6 +428,7 @@ def collect() -> dict:
             "E19": collect_e19(),
             "E24": collect_e24(),
             "E25": collect_e25(),
+            "E29a": collect_e29(),
         },
     }
     e16 = summary["experiments"]["E16"]["configs"]
@@ -475,6 +496,19 @@ def collect() -> dict:
             "e25_unexpected_findings": e25["ground_truth"]["unexpected"]
             + e25["injected_corpus"]["unexpected"]
             + e25["clean_corpus"]["findings"],
+        }
+    )
+    e29 = summary["experiments"]["E29a"]["configs"].values()
+    summary["headline"].update(
+        {
+            # Pins, not trends: a second bundle per change, or a refresh
+            # nested inside a refresh, is the herd growing back.
+            "e29_fetches_per_change_per_pdp": max(
+                cell["fetches_per_change"] for cell in e29
+            ),
+            "e29_refresh_nesting_max": max(
+                cell["refresh_nesting_max"] for cell in e29
+            ),
         }
     )
     return summary

@@ -128,15 +128,18 @@ class Component:
         try:
             result = handler(message)
         except RpcFault as fault:
-            self.node.send(
-                message.reply(
-                    kind=f"{message.kind}:fault",
-                    payload=f"<Fault code=\"{fault.code}\">{fault.reason}</Fault>",
-                )
-            )
+            self._reply_fault(message, fault)
             return
         if result is not None:
             self.node.send(message.reply(kind=f"{message.kind}:response", payload=result))
+
+    def _reply_fault(self, message: Message, fault: RpcFault) -> None:
+        self.node.send(
+            message.reply(
+                kind=f"{message.kind}:fault",
+                payload=f"<Fault code=\"{fault.code}\">{fault.reason}</Fault>",
+            )
+        )
 
     # -- client side -----------------------------------------------------------
 

@@ -8,7 +8,19 @@ architecture adds around it:
 
 * **policy retrieval** from a PAP, with a TTL'd policy cache and an
   optional cheap revision probe (the caching the paper proposes for
-  decision points, experiment E6);
+  decision points, experiment E6).  The refresh is *single-flight and
+  notice-driven*: the query that finds the cache stale fetches, every
+  query that reaches this PDP while that fetch is on the wire is parked
+  (whole message, before decode) and re-dispatched in arrival order
+  when it lands, and a change notice that already named a newer
+  revision is the probe's answer.  Parking is sound because it only
+  ever makes an answer *later and fresher*: a parked query checks
+  freshness for itself when released, so it is decided under the bundle
+  a fetch of its own would have brought, or a newer one.  It costs one
+  deque append per parked query and buys one bundle per policy change
+  per PDP whatever the load (experiment E29a), where every stale query
+  used to probe and fetch for itself, nested inside the one already
+  waiting;
 * **PIP attribute resolution** over the network during evaluation;
 * **mutually authenticated queries**: signed queries are verified before
   evaluation — "decision points should only reveal decisions on authentic
@@ -19,6 +31,7 @@ architecture adds around it:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -165,10 +178,17 @@ class PolicyDecisionPoint(Component):
         #: probe answer older than it was overtaken on the wire by the
         #: notice of a later change and must not mark the cache fresh.
         self._announced_revision = 0
+        #: Single-flight guard of the policy refresh: set when a refresh
+        #: goes on the wire, cleared when the queries that arrived
+        #: meanwhile (``_parked``: whole messages, arrival order) are
+        #: released.  Volatile: a crash drops them.
+        self._parking = False
+        self._parked: deque[Message] = deque()
         self.decisions_made = 0
         self.pip_queries_sent = 0
         self.policy_fetches = 0
         self.revision_probes = 0
+        self.parked_queries = 0
         self.rejected_queries = 0
         self.batch_queries_served = 0
         self.batched_decisions = 0
@@ -195,7 +215,17 @@ class PolicyDecisionPoint(Component):
         self.engine.store.add(element)
 
     def _ensure_policies(self) -> None:
-        """Refresh the policy store from the PAP when the cache is stale."""
+        """Refresh the policy store from the PAP when the cache is stale.
+
+        Single flight: the query that finds the cache stale runs the
+        refresh, and while its blocking call drives the event loop every
+        other query that reaches this PDP is parked by
+        :meth:`_serve_query` instead of starting a probe and a fetch of
+        its own for the same revision.  A failed refresh is this
+        component's fault (``pdp:policy-unavailable``), for the query
+        that ran it and for those parked behind it; the cache stays
+        stale, so the next query tries again.
+        """
         if self.pap_address is None:
             return
         fresh = (
@@ -205,7 +235,34 @@ class PolicyDecisionPoint(Component):
         )
         if fresh:
             return
-        if self.config.refresh_mode == "probe" and self._cached_revision is not None:
+        fault: Optional[RpcFault] = None
+        self._parking = True
+        try:
+            self._refresh_policies()
+        except (RpcTimeout, RpcFault) as exc:
+            fault = RpcFault("pdp:policy-unavailable", f"policy refresh failed: {exc}")
+            raise fault from exc
+        finally:
+            if self._parked:
+                # After this query's own reply: replies leave in arrival order.
+                self.network.loop.schedule(
+                    0.0, lambda: self._release_parked(fault), label="pdp-release"
+                )
+            else:
+                self._parking = False
+
+    def _refresh_policies(self) -> None:
+        """The one place that asks the PAP for policy (probe, then bundle).
+
+        A notice that already named a revision newer than the bundle
+        held is the probe's answer; only a TTL expiry with no such
+        notice pays the ``pap.revision`` round trip.
+        """
+        if (
+            self.config.refresh_mode == "probe"
+            and self._cached_revision is not None
+            and self._announced_revision <= self._cached_revision
+        ):
             reply = self.call(self.pap_address, "pap.revision", "<PapQuery/>")
             self.revision_probes += 1
             revision = parse_revision(str(reply.payload))
@@ -222,6 +279,30 @@ class PolicyDecisionPoint(Component):
         self._cached_revision = revision
         overtaken = revision < self._announced_revision
         self._policies_fetched_at = None if overtaken else self.now
+
+    def _release_parked(self, fault: Optional[RpcFault]) -> None:
+        """Let the parked queries back in, in arrival order.
+
+        Each re-enters :meth:`_dispatch`, so it is authenticated and
+        checks freshness like any other query: if the bundle that just
+        landed was itself overtaken, the first one becomes the next
+        single flight and the rest wait for *its* release.  After a
+        failed refresh they all get its fault instead — one timeout for
+        the lot, not one each in sequence.
+        """
+        self._parking = False
+        while self._parked and not self._parking:
+            message = self._parked.popleft()
+            if fault is None:
+                self._dispatch(message)
+            else:
+                self._reply_fault(message, fault)
+
+    def crash(self) -> None:
+        """Fail-stop: parked queries are volatile state and die with the
+        process; their callers time out and fail safe."""
+        super().crash()
+        self._parked.clear()
 
     def invalidate_policy_cache(self) -> None:
         self._policies_fetched_at = None
@@ -422,7 +503,14 @@ class PolicyDecisionPoint(Component):
         signature is verified and one made per envelope however many
         decisions ride it — the fabric's amortisation on the
         authenticated channel.
+
+        While a policy refresh is on the wire the query is parked
+        untouched instead; :meth:`_release_parked` brings it back here.
         """
+        if self._parking:
+            self._parked.append(message)
+            self.parked_queries += 1
+            return None
         if self.config.require_signed_queries and not is_secure_action(
             message.kind
         ):

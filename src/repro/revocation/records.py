@@ -61,8 +61,14 @@ class RevocationKind(enum.Enum):
 # collision would let the registry's idempotency silently swallow the
 # second revocation.
 
+#: What ``quote`` never escapes: a text made of these alone is its own
+#: encoding (the common case — the PEP guard encodes a subject id on
+#: every decision).
+_ALWAYS_SAFE = re.compile(r"[A-Za-z0-9_.~-]*").fullmatch
+
+
 def _component(text: str) -> str:
-    return quote(text, safe="")
+    return text if _ALWAYS_SAFE(text) else quote(text, safe="")
 
 
 def certificate_target(serial: int) -> str:

@@ -9,7 +9,12 @@ Invariants (hypothesis-driven):
   experiment in EXPERIMENTS.md repeatable;
 * **no re-poisoning**: an answer overtaken by an invalidation never
   refills the cache the invalidation cleaned — PEP decision cache,
-  gateway remote-decision cache, PDP policy cache.
+  gateway remote-decision cache, PDP policy cache;
+* **one refresh, nobody left behind**: queries parked behind a PDP's
+  policy refresh are answered under a bundle at least as new as the one
+  a fetch of their own would have brought, die with the PDP if it
+  crashes, and share the refresh's fault if it fails — which never
+  leaves the PDP, let alone the event loop, as an exception.
 """
 
 import pytest
@@ -397,3 +402,205 @@ class TestPolicyCacheIsNotRepoisoned:
         assert not pep.authorize(ALICE_READS_DOC).granted
         assert (pdp.revision_probes, pdp.policy_fetches) == (1, 2)
         assert pdp._cached_revision == pap.repository.revision == 2
+
+
+# -- queries parked behind the policy refresh (ISSUE 23) -------------------------
+#
+# One refresh in flight per PDP: whoever arrives meanwhile waits for it.
+# Waiting must only ever make an answer later and fresher, and a refresh
+# that fails must fail its waiters — not the world.
+
+
+def only(subject):
+    """Permits exactly ``subject``: the decision names the publication."""
+    return Policy(
+        policy_id="p",
+        rules=(
+            permit_rule("one", subject_resource_action_target(subject_id=subject)),
+            deny_rule("rest"),
+        ),
+        rule_combining=combining.RULE_FIRST_APPLICABLE,
+    )
+
+
+class ParkedBehindARefresh:
+    """PAP ←20 ms→ subscribed PDP ←0.5 ms→ a PEP whose every submit is an
+    envelope of its own.  ``rev-1`` is held and warm, ``rev-2`` published
+    and announced: the next query starts a 40 ms refresh, and the three
+    submitted 5 ms apart behind it are parked."""
+
+    def __init__(self, pdp_timeout=2.0):
+        self.network = network = Network(seed=3)
+        self.pap = PolicyAdministrationPoint("pap", network)
+        self.pap.publish(only("rev-1"))
+        self.pdp = PolicyDecisionPoint("pdp", network, pap_address="pap")
+        self.pdp.subscribe_to_policy_changes()
+        self.pep = PolicyEnforcementPoint(
+            "pep",
+            network,
+            pdp_address="pdp",
+            config=PepConfig(pdp_timeout=pdp_timeout),
+        )
+        self.pep.enable_batching(max_batch=1, max_delay=0.001)
+        network.set_link("pdp", "pap", Link(latency=0.020))
+        network.set_link("pep", "pdp", Link(latency=0.0005))
+        assert self.pep.authorize_simple("rev-1", "doc", "read").granted
+        self.pap.publish(only("rev-2"))
+        network.run(until=network.now + 0.1)
+        assert (self.pdp._announced_revision, self.pdp._cached_revision) == (2, 1)
+        #: (subject, result, completion instant) in completion order.
+        self.answers = []
+        self.worst_in_flight = self._in_flight = 0
+        call = self.pdp.call
+
+        def counted(recipient, kind, payload, **kwargs):
+            self._in_flight += 1
+            self.worst_in_flight = max(self.worst_in_flight, self._in_flight)
+            try:
+                return call(recipient, kind, payload, **kwargs)
+            finally:
+                self._in_flight -= 1
+
+        self.pdp.call = counted
+
+    def submit(self, subjects):
+        """The first subject now, the others 5 ms apart behind it (each
+        about a resource of its own: identical requests would share one
+        in-flight slot)."""
+
+        def ask(subject, resource):
+            self.pep.submit(
+                RequestContext.simple(subject, resource, "read"),
+                lambda result: self.answers.append((subject, result, self.network.now)),
+            )
+
+        for index, subject in enumerate(subjects):
+            self.network.loop.schedule(
+                0.005 * index,
+                lambda subject=subject, index=index: ask(subject, f"doc-{index}"),
+            )
+
+    def republish_while_serving(self, subjects):
+        """The PAP publishes the next of ``subjects`` right after it has
+        read each bundle out: the notice leaves before the bundle does."""
+        pending = list(subjects)
+        serve = self.pap._handle_retrieve
+
+        def serve_then_republish(message):
+            bundle = serve(message)
+            if pending:
+                self.pap.publish(only(pending.pop(0)))
+            return bundle
+
+        self.pap.on("pap.retrieve", serve_then_republish)
+
+
+class TestParkedQueriesAreNeverServedStale:
+    @pytest.mark.parametrize(
+        "republished, asked",
+        [
+            # Notice 3 overtakes bundle 2: the query that fetched it gets
+            # the in-flight answer (what a PDP without parking gives it
+            # too), everyone parked waits for bundle 3.
+            (["rev-3"], ["rev-2", "rev-3", "rev-3", "rev-3"]),
+            # ... and notice 4 overtakes bundle 3 in turn: the first
+            # parked query is now the one in flight.
+            (["rev-3", "rev-4"], ["rev-2", "rev-3", "rev-4", "rev-4"]),
+        ],
+        ids=["one-republish", "two-republishes"],
+    )
+    def test_a_notice_overtaking_the_bundle_with_queries_parked(
+        self, republished, asked
+    ):
+        world = ParkedBehindARefresh()
+        world.republish_while_serving(republished)
+        world.submit(asked)
+        world.network.run(until=world.network.now + 1.0)
+        # Every subject is permitted by exactly one publication, so a
+        # grant says which bundle decided — and they left in order.
+        assert [(s, r.granted) for s, r, _ in world.answers] == [
+            (subject, True) for subject in asked
+        ]
+        pdp = world.pdp
+        assert pdp.parked_queries == 3
+        assert (pdp.policy_fetches, pdp.revision_probes) == (2 + len(republished), 0)
+        assert world.worst_in_flight == 1
+        assert pdp._cached_revision == world.pap.repository.revision
+        # ... and the cache is fresh again: no further fetch.
+        assert world.pep.authorize_simple(republished[-1], "doc", "read").granted
+        assert pdp.policy_fetches == 2 + len(republished)
+
+    def test_a_crash_takes_the_parked_queries_with_it(self):
+        world = ParkedBehindARefresh()
+        network, pdp = world.network, world.pdp
+        started = network.now
+        world.submit(["rev-2"] * 4)
+        network.loop.schedule(0.030, pdp.crash)  # bundle due at ~0.041
+        network.loop.schedule(3.0, pdp.recover)
+        network.run(until=started + 2.9)
+        assert pdp.parked_queries == 3
+        assert not pdp._parked
+        assert [r.source for _, r, _ in world.answers] == ["fail-safe"] * 4
+        assert (pdp.decisions_made, pdp.policy_fetches) == (1, 1)
+        network.run(until=started + 3.5)
+        assert len(world.answers) == 4  # nothing surfaced after recovery
+        assert world.pep.authorize_simple("rev-2", "doc", "read").granted
+        assert pdp.policy_fetches == 2
+
+
+class TestTheWorldSurvivesItsPap:
+    """A PDP whose PAP is gone answers ``pdp:policy-unavailable``; it does
+    not raise ``RpcTimeout`` into the event loop every component shares."""
+
+    def stale_pdp_dead_pap(self):
+        network = Network(seed=3)
+        pap = PolicyAdministrationPoint("pap", network)
+        pap.publish(permit_all())
+        pdp = PolicyDecisionPoint(
+            "pdp", network, pap_address="pap", config=PdpConfig(policy_cache_ttl=5.0)
+        )
+        pep = PolicyEnforcementPoint("pep", network, pdp_address="pdp")
+        pep.enable_batching(max_batch=4, max_delay=0.001)
+        assert pep.authorize(ALICE_READS_DOC).granted
+        network.run(until=network.now + 6.0)
+        pap.crash()
+        return network, pap, pdp, pep
+
+    @pytest.mark.parametrize("queued", [True, False], ids=["submit", "authorize"])
+    def test_an_unreachable_pap_is_a_fail_safe_deny(self, queued):
+        network, pap, pdp, pep = self.stale_pdp_dead_pap()
+        if queued:
+            answers = []
+            pep.submit(ALICE_READS_DOC, answers.append)
+            network.run(until=network.now + 5.0)  # the loop survives
+            (answer,) = answers
+        else:
+            answer = pep.authorize(ALICE_READS_DOC)
+            network.run(until=network.now + 5.0)
+        assert (answer.decision, answer.source) == (Decision.DENY, "fail-safe")
+        assert pdp.decisions_made == 1  # nothing decided from the expired bundle
+        pap.recover()
+        assert pep.authorize(ALICE_READS_DOC).granted
+        assert (pdp.revision_probes, pdp.policy_fetches) == (1, 1)
+
+    def test_a_failed_refresh_fails_everyone_parked_behind_it_at_once(self):
+        world = ParkedBehindARefresh(pdp_timeout=10.0)
+        network, pdp = world.network, world.pdp
+        world.pap.crash()
+        started = network.now
+        world.submit(["rev-2"] * 4)
+        network.run(until=started + 9.0)
+        assert pdp.parked_queries == 3
+        assert [s for s, _, _ in world.answers] == ["rev-2"] * 4
+        for _, result, _ in world.answers:
+            assert (result.decision, result.source) == (Decision.DENY, "fail-safe")
+            assert "pdp:policy-unavailable" in result.detail
+        # One PAP timeout for the four of them, not one each in sequence.
+        instants = [instant for _, _, instant in world.answers]
+        assert max(instants) - started < 2.1
+        assert max(instants) - min(instants) < 0.001
+        # Still stale, still on revision 1: the next query tries again.
+        assert (pdp.policy_fetches, pdp.decisions_made) == (1, 1)
+        world.pap.recover()
+        assert world.pep.authorize_simple("rev-2", "doc", "read").granted
+        assert (pdp.policy_fetches, pdp._cached_revision) == (2, 2)

@@ -15,6 +15,12 @@ each carried their own selective invalidation, and only the gateway's
 copy fenced in-flight fills — the PEP served a revoked Permit from cache
 for a whole TTL.  :class:`repro.components.cache.DecisionCache` owns
 the scan and the fences now, for both tiers.
+
+And to the PDP's policy refresh: every query that found the policy
+cache stale used to probe and fetch for itself, nested inside whichever
+query was already waiting for the same bundle.  One function asks the
+PAP for policy now, and only under the single-flight guard that parks
+everybody else.
 """
 
 import ast
@@ -116,4 +122,69 @@ def test_only_the_cache_keeps_fences():
     assert keepers == [], (
         "fence bookkeeping outside components/cache.py — admit statements "
         f"through DecisionCache.admit instead of keeping a copy: {keepers}"
+    )
+
+
+# -- one policy refresh in flight per PDP (ISSUE 23) -----------------------------
+
+
+def pdp_functions():
+    return {
+        name.split(":")[1]: node
+        for name, node in functions()
+        if name.startswith("pdp.py:")
+    }
+
+
+def is_self_attr(node: ast.AST, attr: str) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def test_one_function_asks_the_pap_for_policy():
+    askers = {
+        (name, call.args[1].value)
+        for name, node in pdp_functions().items()
+        for call in calls(node, "call")
+        if call.args and is_self_attr(call.args[0], "pap_address")
+    }
+    assert askers == {
+        ("_refresh_policies", "pap.revision"),
+        ("_refresh_policies", "pap.retrieve"),
+        ("subscribe_to_policy_changes", "pap.subscribe"),
+    }, (
+        "the PAP is asked for policy outside PolicyDecisionPoint."
+        f"_refresh_policies — a second refresh path is a second herd: {askers}"
+    )
+
+
+def mentions(node: ast.AST, attr: str) -> bool:
+    return any(is_self_attr(inner, attr) for inner in ast.walk(node))
+
+
+def test_the_refresh_runs_only_under_the_single_flight_guard():
+    pdp = pdp_functions()
+    entries = [name for name, node in pdp.items() if mentions(node, "_refresh_policies")]
+    assert entries == ["_ensure_policies"], (
+        f"_refresh_policies is entered from more than one place: {entries}"
+    )
+    # ... right after the guard is raised, inside the try whose finally
+    # lowers it (or hands it to the release of whoever was parked).
+    body = pdp["_ensure_policies"].body
+    (at,) = [
+        index
+        for index, statement in enumerate(body)
+        if isinstance(statement, ast.Try) and mentions(statement, "_refresh_policies")
+    ]
+    assert ast.unparse(body[at - 1]) == "self._parking = True"
+    assert any(mentions(statement, "_parking") for statement in body[at].finalbody)
+    # ... and the guard is the first thing every query endpoint tests.
+    docstring, first = pdp["_serve_query"].body[:2]
+    assert isinstance(docstring.value, ast.Constant)
+    assert isinstance(first, ast.If) and ast.unparse(first.test) == "self._parking", (
+        "_serve_query must park a query before it does anything else with it"
     )

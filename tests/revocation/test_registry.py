@@ -1,6 +1,9 @@
 """Tests for revocation records and the unified registry."""
 
+from urllib.parse import quote
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.revocation import (
     RevocationError,
@@ -12,6 +15,7 @@ from repro.revocation import (
     serialize_records,
     subject_access_target,
 )
+from repro.revocation.records import _component
 from repro.wss import KeyStore
 
 
@@ -181,6 +185,16 @@ class TestRegistry:
         assert delegation_target("a->b", "c", "*") != delegation_target(
             "a", "b->c", "*"
         )
+
+    @given(
+        st.text()
+        | st.text(alphabet="abcXYZ019_.~-", max_size=12)
+        | st.text(alphabet="ab-_.~:@#>% /é", max_size=12)
+    )
+    def test_a_target_component_is_percent_quoted_whatever_the_shortcut(self, text):
+        """Text made of always-safe characters skips ``quote``; the
+        encoding must not depend on which way it went."""
+        assert _component(text) == quote(text, safe="")
 
     def test_tampered_reason_fails_verification(self):
         from dataclasses import replace
