@@ -9,15 +9,20 @@ policies against one role-based policy as the user base grows, and (c)
 runs the mined role-conditioned corpus of ``Population.policy_set(N)``
 with the population as attribute authority, counting how often one
 decision asks it and how many of the candidates the store hands it
-have a target that matches.
+have a target that matches — and weighs what one policy of that corpus
+costs in memory, beside the per-identity corpus of (b), where every
+leaf is distinct and sharing leaves can save nothing.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the sweeps to a CI-sized pass; the
 10,000-policy row and its flatness assertions stay, so a store whose
 per-request work grows with its size fails the smoke job.
 """
 
+import dataclasses
+import gc
 import os
 import time
+import tracemalloc
 
 from repro.bench import Experiment
 from repro.components import AttributeStore
@@ -40,6 +45,9 @@ from repro.xacml import (
     string,
     subject_resource_action_target,
 )
+from repro.xacml.attributes import _designator_of
+from repro.xacml.expressions import _condition_of
+from repro.xacml.targets import _match_of, _single_of
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -289,6 +297,122 @@ def test_e14_mined_corpus_asks_the_authority_once(benchmark):
     benchmark(lambda: engine.evaluate_batch([hot], finder_for=finder_for))
 
 
+#: Policies (mined) and rules (per-identity) the memory rows are built at.
+COSTED = 10_000
+#: What one mined two-or-three-rule policy may cost, memo tables
+#: included (3,965 B before policy trees were slotted and their leaves
+#: shared, about 800 B since).
+MINED_POLICY_BYTES = 1024
+
+
+def identity_policy(users):
+    """(b)'s per-identity policy: one rule, one distinct subject leaf,
+    per user."""
+    return Policy(
+        policy_id=f"identity-{users}",
+        rules=tuple(
+            permit_rule(
+                f"user-{index}",
+                subject_resource_action_target(subject_id=f"user-{index}"),
+            )
+            for index in range(users)
+        )
+        + (deny_rule("rest"),),
+        rule_combining=combining.RULE_FIRST_APPLICABLE,
+        target=subject_resource_action_target(resource_id="dataset"),
+    )
+
+
+def forget_leaves():
+    for memo in (_designator_of, _match_of, _single_of, _condition_of):
+        memo.cache_clear()
+    gc.collect()
+
+
+def traced(build):
+    """``(what build() returns, bytes it holds on to, bytes of those
+    that are the leaf memos' own tables)``: the memos start cold, so
+    their tables are part of the price, and are emptied at the end
+    while the policies keep every leaf alive, which prices them alone."""
+    forget_leaves()
+    tracemalloc.start()
+    try:
+        built = build()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        forget_leaves()
+        return built, held, held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def tree_census(policies):
+    """``(tree objects, distinct tree objects)``: every dataclass node
+    reachable from the policies, counted per reference and per object."""
+    total, distinct = 0, set()
+    pending = list(policies)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, tuple):
+            pending.extend(node)
+        elif dataclasses.is_dataclass(node):
+            total += 1
+            distinct.add(id(node))
+            pending.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+    return total, len(distinct)
+
+
+def test_e14_what_a_policy_costs():
+    """A policy costs what it says: the mined corpus repeats its
+    resource, action and role leaves by construction, and holds each
+    once.  The per-identity policy has nothing to share — every rule
+    names another subject — so its row prices the slotted nodes alone,
+    with the leaf memos' tables on top."""
+    experiment = Experiment(
+        exp_id="E14c-mem",
+        title="What a policy costs in memory: mined corpus vs per-identity rules",
+        paper_claim="an authorisation service must 'scale to large user and "
+        "resource bases' (§3.1) — in what a replica holds, too",
+        columns=[
+            "corpus",
+            "units",
+            "bytes_per_unit",
+            "memo_tables_per_unit",
+            "tree_objects",
+            "distinct_objects",
+        ],
+    )
+    population = Population(
+        PopulationSpec(subjects=10_000, resources=COSTED // MINED_PER_RESOURCE, seed=14)
+    )
+    mined, mined_bytes, mined_tables = traced(
+        lambda: population.policy_set(policies=COSTED)
+    )
+    identity, identity_bytes, identity_tables = traced(lambda: identity_policy(COSTED))
+    for corpus, units, held, tables, policies in (
+        ("mined (policies)", len(mined), mined_bytes, mined_tables, mined),
+        (
+            "per-identity (rules)",
+            len(identity.rules),
+            identity_bytes,
+            identity_tables,
+            [identity],
+        ),
+    ):
+        experiment.add_row(
+            corpus,
+            units,
+            round(held / units),
+            round(tables / units),
+            *tree_census(policies),
+        )
+    experiment.show()
+    assert mined_bytes / len(mined) <= MINED_POLICY_BYTES
+    # Shape: the mined corpus holds far fewer objects than it references.
+    total, distinct = tree_census(mined)
+    assert distinct < total / 4
+
+
 def test_e14_identity_vs_role_policies(benchmark):
     experiment = Experiment(
         exp_id="E14b",
@@ -300,19 +424,6 @@ def test_e14_identity_vs_role_policies(benchmark):
     from repro.xacml import serialize_policy
 
     for users in USER_SWEEP:
-        identity_policy = Policy(
-            policy_id=f"identity-{users}",
-            rules=tuple(
-                permit_rule(
-                    f"user-{index}",
-                    subject_resource_action_target(subject_id=f"user-{index}"),
-                )
-                for index in range(users)
-            )
-            + (deny_rule("rest"),),
-            rule_combining=combining.RULE_FIRST_APPLICABLE,
-            target=subject_resource_action_target(resource_id="dataset"),
-        )
         role_policy = Policy(
             policy_id=f"role-{users}",
             rules=(
@@ -327,18 +438,18 @@ def test_e14_identity_vs_role_policies(benchmark):
             rule_combining=combining.RULE_FIRST_APPLICABLE,
             target=subject_resource_action_target(resource_id="dataset"),
         )
-        identity_bytes = len(serialize_policy(identity_policy).encode())
+        identity_bytes = len(serialize_policy(identity_policy(users)).encode())
         role_bytes = len(serialize_policy(role_policy).encode())
         experiment.add_row(
             users,
-            len(identity_policy.rules),
+            users + 1,
             identity_bytes,
             len(role_policy.rules),
             role_bytes,
         )
         # Same decisions for members either way.
         engine_identity = PdpEngine()
-        engine_identity.add_policy(identity_policy)
+        engine_identity.add_policy(identity_policy(users))
         engine_role = PdpEngine()
         engine_role.add_policy(role_policy)
         request = RequestContext.simple(

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from ..components.base import Component, ComponentIdentity
+from ..components.base import Component, ComponentIdentity, RpcFault, RpcTimeout
 from ..components.pap import PolicyAdministrationPoint
 from ..simnet.message import Message
 from ..simnet.network import Network
@@ -126,11 +126,20 @@ class SyndicationNode(Component):
         return True
 
     def _push_to_children(self, element: PolicyElement) -> list[SyndicationReport]:
+        """Reports of every child's subtree; a child that is unreachable
+        or answers with a fault is reported as having rejected the update
+        (it did not apply it), and its siblings are still served."""
         reports = []
         payload = serialize_policy(element)
         for child in self.children:
             self.updates_pushed += 1
-            reply = self.call(child, "synd.update", payload)
+            try:
+                reply = self.call(child, "synd.update", payload)
+            except (RpcTimeout, RpcFault):
+                reports.append(
+                    SyndicationReport(child, rejected=[child_identifier(element)])
+                )
+                continue
             reports.extend(_parse_reports(str(reply.payload)))
         return reports
 

@@ -114,7 +114,10 @@ class Component:
 
         The handler's return value, if not None, is sent back as a reply
         of kind ``f"{kind}:response"``.  Raising :class:`RpcFault` sends a
-        fault reply instead.
+        fault reply instead, and so does an :class:`RpcTimeout` from a
+        call the handler made (code ``upstream-timeout``): a peer that is
+        down is the caller's fault to report, not an exception for the
+        event loop every component shares.
         """
         self._handlers[kind] = handler
 
@@ -129,6 +132,9 @@ class Component:
             result = handler(message)
         except RpcFault as fault:
             self._reply_fault(message, fault)
+            return
+        except RpcTimeout as timeout:
+            self._reply_fault(message, RpcFault("upstream-timeout", str(timeout)))
             return
         if result is not None:
             self.node.send(message.reply(kind=f"{message.kind}:response", payload=result))

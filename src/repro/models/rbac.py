@@ -33,11 +33,9 @@ from ..xacml.attributes import Category, SUBJECT_ROLE, string
 from ..xacml.policy import Policy, PolicySet
 from ..xacml.rules import deny_rule, permit_rule
 from ..xacml.targets import (
-    AllOf,
-    AnyOf,
-    Match,
-    Target,
+    match_equal,
     subject_resource_action_target,
+    target_of,
 )
 
 
@@ -253,11 +251,6 @@ class RbacModel:
         the paper makes about RBAC scaling to large user bases.
         """
         self._require_role(role)
-        role_match = Match(
-            match_function="urn:oasis:names:tc:xacml:1.0:function:string-equal",
-            value=string(role),
-            designator=_role_designator(),
-        )
         rules = []
         for index, permission in enumerate(
             sorted(self._role_permissions[role], key=str)
@@ -275,7 +268,9 @@ class RbacModel:
             policy_id=f"rbac:{self.name}:role:{role}",
             rules=tuple(rules),
             rule_combining=combining.RULE_PERMIT_OVERRIDES,
-            target=Target(any_ofs=(AnyOf(all_ofs=(AllOf(matches=(role_match,)),)),)),
+            target=target_of(
+                match_equal(Category.SUBJECT, SUBJECT_ROLE, string(role))
+            ),
             description=f"RBAC role policy for {role!r}",
         )
 
@@ -356,13 +351,3 @@ class RbacSession:
         for role in self.active_roles:
             permissions |= self.model.role_permissions(role)
         return Permission(resource_id, action_id) in permissions
-
-
-def _role_designator():
-    from ..xacml.attributes import AttributeDesignator, DataType
-
-    return AttributeDesignator(
-        category=Category.SUBJECT,
-        attribute_id=SUBJECT_ROLE,
-        data_type=DataType.STRING,
-    )

@@ -9,6 +9,7 @@ This module implements that model closely following XACML 2.0.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
@@ -245,7 +246,7 @@ class Attribute:
         return self.values[0].data_type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeDesignator:
     """A reference to attribute values in a request category.
 
@@ -283,6 +284,54 @@ class AttributeDesignator:
 
     def describe(self) -> str:
         return f"{self.category.short_name}:{self.attribute_id}"
+
+
+#: Distinct leaves each policy-side constructor memo remembers
+#: (:func:`_designator_of` here, ``_match_of`` / ``_single_of`` in
+#: :mod:`~repro.xacml.targets`, ``_condition_of`` in
+#: :mod:`~repro.xacml.expressions`).  A mined corpus repeats its
+#: resource, action and role leaves by construction (20,000 policies:
+#: 2,003 matches, 6 conditions, 3 designators); a corpus with more
+#: distinct leaves than this shares nothing and retains at most this
+#: many leaves per memo after it is gone.
+LEAF_MEMO_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _designator_of(
+    category: Category,
+    attribute_id: str,
+    data_type: DataType,
+    must_be_present: bool,
+    issuer: Optional[str],
+) -> AttributeDesignator:
+    """The designator these five parts spell; equal parts share one object.
+
+    The contract of the policy-side leaf memos, stated once.  Policies
+    say the same few things over and over — the same resource, action
+    and role leaves in thousands of rules — so what the builders
+    (``match_equal``, ``target_of``, ``attribute_equals``,
+    ``designator``) and the policy parser construct for equal parts is
+    one frozen object, and a policy costs what it says.  The form is
+    :func:`repro.xacml.parser.parse_response`'s: an ``lru_cache`` with
+    a constant bound on a *pure* function of immutable arguments
+    returning a frozen value of frozen parts, so sharing is
+    unobservable but by ``is``; *exceptions are never remembered* and
+    ``__post_init__`` runs in full the first time a leaf is seen;
+    nothing is minted, so two worlds in one process cannot perturb each
+    other through it.  A key separates everything the serializer
+    writes: a literal goes in as data type plus lexical form, never as
+    an :class:`AttributeValue`, whose equality is coarser
+    (``double(0.0) == double(-0.0)``, equal hashes, different
+    ``lexical()``).  Request-side values stay unshared — a billion
+    distinct subjects would only churn a memo — and so does whatever
+    carries an id (``Rule``, ``Policy``).  Worst case retained:
+    :data:`LEAF_MEMO_SIZE` leaves per memo (17 MiB with all four full
+    of distinct attribute ids and literals).
+    """
+    return AttributeDesignator(
+        category, attribute_id, data_type, must_be_present, issuer
+    )
 
 
 def bag_of(*values: AttributeValue) -> Bag:

@@ -34,6 +34,7 @@ The contract of this module:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol, Union
 
@@ -44,6 +45,8 @@ from .attributes import (
     Bag,
     Category,
     DataType,
+    LEAF_MEMO_SIZE,
+    _designator_of,
     boolean,
 )
 from .context import RequestContext, Status, StatusCode
@@ -140,11 +143,13 @@ def _late_lookup(function_id: str) -> functions.Function:
 class Expression:
     """Base class for the expression tree."""
 
+    __slots__ = ()
+
     def evaluate(self, ctx: EvaluationContext) -> Union[AttributeValue, Bag]:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal(Expression):
     """A constant attribute value."""
 
@@ -154,7 +159,7 @@ class Literal(Expression):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Designator(Expression):
     """An attribute designator as an expression node (yields a bag)."""
 
@@ -164,7 +169,7 @@ class Designator(Expression):
         return ctx.resolve(self.designator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _FunctionNode(Expression):
     """A node that names a registry function, bound when the node is built."""
 
@@ -177,7 +182,7 @@ class _FunctionNode(Expression):
         object.__setattr__(self, "_function", functions.find(self.function_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply(_FunctionNode):
     """Application of a registered function to argument expressions."""
 
@@ -209,7 +214,7 @@ class Apply(_FunctionNode):
 # entries.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnyOfFunction(_FunctionNode):
     """XACML ``any-of``: apply f(value, element) over a bag, OR results."""
 
@@ -231,7 +236,7 @@ class AnyOfFunction(_FunctionNode):
         return boolean(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllOfFunction(_FunctionNode):
     """XACML ``all-of``: apply f(value, element) over a bag, AND results."""
 
@@ -253,7 +258,7 @@ class AllOfFunction(_FunctionNode):
         return boolean(True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """A rule condition: an expression that must yield a single boolean."""
 
@@ -289,17 +294,31 @@ def designator(
     must_be_present: bool = False,
 ) -> Designator:
     return Designator(
-        AttributeDesignator(
-            category=category,
-            attribute_id=attribute_id,
-            data_type=data_type,
-            must_be_present=must_be_present,
-        )
+        _designator_of(category, attribute_id, data_type, must_be_present, None)
     )
 
 
 def apply_(function_id: str, *arguments: Expression) -> Apply:
     return Apply(function_id=function_id, arguments=tuple(arguments))
+
+
+@functools.lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _condition_of(
+    function_id: str,
+    data_type: DataType,
+    lexical: str,
+    designator: AttributeDesignator,
+) -> Condition:
+    """The condition ``function(literal, designated bag)``, its literal
+    given as data type plus lexical form; equal parts share one object
+    (:func:`~repro.xacml.attributes._designator_of` has the contract)."""
+    return Condition(
+        apply_(
+            function_id,
+            literal(AttributeValue.parse(data_type, lexical)),
+            Designator(designator),
+        )
+    )
 
 
 def attribute_equals(
@@ -310,14 +329,13 @@ def attribute_equals(
 ) -> Condition:
     """Condition: the designated attribute bag contains ``value``."""
     type_name = _type_short_name(value.data_type)
-    return Condition(
-        apply_(
-            f"{functions.FUNCTION_PREFIX_1_0}{type_name}-is-in",
-            literal(value),
-            designator(
-                category, attribute_id, value.data_type, must_be_present
-            ),
-        )
+    return _condition_of(
+        f"{functions.FUNCTION_PREFIX_1_0}{type_name}-is-in",
+        value.data_type,
+        value.lexical(),
+        _designator_of(
+            category, attribute_id, value.data_type, must_be_present, None
+        ),
     )
 
 

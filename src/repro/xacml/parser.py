@@ -4,6 +4,13 @@ Round-tripping (``parse(serialize(x)) == x`` up to object identity) is
 asserted by property-based tests; the parser is also what PDPs use when
 policies arrive over the wire from PAPs and syndication servers.
 
+Policy-side leaves — designators, matches, single-match groups and
+``attribute_equals``-shaped conditions — come from the constructors the
+builders use (:func:`repro.xacml.attributes._designator_of` has the
+contract), so a parsed policy shares its leaves with every other policy
+in the process that says the same thing; request-side values are built
+fresh.
+
 Every document and every ``<Request>`` / ``<Response>`` fragment goes
 through expat (``ET.fromstring``): text that is not well-formed XML is a
 :class:`ParseError` whatever the envelope around it looked like.  (A
@@ -33,6 +40,7 @@ from .attributes import (
     AttributeValue,
     Category,
     DataType,
+    _designator_of,
 )
 from .context import (
     Decision,
@@ -52,11 +60,12 @@ from .expressions import (
     Designator,
     Expression,
     Literal,
+    _condition_of,
 )
 from .policy import Policy, PolicyReference, PolicySet
 from .rules import Rule
 from .serializer import ALL_OF_FUNCTION_ID, ANY_OF_FUNCTION_ID
-from .targets import AllOf, AnyOf, Match, Target
+from .targets import AllOf, AnyOf, Target, _match_of, target_of
 
 
 class ParseError(Exception):
@@ -106,12 +115,12 @@ def _parse_designator(element: ET.Element) -> AttributeDesignator:
         data_type = DataType.from_uri(data_type_uri)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return AttributeDesignator(
-        category=_category_from_uri(category_uri),
-        attribute_id=attribute_id,
-        data_type=data_type,
-        must_be_present=element.get("MustBePresent", "false") == "true",
-        issuer=element.get("Issuer"),
+    return _designator_of(
+        _category_from_uri(category_uri),
+        attribute_id,
+        data_type,
+        element.get("MustBePresent", "false") == "true",
+        element.get("Issuer"),
     )
 
 
@@ -166,15 +175,21 @@ def _parse_target(element: ET.Element | None) -> Target:
                     raise ParseError(
                         "Match needs AttributeValue and AttributeDesignator"
                     )
+                value = _parse_value(value_el)
                 matches.append(
-                    Match(
-                        match_function=match_id,
-                        value=_parse_value(value_el),
-                        designator=_parse_designator(desig_el),
+                    _match_of(
+                        match_id,
+                        value.data_type,
+                        value.lexical(),
+                        _parse_designator(desig_el),
                     )
                 )
             all_ofs.append(AllOf(matches=tuple(matches)))
-        any_ofs.append(AnyOf(all_ofs=tuple(all_ofs)))
+        if len(all_ofs) == 1 and len(all_ofs[0].matches) == 1:
+            # The group ``target_of`` builds: the shared one.
+            any_ofs.extend(target_of(*all_ofs[0].matches).any_ofs)
+        else:
+            any_ofs.append(AnyOf(all_ofs=tuple(all_ofs)))
     return Target(any_ofs=tuple(any_ofs))
 
 
@@ -222,7 +237,19 @@ def _parse_rule(element: ET.Element) -> Rule:
         children = list(condition_el)
         if len(children) != 1:
             raise ParseError("Condition must contain exactly one expression")
-        condition = Condition(_parse_expression(children[0]))
+        expression = _parse_expression(children[0])
+        condition = Condition(expression)
+        if type(expression) is Apply and [
+            type(argument) for argument in expression.arguments
+        ] == [Literal, Designator]:
+            # The shape ``attribute_equals`` builds: the shared one.
+            literal, bag = expression.arguments
+            condition = _condition_of(
+                expression.function_id,
+                literal.value.data_type,  # type: ignore[attr-defined]
+                literal.value.lexical(),  # type: ignore[attr-defined]
+                bag.designator,  # type: ignore[attr-defined]
+            )
     return Rule(
         rule_id=rule_id,
         effect=Decision(effect),
@@ -344,14 +371,15 @@ def parse_response(xml_text: str) -> ResponseContext:
     parse on every call.  *Nothing is skipped*: a text seen for the
     first time goes through expat and every check below, whole.
 
-    This is the one module-level memo under ``src/`` and is safe beside
-    "worlds own their identifiers" (ROADMAP direction 1): it maps a text
-    to the value of that text and mints nothing, so two worlds in one
-    process cannot perturb each other's results, bytes or event order
-    through it — a hit and a miss differ in host time only.  A lint for
-    module-level mutable state can allow exactly this form: an
-    ``lru_cache`` with a constant bound on a function of immutable
-    arguments returning an immutable value.
+    This is the form every module-level memo under ``src/`` takes
+    (``tests/observability/test_memo_lint.py`` lists them) and is safe
+    beside "worlds own their identifiers" (ROADMAP direction 1): it maps
+    a text to the value of that text and mints nothing, so two worlds in
+    one process cannot perturb each other's results, bytes or event
+    order through it — a hit and a miss differ in host time only.  The
+    lint allows exactly this form: an ``lru_cache`` with a constant
+    bound on a function of immutable arguments returning an immutable
+    value.
     """
     try:
         root = ET.fromstring(xml_text)

@@ -19,7 +19,7 @@ from .rules import Rule
 from .targets import ANY_TARGET, MatchResult, Target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyResult:
     """Outcome of evaluating a policy or policy set, with obligations."""
 
@@ -49,7 +49,7 @@ def _result(
     return PolicyResult(decision, status, obligations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Policy:
     """A policy: target + rules + rule-combining algorithm + obligations."""
 
@@ -109,7 +109,7 @@ class Policy:
         return f"Policy({self.policy_id}, rules={len(self.rules)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyReference:
     """A by-id reference to a policy element stored elsewhere.
 
@@ -158,7 +158,7 @@ class PolicyReference:
 PolicyChild = Union[Policy, "PolicySet", PolicyReference]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicySet:
     """A policy set combining policies and nested sets."""
 

@@ -28,7 +28,7 @@ class Effect:
     DENY = Decision.DENY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleResult:
     """Outcome of evaluating one rule."""
 
@@ -36,7 +36,7 @@ class RuleResult:
     status: Optional[Status] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A single access control rule.
 

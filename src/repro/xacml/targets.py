@@ -42,6 +42,7 @@ conflict footprints read — is the same walk asked about one bag.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -53,8 +54,10 @@ from .attributes import (
     AttributeValue,
     Category,
     DataType,
+    LEAF_MEMO_SIZE,
     RESOURCE_ID,
     SUBJECT_ID,
+    _designator_of,
     string,
 )
 from .expressions import EvaluationContext, Indeterminate, _type_short_name
@@ -87,7 +90,7 @@ class MatchResult(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """One Match element: ``function(literal, candidate)`` over a bag.
 
@@ -144,7 +147,7 @@ class Match:
         return MatchResult.NO_MATCH
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllOf:
     """A conjunction of matches; true only if every match is true."""
 
@@ -163,7 +166,7 @@ class AllOf:
         return MatchResult.MATCH
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnyOf:
     """A disjunction of AllOf groups; true if any group is true."""
 
@@ -218,7 +221,7 @@ class AnyOf:
         return pinned or None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Target:
     """Applicability predicate; an empty target matches everything."""
 
@@ -287,24 +290,47 @@ class Target:
 ANY_TARGET = Target()
 
 
+@functools.lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _match_of(
+    match_function: str,
+    data_type: DataType,
+    lexical: str,
+    designator: AttributeDesignator,
+) -> Match:
+    """The match these parts spell, its literal given as data type plus
+    lexical form; equal parts share one object
+    (:func:`~repro.xacml.attributes._designator_of` has the contract)."""
+    return Match(
+        match_function, AttributeValue.parse(data_type, lexical), designator
+    )
+
+
+@functools.lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _single_of(match: Match, lexical: str) -> AnyOf:
+    """The group whose one alternative is that one match, shared like
+    it (:func:`~repro.xacml.attributes._designator_of`).  ``lexical``,
+    the literal's, is there for the key alone: matches are equal when
+    their literals are, and ``double(0.0) == double(-0.0)``."""
+    return AnyOf(all_ofs=(AllOf(matches=(match,)),))
+
+
 def match_equal(
     category: Category, attribute_id: str, value: AttributeValue
 ) -> Match:
     """Build the ubiquitous equality match."""
     type_name = _type_short_name(value.data_type)
-    return Match(
-        match_function=f"{functions.FUNCTION_PREFIX_1_0}{type_name}-equal",
-        value=value,
-        designator=AttributeDesignator(
-            category=category, attribute_id=attribute_id, data_type=value.data_type
-        ),
+    return _match_of(
+        f"{functions.FUNCTION_PREFIX_1_0}{type_name}-equal",
+        value.data_type,
+        value.lexical(),
+        _designator_of(category, attribute_id, value.data_type, False, None),
     )
 
 
 def target_of(*matches: Match) -> Target:
     """A target requiring all given matches (one AnyOf/AllOf each)."""
     return Target(
-        any_ofs=tuple(AnyOf(all_ofs=(AllOf(matches=(m,)),)) for m in matches)
+        any_ofs=tuple(_single_of(m, m.value.lexical()) for m in matches)
     )
 
 

@@ -264,6 +264,57 @@ class TestSyndication:
         root.publish(Policy(policy_id="p", rules=(deny_rule("d"),)))
         assert "p" not in leaf_pap.repository
 
+    def crashed_leaf_hierarchy(self):
+        network = Network(seed=37)
+        paps = [
+            PolicyAdministrationPoint(f"pap.d{i}", network, domain=f"d{i}")
+            for i in range(2)
+        ]
+        root, (dead, live) = build_hierarchy(network, "root", {"eu": paps})
+        dead.crash()
+        return network, root, paps, dead, live
+
+    def test_a_crashed_leaf_is_a_rejected_report_not_an_exception(self):
+        """The region's blocking push to the dead leaf times out *inside
+        its update handler*, inside the loop the root's ``publish`` is
+        driving: the ``RpcTimeout`` used to come out of ``publish``."""
+        network, root, (dead_pap, live_pap), dead, live = self.crashed_leaf_hierarchy()
+        policy = Policy(policy_id="global", rules=(deny_rule("lockdown"),))
+        reports = root.publish(policy)
+        # The region waited for the leaf for as long as the root waited
+        # for the region: to the root it is the region that did not answer.
+        assert [(r.node, r.accepted, r.rejected) for r in reports] == [
+            ("root", ["global"], []),
+            ("synd.eu", [], ["global"]),
+        ]
+        network.run(until=network.now + 5.0)  # the late reply is dropped, not raised
+        assert "global" in live_pap.repository and "global" not in dead_pap.repository
+        dead.recover()
+        assert [r.node for r in root.publish(policy) if r.accepted] == [
+            "root", "synd.eu", dead.name, live.name
+        ]  # fmt: skip
+
+    def test_an_update_handler_survives_a_crashed_child_in_the_event_loop(self):
+        """The same push with nobody blocking on it: the exception used
+        to leave ``network.run``, taking every component with it."""
+        network, root, (dead_pap, live_pap), dead, live = self.crashed_leaf_hierarchy()
+        replies = []
+        root.on("synd.update:response", lambda message: replies.append(message.payload))
+        policy = Policy(policy_id="global", rules=(deny_rule("lockdown"),))
+        from repro.xacml import serialize_policy
+
+        root.notify("synd.eu", "synd.update", serialize_policy(policy))
+        network.run(until=network.now + 5.0)
+        (reply,) = replies
+        # The region's own report: it applied, the dead leaf did not, and
+        # the leaf after it was still served.
+        assert reply == (
+            '<SyndicationReport node="synd.eu"><Accepted id="global"/></SyndicationReport>'
+            f'<SyndicationReport node="{dead.name}"><Rejected id="global"/></SyndicationReport>'
+            f'<SyndicationReport node="{live.name}"><Accepted id="global"/></SyndicationReport>'
+        )
+        assert "global" in live_pap.repository and "global" not in dead_pap.repository
+
     def test_message_count_scales_with_tree_edges(self):
         network = Network(seed=37)
         paps = [

@@ -14,13 +14,17 @@ Invariants (hypothesis-driven):
   policy refresh are answered under a bundle at least as new as the one
   a fetch of their own would have brought, die with the PDP if it
   crashes, and share the refresh's fault if it fails — which never
-  leaves the PDP, let alone the event loop, as an exception.
+  leaves the PDP, let alone the event loop, as an exception;
+* **a dead peer is a fault reply**: whatever handler calls out to a
+  crashed peer, its ``RpcTimeout`` goes back to the caller as an
+  ``upstream-timeout`` fault and the loop keeps running.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.components import (
+    Component,
     DecisionDispatcher,
     FederatedGateway,
     PdpConfig,
@@ -28,6 +32,7 @@ from repro.components import (
     PolicyAdministrationPoint,
     PolicyDecisionPoint,
     PolicyEnforcementPoint,
+    RpcFault,
 )
 from repro.core import AccessControlSystem, SystemConfig
 from repro.domain import build_federation
@@ -604,3 +609,37 @@ class TestTheWorldSurvivesItsPap:
         world.pap.recover()
         assert world.pep.authorize_simple("rev-2", "doc", "read").granted
         assert (pdp.policy_fetches, pdp._cached_revision) == (2, 2)
+
+
+class TestAHandlersDeadPeerIsAFaultReply:
+    """``Component._dispatch`` is the one place that cannot forget: any
+    handler that blocks on a crashed peer used to raise ``RpcTimeout``
+    out of ``network.run``."""
+
+    def relay_to_a_dead_peer(self):
+        network = Network(seed=3)
+        client, relay, peer = (Component(name, network) for name in ("client", "relay", "peer"))
+        relay.on("relay", lambda message: relay.call("peer", "ping", "<Ping/>").payload)
+        assert client.call("relay", "relay", "<Go/>").payload == "<Pong/>"
+        peer.crash()
+        return network, client, relay, peer
+
+    def test_in_the_event_loop(self):
+        network, client, relay, peer = self.relay_to_a_dead_peer()
+        faults = []
+        client.on("relay:fault", lambda message: faults.append(message.payload))
+        client.notify("relay", "relay", "<Go/>")
+        network.run(until=network.now + 5.0)  # used to raise RpcTimeout
+        (fault,) = faults
+        assert fault.startswith('<Fault code="upstream-timeout">relay -> peer \'ping\'')
+        peer.recover()
+        assert client.call("relay", "relay", "<Go/>").payload == "<Pong/>"
+
+    def test_under_a_blocking_call(self):
+        network, client, relay, peer = self.relay_to_a_dead_peer()
+        # Patient enough to hear the relay out: its own deadline for the
+        # peer (2 s) ends after a default deadline that started earlier.
+        with pytest.raises(RpcFault) as caught:
+            client.call("relay", "relay", "<Go/>", timeout=5.0)
+        assert caught.value.code == "upstream-timeout"
+        network.run(until=network.now + 5.0)

@@ -21,6 +21,13 @@ cache stale used to probe and fetch for itself, nested inside whichever
 query was already waiting for the same bundle.  One function asks the
 PAP for policy now, and only under the single-flight guard that parks
 everybody else.
+
+And to policy leaves: RBAC compilation spelled its role ``Match`` and the
+``Target(AnyOf(AllOf(...)))`` around it by hand, with a literal function
+URN, beside the builders everybody else uses — so its leaves were never
+the shared ones.  ``Match`` and ``AttributeDesignator`` are constructed
+in the four ``xacml`` modules that own the tree and its two construction
+paths (builders and parser), nowhere else under ``src/``.
 """
 
 import ast
@@ -188,3 +195,30 @@ def test_the_refresh_runs_only_under_the_single_flight_guard():
     assert isinstance(first, ast.If) and ast.unparse(first.test) == "self._parking", (
         "_serve_query must park a query before it does anything else with it"
     )
+
+
+# -- one way to build a policy leaf (ISSUE 24) --------------------------------------
+
+#: The modules that may construct a leaf: where the node classes live,
+#: where the builders are, and the parser.
+LEAF_BUILDERS = {
+    f"xacml/{name}.py" for name in ("attributes", "targets", "expressions", "parser")
+}
+
+
+def test_policy_leaves_are_constructed_in_the_xacml_tree_modules_only():
+    sites = set()
+    for path in sorted(REPRO.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+            if name in ("Match", "AttributeDesignator"):
+                sites.add(path.relative_to(REPRO).as_posix())
+    assert sites <= LEAF_BUILDERS, (
+        "Match( / AttributeDesignator( constructed outside the xacml tree "
+        "modules — use match_equal / target_of / attribute_equals / "
+        f"designator, whose leaves are shared: {sorted(sites - LEAF_BUILDERS)}"
+    )
+    assert sites, "the lint found no construction site at all: it is looking wrong"

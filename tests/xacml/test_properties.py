@@ -15,10 +15,18 @@ Invariants checked:
 * under interleaved add / remove / replace the indexed store keeps
   deciding like the linear oracle and keeps insertion order, and
   leaves no bag or residue behind;
-* request cache keys are stable under attribute reordering.
+* request cache keys are stable under attribute reordering;
+* sharing policy leaves is unobservable: the same policy built with the
+  leaf memos warm and cold is equal, serializes to the same bytes and
+  decides alike; parsing shares its leaves with building; the memo keys
+  separate whatever the serializer writes apart, and remember no
+  exception; every slotted node still copies, pickles and replaces,
+  and takes no stray attribute.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,7 +72,31 @@ from repro.xacml import (
     string,
     subject_resource_action_target,
 )
-from repro.xacml.attributes import any_uri
+from repro.xacml.attributes import (
+    LEAF_MEMO_SIZE,
+    SUBJECT_ROLE,
+    AttributeValue,
+    _designator_of,
+    any_uri,
+    double,
+    integer,
+    time_of_day,
+)
+from repro.xacml.expressions import (
+    AllOfFunction,
+    AnyOfFunction,
+    Apply,
+    Condition,
+    Designator,
+    Literal,
+    _condition_of,
+    attribute_equals,
+    designator,
+)
+from repro.xacml.parser import ParseError
+from repro.xacml.policy import PolicyReference, PolicyResult, PolicySet
+from repro.xacml.rules import Rule, RuleResult
+from repro.xacml.targets import _match_of, _single_of, target_of
 
 decisions = st.sampled_from(
     [Decision.PERMIT, Decision.DENY, Decision.NOT_APPLICABLE, Decision.INDETERMINATE]
@@ -640,3 +672,298 @@ class TestCacheKeyProperties:
         shuffled = list(pairs)
         rnd.shuffle(shuffled)
         assert build(pairs).cache_key() == build(shuffled).cache_key()
+
+
+# -- shared policy leaves (ISSUE 24) --------------------------------------------------
+
+#: The four policy-side constructor memos.
+LEAF_MEMOS = (_designator_of, _match_of, _single_of, _condition_of)
+
+roles = st.sampled_from(["clerk", "manager", "auditor"])
+
+
+def forget_leaves():
+    for memo in LEAF_MEMOS:
+        memo.cache_clear()
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+#: What :func:`random_policies` draws for a rule, plus the role its
+#: condition asks for — kept as plain data, so that one recipe can be
+#: built twice.
+rule_recipes = st.tuples(
+    st.booleans(),
+    optional(subjects),
+    optional(resources),
+    optional(actions),
+    optional(st.tuples(roles, st.booleans())),
+)
+policy_recipes = st.tuples(
+    st.uuids().map(lambda u: f"gen-{u.hex}"),
+    st.lists(rule_recipes, min_size=1, max_size=5),
+    st.tuples(optional(subjects), optional(resources), optional(actions)),
+    st.sampled_from(
+        [
+            combining.RULE_DENY_OVERRIDES,
+            combining.RULE_PERMIT_OVERRIDES,
+            combining.RULE_FIRST_APPLICABLE,
+        ]
+    ),
+)
+
+
+def build(recipe):
+    """The policy a recipe spells, every leaf through the builders."""
+    policy_id, rule_rows, target, algorithm = recipe
+    rules = []
+    for index, (permit, subject, resource, action, asks) in enumerate(rule_rows):
+        rules.append(
+            (permit_rule if permit else deny_rule)(
+                f"rule-{index}",
+                target=subject_resource_action_target(subject, resource, action),
+                condition=asks
+                and attribute_equals(
+                    Category.SUBJECT, SUBJECT_ROLE, string(asks[0]), asks[1]
+                ),
+            )
+        )
+    return Policy(
+        policy_id=policy_id,
+        rules=tuple(rules),
+        rule_combining=algorithm,
+        target=subject_resource_action_target(*target),
+    )
+
+
+def shared_leaves(policy):
+    """Every node of ``policy`` that a leaf memo hands out, in document
+    order: single-match groups (and the match and designator inside),
+    conditions (and the designator inside)."""
+    leaves = []
+    for holder in (policy, *policy.rules):
+        for group in holder.target.any_ofs:
+            (match,) = group.all_ofs[0].matches
+            leaves += [group, match, match.designator]
+        condition = getattr(holder, "condition", None)
+        if condition is not None:
+            leaves += [condition, condition.expression.arguments[1].designator]
+    return leaves
+
+
+def requests_with_role(triple, role):
+    request = request_with_subjects(*triple)
+    if role is not None:
+        request.add(Category.SUBJECT, Attribute.of(SUBJECT_ROLE, string(role)))
+    return request
+
+
+class TestSharedLeavesAreUnobservable:
+    @given(policy_recipes, st.lists(st.tuples(request_triples, optional(roles)), max_size=4))
+    @settings(max_examples=60)
+    def test_warm_and_cold_builds_are_the_same_policy(self, recipe, asked):
+        from repro.xacml import evaluate_element
+
+        build(recipe)
+        warm = build(recipe)
+        forget_leaves()
+        cold = build(recipe)
+        assert warm == cold
+        assert serialize_policy(warm) == serialize_policy(cold)
+        # Cleared in between: equal, and not one leaf in common ...
+        assert not {id(leaf) for leaf in shared_leaves(warm)} & {
+            id(leaf) for leaf in shared_leaves(cold)
+        }
+        # ... while two builds under one memo state have all in common.
+        assert all(
+            a is b
+            for a, b in zip(shared_leaves(cold), shared_leaves(build(recipe)), strict=True)
+        )
+        for triple, role in asked:
+            request = requests_with_role(triple, role)
+            assert evaluate_element(warm, request) == evaluate_element(cold, request)
+
+    @given(policy_recipes)
+    @settings(max_examples=60)
+    def test_parsing_shares_its_leaves_with_building(self, recipe):
+        policy = build(recipe)
+        parsed = parse_policy(serialize_policy(policy))
+        assert parsed == policy
+        assert all(
+            a is b
+            for a, b in zip(shared_leaves(parsed), shared_leaves(policy), strict=True)
+        )
+
+    @given(random_policies(), st.lists(request_triples, max_size=3))
+    @settings(max_examples=60)
+    def test_a_policy_parsed_warm_is_the_policy_parsed_cold(self, policy, triples):
+        """The existing strategy: hand-built groups, ordered matches and
+        alternatives among its targets, which no builder shares."""
+        from repro.xacml import evaluate_element
+
+        text = serialize_policy(policy)
+        warm = parse_policy(text)
+        forget_leaves()
+        cold = parse_policy(text)
+        assert warm == cold == policy
+        assert serialize_policy(warm) == serialize_policy(cold) == text
+        for triple in triples:
+            request = request_with_subjects(*triple)
+            assert (
+                evaluate_element(warm, request)
+                == evaluate_element(cold, request)
+                == evaluate_element(policy, request)
+            )
+
+    # -- the key separates what the serializer writes apart ----------------------
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (double(0.0), double(-0.0)),
+            (double(-0.0), double(0.0)),
+            (time_of_day(0.0), time_of_day(-0.0)),
+            (integer(5), double(5.0)),
+            (double(5.0), AttributeValue(DataType.DOUBLE, 5)),
+            (string("5"), any_uri("5")),
+            (string("true"), AttributeValue(DataType.BOOLEAN, True)),
+        ],
+        ids=lambda value: f"{value.data_type.name}:{value.lexical()}",
+    )
+    def test_equal_looking_literals_keep_their_own_lexical_form(self, first, second):
+        """``double(0.0) == double(-0.0)`` with equal hashes: a memo
+        keyed on the value would hand the second policy the first one's
+        literal, and the serializer would write another number."""
+        forget_leaves()
+
+        def policy_about(value):
+            return Policy(
+                policy_id="p",
+                rules=(
+                    permit_rule(
+                        "r",
+                        condition=attribute_equals(Category.RESOURCE, "urn:test:x", value),
+                    ),
+                ),
+                target=target_of(match_equal(Category.RESOURCE, "urn:test:x", value)),
+            )
+
+        built = [policy_about(first), policy_about(second)]
+        for policy, value in zip(built, (first, second), strict=True):
+            (match,) = policy.target.any_ofs[0].all_ofs[0].matches
+            literal = policy.rules[0].condition.expression.arguments[0].value
+            for held in (match.value, literal):
+                assert (held.data_type, held.lexical()) == (value.data_type, value.lexical())
+            text = serialize_policy(policy)
+            assert text.count(f">{value.lexical()}</AttributeValue>") == 2
+            assert parse_policy(text) == policy
+            assert serialize_policy(parse_policy(text)) == text
+
+    def test_a_time_needs_a_float_whether_or_not_an_equal_one_was_seen(self):
+        time_of_day(5.0)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                AttributeValue(DataType.TIME, 5)
+
+    # -- exceptions are never remembered -----------------------------------------
+
+    def test_a_leaf_that_cannot_be_built_raises_on_every_call(self):
+        role = _designator_of(Category.SUBJECT, SUBJECT_ROLE, DataType.INTEGER, False, None)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                match_equal(Category.SUBJECT, SUBJECT_ROLE, integer(True))
+            with pytest.raises(ValueError):
+                _match_of("urn:f", DataType.INTEGER, "five", role)
+            with pytest.raises(ValueError):
+                _condition_of("urn:f", DataType.BOOLEAN, "maybe", role)
+        text = serialize_policy(
+            Policy("p", (permit_rule("r"),), target=subject_resource_action_target("s0"))
+        )
+        unknown_type = text.replace("XMLSchema#string", "XMLSchema#strung")
+        bad_integer = text.replace("XMLSchema#string", "XMLSchema#integer")
+        assert unknown_type != text != bad_integer
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                parse_policy(unknown_type)
+            with pytest.raises(ValueError):
+                parse_policy(bad_integer)
+        # ... and the text that does parse still does.
+        assert parse_policy(text).policy_id == "p"
+
+    def test_the_memos_are_bounded_by_the_one_constant(self):
+        assert {memo.cache_info().maxsize for memo in LEAF_MEMOS} == {LEAF_MEMO_SIZE}
+
+    # -- slotted nodes ---------------------------------------------------------------
+
+    def slotted_nodes(self):
+        """One of every frozen node class of the tree and of a
+        decision's results.  The function ids are unknown to the
+        registry: registry functions are closures, so a node *bound* to
+        one has never pickled, with or without slots."""
+        role = AttributeDesignator(Category.SUBJECT, SUBJECT_ROLE, DataType.STRING)
+        match = Match("urn:test:unbound", string("clerk"), role)
+        all_of = AllOf((match,))
+        any_of = AnyOf((all_of,))
+        target = Target((any_of,))
+        literal = Literal(string("clerk"))
+        bag = Designator(role)
+        apply = Apply("urn:test:unbound", (literal, bag))
+        condition = Condition(apply)
+        rule = Rule("r", Decision.PERMIT, target, condition)
+        policy = Policy("p", (rule,), target=target)
+        reference = PolicyReference("elsewhere")
+        return [
+            role, match, all_of, any_of, target, literal, bag, apply,
+            AnyOfFunction("urn:test:unbound", literal, bag),
+            AllOfFunction("urn:test:unbound", literal, bag),
+            condition, rule, RuleResult(Decision.PERMIT), policy, reference,
+            PolicySet("s", (policy, reference), target=target),
+            PolicyResult(Decision.DENY),
+        ]  # fmt: skip
+
+    def test_every_node_class_is_slotted_and_takes_no_stray_attribute(self):
+        for node in self.slotted_nodes():
+            assert not hasattr(node, "__dict__"), type(node).__name__
+            field = dataclasses.fields(node)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, getattr(node, field))
+            # No ``__dict__`` to put it in.  (Through the frozen
+            # ``__setattr__`` CPython 3.11 words the refusal as a
+            # TypeError: it closes over the class ``slots=True`` replaced.)
+            with pytest.raises((AttributeError, TypeError)):
+                node.stray = 1
+            with pytest.raises(AttributeError):
+                object.__setattr__(node, "stray", 1)
+
+    def test_every_node_copies_pickles_and_replaces(self):
+        for node in self.slotted_nodes():
+            for twin in (
+                copy.copy(node),
+                copy.deepcopy(node),
+                pickle.loads(pickle.dumps(node)),
+                dataclasses.replace(node),
+            ):
+                assert twin == node and type(twin) is type(node)
+                # What ``__post_init__`` bound came along.
+                for name in ("bag_key", "_function", "_by_value", "_combiner"):
+                    assert getattr(twin, name, None) == getattr(node, name, None)
+
+    def test_a_built_policy_deep_copies_and_replaces_bound_functions_and_all(self):
+        policy = build(
+            ("p", [(True, "s0", "r0", "read", ("clerk", True))], ("s1", None, None),
+             combining.RULE_FIRST_APPLICABLE)
+        )  # fmt: skip
+        twin = copy.deepcopy(policy)
+        assert twin == policy and serialize_policy(twin) == serialize_policy(policy)
+        (match,) = twin.target.any_ofs[0].all_ofs[0].matches
+        assert match._function is functions.find(match.match_function) is not None
+        issued = policy.with_issuer("root")
+        assert (issued.issuer, issued.rules, issued._combiner) == (
+            "root", policy.rules, policy._combiner
+        )  # fmt: skip
+        other = dataclasses.replace(match, value=string("s2"))
+        assert (other.value, other._function, other._by_value) == (
+            string("s2"), match._function, True
+        )  # fmt: skip
