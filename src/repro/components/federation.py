@@ -42,7 +42,6 @@ classification, the forwarded-envelope profile and the origin checks.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
@@ -55,6 +54,8 @@ from ..saml.xacml_profile import (
     XacmlAuthzDecisionBatchStatement,
     XacmlAuthzDecisionQuery,
     XacmlAuthzDecisionStatement,
+    parse_envelope,
+    qualified,
 )
 from ..simnet.message import Message
 from ..wsvc.ws_security import WsSecurityError
@@ -65,7 +66,6 @@ from ..xacml.context import (
     Status,
     StatusCode,
 )
-from ..xmlutil import parse_attrs
 from .base import RpcFault
 from .cache import DecisionCache
 from .channel import is_secure_action, secure_action
@@ -86,6 +86,9 @@ DEFAULT_FORWARD_TTL = 3
 
 #: Resolves the domain governing one request's resource (None = local).
 DomainResolver = Callable[[RequestContext], Optional[str]]
+
+_FORWARD_TAG = qualified("fed:ForwardedBatchQuery")
+_NOT_A_FORWARD = "not a ForwardedBatchQuery"
 
 
 @dataclass(frozen=True)
@@ -120,20 +123,18 @@ class ForwardedBatchQuery:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "ForwardedBatchQuery":
-        match = re.match(
-            r"<fed:ForwardedBatchQuery ([^>]*)>(.*)"
-            r"</fed:ForwardedBatchQuery>$",
-            xml_text,
-            re.DOTALL,
-        )
-        if match is None:
-            raise ValueError("not a ForwardedBatchQuery")
-        attrs = parse_attrs(match.group(1))
+        """One expat pass for the wrapper and the batch it carries."""
+        element = parse_envelope(xml_text, _NOT_A_FORWARD)
+        if element.tag != _FORWARD_TAG or len(element) != 1:
+            raise ValueError(_NOT_A_FORWARD)
+        if element.text is not None or element.tail is not None:
+            raise ValueError(_NOT_A_FORWARD)
+        attrs = element.attrib
         for required in ("OriginDomain", "OriginGateway", "TTL"):
             if required not in attrs:
                 raise ValueError(f"ForwardedBatchQuery missing {required}")
         return cls(
-            batch=XacmlAuthzDecisionBatchQuery.from_xml(match.group(2)),
+            batch=XacmlAuthzDecisionBatchQuery.from_element(element[0]),
             origin_domain=attrs["OriginDomain"],
             origin_gateway=attrs["OriginGateway"],
             ttl=int(attrs["TTL"]),

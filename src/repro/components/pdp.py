@@ -499,7 +499,9 @@ class PolicyDecisionPoint(Component):
         The endpoints differ only in how the body decodes and which
         method answers it (:attr:`_ENDPOINTS`); whether the query may be
         answered at all, and how the reply is protected, is decided
-        here once, so no endpoint can skip the signature policy.  One
+        here once, so no endpoint can skip the signature policy, and a
+        body that does not decode is answered with a
+        ``pdp:malformed-query`` fault, never raised.  One
         signature is verified and one made per envelope however many
         decisions ride it — the fabric's amortisation on the
         authenticated channel.
@@ -525,7 +527,11 @@ class PolicyDecisionPoint(Component):
             self.rejected_queries += 1
             raise RpcFault("pdp:authentication-failed", str(exc)) from exc
         decode, answer = self._ENDPOINTS[base_action(message.kind)]
-        query = decode(body)
+        try:
+            query = decode(body)
+        except ValueError as exc:  # ParseError is one
+            self.rejected_queries += 1
+            raise RpcFault("pdp:malformed-query", str(exc)) from exc
         statement, decisions, exchange_id = answer(self, query)
         reply = self.channel.seal_reply(
             message, statement.to_xml(), sign=self.config.sign_responses
@@ -642,7 +648,8 @@ class PolicyDecisionPoint(Component):
                 answers = self.channel.open_batch_reply(
                     reply, owner, sub_batch.batch_id, len(group)
                 ).statements
-            except (RpcTimeout, RpcFault, WsSecurityError):
+            except (RpcTimeout, RpcFault, WsSecurityError, ValueError):
+                # ValueError: a reply that does not decode (ParseError too).
                 answers = None
             if answers is not None:
                 self.reforwarded_batches += 1

@@ -40,7 +40,6 @@ from ..xacml.context import (
     Status,
     StatusCode,
 )
-from ..xacml.parser import ParseError
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
 from .cache import DecisionCache
 from .channel import DecisionChannel
@@ -188,7 +187,7 @@ class PolicyEnforcementPoint(Component):
             statement = XacmlAuthzDecisionStatement.from_xml(
                 self.channel.open_reply(reply, pdp)
             )
-        except (ValueError, ParseError) as exc:
+        except ValueError as exc:  # ParseError is one
             raise RpcFault("pep:bad-reply", str(exc)) from exc
         # The signature covers action and body, and every reply travels
         # under the same action: without this check any statement the
@@ -215,7 +214,7 @@ class PolicyEnforcementPoint(Component):
             return self.channel.open_batch_reply(
                 reply, pdp, batch.batch_id, len(requests)
             )
-        except (ValueError, ParseError) as exc:
+        except ValueError as exc:  # ParseError is one
             raise RpcFault("pep:bad-reply", str(exc)) from exc
 
     def enable_batching(

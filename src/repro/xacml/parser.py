@@ -14,6 +14,8 @@ fresh.
 Every document and every ``<Request>`` / ``<Response>`` fragment goes
 through expat (``ET.fromstring``): text that is not well-formed XML is a
 :class:`ParseError` whatever the envelope around it looked like.  (A
+``<Request>`` inside a SAML query is read from the element the query's
+own expat pass built, by the same walk, :func:`_request_of`; a
 ``<Response>`` text that was accepted before is answered from
 :func:`parse_response`'s bounded memo; a text never seen, or rejected,
 is parsed in full.)  What
@@ -68,8 +70,12 @@ from .serializer import ALL_OF_FUNCTION_ID, ANY_OF_FUNCTION_ID
 from .targets import AllOf, AnyOf, Target, _match_of, target_of
 
 
-class ParseError(Exception):
-    """Raised when a document is not well-formed XACML."""
+class ParseError(ValueError):
+    """Raised when a document is not well-formed XACML.
+
+    A ``ValueError``, like every other rejection of a malformed message:
+    a server turns one exception type into its malformed-input fault,
+    whichever layer of the decode found the fault."""
 
 
 _CATEGORY_BY_URI = {member.value: member for member in Category}
@@ -323,6 +329,13 @@ def parse_request(xml_text: str) -> RequestContext:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}") from exc
+    return _request_of(root)
+
+
+def _request_of(root: ET.Element) -> RequestContext:
+    """The request a parsed ``<Request>`` element says: the walk behind
+    :func:`parse_request`, and the one the SAML query decoders run on the
+    element their own expat pass produced."""
     if root.tag != "Request":
         raise ParseError(f"expected <Request>, got <{root.tag}>")
     request = RequestContext()

@@ -17,22 +17,34 @@ Invariants (hypothesis-driven):
   leaves the PDP, let alone the event loop, as an exception;
 * **a dead peer is a fault reply**: whatever handler calls out to a
   crashed peer, its ``RpcTimeout`` goes back to the caller as an
-  ``upstream-timeout`` fault and the loop keeps running.
+  ``upstream-timeout`` fault and the loop keeps running;
+* **so is a message that does not decode**: a query body the PDP cannot
+  read is the sender's ``pdp:malformed-query`` fault, and a reforward
+  reply it cannot read is the peer replica's failure — the slots are
+  decided locally.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.components import (
+    BATCH_QUERY_ACTION,
+    OWNED_BATCH_QUERY_ACTION,
+    QUERY_ACTION,
     Component,
+    ComponentIdentity,
+    DecisionChannel,
     DecisionDispatcher,
     FederatedGateway,
     PdpConfig,
     PepConfig,
+    PlacementMap,
+    PlacementSpec,
     PolicyAdministrationPoint,
     PolicyDecisionPoint,
     PolicyEnforcementPoint,
     RpcFault,
+    secure_action,
 )
 from repro.core import AccessControlSystem, SystemConfig
 from repro.domain import build_federation
@@ -42,8 +54,10 @@ from repro.revocation import (
     PushStrategy,
     RevocationAuthority,
 )
+from repro.saml import XacmlAuthzDecisionBatchQuery, XacmlAuthzDecisionQuery
 from repro.simnet import FailureInjector, Link, Network
 from repro.wss import KeyStore
+from repro.wss.pki import CertificateAuthority, TrustValidator
 from repro.xacml import (
     Decision,
     Policy,
@@ -643,3 +657,114 @@ class TestAHandlersDeadPeerIsAFaultReply:
             client.call("relay", "relay", "<Go/>", timeout=5.0)
         assert caught.value.code == "upstream-timeout"
         network.run(until=network.now + 5.0)
+
+
+# -- a message that does not decode ----------------------------------------------
+#
+# ``_dispatch`` turns ``RpcFault`` and ``RpcTimeout`` into fault replies;
+# anything else a handler raises leaves ``network.run`` — for every
+# component on the network.  A decoder's ``ValueError`` used to be that.
+
+GARBAGE = "<garbage/>"
+
+
+class SignedWorld:
+    """One network and one CA; with ``secure`` every PDP answers signed
+    queries only and every client signs its own."""
+
+    def __init__(self, secure):
+        self.secure = secure
+        self.network = Network(seed=3)
+        self.keystore = KeyStore(seed=3)
+        self.ca = CertificateAuthority("ca", self.keystore)
+
+    def identity(self, name):
+        keypair = self.keystore.generate(label=name)
+        return ComponentIdentity(
+            name=name,
+            keypair=keypair,
+            certificate=self.ca.issue(name, keypair.public, 0.0, 1e9),
+            keystore=self.keystore,
+            validator=TrustValidator(self.keystore, anchors=[self.ca]),
+        )
+
+    def pdp(self, name, placement=None):
+        pdp = PolicyDecisionPoint(
+            name,
+            self.network,
+            identity=self.identity(name),
+            config=PdpConfig(require_signed_queries=self.secure, placement=placement),
+        )
+        pdp.add_local_policy(permit_all(f"{name}-policy"))
+        return pdp
+
+    def client(self):
+        client = Component("client", self.network, identity=self.identity("client"))
+        return client, DecisionChannel(client, secure=self.secure, role="client")
+
+    def pep(self, pdp_name):
+        return PolicyEnforcementPoint(
+            "pep",
+            self.network,
+            identity=self.identity("pep"),
+            pdp_address=pdp_name,
+            config=PepConfig(secure_channel=self.secure, decision_cache_ttl=0.0),
+        )
+
+
+def a_query(action):
+    if action == QUERY_ACTION:
+        return XacmlAuthzDecisionQuery(ALICE_READS_DOC, "client", 0.0).to_xml()
+    return XacmlAuthzDecisionBatchQuery.for_requests(
+        [ALICE_READS_DOC], "client", 0.0
+    ).to_xml()
+
+
+SECURITY = pytest.mark.parametrize("secure", [False, True], ids=["plain", "secure"])
+
+
+class TestAMessageThatDoesNotDecodeIsAFault:
+    @SECURITY
+    @pytest.mark.parametrize(
+        "action", [QUERY_ACTION, BATCH_QUERY_ACTION], ids=["single", "batch"]
+    )
+    def test_a_malformed_query_is_the_senders_fault(self, secure, action):
+        world = SignedWorld(secure)
+        pdp = world.pdp("pdp")
+        client, channel = world.client()
+        with pytest.raises(RpcFault) as caught:  # used to raise ValueError
+            client.call("pdp", *channel.seal(action, GARBAGE))
+        assert caught.value.code == "pdp:malformed-query"
+        assert (pdp.rejected_queries, pdp.decisions_made) == (1, 0)
+        # ... and the next query is answered as if nothing happened.
+        reply = client.call("pdp", *channel.seal(action, a_query(action)))
+        assert "Permit" in channel.open_reply(reply, "pdp")
+        assert (pdp.rejected_queries, pdp.decisions_made) == (1, 1)
+
+    @SECURITY
+    @pytest.mark.parametrize("owned_too", [False, True], ids=["single", "batch"])
+    def test_a_reforward_reply_that_does_not_decode_falls_back(
+        self, secure, owned_too
+    ):
+        """The owner of the misrouted slot answers the reforward with
+        garbage (signed, on the secure channel): the slot is decided
+        locally and counted, exactly as when the owner is unreachable."""
+        world = SignedWorld(secure)
+        spec = PlacementSpec("subject", PlacementMap(["pdp-0", "pdp-1"]))
+        here, owner = (world.pdp(name, placement=spec) for name in ("pdp-0", "pdp-1"))
+        owned = (secure_action if secure else str)(OWNED_BATCH_QUERY_ACTION)
+        owner.on(owned, lambda message: owner.channel.seal_reply(message, GARBAGE))
+        foreign, local = (
+            next(
+                f"user-{i}" for i in range(100) if spec.ring.owner(f"user-{i}") == name
+            )
+            for name in ("pdp-1", "pdp-0")
+        )
+        subjects = [local, foreign] if owned_too else [foreign]
+        results = world.pep("pdp-0").authorize_batch(
+            [RequestContext.simple(subject, "doc", "read") for subject in subjects]
+        )
+        assert [(r.granted, r.source) for r in results] == [(True, "pdp")] * len(subjects)
+        counters = world.network.metrics.counters
+        assert counters["placement.reforward_fallback"] == 1
+        assert (here.reforwarded_batches, owner.decisions_made) == (0, 0)

@@ -28,6 +28,11 @@ URN, beside the builders everybody else uses — so its leaves were never
 the shared ones.  ``Match`` and ``AttributeDesignator`` are constructed
 in the four ``xacml`` modules that own the tree and its two construction
 paths (builders and parser), nowhere else under ``src/``.
+
+And to query envelopes: a batch was tiled by patterns and every request
+in it parsed again on its own, a forwarded batch's wrapper by one more
+pattern.  One function runs expat on a query envelope now, and no
+pattern names a ``<Request>``.
 """
 
 import ast
@@ -222,3 +227,75 @@ def test_policy_leaves_are_constructed_in_the_xacml_tree_modules_only():
         f"designator, whose leaves are shared: {sorted(sites - LEAF_BUILDERS)}"
     )
     assert sites, "the lint found no construction site at all: it is looking wrong"
+
+
+# -- one expat pass per query envelope ----------------------------------------------
+
+#: The modules that read query envelopes, and the one function among
+#: them that may run expat.
+ENVELOPE_READERS = (REPRO / "saml", COMPONENTS / "federation.py")
+ENVELOPE_PARSER = "saml/xacml_profile.py:parse_envelope"
+EXPAT_ENTRIES = {"fromstring", "XML", "XMLParser", "XMLPullParser", "iterparse"}
+
+
+def docstrings(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ast.get_docstring(node, clean=False) is not None:
+            yield node.body[0].value
+
+
+def test_no_pattern_tiles_requests():
+    """A ``<Request>`` is read by expat, inside the message it came in:
+    no string in a module that compiles patterns names one."""
+    sites = []
+    for path in sorted(REPRO.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports_re = any(
+            isinstance(node, ast.Import) and any(alias.name == "re" for alias in node.names)
+            for node in ast.walk(tree)
+        )
+        if not imports_re:
+            continue
+        skipped = set(map(id, docstrings(tree)))
+        sites.extend(
+            f"{path.relative_to(REPRO).as_posix()}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "<Request" in node.value
+            and id(node) not in skipped
+        )
+    assert sites == [], (
+        "a pattern names <Request> — queries are decoded by one expat pass "
+        f"(saml.xacml_profile.parse_envelope), never tiled by regex: {sites}"
+    )
+
+
+def test_one_function_runs_expat_on_query_envelopes():
+    paths = [
+        path
+        for reader in ENVELOPE_READERS
+        for path in (sorted(reader.glob("*.py")) if reader.is_dir() else [reader])
+    ]
+    sites = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        name = f"{path.relative_to(REPRO).as_posix()}"
+        owner = {}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(function):
+                    owner.setdefault(id(inner), function.name)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            called = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+            if called in EXPAT_ENTRIES:
+                sites.append(f"{name}:{owner.get(id(call), '<module>')}")
+    assert sites == [ENVELOPE_PARSER], (
+        "expat runs on a query envelope outside parse_envelope — decode the "
+        f"element it returns instead of parsing the text again: {sites}"
+    )

@@ -408,3 +408,24 @@ class TestMalformedWrappers:
     def test_rejected(self, decoder, xml_text, error):
         with pytest.raises(error):
             decoder(xml_text)
+
+
+class TestNothingAfterTheEnvelope:
+    """A line feed after the closing tag is text nobody reads: ``$`` in
+    the patterns also matched before a final line feed."""
+
+    @pytest.mark.parametrize(
+        "decoder, message",
+        [
+            (XacmlAuthzDecisionQuery.from_xml, two_query_batch().queries[0]),
+            (XacmlAuthzDecisionBatchQuery.from_xml, two_query_batch()),
+            (XacmlAuthzDecisionStatement.from_xml, two_statement_batch().statements[1]),
+            (XacmlAuthzDecisionBatchStatement.from_xml, two_statement_batch()),
+        ],
+        ids=["query", "batch-query", "statement", "batch-statement"],
+    )
+    @pytest.mark.parametrize("trailer", ["\n", " ", "\r\n"])
+    def test_refused(self, decoder, message, trailer):
+        decoder(message.to_xml())
+        with pytest.raises(ValueError):
+            decoder(message.to_xml() + trailer)
