@@ -5,6 +5,10 @@ gates the build on it (``check_regression.py`` against the committed
 ``BENCH_baseline.json``) and uploads the JSON as a workflow artifact,
 so every PR records where the headline experiments stand:
 
+* **E10** — PDP discovery under churn: failed decisions of a static
+  binding and of registry discovery (discovery pinned 0);
+* **E11a** — replication under crash faults: failed probes per replica
+  count (3 replicas pinned 0) and unauthorised grants (pinned 0);
 * **E15** — revocation propagation: staleness window vs message cost;
 * **E16** — per-PEP batched fabric: decisions/s, msgs/decision;
 * **E17** — domain gateway vs the per-PEP baseline at equal load;
@@ -57,6 +61,43 @@ def git_revision() -> str:
         )
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def collect_e10() -> dict:
+    """Static binding vs registry discovery under PDP churn."""
+    import test_e10_pdp_discovery as e10
+
+    static_ok = e10.run_static()
+    discovery_ok, dispatcher = e10.run_discovery()
+    return {
+        "description": f"{e10.PROBES} probes under alternating PDP crash "
+        "windows in two domains",
+        "configs": {
+            "static": {"failed_decisions": e10.PROBES - static_ok},
+            "discovery": {
+                "failed_decisions": e10.PROBES - discovery_ok,
+                "fallbacks_used": dispatcher.routing.passed_over,
+            },
+        },
+    }
+
+
+def collect_e11() -> dict:
+    """Decision availability vs PDP replica count under crash faults."""
+    import test_e11_replication as e11
+
+    configs = {}
+    for replicas in (1, 2, 3, 5):
+        availability, wrong = e11.run_with_replicas(replicas)
+        configs[f"r{replicas}"] = {
+            "failed_probes": e11.PROBES - round(availability * e11.PROBES),
+            "unauthorised_grants": wrong,
+        }
+    return {
+        "description": f"{e11.PROBES} probes, crash process mtbf 6 s / "
+        "mttr 3 s, heartbeat-ordered failover",
+        "configs": configs,
+    }
 
 
 def collect_e15() -> dict:
@@ -429,6 +470,10 @@ def collect() -> dict:
             "E24": collect_e24(),
             "E25": collect_e25(),
             "E29a": collect_e29(),
+            # Last: wire ids are still minted per process, so running
+            # these first would shift every later experiment's bytes.
+            "E10": collect_e10(),
+            "E11a": collect_e11(),
         },
     }
     e16 = summary["experiments"]["E16"]["configs"]
@@ -508,6 +553,21 @@ def collect() -> dict:
             ),
             "e29_refresh_nesting_max": max(
                 cell["refresh_nesting_max"] for cell in e29
+            ),
+        }
+    )
+    e11 = summary["experiments"]["E11a"]["configs"]
+    summary["headline"].update(
+        {
+            # Zero baselines: a discovering PEP or a 3-replica system
+            # that fails a decision has lost its failover; a grant to
+            # the unauthorised subject is the stack failing open.
+            "e10_discovery_failed_decisions": summary["experiments"]["E10"][
+                "configs"
+            ]["discovery"]["failed_decisions"],
+            "e11_failed_probes_r3": e11["r3"]["failed_probes"],
+            "e11_unauthorised_grants": sum(
+                cell["unauthorised_grants"] for cell in e11.values()
             ),
         }
     )

@@ -11,7 +11,7 @@ discovery with health probing, including fallback to a delegated domain.
 
 from repro.bench import Experiment
 from repro.components import PepConfig, PolicyEnforcementPoint
-from repro.core import DiscoveringSelector, HealthProber, register_pdp
+from repro.core import HealthProber, discovering_dispatcher, register_pdp
 from repro.domain import build_federation
 from repro.simnet import FailureInjector, Network
 from repro.wss import KeyStore
@@ -76,12 +76,11 @@ def run_discovery(seed=10):
     register_pdp(registry, partner.pdp.name, "partner")
     prober = HealthProber("prober", network, registry, period=0.4, probe_timeout=0.2)
     prober.start()
-    selector = DiscoveringSelector(
-        registry, home_domain="home", fallback_domains=("partner",)
-    )
     pep = PolicyEnforcementPoint(
-        "pep.discovering", network, domain="home",
-        pdp_selector=selector, config=PepConfig(pdp_timeout=0.4),
+        "pep.discovering", network, domain="home", config=PepConfig(pdp_timeout=0.4)
+    )
+    pep.dispatcher = discovering_dispatcher(
+        registry, home_domain="home", fallback_domains=("partner",)
     )
     injector = FailureInjector(network, seed=seed)
     churn(network, injector, [home.pdp.name, partner.pdp.name])
@@ -90,12 +89,12 @@ def run_discovery(seed=10):
         network.run(until=network.now + PROBE_PERIOD)
         if pep.authorize_simple("alice", "res", "read").granted:
             ok += 1
-    return ok, selector, registry
+    return ok, pep.dispatcher
 
 
 def test_e10_static_vs_discovery(benchmark):
     static_ok = run_static()
-    discovery_ok, selector, registry = run_discovery()
+    discovery_ok, dispatcher = run_discovery()
 
     experiment = Experiment(
         exp_id="E10",
@@ -111,7 +110,7 @@ def test_e10_static_vs_discovery(benchmark):
         "registry discovery",
         f"{discovery_ok}/{PROBES}",
         round(discovery_ok / PROBES, 3),
-        selector.fallbacks_used,
+        dispatcher.routing.passed_over,
     )
     experiment.note(
         "churn: alternating 3.5 s crash windows over both domains' PDPs"
@@ -120,8 +119,8 @@ def test_e10_static_vs_discovery(benchmark):
 
     # Shape: discovery beats static binding and actually used fallback.
     assert discovery_ok > static_ok
-    assert selector.fallbacks_used > 0
+    assert dispatcher.routing.passed_over > 0
     # Static binding suffered real outages (otherwise the comparison is vacuous).
     assert static_ok < PROBES
 
-    benchmark(lambda: selector())
+    benchmark(lambda: dispatcher.select())

@@ -2,8 +2,8 @@
 
 Paper claim (title + §3.2): the access control system itself must be
 dependable — the PDP is the single point of failure of the pull model.
-Replication with heartbeat failover should raise decision availability
-with replica count under crash faults; quorum voting should mask a
+Replication with heartbeat-ordered failover should raise decision
+availability with replica count under crash faults; quorum voting should mask a
 corrupted replica without ever granting unauthorised access.
 """
 
@@ -78,8 +78,10 @@ def test_e11_replication_availability(benchmark):
     experiment = Experiment(
         exp_id="E11a",
         title="Decision availability vs PDP replica count under crash faults",
-        paper_claim="availability rises with replication; fail-over is "
-        "bounded by the heartbeat detection window; never fails open",
+        paper_claim="availability rises with replication; heartbeat "
+        "detection only orders the replica ring — an undetected crash "
+        "costs one pdp_timeout, then the dispatcher fails over; never "
+        "fails open",
         columns=["replicas", "availability", "unauthorised_grants"],
     )
     results = {}

@@ -293,7 +293,7 @@ def test_e19_rebalance_under_stale_routing():
     )
     # Clients route via snapshots that will go stale at the join.
     for pep in peps:
-        pep.coalescer.dispatcher.routing.placement = spec.routing_view()
+        pep.dispatcher.routing.placement = spec.routing_view()
     events = EVENTS_PER_PEP // 2
     streams = [
         list(population.request_contexts(events, seed=10 + index))

@@ -85,7 +85,8 @@ def main() -> None:
     )
     granted = probe(replicated, network2, "during crash window")
     print(
-        f"  failovers performed: {replicated.router.failovers}, "
+        f"  queries routed past the crashed primary: "
+        f"{replicated.dispatcher.routing.passed_over}, "
         f"availability {granted}/10"
     )
 

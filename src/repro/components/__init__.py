@@ -68,6 +68,7 @@ from .fabric import (
     ConsistentHashRouting,
     DecisionDispatcher,
     DomainDecisionGateway,
+    HealthyFirstRouting,
     LeastOutstandingRouting,
     QUEUE_LATENCY_SERIES,
     RoundRobinRouting,
@@ -151,6 +152,7 @@ __all__ = [
     "AttributePartition",
     "ConsistentHashRouting",
     "HASH_FUNCTIONS",
+    "HealthyFirstRouting",
     "LeastOutstandingRouting",
     "OWNED_BATCH_QUERY_ACTION",
     "PartitionStats",

@@ -13,9 +13,10 @@ is the only place under ``components/`` that touches WS-Security:
   :func:`base_action`;
 * **client half** — :meth:`DecisionChannel.seal` (wrap + sign a query
   when the channel is secure), :meth:`~DecisionChannel.open_reply`
-  (verify, pin the signer to the destination asked) and
-  :meth:`~DecisionChannel.open_batch_reply` (plus batch id and
-  statement-count validation);
+  (verify, pin the signer to the destination asked),
+  :meth:`~DecisionChannel.open_statement_reply` (plus decode and query
+  id validation) and :meth:`~DecisionChannel.open_batch_reply` (plus
+  decode, batch id and statement-count validation);
 * **server half** — :meth:`~DecisionChannel.open_request` (verify a
   query arriving on a secure action → ``(body, signer)``) and
   :meth:`~DecisionChannel.seal_reply`.
@@ -29,7 +30,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..saml.xacml_profile import XacmlAuthzDecisionBatchStatement
+from ..saml.xacml_profile import (
+    XacmlAuthzDecisionBatchStatement,
+    XacmlAuthzDecisionStatement,
+)
 from ..simnet.message import Message
 from ..wsvc.soap import SoapEnvelope
 from ..wsvc.ws_security import (
@@ -136,19 +140,40 @@ class DecisionChannel:
             )
         return clear.body_xml
 
+    def _decode_reply(self, decode, reply: Message, destination: str, asked: str):
+        """``decode`` the opened reply and check it answers ``asked``.
+
+        A reply that does not decode, or that answers another query, is
+        a ``{role}:bad-reply`` fault.  The signature covers action and
+        body, and every reply travels under the same action: without the
+        id check any statement ever signed would verify as the answer.
+        """
+        try:
+            answer = decode(self.open_reply(reply, destination))
+        except ValueError as exc:  # ParseError is one
+            raise RpcFault(f"{self.role}:bad-reply", str(exc)) from exc
+        if answer.in_response_to != asked:
+            raise RpcFault(
+                f"{self.role}:bad-reply",
+                f"reply answers {answer.in_response_to!r}, expected {asked!r}",
+            )
+        return answer
+
+    def open_statement_reply(
+        self, reply: Message, destination: str, query_id: str
+    ) -> XacmlAuthzDecisionStatement:
+        """Open a single-query reply and check it answers ``query_id``."""
+        return self._decode_reply(
+            XacmlAuthzDecisionStatement.from_xml, reply, destination, query_id
+        )
+
     def open_batch_reply(
         self, reply: Message, destination: str, batch_id: str, count: int
     ) -> XacmlAuthzDecisionBatchStatement:
         """Open a batch reply and check it answers what was asked."""
-        answer = XacmlAuthzDecisionBatchStatement.from_xml(
-            self.open_reply(reply, destination)
+        answer = self._decode_reply(
+            XacmlAuthzDecisionBatchStatement.from_xml, reply, destination, batch_id
         )
-        if answer.in_response_to != batch_id:
-            raise RpcFault(
-                f"{self.role}:bad-reply",
-                f"reply answers {answer.in_response_to!r}, "
-                f"expected {batch_id!r}",
-            )
         if len(answer.statements) != count:
             raise RpcFault(
                 f"{self.role}:bad-reply",

@@ -24,7 +24,8 @@ instantiated per tier:
   PDP replicas under a :class:`RoutingPolicy` and fails over to the
   next replica on :class:`~repro.components.base.RpcTimeout`, which
   makes E11-style replication an actual *throughput* mechanism rather
-  than only an availability one.
+  than only an availability one.  It is the only way a PEP reaches a
+  PDP: a PEP bound to one ``pdp_address`` holds a ring of one.
 
 The three drains are the only per-tier code:
 
@@ -92,8 +93,9 @@ class RoutingPolicy(Protocol):
         dispatcher: "DecisionDispatcher",
         candidates: Sequence[str],
         request: Optional[RequestContext] = None,
-    ) -> str:
-        """Pick one of ``candidates`` (non-empty, in ring order)."""
+    ) -> Optional[str]:
+        """Pick one of ``candidates`` (non-empty, in ring order), or
+        None when the policy will send to none of them (fail safe)."""
         ...
 
 
@@ -162,6 +164,40 @@ class ConsistentHashRouting:
         return f"ConsistentHashRouting({self.placement.shard_by})"
 
 
+class HealthyFirstRouting:
+    """Route to the first replica, in ring order, that ``healthy`` vouches for.
+
+    The dependable tier's client half (paper §3.2: the PDP is the single
+    point of failure of the pull model).  A heartbeat monitor or a
+    registry's health marks say which replicas are believed alive; the
+    ring order is the preference order.  Detection only orders the
+    ring: a replica that crashed before anyone noticed costs one
+    timeout, after which the dispatcher fails over to the next healthy
+    replica.  When no candidate is healthy the policy returns None and
+    the caller fails safe without sending anything.
+
+    Attributes:
+        passed_over: selections that went past the ring head.
+    """
+
+    name = "healthy-first"
+
+    def __init__(self, healthy: Callable[[str], bool]) -> None:
+        self.healthy = healthy
+        self.passed_over = 0
+
+    def choose(self, dispatcher, candidates, request=None) -> Optional[str]:
+        for address in candidates:
+            if self.healthy(address):
+                if address != dispatcher.replicas[0]:
+                    self.passed_over += 1
+                return address
+        return None
+
+    def __repr__(self) -> str:
+        return "HealthyFirstRouting()"
+
+
 class DecisionDispatcher:
     """Load-balances decision queries over PDP replicas, with failover.
 
@@ -222,12 +258,15 @@ class DecisionDispatcher:
         exclude: Sequence[str] = (),
         request: Optional[RequestContext] = None,
     ) -> Optional[str]:
-        """Pick the next replica, or None when every candidate is excluded.
+        """Pick the next replica, or None when every candidate is
+        excluded or the routing policy vouches for none of them.
 
         ``request`` lets key-aware policies route by placement key; the
         load-based policies ignore it.
         """
-        candidates = [r for r in self.replicas if r not in exclude]
+        candidates = (
+            [r for r in self.replicas if r not in exclude] if exclude else self.replicas
+        )
         if not candidates:
             return None
         return self.routing.choose(self, candidates, request)
@@ -287,10 +326,12 @@ class DecisionDispatcher:
     ) -> tuple[Message, str]:
         """Synchronous RPC through the next replica; failover on timeout.
 
-        Faults are *answers* (an authentication rejection must not be
-        retried against a sibling), so only :class:`RpcTimeout` rotates
-        to the next replica.  Raises the last timeout when every replica
-        has been tried.
+        The only loop that retries a replica.  Faults are *answers* (an
+        authentication rejection must not be retried against a
+        sibling), so only :class:`RpcTimeout` rotates to the next
+        replica.  Raises the last timeout when every replica the routing
+        policy will send to has been tried, and a timeout without
+        sending anything when it will send to none.
 
         Returns:
             ``(reply, address)`` — the reply message and which replica
@@ -528,6 +569,11 @@ class BatchingStage:
 def _batch_body(batch: XacmlAuthzDecisionBatchQuery) -> tuple[str, str]:
     """The default envelope body: the batch query itself, PDP-bound."""
     return BATCH_QUERY_ACTION, batch.to_xml()
+
+
+def _no_replica(tried: Sequence[str]) -> Optional[str]:
+    """The select of a PEP bound to no PDP: every send fails safe."""
+    return None
 
 
 @dataclass
@@ -859,10 +905,9 @@ class CoalescingDecisionQueue(_StagedTier):
             on the synchronous path.
         max_batch: flush as soon as this many *unique* requests wait.
         max_delay: flush this many simulated seconds after the first
-            request entered an empty queue (latency bound).
-        dispatcher: optional replica dispatcher; without one every batch
-            goes to the PEP's configured/selected PDP and a timeout is a
-            fail-safe denial rather than a failover.
+            request entered an empty queue (latency bound).  Envelopes
+            go through the PEP's dispatcher as it is when the queue is
+            built; a PEP with none fails every send safe.
         gateway: optional :class:`DomainDecisionGateway`; when given,
             flushes hand their entries to the gateway (the domain's
             shared aggregation point) instead of putting a per-PEP
@@ -875,11 +920,9 @@ class CoalescingDecisionQueue(_StagedTier):
         pep,
         max_batch: int = 16,
         max_delay: float = 0.002,
-        dispatcher: Optional[DecisionDispatcher] = None,
         gateway: Optional["DomainDecisionGateway"] = None,
     ) -> None:
         self.pep = pep
-        self.dispatcher = dispatcher
         self.gateway = gateway
         #: Scope prefix of every dedup key this queue mints: the owning
         #: PEP's identity.  Keeps entries from different PEPs distinct
@@ -898,14 +941,11 @@ class CoalescingDecisionQueue(_StagedTier):
         self.deduplicated = 0
         self.batches_sent = 0
         self.completions = 0
+        dispatcher = pep.dispatcher
         self._wire = BatchWireCore(
             pep,
             WireJob(
-                select=(
-                    dispatcher.select
-                    if dispatcher is not None
-                    else self._configured_pdp
-                ),
+                select=dispatcher.select if dispatcher is not None else _no_replica,
                 deliver=self._stage.deliver,
                 fail=self._stage.fail,
                 timeout=pep.config.pdp_timeout,
@@ -997,11 +1037,6 @@ class CoalescingDecisionQueue(_StagedTier):
             self._wire.send(entries)
 
     # -- the wire (BatchWireCore variation points) --------------------------------
-
-    def _configured_pdp(self, exclude: Sequence[str]) -> Optional[str]:
-        """No dispatcher: one attempt at the PEP's configured/selected
-        PDP — a timeout has nowhere to go."""
-        return None if exclude else self.pep._choose_pdp()
 
     def _note_batch_sent(self, entries: list) -> None:
         self.batches_sent += 1

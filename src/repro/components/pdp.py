@@ -648,8 +648,7 @@ class PolicyDecisionPoint(Component):
                 answers = self.channel.open_batch_reply(
                     reply, owner, sub_batch.batch_id, len(group)
                 ).statements
-            except (RpcTimeout, RpcFault, WsSecurityError, ValueError):
-                # ValueError: a reply that does not decode (ParseError too).
+            except (RpcTimeout, RpcFault, WsSecurityError):
                 answers = None
             if answers is not None:
                 self.reforwarded_batches += 1

@@ -96,7 +96,6 @@ class PolicyEnforcementPoint(Component):
         identity: Optional[ComponentIdentity] = None,
         pdp_address: Optional[str] = None,
         config: Optional[PepConfig] = None,
-        pdp_selector: Optional[Callable[[], Optional[str]]] = None,
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.config = config if config is not None else PepConfig()
@@ -105,13 +104,13 @@ class PolicyEnforcementPoint(Component):
         self.channel = DecisionChannel(
             self, secure=self.config.secure_channel, role="pep"
         )
-        self.pdp_address = pdp_address
-        #: Dynamic PDP selection hook (discovery, replication router).
-        self.pdp_selector = pdp_selector
-        #: Replica load-balancer with failover; set directly or via
-        #: :meth:`enable_batching`.  When present it owns PDP selection
-        #: for every query path (single, batch, coalesced).
-        self.dispatcher: Optional[DecisionDispatcher] = None
+        #: The replica ring every query path (single, batch, coalesced)
+        #: reaches its PDP through, with failover; ``pdp_address`` is a
+        #: ring of one.  Replace it directly or via
+        #: :meth:`enable_batching`; None (no PDP) fails every query safe.
+        self.dispatcher: Optional[DecisionDispatcher] = (
+            DecisionDispatcher([pdp_address]) if pdp_address is not None else None
+        )
         #: Client-side coalescing queue (see :meth:`enable_batching`).
         self.coalescer: Optional[CoalescingDecisionQueue] = None
         self.decision_cache = DecisionCache(
@@ -151,28 +150,13 @@ class PolicyEnforcementPoint(Component):
 
     # -- the decision query (pull model) ----------------------------------------------
 
-    def _choose_pdp(self) -> Optional[str]:
-        if self.dispatcher is not None:
-            chosen = self.dispatcher.select()
-            if chosen is not None:
-                return chosen
-        if self.pdp_selector is not None:
-            chosen = self.pdp_selector()
-            if chosen is not None:
-                return chosen
-        return self.pdp_address
-
     def _exchange(self, action: str, payload) -> tuple[Message, str]:
-        """One decision round-trip: dispatcher failover or the single PDP."""
-        if self.dispatcher is not None:
-            return self.dispatcher.dispatch(
-                self, action, payload, timeout=self.config.pdp_timeout
-            )
-        pdp = self._choose_pdp()
-        if pdp is None:
+        """One decision round-trip through the dispatcher's failover."""
+        if self.dispatcher is None:
             raise RpcTimeout(self.name, "<none>", "no PDP configured", self.now)
-        reply = self.call(pdp, action, payload, timeout=self.config.pdp_timeout)
-        return reply, pdp
+        return self.dispatcher.dispatch(
+            self, action, payload, timeout=self.config.pdp_timeout
+        )
 
     def _query_pdp(self, request: RequestContext) -> XacmlAuthzDecisionStatement:
         """One blocking round-trip.  A reply that does not decode, or
@@ -183,22 +167,7 @@ class PolicyEnforcementPoint(Component):
         )
         action, payload = self.channel.seal(QUERY_ACTION, query.to_xml())
         reply, pdp = self._exchange(action, payload)
-        try:
-            statement = XacmlAuthzDecisionStatement.from_xml(
-                self.channel.open_reply(reply, pdp)
-            )
-        except ValueError as exc:  # ParseError is one
-            raise RpcFault("pep:bad-reply", str(exc)) from exc
-        # The signature covers action and body, and every reply travels
-        # under the same action: without this check any statement the
-        # PDP ever signed would verify as the answer to this query.
-        if statement.in_response_to != query.query_id:
-            raise RpcFault(
-                "pep:bad-reply",
-                f"reply answers {statement.in_response_to!r}, "
-                f"expected {query.query_id!r}",
-            )
-        return statement
+        return self.channel.open_statement_reply(reply, pdp, query.query_id)
 
     def _query_pdp_batch(
         self, requests: list[RequestContext]
@@ -210,12 +179,9 @@ class PolicyEnforcementPoint(Component):
         )
         action, payload = self.channel.seal(BATCH_QUERY_ACTION, batch.to_xml())
         reply, pdp = self._exchange(action, payload)
-        try:
-            return self.channel.open_batch_reply(
-                reply, pdp, batch.batch_id, len(requests)
-            )
-        except ValueError as exc:  # ParseError is one
-            raise RpcFault("pep:bad-reply", str(exc)) from exc
+        return self.channel.open_batch_reply(
+            reply, pdp, batch.batch_id, len(requests)
+        )
 
     def enable_batching(
         self,
@@ -227,9 +193,9 @@ class PolicyEnforcementPoint(Component):
         """Attach the coalescing queue (and a dispatcher or gateway).
 
         Afterwards :meth:`submit` feeds the queue; the synchronous
-        :meth:`authorize` / :meth:`authorize_batch` paths keep working
-        and also route through the dispatcher when one is given.  With a
-        :class:`~repro.components.fabric.DomainDecisionGateway` the
+        :meth:`authorize` / :meth:`authorize_batch` paths keep working.
+        A given dispatcher replaces the PEP's own for every path.  With
+        a :class:`~repro.components.fabric.DomainDecisionGateway` the
         queue's flushes hand off to the domain's shared aggregation
         point instead of sending per-PEP envelopes; the gateway owns
         replica dispatch for that traffic.
@@ -237,11 +203,7 @@ class PolicyEnforcementPoint(Component):
         if dispatcher is not None:
             self.dispatcher = dispatcher
         self.coalescer = CoalescingDecisionQueue(
-            self,
-            max_batch=max_batch,
-            max_delay=max_delay,
-            dispatcher=self.dispatcher,
-            gateway=gateway,
+            self, max_batch=max_batch, max_delay=max_delay, gateway=gateway
         )
         return self.coalescer
 

@@ -9,13 +9,12 @@ provides registry-based PDP location.
 
 from .audit import AuditLog, AuditRecord
 from .dependability import (
-    FailoverRouter,
     HeartbeatMonitor,
     PdpCluster,
     QuorumClient,
     QuorumOutcome,
 )
-from .discovery import DiscoveringSelector, HealthProber, register_pdp
+from .discovery import HealthProber, discovering_dispatcher, register_pdp
 from .sequences import (
     AgentProxy,
     ClientAgent,
@@ -33,8 +32,6 @@ __all__ = [
     "AuditLog",
     "AuditRecord",
     "ClientAgent",
-    "DiscoveringSelector",
-    "FailoverRouter",
     "FlowStep",
     "FlowTrace",
     "HealthProber",
@@ -44,6 +41,7 @@ __all__ = [
     "QuorumOutcome",
     "SystemConfig",
     "agent_sequence",
+    "discovering_dispatcher",
     "pull_sequence",
     "push_sequence",
     "register_pdp",

@@ -9,9 +9,11 @@ Fig. 3).  Three mechanisms, composable per deployment:
 * **replication** — a domain runs R identical PDP replicas behind one
   logical decision endpoint (:class:`PdpCluster`);
 * **heartbeat failover** — a :class:`HeartbeatMonitor` pings replicas on
-  a period; a :class:`FailoverRouter` (pluggable as a PEP's
-  ``pdp_selector``) always routes to the first replica currently
-  believed alive, bounding outage time by the detection window;
+  a period; the PEPs' :class:`~repro.components.fabric.
+  DecisionDispatcher` routes under a :class:`~repro.components.fabric.
+  HealthyFirstRouting` fed by it, so every query goes to the first
+  replica not suspected, and a replica that crashed before the monitor
+  noticed costs one ``pdp_timeout`` before the dispatcher fails over;
 * **quorum voting** — a :class:`QuorumClient` queries q replicas and
   takes the majority decision, masking not just crashes but a *corrupted
   replica returning wrong decisions* (deny-biased on ties and
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..components.base import Component, RpcFault, RpcTimeout
+from ..components.channel import DecisionChannel
 from ..components.pdp import PdpConfig, PolicyDecisionPoint, QUERY_ACTION
 from ..domain.domain import AdministrativeDomain
-from ..saml.xacml_profile import XacmlAuthzDecisionQuery, XacmlAuthzDecisionStatement
+from ..saml.xacml_profile import XacmlAuthzDecisionQuery
 from ..simnet.network import Network
 from ..xacml.context import Decision, RequestContext
 
@@ -144,30 +147,6 @@ class HeartbeatMonitor(Component):
 
 
 @dataclass
-class FailoverRouter:
-    """``pdp_selector`` that always routes to the first unsuspected replica."""
-
-    monitor: HeartbeatMonitor
-    selections: int = 0
-    failovers: int = 0
-    _last_choice: Optional[str] = None
-
-    def __call__(self) -> Optional[str]:
-        self.selections += 1
-        alive = self.monitor.alive_targets()
-        choice = alive[0] if alive else None
-        if (
-            choice is not None
-            and self._last_choice is not None
-            and choice != self._last_choice
-        ):
-            self.failovers += 1
-        if choice is not None:
-            self._last_choice = choice
-        return choice
-
-
-@dataclass
 class QuorumOutcome:
     decision: Decision
     votes: dict[str, int]
@@ -186,6 +165,8 @@ class QuorumClient(Component):
     Deny-biased: ties, insufficient replies or any disagreement that
     leaves Permit without a strict majority resolve to Deny — a corrupted
     minority can cause denial of service but never unauthorised access.
+    A reply that does not decode, or that answers another query, counts
+    as no reply.
     """
 
     def __init__(
@@ -204,6 +185,7 @@ class QuorumClient(Component):
         self.replica_addresses = list(replica_addresses)
         self.quorum = quorum
         self.reply_timeout = reply_timeout
+        self.channel = DecisionChannel(self, role="quorum")
         self.disagreements_observed = 0
 
     def evaluate(self, request: RequestContext) -> QuorumOutcome:
@@ -221,9 +203,11 @@ class QuorumClient(Component):
                 reply = self.call(
                     address, QUERY_ACTION, query.to_xml(), timeout=self.reply_timeout
                 )
+                statement = self.channel.open_statement_reply(
+                    reply, address, query.query_id
+                )
             except (RpcTimeout, RpcFault):
                 continue
-            statement = XacmlAuthzDecisionStatement.from_xml(str(reply.payload))
             votes[statement.response.decision.value] += 1
             replies += 1
         disagreement = len([v for v in votes.values() if v > 0]) > 1

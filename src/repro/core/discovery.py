@@ -8,19 +8,18 @@ be employed."  This module provides that mechanism:
 * PDPs register in a :class:`~repro.wsvc.registry.ServiceRegistry`;
 * a :class:`HealthProber` pings registered PDPs on a period and marks
   them (un)healthy;
-* a :class:`DiscoveringSelector` plugs into a PEP's ``pdp_selector``
-  hook, returning a healthy PDP for the PEP's domain (preferring local,
-  falling back to any domain the PEP's domain delegates decisions to).
+* :func:`discovering_dispatcher` builds the PEP's
+  :class:`~repro.components.fabric.DecisionDispatcher` over the
+  registered PDPs, sending to a healthy PDP of the PEP's domain first,
+  then to one of any domain the PEP's domain delegates decisions to.
 
 Experiment E10 compares static binding vs discovery under PDP churn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ..components.base import Component, RpcFault, RpcTimeout
+from ..components.fabric import DecisionDispatcher, HealthyFirstRouting
 from ..simnet.network import Network
 from ..wsvc.registry import ServiceRegistry
 from ..wsvc.wsdl import pdp_description
@@ -81,32 +80,34 @@ class HealthProber(Component):
         return True
 
 
-@dataclass
-class DiscoveringSelector:
-    """A ``pdp_selector`` implementation backed by the registry.
+def discovering_dispatcher(
+    registry: ServiceRegistry,
+    home_domain: str,
+    fallback_domains: tuple[str, ...] = (),
+) -> DecisionDispatcher:
+    """A dispatcher whose ring is the PDPs registered in ``registry``.
 
-    Selection preference: healthy PDP in ``home_domain``, then healthy
-    PDP in any of ``fallback_domains`` (the domains home delegates
-    decision making to), else None (the PEP will fail safe).
+    Ring order: the PDPs of ``home_domain``, then those of each of
+    ``fallback_domains`` (the domains home delegates decision making
+    to).  Every query goes to the first PDP the registry marks healthy,
+    a timeout fails over to the next healthy one, and with none healthy
+    the PEP fails safe without sending.  ``routing.passed_over`` counts
+    the queries that left the home domain's first PDP.
+
+    The ring is read once, here: a PDP registered after the dispatcher
+    is built is not in it (no caller registers one that late).
     """
-
-    registry: ServiceRegistry
-    home_domain: str
-    fallback_domains: tuple[str, ...] = ()
-    selections: int = 0
-    fallbacks_used: int = 0
-
-    def __call__(self) -> Optional[str]:
-        self.selections += 1
-        local = self.registry.find(service_type="pdp", domain=self.home_domain)
-        if local:
-            return local[0].address
-        for domain in self.fallback_domains:
-            remote = self.registry.find(service_type="pdp", domain=domain)
-            if remote:
-                self.fallbacks_used += 1
-                return remote[0].address
-        return None
+    names = {
+        description.address: description.name
+        for domain in (home_domain, *fallback_domains)
+        for description in registry.find(
+            service_type="pdp", domain=domain, healthy_only=False
+        )
+    }
+    return DecisionDispatcher(
+        list(names),
+        HealthyFirstRouting(lambda address: registry.is_healthy(names[address])),
+    )
 
 
 def register_pdp(

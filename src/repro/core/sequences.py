@@ -81,7 +81,7 @@ def pull_sequence(
     if request is None:
         request = RequestContext.simple(client.subject_id, resource_id, action_id)
     trace.add("I", "access request", client.name, pep.name, client.now)
-    pdp_name = pep.pdp_address or "(selector)"
+    pdp_name = "|".join(pep.dispatcher.replicas) if pep.dispatcher else "(none)"
     trace.add("II", "authorisation decision query", pep.name, pdp_name, client.now)
     result = pep.authorize(request)
     trace.add("III", "authorisation decision response", pdp_name, pep.name, client.now)

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..admin.conflicts import MetaPolicyEngine, Veto
+from ..components.fabric import DecisionDispatcher, HealthyFirstRouting
 from ..components.pdp import PdpConfig
 from ..components.pep import EnforcementResult, PepConfig, PolicyEnforcementPoint
 from ..domain.domain import AdministrativeDomain, WebServiceResource
 from ..xacml.context import Decision, RequestContext
 from ..xacml.policy import Policy, PolicySet
 from .audit import AuditLog, AuditRecord
-from .dependability import FailoverRouter, HeartbeatMonitor, PdpCluster
+from .dependability import HeartbeatMonitor, PdpCluster
 
 PolicyElement = Union[Policy, PolicySet]
 
@@ -56,7 +57,8 @@ class AccessControlSystem:
         self.audit = audit if audit is not None else AuditLog()
         self.cluster: Optional[PdpCluster] = None
         self.monitor: Optional[HeartbeatMonitor] = None
-        self.router: Optional[FailoverRouter] = None
+        #: The replicated mode's shared ring, set on every protected PEP.
+        self.dispatcher: Optional[DecisionDispatcher] = None
         if domain.pap is None:
             domain.create_pap()
         if domain.pip is None:
@@ -67,15 +69,18 @@ class AccessControlSystem:
                 replicas=self.config.pdp_replicas,
                 config=self.config.pdp_config,
             )
-            self.monitor = HeartbeatMonitor(
+            self.monitor = monitor = HeartbeatMonitor(
                 f"hb.{domain.name}",
                 domain.network,
                 targets=self.cluster.addresses,
                 period=self.config.heartbeat_period,
                 miss_threshold=self.config.heartbeat_miss_threshold,
             )
-            self.monitor.start()
-            self.router = FailoverRouter(monitor=self.monitor)
+            monitor.start()
+            self.dispatcher = DecisionDispatcher(
+                self.cluster.addresses,
+                HealthyFirstRouting(lambda address: not monitor.is_suspected(address)),
+            )
         elif domain.pdp is None:
             domain.create_pdp(config=self.config.pdp_config)
 
@@ -86,9 +91,8 @@ class AccessControlSystem:
         resource = self.domain.expose_resource(
             resource_id, description=description, pep_config=self.config.pep_config
         )
-        if self.router is not None:
-            resource.pep.pdp_selector = self.router
-            resource.pep.pdp_address = None
+        if self.dispatcher is not None:
+            resource.pep.dispatcher = self.dispatcher
         return resource
 
     def pep_for(self, resource_id: str) -> PolicyEnforcementPoint:

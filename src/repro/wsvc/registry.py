@@ -53,6 +53,11 @@ class ServiceRegistry:
         if entry is not None:
             entry.healthy = healthy
 
+    def is_healthy(self, name: str) -> bool:
+        """Registered and not marked unhealthy."""
+        entry = self._entries.get(name)
+        return entry is not None and entry.healthy
+
     def lookup(self, name: str) -> ServiceDescription:
         self.lookups += 1
         entry = self._entries.get(name)

@@ -211,16 +211,25 @@ class TestCoalescingQueue:
         assert done[0].source == "fail-safe"
         assert pep.fail_safe_denials == 1
 
-    def test_no_dispatcher_timeout_fail_safe_denies(self):
+    def test_ring_of_one_timeout_fails_safe_after_one_attempt(self):
         network, pdps, pep = build_env(replicas=1)
-        pep.pdp_address = pdps[0].name
-        pep.enable_batching(max_batch=1, max_delay=0.01)
+        assert pep.dispatcher.replicas == [pdps[0].name]
+        queue = pep.enable_batching(max_batch=1, max_delay=0.01)
         pdps[0].crash()
+        sent = network.metrics.messages_sent
         done = []
         pep.submit(RequestContext.simple("alice", "doc", "read"), done.append)
         network.run(until=network.now + 30.0)
         assert len(done) == 1
         assert done[0].source == "fail-safe"
+        assert network.metrics.messages_sent - sent == 1
+        assert queue.failovers == 0
+        # The blocking path: one attempt, one deadline, then fail safe.
+        sent, start = network.metrics.messages_sent, network.now
+        result = pep.authorize_simple("alice", "doc", "read")
+        assert result.source == "fail-safe"
+        assert network.metrics.messages_sent - sent == 1
+        assert network.now - start == pytest.approx(pep.config.pdp_timeout)
 
     def test_submit_without_enable_batching_rejected(self):
         network, pdps, pep = build_env(replicas=1)

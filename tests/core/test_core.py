@@ -8,19 +8,26 @@ from repro.core import (
     AuditLog,
     AuditRecord,
     ClientAgent,
-    DiscoveringSelector,
-    FailoverRouter,
     HealthProber,
     HeartbeatMonitor,
     PdpCluster,
     QuorumClient,
     SystemConfig,
     agent_sequence,
+    discovering_dispatcher,
     pull_sequence,
     push_sequence,
     register_pdp,
 )
+from repro.components import (
+    QUERY_ACTION,
+    Component,
+    DecisionDispatcher,
+    HealthyFirstRouting,
+    PepConfig,
+)
 from repro.domain import build_federation
+from repro.saml import XacmlAuthzDecisionStatement
 from repro.simnet import Network
 from repro.wss import KeyStore
 from repro.wsvc import ServiceRegistry
@@ -28,6 +35,7 @@ from repro.xacml import (
     Decision,
     Policy,
     RequestContext,
+    ResponseContext,
     combining,
     deny_rule,
     permit_rule,
@@ -154,7 +162,7 @@ class TestAccessControlSystem:
         result = system.authorize("alice", "db", "read")
         assert result.granted
         assert result.source == "pdp"
-        assert system.router.failovers >= 1
+        assert system.dispatcher.routing.passed_over >= 1
 
     def test_availability_reporting(self, vo_env):
         network, _, domain = vo_env
@@ -186,17 +194,59 @@ class TestHeartbeatAndFailover:
         assert not monitor.is_suspected(cluster.addresses[0])
         assert monitor.suspicions_cleared >= 1
 
-    def test_failover_router_prefers_first_alive(self, vo_env):
+    def test_healthy_first_routing_prefers_first_unsuspected(self, vo_env):
         network, _, domain = vo_env
         cluster = PdpCluster(domain, replicas=3)
         monitor = HeartbeatMonitor("hb", network, cluster.addresses, period=0.2)
         monitor.start()
-        router = FailoverRouter(monitor=monitor)
-        assert router() == cluster.addresses[0]
+        dispatcher = DecisionDispatcher(
+            cluster.addresses,
+            HealthyFirstRouting(lambda address: not monitor.is_suspected(address)),
+        )
+        assert dispatcher.select() == cluster.addresses[0]
         cluster.crash_replica(0)
         network.run(until=network.now + 1.5)
-        assert router() == cluster.addresses[1]
-        assert router.failovers == 1
+        assert dispatcher.select() == cluster.addresses[1]
+        assert dispatcher.routing.passed_over == 1
+
+    def test_every_replica_suspected_fails_safe_without_sending(self, vo_env):
+        network, _, domain = vo_env
+        system = AccessControlSystem(
+            domain, config=SystemConfig(pdp_replicas=2, heartbeat_period=0.2)
+        )
+        system.protect("db")
+        system.publish_policy(simple_policy())
+        system.cluster.crash_replica(0)
+        system.cluster.crash_replica(1)
+        network.run(until=network.now + 1.5)
+        sent, now = network.metrics.messages_sent, network.now
+        result = system.authorize("alice", "db", "read")
+        assert result.source == "fail-safe"
+        assert network.metrics.messages_sent == sent
+        assert network.now == now
+
+    def test_undetected_crash_fails_over_within_one_timeout(self, vo_env):
+        """A replica that crashed before the heartbeat noticed costs one
+        ``pdp_timeout``; the next healthy replica answers."""
+        network, _, domain = vo_env
+        timeout = 0.5
+        system = AccessControlSystem(
+            domain,
+            config=SystemConfig(
+                pdp_replicas=3,
+                heartbeat_period=5.0,
+                pep_config=PepConfig(pdp_timeout=timeout),
+            ),
+        )
+        system.protect("db")
+        system.publish_policy(simple_policy())
+        system.cluster.crash_replica(0)
+        start = network.now
+        result = system.authorize("alice", "db", "read")
+        assert result.granted and result.source == "pdp"
+        assert timeout <= network.now - start < timeout + 0.1
+        assert system.dispatcher.failovers == 1
+        assert system.cluster.replicas[1].decisions_made == 1
 
 
 class TestQuorum:
@@ -238,6 +288,32 @@ class TestQuorum:
         assert outcome.decision is Decision.DENY
         assert outcome.replies == 0
 
+    def test_undecodable_reply_is_no_vote(self, vo_env):
+        network, _, domain = vo_env
+        domain.pap.publish(simple_policy())
+        cluster = PdpCluster(domain, replicas=2)
+        junk = Component("pdp.junk", network)
+        junk.on(QUERY_ACTION, lambda message: "<junk/>")
+        client = QuorumClient("qc", network, ["pdp.junk", *cluster.addresses], quorum=2)
+        outcome = client.evaluate(RequestContext.simple("alice", "db", "read"))
+        assert outcome.decision is Decision.PERMIT
+        assert outcome.replicas_asked == 3 and outcome.replies == 2
+
+    def test_replayed_permit_for_another_query_is_no_vote(self, vo_env):
+        network, _, _ = vo_env
+        replay = XacmlAuthzDecisionStatement(
+            response=ResponseContext.single(Decision.PERMIT),
+            in_response_to="xacmlq-captured",
+            issuer="pdp.replay",
+            issue_instant=0.0,
+        ).to_xml()
+        replayer = Component("pdp.replay", network)
+        replayer.on(QUERY_ACTION, lambda message: replay)
+        client = QuorumClient("qc", network, ["pdp.replay"], quorum=1)
+        outcome = client.evaluate(RequestContext.simple("eve", "db", "read"))
+        assert outcome.decision is Decision.DENY
+        assert outcome.replies == 0
+
     def test_invalid_quorum_rejected(self, vo_env):
         network, _, domain = vo_env
         cluster = PdpCluster(domain, replicas=2)
@@ -258,24 +334,29 @@ class TestDiscovery:
         network.run(until=network.now + 1.0)
         assert registry.find(service_type="pdp") == []
 
-    def test_selector_prefers_local_then_fallback(self, vo_env):
+    def test_dispatcher_prefers_local_then_fallback(self, vo_env):
         network, keystore, domain = vo_env
         registry = ServiceRegistry()
-        register_pdp(registry, domain.pdp.name, domain.name)
         register_pdp(registry, "pdp.remote", "other-domain")
+        register_pdp(registry, domain.pdp.name, domain.name)
         network.node("pdp.remote")  # exists but is another domain's
-        selector = DiscoveringSelector(
+        dispatcher = discovering_dispatcher(
             registry, home_domain=domain.name, fallback_domains=("other-domain",)
         )
-        assert selector() == domain.pdp.name
+        assert dispatcher.replicas == [domain.pdp.name, "pdp.remote"]
+        assert dispatcher.select() == domain.pdp.name
         registry.mark_health(domain.pdp.name, False)
-        assert selector() == "pdp.remote"
-        assert selector.fallbacks_used == 1
+        assert dispatcher.select() == "pdp.remote"
+        assert dispatcher.routing.passed_over == 1
 
-    def test_selector_none_when_nothing_healthy(self):
+    def test_dispatcher_none_when_nothing_healthy(self):
         registry = ServiceRegistry()
-        selector = DiscoveringSelector(registry, home_domain="x")
-        assert selector() is None
+        register_pdp(registry, "pdp.x", "x")
+        dispatcher = discovering_dispatcher(registry, home_domain="x")
+        register_pdp(registry, "pdp.late", "x")  # not in the ring
+        registry.mark_health("pdp.x", False)
+        assert dispatcher.replicas == ["pdp.x"]
+        assert dispatcher.select() is None
 
 
 class TestSequences:

@@ -89,7 +89,7 @@ class TestAdministrativeDomain:
     def test_resource_gets_pep(self, network, keystore):
         domain = AdministrativeDomain("acme", network, keystore).standard_layout()
         resource = domain.expose_resource("db")
-        assert resource.pep.pdp_address == domain.pdp.name
+        assert resource.pep.dispatcher.replicas == [domain.pdp.name]
 
 
 class TestVirtualOrganization:

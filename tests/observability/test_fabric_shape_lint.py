@@ -33,6 +33,12 @@ And to query envelopes: a batch was tiled by patterns and every request
 in it parsed again on its own, a forwarded batch's wrapper by one more
 pattern.  One function runs expat on a query envelope now, and no
 pattern names a ``<Request>``.
+
+And to replica failover: a PEP could reach its PDP through the
+dispatcher, through a ``pdp_selector`` hook (a heartbeat router, a
+registry selector) or straight to its one configured address, and only
+the first retried a replica that timed out.  ``DecisionDispatcher`` is
+the only way now, and its ``dispatch`` the only loop that fails over.
 """
 
 import ast
@@ -273,6 +279,20 @@ def test_no_pattern_tiles_requests():
     )
 
 
+def owned_nodes(paths):
+    """``(module:outermost function, node)`` for every node in ``paths``."""
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(function):
+                    owner.setdefault(id(inner), function.name)
+        module = path.relative_to(REPRO).as_posix()
+        for node in ast.walk(tree):
+            yield f"{module}:{owner.get(id(node), '<module>')}", node
+
+
 def test_one_function_runs_expat_on_query_envelopes():
     paths = [
         path
@@ -280,22 +300,89 @@ def test_one_function_runs_expat_on_query_envelopes():
         for path in (sorted(reader.glob("*.py")) if reader.is_dir() else [reader])
     ]
     sites = []
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        name = f"{path.relative_to(REPRO).as_posix()}"
-        owner = {}
-        for function in ast.walk(tree):
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(function):
-                    owner.setdefault(id(inner), function.name)
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
-            callee = call.func
-            called = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
-            if called in EXPAT_ENTRIES:
-                sites.append(f"{name}:{owner.get(id(call), '<module>')}")
+    for site, call in owned_nodes(paths):
+        if not isinstance(call, ast.Call):
+            continue
+        callee = call.func
+        called = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+        if called in EXPAT_ENTRIES:
+            sites.append(site)
     assert sites == [ENVELOPE_PARSER], (
         "expat runs on a query envelope outside parse_envelope — decode the "
         f"element it returns instead of parsing the text again: {sites}"
+    )
+
+
+# -- one failover loop -----------------------------------------------------------
+
+#: Who may ask a dispatcher for a replica while excluding the ones tried.
+EXCLUDING_SELECTORS = {
+    "components/fabric.py:dispatch",
+    "components/fabric.py:selector_for",
+    "components/fabric.py:_check_timeout",
+}
+
+#: Loops that go on to the next address after a timeout without being a
+#: failover: every address is asked on purpose.
+FAN_OUTS = {
+    "admin/syndication.py:_push_to_children": "pushes to every child",
+    "components/pdp.py:_attribute_finder_for": "asks each PIP, not a PDP",
+    "core/dependability.py:_beat": "the heartbeat pings every replica",
+    "core/dependability.py:evaluate": "quorum voting asks for votes",
+}
+
+
+def excludes_tried(call: ast.Call) -> bool:
+    """A ``.select(...)`` given a tried list (not the empty literal)."""
+    arguments = call.args + [keyword.value for keyword in call.keywords]
+    return any(
+        not (isinstance(argument, ast.Tuple) and not argument.elts)
+        for argument in arguments
+    )
+
+
+def retries_after_timeout(loop: ast.AST) -> bool:
+    """Does the loop ``continue`` out of an ``except RpcTimeout``?"""
+    for handler in ast.walk(loop):
+        if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+            continue
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        if any(getattr(name, "id", "") == "RpcTimeout" for name in caught) and any(
+            isinstance(statement, ast.Continue) for statement in ast.walk(handler)
+        ):
+            return True
+    return False
+
+
+def test_dispatch_is_the_only_failover_loop():
+    everything = sorted(REPRO.rglob("*.py"))
+    hooks = [
+        path.relative_to(REPRO).as_posix()
+        for path in everything
+        if "pdp_selector" in path.read_text(encoding="utf-8")
+    ]
+    assert hooks == [], (
+        "a pdp_selector hook is back — routing is a RoutingPolicy behind "
+        f"DecisionDispatcher: {hooks}"
+    )
+    selectors = {
+        site
+        for site, node in owned_nodes(everything)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "select"
+        and excludes_tried(node)
+    }
+    assert selectors == EXCLUDING_SELECTORS, (
+        "a replica is picked past the ones already tried outside the "
+        f"dispatcher and the wire core's timeout: {sorted(selectors)}"
+    )
+    loops = {
+        site
+        for site, node in owned_nodes(everything)
+        if isinstance(node, (ast.For, ast.While)) and retries_after_timeout(node)
+    }
+    assert loops == {"components/fabric.py:dispatch", *FAN_OUTS}, (
+        "a timeout moves on to another replica outside "
+        f"DecisionDispatcher.dispatch — route through it: {sorted(loops)}"
     )
