@@ -5,6 +5,8 @@ gates the build on it (``check_regression.py`` against the committed
 ``BENCH_baseline.json``) and uploads the JSON as a workflow artifact,
 so every PR records where the headline experiments stand:
 
+* **E8a** — static modality-conflict scan: injected conflicts missed
+  over the three generated corpora (pinned 0);
 * **E10** — PDP discovery under churn: failed decisions of a static
   binding and of registry discovery (discovery pinned 0);
 * **E11a** — replication under crash faults: failed probes per replica
@@ -61,6 +63,20 @@ def git_revision() -> str:
         )
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def collect_e8() -> dict:
+    """Static modality-conflict scan over E8a's generated corpora."""
+    import test_e8_conflicts as e8
+
+    return {
+        "description": "modality-conflict scan on the analysis algebra, "
+        "corpora of 20/50/100 generated policies with injected conflicts",
+        "configs": {
+            f"corpus_{size}": e8.scan_corpus(size, injected)
+            for size, injected in e8.CORPORA
+        },
+    }
 
 
 def collect_e10() -> dict:
@@ -460,6 +476,7 @@ def collect() -> dict:
         "revision": git_revision(),
         "smoke": True,
         "experiments": {
+            "E8a": collect_e8(),
             "E15": collect_e15(),
             "E16": collect_e16(),
             "E17": collect_e17(),
@@ -542,6 +559,11 @@ def collect() -> dict:
             + e25["injected_corpus"]["unexpected"]
             + e25["clean_corpus"]["findings"],
         }
+    )
+    # Zero baseline: an injected conflict the scan misses is lost recall.
+    summary["headline"]["e8_injected_missed"] = sum(
+        corpus["injected"] - corpus["recovered"]
+        for corpus in summary["experiments"]["E8a"]["configs"].values()
     )
     e29 = summary["experiments"]["E29a"]["configs"].values()
     summary["headline"].update(

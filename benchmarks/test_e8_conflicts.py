@@ -7,11 +7,7 @@ algorithms; (c) application-specific conflicts (SoD, Chinese Wall) "are
 usually visible only at runtime" and need meta-policies.
 """
 
-from repro.admin import (
-    ChineseWallMetaPolicy,
-    MetaPolicyEngine,
-    find_modality_conflicts,
-)
+from repro.admin import ChineseWallMetaPolicy, MetaPolicyEngine
 from repro.bench import Experiment
 from repro.models import ChineseWallEngine
 from repro.workloads import PolicyCorpusSpec, generate_policy_corpus
@@ -26,6 +22,36 @@ from repro.xacml import (
     permit_rule,
     subject_resource_action_target,
 )
+from repro.xacml.analysis import find_modality_conflicts
+
+
+#: E8a's corpora: (generated policies, injected conflicts); the seed is
+#: the corpus size.
+CORPORA = ((20, 3), (50, 5), (100, 8))
+
+
+def scan_corpus(corpus_size: int, injected_count: int) -> dict:
+    """E8a's row: the static scan over one generated corpus."""
+    policies, injected = generate_policy_corpus(
+        PolicyCorpusSpec(
+            policies=corpus_size,
+            injected_conflicts=injected_count,
+            seed=corpus_size,
+        )
+    )
+    findings = find_modality_conflicts(policies)
+    actual = [f for f in findings if f.kind == "actual"]
+    injected_found = sum(
+        1 for finding in actual if "inj" in finding.a.rule_id or "inj" in finding.b.rule_id
+    )
+    return {
+        "policies": len(policies),
+        "rules": sum(len(p.rules) for p in policies),
+        "actual": len(actual),
+        "potential": len(findings) - len(actual),
+        "injected": injected,
+        "recovered": min(injected_found, injected),
+    }
 
 
 def test_e8_static_conflict_detection(benchmark):
@@ -36,32 +62,18 @@ def test_e8_static_conflict_detection(benchmark):
         "{subject, action, target} tuples; injected conflicts are found",
         columns=["policies", "rules", "actual", "potential", "injected", "recall"],
     )
-    for corpus_size, injected_count in ((20, 3), (50, 5), (100, 8)):
-        policies, injected = generate_policy_corpus(
-            PolicyCorpusSpec(
-                policies=corpus_size,
-                injected_conflicts=injected_count,
-                seed=corpus_size,
-            )
-        )
-        findings = find_modality_conflicts(policies)
-        actual = [f for f in findings if f.kind == "actual"]
-        injected_found = sum(
-            1
-            for finding in actual
-            if "inj" in finding.a.rule_id or "inj" in finding.b.rule_id
-        )
-        rule_count = sum(len(p.rules) for p in policies)
+    for corpus_size, injected_count in CORPORA:
+        row = scan_corpus(corpus_size, injected_count)
         experiment.add_row(
-            len(policies),
-            rule_count,
-            len(actual),
-            len(findings) - len(actual),
-            injected,
-            f"{min(injected_found, injected)}/{injected}",
+            row["policies"],
+            row["rules"],
+            row["actual"],
+            row["potential"],
+            row["injected"],
+            f"{row['recovered']}/{row['injected']}",
         )
         # Shape: every injected conflict is recovered.
-        assert injected_found >= injected
+        assert row["recovered"] == row["injected"]
     experiment.show()
 
     policies, _ = generate_policy_corpus(

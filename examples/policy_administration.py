@@ -21,7 +21,6 @@ from repro.admin import (
     Scope,
     build_hierarchy,
     effective_policies,
-    find_modality_conflicts,
 )
 from repro.components import PolicyAdministrationPoint
 from repro.simnet import Network
@@ -32,6 +31,7 @@ from repro.xacml import (
     permit_rule,
     subject_resource_action_target,
 )
+from repro.xacml.analysis import find_modality_conflicts
 
 
 def main() -> None:

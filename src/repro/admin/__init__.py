@@ -2,21 +2,19 @@
 
 The Section-3 management machinery: the XACML Administration & Delegation
 profile (grants + reduction + revocation), the Fig. 5 policy-syndication
-hierarchy, static modality-conflict analysis with runtime meta-policies
-(SoD, Chinese Wall), and the policy lifecycle state machine with the
-VO-wide consolidated compliance view.
+hierarchy, the runtime meta-policies (SoD, Chinese Wall) that catch what
+static analysis cannot, and the policy lifecycle state machine with the
+VO-wide consolidated compliance view.  The static modality-conflict scan
+lives with the policy analyzer:
+:func:`repro.xacml.analysis.find_modality_conflicts`.
 """
 
 from .conflicts import (
     ChineseWallMetaPolicy,
-    ConflictFinding,
     MetaPolicy,
     MetaPolicyEngine,
-    RuleFootprint,
     SeparationOfDutyMetaPolicy,
     Veto,
-    find_modality_conflicts,
-    footprints,
 )
 from .delegation import (
     AdminGrant,
@@ -46,7 +44,6 @@ __all__ = [
     "AcceptancePolicy",
     "AdminGrant",
     "ChineseWallMetaPolicy",
-    "ConflictFinding",
     "DelegationError",
     "DelegationRegistry",
     "DomainPolicySummary",
@@ -58,7 +55,6 @@ __all__ = [
     "MetaPolicyEngine",
     "PolicyLifecycleManager",
     "ReductionResult",
-    "RuleFootprint",
     "Scope",
     "SeparationOfDutyMetaPolicy",
     "SyndicationNode",
@@ -67,6 +63,4 @@ __all__ = [
     "build_hierarchy",
     "consolidated_view",
     "effective_policies",
-    "find_modality_conflicts",
-    "footprints",
 ]

@@ -91,7 +91,6 @@ class PdpConfig:
     require_signed_queries: bool = False
     #: Sign responses when an identity is configured.
     sign_responses: bool = True
-    indexed_store: bool = True
     #: Service-time model (simulated seconds), both 0 by default so the
     #: PDP answers instantly like the seed.  ``envelope_overhead`` is
     #: paid once per inbound query message (parse + WS-Security work);
@@ -156,7 +155,7 @@ class PolicyDecisionPoint(Component):
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.config = config if config is not None else PdpConfig()
-        self.engine = PdpEngine(PolicyStore(indexed=self.config.indexed_store))
+        self.engine = PdpEngine(PolicyStore())
         self.pap_address = pap_address
         self.pip_addresses = list(pip_addresses or [])
         #: This replica's owned slice of subject/resource attribute
@@ -272,7 +271,7 @@ class PolicyDecisionPoint(Component):
         reply = self.call(self.pap_address, "pap.retrieve", "<PapQuery scope=\"all\"/>")
         self.policy_fetches += 1
         elements, revision = parse_bundle(str(reply.payload))
-        store = PolicyStore(indexed=self.config.indexed_store)
+        store = PolicyStore()
         for element in elements:
             store.add(element)
         self.engine.store = store

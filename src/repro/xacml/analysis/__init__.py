@@ -9,7 +9,9 @@ into a constraint algebra (:mod:`.predicates`), scans for structural
 hazards (:mod:`.checks`), and backs every behavioural claim with a
 concrete witness request replayed through the real engine
 (:mod:`.witness`), so reported findings carry zero static false
-positives by construction.
+positives by construction.  The paper's §3.1 modality-conflict scan
+(:func:`find_modality_conflicts`, experiment E8) is a rule-pair query
+on the same algebra.
 
 Usage::
 
@@ -23,7 +25,13 @@ or from the command line::
     python -m repro.xacml.analysis policies/*.xml --format json
 """
 
-from .checks import Analyzer, analyze
+from .checks import (
+    Analyzer,
+    ConflictFinding,
+    ConflictingRule,
+    analyze,
+    find_modality_conflicts,
+)
 from .findings import (
     AnalysisReport,
     AnalysisStats,
@@ -46,6 +54,9 @@ from .witness import WitnessOutcome, request_from_clause
 __all__ = [
     "Analyzer",
     "analyze",
+    "ConflictFinding",
+    "ConflictingRule",
+    "find_modality_conflicts",
     "AnalysisReport",
     "AnalysisStats",
     "Finding",

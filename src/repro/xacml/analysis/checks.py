@@ -7,12 +7,17 @@ behaviour must then reproduce through the real evaluation machinery
 (:mod:`.witness`) before it is reported.  Candidates whose witness fails
 are suppressed and counted — the analyzer trades recall for a zero
 false-positive guarantee.
+
+:func:`find_modality_conflicts` is the paper's §3.1 pre-deployment
+scan (experiment E8) asked of the same algebra: every pair of
+opposite-effect rules the algebra cannot prove disjoint, with no
+witness — a *potential* conflict is worth a reviewer's look.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .. import combining, validation
 from ..attributes import (
@@ -78,9 +83,9 @@ _PERMIT_OVERRIDES = frozenset(
 
 #: Keys the pairwise scan may bucket children by (cheapest first).
 _BUCKET_KEYS: tuple[ConstraintKey, ...] = (
-    (Category.RESOURCE, RESOURCE_ID, DataType.STRING),
-    (Category.ACTION, ACTION_ID, DataType.STRING),
-    (Category.SUBJECT, SUBJECT_ID, DataType.STRING),
+    (Category.RESOURCE, RESOURCE_ID, DataType.STRING, None),
+    (Category.ACTION, ACTION_ID, DataType.STRING, None),
+    (Category.SUBJECT, SUBJECT_ID, DataType.STRING, None),
 )
 
 
@@ -476,7 +481,7 @@ class Analyzer:
         elements: Optional[list],
     ) -> None:
         only_one = algorithm == combining.POLICY_ONLY_ONE_APPLICABLE
-        for i, j in _candidate_pairs(profiles):
+        for i, j in _candidate_pairs([profile.target_nt for profile in profiles]):
             first, second = profiles[i], profiles[j]
             self.report.stats.pairs_considered += 1
             if only_one:
@@ -621,20 +626,22 @@ def _finite_values(
     return frozenset(values)
 
 
-def _candidate_pairs(profiles: list[_ChildProfile]) -> list[tuple[int, int]]:
-    """Cheap pair enumeration: bucket children by the finite equality
-    values of the most selective of the three canonical identifiers,
-    pairing wildcard children with everyone.  Falls back to all pairs
-    when nothing buckets well."""
-    if len(profiles) < 2:
+def _candidate_pairs(
+    forms: Sequence[Optional[NormalizedTarget]],
+) -> list[tuple[int, int]]:
+    """Cheap pair enumeration over normal forms (None: unknown, pairs
+    with everyone): bucket them by the finite equality values of the
+    most selective of the three canonical identifiers, pairing wildcard
+    forms with everyone.  Falls back to all pairs when nothing buckets
+    well."""
+    if len(forms) < 2:
         return []
     best_key: Optional[ConstraintKey] = None
-    best_wildcards = len(profiles) + 1
+    best_wildcards = len(forms) + 1
     value_maps: dict[ConstraintKey, list[Optional[frozenset]]] = {}
     for key in _BUCKET_KEYS:
         per_child = [
-            None if p.target_nt is None else _finite_values(p.target_nt, key)
-            for p in profiles
+            None if form is None else _finite_values(form, key) for form in forms
         ]
         value_maps[key] = per_child
         wildcards = sum(1 for v in per_child if v is None)
@@ -643,12 +650,8 @@ def _candidate_pairs(profiles: list[_ChildProfile]) -> list[tuple[int, int]]:
             best_key = key
     assert best_key is not None
     per_child = value_maps[best_key]
-    if best_wildcards == len(profiles):
-        return [
-            (i, j)
-            for i in range(len(profiles))
-            for j in range(i + 1, len(profiles))
-        ]
+    if best_wildcards == len(forms):
+        return [(i, j) for i in range(len(forms)) for j in range(i + 1, len(forms))]
     buckets: dict = {}
     wildcards: list[int] = []
     for index, values in enumerate(per_child):
@@ -664,7 +667,7 @@ def _candidate_pairs(profiles: list[_ChildProfile]) -> list[tuple[int, int]]:
                 i, j = members[a], members[b]
                 pairs.add((min(i, j), max(i, j)))
     for w in wildcards:
-        for other in range(len(profiles)):
+        for other in range(len(forms)):
             if other != w:
                 pairs.add((min(w, other), max(w, other)))
     return sorted(pairs)
@@ -714,3 +717,65 @@ def analyze(
             validation.validate(subject, resolver=resolver)
         )
     return analyzer.report
+
+
+# -- modality conflicts (paper §3.1, experiment E8) ------------------------
+
+
+class ConflictingRule(NamedTuple):
+    """One side of a modality conflict."""
+
+    policy_id: str
+    rule_id: str
+    effect: Decision
+
+
+@dataclass(frozen=True)
+class ConflictFinding:
+    """A potential or actual modality conflict between two rules."""
+
+    a: ConflictingRule
+    b: ConflictingRule
+    #: 'actual' when neither rule has a condition (the contradiction is
+    #: unconditional); 'potential' when a condition might separate them.
+    kind: str
+
+    def describe(self) -> str:
+        return (
+            f"{self.kind}: {self.a.policy_id}/{self.a.rule_id} "
+            f"({self.a.effect.value}) vs {self.b.policy_id}/{self.b.rule_id} "
+            f"({self.b.effect.value})"
+        )
+
+
+def find_modality_conflicts(
+    elements: Iterable[Union[Policy, PolicySet]],
+) -> list[ConflictFinding]:
+    """All pairs of opposite-effect rules that may apply to one request.
+
+    The paper's procedure — flag a Permit and a Deny that share at
+    least one {subject, action, target} tuple — over the constraint
+    algebra: a rule's form is its policy's target conjoined with its own
+    applicability (policy sets are flattened), candidate pairs come from
+    the sibling scan's bucketing, and a pair is reported unless the two
+    forms are provably disjoint.  Unconditional pairs are *actual*
+    conflicts; conditioned pairs are *potential* (the runtime condition
+    may disambiguate).
+    """
+    rules: list[tuple[ConflictingRule, bool]] = []
+    forms: list[NormalizedTarget] = []
+    for element in elements:
+        for policy in [element] if isinstance(element, Policy) else element.flatten():
+            policy_nt = normalize_target(policy.target)
+            for rule in policy.rules:
+                side = ConflictingRule(policy.policy_id, rule.rule_id, rule.effect)
+                rules.append((side, rule.condition is not None))
+                forms.append(policy_nt.conjoin(rule_view(rule).applicability))
+    findings: list[ConflictFinding] = []
+    for i, j in _candidate_pairs(forms):
+        (a, a_conditioned), (b, b_conditioned) = rules[i], rules[j]
+        if a.effect is b.effect or forms[i].overlap_clause(forms[j])[0] is Tri.NO:
+            continue
+        kind = "potential" if a_conditioned or b_conditioned else "actual"
+        findings.append(ConflictFinding(a=a, b=b, kind=kind))
+    return findings

@@ -19,15 +19,23 @@ when the claim holds under the analyzer's request model and NO only when
 it provably fails; anything else is UNKNOWN and downstream checks skip
 (or witness-verify) instead of guessing.
 
+A match reads the way the engine and the store index read it: a
+constraint is keyed on the designator's *bag* — category, attribute id,
+data type and issuer, as :attr:`~repro.xacml.attributes.
+AttributeDesignator.bag_key` — and an equality becomes an allowed set
+only when the match compares by value (:attr:`~repro.xacml.targets.
+Match._by_value`); an ill-typed equality stays a residual atom, which
+the real function decides (Indeterminate: undecidable here).
+
 Request model
 -------------
-The algebra reasons about *single-valued* requests: one value per
-(category, attribute-id, data-type) key.  Real XACML bags may hold
-several values — ``equal "a"`` and ``equal "b"`` are simultaneously
-satisfiable by the bag ``{a, b}`` — so conclusions here are relative to
-that model.  The witness layer closes the gap: every finding that claims
-concrete behaviour is replayed through the real engine before being
-reported.
+The algebra reasons about *single-valued* requests: one value per bag
+key.  Real XACML bags may hold several values — ``equal "a"`` and
+``equal "b"`` are simultaneously satisfiable by the bag ``{a, b}`` — and
+an issuer-less designator also reads what any issuer said, so
+conclusions here are relative to that model.  The witness layer closes
+the gap: every finding that claims concrete behaviour is replayed
+through the real engine before being reported.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .. import functions
-from ..attributes import AttributeValue, Category, DataType
+from ..attributes import AttributeDesignator, AttributeValue, Category, DataType
 from ..expressions import (
     Apply,
     Condition,
@@ -55,7 +63,8 @@ from ..targets import AllOf, Match, Target
 #: claims about the truncated side to UNKNOWN.
 MAX_CLAUSES = 64
 
-ConstraintKey = tuple[Category, str, DataType]
+#: The bag a constraint reads: category, attribute id, data type, issuer.
+ConstraintKey = tuple[Category, str, DataType, Optional[str]]
 
 
 class Tri(enum.Enum):
@@ -92,21 +101,6 @@ _PROBE_VALUES: dict[DataType, Any] = {
     DataType.RFC822_NAME: "",
     DataType.X500_NAME: "",
 }
-
-_EQUALITY_SHORT_NAMES = frozenset(
-    f"{name}-equal"
-    for name in (
-        "string",
-        "boolean",
-        "integer",
-        "double",
-        "time",
-        "dateTime",
-        "anyURI",
-        "rfc822Name",
-        "x500Name",
-    )
-)
 
 
 def _short_name(function_id: str) -> str:
@@ -148,11 +142,14 @@ class AttributeConstraint:
     ``(value, inclusive)`` bounds on the candidate; ``atoms`` are residual
     predicates decided concretely.  A constraint always requires the
     attribute to be *present* — absence never satisfies a Match.
+    ``issuer`` is the designator's: two bags that differ only in issuer
+    are two keys.
     """
 
     category: Category
     attribute_id: str
     data_type: DataType
+    issuer: Optional[str] = None
     allowed: Optional[frozenset] = None
     lower: Optional[tuple[Any, bool]] = None
     upper: Optional[tuple[Any, bool]] = None
@@ -160,7 +157,7 @@ class AttributeConstraint:
 
     @property
     def key(self) -> ConstraintKey:
-        return (self.category, self.attribute_id, self.data_type)
+        return (self.category, self.attribute_id, self.data_type, self.issuer)
 
     def conjoin(self, other: "AttributeConstraint") -> "AttributeConstraint":
         if self.key != other.key:
@@ -171,15 +168,14 @@ class AttributeConstraint:
             allowed = self.allowed
         else:
             allowed = self.allowed & other.allowed
-        lower = _tighter_bound(self.lower, other.lower, prefer_max=True)
-        upper = _tighter_bound(self.upper, other.upper, prefer_max=False)
         return AttributeConstraint(
             category=self.category,
             attribute_id=self.attribute_id,
             data_type=self.data_type,
+            issuer=self.issuer,
             allowed=allowed,
-            lower=lower,
-            upper=upper,
+            lower=_tighter_bound(self.lower, other.lower, prefer_max=True),
+            upper=_tighter_bound(self.upper, other.upper, prefer_max=False),
             atoms=self.atoms + other.atoms,
         )
 
@@ -340,6 +336,8 @@ class AttributeConstraint:
             parts.append(("<= " if self.upper[1] else "< ") + repr(self.upper[0]))
         parts.extend(atom.describe() for atom in self.atoms)
         label = f"{self.category.short_name}:{self.attribute_id}"
+        if self.issuer is not None:
+            label += f"[{self.issuer}]"
         return f"{label} {' and '.join(parts) if parts else 'present'}"
 
 
@@ -456,8 +454,8 @@ class Clause:
         return text + (" (opaque condition)" if self.opaque else "")
 
 
-def _key_sort(key: ConstraintKey) -> tuple[str, str, str]:
-    return (key[0].value, key[1], key[2].value)
+def _key_sort(key: ConstraintKey) -> tuple[str, str, str, bool, str]:
+    return (key[0].value, key[1], key[2].value, key[3] is not None, key[3] or "")
 
 
 #: The clause admitting every request.
@@ -570,6 +568,23 @@ UNCONSTRAINED = NormalizedTarget()
 UNSATISFIABLE = NormalizedTarget(clauses=())
 
 
+def _on(designator: AttributeDesignator, **requirements: Any) -> AttributeConstraint:
+    """A constraint on the bag ``designator`` reads."""
+    return AttributeConstraint(
+        category=designator.category,
+        attribute_id=designator.attribute_id,
+        data_type=designator.data_type,
+        issuer=designator.issuer,
+        **requirements,
+    )
+
+
+def _equals(designator: AttributeDesignator, value: AttributeValue) -> NormalizedTarget:
+    """The one-clause form of "the bag holds ``value``"."""
+    constraint = _on(designator, allowed=frozenset([value.value]))
+    return NormalizedTarget(clauses=(Clause(constraints=(constraint,)),))
+
+
 def match_constraint(match: Match) -> Optional[AttributeConstraint]:
     """Translate one Match into a constraint; None if the function is
     unregistered (the enclosing clause goes opaque)."""
@@ -577,30 +592,22 @@ def match_constraint(match: Match) -> Optional[AttributeConstraint]:
     if function_id not in functions.known_functions():
         return None
     designator = match.designator
-    base = dict(
-        category=designator.category,
-        attribute_id=designator.attribute_id,
-        data_type=designator.data_type,
-    )
+    if match._by_value:
+        return _on(designator, allowed=frozenset([match.value.value]))
     short = _short_name(function_id)
-    typed_ok = match.value.data_type is designator.data_type
-    if short in _EQUALITY_SHORT_NAMES and typed_ok:
-        return AttributeConstraint(allowed=frozenset([match.value.value]), **base)
-    if typed_ok:
+    if match.value.data_type is designator.data_type:
         literal_value = match.value.value
         # XACML applies f(literal, candidate): "greater-than" bounds the
         # candidate from ABOVE (literal > candidate), and symmetrically.
         if short.endswith("-greater-than-or-equal"):
-            return AttributeConstraint(upper=(literal_value, True), **base)
+            return _on(designator, upper=(literal_value, True))
         if short.endswith("-greater-than"):
-            return AttributeConstraint(upper=(literal_value, False), **base)
+            return _on(designator, upper=(literal_value, False))
         if short.endswith("-less-than-or-equal"):
-            return AttributeConstraint(lower=(literal_value, True), **base)
+            return _on(designator, lower=(literal_value, True))
         if short.endswith("-less-than"):
-            return AttributeConstraint(lower=(literal_value, False), **base)
-    return AttributeConstraint(
-        atoms=(Atom(function_id=function_id, literal=match.value),), **base
-    )
+            return _on(designator, lower=(literal_value, False))
+    return _on(designator, atoms=(Atom(function_id=function_id, literal=match.value),))
 
 
 def match_may_error(match: Match) -> bool:
@@ -698,22 +705,11 @@ def _interpret_boolean(
             designator = designator_node.designator
             if literal_node.value.data_type is not designator.data_type:
                 return None
-            constraint = AttributeConstraint(
-                category=designator.category,
-                attribute_id=designator.attribute_id,
-                data_type=designator.data_type,
-                allowed=frozenset([literal_node.value.value]),
-            )
-            return (
-                NormalizedTarget(clauses=(Clause(constraints=(constraint,)),)),
-                designator.must_be_present,
-            )
-    if short in _EQUALITY_SHORT_NAMES and len(expression.arguments) == 2:
-        pairs = [
-            (expression.arguments[0], expression.arguments[1]),
-            (expression.arguments[1], expression.arguments[0]),
-        ]
-        for maybe_one_and_only, maybe_literal in pairs:
+            return _equals(designator, literal_node.value), designator.must_be_present
+    data_type = functions.EQUALITY_FUNCTIONS.get(expression.function_id)
+    if data_type is not None and len(expression.arguments) == 2:
+        first, second = expression.arguments
+        for maybe_one_and_only, maybe_literal in ((first, second), (second, first)):
             if not isinstance(maybe_literal, Literal):
                 continue
             if not isinstance(maybe_one_and_only, Apply):
@@ -728,19 +724,13 @@ def _interpret_boolean(
             if not isinstance(inner, Designator):
                 continue
             designator = inner.designator
-            if maybe_literal.value.data_type is not designator.data_type:
+            if (
+                maybe_literal.value.data_type is not data_type
+                or designator.data_type is not data_type
+            ):
                 return None
-            constraint = AttributeConstraint(
-                category=designator.category,
-                attribute_id=designator.attribute_id,
-                data_type=designator.data_type,
-                allowed=frozenset([maybe_literal.value.value]),
-            )
             # one-and-only raises whenever the bag size is not exactly 1.
-            return (
-                NormalizedTarget(clauses=(Clause(constraints=(constraint,)),)),
-                True,
-            )
+            return _equals(designator, maybe_literal.value), True
     return None
 
 

@@ -47,8 +47,8 @@ def request_from_clause(clause: Clause) -> Optional[RequestContext]:
     if values is None:
         return None
     request = RequestContext()
-    for (category, attribute_id, _data_type), value in values.items():
-        request.add(category, Attribute.of(attribute_id, value))
+    for (category, attribute_id, _data_type, issuer), value in values.items():
+        request.add(category, Attribute.of(attribute_id, value, issuer=issuer))
     return request
 
 

@@ -35,8 +35,8 @@ There is one *summary* of a target, :meth:`AnyOf.pins`: what each
 alternative of a group pins a canonical identifier to, by bag and by
 value.  The store's index keys and residues
 (:mod:`repro.xacml.engine`) are built from it, and
-:meth:`Target.pinned` — what shard partitioning, delegation scopes and
-conflict footprints read — is the same walk asked about one bag.
+:meth:`Target.pinned` — what shard partitioning and delegation scopes
+read — is the same walk asked about one bag.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ CANONICAL_IDS: Mapping[str, Category] = MappingProxyType(
     }
 )
 
-#: The bags requests are routed, scoped and footprinted by: the
+#: The bags requests are routed and scoped by: the
 #: un-issued string designators :func:`subject_resource_action_target`
 #: builds (:meth:`Target.pinned` is asked about these).
 SUBJECT_BAG = AttributeDesignator(Category.SUBJECT, SUBJECT_ID, DataType.STRING)
@@ -201,8 +201,8 @@ class AnyOf:
         the identifiers are: ``AnyOf[AllOf(resource=r1),
         AllOf(role=admin)]`` matches any resource through the role
         branch) or when there is no alternative at all.  This is the one
-        walk the store index, shard partitioning, delegation scopes and
-        conflict footprints all read a target through.
+        walk the store index, shard partitioning and delegation scopes
+        all read a target through.
         """
         pinned = []
         for all_of in self.all_ofs:
@@ -258,7 +258,7 @@ class Target:
         requests whose ``designator`` bag — that very bag: category, id,
         data type and issuer — holds a value in ``V``; None when the
         target does not confine it.  This is the sound criterion shard
-        partitioning, delegation scopes and conflict footprints need: a
+        partitioning and delegation scopes need: a
         literal in one branch of a disjunction confines nothing (the
         target matches through the branch that omits it), and neither
         does a pin on *another* bag of the same name (``resource-id`` as

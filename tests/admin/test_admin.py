@@ -16,8 +16,6 @@ from repro.admin import (
     build_hierarchy,
     consolidated_view,
     effective_policies,
-    find_modality_conflicts,
-    footprints,
 )
 from repro.components import PolicyAdministrationPoint
 from repro.models import ChineseWallEngine
@@ -39,6 +37,7 @@ from repro.xacml import (
     string,
     subject_resource_action_target,
 )
+from repro.xacml.analysis import find_modality_conflicts
 
 
 def db_or_eve_target() -> Target:
@@ -164,7 +163,14 @@ class TestDelegation:
             issuer="dept-admin",
         )
         assert registry.policy_scope(policy) == Scope()
-        assert footprints([policy])[0].resources is None
+        elsewhere = Policy(
+            policy_id="elsewhere",
+            rules=(permit_rule("p", subject_resource_action_target(resource_id="fs")),),
+        )
+        findings = find_modality_conflicts([policy, elsewhere])
+        assert [f.describe() for f in findings] == [
+            "actual: ill-typed/d (Deny) vs elsewhere/p (Permit)"
+        ]
 
     def test_a_pin_on_an_issued_bag_cannot_escape_the_granted_scope(self, registry):
         """ISSUE 20 reproduction (b): ``resource-id == res-1`` asked of
@@ -201,7 +207,14 @@ class TestDelegation:
         assert engine.evaluate(request).decision is Decision.PERMIT
         assert registry.policy_scope(escape) == Scope()
         assert not registry.validate_issued(escape).valid
-        assert footprints([escape])[0].resources is None
+        guard = Policy(
+            policy_id="guard",
+            rules=(deny_rule("d", subject_resource_action_target(resource_id="payroll")),),
+        )
+        findings = find_modality_conflicts([escape, guard])
+        assert [f.describe() for f in findings] == [
+            "actual: escape/p (Permit) vs guard/d (Deny)"
+        ]
 
     def test_reduction_work_counted(self, registry):
         registry.grant("vo-authority", "a", Scope(), max_depth=2)
@@ -378,8 +391,21 @@ class TestConflicts:
             target=subject_resource_action_target(resource_id="db"),
             rules=(permit_rule("p"),),
         )
-        prints = footprints([policy])
-        assert prints[0].resources == frozenset({"db"})
+        denials = [
+            Policy(
+                policy_id=f"deny-{resource}",
+                rules=(deny_rule("d", subject_resource_action_target(resource_id=resource)),),
+            )
+            for resource in ("fs", "db")
+        ]
+        findings = find_modality_conflicts([policy, *denials])
+        assert [(f.kind, f.a, f.b) for f in findings] == [
+            (
+                "actual",
+                ("scoped", "p", Decision.PERMIT),
+                ("deny-db", "d", Decision.DENY),
+            )
+        ]
 
     def test_disjunctive_target_footprint_is_not_narrowed(self):
         """The Permit reaches (eve, payroll) through its subject branch,
@@ -399,16 +425,21 @@ class TestConflicts:
                 ),
             ),
         )
-        assert footprints([permit])[0].resources is None
         findings = find_modality_conflicts([permit, deny])
-        assert [f.kind for f in findings] == ["actual"]
+        assert [f.describe() for f in findings] == [
+            "actual: wide/p (Permit) vs guard/d (Deny)"
+        ]
 
-    def test_footprints_flatten_policy_sets(self):
+    def test_policy_sets_are_flattened(self):
         from repro.xacml import PolicySet
 
         inner = Policy(policy_id="inner", rules=(deny_rule("d"),))
         outer = PolicySet(policy_set_id="outer", children=(inner,))
-        assert len(footprints([outer])) == 1
+        loose = Policy(policy_id="loose", rules=(permit_rule("p"),))
+        findings = find_modality_conflicts([outer, loose])
+        assert [f.describe() for f in findings] == [
+            "actual: inner/d (Deny) vs loose/p (Permit)"
+        ]
 
 
 class TestMetaPolicies:

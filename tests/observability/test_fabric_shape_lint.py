@@ -39,6 +39,12 @@ dispatcher, through a ``pdp_selector`` hook (a heartbeat router, a
 registry selector) or straight to its one configured address, and only
 the first retried a replica that timed out.  ``DecisionDispatcher`` is
 the only way now, and its ``dispatch`` the only loop that fails over.
+
+And to static conflict analysis: E8's modality-conflict scan intersected
+``Target.pinned`` sets beside E25's constraint algebra, and the two
+disagreed on issued bags.  The scan is a query on the algebra now, and
+``Target.pinned`` is read by shard partitioning and delegation scopes
+only.
 """
 
 import ast
@@ -385,4 +391,62 @@ def test_dispatch_is_the_only_failover_loop():
     assert loops == {"components/fabric.py:dispatch", *FAN_OUTS}, (
         "a timeout moves on to another replica outside "
         f"DecisionDispatcher.dispatch — route through it: {sorted(loops)}"
+    )
+
+
+# -- one static conflict analyser -----------------------------------------------
+
+#: The footprint analyser E8 ran beside the constraint algebra.
+RETIRED_ANALYSER = {"RuleFootprint", "footprints", "_footprint", "_sets_intersect"}
+#: Who may summarise a target by :meth:`Target.pinned`.
+PINNED_READERS = ["admin/delegation.py:policy_scope", "xacml/engine.py:partition_for"]
+
+
+def identifiers(tree: ast.AST):
+    """Every name a module defines, reads, imports or looks up."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_one_static_conflict_analyser():
+    everything = sorted(REPRO.rglob("*.py"))
+    trees = {
+        path.relative_to(REPRO).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in everything
+    }
+    retired = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in set(identifiers(tree)) & RETIRED_ANALYSER
+    )
+    assert retired == [], (
+        "the footprint analyser is back — modality conflicts are a query on "
+        f"the analysis algebra (xacml.analysis.find_modality_conflicts): {retired}"
+    )
+    definitions = [
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "find_modality_conflicts"
+    ]
+    assert definitions == ["xacml/analysis/checks.py"], definitions
+    readers = sorted(
+        {
+            site
+            for site, node in owned_nodes(everything)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pinned"
+        }
+    )
+    assert readers == PINNED_READERS, (
+        "Target.pinned is read outside shard partitioning and delegation "
+        f"scopes — static analysis reads targets through the algebra: {readers}"
     )

@@ -188,6 +188,42 @@ class TestDetectors:
         report = analyze(policy_set)
         assert report.findings == []
 
+    def test_a_pin_on_an_issued_bag_conflicts_with_a_plain_pin(self):
+        """``resource-id == res-1`` asked of the ``issuer="hr"`` bag reads
+        another bag than a plain ``resource-id == payroll``: the engine
+        grants and denies the request hr calls res-1 and whose own id is
+        payroll, so the scan must not bucket the two policies apart."""
+        from dataclasses import replace
+
+        from repro.xacml import AttributeDesignator, DataType, match_equal, target_of
+        from repro.xacml.attributes import RESOURCE_ID
+
+        hr_bag = AttributeDesignator(
+            Category.RESOURCE, RESOURCE_ID, DataType.STRING, issuer="hr"
+        )
+        pin = replace(
+            match_equal(Category.RESOURCE, RESOURCE_ID, string("res-1")),
+            designator=hr_bag,
+        )
+        escape = Policy(
+            policy_id="escape", rules=(permit_rule("p"),), target=target_of(pin)
+        )
+        guard = Policy(
+            policy_id="guard",
+            rules=(deny_rule("d", subject_resource_action_target(resource_id="payroll")),),
+        )
+        store = PolicyStore(indexed=False)
+        store.add(escape)
+        store.add(guard)
+        report = analyze(store, include_validation=False)
+        assert report.stats.pairs_considered == 1
+        (finding,) = report.findings
+        assert finding.kind is FindingKind.CROSS_POLICY_CONFLICT
+        for policy, decision in ((escape, Decision.PERMIT), (guard, Decision.DENY)):
+            engine = PdpEngine(PolicyStore(indexed=False))
+            engine.add_policy(policy)
+            assert engine.decide(finding.witness) is decision
+
 
 class TestWitnessGuarantee:
     def test_every_witness_kind_finding_carries_a_witness(self):

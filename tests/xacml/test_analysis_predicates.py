@@ -8,12 +8,13 @@ from repro.xacml import (
     attribute_equals,
     functions,
     integer,
+    match_equal,
     permit_rule,
     string,
     subject_resource_action_target,
     target_of,
 )
-from repro.xacml.attributes import SUBJECT_ID, SUBJECT_ROLE, AttributeValue
+from repro.xacml.attributes import RESOURCE_ID, SUBJECT_ID, SUBJECT_ROLE, AttributeValue
 from repro.xacml.expressions import (
     Condition,
     apply_,
@@ -41,6 +42,7 @@ INT_GTE = f"{functions.FUNCTION_PREFIX_1_0}integer-greater-than-or-equal"
 INT_LT = f"{functions.FUNCTION_PREFIX_1_0}integer-less-than"
 INT_LTE = f"{functions.FUNCTION_PREFIX_1_0}integer-less-than-or-equal"
 STRING_EQUAL = f"{functions.FUNCTION_PREFIX_1_0}string-equal"
+INT_EQUAL = f"{functions.FUNCTION_PREFIX_1_0}integer-equal"
 
 CLEARANCE = "urn:example:clearance"
 
@@ -128,6 +130,48 @@ class TestMatchConstraint:
             ),
         )
         assert match_constraint(match) is None
+
+    def test_an_ill_typed_equality_is_undecidable_not_an_allowed_set(self):
+        """``integer-equal("a", <string bag>)`` raises on every candidate
+        (the engine answers Indeterminate): it pins no value, so it does
+        not make the match disjoint from ``resource == "b"``."""
+        resource = AttributeDesignator(Category.RESOURCE, RESOURCE_ID, DataType.STRING)
+        ill_typed = Match(INT_EQUAL, string("a"), resource)
+        assert match_constraint(ill_typed).allowed is None
+        verdict, _ = normalize_target(target_of(ill_typed)).overlap_clause(
+            normalize_target(subject_resource_action_target(resource_id="b"))
+        )
+        assert verdict is not Tri.NO
+        condition = Condition(
+            apply_(
+                INT_EQUAL,
+                apply_(
+                    f"{functions.FUNCTION_PREFIX_1_0}integer-one-and-only",
+                    designator(Category.RESOURCE, RESOURCE_ID, DataType.STRING),
+                ),
+                literal(string("a")),
+            )
+        )
+        assert interpret_condition(condition) is None
+
+    def test_bags_that_differ_only_in_issuer_are_two_keys(self):
+        plain = match_equal(Category.RESOURCE, RESOURCE_ID, string("payroll"))
+        issued = Match(
+            STRING_EQUAL,
+            string("res-1"),
+            AttributeDesignator(
+                Category.RESOURCE, RESOURCE_ID, DataType.STRING, issuer="hr"
+            ),
+        )
+        assert match_constraint(plain).key != match_constraint(issued).key
+        verdict, clause = normalize_target(target_of(plain)).overlap_clause(
+            normalize_target(target_of(issued))
+        )
+        assert verdict is Tri.YES
+        assert [(c.issuer, c.allowed) for c in clause.constraints] == [
+            (None, frozenset({"payroll"})),
+            ("hr", frozenset({"res-1"})),
+        ]
 
     def test_bound_semantics_agree_with_the_real_function(self):
         # The static translation and the registered function must agree.
