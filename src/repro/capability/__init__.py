@@ -1,8 +1,8 @@
-"""Capability systems: the push-model architectures of paper Fig. 2.
+"""Capability systems: the push-model architecture of paper Fig. 2.
 
-CAS-style (SAML capability assertions carrying authorisation decisions)
-and VOMS-style (X.509 attribute certificates carrying FQANs), plus the
-PEP-side verifier/enforcer that makes the final provider-side decision.
+CAS-style SAML capability assertions carrying authorisation decisions,
+plus the PEP-side verifier/enforcer that makes the final provider-side
+decision.
 """
 
 from .cas import (
@@ -18,18 +18,8 @@ from .tokens import (
     CapabilityScope,
     CapabilityVerifier,
 )
-from .voms import (
-    AC_LIFETIME,
-    Fqan,
-    SUBJECT_FQAN,
-    VOMS_EXTENSION,
-    VomsService,
-    extract_fqans,
-    request_with_fqans,
-)
 
 __all__ = [
-    "AC_LIFETIME",
     "CAPABILITY_LIFETIME",
     "CAPABILITY_SCOPE_ATTR",
     "CAPABILITY_VO_ATTR",
@@ -38,11 +28,5 @@ __all__ = [
     "CapabilityScope",
     "CapabilityVerifier",
     "CommunityAuthorizationService",
-    "Fqan",
-    "SUBJECT_FQAN",
-    "VOMS_EXTENSION",
-    "VomsService",
     "capability_from_payload",
-    "extract_fqans",
-    "request_with_fqans",
 ]

@@ -2,8 +2,9 @@
 
 PEP enforces, PDP decides, PAP administers, PIP informs.  All are
 network-attached :class:`~repro.components.base.Component` subclasses that
-exchange real XML over the simulated network, plus the TTL caches and the
-context handler the architecture calls for.
+exchange real XML over the simulated network, plus the TTL caches the
+architecture calls for.  A deployment fulfils obligations through the
+PEP's :data:`~repro.components.pep.ObligationHandler` hook.
 
 Every decision exchange — PEP→PDP, gateway→PDP, gateway→gateway,
 replica→replica — is sealed and opened by one
@@ -40,27 +41,7 @@ from .base import (
     RpcTimeout,
 )
 from .cache import CacheStats, DecisionCache, TtlCache
-from .obligations import (
-    AUDIT_OBLIGATION,
-    ENCRYPT_RESPONSE_OBLIGATION,
-    NOTIFY_OBLIGATION,
-    ObligationAuditTrail,
-    QUOTA_OBLIGATION,
-    QuotaLedger,
-    WATERMARK_OBLIGATION,
-    audit_handler,
-    encrypt_response_handler,
-    notify_handler,
-    quota_handler,
-    register_standard_handlers,
-)
 from .channel import DecisionChannel, secure_action
-from .context_handler import (
-    ContextHandlerError,
-    from_http_request,
-    from_soap_call,
-    with_environment_time,
-)
 from .fabric import (
     BatchWireCore,
     BatchingStage,
@@ -98,7 +79,6 @@ from .placement import (
     PartitionStats,
     PlacementMap,
     PlacementSpec,
-    RebalanceReport,
     SHARD_KEYS,
     stable_hash,
 )
@@ -128,7 +108,6 @@ from .pip import (
 )
 
 __all__ = [
-    "AUDIT_OBLIGATION",
     "AttributeStore",
     "BATCH_QUERY_ACTION",
     "BatchWireCore",
@@ -158,27 +137,14 @@ __all__ = [
     "PartitionStats",
     "PlacementMap",
     "PlacementSpec",
-    "RebalanceReport",
     "RoundRobinRouting",
     "RoutingPolicy",
     "SHARD_KEYS",
     "stable_hash",
     "SECURE_BATCH_QUERY_ACTION",
-    "ENCRYPT_RESPONSE_OBLIGATION",
-    "NOTIFY_OBLIGATION",
-    "ObligationAuditTrail",
-    "QUOTA_OBLIGATION",
-    "QuotaLedger",
-    "WATERMARK_OBLIGATION",
-    "audit_handler",
-    "encrypt_response_handler",
-    "notify_handler",
-    "quota_handler",
-    "register_standard_handlers",
     "secure_action",
     "Component",
     "ComponentIdentity",
-    "ContextHandlerError",
     "DEFAULT_TIMEOUT",
     "EnforcementResult",
     "ObligationHandler",
@@ -195,8 +161,6 @@ __all__ = [
     "RpcTimeout",
     "SECURE_QUERY_ACTION",
     "TtlCache",
-    "from_http_request",
-    "from_soap_call",
     "parse_bundle",
     "parse_pip_query",
     "parse_pip_response",
@@ -204,5 +168,4 @@ __all__ = [
     "serialize_bundle",
     "serialize_pip_query",
     "serialize_pip_response",
-    "with_environment_time",
 ]

@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..xacml.attributes import AttributeValue, DataType
@@ -440,12 +440,3 @@ class AttributePartition:
             f"cardinality={self.cardinality}, "
             f"epoch={self.spec.ring.epoch})"
         )
-
-
-@dataclass
-class RebalanceReport:
-    """What one tier-wide rebalance moved (summed over replicas)."""
-
-    epoch: int
-    moved_keys: int = 0
-    per_replica: dict[str, int] = field(default_factory=dict)

@@ -1,7 +1,7 @@
 """Access control models (paper §2.2), all compiling to XACML.
 
-DAC, MAC, RBAC (core/hierarchical/constrained), ABAC and the Brewer–Nash
-Chinese Wall.  Each model keeps its own reference monitor (the oracle the
+RBAC (core/hierarchical/constrained), ABAC and the Brewer–Nash Chinese
+Wall.  Each model keeps its own reference monitor (the oracle the
 property tests compare against) and a ``compile_*`` path producing
 ordinary XACML policies, so every model ultimately runs on the same
 PDP engine.
@@ -15,15 +15,6 @@ from .chinese_wall import (
     Dataset,
     WALL_OBLIGATION_ID,
     WallObligationHandler,
-)
-from .dac import AclEntry, DacError, DacModel, ResourceAcl
-from .mac import (
-    LEVELS,
-    Label,
-    MacError,
-    MacModel,
-    RESOURCE_CATEGORIES,
-    SUBJECT_CATEGORIES,
 )
 from .rbac import (
     DsdConstraint,
@@ -39,24 +30,14 @@ __all__ = [
     "AbacPolicyBuilder",
     "AbacRuleBuilder",
     "AccessRecord",
-    "AclEntry",
     "ChineseWallEngine",
     "ChineseWallError",
-    "DacError",
-    "DacModel",
     "Dataset",
     "DsdConstraint",
-    "LEVELS",
-    "Label",
-    "MacError",
-    "MacModel",
     "Permission",
-    "RESOURCE_CATEGORIES",
     "RbacError",
     "RbacModel",
     "RbacSession",
-    "ResourceAcl",
-    "SUBJECT_CATEGORIES",
     "SsdConstraint",
     "WALL_OBLIGATION_ID",
     "WallObligationHandler",

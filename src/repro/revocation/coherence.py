@@ -2,7 +2,7 @@
 
 The paper's staleness warning (§3.2) names three cache sites that can
 serve a revoked world: PEP decision caches, PDP policy caches, and
-relying-party token validation (capability/VOMS); the gateway tier adds
+relying-party capability-token validation; the gateway tier adds
 a fourth — the federated gateway's shared remote-decision cache.  A
 :class:`CoherenceAgent` is one network endpoint per domain that keeps a
 local view of the revocation registry — fed by whichever

@@ -1,9 +1,9 @@
 """Unified revocation records.
 
-The seed scattered revocation across five modules — CA CRLs
-(:mod:`repro.wss.pki`), trust-edge removal (:mod:`repro.domain.trust`),
-administrative grant withdrawal (:mod:`repro.admin.delegation`), DAC
-entry removal (:mod:`repro.models.dac`) and RBAC permission removal
+The seed scattered revocation across the modules that own what is
+revoked — CA CRLs (:mod:`repro.wss.pki`), trust-edge removal
+(:mod:`repro.domain.trust`), administrative grant withdrawal
+(:mod:`repro.admin.delegation`) and RBAC permission removal
 (:mod:`repro.models.rbac`) — each with its own representation and none
 with cross-domain propagation.  The paper warns that cached decisions
 and policies "may result in false positive or false negative access
@@ -38,7 +38,7 @@ class RevocationError(Exception):
 class RevocationKind(enum.Enum):
     """What class of artefact a revocation record kills."""
 
-    #: A capability assertion (CAS/VOMS token) or all capabilities of a
+    #: A capability assertion (CAS token) or all capabilities of a
     #: subject (target ``subject:<id>``).
     CAPABILITY = "capability"
     #: An administrative delegation grant (XACML A&D profile edge).
@@ -47,7 +47,7 @@ class RevocationKind(enum.Enum):
     CERTIFICATE = "certificate"
     #: An inter-domain trust edge (truster → trusted for a trust kind).
     TRUST_EDGE = "trust-edge"
-    #: A subject-level entitlement (DAC ACL entry, RBAC permission).
+    #: A subject-level entitlement (an RBAC permission, a subject's access).
     ENTITLEMENT = "entitlement"
 
 

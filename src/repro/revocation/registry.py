@@ -85,7 +85,7 @@ class RevocationRegistry:
 
         Revocation is idempotent: revoking an already-revoked target
         returns the original record without burning a new epoch, so
-        repeated delegation/ACL cascades do not inflate delta CRLs.
+        repeated delegation cascades do not inflate delta CRLs.
         """
         existing = self._index.get((kind.value, target))
         if existing is not None:
@@ -155,7 +155,7 @@ class RevocationRegistry:
     # -- kind-specific façade ----------------------------------------------------
     #
     # These helpers let legacy owners (CA, trust graph, delegation
-    # registry, DAC/RBAC models) delegate by duck typing, without
+    # registry, RBAC model) delegate by duck typing, without
     # importing revocation types — which keeps the low layers
     # (wss, domain, admin, models) free of upward dependencies.
 

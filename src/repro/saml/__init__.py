@@ -1,4 +1,4 @@
-"""SAML: assertions, the XACML profile of SAML, and the SOAP binding."""
+"""SAML: assertions and the XACML profile of SAML."""
 
 from .assertions import (
     Assertion,
@@ -10,13 +10,6 @@ from .assertions import (
     sign_assertion,
     validate_assertion,
 )
-from .bindings import (
-    ASSERTION_HEADER,
-    attach_assertion,
-    extract_assertions,
-    first_assertion,
-    has_assertion,
-)
 from .xacml_profile import (
     XacmlAuthzDecisionBatchQuery,
     XacmlAuthzDecisionBatchStatement,
@@ -25,7 +18,6 @@ from .xacml_profile import (
 )
 
 __all__ = [
-    "ASSERTION_HEADER",
     "Assertion",
     "AssertionError_",
     "AttributeStatement",
@@ -36,10 +28,6 @@ __all__ = [
     "XacmlAuthzDecisionBatchStatement",
     "XacmlAuthzDecisionQuery",
     "XacmlAuthzDecisionStatement",
-    "attach_assertion",
-    "extract_assertions",
-    "first_assertion",
-    "has_assertion",
     "sign_assertion",
     "validate_assertion",
 ]

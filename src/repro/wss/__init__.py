@@ -1,4 +1,4 @@
-"""Security substrate: keys, PKI, XML-DSig/Enc analogues and TLS channels.
+"""Security substrate: keys, PKI and XML-DSig/Enc analogues.
 
 See DESIGN.md §2 for the substitution rationale: the package reproduces
 the *access structure* of the real standards (who can sign, verify,
@@ -13,16 +13,6 @@ from .pki import (
     CertificateAuthority,
     CertificateError,
     TrustValidator,
-)
-from .tls import (
-    HANDSHAKE_BYTES,
-    HANDSHAKE_ROUND_TRIPS,
-    HandshakeError,
-    HandshakeResult,
-    RECORD_OVERHEAD_BYTES,
-    SecureChannel,
-    TlsContext,
-    TlsEndpoint,
 )
 from .xmldsig import (
     SignatureError,
@@ -46,19 +36,11 @@ __all__ = [
     "Ciphertext",
     "DecryptionError",
     "EncryptedDocument",
-    "HANDSHAKE_BYTES",
-    "HANDSHAKE_ROUND_TRIPS",
-    "HandshakeError",
-    "HandshakeResult",
     "KeyPair",
     "KeyStore",
     "PublicKey",
-    "RECORD_OVERHEAD_BYTES",
-    "SecureChannel",
     "SignatureError",
     "SignedDocument",
-    "TlsContext",
-    "TlsEndpoint",
     "TrustValidator",
     "canonicalize",
     "decrypt_document",

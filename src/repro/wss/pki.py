@@ -7,9 +7,8 @@ mutually authenticate before exchanging decisions (Section 3.2).
 
 Certificates here are structurally faithful X.509 analogues: subject,
 issuer, validity window, the subject's public key, optional extensions
-(used by the VOMS-style attribute certificates in
-:mod:`repro.capability.voms`), and an issuer signature over the TBS
-("to-be-signed") serialization.
+(``basicConstraints`` on an intermediate CA), and an issuer signature
+over the TBS ("to-be-signed") serialization.
 """
 
 from __future__ import annotations
@@ -78,10 +77,6 @@ class CertificateAuthority:
     revocation truth across the deployment.
     """
 
-    #: Class-level default so instances built via ``__new__`` (the VOMS
-    #: issuing authority) behave as unbound.
-    _revocation_registry = None
-
     def __init__(
         self,
         name: str,
@@ -94,6 +89,7 @@ class CertificateAuthority:
         self.parent = parent
         self.keypair: KeyPair = keystore.generate(label=f"ca:{name}")
         self._revoked: set[int] = set()
+        self._revocation_registry = None
         self.certificate = (
             self._self_sign(validity)
             if parent is None

@@ -1,4 +1,4 @@
-"""Web Services substrate: SOAP, WSDL-lite, registry, WS-Security, REST.
+"""Web Services substrate: SOAP, WSDL-lite, registry and WS-Security.
 
 Stands in for the paper's "Web Services as the underlying connection
 technology": envelopes serialize to real XML (byte-accurate sizes),
@@ -7,15 +7,6 @@ message-level protection of Section 3.2.
 """
 
 from .registry import RegistryEntry, RegistryError, ServiceRegistry
-from .rest import (
-    HttpRequest,
-    HttpResponse,
-    METHOD_TO_ACTION,
-    RestResource,
-    RestRouter,
-    RouteDecision,
-    SAFE_METHODS,
-)
 from .soap import (
     HeaderBlock,
     SOAP_NS,
@@ -23,14 +14,6 @@ from .soap import (
     SoapFault,
     request_envelope,
     response_envelope,
-)
-from .ws_policy import (
-    PolicyAssertion,
-    ServicePolicy,
-    require_role,
-    require_signed_messages,
-    require_token,
-    require_vo_membership,
 )
 from .ws_security import (
     SECURITY_HEADER,
@@ -50,22 +33,13 @@ from .wsdl import (
 
 __all__ = [
     "HeaderBlock",
-    "HttpRequest",
-    "HttpResponse",
-    "METHOD_TO_ACTION",
     "Operation",
-    "PolicyAssertion",
     "RegistryEntry",
     "RegistryError",
-    "RestResource",
-    "RestRouter",
-    "RouteDecision",
-    "SAFE_METHODS",
     "SECURITY_HEADER",
     "SOAP_NS",
     "SecurityConfig",
     "ServiceDescription",
-    "ServicePolicy",
     "ServiceRegistry",
     "SoapEnvelope",
     "SoapFault",
@@ -74,10 +48,6 @@ __all__ = [
     "pap_description",
     "pdp_description",
     "request_envelope",
-    "require_role",
-    "require_signed_messages",
-    "require_token",
-    "require_vo_membership",
     "response_envelope",
     "secure_envelope",
     "signer_of",

@@ -35,7 +35,7 @@ The contract of this module:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Protocol, Union
 
 from . import functions
@@ -180,6 +180,11 @@ class _FunctionNode(Expression):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_function", functions.find(self.function_id))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # The bound function is a registry closure, which does not
+        # pickle: a copy is rebuilt from the id and binds its own.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True, slots=True)

@@ -268,17 +268,3 @@ def _matching_obligations(
     if not obligations or decision not in (Decision.PERMIT, Decision.DENY):
         return ()
     return tuple(ob for ob in obligations if ob.fulfill_on is decision)
-
-
-def policy_set_of(
-    policy_set_id: str,
-    children: Iterable[PolicyChild],
-    policy_combining: str = combining.POLICY_DENY_OVERRIDES,
-    target: Target = ANY_TARGET,
-) -> PolicySet:
-    return PolicySet(
-        policy_set_id=policy_set_id,
-        children=tuple(children),
-        policy_combining=policy_combining,
-        target=target,
-    )

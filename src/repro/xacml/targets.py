@@ -45,7 +45,7 @@ import enum
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from . import functions
 from .attributes import (
@@ -117,6 +117,11 @@ class Match:
             data_type is self.value.data_type
             and data_type is self.designator.data_type,
         )
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # The bound function is a registry closure, which does not
+        # pickle: a copy is rebuilt from the id and binds its own.
+        return type(self), (self.match_function, self.value, self.designator)
 
     def evaluate(self, ctx: EvaluationContext) -> MatchResult:
         try:

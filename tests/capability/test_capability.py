@@ -1,4 +1,4 @@
-"""Tests for the capability (push-model) systems: CAS and VOMS."""
+"""Tests for the capability (push-model) system: CAS."""
 
 import pytest
 
@@ -8,11 +8,7 @@ from repro.capability import (
     CapabilityScope,
     CapabilityVerifier,
     CommunityAuthorizationService,
-    Fqan,
-    VomsService,
     capability_from_payload,
-    extract_fqans,
-    request_with_fqans,
 )
 from repro.components import PolicyEnforcementPoint, RpcFault
 from repro.domain import AdministrativeDomain
@@ -222,70 +218,3 @@ class TestVerifierAndEnforcer:
         assert not result.granted
         assert "vetoed" in result.detail
 
-
-class TestVoms:
-    @pytest.fixture
-    def voms_setup(self):
-        network = Network(seed=31)
-        keystore = KeyStore(seed=31)
-        domain = AdministrativeDomain("site", network, keystore)
-        identity = domain.component_identity("voms.vo")
-        voms = VomsService("voms.vo", network, "site", identity, vo_name="vo")
-        relying = AdministrativeDomain("relying", network, keystore)
-        relying.validator.add_anchor(voms.issuing_authority)
-        return network, keystore, voms, relying
-
-    def test_fqan_roundtrip(self):
-        for text in ("/vo", "/vo/physics", "/vo/physics/Role=analyst"):
-            assert Fqan.decode(text).encode() == text
-
-    def test_bad_fqan(self):
-        with pytest.raises(ValueError):
-            Fqan.decode("not-an-fqan")
-
-    def test_issue_and_extract(self, voms_setup):
-        network, keystore, voms, relying = voms_setup
-        voms.enroll("alice", Fqan("vo", "physics", "analyst"))
-        ac = voms.issue_attribute_certificate("alice")
-        fqans = extract_fqans(ac, keystore, relying.validator, at=network.now)
-        assert [f.encode() for f in fqans] == ["/vo/physics/Role=analyst"]
-
-    def test_wrong_vo_enrollment_rejected(self, voms_setup):
-        _, _, voms, _ = voms_setup
-        with pytest.raises(ValueError, match="does not match"):
-            voms.enroll("alice", Fqan("other-vo", "g"))
-
-    def test_non_member_refused(self, voms_setup):
-        _, _, voms, _ = voms_setup
-        with pytest.raises(RpcFault, match="not-a-member"):
-            voms.issue_attribute_certificate("stranger")
-
-    def test_expelled_member_refused(self, voms_setup):
-        _, _, voms, _ = voms_setup
-        voms.enroll("alice", Fqan("vo", "g"))
-        voms.expel("alice")
-        with pytest.raises(RpcFault):
-            voms.issue_attribute_certificate("alice")
-
-    def test_expired_ac_rejected(self, voms_setup):
-        from repro.wss import CertificateError
-
-        network, keystore, voms, relying = voms_setup
-        voms.enroll("alice", Fqan("vo", "g"))
-        ac = voms.issue_attribute_certificate("alice")
-        with pytest.raises(CertificateError):
-            extract_fqans(
-                ac, keystore, relying.validator, at=network.now + voms.ac_lifetime + 1
-            )
-
-    def test_fqan_request_context_bridge(self, voms_setup):
-        network, keystore, voms, relying = voms_setup
-        voms.enroll("alice", Fqan("vo", "physics", "analyst"))
-        ac = voms.issue_attribute_certificate("alice")
-        fqans = extract_fqans(ac, keystore, relying.validator, at=network.now)
-        request = request_with_fqans("alice", "dataset", "read", fqans)
-        from repro.capability import SUBJECT_FQAN
-        from repro.xacml import DataType
-
-        bag = request.bag(Category.SUBJECT, SUBJECT_FQAN, DataType.STRING)
-        assert [v.value for v in bag] == ["/vo/physics/Role=analyst"]

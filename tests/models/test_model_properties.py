@@ -5,8 +5,6 @@ Invariants:
 * RBAC: no sequence of API operations can leave a user's authorized role
   closure violating an SSD constraint; compiled XACML always agrees with
   the reference monitor.
-* MAC: the reference monitor enforces exactly label dominance; read and
-  write permissions are anti-symmetric except at equal labels.
 * Chinese wall: once committed, a subject can never touch two datasets of
   the same conflict class.
 """
@@ -14,14 +12,7 @@ Invariants:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.models import (
-    ChineseWallEngine,
-    Label,
-    MacModel,
-    RbacError,
-    RbacModel,
-    SsdConstraint,
-)
+from repro.models import ChineseWallEngine, RbacError, RbacModel, SsdConstraint
 
 ROLES = ["r0", "r1", "r2", "r3", "r4"]
 USERS = ["u0", "u1", "u2"]
@@ -94,36 +85,6 @@ class TestRbacInvariants:
                 continue
         for user in USERS:
             assert model.assigned_roles(user) <= model.authorized_roles(user)
-
-
-labels = st.builds(
-    Label,
-    level=st.integers(min_value=0, max_value=4),
-    categories=st.frozensets(st.sampled_from(["a", "b", "c"]), max_size=3),
-)
-
-
-class TestMacInvariants:
-    @given(labels, labels)
-    def test_dominance_is_a_partial_order(self, x, y):
-        if x.dominates(y) and y.dominates(x):
-            assert x.level == y.level and x.categories == y.categories
-
-    @given(labels, labels, labels)
-    def test_dominance_transitive(self, x, y, z):
-        if x.dominates(y) and y.dominates(z):
-            assert x.dominates(z)
-
-    @given(labels, labels)
-    def test_read_write_duality(self, subject_label, object_label):
-        model = MacModel()
-        model.clear_subject("s", subject_label)
-        model.classify_resource("o", object_label)
-        # read allowed iff subject dominates; write allowed iff object
-        # dominates; both allowed only at the exact same label.
-        if model.may_read("s", "o") and model.may_write("s", "o"):
-            assert subject_label.level == object_label.level
-            assert subject_label.categories == object_label.categories
 
 
 class TestChineseWallInvariants:

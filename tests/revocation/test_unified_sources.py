@@ -1,14 +1,13 @@
-"""The five legacy revocation sites delegate to the unified registry.
+"""The four legacy revocation sites delegate to the unified registry.
 
-ISSUE 1 satellite: CA CRLs, trust edges, administrative delegation, DAC
-entries and RBAC permissions each kept private revocation state; bound
-to a :class:`RevocationRegistry` they all record through it — one
-source of revocation truth — while keeping their public signatures.
+CA CRLs, trust edges, administrative delegation and RBAC permissions
+each kept private revocation state; bound to a
+:class:`RevocationRegistry` they all record through it — one source of
+revocation truth — while keeping their public signatures.
 """
 
 from repro.admin.delegation import DelegationRegistry, Scope
 from repro.domain.trust import TrustGraph, TrustKind
-from repro.models.dac import DacModel
 from repro.models.rbac import RbacModel
 from repro.revocation import RevocationKind, RevocationRegistry
 from repro.wss import KeyStore
@@ -100,44 +99,6 @@ class TestDelegationRegistry:
         assert registry.epoch == 0
 
 
-class TestDacModel:
-    def test_revoked_entry_recorded_with_cascade(self):
-        dac = DacModel("dac")
-        registry = RevocationRegistry()
-        dac.bind_revocation_registry(registry)
-        dac.register_resource("doc", owner="owner")
-        dac.grant("owner", "doc", "alice", "read", grant_option=True)
-        dac.grant("alice", "doc", "bob", "read")
-        removed = dac.revoke("owner", "doc", "alice", "read")
-        assert removed == 2  # alice and the cascaded bob entry
-        assert registry.entitlement_revoked("dac", "alice", "doc", "read")
-        assert registry.entitlement_revoked("dac", "bob", "doc", "read")
-
-    def test_removing_a_deny_entry_is_not_a_revocation(self):
-        # Removing a negative entry *restores* access; recording it as a
-        # permanent entitlement revocation would invert its meaning.
-        dac = DacModel("dac")
-        registry = RevocationRegistry()
-        dac.bind_revocation_registry(registry)
-        dac.register_resource("doc", owner="owner")
-        dac.deny("owner", "doc", "alice", "read")
-        assert dac.revoke("owner", "doc", "alice", "read") == 1
-        assert registry.epoch == 0
-        assert not registry.entitlement_revoked("dac", "alice", "doc", "read")
-
-    def test_record_carries_subject_and_resource(self):
-        dac = DacModel("dac")
-        registry = RevocationRegistry()
-        dac.bind_revocation_registry(registry)
-        dac.register_resource("doc", owner="owner")
-        dac.grant("owner", "doc", "alice", "read")
-        dac.revoke("owner", "doc", "alice", "read")
-        (record,) = registry.records()
-        assert record.subject_id == "alice"
-        assert record.resource_id == "doc"
-        assert record.kind is RevocationKind.ENTITLEMENT
-
-
 class TestRbacModel:
     def test_revoked_permission_recorded(self):
         rbac = RbacModel("rbac")
@@ -164,15 +125,14 @@ class TestRbacModel:
 
 
 class TestOneSourceOfTruth:
-    def test_all_five_sites_share_one_registry(self):
+    def test_all_four_sites_share_one_registry(self):
         keystore = KeyStore(seed=2)
         registry = RevocationRegistry()
         ca = CertificateAuthority("ca", keystore)
         graph = TrustGraph()
         delegation = DelegationRegistry(roots={"root"})
-        dac = DacModel("dac")
         rbac = RbacModel("rbac")
-        for owner in (ca, graph, delegation, dac, rbac):
+        for owner in (ca, graph, delegation, rbac):
             owner.bind_revocation_registry(registry)
 
         keypair = keystore.generate(label="s")
@@ -182,9 +142,6 @@ class TestOneSourceOfTruth:
         graph.revoke("a", "b", TrustKind.CAPABILITY)
         delegation.grant("root", "deputy", Scope(), max_depth=1)
         delegation.revoke("root", "deputy", Scope())
-        dac.register_resource("doc", owner="owner")
-        dac.grant("owner", "doc", "alice", "read")
-        dac.revoke("owner", "doc", "alice", "read")
         rbac.add_role("clerk")
         rbac.grant_permission("clerk", "orders", "read")
         rbac.revoke_permission("clerk", "orders", "read")
@@ -196,5 +153,5 @@ class TestOneSourceOfTruth:
             RevocationKind.DELEGATION,
             RevocationKind.ENTITLEMENT,
         }
-        assert registry.epoch == 5
-        assert [r.epoch for r in registry.records()] == [1, 2, 3, 4, 5]
+        assert registry.epoch == 4
+        assert [r.epoch for r in registry.records()] == [1, 2, 3, 4]

@@ -1,14 +1,11 @@
-"""Tests for XML-DSig/XML-Enc analogues and TLS channels."""
+"""Tests for the XML-DSig/XML-Enc analogues."""
 
 import pytest
 
 from repro.wss import (
     CertificateAuthority,
-    HandshakeError,
     KeyStore,
     SignatureError,
-    TlsContext,
-    TlsEndpoint,
     TrustValidator,
     canonicalize,
     decrypt_document,
@@ -105,56 +102,3 @@ class TestXmlEnc:
         doc = encrypt_document(plaintext, pair.public, keystore)
         assert doc.wire_size > len(plaintext)
 
-
-class TestTls:
-    def make_endpoint(self, name, keystore, ca, validator):
-        pair = keystore.generate(name)
-        cert = ca.issue(name, pair.public, not_before=0.0, lifetime=1000.0)
-        return TlsEndpoint(name=name, certificate=cert, validator=validator)
-
-    def test_mutual_handshake(self, pki):
-        keystore, ca, _, _, validator = pki
-        client = self.make_endpoint("client", keystore, ca, validator)
-        server = self.make_endpoint("server", keystore, ca, validator)
-        ctx = TlsContext()
-        result = ctx.connect(client, server, at=1.0)
-        assert result.channel.mutually_authenticated
-        assert result.round_trips > 0
-
-    def test_session_resumption_free(self, pki):
-        keystore, ca, _, _, validator = pki
-        client = self.make_endpoint("client", keystore, ca, validator)
-        server = self.make_endpoint("server", keystore, ca, validator)
-        ctx = TlsContext()
-        ctx.connect(client, server, at=1.0)
-        resumed = ctx.connect(client, server, at=2.0)
-        assert resumed.round_trips == 0
-        assert resumed.handshake_bytes == 0
-        assert ctx.handshakes_performed == 1
-
-    def test_untrusted_server_rejected(self, pki):
-        keystore, ca, _, _, validator = pki
-        rogue_store = KeyStore(seed=77)
-        rogue_ca = CertificateAuthority("Rogue", rogue_store)
-        rogue_pair = rogue_store.generate("rogue-server")
-        rogue_cert = rogue_ca.issue(
-            "rogue-server", rogue_pair.public, not_before=0.0, lifetime=1000.0
-        )
-        rogue_validator = TrustValidator(rogue_store, [rogue_ca])
-        client = self.make_endpoint("client", keystore, ca, validator)
-        server = TlsEndpoint(
-            name="rogue-server", certificate=rogue_cert, validator=rogue_validator
-        )
-        ctx = TlsContext()
-        with pytest.raises(HandshakeError, match="rejected server"):
-            ctx.connect(client, server, at=1.0)
-
-    def test_record_overhead_accounted(self, pki):
-        keystore, ca, _, _, validator = pki
-        client = self.make_endpoint("client", keystore, ca, validator)
-        server = self.make_endpoint("server", keystore, ca, validator)
-        ctx = TlsContext()
-        channel = ctx.connect(client, server, at=1.0).channel
-        wire = channel.protect(100)
-        assert wire > 100
-        assert channel.records_sent == 1

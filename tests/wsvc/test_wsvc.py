@@ -1,23 +1,16 @@
-"""Tests for the Web Services substrate: SOAP, WS-Security, registry, REST."""
+"""Tests for the Web Services substrate: SOAP, WS-Security, registry."""
 
 import pytest
 
 from repro.wsvc import (
-    HttpRequest,
-    PolicyAssertion,
     RegistryError,
-    RestResource,
-    RestRouter,
     SecurityConfig,
-    ServicePolicy,
     ServiceRegistry,
     SoapEnvelope,
     SoapFault,
     WsSecurityError,
     pdp_description,
     request_envelope,
-    require_role,
-    require_token,
     response_envelope,
     secure_envelope,
     signer_of,
@@ -253,87 +246,3 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             registry.lookup("pdp-a")
 
-
-class TestWsPolicy:
-    def test_assertion_satisfaction(self):
-        policy = ServicePolicy(
-            service_name="svc",
-            assertions=(
-                require_token(["saml"]),
-                require_role(["analyst", "admin"]),
-            ),
-        )
-        good = {"token-type": {"saml"}, "role": {"analyst"}}
-        bad = {"token-type": {"x509"}, "role": {"analyst"}}
-        assert policy.admits(good)
-        assert not policy.admits(bad)
-        assert len(policy.unmet_assertions(bad)) == 1
-
-    def test_optional_assertion(self):
-        policy = ServicePolicy(
-            service_name="svc",
-            assertions=(
-                PolicyAssertion(kind="logging", optional=True),
-            ),
-        )
-        assert policy.admits({})
-
-    def test_presence_only_assertion(self):
-        policy = ServicePolicy(
-            service_name="svc",
-            assertions=(PolicyAssertion(kind="signed-messages"),),
-        )
-        assert policy.admits({"signed-messages": set()})
-        assert not policy.admits({})
-
-    def test_xml_rendering(self):
-        policy = ServicePolicy(
-            service_name="svc", assertions=(require_token(["saml"]),)
-        )
-        assert "wsp:Policy" in policy.to_xml()
-        assert policy.wire_size > 0
-
-
-class TestRest:
-    def make_router(self):
-        router = RestRouter()
-        router.add(
-            RestResource(
-                uri_template="/records/{patient}/labs",
-                resource_id="labs-{patient}",
-            )
-        )
-        router.add(
-            RestResource(
-                uri_template="/public/status",
-                resource_id="status",
-                allowed_methods=frozenset({"GET"}),
-            )
-        )
-        return router
-
-    def test_route_extracts_parameters(self):
-        router = self.make_router()
-        decision = router.route(
-            HttpRequest(method="GET", uri="/records/p42/labs", subject_id="dr")
-        )
-        assert decision.resource_id == "labs-p42"
-        assert decision.action_id == "read"
-        assert decision.parameters == {"patient": "p42"}
-
-    def test_method_maps_to_action(self):
-        router = self.make_router()
-        decision = router.route(
-            HttpRequest(method="DELETE", uri="/records/p1/labs", subject_id="dr")
-        )
-        assert decision.action_id == "delete"
-
-    def test_unrouted_uri_none(self):
-        router = self.make_router()
-        assert router.route(HttpRequest(method="GET", uri="/nowhere")) is None
-
-    def test_disallowed_method_none(self):
-        router = self.make_router()
-        assert (
-            router.route(HttpRequest(method="POST", uri="/public/status")) is None
-        )

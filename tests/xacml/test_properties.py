@@ -21,7 +21,10 @@ Invariants checked:
   decides alike; parsing shares its leaves with building; the memo keys
   separate whatever the serializer writes apart, and remember no
   exception; every slotted node still copies, pickles and replaces,
-  and takes no stray attribute.
+  and takes no stray attribute;
+* a policy bound to registry functions pickles: it comes back equal
+  and decides alike; a node bound to any registered function comes back
+  bound to that same function.
 """
 
 import copy
@@ -43,6 +46,7 @@ from test_evaluation_oracle import (
     targets as oracle_targets,
 )
 
+from repro.workloads import Population, PopulationSpec
 from repro.xacml import (
     ACTION_ID,
     AllOf,
@@ -899,25 +903,24 @@ class TestSharedLeavesAreUnobservable:
 
     def slotted_nodes(self):
         """One of every frozen node class of the tree and of a
-        decision's results.  The function ids are unknown to the
-        registry: registry functions are closures, so a node *bound* to
-        one has never pickled, with or without slots."""
+        decision's results, each bound to a registry function."""
+        equal = functions.FUNCTION_PREFIX_1_0 + "string-equal"
         role = AttributeDesignator(Category.SUBJECT, SUBJECT_ROLE, DataType.STRING)
-        match = Match("urn:test:unbound", string("clerk"), role)
+        match = Match(equal, string("clerk"), role)
         all_of = AllOf((match,))
         any_of = AnyOf((all_of,))
         target = Target((any_of,))
         literal = Literal(string("clerk"))
         bag = Designator(role)
-        apply = Apply("urn:test:unbound", (literal, bag))
+        apply = Apply(functions.FUNCTION_PREFIX_1_0 + "string-is-in", (literal, bag))
         condition = Condition(apply)
         rule = Rule("r", Decision.PERMIT, target, condition)
         policy = Policy("p", (rule,), target=target)
         reference = PolicyReference("elsewhere")
         return [
             role, match, all_of, any_of, target, literal, bag, apply,
-            AnyOfFunction("urn:test:unbound", literal, bag),
-            AllOfFunction("urn:test:unbound", literal, bag),
+            AnyOfFunction(equal, literal, bag),
+            AllOfFunction(equal, literal, bag),
             condition, rule, RuleResult(Decision.PERMIT), policy, reference,
             PolicySet("s", (policy, reference), target=target),
             PolicyResult(Decision.DENY),
@@ -949,6 +952,8 @@ class TestSharedLeavesAreUnobservable:
                 # What ``__post_init__`` bound came along.
                 for name in ("bag_key", "_function", "_by_value", "_combiner"):
                     assert getattr(twin, name, None) == getattr(node, name, None)
+            # Every function node is bound: there was a closure to leave out.
+            assert getattr(node, "_function", True) is not None
 
     def test_a_built_policy_deep_copies_and_replaces_bound_functions_and_all(self):
         policy = build(
@@ -967,3 +972,65 @@ class TestSharedLeavesAreUnobservable:
         assert (other.value, other._function, other._by_value) == (
             string("s2"), match._function, True
         )  # fmt: skip
+
+    @pytest.mark.parametrize("function_id", sorted(functions.known_functions()))
+    def test_a_node_bound_to_any_registry_function_pickles_and_rebinds(
+        self, function_id
+    ):
+        """Whatever factory made the function (``_make_equal``, the bag,
+        comparison and string families, a plain ``def``), a node bound
+        to it pickles without it and the copy binds the very function
+        the registry holds."""
+        role = Designator(
+            AttributeDesignator(Category.SUBJECT, SUBJECT_ROLE, DataType.STRING)
+        )
+        literal = Literal(string("clerk"))
+        for node in (
+            Match(function_id, literal.value, role.designator),
+            Apply(function_id, (literal, role)),
+            AnyOfFunction(function_id, literal, role),
+            AllOfFunction(function_id, literal, role),
+        ):
+            twin = pickle.loads(pickle.dumps(node))
+            assert twin == node and type(twin) is type(node)
+            assert twin._function is node._function is functions.find(function_id)
+            assert getattr(twin, "_by_value", None) == getattr(node, "_by_value", None)
+
+    @given(
+        st.one_of(random_policies(), policy_recipes.map(build)),
+        st.lists(st.tuples(request_triples, optional(roles)), max_size=4),
+    )
+    @settings(max_examples=40)
+    def test_a_parsed_policy_pickles_and_decides_alike(self, policy, asked):
+        """A bound node pickles without its registry closure and binds
+        its own on load."""
+        from repro.xacml import evaluate_element
+
+        parsed = parse_policy(serialize_policy(policy))
+        twin = pickle.loads(pickle.dumps(parsed))
+        assert twin == parsed and serialize_policy(twin) == serialize_policy(parsed)
+        for triple, role in asked:
+            request = requests_with_role(triple, role)
+            assert evaluate_element(twin, request) == evaluate_element(parsed, request)
+
+    def test_a_population_policy_set_pickles_and_decides_alike(self):
+        population = Population(PopulationSpec(subjects=200, resources=10))
+        policies = population.policy_set(50)
+        twins = pickle.loads(pickle.dumps(policies))
+        assert twins == policies
+        engines = []
+        for corpus in (policies, twins):
+            engine = PdpEngine()
+            for policy in corpus:
+                engine.add_policy(policy)
+            engines.append(engine)
+        decided = set()
+        for request in population.request_contexts(200, seed=3):
+            for attribute_id, values in population.subject_attributes(
+                request.subject_id
+            ).items():
+                request.add(Category.SUBJECT, Attribute(attribute_id, tuple(values)))
+            original, twin = (engine.evaluate(request) for engine in engines)
+            assert twin == original
+            decided.add(original.decision)
+        assert Decision.PERMIT in decided and len(decided) > 1
