@@ -126,10 +126,11 @@ class CommunityAuthorizationService(Component):
         for attribute_id, values in self._subject_attributes.get(
             subject_id, {}
         ).items():
-            request.add(
-                Category.SUBJECT,
-                Attribute(attribute_id, tuple(string(v) for v in values)),
-            )
+            if values:  # an empty bag is an absent attribute
+                request.add(
+                    Category.SUBJECT,
+                    Attribute(attribute_id, tuple(string(v) for v in values)),
+                )
         return self.engine.decide(request, current_time=self.now) is Decision.PERMIT
 
     def issue(self, cap_request: CapabilityRequest) -> SignedAssertion:

@@ -56,6 +56,7 @@ from ..saml.xacml_profile import (
     XacmlAuthzDecisionStatement,
     parse_envelope,
     qualified,
+    wire_number,
 )
 from ..simnet.message import Message
 from ..wsvc.ws_security import WsSecurityError
@@ -137,7 +138,7 @@ class ForwardedBatchQuery:
             batch=XacmlAuthzDecisionBatchQuery.from_element(element[0]),
             origin_domain=attrs["OriginDomain"],
             origin_gateway=attrs["OriginGateway"],
-            ttl=int(attrs["TTL"]),
+            ttl=wire_number(attrs["TTL"], int, _NOT_A_FORWARD),
         )
 
 

@@ -22,8 +22,10 @@ from .attributes import (
     DataType,
     RESOURCE_ID,
     SUBJECT_ID,
-    string,
+    _attribute_of,
 )
+
+_STRING: str = DataType.STRING.value
 
 
 class Decision(enum.Enum):
@@ -111,14 +113,17 @@ class RequestContext:
     **Layout and cost model.**  A request is one insertion-ordered list
     of ``(category, attribute)`` pairs under ``__slots__`` — no
     ``__dict__``, no per-category containers, nothing built for a
-    category the request does not use.  A request of *n* attributes is
-    *n* + 1 objects besides the :class:`Attribute` values themselves
-    (the list and one pair each), and every read is a scan of those *n*
-    pairs (three or four on the wire) that tells categories apart with
-    ``is`` — ``Category`` members are singletons, and hashing one goes
-    through ``Enum.__hash__``, a Python-level call.  Requests are the
-    most numerous live objects wherever decisions are cached or in
-    flight, so anything added here is paid per request: a side index by
+    category the request does not use.  A request of *n* attributes
+    owns *n* + 1 objects (the list and one pair each); the
+    :class:`Attribute` values are shared leaves wherever they came from
+    :meth:`simple` or the wire (:func:`~repro.xacml.attributes.
+    _attribute_of`), so every held request that reads ``res-7`` points
+    at one ``res-7``.  Every read is a scan of those *n* pairs (three or
+    four on the wire) that tells categories apart with ``is`` —
+    ``Category`` members are singletons, and hashing one goes through
+    ``Enum.__hash__``, a Python-level call.  Requests are the most
+    numerous live objects wherever decisions are cached or in flight,
+    so anything added here is paid per request: a side index by
     ``(category, id)`` measured +17 MiB on ``gateway_plain`` (ROADMAP
     direction 3), and ``tests/xacml/test_context_oracle.py`` pins the
     shape.  Per-category order is insertion order, which is all the
@@ -152,17 +157,26 @@ class RequestContext:
         resource_attributes: Optional[dict[str, Iterable[AttributeValue]]] = None,
         environment: Optional[dict[str, Iterable[AttributeValue]]] = None,
     ) -> "RequestContext":
-        """Build the canonical {subject, resource, action} request."""
+        """Build the canonical {subject, resource, action} request.
+
+        The three ids are shared leaves (:func:`~repro.xacml.attributes.
+        _attribute_of`); an extra attribute given no values is left out,
+        which is how the request reads it anyway (an empty bag)."""
         request = cls()
-        request.add(Category.SUBJECT, Attribute.of(SUBJECT_ID, string(subject_id)))
-        request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, string(resource_id)))
-        request.add(Category.ACTION, Attribute.of(ACTION_ID, string(action_id)))
-        for attr_id, values in (subject_attributes or {}).items():
-            request.add(Category.SUBJECT, Attribute(attr_id, tuple(values)))
-        for attr_id, values in (resource_attributes or {}).items():
-            request.add(Category.RESOURCE, Attribute(attr_id, tuple(values)))
-        for attr_id, values in (environment or {}).items():
-            request.add(Category.ENVIRONMENT, Attribute(attr_id, tuple(values)))
+        entries = request._entries = [
+            (Category.SUBJECT, _attribute_of(SUBJECT_ID, None, ((_STRING, subject_id),))),
+            (Category.RESOURCE, _attribute_of(RESOURCE_ID, None, ((_STRING, resource_id),))),
+            (Category.ACTION, _attribute_of(ACTION_ID, None, ((_STRING, action_id),))),
+        ]
+        for category, extra in (
+            (Category.SUBJECT, subject_attributes),
+            (Category.RESOURCE, resource_attributes),
+            (Category.ENVIRONMENT, environment),
+        ):
+            for attr_id, values in (extra or {}).items():
+                held = tuple(values)
+                if held:
+                    entries.append((category, Attribute(attr_id, held)))
         return request
 
     def add(self, category: Category, attribute: Attribute) -> None:
@@ -206,11 +220,7 @@ class RequestContext:
         self, category: Category, attribute_id: str
     ) -> Optional[AttributeValue]:
         for held, attribute in self._entries:
-            if (
-                held is category
-                and attribute.attribute_id == attribute_id
-                and attribute.values
-            ):
+            if held is category and attribute.attribute_id == attribute_id:
                 return attribute.values[0]
         return None
 

@@ -4,12 +4,19 @@ Round-tripping (``parse(serialize(x)) == x`` up to object identity) is
 asserted by property-based tests; the parser is also what PDPs use when
 policies arrive over the wire from PAPs and syndication servers.
 
-Policy-side leaves — designators, matches, single-match groups and
-``attribute_equals``-shaped conditions — come from the constructors the
-builders use (:func:`repro.xacml.attributes._designator_of` has the
-contract), so a parsed policy shares its leaves with every other policy
-in the process that says the same thing; request-side values are built
-fresh.
+Leaves come from the constructors the builders use
+(:func:`repro.xacml.attributes._designator_of` has the contract).
+Policy-side ones — designators, matches, single-match groups and
+``attribute_equals``-shaped conditions — are shared with every other
+policy in the process that says the same thing.  Request attributes
+come from :func:`~repro.xacml.attributes._attribute_of`, keyed on id,
+issuer and each value's data-type URI and text: a decoded request
+shares its attributes with every request, decoded or built by
+``RequestContext.simple``, that says the same thing.  The walk checks
+the structure (``Category``, ``AttributeId``, each value's
+``DataType``) before it asks for the leaf; what the leaf refuses (an
+unknown data type, a text its type cannot read, no values) is a
+:class:`ParseError` with the leaf's message.
 
 Every document and every ``<Request>`` / ``<Response>`` fragment goes
 through expat (``ET.fromstring``): text that is not well-formed XML is a
@@ -37,11 +44,11 @@ import xml.etree.ElementTree as ET
 from typing import TypeVar, Union
 
 from .attributes import (
-    Attribute,
     AttributeDesignator,
     AttributeValue,
     Category,
     DataType,
+    _attribute_of,
     _designator_of,
 )
 from .context import (
@@ -348,19 +355,19 @@ def _request_of(root: ET.Element) -> RequestContext:
             attribute_id = attr_el.get("AttributeId")
             if attribute_id is None:
                 raise ParseError("Attribute missing AttributeId")
-            values = tuple(
-                _parse_value(v) for v in attr_el.findall("AttributeValue")
-            )
-            if not values:
-                raise ParseError(f"attribute {attribute_id!r} has no values")
-            request.add(
-                category,
-                Attribute(
-                    attribute_id=attribute_id,
-                    values=values,
-                    issuer=attr_el.get("Issuer"),
-                ),
-            )
+            values = []
+            for value_el in attr_el.findall("AttributeValue"):
+                uri = value_el.get("DataType")
+                if uri is None:
+                    raise ParseError("AttributeValue missing DataType")
+                values.append((uri, value_el.text or ""))
+            try:
+                attribute = _attribute_of(
+                    attribute_id, attr_el.get("Issuer"), tuple(values)
+                )
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+            request.add(category, attribute)
     return request
 
 

@@ -244,9 +244,6 @@ def serialize_request(request: RequestContext) -> str:
             )
             if attribute.issuer is not None:
                 parts.append(f' Issuer="{escape_attr(attribute.issuer)}"')
-            if not attribute.values:
-                parts.append(" />")
-                continue
             parts.append(">")
             for value in attribute.values:
                 value_open = _VALUE_OPEN[value.data_type]

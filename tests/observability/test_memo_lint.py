@@ -31,6 +31,8 @@ ALLOWED = {
     "repro/xacml/targets.py:_match_of": "repro/xacml/attributes.py:_designator_of",
     "repro/xacml/targets.py:_single_of": "repro/xacml/attributes.py:_designator_of",
     "repro/xacml/expressions.py:_condition_of": "repro/xacml/attributes.py:_designator_of",
+    # The request-side leaf constructor: the same contract, its own bound.
+    "repro/xacml/attributes.py:_attribute_of": "repro/xacml/attributes.py:_designator_of",
 }
 
 MEMO_NAMES = {"lru_cache", "cache", "cached_property"}

@@ -12,6 +12,7 @@ text as XML reads it — and whatever only the new decoder accepts must
 be canonical: written again and read again, it is the same value.
 """
 
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -239,13 +240,30 @@ _HOLDER = "<holder {}>".format(
 )
 
 
+INSTANT = re.compile(r'IssueInstant="([^"]*)"')
+
+
+def written_instant(text):
+    """Is ``text`` an instant as the writers write one: ``str`` of a
+    finite float, or of an integer?"""
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and text in (str(value), str(int(value)))
+
+
 def refused_on_purpose(xml_text):
     """Why the new decoder may refuse a text the oracle accepted: markup
     the writers never emit and a tree would drop, a line feed after the
     envelope (the patterns' ``$`` matched before it, so it went unread),
-    or text that is not XML once the envelope prefixes are bound (the
-    patterns never asked whether it was)."""
+    an instant the writers never write (the oracle's ``float()`` also
+    read spaces, signs, ``1_0``, ``nan`` and ``inf``), or text that is
+    not XML once the envelope prefixes are bound (the patterns never
+    asked whether it was)."""
     if "<!" in xml_text or "<?" in xml_text or xml_text.endswith("\n"):
+        return True
+    if not all(map(written_instant, INSTANT.findall(xml_text))):
         return True
     try:
         ET.fromstring(f"{_HOLDER}{xml_text}</holder>")

@@ -32,7 +32,8 @@ from repro.xacml import (
 HOSTILE = "<>&\"' \n\tax-:/é☃"
 header_text = st.text(alphabet=HOSTILE + "\r", max_size=8)
 context_text = st.text(alphabet=HOSTILE, max_size=8)
-instants = st.floats(allow_nan=False)
+#: An instant on the wire is a finite number (``wire_number``).
+instants = st.floats(allow_nan=False, allow_infinity=False)
 
 requests = st.one_of(
     st.just(RequestContext()),

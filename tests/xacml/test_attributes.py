@@ -79,8 +79,10 @@ class TestBag:
 
 class TestAttribute:
     def test_of_requires_values(self):
-        with pytest.raises(ValueError):
-            Attribute.of("attr-id")
+        # However it is built: the wire has no form for an empty attribute.
+        for build in (lambda: Attribute.of("attr-id"), lambda: Attribute("attr-id", ())):
+            with pytest.raises(ValueError, match="has no values"):
+                build()
 
     def test_data_type_from_first_value(self):
         attr = Attribute.of("attr-id", integer(1), integer(2))

@@ -154,18 +154,22 @@ values = st.one_of(
 )
 
 
-def attributes(min_values=0, ids=st.sampled_from(ATTRIBUTE_IDS)):
+#: An attribute has at least one value (``Attribute`` refuses none).
+value_tuples = st.lists(values, min_size=1, max_size=3).map(tuple)
+
+
+def attributes(ids=st.sampled_from(ATTRIBUTE_IDS)):
     return st.builds(
         Attribute,
         attribute_id=ids,
-        values=st.lists(values, min_size=min_values, max_size=3).map(tuple),
+        values=value_tuples,
         issuer=st.sampled_from(ISSUERS),
     )
 
 
-def add_sequences(min_values=0, ids=st.sampled_from(ATTRIBUTE_IDS)):
+def add_sequences(ids=st.sampled_from(ATTRIBUTE_IDS)):
     return st.lists(
-        st.tuples(st.sampled_from(list(Category)), attributes(min_values, ids)),
+        st.tuples(st.sampled_from(list(Category)), attributes(ids)),
         max_size=8,
     )
 
@@ -281,6 +285,7 @@ class TestAgainstTheOracle:
                     attribute_id=st.sampled_from(ATTRIBUTE_IDS),
                     values=st.lists(
                         st.sampled_from(["alice", "bob", ""]).map(string),
+                        min_size=1,
                         max_size=3,
                     ).map(tuple),
                 ),
@@ -348,9 +353,7 @@ class TestIdentity:
                             category,
                             Attribute(
                                 attribute.attribute_id,
-                                data.draw(
-                                    st.lists(values, max_size=3).map(tuple)
-                                ),
+                                data.draw(value_tuples),
                                 attribute.issuer,
                             ),
                         ),
@@ -364,7 +367,7 @@ class TestIdentity:
         ) == (identity(adds) == identity(changed))
 
     @settings(max_examples=150, deadline=None)
-    @given(add_sequences(min_values=1, ids=hostile_text))
+    @given(add_sequences(ids=hostile_text))
     def test_key_survives_the_wire(self, adds):
         request = build(RequestContext, adds)
         assert (
