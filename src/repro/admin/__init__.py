@@ -2,7 +2,7 @@
 
 The Section-3 management machinery: the XACML Administration & Delegation
 profile (grants + reduction + revocation), the Fig. 5 policy-syndication
-hierarchy, the runtime meta-policies (SoD, Chinese Wall) that catch what
+hierarchy, the runtime meta-policies (the Chinese Wall) that catch what
 static analysis cannot, and the policy lifecycle state machine with the
 VO-wide consolidated compliance view.  The static modality-conflict scan
 lives with the policy analyzer:
@@ -13,7 +13,6 @@ from .conflicts import (
     ChineseWallMetaPolicy,
     MetaPolicy,
     MetaPolicyEngine,
-    SeparationOfDutyMetaPolicy,
     Veto,
 )
 from .delegation import (
@@ -56,7 +55,6 @@ __all__ = [
     "PolicyLifecycleManager",
     "ReductionResult",
     "Scope",
-    "SeparationOfDutyMetaPolicy",
     "SyndicationNode",
     "SyndicationReport",
     "Veto",

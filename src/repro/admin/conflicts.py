@@ -10,18 +10,19 @@ Paper §3.1 distinguishes two conflict classes:
 * **application-specific conflicts** — e.g. Separation of Duty — "usually
   visible only at runtime once all policies are deployed", handled by
   *meta-policies* "that contain application specific constraints on other
-  access control policies".  This module holds those: SoD, the Chinese
-  wall and the :class:`MetaPolicyEngine` that guards base decisions.
+  access control policies".  This module holds those: the Chinese
+  wall meta-policy and the :class:`MetaPolicyEngine` that guards base
+  decisions.
 
 Experiment E8 runs the static scan over generated policy corpora,
 checks which conflicts each XACML combining algorithm resolves and shows
-the wall/SoD cases that only the runtime meta-policy engine catches.
+the wall cases that only the runtime meta-policy engine catches.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..models.chinese_wall import ChineseWallEngine
@@ -44,38 +45,6 @@ class MetaPolicy(Protocol):
     def check(self, request: RequestContext, at: float) -> Optional[Veto]: ...
 
     def record_grant(self, request: RequestContext, at: float) -> None: ...
-
-
-@dataclass
-class SeparationOfDutyMetaPolicy:
-    """Dynamic SoD over resources: one subject must not touch two
-    resources of the same exclusive set (paper §3.1's in-domain case)."""
-
-    name: str
-    exclusive_sets: list[frozenset[str]]
-    _history: dict[str, set[str]] = field(default_factory=dict)
-
-    def check(self, request: RequestContext, at: float) -> Optional[Veto]:
-        subject = request.subject_id or ""
-        resource = request.resource_id or ""
-        touched = self._history.get(subject, set())
-        for exclusive in self.exclusive_sets:
-            if resource in exclusive:
-                clashes = (touched & exclusive) - {resource}
-                if clashes:
-                    return Veto(
-                        meta_policy=self.name,
-                        reason=(
-                            f"SoD: {subject!r} already used "
-                            f"{sorted(clashes)[0]!r} from the same duty set"
-                        ),
-                    )
-        return None
-
-    def record_grant(self, request: RequestContext, at: float) -> None:
-        subject = request.subject_id or ""
-        resource = request.resource_id or ""
-        self._history.setdefault(subject, set()).add(resource)
 
 
 @dataclass

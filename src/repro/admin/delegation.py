@@ -93,9 +93,6 @@ class DelegationRegistry:
         #: there, giving revoked delegations a propagation path.
         self._revocation_registry = None
 
-    def add_root(self, authority: str) -> None:
-        self.roots.add(authority)
-
     def bind_revocation_registry(self, registry) -> None:
         self._revocation_registry = registry
 
@@ -146,9 +143,6 @@ class DelegationRegistry:
                 delegator, delegate, str(scope)
             )
         return len(victims)
-
-    def grants_to(self, delegate: str) -> list[AdminGrant]:
-        return [g for g in self._grants if g.delegate == delegate]
 
     def grants(self) -> list[AdminGrant]:
         return list(self._grants)
@@ -226,17 +220,6 @@ class DelegationRegistry:
             resource_id=confined_to(RESOURCE_BAG),
             action_id=confined_to(ACTION_BAG),
         )
-
-    def pap_guard(self, operation: str, requester: str, policy_id: str) -> bool:
-        """Guard callable for :class:`PolicyAdministrationPoint`.
-
-        Publish/withdraw require the requester to reduce for a wildcard
-        scope (the PAP does not know the policy body at guard time; the
-        stricter per-scope check is applied by :func:`validate_issued`).
-        """
-        if requester in self.roots:
-            return True
-        return self.reduce(requester, Scope()).valid
 
     def validate_issued(self, element: PolicyElement) -> ReductionResult:
         """Reduce a policy's *issuer* against the policy's own scope.

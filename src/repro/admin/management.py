@@ -74,9 +74,6 @@ class ManagedPolicy:
     def policy_id(self) -> str:
         return child_identifier(self.element)
 
-    def actors_for(self, state: LifecycleState) -> set[str]:
-        return {e.actor for e in self.history if e.to_state is state}
-
 
 class PolicyLifecycleManager:
     """Drives policies through the paper's management steps.
@@ -107,16 +104,6 @@ class PolicyLifecycleManager:
             )
         )
         self._policies[policy_id] = managed
-        return managed
-
-    def modify(
-        self, policy_id: str, element: PolicyElement, author: str
-    ) -> ManagedPolicy:
-        """Modification resets the lifecycle to DRAFT (re-review needed)."""
-        managed = self._get(policy_id)
-        managed.element = element
-        managed.author = author
-        self._transition(managed, LifecycleState.DRAFT, author, note="modified")
         return managed
 
     def review(self, policy_id: str, reviewer: str) -> None:

@@ -14,7 +14,7 @@ capability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ..components.pep import EnforcementResult, PolicyEnforcementPoint
 from ..saml.assertions import (
@@ -74,14 +74,8 @@ class CapabilityVerifier:
         self.validator = validator
         self.audience = audience
         self.accepted_issuers = accepted_issuers
-        #: Optional revocation coherence hook: receives the validated
-        #: assertion, returns a rejection reason when it (or its subject)
-        #: has been revoked.  Installed by
-        #: :meth:`repro.revocation.coherence.CoherenceAgent.protect_verifier`.
-        self.revocation_check: Optional[Callable[..., Optional[str]]] = None
         self.verifications = 0
         self.rejections = 0
-        self.revocation_rejections = 0
 
     def verify(
         self,
@@ -103,12 +97,6 @@ class CapabilityVerifier:
         except AssertionError_ as exc:
             self.rejections += 1
             return VerificationOutcome(ok=False, reason=str(exc))
-        if self.revocation_check is not None:
-            revocation_reason = self.revocation_check(assertion)
-            if revocation_reason is not None:
-                self.rejections += 1
-                self.revocation_rejections += 1
-                return VerificationOutcome(ok=False, reason=revocation_reason)
         if (
             self.accepted_issuers is not None
             and assertion.issuer not in self.accepted_issuers

@@ -21,7 +21,6 @@ from ..simnet.message import Message
 from ..simnet.network import Network, Node
 from ..wss.keys import KeyPair, KeyStore
 from ..wss.pki import Certificate, TrustValidator
-from ..wsvc.soap import SoapEnvelope
 
 #: Default RPC deadline in simulated seconds.
 DEFAULT_TIMEOUT = 2.0
@@ -189,22 +188,6 @@ class Component:
 
     # -- envelope helpers --------------------------------------------------------
 
-    def call_soap(
-        self,
-        recipient: str,
-        envelope: SoapEnvelope,
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> SoapEnvelope:
-        """RPC carrying a SOAP envelope; returns the reply envelope."""
-        reply = self.call(recipient, envelope.action, envelope, timeout)
-        payload = reply.payload
-        if not isinstance(payload, SoapEnvelope):
-            raise RpcFault("soap:Receiver", "peer returned a non-SOAP payload")
-        if payload.is_fault:
-            code, reason = _parse_soap_fault(payload.body_xml)
-            raise RpcFault(code, reason)
-        return payload
-
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
         return f"{type(self).__name__}({self.name}, {state})"
@@ -217,14 +200,3 @@ def _parse_fault(payload: str) -> tuple[str, str]:
     if match is None:
         return ("unknown", payload)
     return (match.group(1), match.group(2))
-
-
-def _parse_soap_fault(body_xml: str) -> tuple[str, str]:
-    import re
-
-    code = re.search(r"<soap:Value>([^<]*)</soap:Value>", body_xml)
-    reason = re.search(r"<soap:Text>([^<]*)</soap:Text>", body_xml)
-    return (
-        code.group(1) if code else "soap:Receiver",
-        reason.group(1) if reason else "unspecified fault",
-    )

@@ -183,13 +183,6 @@ class TtlCache(Generic[K, V]):
         self.stats.invalidations += len(self._entries)
         self._entries.clear()
 
-    def age_of(self, key: K) -> Optional[float]:
-        """Age in seconds of a (non-expired) entry, for staleness studies."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return self._clock() - entry.stored_at
-
 
 #: The key-part prefix (category, attribute id; then the lexical value)
 #: ``cache_key_touches`` compares for a subject / resource id.

@@ -1072,13 +1072,7 @@ class CoalescingDecisionQueue(_StagedTier):
             )
 
     def _fail_entry(self, entry: Slot, exc: Exception) -> None:
-        """Fail-safe denial for every waiter of one entry.
-
-        The event-driven queue has no caller to re-raise into, so it
-        always enforces the deny-on-failure stance regardless of
-        ``PepConfig.deny_on_failure`` — the fail-open variant only
-        exists on the synchronous path.
-        """
+        """Fail-safe denial for every waiter of one entry."""
         self._record_latency(entry)
         for callback in entry.waiters:
             result = self.pep._fail_safe_result(exc)
@@ -1222,10 +1216,6 @@ class DomainDecisionGateway(_StagedTier, Component):
         """Register one PEP's coalescing queue with this gateway."""
         self._backlog.setdefault(queue.pep.name, deque())
         self._queues[queue.pep.name] = queue
-
-    @property
-    def registered_peps(self) -> list[str]:
-        return list(self._backlog)
 
     # -- ingestion ----------------------------------------------------------------
 

@@ -21,8 +21,7 @@ VO-wide resource directory, see :mod:`repro.domain.directory`):
   waiter is denied and a ``federation.*`` metric counter records why.
 
 The serving side accepts forwarded batches only from registered origin
-domains (trust-edge-checked at registration time, see
-:func:`repro.domain.federation.federate_gateways`) and, on the secure
+domains (:meth:`FederatedGateway.allow_origin`) and, on the secure
 channel, only when the envelope is signed by that origin's registered
 gateway.  Served requests that turn out to be governed by yet another
 domain are forwarded onward with a decremented TTL, so a misconfigured

@@ -159,8 +159,7 @@ class PolicyDecisionPoint(Component):
         self.pap_address = pap_address
         self.pip_addresses = list(pip_addresses or [])
         #: This replica's owned slice of subject/resource attribute
-        #: state; None on an unsharded replica.  With a placement but no
-        #: resolver the partition is preload-only.
+        #: state; None on an unsharded replica.
         self.partition: Optional[AttributePartition] = None
         #: Authoritative attribute source; also the unsharded fallback
         #: finder when no placement is configured.
@@ -671,11 +670,11 @@ class PolicyDecisionPoint(Component):
         """Realign this replica's partition with the (changed) ring.
 
         Called on every replica after :meth:`~repro.components.
-        placement.PlacementMap.add_replica` / ``remove_replica`` on the
-        authoritative ring.  Evicts entries whose key range moved away
-        (the new owner repopulates them on demand from the shared
-        resolver) and returns how many moved; the tier-wide sum is the
-        rebalance cost counted as ``placement.moved_keys``.
+        placement.PlacementMap.add_replica` on the authoritative ring.
+        Evicts entries whose key range moved away (the new owner
+        repopulates them on demand from the shared resolver) and returns
+        how many moved; the tier-wide sum is the rebalance cost counted
+        as ``placement.moved_keys``.
         """
         if self.partition is None:
             return 0
@@ -686,23 +685,6 @@ class PolicyDecisionPoint(Component):
             SHARD_CARDINALITY_SERIES, self.partition.cardinality
         )
         return moved
-
-    def shard_stats(self) -> dict:
-        """Per-replica state figures E19 reports (cardinality and skew)."""
-        stats: dict = {
-            "replica": self.name,
-            "store": self.engine.store.shard_stats(),
-        }
-        if self.partition is not None:
-            partition = self.partition.stats
-            stats.update(
-                cardinality=self.partition.cardinality,
-                faults=partition.faults,
-                hits=partition.hits,
-                unowned_lookups=partition.unowned_lookups,
-                evicted=partition.evicted,
-            )
-        return stats
 
     #: base action → (decode the query body, answer it).  Each is served
     #: plain and under its ``.secure`` twin by :meth:`_serve_query`.

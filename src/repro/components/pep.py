@@ -13,8 +13,9 @@ covers the architectural duties Section 3 assigns to enforcement points:
 * **obligation enforcement**: registered handlers run before access is
   granted; an obligation the PEP does not understand forces Deny
   (XACML §7.14);
-* **fail-safe enforcement**: if no PDP can be reached the PEP denies
-  rather than failing open (configurable, experiments E10/E11);
+* **fail-safe enforcement**: if no PDP answers, or its reply does not
+  verify or decode, the PEP denies (experiments E10/E11); there is no
+  switch to fail open;
 * a hook for capability-based (push-model) validation, used by
   :mod:`repro.capability`.
 """
@@ -24,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..saml.xacml_profile import (
-    XacmlAuthzDecisionBatchQuery,
-    XacmlAuthzDecisionBatchStatement,
-    XacmlAuthzDecisionQuery,
-    XacmlAuthzDecisionStatement,
-)
+from ..saml.xacml_profile import XacmlAuthzDecisionQuery, XacmlAuthzDecisionStatement
 from ..simnet.message import Message
 from ..simnet.network import Network
 from ..wsvc.ws_security import WsSecurityError
@@ -44,7 +40,7 @@ from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
 from .cache import DecisionCache
 from .channel import DecisionChannel
 from .fabric import CoalescingDecisionQueue, DecisionDispatcher
-from .pdp import BATCH_QUERY_ACTION, QUERY_ACTION
+from .pdp import QUERY_ACTION
 
 #: Obligation handler: receives the obligation and the request, performs
 #: the action, returns True when fulfilled.
@@ -63,9 +59,6 @@ class PepConfig:
     decision_cache_ttl: float = 0.0
     #: Sign queries / verify response signatures (mutual authentication).
     secure_channel: bool = False
-    #: Deny when no decision can be obtained (fail-safe); False would
-    #: fail open, which no experiment enables but tests cover.
-    deny_on_failure: bool = True
     #: RPC deadline towards the PDP.
     pdp_timeout: float = 2.0
 
@@ -99,12 +92,12 @@ class PolicyEnforcementPoint(Component):
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.config = config if config is not None else PepConfig()
-        #: How every decision exchange of this PEP (blocking single,
-        #: blocking batch, coalesced) is sealed and opened.
+        #: How every decision exchange of this PEP (blocking or
+        #: coalesced) is sealed and opened.
         self.channel = DecisionChannel(
             self, secure=self.config.secure_channel, role="pep"
         )
-        #: The replica ring every query path (single, batch, coalesced)
+        #: The replica ring both query paths (blocking, coalesced)
         #: reaches its PDP through, with failover; ``pdp_address`` is a
         #: ring of one.  Replace it directly or via
         #: :meth:`enable_batching`; None (no PDP) fails every query safe.
@@ -169,20 +162,6 @@ class PolicyEnforcementPoint(Component):
         reply, pdp = self._exchange(action, payload)
         return self.channel.open_statement_reply(reply, pdp, query.query_id)
 
-    def _query_pdp_batch(
-        self, requests: list[RequestContext]
-    ) -> XacmlAuthzDecisionBatchStatement:
-        """One batch round-trip; on the secure channel the whole batch
-        rides under one WS-Security signature each way."""
-        batch = XacmlAuthzDecisionBatchQuery.for_requests(
-            requests, issuer=self.name, issue_instant=self.now
-        )
-        action, payload = self.channel.seal(BATCH_QUERY_ACTION, batch.to_xml())
-        reply, pdp = self._exchange(action, payload)
-        return self.channel.open_batch_reply(
-            reply, pdp, batch.batch_id, len(requests)
-        )
-
     def enable_batching(
         self,
         max_batch: int = 16,
@@ -192,10 +171,10 @@ class PolicyEnforcementPoint(Component):
     ) -> CoalescingDecisionQueue:
         """Attach the coalescing queue (and a dispatcher or gateway).
 
-        Afterwards :meth:`submit` feeds the queue; the synchronous
-        :meth:`authorize` / :meth:`authorize_batch` paths keep working.
-        A given dispatcher replaces the PEP's own for every path.  With
-        a :class:`~repro.components.fabric.DomainDecisionGateway` the
+        Afterwards :meth:`submit` feeds the queue; the blocking
+        :meth:`authorize` keeps working.  A given dispatcher replaces the
+        PEP's own for both paths.  With a
+        :class:`~repro.components.fabric.DomainDecisionGateway` the
         queue's flushes hand off to the domain's shared aggregation
         point instead of sending per-PEP envelopes; the gateway owns
         replica dispatch for that traffic.
@@ -281,65 +260,9 @@ class PolicyEnforcementPoint(Component):
         try:
             statement = self._query_pdp(request)
         except (RpcTimeout, RpcFault, WsSecurityError) as exc:
-            if self.config.deny_on_failure:
-                return self._fail_safe_result(exc)
-            raise
+            return self._fail_safe_result(exc)
         self.decision_cache.admit(cache_key, statement)
         return self._settle(request, statement)
-
-    def authorize_batch(
-        self, requests: list[RequestContext]
-    ) -> list[EnforcementResult]:
-        """Synchronous batched enforcement of N requests, in order.
-
-        Guard checks and cache hits resolve locally; the remaining
-        *unique* misses travel as one batch decision query (one
-        round-trip, one signature in secure mode).  Each request still
-        gets its own enforcement — obligations run per waiter, and
-        counters advance exactly as if :meth:`authorize` had been called
-        N times.
-        """
-        self.enforcements += len(requests)
-        results: list[Optional[EnforcementResult]] = [None] * len(requests)
-        miss_order: list[tuple[tuple, RequestContext]] = []
-        miss_indices: dict[tuple, list[int]] = {}
-        for index, request in enumerate(requests):
-            key = request.cache_key()
-            immediate = self._pre_decision(request, key)
-            if immediate is not None:
-                results[index] = immediate
-                continue
-            waiters = miss_indices.get(key)
-            if waiters is None:
-                miss_indices[key] = [index]
-                miss_order.append((key, request))
-            else:
-                waiters.append(index)
-        if miss_order:
-            try:
-                statement_batch = self._query_pdp_batch(
-                    [request for _, request in miss_order]
-                )
-            except (RpcTimeout, RpcFault, WsSecurityError) as exc:
-                if not self.config.deny_on_failure:
-                    raise
-                for waiters in miss_indices.values():
-                    for index in waiters:
-                        results[index] = self._fail_safe_result(exc)
-            else:
-                for (key, request), statement in zip(
-                    miss_order, statement_batch.statements, strict=False
-                ):
-                    self.decision_cache.admit(key, statement)
-                    for index in miss_indices[key]:
-                        results[index] = self._settle(requests[index], statement)
-        tracer = self.network.tracer
-        if tracer.enabled:
-            for request, result in zip(requests, results, strict=True):
-                tracer.sync_decision(
-                    self, request, result, path="authorize_batch"
-                )
-        return results  # type: ignore[return-value]
 
     def _settle(
         self,

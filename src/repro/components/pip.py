@@ -48,25 +48,10 @@ class AttributeStore:
             value
         )
 
-    def remove_subject_value(
-        self, subject_id: str, attribute_id: str, value: AttributeValue
-    ) -> bool:
-        values = self._subject.get(subject_id, {}).get(attribute_id, [])
-        for index, existing in enumerate(values):
-            if existing == value:
-                del values[index]
-                return True
-        return False
-
     def set_resource_attribute(
         self, resource_id: str, attribute_id: str, values: list[AttributeValue]
     ) -> None:
         self._resource.setdefault(resource_id, {})[attribute_id] = list(values)
-
-    def register_environment(
-        self, attribute_id: str, provider: EnvironmentProvider
-    ) -> None:
-        self._environment[attribute_id] = provider
 
     def lookup(
         self,

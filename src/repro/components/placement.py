@@ -29,9 +29,8 @@ its own:
   ~1/N of the touched key space instead of duplicating hot keys on
   every replica.
 
-The XACML-engine side of the same story (partitioning a
-:class:`~repro.xacml.engine.PolicyStore` by governed resource) lives in
-:meth:`repro.xacml.engine.PolicyStore.partition_for`.
+Only attribute state is sharded: every replica holds the whole
+:class:`~repro.xacml.engine.PolicyStore`.
 """
 
 from __future__ import annotations
@@ -141,22 +140,6 @@ class PlacementMap:
         self._insert(address)
         self.epoch += 1
 
-    def remove_replica(self, address: str) -> None:
-        """Leave one replica; bumps the epoch.  Its keys move to peers."""
-        if address not in self._replicas:
-            raise ValueError(f"replica {address!r} not placed")
-        if len(self._replicas) == 1:
-            raise ValueError("cannot remove the last replica")
-        self._replicas.remove(address)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners, strict=True)
-            if owner != address
-        ]
-        self._points = [point for point, _ in keep]
-        self._owners = [owner for _, owner in keep]
-        self.epoch += 1
-
     def copy(self) -> "PlacementMap":
         """Independent snapshot (a client's possibly-stale routing view)."""
         snapshot = PlacementMap(
@@ -166,15 +149,6 @@ class PlacementMap:
         )
         snapshot.epoch = self.epoch
         return snapshot
-
-    def sync_from(self, other: "PlacementMap") -> None:
-        """Adopt ``other``'s ring and epoch (routing-view catch-up)."""
-        self._replicas = list(other._replicas)
-        self._points = list(other._points)
-        self._owners = list(other._owners)
-        self.hash_name = other.hash_name
-        self.virtual_nodes = other.virtual_nodes
-        self.epoch = other.epoch
 
     # -- lookups ------------------------------------------------------------------
 
@@ -214,13 +188,6 @@ class PlacementMap:
                     break
         return ordered
 
-    def share_of(self, address: str, keys: Sequence[str]) -> float:
-        """Fraction of ``keys`` owned by ``address`` (balance probes)."""
-        if not keys:
-            return 0.0
-        owned = sum(1 for key in keys if self.owner(key) == address)
-        return owned / len(keys)
-
     def __repr__(self) -> str:
         return (
             f"PlacementMap(replicas={len(self._replicas)}, "
@@ -236,9 +203,8 @@ class PlacementSpec:
     its ``__post_init__``) and by the ``hash-subject`` /
     ``hash-resource`` routing policies, so replicas and routers agree on
     ownership by construction.  ``ring`` is shared and mutable —
-    rebalances go through :meth:`PlacementMap.add_replica` /
-    :meth:`~PlacementMap.remove_replica` on the authoritative spec, and
-    stale client views catch up via :meth:`PlacementMap.sync_from`.
+    rebalances go through :meth:`PlacementMap.add_replica` on the
+    authoritative spec.
 
     Attributes:
         shard_by: which request attribute keys the placement —
@@ -316,8 +282,8 @@ class AttributePartition:
     Args:
         owner: this replica's address in the ring.
         spec: the authoritative placement spec (shared object).
-        resolver: authoritative attribute source; ``None`` makes the
-            partition a purely preloaded store.
+        resolver: authoritative attribute source; with ``None`` every
+            lookup misses.
     """
 
     def __init__(
@@ -346,23 +312,6 @@ class AttributePartition:
         return list(self._entries)
 
     # -- population ---------------------------------------------------------------
-
-    def preload(
-        self, key: str, attributes: dict[str, list[AttributeValue]]
-    ) -> bool:
-        """Install state for an owned key (migration receive path).
-
-        Returns False (and stores nothing) for keys outside the owned
-        range, so a bulk loader can stream the whole population at every
-        replica and each retains only its share.
-        """
-        if not self.owns(key):
-            return False
-        self._entries[key] = {
-            attribute_id: list(values)
-            for attribute_id, values in attributes.items()
-        }
-        return True
 
     def _materialise(self, key: str) -> Optional[dict]:
         entry = self._entries.get(key)
@@ -412,7 +361,7 @@ class AttributePartition:
         Called after the authoritative ring gained or lost a replica.
         Returns the number of entries evicted — the keys that *moved*
         off this replica; the new owner repopulates them on demand from
-        the shared resolver (or receives them via :meth:`preload`).
+        the shared resolver.
         """
         moved = [key for key in self._entries if not self.owns(key)]
         for key in moved:
@@ -420,19 +369,6 @@ class AttributePartition:
         self.stats.evicted += len(moved)
         self.stats.rebalances += 1
         return len(moved)
-
-    def export_entries(
-        self, keys: Optional[Sequence[str]] = None
-    ) -> dict[str, dict[str, list[AttributeValue]]]:
-        """Copy out entries (migration send path); all entries when
-        ``keys`` is None."""
-        chosen = self._entries if keys is None else {
-            key: self._entries[key] for key in keys if key in self._entries
-        }
-        return {
-            key: {aid: list(values) for aid, values in entry.items()}
-            for key, entry in chosen.items()
-        }
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,6 @@ from .sequences import (
     ClientAgent,
     FlowStep,
     FlowTrace,
-    agent_sequence,
     pull_sequence,
     push_sequence,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "QuorumClient",
     "QuorumOutcome",
     "SystemConfig",
-    "agent_sequence",
     "discovering_dispatcher",
     "pull_sequence",
     "push_sequence",

@@ -83,16 +83,3 @@ class AuditLog:
             1 for r in self._records if r.decision is not Decision.PERMIT
         )
         return denials / len(self._records)
-
-    def by_source(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for record in self._records:
-            out[record.source] = out.get(record.source, 0) + 1
-        return out
-
-    def subjects_touching(self, resource_id: str) -> set[str]:
-        return {
-            r.subject_id
-            for r in self._records
-            if r.resource_id == resource_id and r.decision is Decision.PERMIT
-        }

@@ -64,15 +64,6 @@ class PdpCluster:
     def addresses(self) -> list[str]:
         return [replica.name for replica in self.replicas]
 
-    def crash_replica(self, index: int) -> None:
-        self.replicas[index].crash()
-
-    def recover_replica(self, index: int) -> None:
-        self.replicas[index].recover()
-
-    def alive_count(self) -> int:
-        return sum(1 for replica in self.replicas if replica.alive)
-
 
 class HeartbeatMonitor(Component):
     """Tracks replica liveness through periodic pings.
@@ -112,9 +103,6 @@ class HeartbeatMonitor(Component):
     def stop(self) -> None:
         self._running = False
 
-    def alive_targets(self) -> list[str]:
-        return [t for t in self.targets if t not in self._suspected]
-
     def is_suspected(self, target: str) -> bool:
         return target in self._suspected
 
@@ -153,10 +141,6 @@ class QuorumOutcome:
     replicas_asked: int
     replies: int
     disagreement: bool
-
-    @property
-    def unanimous(self) -> bool:
-        return len([v for v in self.votes.values() if v > 0]) == 1
 
 
 class QuorumClient(Component):

@@ -3,10 +3,11 @@
 Paper §2.2: "Interactions between the decision (PDP) and enforcement
 (PEP) points can be based on one of the three proposed authorisation
 decision query sequences ... the agent, pull and push sequence models."
-Each sequence here is a driver that executes the corresponding figure's
-numbered steps over the simulated network and records a
-:class:`FlowTrace`, which experiments E2–E4 print next to the paper's
-diagrams.
+The pull and push sequences here are drivers that execute the
+corresponding figure's numbered steps over the simulated network and
+record a :class:`FlowTrace`, which experiments E2–E4 print next to the
+paper's diagrams; the agent model is :class:`AgentProxy`, which A1
+drives directly.
 """
 
 from __future__ import annotations
@@ -186,39 +187,3 @@ class AgentProxy(Component):
         else:
             self.denials += 1
         return decision
-
-
-def agent_sequence(
-    client: ClientAgent,
-    agent: AgentProxy,
-    resource_id: str,
-    action_id: str,
-) -> FlowTrace:
-    """Agent model: client → agent (decides locally) → service."""
-    trace = FlowTrace(sequence="agent")
-    metrics = client.network.metrics
-    messages_before = metrics.messages_sent
-    bytes_before = metrics.bytes_sent
-    request = RequestContext.simple(client.subject_id, resource_id, action_id)
-    trace.add("I", "access request", client.name, agent.name, client.now)
-    decision = agent.mediate(request)
-    granted = decision is Decision.PERMIT
-    if granted:
-        trace.add(
-            "II", "request forwarded to service", agent.name, agent.service_name,
-            client.now,
-        )
-    trace.add(
-        "III" if granted else "II",
-        f"access {'granted' if granted else 'denied'}",
-        agent.name,
-        client.name,
-        client.now,
-    )
-    trace.result = EnforcementResult(
-        decision=decision if granted else Decision.DENY,
-        source="agent",
-    )
-    trace.messages_used = metrics.messages_sent - messages_before
-    trace.bytes_used = metrics.bytes_sent - bytes_before
-    return trace

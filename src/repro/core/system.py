@@ -2,7 +2,7 @@
 
 :class:`AccessControlSystem` is what a downstream user instantiates: it
 wires a domain's PEP/PDP/PAP/PIP quartet, layers the meta-policy engine
-(SoD, Chinese Wall) over base decisions, records every outcome in the
+(e.g. the Chinese Wall) over base decisions, records every outcome in the
 audit log, and optionally replaces the single PDP with a replicated
 cluster behind heartbeat failover — the composition the paper's title
 promises.
@@ -109,10 +109,6 @@ class AccessControlSystem:
         assert self.domain.pap is not None
         return self.domain.pap.publish(element, publisher=publisher)
 
-    def withdraw_policy(self, policy_id: str, requester: str = "admin") -> bool:
-        assert self.domain.pap is not None
-        return self.domain.pap.withdraw(policy_id, requester=requester)
-
     # -- authorisation ------------------------------------------------------------------
 
     def authorize(
@@ -157,13 +153,6 @@ class AccessControlSystem:
         return result
 
     # -- health --------------------------------------------------------------------------
-
-    def decision_service_available(self) -> bool:
-        """Can this system currently obtain decisions?"""
-        if self.cluster is not None:
-            assert self.monitor is not None
-            return bool(self.monitor.alive_targets())
-        return self.domain.pdp is not None and self.domain.pdp.alive
 
     def stats(self) -> dict[str, object]:
         peps = list(self.domain.peps.values())

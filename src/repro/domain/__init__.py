@@ -3,8 +3,8 @@
 Implements the environment of the paper's Fig. 1: autonomous
 administrative domains with their own CAs, IdPs and authorisation
 components, assembled into Virtual Organisations with explicit
-inter-domain trust, in federated or ad-hoc collaboration modes, with
-trust negotiation for strangers.
+inter-domain trust (the federated collaboration mode), with trust
+negotiation for strangers.
 """
 
 from .domain import (
@@ -14,7 +14,6 @@ from .domain import (
 )
 from .directory import (
     ResourceDirectory,
-    build_directory,
 )
 from .directory_service import (
     DEFAULT_DIRECTORY_TOPIC,
@@ -28,9 +27,7 @@ from .directory_service import (
 from .federation import (
     CollaborationMode,
     FederationAgreement,
-    build_ad_hoc_collaboration,
     build_federation,
-    federate_gateways,
 )
 from .identity import (
     ASSERTION_LIFETIME,
@@ -38,10 +35,9 @@ from .identity import (
     IdentityProvider,
     SUBJECT_VO_MEMBERSHIP,
     Subject,
-    assertion_from_payload,
     resolve_attribute_name,
 )
-from .trust import TrustEdge, TrustGraph, TrustKind
+from .trust import TrustGraph, TrustKind
 from .trust_negotiation import (
     Credential,
     DisclosurePolicy,
@@ -77,17 +73,12 @@ __all__ = [
     "SUBJECT_VO_MEMBERSHIP",
     "Subject",
     "TraustServer",
-    "TrustEdge",
     "TrustGraph",
     "TrustKind",
     "VirtualOrganization",
     "VoPolicyRecord",
     "WebServiceResource",
-    "assertion_from_payload",
-    "build_ad_hoc_collaboration",
-    "build_directory",
     "build_federation",
-    "federate_gateways",
     "negotiate",
     "resolve_attribute_name",
 ]

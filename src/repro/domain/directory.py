@@ -17,10 +17,9 @@ is after.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..xacml.context import RequestContext
-from .domain import AdministrativeDomain
 
 #: Resolver signature the federated gateway consumes.
 DomainResolver = Callable[[RequestContext], Optional[str]]
@@ -59,12 +58,6 @@ class ResourceDirectory:
             )
         self._governing[resource_id] = domain_name
 
-    def register_domain(self, domain: AdministrativeDomain) -> int:
-        """Register every resource a domain currently exposes."""
-        for resource_id in domain.resources:
-            self.register(resource_id, domain.name)
-        return len(domain.resources)
-
     def transfer(self, resource_id: str, domain_name: str) -> int:
         """Move a *registered* resource's governance to another domain.
 
@@ -87,13 +80,6 @@ class ResourceDirectory:
     def domain_of(self, resource_id: str) -> Optional[str]:
         return self._governing.get(resource_id, self.default_domain)
 
-    def resources_of(self, domain_name: str) -> list[str]:
-        return sorted(
-            resource_id
-            for resource_id, governing in self._governing.items()
-            if governing == domain_name
-        )
-
     def domains(self) -> set[str]:
         return set(self._governing.values())
 
@@ -114,14 +100,3 @@ class ResourceDirectory:
             return self.domain_of(resource_id)
 
         return resolve
-
-
-def build_directory(
-    domains: Iterable[AdministrativeDomain],
-    default_domain: Optional[str] = None,
-) -> ResourceDirectory:
-    """One directory over every resource the given domains expose."""
-    directory = ResourceDirectory(default_domain=default_domain)
-    for domain in domains:
-        directory.register_domain(domain)
-    return directory

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..components.base import ComponentIdentity
-from ..components.fabric import DecisionDispatcher, LeastOutstandingRouting
-from ..components.federation import FederatedGateway
 from ..components.pap import PolicyAdministrationPoint
 from ..components.pdp import PdpConfig, PolicyDecisionPoint
 from ..components.pep import PepConfig, PolicyEnforcementPoint
@@ -67,7 +65,6 @@ class AdministrativeDomain:
         self.pdp: Optional[PolicyDecisionPoint] = None
         self.pip: Optional[PolicyInformationPoint] = None
         self.idp: Optional[IdentityProvider] = None
-        self.gateway: Optional[FederatedGateway] = None
         self.peps: dict[str, PolicyEnforcementPoint] = {}
         self.resources: dict[str, WebServiceResource] = {}
         self.subjects: dict[str, Subject] = {}
@@ -110,7 +107,7 @@ class AdministrativeDomain:
 
     def _component_addresses(self) -> list[str]:
         out = []
-        for component in (self.pap, self.pdp, self.pip, self.idp, self.gateway):
+        for component in (self.pap, self.pdp, self.pip, self.idp):
             if component is not None:
                 out.append(component.name)
         out.extend(pep.name for pep in self.peps.values())
@@ -168,47 +165,6 @@ class AdministrativeDomain:
         )
         self._intra_domain_link(address)
         return self.idp
-
-    def create_gateway(
-        self,
-        resolve_domain=None,
-        replicas: Optional[list[str]] = None,
-        dispatcher: Optional[DecisionDispatcher] = None,
-        **kwargs,
-    ) -> FederatedGateway:
-        """Create this domain's (federation-capable) decision gateway.
-
-        Without an explicit ``dispatcher`` the gateway load-balances
-        (least-outstanding) over ``replicas`` (addresses), defaulting to
-        the domain's own PDP.  ``resolve_domain`` is usually a
-        :meth:`~repro.domain.directory.ResourceDirectory.resolver`;
-        peer links come from :func:`~repro.domain.federation.
-        federate_gateways`, which checks the VO trust graph.
-        """
-        address = self._address("gateway")
-        if dispatcher is None:
-            addresses = list(replicas) if replicas else (
-                [self.pdp.name] if self.pdp is not None else []
-            )
-            if not addresses:
-                raise ValueError(
-                    f"domain {self.name!r} has no PDP to dispatch to; "
-                    "call create_pdp() first or pass replicas/dispatcher"
-                )
-            dispatcher = DecisionDispatcher(
-                addresses, policy=LeastOutstandingRouting()
-            )
-        self.gateway = FederatedGateway(
-            address,
-            self.network,
-            dispatcher,
-            domain=self.name,
-            identity=self.component_identity(address),
-            resolve_domain=resolve_domain,
-            **kwargs,
-        )
-        self._intra_domain_link(address)
-        return self.gateway
 
     def create_pep(
         self, resource_id: str, config: Optional[PepConfig] = None

@@ -1,4 +1,4 @@
-"""Collaboration modes: federated environments vs ad-hoc collaborations.
+"""Federated environments: a VO built with pre-established trust.
 
 Paper §2.1 distinguishes two ways multi-domain environments arise:
 
@@ -8,20 +8,18 @@ Paper §2.1 distinguishes two ways multi-domain environments arise:
   domain with pre-established trust-relationships between all
   collaborating partners".
 
-This module provides constructors for both shapes and the agreement
-records that make the difference auditable.
+Every experiment and example builds the federated shape, so this module
+constructs that one, with the agreement record that makes it auditable.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
-from ..components.federation import FederatedGateway
 from ..simnet.network import Network
 from ..wss.keys import KeyStore
-from .trust import TrustGraph, TrustKind
+from .trust import TrustKind
 from .virtual_org import VirtualOrganization
 
 
@@ -67,73 +65,3 @@ def build_federation(
         established_at=network.now,
     )
     return vo, agreement
-
-
-def build_ad_hoc_collaboration(
-    name: str,
-    pairs: list[tuple[str, str]],
-    network: Network,
-    keystore: KeyStore,
-    kinds: tuple[TrustKind, ...] = (TrustKind.IDENTITY,),
-) -> tuple[VirtualOrganization, list[FederationAgreement]]:
-    """Build an ad-hoc collaboration: no common root, bilateral trust only.
-
-    Each domain keeps its self-signed root CA; only the listed pairs
-    cross-certify, so a subject from domain X is a *stranger* everywhere X
-    has no agreement — the population trust negotiation (E9) exists for.
-    """
-    vo = VirtualOrganization(name, network, keystore, with_root_ca=False)
-    domain_names = sorted({d for pair in pairs for d in pair})
-    for domain_name in domain_names:
-        vo.create_domain(domain_name).standard_layout()
-    agreements = []
-    for a, b in pairs:
-        for kind in kinds:
-            vo.establish_mutual_trust(a, b, kind)
-        agreements.append(
-            FederationAgreement(
-                parties=(a, b),
-                kinds=kinds,
-                mode=CollaborationMode.AD_HOC,
-                established_at=network.now,
-            )
-        )
-    return vo, agreements
-
-
-def federate_gateways(
-    trust: TrustGraph, gateways: Iterable[FederatedGateway]
-) -> list[tuple[str, str]]:
-    """Connect domain gateways along the VO's DECISION trust edges.
-
-    For every ordered domain pair ``(a, b)`` where ``a`` trusts ``b``
-    for :attr:`~repro.domain.trust.TrustKind.DECISION` — i.e. ``a``
-    accepts authorisation decisions made by ``b`` — ``a``'s gateway
-    registers ``b``'s as the forwarding peer for ``b``-governed
-    resources, and ``b``'s gateway agrees to serve (and, on the secure
-    channel, pins the envelope signer of) forwards originated by ``a``.
-
-    Domain pairs *without* the trust edge are left unconnected: a
-    request for such a domain's resource fails safe at the origin
-    gateway (``federation:unknown-domain``), which is the autonomy
-    stance the paper's §3.2 asks for — no trust edge, no decision flow.
-
-    Returns the ``(truster, trusted)`` pairs actually connected.
-    """
-    by_domain: dict[str, FederatedGateway] = {}
-    for gateway in gateways:
-        if gateway.domain in by_domain:
-            raise ValueError(
-                f"two gateways claim domain {gateway.domain!r}"
-            )
-        by_domain[gateway.domain] = gateway
-    connected: list[tuple[str, str]] = []
-    for truster_name, truster in sorted(by_domain.items()):
-        for trusted_name, trusted in sorted(by_domain.items()):
-            if truster_name == trusted_name:
-                continue
-            if trust.trusts(truster_name, trusted_name, TrustKind.DECISION):
-                truster.add_peer(trusted_name, trusted.name)
-                trusted.allow_origin(truster_name, truster.name)
-                connected.append((truster_name, trusted_name))
-    return connected

@@ -71,13 +71,6 @@ class Subject:
     def add_attribute(self, name: str, value: str) -> None:
         self.attributes.setdefault(resolve_attribute_name(name), []).append(value)
 
-    def remove_attribute(self, name: str, value: str) -> bool:
-        values = self.attributes.get(resolve_attribute_name(name), [])
-        if value in values:
-            values.remove(value)
-            return True
-        return False
-
 
 class IdentityProvider(Component):
     """Issues identity/attribute assertions for its domain's subjects.
@@ -179,10 +172,3 @@ class _AssertionPayload(str):
         instance = super().__new__(cls, xml_text)
         instance.signed_assertion = signed
         return instance
-
-
-def assertion_from_payload(payload: object) -> SignedAssertion:
-    signed = getattr(payload, "signed_assertion", None)
-    if signed is None:
-        raise ValueError("payload does not carry a signed assertion")
-    return signed

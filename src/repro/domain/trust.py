@@ -19,7 +19,6 @@ Trust kinds follow the paper's decomposition:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class TrustKind(enum.Enum):
@@ -28,22 +27,13 @@ class TrustKind(enum.Enum):
     DECISION = "decision"
 
 
-@dataclass(frozen=True)
-class TrustEdge:
-    """Directed: ``truster`` accepts artefacts of ``kind`` from ``trusted``."""
-
-    truster: str
-    trusted: str
-    kind: TrustKind
-    established_at: float = 0.0
-
-
 class TrustGraph:
     """The VO-wide record of inter-domain trust."""
 
     def __init__(self) -> None:
+        #: Directed ``(truster, trusted, kind)``: ``truster`` accepts
+        #: artefacts of ``kind`` from ``trusted``.
         self._edges: set[tuple[str, str, TrustKind]] = set()
-        self._log: list[TrustEdge] = []
         #: Optional unified revocation registry (duck-typed; see
         #: repro.revocation).  Bound, every edge revocation is recorded
         #: there so cross-domain coherence can propagate it.
@@ -52,22 +42,10 @@ class TrustGraph:
     def bind_revocation_registry(self, registry) -> None:
         self._revocation_registry = registry
 
-    def establish(
-        self, truster: str, trusted: str, kind: TrustKind, at: float = 0.0
-    ) -> None:
+    def establish(self, truster: str, trusted: str, kind: TrustKind) -> None:
         """Record that ``truster`` now trusts ``trusted`` for ``kind``."""
-        if truster == trusted:
-            return  # self-trust is implicit
-        key = (truster, trusted, kind)
-        if key not in self._edges:
-            self._edges.add(key)
-            self._log.append(TrustEdge(truster, trusted, kind, at))
-
-    def establish_mutual(
-        self, a: str, b: str, kind: TrustKind, at: float = 0.0
-    ) -> None:
-        self.establish(a, b, kind, at)
-        self.establish(b, a, kind, at)
+        if truster != trusted:  # self-trust is implicit
+            self._edges.add((truster, trusted, kind))
 
     def revoke(self, truster: str, trusted: str, kind: TrustKind) -> bool:
         key = (truster, trusted, kind)
@@ -79,37 +57,3 @@ class TrustGraph:
                 )
             return True
         return False
-
-    def trusts(self, truster: str, trusted: str, kind: TrustKind) -> bool:
-        if truster == trusted:
-            return True
-        return (truster, trusted, kind) in self._edges
-
-    def trusted_by(self, truster: str, kind: TrustKind) -> set[str]:
-        """All domains ``truster`` accepts ``kind`` artefacts from."""
-        return {
-            trusted
-            for (edge_truster, trusted, edge_kind) in self._edges
-            if edge_truster == truster and edge_kind == kind
-        }
-
-    def edges(self) -> list[TrustEdge]:
-        return list(self._log)
-
-    def transitive_identity_reach(self, start: str) -> set[str]:
-        """Domains reachable by following IDENTITY trust transitively.
-
-        The paper warns that decentralised delegation "complicates the
-        authorisation management process as it is hard to track the
-        rights"; this closure is the analysis tool that makes the spread
-        visible (used by conflict/delegation audits).
-        """
-        reached = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for nxt in self.trusted_by(current, TrustKind.IDENTITY):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        return reached

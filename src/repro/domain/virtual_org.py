@@ -84,12 +84,6 @@ class VirtualOrganization:
                 domain.validator.add_intermediate(other.ca)
         return domain
 
-    def add_domain(self, domain: AdministrativeDomain) -> None:
-        """Admit an externally built domain (ad-hoc collaborations)."""
-        if domain.name in self.domains:
-            raise ValueError(f"domain {domain.name!r} already in VO {self.name!r}")
-        self.domains[domain.name] = domain
-
     def domain(self, name: str) -> AdministrativeDomain:
         try:
             return self.domains[name]
@@ -102,7 +96,7 @@ class VirtualOrganization:
         self, truster: str, trusted: str, kind: TrustKind
     ) -> None:
         """Record trust and realise it in the PKI (anchor installation)."""
-        self.trust.establish(truster, trusted, kind, at=self.network.now)
+        self.trust.establish(truster, trusted, kind)
         truster_domain = self.domain(truster)
         trusted_domain = self.domain(trusted)
         truster_domain.trust_domain_ca(trusted_domain)
@@ -137,23 +131,6 @@ class VirtualOrganization:
         return list(self.domains)
 
     # -- VO-level policy distribution --------------------------------------------------
-
-    def deploy_vo_policy(self, element) -> VoPolicyRecord:
-        """Push a VO-wide policy into every member domain's PAP.
-
-        This is the flat (non-syndicated) distribution; the syndication
-        hierarchy of Fig. 5 lives in :mod:`repro.admin.syndication` and
-        experiment E5 compares the two.
-        """
-        from ..xacml.policy import child_identifier
-
-        record = VoPolicyRecord(policy_id=child_identifier(element))
-        for domain in self.domains.values():
-            if domain.pap is not None:
-                domain.pap.publish(element, publisher=f"vo:{self.name}")
-                record.deployed_to.append(domain.name)
-        self.vo_policies[record.policy_id] = record
-        return record
 
     def __repr__(self) -> str:
         return f"VirtualOrganization({self.name}, domains={sorted(self.domains)})"

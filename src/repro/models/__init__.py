@@ -1,6 +1,6 @@
 """Access control models (paper §2.2), all compiling to XACML.
 
-RBAC (core/hierarchical/constrained), ABAC and the Brewer–Nash Chinese
+RBAC (core and hierarchical), ABAC and the Brewer–Nash Chinese
 Wall.  Each model keeps its own reference monitor (the oracle the
 property tests compare against) and a ``compile_*`` path producing
 ordinary XACML policies, so every model ultimately runs on the same
@@ -13,16 +13,11 @@ from .chinese_wall import (
     ChineseWallEngine,
     ChineseWallError,
     Dataset,
-    WALL_OBLIGATION_ID,
-    WallObligationHandler,
 )
 from .rbac import (
-    DsdConstraint,
     Permission,
     RbacError,
     RbacModel,
-    RbacSession,
-    SsdConstraint,
 )
 
 __all__ = [
@@ -33,12 +28,7 @@ __all__ = [
     "ChineseWallEngine",
     "ChineseWallError",
     "Dataset",
-    "DsdConstraint",
     "Permission",
     "RbacError",
     "RbacModel",
-    "RbacSession",
-    "SsdConstraint",
-    "WALL_OBLIGATION_ID",
-    "WallObligationHandler",
 ]

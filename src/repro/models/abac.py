@@ -27,7 +27,6 @@ from ..xacml.attributes import (
     ACTION_ID,
     Category,
     DataType,
-    ENVIRONMENT_TIME,
     string,
 )
 from ..xacml.expressions import (
@@ -37,7 +36,7 @@ from ..xacml.expressions import (
     designator,
     literal,
 )
-from ..xacml.functions import FUNCTION_PREFIX_1_0, FUNCTION_PREFIX_2_0
+from ..xacml.functions import FUNCTION_PREFIX_1_0
 from ..xacml.policy import Policy
 from ..xacml.rules import Rule, deny_rule
 from ..xacml.targets import Target, match_equal, target_of
@@ -100,63 +99,12 @@ class AbacRuleBuilder:
     ) -> "AbacRuleBuilder":
         return self._attribute_in(Category.SUBJECT, attribute_id, values)
 
-    def when_resource(
-        self, attribute_id: str, *values: str
-    ) -> "AbacRuleBuilder":
-        return self._attribute_in(Category.RESOURCE, attribute_id, values)
-
-    def when_environment(
-        self, attribute_id: str, *values: str
-    ) -> "AbacRuleBuilder":
-        return self._attribute_in(Category.ENVIRONMENT, attribute_id, values)
-
     def when_action(self, *actions: str) -> "AbacRuleBuilder":
         """Restrict to named actions (target match, indexable)."""
         for action in actions:
             self._target_matches.append(
                 match_equal(Category.ACTION, ACTION_ID, string(action))
             )
-        return self
-
-    def when_time_between(self, start: float, end: float) -> "AbacRuleBuilder":
-        """Environment time window (seconds since simulated midnight)."""
-        from ..xacml.attributes import time_of_day
-
-        self._conjuncts.append(
-            apply_(
-                f"{FUNCTION_PREFIX_2_0}time-in-range",
-                apply_(
-                    f"{FUNCTION_PREFIX_1_0}time-one-and-only",
-                    designator(
-                        Category.ENVIRONMENT,
-                        ENVIRONMENT_TIME,
-                        DataType.TIME,
-                        must_be_present=True,
-                    ),
-                ),
-                literal(time_of_day(start)),
-                literal(time_of_day(end)),
-            )
-        )
-        return self
-
-    def when_integer_at_least(
-        self, category: Category, attribute_id: str, minimum: int
-    ) -> "AbacRuleBuilder":
-        from ..xacml.attributes import integer
-
-        self._conjuncts.append(
-            apply_(
-                f"{FUNCTION_PREFIX_1_0}integer-greater-than-or-equal",
-                apply_(
-                    f"{FUNCTION_PREFIX_1_0}integer-one-and-only",
-                    designator(
-                        category, attribute_id, DataType.INTEGER, must_be_present=True
-                    ),
-                ),
-                literal(integer(minimum)),
-            )
-        )
         return self
 
     # -- build ------------------------------------------------------------------------

@@ -10,26 +10,18 @@ Chinese Wall is inherently *stateful* — permissibility depends on the
 subject's access history — which is exactly why the paper classes it as
 an application-specific constraint that static policy analysis cannot
 catch (experiment E8 demonstrates this: the static analyser finds zero
-modality conflicts in a wall policy, yet runtime vetoes fire).
-
-The engine also plugs into a PEP as an obligation handler: a policy can
-permit with an ``urn:repro:obligation:chinese-wall`` obligation, and the
-handler consults/updates the wall before access proceeds.
+modality conflicts in a wall policy, yet runtime vetoes fire).  The
+engine reaches enforcement through
+:class:`~repro.admin.conflicts.ChineseWallMetaPolicy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..xacml.context import Obligation, RequestContext
-
 
 class ChineseWallError(Exception):
     """Raised for unregistered datasets."""
-
-
-#: Obligation id a policy uses to route decisions through the wall.
-WALL_OBLIGATION_ID = "urn:repro:obligation:chinese-wall"
 
 
 @dataclass(frozen=True)
@@ -96,47 +88,7 @@ class ChineseWallEngine:
             AccessRecord(subject_id=subject_id, dataset_id=dataset_id, at=at)
         )
 
-    def check_and_record(self, subject_id: str, dataset_id: str, at: float) -> bool:
-        """Atomic permitted-then-record, the PEP-facing operation."""
-        if not self.permitted(subject_id, dataset_id):
-            self.vetoes += 1
-            return False
-        self.record_access(subject_id, dataset_id, at)
-        return True
-
     def commitments_of(self, subject_id: str) -> dict[str, str]:
         return dict(self._commitments.get(subject_id, {}))
 
-    def reset_subject(self, subject_id: str) -> None:
-        """Forget a subject's history (end of engagement)."""
-        self._commitments.pop(subject_id, None)
-
     # -- PEP integration -----------------------------------------------------------------
-
-    def obligation_handler(self, clock) -> "WallObligationHandler":
-        """Build a handler suitable for PEP obligation registration."""
-        return WallObligationHandler(engine=self, clock=clock)
-
-
-@dataclass
-class WallObligationHandler:
-    """Callable obligation handler enforcing the wall at a PEP.
-
-    The obligation's ``dataset`` assignment names the dataset; absent
-    that, the request's resource-id is used.
-    """
-
-    engine: ChineseWallEngine
-    clock: object  # callable -> float
-
-    def __call__(self, obligation: Obligation, request: RequestContext) -> bool:
-        value = obligation.assignment("dataset")
-        dataset_id = (
-            str(value.value) if value is not None else (request.resource_id or "")
-        )
-        subject_id = request.subject_id or ""
-        if not dataset_id or not subject_id:
-            return False
-        return self.engine.check_and_record(
-            subject_id, dataset_id, at=self.clock()  # type: ignore[operator]
-        )

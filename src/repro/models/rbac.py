@@ -11,11 +11,6 @@ The model implements:
   assignment;
 * hierarchical RBAC: role inheritance (seniors acquire junior
   permissions) with cycle detection;
-* constrained RBAC: static separation of duty (SSD) checked at
-  assignment time and dynamic separation of duty (DSD) checked at
-  session-activation time — the paper's Section 3.1 names SoD as the
-  canonical application-specific constraint that static policy analysis
-  cannot catch;
 * compilation to XACML: one policy per role (targeting the standard
   role attribute), so role-based decisions flow through the same
   PDP/PEP machinery as everything else;
@@ -25,7 +20,7 @@ The model implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..components.pip import AttributeStore
 from ..xacml import combining
@@ -40,7 +35,8 @@ from ..xacml.targets import (
 
 
 class RbacError(Exception):
-    """Raised on constraint violations or malformed model operations."""
+    """Raised on malformed model operations (unknown role, cyclic
+    inheritance)."""
 
 
 @dataclass(frozen=True)
@@ -54,32 +50,8 @@ class Permission:
         return f"{self.action_id}:{self.resource_id}"
 
 
-@dataclass(frozen=True)
-class SsdConstraint:
-    """Static SoD: no user may hold >= cardinality roles of ``role_set``."""
-
-    name: str
-    role_set: frozenset[str]
-    cardinality: int = 2
-
-    def violated_by(self, roles: set[str]) -> bool:
-        return len(self.role_set & roles) >= self.cardinality
-
-
-@dataclass(frozen=True)
-class DsdConstraint:
-    """Dynamic SoD: no session may *activate* >= cardinality of ``role_set``."""
-
-    name: str
-    role_set: frozenset[str]
-    cardinality: int = 2
-
-    def violated_by(self, active: set[str]) -> bool:
-        return len(self.role_set & active) >= self.cardinality
-
-
 class RbacModel:
-    """Users, roles, hierarchy, permissions and SoD constraints."""
+    """Users, roles, hierarchy and permissions."""
 
     def __init__(self, name: str = "rbac") -> None:
         self.name = name
@@ -87,15 +59,6 @@ class RbacModel:
         self._juniors: dict[str, set[str]] = {}  # role -> directly inherited roles
         self._user_roles: dict[str, set[str]] = {}
         self._role_permissions: dict[str, set[Permission]] = {}
-        self._ssd: list[SsdConstraint] = []
-        self._dsd: list[DsdConstraint] = []
-        #: Optional unified revocation registry (duck-typed; see
-        #: repro.revocation): bound, permission revocations are recorded
-        #: there so coherence agents can invalidate affected caches.
-        self._revocation_registry = None
-
-    def bind_revocation_registry(self, registry) -> None:
-        self._revocation_registry = registry
 
     # -- roles and hierarchy -------------------------------------------------------
 
@@ -116,17 +79,6 @@ class RbacModel:
                 f"inheritance {senior} -> {junior} would create a cycle"
             )
         self._juniors[senior].add(junior)
-        # Inheritance can widen users' authorized role sets; re-check SSD
-        # over the *closure*, which is the strong (ANSI) interpretation.
-        for user, assigned in self._user_roles.items():
-            authorized = self.authorized_roles(user)
-            for constraint in self._ssd:
-                if constraint.violated_by(authorized):
-                    self._juniors[senior].discard(junior)
-                    raise RbacError(
-                        f"inheritance {senior} -> {junior} violates SSD "
-                        f"{constraint.name!r} for user {user!r}"
-                    )
 
     def _closure(self, role: str) -> set[str]:
         """The role plus everything it transitively inherits."""
@@ -148,20 +100,7 @@ class RbacModel:
 
     def assign_user(self, user: str, role: str) -> None:
         self._require_role(role)
-        candidate = self._user_roles.get(user, set()) | {role}
-        authorized = set()
-        for assigned in candidate:
-            authorized |= self._closure(assigned)
-        for constraint in self._ssd:
-            if constraint.violated_by(authorized):
-                raise RbacError(
-                    f"assigning {role!r} to {user!r} violates SSD "
-                    f"{constraint.name!r}"
-                )
         self._user_roles.setdefault(user, set()).add(role)
-
-    def deassign_user(self, user: str, role: str) -> None:
-        self._user_roles.get(user, set()).discard(role)
 
     def assigned_roles(self, user: str) -> set[str]:
         return set(self._user_roles.get(user, set()))
@@ -182,22 +121,6 @@ class RbacModel:
         self._require_role(role)
         self._role_permissions[role].add(Permission(resource_id, action_id))
 
-    def revoke_permission(self, role: str, resource_id: str, action_id: str) -> None:
-        permissions = self._role_permissions.get(role, set())
-        present = Permission(resource_id, action_id) in permissions
-        permissions.discard(Permission(resource_id, action_id))
-        if present and self._revocation_registry is not None:
-            self._revocation_registry.revoke_role_permission(
-                self.name, role, resource_id, action_id
-            )
-
-    def role_permissions(self, role: str) -> set[Permission]:
-        """Direct + inherited permissions of a role."""
-        out: set[Permission] = set()
-        for member in self._closure(role):
-            out |= self._role_permissions.get(member, set())
-        return out
-
     def user_permissions(self, user: str) -> set[Permission]:
         out: set[Permission] = set()
         for role in self.authorized_roles(user):
@@ -207,37 +130,6 @@ class RbacModel:
     def check_access(self, user: str, resource_id: str, action_id: str) -> bool:
         """Reference-monitor check, used as the oracle in property tests."""
         return Permission(resource_id, action_id) in self.user_permissions(user)
-
-    # -- constraints ----------------------------------------------------------------------
-
-    def add_ssd(self, constraint: SsdConstraint) -> None:
-        for role in constraint.role_set:
-            self._require_role(role)
-        for user in self._user_roles:
-            if constraint.violated_by(self.authorized_roles(user)):
-                raise RbacError(
-                    f"existing assignment of {user!r} violates new SSD "
-                    f"{constraint.name!r}"
-                )
-        self._ssd.append(constraint)
-
-    def add_dsd(self, constraint: DsdConstraint) -> None:
-        for role in constraint.role_set:
-            self._require_role(role)
-        self._dsd.append(constraint)
-
-    @property
-    def ssd_constraints(self) -> list[SsdConstraint]:
-        return list(self._ssd)
-
-    @property
-    def dsd_constraints(self) -> list[DsdConstraint]:
-        return list(self._dsd)
-
-    # -- sessions (DSD) -----------------------------------------------------------------------
-
-    def open_session(self, user: str) -> "RbacSession":
-        return RbacSession(model=self, user=user)
 
     # -- XACML compilation -----------------------------------------------------------------------
 
@@ -315,39 +207,3 @@ class RbacModel:
                 SUBJECT_ROLE,
                 [string(role) for role in sorted(self.authorized_roles(user))],
             )
-
-
-@dataclass
-class RbacSession:
-    """A session in which a user activates a subset of their roles (DSD)."""
-
-    model: RbacModel
-    user: str
-    active_roles: set[str] = field(default_factory=set)
-
-    def activate(self, role: str) -> None:
-        if role not in self.model.assigned_roles(self.user):
-            raise RbacError(
-                f"user {self.user!r} is not assigned role {role!r}"
-            )
-        candidate = self.active_roles | {role}
-        # DSD applies to the activated closure, mirroring SSD's strength.
-        closure: set[str] = set()
-        for active in candidate:
-            closure |= self.model._closure(active)
-        for constraint in self.model.dsd_constraints:
-            if constraint.violated_by(closure):
-                raise RbacError(
-                    f"activating {role!r} violates DSD {constraint.name!r}"
-                )
-        self.active_roles.add(role)
-
-    def deactivate(self, role: str) -> None:
-        self.active_roles.discard(role)
-
-    def check_access(self, resource_id: str, action_id: str) -> bool:
-        """Access via *active* roles only (and their inherited juniors)."""
-        permissions: set[Permission] = set()
-        for role in self.active_roles:
-            permissions |= self.model.role_permissions(role)
-        return Permission(resource_id, action_id) in permissions

@@ -23,7 +23,7 @@ Modules:
   critical-path extraction for batched fan-in.
 - :mod:`.audits` — trace-query audits that re-derive staleness,
   misroute accounting and forwarding-loop checks from spans.
-- :mod:`.export` — JSONL and Chrome-trace (Perfetto) exporters.
+- :mod:`.export` — the JSONL span exporter.
 - :mod:`.catalog` — the central registry of counter / series names the
   lint test holds ``src/`` against.
 """
@@ -36,9 +36,7 @@ from .audits import (
 )
 from .catalog import COUNTERS, SERIES, SERIES_PREFIXES
 from .export import (
-    chrome_trace,
     spans_to_jsonl,
-    write_chrome_trace,
     write_jsonl,
 )
 from .latency import (
@@ -59,7 +57,6 @@ __all__ = [
     "StalenessFromSpans",
     "TraceContext",
     "Tracer",
-    "chrome_trace",
     "critical_path",
     "decompose",
     "decomposition_table",
@@ -67,6 +64,5 @@ __all__ = [
     "misroute_accounting",
     "rederive_staleness",
     "spans_to_jsonl",
-    "write_chrome_trace",
     "write_jsonl",
 ]

@@ -1,21 +1,14 @@
-"""Span exporters: JSONL event log and Chrome-trace (Perfetto) format.
+"""Span exporter: the JSONL event log.
 
-Both exporters are keyed to *virtual* time: simulated seconds map to
-trace microseconds, so a Perfetto timeline of a run shows queueing,
-batching and service exactly as the simulation scheduled them.
-
-- :func:`write_jsonl` — one JSON object per span, stable key order;
-  greppable, diffable, and the durable form for offline trace queries.
-- :func:`write_chrome_trace` — the Chrome ``trace_event`` JSON format:
-  open the file at ``chrome://tracing`` or https://ui.perfetto.dev.
-  Components become threads, domains become processes, so per-domain
-  attribution survives the visualisation.
+:func:`write_jsonl` writes one JSON object per span, stable key order,
+times in *virtual* seconds: greppable, diffable, and the durable form
+for offline trace queries.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .tracing import Span
 
@@ -47,55 +40,3 @@ def write_jsonl(spans: Iterable[Span], path) -> None:
     """Write the JSONL event log to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(spans_to_jsonl(spans))
-
-
-def chrome_trace(spans: Sequence[Span]) -> dict[str, object]:
-    """Build a Chrome ``trace_event`` document from the span store.
-
-    Each span becomes a complete ("X") duration event; ``pid`` is the
-    owning domain, ``tid`` the component, ``ts``/``dur`` are simulated
-    microseconds.  Span attributes ride along under ``args`` so the
-    Perfetto detail pane shows batch ids, sources and outcomes.
-    """
-    domains = sorted({span.domain or "-" for span in spans})
-    components = sorted({span.component or "-" for span in spans})
-    pid_of = {domain: index + 1 for index, domain in enumerate(domains)}
-    tid_of = {name: index + 1 for index, name in enumerate(components)}
-    events: list[dict[str, object]] = []
-    for domain in domains:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid_of[domain],
-                "tid": 0,
-                "args": {"name": f"domain:{domain}"},
-            }
-        )
-    for span in spans:
-        pid = pid_of[span.domain or "-"]
-        tid = tid_of[span.component or "-"]
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.name.split(".")[0],
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": round(span.start * 1e6, 3),
-                "dur": round(span.duration * 1e6, 3),
-                "args": {
-                    "trace_id": span.trace_id,
-                    "span_id": span.span_id,
-                    "parent_id": span.parent_id,
-                    **{k: str(v) for k, v in span.attrs.items()},
-                },
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(spans: Sequence[Span], path) -> None:
-    """Write the Chrome-trace JSON document to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace(spans), handle, indent=1, default=str)

@@ -172,10 +172,6 @@ class Tracer:
     def enabled(self) -> bool:
         return self.sample_rate > 0.0
 
-    def reset(self) -> None:
-        self.spans.clear()
-        self._accum = 0.0
-
     def _next_id(self, prefix: str) -> str:
         self._ids += 1
         return f"{prefix}{self._ids}"
@@ -251,16 +247,15 @@ class Tracer:
         if trace is not None:
             trace.waiters += 1
 
-    def sync_decision(
-        self, component: Any, request: Any, result: Any, path: str = "submit"
-    ) -> None:
-        """A decision that completed without queueing (decision-cache
-        hit or revocation-guard denial): a single leaf span."""
+    def sync_decision(self, component: Any, request: Any, result: Any) -> None:
+        """A submitted decision that completed without queueing
+        (decision-cache hit or revocation-guard denial): a single leaf
+        span."""
         trace = self.begin_decision(component, request)
         if trace is None:
             return
         trace.set("sync", True)
-        trace.set("path", path)
+        trace.set("path", "submit")
         self.finish_decision(
             trace,
             component,

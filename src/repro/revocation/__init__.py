@@ -14,7 +14,7 @@ a first-class subsystem:
 * :mod:`strategies` — ttl-only / pull / online / push propagation as
   first-class objects (experiment E15 sweeps them);
 * :mod:`coherence` — per-domain agents that selectively invalidate PEP
-  decision caches, PDP policy caches and capability verification.
+  decision caches, PDP policy caches and gateway remote-decision caches.
 """
 
 from .authority import (
@@ -36,14 +36,11 @@ from .records import (
     RevocationError,
     RevocationKind,
     RevocationRecord,
-    capability_target,
     certificate_target,
     delegation_target,
-    entitlement_target,
     parse_records,
     serialize_records,
     subject_access_target,
-    subject_capability_target,
     trust_edge_target,
     verify_record,
 )
@@ -77,17 +74,14 @@ __all__ = [
     "RevocationRegistry",
     "STATUS_ACTION",
     "TtlOnlyStrategy",
-    "capability_target",
     "certificate_target",
     "crl_request",
     "delegation_target",
-    "entitlement_target",
     "parse_records",
     "parse_status",
     "serialize_records",
     "status_request",
     "subject_access_target",
-    "subject_capability_target",
     "trust_edge_target",
     "verify_record",
 ]

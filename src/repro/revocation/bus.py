@@ -36,9 +36,6 @@ class InvalidationBus:
     def subscribe(self, address: str) -> None:
         self.network.subscribe(self.topic, address)
 
-    def unsubscribe(self, address: str) -> bool:
-        return self.network.unsubscribe(self.topic, address)
-
     def subscriber_count(self) -> int:
         return len(self.network.subscribers(self.topic))
 

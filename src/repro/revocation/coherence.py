@@ -1,9 +1,8 @@
 """Coherence agent: applies revocation state to a domain's caches.
 
-The paper's staleness warning (§3.2) names three cache sites that can
-serve a revoked world: PEP decision caches, PDP policy caches, and
-relying-party capability-token validation; the gateway tier adds
-a fourth — the federated gateway's shared remote-decision cache.  A
+The paper's staleness warning (§3.2) names the cache sites that can
+serve a revoked world; the agent guards PEP decision caches, PDP policy
+caches and the federated gateway's shared remote-decision cache.  A
 :class:`CoherenceAgent` is one network endpoint per domain that keeps a
 local view of the revocation registry — fed by whichever
 :mod:`~repro.revocation.strategies` strategy it runs — and, on every
@@ -33,10 +32,8 @@ from .records import (
     RevocationError,
     RevocationKind,
     RevocationRecord,
-    capability_target,
     parse_records,
     subject_access_target,
-    subject_capability_target,
     verify_record,
 )
 
@@ -131,14 +128,6 @@ class CoherenceAgent(Component):
         """
         self._gateways.append(gateway)
 
-    def protect_verifier(self, verifier) -> None:
-        """Reject revoked capability assertions at verification time.
-
-        Works entirely through the installed hook (unlike PEPs/PDPs
-        there is no apply()-time interaction with verifiers).
-        """
-        verifier.revocation_check = self._capability_check
-
     # -- revocation state --------------------------------------------------------
 
     def is_revoked_locally(self, kind: RevocationKind, target: str) -> bool:
@@ -195,18 +184,6 @@ class CoherenceAgent(Component):
             RevocationKind.ENTITLEMENT, subject_access_target(subject)
         ):
             return f"access for subject {subject!r} revoked"
-        return None
-
-    def _capability_check(self, assertion) -> Optional[str]:
-        if self.is_revoked(
-            RevocationKind.CAPABILITY, capability_target(assertion.assertion_id)
-        ):
-            return f"capability {assertion.assertion_id!r} revoked"
-        subject = getattr(assertion, "subject_id", "")
-        if subject and self.is_revoked(
-            RevocationKind.CAPABILITY, subject_capability_target(subject)
-        ):
-            return f"all capabilities of {subject!r} revoked"
         return None
 
     # -- transports used by strategies -------------------------------------------

@@ -75,15 +75,6 @@ def certificate_target(serial: int) -> str:
     return f"serial:{serial}"
 
 
-def capability_target(assertion_id: str) -> str:
-    return f"assertion:{_component(assertion_id)}"
-
-
-def subject_capability_target(subject_id: str) -> str:
-    """Revokes *all* capabilities held by one subject."""
-    return f"subject:{_component(subject_id)}"
-
-
 def subject_access_target(subject_id: str) -> str:
     """Revokes a subject's access wholesale (ENTITLEMENT kind).
 
@@ -100,15 +91,6 @@ def trust_edge_target(truster: str, trusted: str, kind: str) -> str:
 
 def delegation_target(delegator: str, delegate: str, scope: str) -> str:
     return f"{_component(delegator)}->{_component(delegate)}#{_component(scope)}"
-
-
-def entitlement_target(
-    model: str, subject_id: str, resource_id: str, action_id: str
-) -> str:
-    return (
-        f"{_component(model)}:{_component(subject_id)}:"
-        f"{_component(action_id)}@{_component(resource_id)}"
-    )
 
 
 @dataclass(frozen=True)

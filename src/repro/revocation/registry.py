@@ -22,12 +22,9 @@ from ..wss.keys import KeyPair, KeyStore
 from .records import (
     RevocationKind,
     RevocationRecord,
-    capability_target,
     certificate_target,
     delegation_target,
-    entitlement_target,
     subject_access_target,
-    subject_capability_target,
     trust_edge_target,
     verify_record,
 )
@@ -116,11 +113,6 @@ class RevocationRegistry:
     def is_revoked(self, kind: RevocationKind, target: str) -> bool:
         return (kind.value, target) in self._index
 
-    def record_for(
-        self, kind: RevocationKind, target: str
-    ) -> Optional[RevocationRecord]:
-        return self._index.get((kind.value, target))
-
     def records_since(self, epoch: int) -> list[RevocationRecord]:
         """Delta CRL: every record issued after ``epoch`` (ascending)."""
         # Records are appended in epoch order, so a reverse scan for the
@@ -132,14 +124,6 @@ class RevocationRegistry:
 
     def records(self) -> list[RevocationRecord]:
         return list(self._records)
-
-    def crl(self, kind: Optional[RevocationKind] = None) -> frozenset[str]:
-        """Snapshot of revoked targets, optionally filtered by kind."""
-        return frozenset(
-            record.target
-            for record in self._records
-            if kind is None or record.kind is kind
-        )
 
     def verify(self, record: RevocationRecord, keystore: KeyStore) -> bool:
         """Check a record's signature against this registry's authority key."""
@@ -155,7 +139,7 @@ class RevocationRegistry:
     # -- kind-specific façade ----------------------------------------------------
     #
     # These helpers let legacy owners (CA, trust graph, delegation
-    # registry, RBAC model) delegate by duck typing, without
+    # registry) delegate by duck typing, without
     # importing revocation types — which keeps the low layers
     # (wss, domain, admin, models) free of upward dependencies.
 
@@ -174,43 +158,6 @@ class RevocationRegistry:
             RevocationKind.CERTIFICATE, certificate_target(serial)
         )
 
-    def revoked_serials(self) -> frozenset[int]:
-        """CRL view for :meth:`CertificateAuthority.crl` compatibility."""
-        return frozenset(
-            int(record.target.partition(":")[2])
-            for record in self._records
-            if record.kind is RevocationKind.CERTIFICATE
-        )
-
-    def revoke_capability(
-        self, assertion_id: str, reason: str = "", subject_id: str = ""
-    ) -> RevocationRecord:
-        return self.revoke(
-            RevocationKind.CAPABILITY,
-            capability_target(assertion_id),
-            reason=reason,
-            subject_id=subject_id,
-        )
-
-    def revoke_subject_capabilities(
-        self, subject_id: str, reason: str = ""
-    ) -> RevocationRecord:
-        return self.revoke(
-            RevocationKind.CAPABILITY,
-            subject_capability_target(subject_id),
-            reason=reason,
-            subject_id=subject_id,
-        )
-
-    def capability_revoked(self, assertion_id: str, subject_id: str = "") -> bool:
-        if self.is_revoked(
-            RevocationKind.CAPABILITY, capability_target(assertion_id)
-        ):
-            return True
-        return bool(subject_id) and self.is_revoked(
-            RevocationKind.CAPABILITY, subject_capability_target(subject_id)
-        )
-
     def revoke_trust_edge(
         self, truster: str, trusted: str, kind: str, reason: str = ""
     ) -> RevocationRecord:
@@ -218,11 +165,6 @@ class RevocationRegistry:
             RevocationKind.TRUST_EDGE,
             trust_edge_target(truster, trusted, kind),
             reason=reason,
-        )
-
-    def trust_edge_revoked(self, truster: str, trusted: str, kind: str) -> bool:
-        return self.is_revoked(
-            RevocationKind.TRUST_EDGE, trust_edge_target(truster, trusted, kind)
         )
 
     def revoke_delegation(
@@ -233,14 +175,6 @@ class RevocationRegistry:
             delegation_target(delegator, delegate, scope),
             reason=reason,
             subject_id=delegate,
-        )
-
-    def delegation_revoked(
-        self, delegator: str, delegate: str, scope: str
-    ) -> bool:
-        return self.is_revoked(
-            RevocationKind.DELEGATION,
-            delegation_target(delegator, delegate, scope),
         )
 
     def revoke_subject_access(
@@ -259,57 +193,6 @@ class RevocationRegistry:
             subject_access_target(subject_id),
             reason=reason,
             subject_id=subject_id,
-        )
-
-    def subject_access_revoked(self, subject_id: str) -> bool:
-        return self.is_revoked(
-            RevocationKind.ENTITLEMENT, subject_access_target(subject_id)
-        )
-
-    def revoke_entitlement(
-        self,
-        model: str,
-        subject_id: str,
-        resource_id: str,
-        action_id: str,
-        reason: str = "",
-    ) -> RevocationRecord:
-        return self.revoke(
-            RevocationKind.ENTITLEMENT,
-            entitlement_target(model, subject_id, resource_id, action_id),
-            reason=reason,
-            subject_id=subject_id,
-            resource_id=resource_id,
-        )
-
-    def revoke_role_permission(
-        self,
-        model: str,
-        role: str,
-        resource_id: str,
-        action_id: str,
-        reason: str = "",
-    ) -> RevocationRecord:
-        """RBAC-style: the entitlement's holder is a *role*, not a subject.
-
-        A role name must not be recorded as ``subject_id`` — cached PEP
-        decisions are keyed by the requesting subject's id, so selective
-        invalidation keys on the resource instead: every cached decision
-        touching the resource (whichever user holds the role) is suspect.
-        """
-        return self.revoke(
-            RevocationKind.ENTITLEMENT,
-            entitlement_target(model, role, resource_id, action_id),
-            reason=reason,
-            resource_id=resource_id,
-        )
-
-    def entitlement_revoked(
-        self, model: str, subject_id: str, resource_id: str, action_id: str
-    ) -> bool:
-        return self.is_revoked(
-            RevocationKind.ENTITLEMENT,
-            entitlement_target(model, subject_id, resource_id, action_id),
         )
 
     def __repr__(self) -> str:

@@ -47,9 +47,6 @@ class PropagationStrategy:
     def attach(self, agent) -> None:  # pragma: no cover - trivial
         pass
 
-    def detach(self, agent) -> None:  # pragma: no cover - trivial
-        pass
-
     def check(self, agent, kind: RevocationKind, target: str) -> bool:
         return agent.is_revoked_locally(kind, target)
 
@@ -75,30 +72,23 @@ class PullStrategy(PropagationStrategy):
         self.interval = interval
         self.polls = 0
         self.failed_polls = 0
-        self._stopped = False
         self._agent = None
 
     def attach(self, agent) -> None:
-        # Per-instance state (stop flag, counters) cannot serve two
-        # agents: a detach for one would silently freeze the other's
-        # revocation view.
+        # Per-instance state (counters, the poll chain) serves one agent.
         if self._agent is not None and self._agent is not agent:
             raise ValueError(
                 "PullStrategy instance already attached to "
                 f"{self._agent.name!r}; build one per agent"
             )
         self._agent = agent
-        self._stopped = False
         self._schedule_next(agent)
-
-    def detach(self, agent) -> None:
-        self._stopped = True
 
     def _schedule_next(self, agent) -> None:
         agent.network.schedule(self.interval, lambda: self._poll(agent))
 
     def _poll(self, agent) -> None:
-        if self._stopped or not agent.alive:
+        if not agent.alive:
             return
         self.polls += 1
         try:
@@ -114,16 +104,15 @@ class OnlineStatusStrategy(PropagationStrategy):
     Args:
         cache_ttl: optional response cache (an OCSP responder's
             ``nextUpdate`` analogue); 0 queries on every check.
-        fail_open: what an unreachable authority means.  False (default)
-            treats the artefact as revoked — fail-safe denial, matching
-            the PEP's deny-on-failure stance.
+
+    An unreachable authority means revoked: fail-safe denial, as at the
+    PEP.
     """
 
     name = "online"
 
-    def __init__(self, cache_ttl: float = 0.0, fail_open: bool = False) -> None:
+    def __init__(self, cache_ttl: float = 0.0) -> None:
         self.cache_ttl = cache_ttl
-        self.fail_open = fail_open
         self.status_checks = 0
         self.failed_checks = 0
         self._cache: Optional[TtlCache] = None
@@ -146,7 +135,7 @@ class OnlineStatusStrategy(PropagationStrategy):
             revoked = agent.query_status(kind, target)
         except _AUTHORITY_ERRORS:
             self.failed_checks += 1
-            return not self.fail_open
+            return True
         if self._cache is not None:
             self._cache.put(key, revoked)
         return revoked
@@ -171,9 +160,6 @@ class PushStrategy(PropagationStrategy):
         self.bus.subscribe(agent.name)
         agent.on(INVALIDATION_KIND, agent.handle_invalidation)
         agent.on(BATCH_INVALIDATION_KIND, agent.handle_batch_invalidation)
-
-    def detach(self, agent) -> None:
-        self.bus.unsubscribe(agent.name)
 
 
 class HybridStrategy(PropagationStrategy):
@@ -215,7 +201,3 @@ class HybridStrategy(PropagationStrategy):
     def attach(self, agent) -> None:
         self.push.attach(agent)
         self.pull.attach(agent)
-
-    def detach(self, agent) -> None:
-        self.push.detach(agent)
-        self.pull.detach(agent)

@@ -10,7 +10,7 @@ experiments need.
 
 from .clock import SimClock
 from .events import EventHandle, EventLoop, TopicEvent
-from .failures import AvailabilityProbe, FailureEvent, FailureInjector
+from .failures import FailureEvent, FailureInjector
 from .message import Message, TRANSPORT_OVERHEAD_BYTES, payload_size
 from .metrics import LatencyStats, MetricsRegistry
 from .network import (
@@ -23,7 +23,6 @@ from .network import (
 )
 
 __all__ = [
-    "AvailabilityProbe",
     "DEFAULT_BANDWIDTH",
     "EventHandle",
     "EventLoop",

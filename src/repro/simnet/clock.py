@@ -41,11 +41,5 @@ class SimClock:
             )
         self._now = when
 
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds."""
-        if delta < 0:
-            raise ValueError(f"cannot advance by negative delta {delta}")
-        self._now += delta
-
     def __repr__(self) -> str:
         return f"SimClock(t={self._now:.6f})"

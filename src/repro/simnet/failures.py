@@ -9,8 +9,7 @@ all scheduled on the simulated clock from a seeded RNG.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .network import Network
 
@@ -64,20 +63,6 @@ class FailureInjector:
 
     # -- partition faults ---------------------------------------------------
 
-    def partition_at(self, a: str, b: str, at: float) -> None:
-        def do_partition() -> None:
-            self.network.partition(a, b)
-            self.log.append(FailureEvent(self.network.now, "partition", f"{a}|{b}"))
-
-        self._schedule_at(at, do_partition)
-
-    def heal_at(self, a: str, b: str, at: float) -> None:
-        def do_heal() -> None:
-            self.network.heal(a, b)
-            self.log.append(FailureEvent(self.network.now, "heal", f"{a}|{b}"))
-
-        self._schedule_at(at, do_heal)
-
     # -- random crash/recovery process ---------------------------------------
 
     def random_crash_process(
@@ -118,42 +103,3 @@ class FailureInjector:
         if at < now:
             raise ValueError(f"cannot inject fault in the past (at={at}, now={now})")
         self.network.loop.schedule_at(at, callback, label="fault")
-
-
-@dataclass
-class AvailabilityProbe:
-    """Tracks success/failure of periodic probes for availability metrics."""
-
-    successes: int = 0
-    failures: int = 0
-    outcomes: list[tuple[float, bool]] = field(default_factory=list)
-
-    def record(self, at: float, ok: bool) -> None:
-        if ok:
-            self.successes += 1
-        else:
-            self.failures += 1
-        self.outcomes.append((at, ok))
-
-    @property
-    def availability(self) -> float:
-        total = self.successes + self.failures
-        return self.successes / total if total else 1.0
-
-    def downtime_windows(self) -> list[tuple[float, float]]:
-        """Contiguous [start, end] windows of failed probes."""
-        windows: list[tuple[float, float]] = []
-        start: Optional[float] = None
-        last: float = 0.0
-        for at, ok in self.outcomes:
-            if not ok:
-                if start is None:
-                    start = at
-                last = at
-            else:
-                if start is not None:
-                    windows.append((start, last))
-                    start = None
-        if start is not None:
-            windows.append((start, last))
-        return windows

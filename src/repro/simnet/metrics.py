@@ -162,15 +162,3 @@ class MetricsRegistry:
             "p99": round(stats.p99, 6),
             "max": round(stats.maximum, 6),
         }
-
-    def reset(self) -> None:
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-        self.sent_by_kind.clear()
-        self.bytes_by_kind.clear()
-        self.latency_samples.clear()
-        self.counters.clear()
-        self.samples.clear()

@@ -180,14 +180,6 @@ class Network:
         if address not in subscribers:
             subscribers.append(address)
 
-    def unsubscribe(self, topic: str, address: str) -> bool:
-        """Remove a subscription; returns True if it existed."""
-        subscribers = self._topics.get(topic, [])
-        if address in subscribers:
-            subscribers.remove(address)
-            return True
-        return False
-
     def subscribers(self, topic: str) -> list[str]:
         return list(self._topics.get(topic, ()))
 

@@ -15,7 +15,6 @@ from .highload import (
     ClosedLoopStats,
     GroupLoadStats,
     PepLoadStats,
-    access_requests,
     drive_closed_loop,
 )
 from .multidomain import (
@@ -26,15 +25,11 @@ from .multidomain import (
 from .population import (
     Population,
     PopulationSpec,
-    PopulationWorkload,
     SubjectProfile,
     ZipfSampler,
-    build_population,
 )
 from .scenarios import (
     Scenario,
-    enterprise_soa,
-    grid_vo,
     healthcare_federation,
     revocation_churn,
 )
@@ -50,20 +45,15 @@ __all__ = [
     "PolicyCorpusSpec",
     "Population",
     "PopulationSpec",
-    "PopulationWorkload",
     "Scenario",
     "StalenessAudit",
     "SubjectProfile",
     "WorkloadSpec",
     "ZipfSampler",
-    "access_requests",
-    "build_population",
     "build_workload",
     "drive_closed_loop",
-    "enterprise_soa",
     "federated_resource_id",
     "generate_policy_corpus",
-    "grid_vo",
     "healthcare_federation",
     "multi_domain_request_mix",
     "request_stream",

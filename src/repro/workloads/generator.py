@@ -63,12 +63,6 @@ class GeneratedWorkload:
     subjects: list[tuple[str, str]] = field(default_factory=list)  # (id, domain)
     resources: list[tuple[str, str]] = field(default_factory=list)  # (id, domain)
 
-    def subject_ids(self) -> list[str]:
-        return [s for s, _ in self.subjects]
-
-    def resource_ids(self) -> list[str]:
-        return [r for r, _ in self.resources]
-
 
 def _zipf_weights(n: int, skew: float) -> list[float]:
     if skew <= 0:

@@ -27,15 +27,6 @@ from typing import Optional, Sequence
 from ..components.fabric import QUEUE_LATENCY_SERIES, pep_latency_series
 from ..simnet.metrics import LatencyStats
 from ..xacml.context import RequestContext
-from .generator import AccessEvent
-
-
-def access_requests(events: Sequence[AccessEvent]) -> list[RequestContext]:
-    """Convert generated access events into XACML request contexts."""
-    return [
-        RequestContext.simple(e.subject_id, e.resource_id, e.action_id)
-        for e in events
-    ]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..xacml import combining
@@ -184,10 +184,6 @@ class SubjectProfile:
     manager_id: Optional[str]
     clearance: int
 
-    @property
-    def is_manager(self) -> bool:
-        return self.role in ("manager",) + _DEPTH_ROLES
-
 
 class Population:
     """A streaming, deterministic, organisation-shaped population.
@@ -293,21 +289,6 @@ class Population:
             manager_id=None if manager is None else self.subject_id(manager),
             clearance=max(0, len(_DEPTH_ROLES) + 1 - depth),
         )
-
-    def delegation_chain(self, index: int) -> list[str]:
-        """The subject's management chain, subject first, root last.
-
-        This is the org-chart-shaped delegation graph: authority to act
-        on a subject's behalf flows along management edges, so chain
-        length is O(log_b n) — the realistic shape for delegation-depth
-        experiments.
-        """
-        chain = [self.subject_id(index)]
-        manager = self.manager_index(index)
-        while manager is not None:
-            chain.append(self.subject_id(manager))
-            manager = self.manager_index(manager)
-        return chain
 
     # -- attribute authority ------------------------------------------------------
 
@@ -535,22 +516,3 @@ def _coprime_multiplier(n: int) -> int:
     while math.gcd(candidate, n) != 1:
         candidate += 1
     return candidate
-
-
-@dataclass
-class PopulationWorkload:
-    """Convenience bundle: a population plus its compiled policies."""
-
-    spec: PopulationSpec
-    population: Population
-    policies: list[Policy] = field(default_factory=list)
-
-
-def build_population(spec: PopulationSpec) -> PopulationWorkload:
-    """Build the population bundle experiments install into PDPs."""
-    population = Population(spec)
-    return PopulationWorkload(
-        spec=spec,
-        population=population,
-        policies=population.policy_set(),
-    )

@@ -1,22 +1,19 @@
-"""Named end-to-end scenarios used by examples and integration tests.
+"""Named end-to-end scenarios used by examples and experiments.
 
 Each scenario assembles a realistic multi-domain environment of the kind
-the paper's introduction motivates: a science grid VO (CAS/VOMS
-territory), a healthcare federation (the XSPA profile's setting) and an
-enterprise SOA with business partners.
+the paper's introduction motivates: a healthcare federation (the XSPA
+profile's setting, the ``healthcare_federation`` example) and a
+membership-churn VO with unified revocation (experiment E15).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..capability.cas import CommunityAuthorizationService
 from ..components.pep import PepConfig
 from ..domain.federation import build_federation
-from ..domain.trust import TrustKind
 from ..domain.virtual_org import VirtualOrganization
 from ..models.abac import AbacPolicyBuilder, AbacRuleBuilder
-from ..models.rbac import RbacModel
 from ..revocation.authority import RevocationAuthority
 from ..revocation.bus import InvalidationBus
 from ..revocation.coherence import CoherenceAgent
@@ -27,8 +24,6 @@ from ..xacml import combining
 from ..xacml.attributes import SUBJECT_ROLE
 from ..xacml.context import Decision, Obligation, ObligationAssignment
 from ..xacml.policy import Policy
-from ..xacml.rules import deny_rule, permit_rule
-from ..xacml.targets import subject_resource_action_target
 from ..xacml.attributes import string
 
 
@@ -41,72 +36,6 @@ class Scenario:
     keystore: KeyStore
     vo: VirtualOrganization
     notes: dict[str, object] = field(default_factory=dict)
-
-
-def grid_vo(seed: int = 0) -> Scenario:
-    """A science grid: 3 sites, a VO-level CAS, shared datasets.
-
-    Mirrors the CAS/VOMS deployments the paper cites: site PEPs accept
-    VO capabilities but keep local deny authority.
-    """
-    network = Network(seed=seed)
-    keystore = KeyStore(seed=seed)
-    vo, _ = build_federation(
-        "earth-science-vo",
-        ["site-compute", "site-archive", "site-viz"],
-        network,
-        keystore,
-        kinds=(TrustKind.IDENTITY, TrustKind.CAPABILITY),
-    )
-    compute = vo.domain("site-compute")
-    archive = vo.domain("site-archive")
-    viz = vo.domain("site-viz")
-
-    cas_identity = compute.component_identity("cas.earth-science-vo")
-    cas = CommunityAuthorizationService(
-        "cas.earth-science-vo",
-        network,
-        "site-compute",
-        cas_identity,
-        vo_name="earth-science-vo",
-    )
-    cas.add_policy(
-        Policy(
-            policy_id="vo-capability-policy",
-            rules=(
-                permit_rule(
-                    "analysts-read",
-                    target=subject_resource_action_target(action_id="read"),
-                ),
-                deny_rule("refuse-rest"),
-            ),
-            rule_combining=combining.RULE_FIRST_APPLICABLE,
-        )
-    )
-
-    datasets = []
-    for site, names in (
-        (archive, ["climate-1990s", "climate-2000s"]),
-        (viz, ["render-farm"]),
-        (compute, ["batch-queue"]),
-    ):
-        for name in names:
-            datasets.append(site.expose_resource(name))
-
-    for index, (domain, user) in enumerate(
-        ((compute, "ana"), (archive, "ben"), (viz, "carol"))
-    ):
-        subject = domain.new_subject(user, role=["analyst"])
-        vo.grant_membership(subject)
-        cas.set_subject_attribute(user, SUBJECT_ROLE, ["analyst"])
-
-    return Scenario(
-        name="grid-vo",
-        network=network,
-        keystore=keystore,
-        vo=vo,
-        notes={"cas": cas, "datasets": [d.resource_id for d in datasets]},
-    )
 
 
 def healthcare_federation(seed: int = 0) -> Scenario:
@@ -234,71 +163,6 @@ def healthcare_federation(seed: int = 0) -> Scenario:
             "resources": ["patient-records", "lab-results", "anonymised-cohort"],
             "break_glass_obligation": "urn:repro:obligation:break-glass-audit",
         },
-    )
-
-
-def enterprise_soa(seed: int = 0) -> Scenario:
-    """An enterprise and two partners exposing business services.
-
-    RBAC inside the enterprise, partner access constrained to specific
-    service operations — the intra/inter-organisational SOA setting of
-    the paper's introduction.
-    """
-    network = Network(seed=seed)
-    keystore = KeyStore(seed=seed)
-    vo, _ = build_federation(
-        "supply-chain",
-        ["enterprise", "partner-logistics", "partner-billing"],
-        network,
-        keystore,
-    )
-    enterprise = vo.domain("enterprise")
-    logistics = vo.domain("partner-logistics")
-    billing = vo.domain("partner-billing")
-
-    for service in ("order-service", "inventory-service", "invoice-service"):
-        enterprise.expose_resource(service)
-
-    rbac = RbacModel("enterprise")
-    for role in ("clerk", "supervisor", "partner-logistics", "partner-billing"):
-        rbac.add_role(role)
-    rbac.add_inheritance("supervisor", "clerk")
-    rbac.grant_permission("clerk", "order-service", "read")
-    rbac.grant_permission("supervisor", "order-service", "write")
-    rbac.grant_permission("supervisor", "inventory-service", "write")
-    rbac.grant_permission("partner-logistics", "inventory-service", "read")
-    rbac.grant_permission("partner-billing", "invoice-service", "read")
-    rbac.grant_permission("partner-billing", "invoice-service", "write")
-    enterprise.pap.publish(rbac.compile_policy_set())
-
-    emma = enterprise.new_subject("emma", role=["supervisor"])
-    carl = enterprise.new_subject("carl", role=["clerk"])
-    lars = logistics.new_subject("lars", role=["partner-logistics"])
-    bill = billing.new_subject("bill", role=["partner-billing"])
-    for user, role in (
-        ("emma", "supervisor"),
-        ("carl", "clerk"),
-        ("lars", "partner-logistics"),
-        ("bill", "partner-billing"),
-    ):
-        rbac.assign_user(user, role)
-    for subject in (emma, carl, lars, bill):
-        vo.grant_membership(subject)
-    rbac.populate_pip(enterprise.pip.store)
-    # Partners' PDP is irrelevant here: services live in the enterprise;
-    # its PDP must resolve partner subjects, so it may consult their PIPs.
-    enterprise.pdp.pip_addresses.extend(
-        [logistics.pip.name, billing.pip.name]
-    )
-    rbac.populate_pip(logistics.pip.store)
-    rbac.populate_pip(billing.pip.store)
-
-    return Scenario(
-        name="enterprise-soa",
-        network=network,
-        keystore=keystore,
-        vo=vo,
-        notes={"rbac": rbac},
     )
 
 

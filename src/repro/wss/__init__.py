@@ -18,7 +18,6 @@ from .xmldsig import (
     SignatureError,
     SignedDocument,
     canonicalize,
-    is_authentic,
     sign_document,
     verify_document,
 )
@@ -26,7 +25,6 @@ from .xmlenc import (
     DecryptionError,
     EncryptedDocument,
     decrypt_document,
-    encrypt_document,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "TrustValidator",
     "canonicalize",
     "decrypt_document",
-    "encrypt_document",
-    "is_authentic",
     "sign_document",
     "verify_document",
 ]

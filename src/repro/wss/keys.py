@@ -37,10 +37,6 @@ class PublicKey:
 
     key_id: str
 
-    def fingerprint(self) -> str:
-        """Short fingerprint used in certificate subjects and log lines."""
-        return self.key_id[:16]
-
 
 @dataclass(frozen=True)
 class KeyPair:

@@ -47,12 +47,6 @@ class Certificate:
             f"{self.public_key.key_id}|{self.not_before}|{self.not_after}|{ext}"
         ).encode("utf-8")
 
-    def extension(self, name: str) -> Optional[str]:
-        for key, value in self.extensions:
-            if key == name:
-                return value
-        return None
-
     @property
     def wire_size(self) -> int:
         # Approximate DER footprint: TBS bytes + 64-byte signature + framing.
@@ -72,7 +66,7 @@ class CertificateAuthority:
 
     Revocation state lives in the local serial set until the CA is bound
     to a :class:`~repro.revocation.registry.RevocationRegistry`
-    (``bind_revocation_registry``); bound, every revoke/is-revoked/crl
+    (``bind_revocation_registry``); bound, every revoke/is-revoked
     operation delegates there, making the registry the single source of
     revocation truth across the deployment.
     """
@@ -159,8 +153,8 @@ class CertificateAuthority:
 
         Serials already revoked locally are migrated so no revocation is
         lost at the handover.  The registry is duck-typed (it offers
-        ``revoke_certificate`` / ``certificate_revoked`` /
-        ``revoked_serials``) to keep this low layer free of upward
+        ``revoke_certificate`` / ``certificate_revoked``) to keep this
+        low layer free of upward
         imports.
         """
         for serial in sorted(self._revoked):
@@ -185,12 +179,6 @@ class CertificateAuthority:
                 certificate.serial
             )
         return certificate.serial in self._revoked
-
-    def crl(self) -> frozenset[int]:
-        """Current revocation list snapshot."""
-        if self._revocation_registry is not None:
-            return self._revocation_registry.revoked_serials()
-        return frozenset(self._revoked)
 
 
 class TrustValidator:
@@ -275,10 +263,3 @@ class TrustValidator:
             if chain_cert.issuer in self._anchors:
                 return
             chain_cert = issuer.certificate
-
-    def is_valid(self, certificate: Certificate, at: float) -> bool:
-        try:
-            self.validate(certificate, at)
-        except CertificateError:
-            return False
-        return True

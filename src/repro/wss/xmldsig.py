@@ -122,17 +122,3 @@ def verify_document(
         )
     if validator is not None:
         validator.validate(doc.certificate, at=at)
-
-
-def is_authentic(
-    doc: SignedDocument,
-    keystore: KeyStore,
-    validator: Optional[TrustValidator] = None,
-    at: float = 0.0,
-) -> bool:
-    """Boolean convenience wrapper over :func:`verify_document`."""
-    try:
-        verify_document(doc, keystore, validator, at)
-    except (SignatureError, CertificateError):
-        return False
-    return True

@@ -17,7 +17,7 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass
 
-from .keys import Ciphertext, KeyPair, KeyStore, PublicKey
+from .keys import Ciphertext, KeyPair, KeyStore
 
 
 class DecryptionError(Exception):
@@ -47,17 +47,6 @@ class EncryptedDocument:
     @property
     def wire_size(self) -> int:
         return len(self.to_xml().encode("utf-8"))
-
-
-def encrypt_document(
-    content: str, recipient: PublicKey, keystore: KeyStore, recipient_hint: str = ""
-) -> EncryptedDocument:
-    """Encrypt XML ``content`` so only ``recipient``'s holder can read it."""
-    ciphertext = keystore.encrypt_to(recipient, content.encode("utf-8"))
-    return EncryptedDocument(
-        ciphertext=ciphertext,
-        recipient_hint=recipient_hint or recipient.fingerprint(),
-    )
 
 
 def decrypt_document(doc: EncryptedDocument, keypair: KeyPair) -> str:

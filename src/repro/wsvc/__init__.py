@@ -13,7 +13,6 @@ from .soap import (
     SoapEnvelope,
     SoapFault,
     request_envelope,
-    response_envelope,
 )
 from .ws_security import (
     SECURITY_HEADER,
@@ -26,8 +25,6 @@ from .ws_security import (
 from .wsdl import (
     Operation,
     ServiceDescription,
-    capability_service_description,
-    pap_description,
     pdp_description,
 )
 
@@ -44,11 +41,8 @@ __all__ = [
     "SoapEnvelope",
     "SoapFault",
     "WsSecurityError",
-    "capability_service_description",
-    "pap_description",
     "pdp_description",
     "request_envelope",
-    "response_envelope",
     "secure_envelope",
     "signer_of",
     "verify_envelope",

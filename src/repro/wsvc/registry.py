@@ -45,9 +45,6 @@ class ServiceRegistry:
             description=description, registered_at=at
         )
 
-    def deregister(self, name: str) -> None:
-        self._entries.pop(name, None)
-
     def mark_health(self, name: str, healthy: bool) -> None:
         entry = self._entries.get(name)
         if entry is not None:
@@ -87,12 +84,6 @@ class ServiceRegistry:
                 continue
             out.append(desc)
         return out
-
-    def find_one(
-        self, service_type: str, domain: Optional[str] = None
-    ) -> Optional[ServiceDescription]:
-        matches = self.find(service_type=service_type, domain=domain)
-        return matches[0] if matches else None
 
     def __len__(self) -> int:
         return len(self._entries)

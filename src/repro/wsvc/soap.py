@@ -28,14 +28,6 @@ class SoapFault(Exception):
         self.code = code
         self.reason = reason
 
-    def to_envelope(self) -> "SoapEnvelope":
-        body = (
-            f"<soap:Fault><soap:Code><soap:Value>{self.code}</soap:Value>"
-            f"</soap:Code><soap:Reason><soap:Text>{self.reason}"
-            f"</soap:Text></soap:Reason></soap:Fault>"
-        )
-        return SoapEnvelope(action="fault", body_xml=body)
-
 
 @dataclass
 class HeaderBlock:
@@ -69,9 +61,6 @@ class SoapEnvelope:
                 return block
         return None
 
-    def remove_header(self, name: str) -> None:
-        self.headers = [block for block in self.headers if block.name != name]
-
     def to_xml(self) -> str:
         header_xml = "".join(block.to_xml() for block in self.headers)
         header_part = f"<soap:Header>{header_xml}</soap:Header>" if header_xml else ""
@@ -83,10 +72,6 @@ class SoapEnvelope:
     @property
     def wire_size(self) -> int:
         return len(self.to_xml().encode("utf-8"))
-
-    @property
-    def is_fault(self) -> bool:
-        return self.action == "fault" and "<soap:Fault>" in self.body_xml
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "SoapEnvelope":
@@ -155,7 +140,3 @@ def _parse_header_blocks(header_xml: str) -> list[HeaderBlock]:
 
 def request_envelope(action: str, body_xml: str) -> SoapEnvelope:
     return SoapEnvelope(action=action, body_xml=body_xml)
-
-
-def response_envelope(request: SoapEnvelope, body_xml: str) -> SoapEnvelope:
-    return SoapEnvelope(action=f"{request.action}:response", body_xml=body_xml)

@@ -49,9 +49,6 @@ class ServiceDescription:
                 return op
         return None
 
-    def supports(self, operation_name: str) -> bool:
-        return self.operation(operation_name) is not None
-
     def to_xml(self) -> str:
         ops = "".join(
             f'<operation name="{op.name}" input="{op.input_kind}" '
@@ -83,32 +80,5 @@ def pdp_description(name: str, address: str, domain: str = "") -> ServiceDescrip
                 output_kind="xacml.response",
                 documentation="Evaluate an XACML request context",
             ),
-        ),
-    )
-
-
-def pap_description(name: str, address: str, domain: str = "") -> ServiceDescription:
-    return ServiceDescription(
-        name=name,
-        service_type="pap",
-        address=address,
-        domain=domain,
-        operations=(
-            Operation("retrieve", "pap.query", "pap.policies"),
-            Operation("publish", "pap.policy", "pap.ack"),
-        ),
-    )
-
-
-def capability_service_description(
-    name: str, address: str, domain: str = ""
-) -> ServiceDescription:
-    return ServiceDescription(
-        name=name,
-        service_type="capability-service",
-        address=address,
-        domain=domain,
-        operations=(
-            Operation("request-capability", "cap.request", "cap.response"),
         ),
     )

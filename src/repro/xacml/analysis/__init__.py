@@ -17,7 +17,7 @@ Usage::
 
     from repro.xacml.analysis import analyze
     report = analyze(policy_or_set_or_store)
-    if report.has_errors:
+    if report.blocking():
         ...
 
 or from the command line::

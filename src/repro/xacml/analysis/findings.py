@@ -138,20 +138,11 @@ class AnalysisReport:
     validation_issues: list[ValidationIssue] = field(default_factory=list)
     stats: AnalysisStats = field(default_factory=AnalysisStats)
 
-    def by_kind(self, kind: FindingKind) -> list[Finding]:
-        return [f for f in self.findings if f.kind is kind]
-
     def blocking(self, level: Severity = Severity.ERROR) -> list[Finding]:
         """Findings at or above the given severity threshold."""
         if level is Severity.WARNING:
             return list(self.findings)
         return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def has_errors(self) -> bool:
-        return bool(self.blocking(Severity.ERROR)) or any(
-            issue.severity is Severity.ERROR for issue in self.validation_issues
-        )
 
     def to_dict(self) -> dict:
         return {

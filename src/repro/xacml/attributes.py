@@ -146,18 +146,6 @@ def boolean(value: bool) -> AttributeValue:
     return AttributeValue(DataType.BOOLEAN, value)  # raises TypeError
 
 
-def any_uri(value: str) -> AttributeValue:
-    return AttributeValue(DataType.ANY_URI, value)
-
-
-def date_time(value: float) -> AttributeValue:
-    return AttributeValue(DataType.DATE_TIME, float(value))
-
-
-def time_of_day(value: float) -> AttributeValue:
-    return AttributeValue(DataType.TIME, float(value))
-
-
 class Bag:
     """An unordered collection of same-typed attribute values.
 
@@ -377,7 +365,3 @@ def _attribute_of(
         ),
         issuer,
     )
-
-
-def bag_of(*values: AttributeValue) -> Bag:
-    return Bag(values)

@@ -55,10 +55,6 @@ class Status:
     code: StatusCode = StatusCode.OK
     message: str = ""
 
-    @property
-    def is_ok(self) -> bool:
-        return self.code is StatusCode.OK
-
 
 OK_STATUS = Status()
 

@@ -91,7 +91,6 @@ from .context import (
 )
 from .expressions import AttributeFinder, EvaluationContext
 from .policy import Policy, PolicyResult, PolicySet, child_identifier, outcomes
-from .targets import RESOURCE_BAG
 
 if TYPE_CHECKING:  # analysis imports this module
     from .analysis.findings import AnalysisReport
@@ -453,34 +452,6 @@ class PolicyStore:
             stats.policies_skipped_by_index += len(self._elements) - len(found)
             stats.candidate_set_size = len(found)
         return found
-
-    def partition_for(self, owns: Callable[[str], bool]) -> "PolicyStore":
-        """Derive one shard's store under a resource placement.
-
-        The shard keeps every element whose target provably applies only
-        to resources (:meth:`~repro.xacml.targets.Target.pinned` on
-        :data:`~repro.xacml.targets.RESOURCE_BAG`, the bag a request is
-        routed by) at least one of which ``owns`` — plus every element
-        with *no* such constraint (a pin on another ``resource-id`` bag
-        included), which must replicate to all shards because dropping
-        it anywhere could change decisions.  The union of all shards'
-        decisions therefore equals the unsharded store's on any request
-        routed by resource key.
-        """
-        shard = PolicyStore(indexed=self.indexed)
-        for element in self._elements.values():
-            values = element.target.pinned(RESOURCE_BAG)
-            if values is None or any(owns(value) for value in values):
-                shard.add(element)
-        return shard
-
-    def shard_stats(self) -> dict[str, int]:
-        """Element-count breakdown for per-shard state-skew reporting."""
-        return {
-            "elements": len(self._elements),
-            "unindexable": len(self._unindexable),
-            "index_keys": sum(len(bag.buckets) for bag in self._index.values()),
-        }
 
 
 @dataclass

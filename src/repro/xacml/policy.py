@@ -9,7 +9,7 @@ Delegation profile (:mod:`repro.admin.delegation`) builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 from . import combining
@@ -98,12 +98,6 @@ class Policy:
         return _result(
             decision, status, _matching_obligations(self.obligations, decision)
         )
-
-    def with_issuer(self, issuer: str) -> "Policy":
-        return replace(self, issuer=issuer)
-
-    def rule_ids(self) -> list[str]:
-        return [rule.rule_id for rule in self.rules]
 
     def __repr__(self) -> str:
         return f"Policy({self.policy_id}, rules={len(self.rules)})"

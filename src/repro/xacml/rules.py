@@ -90,9 +90,6 @@ class Rule:
     def evaluate(self, ctx: EvaluationContext) -> RuleResult:
         return RuleResult(*self.outcome(ctx))
 
-    def is_permit(self) -> bool:
-        return self.effect is Decision.PERMIT
-
     def __repr__(self) -> str:
         return f"Rule({self.rule_id}, {self.effect.value})"
 

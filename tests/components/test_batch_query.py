@@ -1,4 +1,4 @@
-"""Batch decision queries: wire round-trip, PDP handling, PEP paths."""
+"""Batch decision queries: wire round-trip, PDP handling, the PEP's queued path."""
 
 import dataclasses
 
@@ -29,6 +29,8 @@ from repro.xacml import (
     string,
     subject_resource_action_target,
 )
+
+from test_pep_bad_reply import decide_queued
 
 
 def alice_policy():
@@ -99,7 +101,7 @@ class TestPdpBatchHandling:
 
     def test_batch_matches_sequential_decisions(self):
         network, pap, pdp, pep = self.build()
-        batched = pep.authorize_batch(requests_mixed())
+        batched = decide_queued(pep, requests_mixed())
         sequential = [pep.authorize(r) for r in requests_mixed()]
         assert [b.decision for b in batched] == [s.decision for s in sequential]
         assert [b.decision for b in batched] == [
@@ -112,7 +114,7 @@ class TestPdpBatchHandling:
         network, pap, pdp, pep = self.build(
             PdpConfig(policy_cache_ttl=0.0)  # every decision re-fetches...
         )
-        pep.authorize_batch(requests_mixed())
+        decide_queued(pep, requests_mixed())
         # ...but a batch refreshes once for all three.
         assert pdp.policy_fetches == 1
         assert pdp.batch_queries_served == 1
@@ -121,7 +123,7 @@ class TestPdpBatchHandling:
 
     def test_batch_of_one_degenerates_to_single_behaviour(self):
         network, pap, pdp, pep = self.build()
-        [only] = pep.authorize_batch([RequestContext.simple("alice", "doc", "read")])
+        [only] = decide_queued(pep, [RequestContext.simple("alice", "doc", "read")])
         assert only.decision is Decision.PERMIT
         assert only.source == "pdp"
 
@@ -129,7 +131,8 @@ class TestPdpBatchHandling:
         # ``RequestContext()`` travels as ``<Request />``; the PDP must
         # read it back and decide it like any other slot.
         network, pap, pdp, pep = self.build()
-        alice, empty, eve = pep.authorize_batch(
+        alice, empty, eve = decide_queued(
+            pep,
             [
                 RequestContext.simple("alice", "doc", "read"),
                 RequestContext(),
@@ -173,7 +176,8 @@ class TestPdpBatchHandling:
             "pep", network, pdp_address="pdp",
             config=PepConfig(decision_cache_ttl=0.0),
         )
-        alice, vault, eve = pep.authorize_batch(
+        alice, vault, eve = decide_queued(
+            pep,
             [
                 RequestContext.simple("alice", "doc", "read"),
                 RequestContext.simple("mallory", "vault", "read"),
@@ -189,7 +193,7 @@ class TestPdpBatchHandling:
     def test_duplicate_requests_share_one_wire_slot(self):
         network, pap, pdp, pep = self.build()
         request = RequestContext.simple("alice", "doc", "read")
-        results = pep.authorize_batch([request, request, request])
+        results = decide_queued(pep, [request, request, request])
         assert all(r.decision is Decision.PERMIT for r in results)
         assert pdp.decisions_made == 1  # deduplicated before the wire
         assert pep.enforcements == 3  # but every caller was enforced
@@ -198,7 +202,7 @@ class TestPdpBatchHandling:
         network, pap, pdp, pep = self.build(
             PdpConfig(require_signed_queries=True)
         )
-        results = pep.authorize_batch(requests_mixed())
+        results = decide_queued(pep, requests_mixed())
         assert all(r.decision is Decision.DENY for r in results)
         assert all(r.source == "fail-safe" for r in results)
         assert pdp.rejected_queries == 1
@@ -212,7 +216,7 @@ class TestPdpBatchHandling:
             "pep", network, pdp_address="pdp",
             config=PepConfig(decision_cache_ttl=60.0),
         )
-        pep.authorize_batch(requests_mixed())
+        decide_queued(pep, requests_mixed())
         followup = pep.authorize(RequestContext.simple("alice", "doc", "read"))
         assert followup.source == "cache"
 
@@ -247,7 +251,7 @@ class TestSecureBatch:
 
     def test_one_signature_covers_the_whole_batch(self):
         network, pdp, pep = self.build_secure()
-        results = pep.authorize_batch(requests_mixed())
+        results = decide_queued(pep, requests_mixed())
         assert [r.decision for r in results] == [
             Decision.PERMIT,
             Decision.DENY,

@@ -132,13 +132,6 @@ class TestTtlCache:
         assert cache.purge_expired() == 0
         assert len(cache) == 1
 
-    def test_age_of(self, clock):
-        cache = make_cache(clock)
-        cache.put("k", "v")
-        clock.advance_to(3.0)
-        assert cache.age_of("k") == pytest.approx(3.0)
-        assert cache.age_of("missing") is None
-
     def test_hit_ratio(self, clock):
         cache = make_cache(clock)
         cache.put("k", "v")

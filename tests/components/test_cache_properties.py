@@ -37,7 +37,7 @@ class TestCacheProperties:
         stored_at: dict[int, float] = {}
         for op in script:
             if op[0] == "advance":
-                clock.advance_by(op[1])
+                clock.advance_to(clock.now + op[1])
             elif op[0] == "put":
                 cache.put(op[1], f"value-{op[1]}")
                 stored_at[op[1]] = clock.now
@@ -57,7 +57,7 @@ class TestCacheProperties:
         cache = TtlCache(ttl=100.0, clock=lambda: clock.now, capacity=3)
         for op in script:
             if op[0] == "advance":
-                clock.advance_by(op[1])
+                clock.advance_to(clock.now + op[1])
             elif op[0] == "put":
                 cache.put(op[1], "v")
             elif op[0] == "invalidate":
@@ -73,7 +73,7 @@ class TestCacheProperties:
         cache = TtlCache(ttl=0.0, clock=lambda: clock.now)
         for op in script:
             if op[0] == "advance":
-                clock.advance_by(op[1])
+                clock.advance_to(clock.now + op[1])
             elif op[0] == "put":
                 cache.put(op[1], "v")
             else:

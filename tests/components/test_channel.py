@@ -47,6 +47,8 @@ from repro.xacml import (
     permit_rule,
 )
 
+from test_pep_bad_reply import decide_queued
+
 REQUEST = RequestContext.simple("alice", "doc", "read")
 
 
@@ -235,13 +237,9 @@ class TestWrongSignerReply:
         world = World()
         impostor = world.pdp("pdp", signs_as="mallory")
         pep = self.secure_pep(world, "pdp")
-        results = pep.authorize_batch([REQUEST])
-        queued = []
-        pep.submit(REQUEST, queued.append)
-        world.network.run(until=world.network.now + 5.0)
-        assert impostor.decisions_made == 2
-        for result in results + queued:
-            assert not result.granted and result.source == "fail-safe"
+        (result,) = decide_queued(pep, [REQUEST])
+        assert impostor.decisions_made == 1
+        assert not result.granted and result.source == "fail-safe"
 
     def test_owned_reforward(self):
         """The impostor owns the slot; its Permit must never be spliced
@@ -257,7 +255,7 @@ class TestWrongSignerReply:
         )
         request = RequestContext.simple(subject, "doc", "read")
         pep = self.secure_pep(world, "honest")
-        (result,) = pep.authorize_batch([request])
+        (result,) = decide_queued(pep, [request])
         assert impostor.owned_batches_served == 1
         assert honest.reforwarded_batches == 0
         counters = world.network.metrics.counters
@@ -303,8 +301,8 @@ class TestSignedShardedTier:
             pdp_address="pdp-0",
             config=PepConfig(secure_channel=True),
         )
-        (result,) = pep.authorize_batch(
-            [RequestContext.simple(foreign, "doc", "read")]
+        (result,) = decide_queued(
+            pep, [RequestContext.simple(foreign, "doc", "read")]
         )
         assert result.granted and result.source == "pdp"
         assert pdps[0].reforwarded_batches == 1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.components import (
-    AttributeStore,
     PdpConfig,
     PepConfig,
     PolicyAdministrationPoint,
@@ -138,19 +137,6 @@ class TestPip:
             Category.SUBJECT, SUBJECT_ROLE, "nobody", DataType.STRING, 0.0
         )
         assert values == []
-
-    def test_environment_provider(self):
-        store = AttributeStore()
-        from repro.xacml import DataType, date_time
-        from repro.xacml.attributes import ENVIRONMENT_DATE_TIME
-
-        store.register_environment(
-            ENVIRONMENT_DATE_TIME, lambda at: [date_time(at)]
-        )
-        values = store.lookup(
-            Category.ENVIRONMENT, ENVIRONMENT_DATE_TIME, "", DataType.DATE_TIME, 7.5
-        )
-        assert values[0].value == 7.5
 
 
 class TestPap:
@@ -303,17 +289,6 @@ class TestPep:
         assert result.decision is Decision.DENY
         assert result.source == "fail-safe"
         assert pep.fail_safe_denials == 1
-
-    def test_fail_open_when_configured(self):
-        network = Network()
-        pep = PolicyEnforcementPoint(
-            "pep5",
-            network,
-            pdp_address="ghost-pdp",
-            config=PepConfig(deny_on_failure=False, pdp_timeout=0.2),
-        )
-        with pytest.raises(RpcTimeout):
-            pep.authorize_simple("a", "r", "read")
 
     def test_unknown_obligation_forces_deny(self):
         network = Network()

@@ -19,7 +19,9 @@ from repro.saml import XacmlAuthzDecisionStatement
 from repro.simnet import SimClock
 from repro.xacml import (
     Attribute,
+    AttributeValue,
     Category,
+    DataType,
     Decision,
     RequestContext,
     ResponseContext,
@@ -27,7 +29,6 @@ from repro.xacml import (
     cache_key_touches,
     string,
 )
-from repro.xacml.attributes import any_uri
 
 TTL = 4.0
 CAPACITY = 4
@@ -143,7 +144,7 @@ class DecisionCacheMachine(RuleBasedStateMachine):
 
     @rule(span=spans)
     def advance(self, span):
-        self.clock.advance_by(span)
+        self.clock.advance_to(self.clock.now + span)
 
     @rule(request=requests)
     def get(self, request):
@@ -202,7 +203,10 @@ class TestTheRule:
         clock = SimClock(start=5.0)
         cache = cache_at(clock)
         typed = RequestContext.simple("other", "r0", "read")
-        typed.add(Category.SUBJECT, Attribute.of(SUBJECT_ID, any_uri("s0")))
+        typed.add(
+            Category.SUBJECT,
+            Attribute.of(SUBJECT_ID, AttributeValue(DataType.ANY_URI, "s0")),
+        )
         second = RequestContext()
         second.add(
             Category.SUBJECT, Attribute(SUBJECT_ID, (string("other"), string("s0")))
@@ -237,7 +241,7 @@ class TestTheRule:
         cache.admit(REQUESTS[0].cache_key(), statement(5.0))
         cache.admit(REQUESTS[1].cache_key(), statement(5.0))
         assert cache.snapshot()["entries"] == 2
-        clock.advance_by(TTL)
+        clock.advance_to(clock.now + TTL)
         snapshot = cache.snapshot()
         assert snapshot["entries"] == 0
         assert snapshot["expirations"] == 2

@@ -12,13 +12,7 @@ from repro.components import (
     PolicyDecisionPoint,
     PolicyEnforcementPoint,
 )
-from repro.domain import (
-    ResourceDirectory,
-    TrustGraph,
-    TrustKind,
-    VirtualOrganization,
-    federate_gateways,
-)
+from repro.domain import ResourceDirectory, VirtualOrganization
 from repro.revocation import (
     CoherenceAgent,
     InvalidationBus,
@@ -262,42 +256,44 @@ class TestFailSafeEdges:
         assert network.metrics.counters["federation.origin_rejected"] == 1
 
 
-def build_secure_vo(trust_decision=True):
-    """Two VO domains with real identities and a cross-certified root."""
+def build_secure_vo():
+    """Two VO domains with real identities and a cross-certified root,
+    their gateways peered both ways."""
     network = Network(seed=93)
     keystore = KeyStore(seed=93)
     vo = VirtualOrganization("secvo", network, keystore, with_root_ca=True)
     west = vo.create_domain("west").standard_layout()
     east = vo.create_domain("east").standard_layout()
-    if trust_decision:
-        vo.establish_mutual_trust("west", "east", TrustKind.DECISION)
     east.pap.publish(policy_for("res.east"))
     west.pap.publish(policy_for("res.west"))
     directory = ResourceDirectory()
     directory.register("res.west", "west")
     directory.register("res.east", "east")
-    gw_west = west.create_gateway(
-        resolve_domain=directory.resolver(),
-        secure_channel=True,
-        max_batch=8,
-        max_delay=0.001,
-    )
-    gw_east = east.create_gateway(
-        resolve_domain=directory.resolver(),
-        secure_channel=True,
-        max_batch=8,
-        max_delay=0.001,
-    )
-    connected = federate_gateways(vo.trust, [gw_west, gw_east])
+    gateways = {
+        domain.name: FederatedGateway(
+            f"gateway.{domain.name}",
+            network,
+            DecisionDispatcher([domain.pdp.name]),
+            domain=domain.name,
+            identity=domain.component_identity(f"gateway.{domain.name}"),
+            resolve_domain=directory.resolver(),
+            secure_channel=True,
+            max_batch=8,
+            max_delay=0.001,
+        )
+        for domain in (west, east)
+    }
+    for origin, target in (("west", "east"), ("east", "west")):
+        gateways[origin].add_peer(target, gateways[target].name)
+        gateways[target].allow_origin(origin, gateways[origin].name)
     pep = west.create_pep("portal", config=PepConfig(decision_cache_ttl=0.0))
-    pep.enable_batching(max_batch=4, max_delay=0.001, gateway=gw_west)
-    return network, vo, gw_west, gw_east, pep, connected
+    pep.enable_batching(max_batch=4, max_delay=0.001, gateway=gateways["west"])
+    return network, vo, gateways["west"], gateways["east"], pep
 
 
 class TestSecureFederation:
     def test_signed_forward_round_trip(self):
-        network, vo, gw_west, gw_east, pep, connected = build_secure_vo()
-        assert sorted(connected) == [("east", "west"), ("west", "east")]
+        network, vo, gw_west, gw_east, pep = build_secure_vo()
         done = []
         pep.submit(
             RequestContext.simple("alice", "res.east", "read"), done.append
@@ -309,7 +305,7 @@ class TestSecureFederation:
         assert gw_east.origin_rejections == 0
 
     def test_wrong_signer_rejected(self):
-        network, vo, gw_west, gw_east, pep, _ = build_secure_vo()
+        network, vo, gw_west, gw_east, pep = build_secure_vo()
         # Re-pin east's accepted origin to a different component: the
         # genuine (validly signed!) forward no longer matches the pinned
         # peer gateway and must be rejected.
@@ -323,27 +319,6 @@ class TestSecureFederation:
         assert not done[0].granted and done[0].source == "fail-safe"
         assert gw_east.origin_rejections == 1
         assert gw_east.forwarded_batches_served == 0
-
-    def test_federate_gateways_requires_decision_trust(self):
-        network, vo, gw_west, gw_east, pep, connected = build_secure_vo(
-            trust_decision=False
-        )
-        assert connected == []
-        assert gw_west.peer_domains == []
-        # Without the trust edge the remote request cannot route: deny.
-        done = []
-        pep.submit(
-            RequestContext.simple("alice", "res.east", "read"), done.append
-        )
-        network.run(until=network.now + 5.0)
-        assert len(done) == 1
-        assert not done[0].granted and done[0].source == "fail-safe"
-        assert gw_west.unknown_domain_denials == 1
-
-    def test_duplicate_domain_gateways_rejected(self):
-        network, vo, gw_west, gw_east, pep, _ = build_secure_vo()
-        with pytest.raises(ValueError, match="two gateways"):
-            federate_gateways(TrustGraph(), [gw_west, gw_west])
 
 
 class TestGatewayRemoteDecisionCache:

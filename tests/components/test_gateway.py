@@ -78,9 +78,6 @@ def build_domain(
 
 
 class TestRegistrationAndFlush:
-    def test_queues_register_with_gateway(self):
-        network, pdps, peps, gateway = build_domain(pep_count=3)
-        assert gateway.registered_peps == ["pep-0", "pep-1", "pep-2"]
 
     def test_merges_flushes_from_multiple_peps_into_one_envelope(self):
         network, pdps, peps, gateway = build_domain(

@@ -1,0 +1,302 @@
+"""A PEP has two decision paths, and they enforce alike.
+
+``authorize`` is the paper's pull model: one blocking query per access
+(§3.2).  ``submit`` is the fabric: the same enforcement, coalesced into
+batch queries.  Every outcome enforcement can reach — a PDP decision of
+each kind, an obligation fulfilled, not understood or failed, a
+revocation guard denial, a decision-cache hit or miss, a PDP that cannot
+be reached or refuses, a replica failover — is one cell here, decided on
+each path, with the same result and the same counters.
+"""
+
+import inspect
+from typing import Callable, NamedTuple, Optional
+
+import pytest
+
+from repro.components import (
+    DecisionDispatcher,
+    PdpConfig,
+    PepConfig,
+    PolicyAdministrationPoint,
+    PolicyDecisionPoint,
+    PolicyEnforcementPoint,
+    PolicyInformationPoint,
+)
+from repro.simnet import Network
+from repro.xacml import (
+    Category,
+    Decision,
+    Obligation,
+    Policy,
+    RequestContext,
+    SUBJECT_ROLE,
+    attribute_equals,
+    combining,
+    deny_rule,
+    permit_rule,
+    string,
+    subject_resource_action_target,
+)
+
+LOG = "urn:test:log"
+QUOTA = "urn:test:quota"
+
+
+def policy(resource_id, rules, obligations=()):
+    return Policy(
+        policy_id=f"policy-{resource_id}",
+        rules=rules,
+        rule_combining=combining.RULE_FIRST_APPLICABLE,
+        target=subject_resource_action_target(resource_id=resource_id),
+        obligations=obligations,
+    )
+
+
+POLICIES = (
+    policy(
+        "doc",
+        (
+            permit_rule(
+                "engineers",
+                condition=attribute_equals(
+                    Category.SUBJECT, SUBJECT_ROLE, string("engineer")
+                ),
+            ),
+            deny_rule("default-deny"),
+        ),
+    ),
+    policy("logged", (permit_rule("r"),), (Obligation(LOG, Decision.PERMIT),)),
+    policy(
+        "exotic",
+        (permit_rule("r"),),
+        (Obligation("urn:test:exotic", Decision.PERMIT),),
+    ),
+    policy("quota", (permit_rule("r"),), (Obligation(QUOTA, Decision.PERMIT),)),
+    policy("audited", (deny_rule("r"),), (Obligation(LOG, Decision.DENY),)),
+)
+
+
+class World(NamedTuple):
+    network: Network
+    pep: PolicyEnforcementPoint
+    pdps: dict
+    log: list
+
+
+def build(pdps=("pdp",), pdp_config=None, **pep_config) -> World:
+    network = Network(seed=11)
+    pap = PolicyAdministrationPoint("pap", network)
+    for each in POLICIES:
+        pap.publish(each)
+    pip = PolicyInformationPoint("pip", network)
+    pip.store.set_subject_attribute("alice", SUBJECT_ROLE, [string("engineer")])
+    replicas = {
+        name: PolicyDecisionPoint(
+            name,
+            network,
+            pap_address="pap",
+            pip_addresses=["pip"],
+            config=pdp_config,
+        )
+        for name in pdps
+    }
+    pep = PolicyEnforcementPoint(
+        "pep",
+        network,
+        pdp_address=pdps[0] if pdps else None,
+        config=PepConfig(**pep_config),
+    )
+    if len(pdps) > 1:
+        pep.dispatcher = DecisionDispatcher(list(pdps))
+    log = []
+    pep.register_obligation_handler(
+        LOG, lambda obligation, request: log.append(request.subject_id) or True
+    )
+    pep.register_obligation_handler(QUOTA, lambda obligation, request: False)
+    return World(network, pep, replicas, log)
+
+
+def by_authorize(pep, request):
+    return pep.authorize(request)
+
+
+def by_submit(pep, request):
+    if pep.coalescer is None:
+        pep.enable_batching(max_batch=16, max_delay=0.001)
+    results = []
+    inline = pep.submit(request, results.append)
+    pep.network.run(until=pep.network.now + 10.0)
+    assert len(results) == 1, "the waiter is answered exactly once"
+    # Only the guard and the cache answer before the queue is involved.
+    assert inline == (results[0].source in ("cache", "revocation"))
+    return results[0]
+
+
+PATHS = {"authorize": by_authorize, "submit": by_submit}
+
+
+def revoke_alice(world):
+    world.pep.revocation_guard = lambda request: (
+        "alice revoked" if request.subject_id == "alice" else None
+    )
+
+
+def later(seconds):
+    def advance(world):
+        world.network.run(until=world.network.now + seconds)
+
+    return advance
+
+
+class Case(NamedTuple):
+    resource: str
+    decision: Decision
+    source: str
+    #: A substring of the result's detail.
+    detail: str = ""
+    subject: str = "alice"
+    #: Obligation handler calls the decision makes.
+    logged: int = 0
+    #: Arguments of :func:`build`.
+    world: dict = {}
+    #: Run on the world before anything is decided.
+    setup: Optional[Callable] = None
+    #: Decide the same request once first, then run ``between``.
+    warm: bool = False
+    between: Optional[Callable] = None
+
+
+def crash(name):
+    return lambda world: world.pdps[name].crash()
+
+
+CASES = {
+    "permit": Case("doc", Decision.PERMIT, "pdp"),
+    "deny": Case("doc", Decision.DENY, "pdp", subject="mallory"),
+    "not-applicable": Case("orphan", Decision.NOT_APPLICABLE, "pdp"),
+    "obligation-fulfilled": Case("logged", Decision.PERMIT, "pdp", logged=1),
+    "obligation-not-understood": Case(
+        "exotic", Decision.DENY, "obligation", "not understood"
+    ),
+    "obligation-failed": Case("quota", Decision.DENY, "obligation", "failed"),
+    "deny-side-obligation-runs": Case("audited", Decision.DENY, "pdp", logged=1),
+    "revoked-by-guard": Case(
+        "doc", Decision.DENY, "revocation", "alice revoked", setup=revoke_alice
+    ),
+    "cached-permit": Case(
+        "doc", Decision.PERMIT, "cache", world={"decision_cache_ttl": 60.0}, warm=True
+    ),
+    "cached-deny": Case(
+        "doc",
+        Decision.DENY,
+        "cache",
+        subject="mallory",
+        world={"decision_cache_ttl": 60.0},
+        warm=True,
+    ),
+    "cache-expired": Case(
+        "doc",
+        Decision.PERMIT,
+        "pdp",
+        world={"decision_cache_ttl": 1.0},
+        warm=True,
+        between=later(12.0),
+    ),
+    "cache-disabled": Case("doc", Decision.PERMIT, "pdp", warm=True),
+    "guard-beats-a-cached-permit": Case(
+        "doc",
+        Decision.DENY,
+        "revocation",
+        "alice revoked",
+        world={"decision_cache_ttl": 60.0},
+        warm=True,
+        between=revoke_alice,
+    ),
+    "pdp-crashed": Case(
+        "doc", Decision.DENY, "fail-safe", "fail-safe deny", setup=crash("pdp")
+    ),
+    "pdp-partitioned": Case(
+        "doc",
+        Decision.DENY,
+        "fail-safe",
+        "fail-safe deny",
+        setup=lambda world: world.network.partition("pep", "pdp"),
+    ),
+    "no-pdp": Case("doc", Decision.DENY, "fail-safe", "no PDP", world={"pdps": ()}),
+    "pdp-refuses-a-plain-query": Case(
+        "doc",
+        Decision.DENY,
+        "fail-safe",
+        "only answers signed queries",
+        world={"pdp_config": PdpConfig(require_signed_queries=True)},
+    ),
+    "replica-failover": Case(
+        "doc",
+        Decision.PERMIT,
+        "pdp",
+        world={"pdps": ("pdp-a", "pdp-b")},
+        setup=crash("pdp-a"),
+    ),
+}
+
+COUNTERS = (
+    "enforcements",
+    "grants",
+    "denials",
+    "fail_safe_denials",
+    "obligation_failures",
+    "revocation_denials",
+)
+
+
+def counters(pep):
+    return {name: getattr(pep, name) for name in COUNTERS}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("case", list(CASES))
+def test_each_outcome_is_enforced_alike_on_both_paths(case, path):
+    spec, decide = CASES[case], PATHS[path]
+    world = build(**spec.world)
+    if spec.setup is not None:
+        spec.setup(world)
+    request = RequestContext.simple(spec.subject, spec.resource, "read")
+    if spec.warm:
+        decide(world.pep, request)
+        world.log.clear()
+        if spec.between is not None:
+            spec.between(world)
+    before = counters(world.pep)
+    result = decide(world.pep, request)
+    assert (result.decision, result.source) == (spec.decision, spec.source)
+    assert spec.detail in result.detail
+    assert len(world.log) == spec.logged
+    granted = result.decision is Decision.PERMIT
+    assert {name: value - before[name] for name, value in counters(world.pep).items()} == {
+        "enforcements": 1,
+        "grants": int(granted),
+        "denials": int(not granted),
+        "fail_safe_denials": int(spec.source == "fail-safe"),
+        "obligation_failures": int(spec.source == "obligation"),
+        "revocation_denials": int(spec.source == "revocation"),
+    }
+
+
+def test_the_pep_has_exactly_two_decision_entry_points():
+    takes_a_request = {
+        name
+        for name, member in vars(PolicyEnforcementPoint).items()
+        if callable(member)
+        and not name.startswith("_")
+        and "request" in inspect.signature(member).parameters
+    }
+    assert takes_a_request == {"authorize", "submit"}
+
+
+def test_no_switch_makes_a_pep_fail_open():
+    assert set(inspect.signature(PepConfig).parameters) == {
+        "decision_cache_ttl",
+        "secure_channel",
+        "pdp_timeout",
+    }

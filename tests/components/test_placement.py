@@ -43,7 +43,10 @@ class TestPlacementMap:
 
     def test_every_replica_owns_a_fair_share(self):
         ring = three_ring()
-        shares = [ring.share_of(name, KEYS) for name in ring.replicas]
+        shares = [
+            sum(ring.owner(key) == name for key in KEYS) / len(KEYS)
+            for name in ring.replicas
+        ]
         assert sum(shares) == pytest.approx(1.0)
         # Virtual nodes keep the imbalance bounded.
         assert min(shares) > 0.1
@@ -59,21 +62,11 @@ class TestPlacementMap:
         assert 0 < len(moved) < len(KEYS) / 2
         assert all(ring.owner(key) == "pdp-3" for key in moved)
 
-    def test_leave_moves_only_the_departed_replicas_keys(self):
-        ring = three_ring()
-        before = {key: ring.owner(key) for key in KEYS}
-        ring.remove_replica("pdp-1")
-        for key in KEYS:
-            if before[key] == "pdp-1":
-                assert ring.owner(key) != "pdp-1"
-            else:
-                assert ring.owner(key) == before[key]
-
     def test_epoch_counts_ring_changes(self):
         ring = three_ring()
         assert ring.epoch == 0
         ring.add_replica("pdp-3")
-        ring.remove_replica("pdp-0")
+        ring.add_replica("pdp-4")
         assert ring.epoch == 2
 
     def test_preference_starts_at_owner_and_covers_all(self):
@@ -89,11 +82,6 @@ class TestPlacementMap:
         ring.add_replica("pdp-3")
         assert "pdp-3" in ring and "pdp-3" not in view
         assert view.epoch == ring.epoch - 1
-        view.sync_from(ring)
-        assert view.epoch == ring.epoch
-        assert {view.owner(key) for key in KEYS} == {
-            ring.owner(key) for key in KEYS
-        }
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one replica"):
@@ -105,11 +93,6 @@ class TestPlacementMap:
         ring = three_ring()
         with pytest.raises(ValueError, match="already placed"):
             ring.add_replica("pdp-0")
-        with pytest.raises(ValueError, match="not placed"):
-            ring.remove_replica("pdp-9")
-        lone = PlacementMap(["only"])
-        with pytest.raises(ValueError, match="last replica"):
-            lone.remove_replica("only")
 
 
 class TestPlacementSpec:
@@ -130,8 +113,7 @@ class TestPlacementSpec:
         view = spec.routing_view()
         spec.ring.add_replica("pdp-3")
         assert view.ring.epoch != spec.ring.epoch
-        view.ring.sync_from(spec.ring)
-        assert view.ring.epoch == spec.ring.epoch
+        assert "pdp-3" not in view.ring
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shard_by"):
@@ -184,15 +166,6 @@ class TestAttributePartition:
         key = owned_keys(partition, KEYS)[0]
         assert partition.lookup(key, "urn:test:tag", DataType.INTEGER) == []
 
-    def test_preload_rejects_unowned_keys(self):
-        spec, partitions = self.build()
-        partition = partitions["pdp-0"]
-        loaded = sum(
-            partition.preload(key, resolver(key)) for key in KEYS[:50]
-        )
-        assert loaded == len(owned_keys(partition, KEYS[:50]))
-        assert partition.cardinality == loaded
-
     def test_fleet_cardinality_partitions_touched_keys(self):
         spec, partitions = self.build()
         for key in KEYS:
@@ -222,15 +195,3 @@ class TestAttributePartition:
             partitions["pdp-3"].lookup(key, "urn:test:tag", DataType.STRING)
         total = sum(p.cardinality for p in partitions.values())
         assert total == len(KEYS)
-
-    def test_export_entries_copies_state(self):
-        spec, partitions = self.build()
-        partition = partitions["pdp-0"]
-        key = owned_keys(partition, KEYS)[0]
-        partition.lookup(key, "urn:test:tag", DataType.STRING)
-        exported = partition.export_entries()
-        assert key in exported
-        exported[key]["urn:test:tag"].append(string("tamper"))
-        assert len(
-            partition.lookup(key, "urn:test:tag", DataType.STRING)
-        ) == 1

@@ -49,7 +49,7 @@ from repro.xacml import (
 )
 
 from test_federation import build_two_domains
-from test_pep_bad_reply import ALICE, pep_for, permit, stub_pdp
+from test_pep_bad_reply import ALICE, decide_queued, pep_for, permit, stub_pdp
 
 ALICE_ONLY = Policy(
     policy_id="alice-only",
@@ -190,7 +190,7 @@ class TestAMalformedNumberInAReply:
         network = Network(seed=5)
         stub_pdp(network, batch=batch_answer('"3.0"', f'"{form}"'))
         pep = pep_for(network, decision_cache_ttl=60)
-        (result,) = pep.authorize_batch([ALICE])
+        (result,) = decide_queued(pep, [ALICE])
         self.assert_bad_reply(pep, result)
 
     def test_a_batch_statement_count_in_non_ascii_digits(self):
@@ -198,13 +198,13 @@ class TestAMalformedNumberInAReply:
         network = Network(seed=5)
         stub_pdp(network, batch=batch_answer('Count="1"', 'Count="١"'))
         pep = pep_for(network, decision_cache_ttl=60)
-        (result,) = pep.authorize_batch([ALICE])
+        (result,) = decide_queued(pep, [ALICE])
         self.assert_bad_reply(pep, result)
 
     def test_the_honest_batch_is_enforced(self):
         network = Network(seed=5)
         stub_pdp(network, batch=batch_answer('"3.0"', '"3.0"'))
-        (result,) = pep_for(network).authorize_batch([ALICE])
+        (result,) = decide_queued(pep_for(network), [ALICE])
         assert result.granted and result.source == "pdp"
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     AccessControlSystem,
-    AgentProxy,
     AuditLog,
     AuditRecord,
     ClientAgent,
@@ -13,7 +12,6 @@ from repro.core import (
     PdpCluster,
     QuorumClient,
     SystemConfig,
-    agent_sequence,
     discovering_dispatcher,
     pull_sequence,
     push_sequence,
@@ -87,18 +85,19 @@ class TestAuditLog:
         assert len(log.filter(subject_id="alice")) == 1
         assert len(log.filter(decision=Decision.DENY)) == 1
 
+    def test_filter_by_source(self):
+        log = AuditLog()
+        self.record(log, source="pdp")
+        self.record(log, subject="bob", decision=Decision.DENY, source="fail-safe")
+        self.record(log, subject="carol", source="cache")
+        assert [r.subject_id for r in log.filter(source="fail-safe")] == ["bob"]
+        assert log.filter(source="fail-safe", decision=Decision.PERMIT) == []
+
     def test_denial_rate(self):
         log = AuditLog()
         self.record(log)
         self.record(log, decision=Decision.DENY)
         assert log.denial_rate() == pytest.approx(0.5)
-
-    def test_by_source(self):
-        log = AuditLog()
-        self.record(log, source="cache")
-        self.record(log, source="cache")
-        self.record(log, source="pdp")
-        assert log.by_source() == {"cache": 2, "pdp": 1}
 
     def test_capacity(self):
         log = AuditLog(capacity=1)
@@ -106,12 +105,6 @@ class TestAuditLog:
         self.record(log)
         assert len(log) == 1
         assert log.dropped == 1
-
-    def test_subjects_touching(self):
-        log = AuditLog()
-        self.record(log, subject="alice")
-        self.record(log, subject="bob", decision=Decision.DENY)
-        assert log.subjects_touching("r") == {"alice"}
 
 
 class TestAccessControlSystem:
@@ -125,13 +118,15 @@ class TestAccessControlSystem:
         assert len(system.audit) == 2
 
     def test_meta_policy_veto_recorded(self, vo_env):
-        from repro.admin import MetaPolicyEngine, SeparationOfDutyMetaPolicy
+        from repro.admin import ChineseWallMetaPolicy, MetaPolicyEngine
+        from repro.models import ChineseWallEngine
 
         network, _, domain = vo_env
+        wall = ChineseWallEngine()
+        wall.register_dataset("db", "rivals")
+        wall.register_dataset("db2", "rivals")
         meta = MetaPolicyEngine()
-        meta.add(
-            SeparationOfDutyMetaPolicy("sod", [frozenset({"db", "db2"})])
-        )
+        meta.add(ChineseWallMetaPolicy("wall", wall))
         system = AccessControlSystem(domain, meta_policies=meta)
         system.protect("db")
         system.protect("db2")
@@ -157,23 +152,12 @@ class TestAccessControlSystem:
         system.protect("db")
         system.publish_policy(simple_policy())
         assert system.authorize("alice", "db", "read").granted
-        system.cluster.crash_replica(0)
+        system.cluster.replicas[0].crash()
         network.run(until=network.now + 1.5)  # let heartbeats detect
         result = system.authorize("alice", "db", "read")
         assert result.granted
         assert result.source == "pdp"
         assert system.dispatcher.routing.passed_over >= 1
-
-    def test_availability_reporting(self, vo_env):
-        network, _, domain = vo_env
-        system = AccessControlSystem(
-            domain, config=SystemConfig(pdp_replicas=2, heartbeat_period=0.2)
-        )
-        assert system.decision_service_available()
-        system.cluster.crash_replica(0)
-        system.cluster.crash_replica(1)
-        network.run(until=network.now + 1.5)
-        assert not system.decision_service_available()
 
 
 class TestHeartbeatAndFailover:
@@ -185,11 +169,11 @@ class TestHeartbeatAndFailover:
         )
         monitor.start()
         network.run(until=network.now + 1.0)
-        assert monitor.alive_targets() == cluster.addresses
-        cluster.crash_replica(0)
+        assert not any(map(monitor.is_suspected, cluster.addresses))
+        cluster.replicas[0].crash()
         network.run(until=network.now + 1.5)
         assert monitor.is_suspected(cluster.addresses[0])
-        cluster.recover_replica(0)
+        cluster.replicas[0].recover()
         network.run(until=network.now + 1.5)
         assert not monitor.is_suspected(cluster.addresses[0])
         assert monitor.suspicions_cleared >= 1
@@ -204,7 +188,7 @@ class TestHeartbeatAndFailover:
             HealthyFirstRouting(lambda address: not monitor.is_suspected(address)),
         )
         assert dispatcher.select() == cluster.addresses[0]
-        cluster.crash_replica(0)
+        cluster.replicas[0].crash()
         network.run(until=network.now + 1.5)
         assert dispatcher.select() == cluster.addresses[1]
         assert dispatcher.routing.passed_over == 1
@@ -216,8 +200,8 @@ class TestHeartbeatAndFailover:
         )
         system.protect("db")
         system.publish_policy(simple_policy())
-        system.cluster.crash_replica(0)
-        system.cluster.crash_replica(1)
+        system.cluster.replicas[0].crash()
+        system.cluster.replicas[1].crash()
         network.run(until=network.now + 1.5)
         sent, now = network.metrics.messages_sent, network.now
         result = system.authorize("alice", "db", "read")
@@ -240,7 +224,7 @@ class TestHeartbeatAndFailover:
         )
         system.protect("db")
         system.publish_policy(simple_policy())
-        system.cluster.crash_replica(0)
+        system.cluster.replicas[0].crash()
         start = network.now
         result = system.authorize("alice", "db", "read")
         assert result.granted and result.source == "pdp"
@@ -279,8 +263,8 @@ class TestQuorum:
         network, _, domain = vo_env
         domain.pap.publish(simple_policy())
         cluster = PdpCluster(domain, replicas=2)
-        cluster.crash_replica(0)
-        cluster.crash_replica(1)
+        cluster.replicas[0].crash()
+        cluster.replicas[1].crash()
         client = QuorumClient(
             "qc", network, cluster.addresses, quorum=2, reply_timeout=0.3
         )
@@ -411,16 +395,3 @@ class TestSequences:
         )
         assert trace2.step_numbers() == ["III", "IV"]
         assert trace2.messages_used == 0
-
-    def test_agent_sequence_local_decision(self, vo_env):
-        network, _, domain = vo_env
-        agent = AgentProxy("agent.db", network, service_name="db")
-        agent.engine.add_policy(simple_policy())
-        client = ClientAgent("client", network, "alice")
-        trace = agent_sequence(client, agent, "db", "read")
-        assert trace.result.granted
-        assert trace.messages_used == 0  # decision is local to the agent
-        denied = agent_sequence(
-            ClientAgent("client2", network, "eve"), agent, "db", "read"
-        )
-        assert not denied.result.granted

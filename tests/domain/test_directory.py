@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.domain import (
-    AdministrativeDomain,
-    ResourceDirectory,
-    build_directory,
-)
-from repro.simnet import Network
-from repro.wss import KeyStore
+from repro.domain import ResourceDirectory
 from repro.xacml import RequestContext
 
 
@@ -19,7 +13,6 @@ class TestResourceDirectory:
         directory.register("res.b", "beta")
         assert directory.domain_of("res.a") == "alpha"
         assert directory.domain_of("res.missing") is None
-        assert directory.resources_of("alpha") == ["res.a"]
         assert directory.domains() == {"alpha", "beta"}
         assert len(directory) == 2
 
@@ -81,14 +74,3 @@ class TestResourceDirectory:
         assert resolve(request) is None
         # Named-but-unlisted resources still use the default domain.
         assert resolve(RequestContext.simple("u", "res.x", "read")) == "hub"
-
-    def test_build_directory_from_domains(self):
-        network = Network(seed=5)
-        keystore = KeyStore(seed=5)
-        alpha = AdministrativeDomain("alpha", network, keystore).standard_layout()
-        beta = AdministrativeDomain("beta", network, keystore).standard_layout()
-        alpha.expose_resource("db")
-        beta.expose_resource("files")
-        directory = build_directory([alpha, beta])
-        assert directory.domain_of("db") == "alpha"
-        assert directory.domain_of("files") == "beta"

@@ -147,21 +147,6 @@ class TestPushVsPullEquivalence:
 class TestSelfProtection:
     """Paper §3.2: the PAP is guarded by the same PEP/PDP machinery."""
 
-    def test_pap_guard_via_delegation_registry(self):
-        from repro.admin import DelegationRegistry, Scope
-        from repro.components import PolicyAdministrationPoint, RpcFault
-
-        network = Network(seed=107)
-        registry = DelegationRegistry(roots={"vo-authority"})
-        registry.grant("vo-authority", "site-admin", Scope(), max_depth=0)
-        pap = PolicyAdministrationPoint(
-            "pap.guarded", network, guard=registry.pap_guard
-        )
-        policy = Policy(policy_id="p", rules=(deny_rule("d"),))
-        pap.publish(policy, publisher="site-admin")
-        with pytest.raises(RpcFault, match="unauthorised"):
-            pap.publish(policy, publisher="mallory")
-
     def test_rbac_protected_administration(self):
         """Admin rights expressed as an RBAC permission on the PAP itself."""
         network = Network(seed=109)

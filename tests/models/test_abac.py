@@ -4,15 +4,12 @@ import pytest
 
 from repro.models import AbacError, AbacPolicyBuilder, AbacRuleBuilder
 from repro.xacml import (
-    Category,
     Decision,
     PdpEngine,
     RequestContext,
     SUBJECT_ROLE,
     string,
-    time_of_day,
 )
-from repro.xacml.attributes import ENVIRONMENT_TIME, integer
 
 
 def engine_with(policy):
@@ -70,56 +67,6 @@ class TestAbacRuleBuilder:
         engine = engine_with(policy)
         assert engine.decide(RequestContext.simple("u", "r", "read")) is Decision.PERMIT
         assert engine.decide(RequestContext.simple("u", "r", "write")) is Decision.DENY
-
-    def test_time_window(self):
-        rule = (
-            AbacRuleBuilder("r")
-            .permit()
-            .when_time_between(9 * 3600, 17 * 3600)
-            .build()
-        )
-        policy = AbacPolicyBuilder("p").rule(rule).default_deny().build()
-        engine = engine_with(policy)
-        noon = RequestContext.simple(
-            "u", "r", "read",
-            environment={ENVIRONMENT_TIME: [time_of_day(12 * 3600)]},
-        )
-        midnight = RequestContext.simple(
-            "u", "r", "read",
-            environment={ENVIRONMENT_TIME: [time_of_day(0.0)]},
-        )
-        assert engine.decide(noon) is Decision.PERMIT
-        assert engine.decide(midnight) is Decision.DENY
-
-    def test_missing_time_attribute_is_indeterminate_then_denied(self):
-        rule = (
-            AbacRuleBuilder("r")
-            .permit()
-            .when_time_between(9 * 3600, 17 * 3600)
-            .build()
-        )
-        policy = AbacPolicyBuilder("p").rule(rule).build()
-        engine = engine_with(policy)
-        decision = engine.decide(RequestContext.simple("u", "r", "read"))
-        assert decision in (Decision.INDETERMINATE, Decision.DENY)
-
-    def test_integer_threshold(self):
-        rule = (
-            AbacRuleBuilder("r")
-            .permit()
-            .when_integer_at_least(Category.SUBJECT, "urn:test:level", 5)
-            .build()
-        )
-        policy = AbacPolicyBuilder("p").rule(rule).default_deny().build()
-        engine = engine_with(policy)
-        high = RequestContext.simple(
-            "u", "r", "read", subject_attributes={"urn:test:level": [integer(7)]}
-        )
-        low = RequestContext.simple(
-            "u", "r", "read", subject_attributes={"urn:test:level": [integer(3)]}
-        )
-        assert engine.decide(high) is Decision.PERMIT
-        assert engine.decide(low) is Decision.DENY
 
     def test_deny_rule(self):
         rule = (

@@ -1,15 +1,9 @@
-"""Tests for the RBAC model: hierarchy, SoD, sessions, XACML compilation."""
+"""Tests for the RBAC model: hierarchy and XACML compilation."""
 
 import pytest
 
 from repro.components import AttributeStore
-from repro.models import (
-    DsdConstraint,
-    Permission,
-    RbacError,
-    RbacModel,
-    SsdConstraint,
-)
+from repro.models import Permission, RbacError, RbacModel
 from repro.xacml import Category, Decision, PdpEngine, RequestContext
 
 
@@ -36,11 +30,6 @@ class TestCoreRbac:
         model.assign_user("u", "employee")
         assert not model.check_access("u", "repo", "write")
 
-    def test_deassign_removes_access(self, model):
-        model.assign_user("u", "engineer")
-        model.deassign_user("u", "engineer")
-        assert not model.check_access("u", "repo", "write")
-
     def test_unknown_role_rejected(self, model):
         with pytest.raises(RbacError):
             model.assign_user("u", "wizard")
@@ -65,87 +54,6 @@ class TestHierarchy:
     def test_self_inheritance_rejected(self, model):
         with pytest.raises(RbacError, match="cycle"):
             model.add_inheritance("manager", "manager")
-
-    def test_role_permissions_include_juniors(self, model):
-        permissions = model.role_permissions("manager")
-        assert Permission("cafeteria", "read") in permissions
-
-
-class TestSsd:
-    def test_direct_violation_blocked(self, model):
-        model.add_ssd(SsdConstraint("m-a", frozenset({"manager", "auditor"})))
-        model.assign_user("u", "manager")
-        with pytest.raises(RbacError, match="SSD"):
-            model.assign_user("u", "auditor")
-
-    def test_violation_through_inheritance_blocked(self, model):
-        model.add_ssd(SsdConstraint("e-a", frozenset({"engineer", "auditor"})))
-        model.assign_user("u", "manager")  # manager inherits engineer
-        with pytest.raises(RbacError, match="SSD"):
-            model.assign_user("u", "auditor")
-
-    def test_retroactive_constraint_rejected_if_violated(self, model):
-        model.assign_user("u", "manager")
-        model.assign_user("u", "auditor")
-        with pytest.raises(RbacError, match="existing assignment"):
-            model.add_ssd(SsdConstraint("m-a", frozenset({"manager", "auditor"})))
-
-    def test_inheritance_addition_checked_against_ssd(self, model):
-        model.add_ssd(
-            SsdConstraint("c-a", frozenset({"contractor", "auditor"}))
-        )
-        model.assign_user("u", "contractor")
-        model.assign_user("u", "employee")
-        with pytest.raises(RbacError, match="SSD"):
-            model.add_inheritance("contractor", "auditor")
-        # the failed edge must not have been left in place
-        assert "auditor" not in model.authorized_roles("u")
-
-    def test_cardinality_three(self, model):
-        model.add_ssd(
-            SsdConstraint(
-                "any-two-of-three",
-                frozenset({"contractor", "auditor", "employee"}),
-                cardinality=3,
-            )
-        )
-        model.assign_user("u", "contractor")
-        model.assign_user("u", "auditor")  # two of three is fine
-        with pytest.raises(RbacError):
-            model.assign_user("u", "employee")
-
-
-class TestDsdSessions:
-    def test_dsd_blocks_joint_activation(self, model):
-        model.add_dsd(DsdConstraint("m-c", frozenset({"manager", "contractor"})))
-        model.assign_user("u", "manager")
-        model.assign_user("u", "contractor")  # assignment fine (DSD not SSD)
-        session = model.open_session("u")
-        session.activate("manager")
-        with pytest.raises(RbacError, match="DSD"):
-            session.activate("contractor")
-
-    def test_deactivation_frees_slot(self, model):
-        model.add_dsd(DsdConstraint("m-c", frozenset({"manager", "contractor"})))
-        model.assign_user("u", "manager")
-        model.assign_user("u", "contractor")
-        session = model.open_session("u")
-        session.activate("manager")
-        session.deactivate("manager")
-        session.activate("contractor")
-
-    def test_session_access_uses_active_roles_only(self, model):
-        model.assign_user("u", "manager")
-        session = model.open_session("u")
-        assert not session.check_access("budget", "write")
-        session.activate("manager")
-        assert session.check_access("budget", "write")
-
-    def test_cannot_activate_unassigned_role(self, model):
-        model.assign_user("u", "employee")
-        session = model.open_session("u")
-        with pytest.raises(RbacError, match="not assigned"):
-            session.activate("manager")
 
 
 class TestXacmlCompilation:

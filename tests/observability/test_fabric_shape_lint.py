@@ -399,7 +399,7 @@ def test_dispatch_is_the_only_failover_loop():
 #: The footprint analyser E8 ran beside the constraint algebra.
 RETIRED_ANALYSER = {"RuleFootprint", "footprints", "_footprint", "_sets_intersect"}
 #: Who may summarise a target by :meth:`Target.pinned`.
-PINNED_READERS = ["admin/delegation.py:policy_scope", "xacml/engine.py:partition_for"]
+PINNED_READERS = ["admin/delegation.py:policy_scope"]
 
 
 def identifiers(tree: ast.AST):
@@ -447,6 +447,6 @@ def test_one_static_conflict_analyser():
         }
     )
     assert readers == PINNED_READERS, (
-        "Target.pinned is read outside shard partitioning and delegation "
-        f"scopes — static analysis reads targets through the algebra: {readers}"
+        "Target.pinned is read outside delegation scopes — static "
+        f"analysis reads targets through the algebra: {readers}"
     )

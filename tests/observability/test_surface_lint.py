@@ -1,8 +1,10 @@
-"""Surface lint: every module under ``src/repro`` has a user that is not a test.
+"""Surface lint: every module under ``src/repro``, and every function,
+class and method in it, has a user that is not a test.
 
 A module earns its keep when an experiment, an example or another live
 module uses it.  A module whose only importers are its own package
 ``__init__`` (the re-export) and its own tests is code nothing runs.
+The same holds one level down, for names (see "names" below).
 
 What counts, read from the syntax tree only:
 
@@ -24,10 +26,31 @@ What counts, read from the syntax tree only:
 The allow-list has ``test_memo_lint.py``'s form — module → the reason it
 may stand without a user — and must name modules that would otherwise
 be dead, so a stale entry fails as well.
+
+Names, read the same way:
+
+- *A unit* is a top-level ``def`` or ``class`` of a live module, or a
+  method (a ``def`` or ``class`` in a class body), public or private;
+  dunders are exempt.  Its name is its last part.
+- *A use* is the unit's name as a ``Name``, an ``Attribute``, a keyword
+  argument, an import alias or an identifier-shaped string constant
+  (``getattr``, dispatch tables), in a file under ``benchmarks/`` or
+  ``examples/``, in always-run code of a live module — module-level
+  statements bar a package ``__init__``'s re-exporting imports and
+  ``__all__``, and every decorator — or in a live unit other than
+  itself.  A class's bases and body statements belong to the class.
+- *Live* is a fixed point, as for modules: a method of a dead class is
+  dead, and so is a unit only dead units read.  A function under a
+  registering decorator (``functions.register``) is live by it.
+
+``ALLOWED_NAMES`` is the second allow-list, of the same form and rule.
 """
 
 import ast
 from pathlib import Path
+from typing import NamedTuple, Optional
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -175,3 +198,386 @@ def test_a_module_used_only_through_its_package_re_export_is_dead():
                  "src/pkg/sub/x.py": "y = 1\n"}) == [
         "pkg/spare.py", "pkg/sub/__init__.py", "pkg/sub/x.py"
     ]  # fmt: skip
+
+
+# -- names ---------------------------------------------------------------------
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: Decorators that make the function they wrap reachable by a key, not a
+#: name (``functions.register``: the registry calls it by function id).
+REGISTERING_DECORATORS = {"register"}
+
+
+def identifiers(nodes) -> set[str]:
+    """Every identifier the ``nodes`` read as a name, attribute, keyword
+    argument, import alias or identifier-shaped string constant."""
+    found: set[str] = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                found.add(node.arg)
+            elif isinstance(node, ast.alias):
+                found.update(node.name.split("."))
+                if node.asname is not None:
+                    found.add(node.asname)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.isidentifier()
+            ):
+                found.add(node.value)
+    return found
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def registers(definition) -> bool:
+    for decorator in definition.decorator_list:
+        function = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (
+            getattr(function, "id", None) in REGISTERING_DECORATORS
+            or getattr(function, "attr", None) in REGISTERING_DECORATORS
+        ):
+            return True
+    return False
+
+
+class Unit(NamedTuple):
+    """One ``def`` or ``class`` of a module, at top level or in a class."""
+
+    key: str  # "<module>:<Qualified.name>"
+    name: str
+    owner: Optional[str]  # the enclosing class's key
+    reads: set[str]  # what its signature and body read
+    exempt: bool  # live whenever its owner is: dunder, registered
+
+
+def units_of(module: str, tree: ast.Module) -> tuple[list[Unit], set[str]]:
+    """The units of ``module`` and what its always-run code reads.
+
+    Always run: module-level statements (bar a package ``__init__``'s
+    re-exporting imports and any ``__all__``) and every decorator.  A
+    class's bases and body statements are read by the class itself.
+    """
+    units: list[Unit] = []
+    always: set[str] = set()
+    is_init = Path(module).name == "__init__.py"
+
+    def visit(body, owner, prefix, reads):
+        for statement in body:
+            if not isinstance(statement, _DEFS):
+                if owner is None and (
+                    (is_init and isinstance(statement, (ast.Import, ast.ImportFrom)))
+                    or "__all__" in identifiers(getattr(statement, "targets", []))
+                ):
+                    continue
+                reads |= identifiers([statement])
+                continue
+            always.update(identifiers(statement.decorator_list))
+            qualified = f"{prefix}{statement.name}"
+            key = f"{module}:{qualified}"
+            if isinstance(statement, ast.ClassDef):
+                own = identifiers(statement.bases + statement.keywords)
+                visit(statement.body, key, f"{qualified}.", own)
+            else:
+                signature = [statement.args] + (
+                    [statement.returns] if statement.returns is not None else []
+                )
+                own = identifiers(signature + statement.body)
+            exempt = is_dunder(statement.name) or registers(statement)
+            units.append(Unit(key, statement.name, owner, own, exempt))
+
+    visit(tree.body, None, "", always)
+    return units, always
+
+
+def dead_names(sources, users, allowed=(), module_allowed=ALLOWED) -> list[str]:
+    """Units of the live modules of ``sources`` that nothing live reads.
+
+    A unit is live when its name is read by a user, by always-run code
+    of a live module, or by another live unit — and, for a method, its
+    class is live.  Dunders and registered functions need no reader.
+    ``allowed`` keys are live by fiat; ``module_allowed`` modules are
+    live for :func:`dead_modules`.
+    """
+    sources = dict(sources)
+    users = list(users)
+    dead_modules_ = set(dead_modules(sources.items(), users, module_allowed))
+    units: dict[str, Unit] = {}
+    reached = identifiers(tree for _, tree in users)
+    for module, tree in sources.items():
+        if module in dead_modules_:
+            continue
+        found, always = units_of(module, tree)
+        units.update((unit.key, unit) for unit in found)
+        reached |= always
+    readers: dict[str, set[str]] = {}
+    live: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for unit in units.values():
+            if unit.key in live or (unit.owner is not None and unit.owner not in live):
+                continue
+            if (
+                unit.exempt
+                or unit.key in allowed
+                or unit.name in reached
+                or readers.get(unit.name, set()) - {unit.key}
+            ):
+                live.add(unit.key)
+                for name in unit.reads:
+                    readers.setdefault(name, set()).add(unit.key)
+                grew = True
+    return sorted(
+        key for key, unit in units.items() if key not in live and not unit.exempt
+    )
+
+
+#: ``module:Qualified.name`` -> why it may stand with no non-test reader.
+ALLOWED_NAMES = {
+    "repro/observability/catalog.py:is_cataloged_series": (
+        "the catalog's series check, which test_catalog_lint.py reads "
+        "(the module's own allow-list reason)"
+    ),
+    "repro/simnet/network.py:Network.heal": (
+        "ends a partition; HybridStrategy's lost-push recovery cells "
+        "(E15's hybrid row) heal the link they cut"
+    ),
+}
+
+
+def test_every_name_in_a_live_module_has_a_non_test_reader():
+    assert dead_names(repo_sources(), repo_users(), ALLOWED_NAMES) == [], (
+        "functions, classes or methods only tests (or nothing) use: give "
+        "each a user in an experiment or example, or delete it with its tests"
+    )
+
+
+def test_every_name_allow_list_entry_would_otherwise_be_dead():
+    assert sorted(ALLOWED_NAMES) == dead_names(repo_sources(), repo_users()), (
+        "a name allow-list entry gained a user (or vanished): drop it"
+    )
+
+
+def name_lint(files: dict[str, str], allowed=()) -> list[str]:
+    """:func:`dead_names` over a made-up tree laid out like the repo."""
+    parsed = {path: ast.parse(text) for path, text in files.items()}
+    return dead_names(
+        [(path.removeprefix("src/"), tree) for path, tree in parsed.items() if path.startswith("src/")],
+        [(path, tree) for path, tree in parsed.items() if path.split("/")[0] in USER_DIRS],
+        allowed,
+    )  # fmt: skip
+
+
+#: A PEP with a pull path an example drives and a batch path nothing does.
+PEP = """
+class Pep:
+    def __init__(self):
+        self._cache = {}
+
+    def authorize(self, request):
+        return self._query(request)
+
+    def _query(self, request):
+        return request
+
+    def authorize_batch(self, requests):
+        return self._query_batch(requests)
+
+    def _query_batch(self, requests):
+        return [self._query(request) for request in requests]
+"""
+
+
+def test_a_method_only_tests_call_is_dead_and_so_is_its_private_helper():
+    files = {
+        "src/pkg/__init__.py": "from .pep import Pep\n",
+        "src/pkg/pep.py": PEP,
+        "examples/demo.py": "from pkg import Pep\nPep().authorize('r')\n",
+        "tests/test_pep.py": "from pkg import Pep\nPep().authorize_batch(['r'])\n",
+    }
+    # A test calls the batch path: not a use.  Its private helper, whose
+    # only caller is the batch path, is dead with it; ``_query`` lives on
+    # through ``authorize``.
+    assert name_lint(files) == [
+        "pkg/pep.py:Pep._query_batch",
+        "pkg/pep.py:Pep.authorize_batch",
+    ]
+    # An example's call makes the whole path live.
+    assert name_lint({**files, "examples/batch.py": "from pkg import Pep\nPep().authorize_batch([])\n"}) == []  # fmt: skip
+    # Deleting the caller orphans the helper, and the lint says so.
+    orphaned = PEP.replace(
+        "    def authorize_batch(self, requests):\n"
+        "        return self._query_batch(requests)\n",
+        "",
+    )
+    assert name_lint({**files, "src/pkg/pep.py": orphaned}) == ["pkg/pep.py:Pep._query_batch"]  # fmt: skip
+
+
+def test_a_method_only_a_dead_method_calls_is_dead():
+    files = {
+        "src/pkg/m.py": (
+            "class A:\n"
+            "    def run(self): ...\n"
+            "    def spare(self): return self.deeper()\n"
+            "    def deeper(self): return 1\n"
+            "class B:\n"
+            "    def tick(self): return A().spare()\n"
+        ),
+        "examples/demo.py": "from pkg.m import A\nA().run()\n",
+    }
+    # ``B`` is dead, so ``B.tick`` is, so ``spare`` is, so ``deeper`` is.
+    assert name_lint(files) == [
+        "pkg/m.py:A.deeper", "pkg/m.py:A.spare", "pkg/m.py:B", "pkg/m.py:B.tick"
+    ]  # fmt: skip
+
+
+def test_a_registered_function_needs_no_caller_and_dunders_are_exempt():
+    files = {
+        "src/pkg/functions.py": (
+            "REGISTRY = {}\n"
+            "def register(identifier):\n"
+            "    def wrap(function):\n"
+            "        REGISTRY[identifier] = function\n"
+            "        return function\n"
+            "    return wrap\n"
+            "@register('urn:f')\n"
+            "def f(x): return x\n"
+            "def g(x): return x\n"
+            "class Node:\n"
+            "    def __repr__(self): return 'Node'\n"
+        ),
+        "examples/demo.py": "from pkg.functions import REGISTRY, Node\nREGISTRY['urn:f'](Node())\n",
+    }
+    assert name_lint(files) == ["pkg/functions.py:g"]
+
+
+def test_a_string_constant_and_a_keyword_argument_are_uses():
+    files = {
+        "src/pkg/m.py": "def hook(): ...\ndef option(): ...\n",
+        "examples/demo.py": "getattr(object, 'hook')\ndict(option=1)\n",
+    }
+    assert name_lint(files) == []
+
+
+def test_every_name_allow_list_entry_has_a_reason():
+    for key, reason in ALLOWED_NAMES.items():
+        assert ":" in key and isinstance(reason, str) and reason.strip(), key
+
+
+#: One cell per rule of the module docstring: made-up files, and the
+#: units the lint must report dead in them.
+RULES = {
+    "a-re-export-is-not-a-use": (
+        {
+            "src/pkg/__init__.py": "from .m import run, spare\n__all__ = ['run', 'spare']\n",
+            "src/pkg/m.py": "def run(): ...\ndef spare(): ...\n",
+            "examples/demo.py": "from pkg import run\nrun()\n",
+        },
+        ["pkg/m.py:spare"],
+    ),
+    "a-module-level-statement-is-a-use": (
+        {
+            "src/pkg/m.py": "def build(): return {}\nDEFAULT = build()\ndef run(): return DEFAULT\n",
+            "examples/demo.py": "from pkg.m import run\nrun()\n",
+        },
+        [],
+    ),
+    "a-decorator-is-a-use": (
+        {
+            "src/pkg/m.py": "def traced(f): return f\n@traced\ndef run(): ...\n",
+            "examples/demo.py": "from pkg.m import run\nrun()\n",
+        },
+        [],
+    ),
+    "a-live-class-reads-its-bases": (
+        {
+            "src/pkg/m.py": "class Base: ...\nclass Live(Base): ...\nclass Spare: ...\n",
+            "examples/demo.py": "from pkg.m import Live\nLive()\n",
+        },
+        ["pkg/m.py:Spare"],
+    ),
+    "a-dead-class-reads-nothing": (
+        {
+            "src/pkg/m.py": "class Base: ...\nclass Spare(Base): ...\ndef run(): ...\n",
+            "examples/demo.py": "from pkg.m import run\nrun()\n",
+        },
+        ["pkg/m.py:Base", "pkg/m.py:Spare"],
+    ),
+    "a-method-of-a-dead-class-is-dead-though-its-name-is-read": (
+        {
+            "src/pkg/m.py": "class Spare:\n    def run(self): ...\ndef run(): ...\n",
+            "examples/demo.py": "from pkg.m import run\nrun()\n",
+        },
+        ["pkg/m.py:Spare", "pkg/m.py:Spare.run"],
+    ),
+    "recursion-is-not-a-use": (
+        {
+            "src/pkg/m.py": "def run(): ...\ndef spare(n): return spare(n - 1) if n else 0\n",
+            "examples/demo.py": "from pkg.m import run\nrun()\n",
+        },
+        ["pkg/m.py:spare"],
+    ),
+    "an-import-alias-is-a-use": (
+        {
+            "src/pkg/m.py": "def run(): ...\n",
+            "examples/demo.py": "from pkg.m import run as go\ngo()\n",
+        },
+        [],
+    ),
+    "a-string-that-is-no-identifier-is-no-use": (
+        {
+            "src/pkg/m.py": "def run(): ...\ndef hook(): ...\n",
+            "examples/demo.py": "from pkg.m import run\nrun()\nprint('hook()')\n",
+        },
+        ["pkg/m.py:hook"],
+    ),
+    "async-defs-and-nested-classes-are-units": (
+        {
+            "src/pkg/m.py": (
+                "class Outer:\n"
+                "    class Inner: ...\n"
+                "    async def fetch(self): ...\n"
+            ),
+            "examples/demo.py": "from pkg.m import Outer\nOuter()\n",
+        },
+        ["pkg/m.py:Outer.Inner", "pkg/m.py:Outer.fetch"],
+    ),
+    "names-of-a-dead-module-are-the-module-lints-to-report": (
+        {
+            "src/pkg/m.py": "def run(): ...\n",
+            "src/pkg/spare.py": "def helper(): ...\n",
+            "examples/demo.py": "from pkg.m import run\nrun()\n",
+        },
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+def test_a_rule_of_the_name_lint(rule):
+    files, dead = RULES[rule]
+    assert name_lint(files) == dead
+
+
+def test_an_allow_list_entry_that_gains_a_user_fails_the_lint():
+    files = {
+        "src/pkg/m.py": "def run(): ...\ndef spare(): ...\n",
+        "examples/demo.py": "from pkg.m import run\nrun()\n",
+    }
+    allowed = {"pkg/m.py:spare": "kept on purpose"}
+    assert name_lint(files, allowed) == []
+    assert sorted(allowed) == name_lint(files)
+    # Once an example uses it, the entry no longer names a dead unit:
+    # the equality the repo-wide check asserts breaks.
+    used = {**files, "examples/other.py": "from pkg.m import spare\nspare()\n"}
+    assert sorted(allowed) != name_lint(used)

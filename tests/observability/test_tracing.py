@@ -16,12 +16,10 @@ from repro.observability import (
     Span,
     TraceContext,
     Tracer,
-    chrome_trace,
     critical_path,
     decompose,
     decomposition_table,
     spans_to_jsonl,
-    write_chrome_trace,
     write_jsonl,
 )
 from repro.simnet import Network
@@ -228,25 +226,10 @@ class TestDecisionSpanTree:
         network, pdps, pep = build_env()
         network.tracer.sample_rate = 1.0
         pep.authorize(RequestContext.simple("alice", "doc", "read"))
-        pep.authorize_batch(
-            [
-                RequestContext.simple("alice", "doc2", "read"),
-                RequestContext.simple("eve", "doc2", "read"),
-            ]
-        )
+        pep.authorize(RequestContext.simple("eve", "doc2", "read"))
         roots = [s for s in network.tracer.spans if s.name == "decision"]
-        assert [r.attrs["path"] for r in roots] == [
-            "authorize",
-            "authorize_batch",
-            "authorize_batch",
-        ]
-        assert [r.attrs["granted"] for r in roots] == [True, True, False]
-
-    def test_reset_clears_spans_and_sampling_phase(self):
-        network, done = self.drive(1.0)
-        assert network.tracer.spans
-        network.tracer.reset()
-        assert network.tracer.spans == []
+        assert [r.attrs["path"] for r in roots] == ["authorize", "authorize"]
+        assert [r.attrs["granted"] for r in roots] == [True, False]
 
 
 class TestDecomposition:
@@ -353,38 +336,6 @@ class TestExporters:
         target = tmp_path / "spans.jsonl"
         write_jsonl(spans, target)
         assert target.read_text(encoding="utf-8") == text
-
-    def test_chrome_trace_structure(self, tmp_path):
-        spans = self.sample_spans()
-        document = chrome_trace(spans)
-        events = document["traceEvents"]
-        metadata = [e for e in events if e["ph"] == "M"]
-        duration_events = [e for e in events if e["ph"] == "X"]
-        assert len(duration_events) == len(spans)
-        # One process per domain (this fabric is single-domain).
-        assert len(metadata) == 1
-        wire = next(e for e in duration_events if e["name"] == "pdp.service")
-        span = next(s for s in spans if s.name == "pdp.service")
-        # Virtual seconds → trace microseconds.
-        assert wire["ts"] == pytest.approx(span.start * 1e6)
-        assert wire["dur"] == pytest.approx(span.duration * 1e6)
-        target = tmp_path / "trace.json"
-        write_chrome_trace(spans, target)
-        parsed = json.loads(target.read_text(encoding="utf-8"))
-        assert parsed["displayTimeUnit"] == "ms"
-        assert len(parsed["traceEvents"]) == len(events)
-
-    def test_chrome_trace_groups_domains_as_processes(self):
-        tracer = Tracer(now=lambda: 0.0, sample_rate=1.0)
-        tracer.emit("a", "c1", "west", 0.0, 1.0)
-        tracer.emit("b", "c2", "east", 0.0, 1.0)
-        document = chrome_trace(tracer.spans)
-        names = {
-            e["args"]["name"]
-            for e in document["traceEvents"]
-            if e["ph"] == "M"
-        }
-        assert names == {"domain:west", "domain:east"}
 
 
 class TestManualRecorder:

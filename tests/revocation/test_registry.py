@@ -10,10 +10,11 @@ from repro.revocation import (
     RevocationKind,
     RevocationRecord,
     RevocationRegistry,
-    capability_target,
+    delegation_target,
     parse_records,
     serialize_records,
     subject_access_target,
+    trust_edge_target,
 )
 from repro.revocation.records import _component
 from repro.wss import KeyStore
@@ -23,7 +24,7 @@ class TestRecords:
     def make(self, **overrides):
         fields = dict(
             kind=RevocationKind.CAPABILITY,
-            target=capability_target("saml-7"),
+            target="assertion:saml-7",
             issuer="authority",
             epoch=3,
             revoked_at=12.5,
@@ -108,13 +109,6 @@ class TestRegistry:
         assert registry.records_since(5) == []
         assert len(registry.records_since(0)) == 5
 
-    def test_crl_filters_by_kind(self):
-        registry = RevocationRegistry()
-        registry.revoke(RevocationKind.CERTIFICATE, "serial:1")
-        registry.revoke(RevocationKind.CAPABILITY, "assertion:saml-1")
-        assert registry.crl(RevocationKind.CERTIFICATE) == {"serial:1"}
-        assert len(registry.crl()) == 2
-
     def test_listener_fires_per_new_record_only(self):
         registry = RevocationRegistry()
         seen = []
@@ -150,41 +144,32 @@ class TestRegistry:
     def test_kind_helpers(self):
         registry = RevocationRegistry()
         registry.revoke_certificate(1234)
-        registry.revoke_capability("saml-1", subject_id="bob")
-        registry.revoke_subject_capabilities("mallory")
         registry.revoke_trust_edge("a", "b", "identity")
         registry.revoke_delegation("root", "deputy", "*@*")
-        registry.revoke_entitlement("dac", "carol", "doc", "read")
         registry.revoke_subject_access("dave")
         assert registry.certificate_revoked(1234)
-        assert registry.revoked_serials() == {1234}
-        assert registry.capability_revoked("saml-1")
-        # Subject-wide capability kill covers unknown assertion ids too.
-        assert registry.capability_revoked("saml-99", subject_id="mallory")
-        assert not registry.capability_revoked("saml-99", subject_id="bob")
-        assert registry.trust_edge_revoked("a", "b", "identity")
-        assert registry.delegation_revoked("root", "deputy", "*@*")
-        assert registry.entitlement_revoked("dac", "carol", "doc", "read")
-        assert registry.subject_access_revoked("dave")
-        assert not registry.subject_access_revoked("carol")
+        assert registry.is_revoked(
+            RevocationKind.TRUST_EDGE, trust_edge_target("a", "b", "identity")
+        )
+        assert registry.is_revoked(
+            RevocationKind.DELEGATION, delegation_target("root", "deputy", "*@*")
+        )
+        entitlement = RevocationKind.ENTITLEMENT
+        assert registry.is_revoked(entitlement, subject_access_target("dave"))
+        assert not registry.is_revoked(entitlement, subject_access_target("carol"))
 
     def test_targets_with_separator_characters_do_not_collide(self):
-        from repro.revocation import delegation_target, entitlement_target
-
-        # Reviewer repro: without component escaping these two distinct
-        # entitlements shared one target and the second revocation was
+        # Without component escaping these two distinct delegations
+        # would share one target and the second revocation would be
         # silently swallowed by idempotency.
-        a = entitlement_target("dac", "s", "r:x@q", "read")
-        b = entitlement_target("dac", "s:read@r", "q", "x")
+        a = delegation_target("a->b", "c", "*")
+        b = delegation_target("a", "b->c", "*")
         assert a != b
         registry = RevocationRegistry()
-        registry.revoke_entitlement("dac", "s", "r:x@q", "read")
-        assert not registry.entitlement_revoked("dac", "s:read@r", "q", "x")
-        registry.revoke_entitlement("dac", "s:read@r", "q", "x")
+        registry.revoke_delegation("a->b", "c", "*")
+        assert not registry.is_revoked(RevocationKind.DELEGATION, b)
+        registry.revoke_delegation("a", "b->c", "*")
         assert registry.epoch == 2
-        assert delegation_target("a->b", "c", "*") != delegation_target(
-            "a", "b->c", "*"
-        )
 
     @given(
         st.text()
@@ -217,6 +202,7 @@ class TestRegistry:
     def test_subject_targets_do_not_collide_across_kinds(self):
         registry = RevocationRegistry()
         registry.revoke_subject_access("eve")
-        assert not registry.capability_revoked("saml-1", subject_id="eve")
-        assert registry.subject_access_revoked("eve")
+        target = subject_access_target("eve")
+        assert not registry.is_revoked(RevocationKind.CAPABILITY, target)
+        assert registry.is_revoked(RevocationKind.ENTITLEMENT, target)
         assert subject_access_target("eve") == "subject:eve"

@@ -1,17 +1,23 @@
-"""The four legacy revocation sites delegate to the unified registry.
+"""The three legacy revocation sites delegate to the unified registry.
 
-CA CRLs, trust edges, administrative delegation and RBAC permissions
-each kept private revocation state; bound to a
+CA CRLs, trust edges and administrative delegation each kept private
+revocation state; bound to a
 :class:`RevocationRegistry` they all record through it — one source of
 revocation truth — while keeping their public signatures.
 """
 
+import pytest
+
 from repro.admin.delegation import DelegationRegistry, Scope
 from repro.domain.trust import TrustGraph, TrustKind
-from repro.models.rbac import RbacModel
-from repro.revocation import RevocationKind, RevocationRegistry
+from repro.revocation import (
+    RevocationKind,
+    RevocationRegistry,
+    delegation_target,
+    trust_edge_target,
+)
 from repro.wss import KeyStore
-from repro.wss.pki import CertificateAuthority, TrustValidator
+from repro.wss.pki import CertificateAuthority, CertificateError, TrustValidator
 
 
 class TestCertificateAuthority:
@@ -25,7 +31,6 @@ class TestCertificateAuthority:
         ca.revoke(certificate)
         assert ca.is_revoked(certificate)
         assert registry.certificate_revoked(certificate.serial)
-        assert certificate.serial in ca.crl()
 
     def test_validator_sees_registry_revocations(self):
         keystore = KeyStore(seed=1)
@@ -35,11 +40,12 @@ class TestCertificateAuthority:
         validator = TrustValidator(keystore, anchors=[ca])
         keypair = keystore.generate(label="server")
         certificate = ca.issue("server", keypair.public, 0.0, 100.0)
-        assert validator.is_valid(certificate, at=1.0)
+        validator.validate(certificate, at=1.0)
         # Revocation issued directly at the registry — not via the CA —
         # still invalidates the chain: one source of truth.
         registry.revoke_certificate(certificate.serial)
-        assert not validator.is_valid(certificate, at=1.0)
+        with pytest.raises(CertificateError, match="revoked"):
+            validator.validate(certificate, at=1.0)
 
     def test_existing_revocations_migrate_at_bind(self):
         keystore = KeyStore(seed=1)
@@ -59,7 +65,6 @@ class TestCertificateAuthority:
         certificate = ca.issue("server", keypair.public, 0.0, 100.0)
         ca.revoke(certificate)
         assert ca.is_revoked(certificate)
-        assert ca.crl() == frozenset({certificate.serial})
 
 
 class TestTrustGraph:
@@ -69,8 +74,10 @@ class TestTrustGraph:
         graph.bind_revocation_registry(registry)
         graph.establish("a", "b", TrustKind.IDENTITY)
         assert graph.revoke("a", "b", TrustKind.IDENTITY)
-        assert registry.trust_edge_revoked("a", "b", "identity")
-        assert not graph.trusts("a", "b", TrustKind.IDENTITY)
+        assert registry.is_revoked(
+            RevocationKind.TRUST_EDGE, trust_edge_target("a", "b", "identity")
+        )
+        assert not graph.revoke("a", "b", TrustKind.IDENTITY)
 
     def test_revoking_absent_edge_records_nothing(self):
         graph = TrustGraph()
@@ -88,7 +95,9 @@ class TestDelegationRegistry:
         scope = Scope(resource_id="doc", action_id="read")
         delegation.grant("root", "deputy", scope, max_depth=1)
         assert delegation.revoke("root", "deputy", scope) == 1
-        assert registry.delegation_revoked("root", "deputy", str(scope))
+        assert registry.is_revoked(
+            RevocationKind.DELEGATION, delegation_target("root", "deputy", str(scope))
+        )
         assert not delegation.reduce("deputy", scope).valid
 
     def test_no_record_when_nothing_matched(self):
@@ -99,40 +108,14 @@ class TestDelegationRegistry:
         assert registry.epoch == 0
 
 
-class TestRbacModel:
-    def test_revoked_permission_recorded(self):
-        rbac = RbacModel("rbac")
-        registry = RevocationRegistry()
-        rbac.bind_revocation_registry(registry)
-        rbac.add_role("clerk")
-        rbac.grant_permission("clerk", "orders", "read")
-        rbac.revoke_permission("clerk", "orders", "read")
-        assert registry.entitlement_revoked("rbac", "clerk", "orders", "read")
-        assert rbac.role_permissions("clerk") == set()
-        # The record keys coherence on the resource, not on the role
-        # name (roles are not subject ids in PEP decision-cache keys).
-        (record,) = registry.records()
-        assert record.resource_id == "orders"
-        assert record.subject_id == ""
-
-    def test_revoking_absent_permission_records_nothing(self):
-        rbac = RbacModel("rbac")
-        registry = RevocationRegistry()
-        rbac.bind_revocation_registry(registry)
-        rbac.add_role("clerk")
-        rbac.revoke_permission("clerk", "orders", "read")
-        assert registry.epoch == 0
-
-
 class TestOneSourceOfTruth:
-    def test_all_four_sites_share_one_registry(self):
+    def test_all_three_sites_share_one_registry(self):
         keystore = KeyStore(seed=2)
         registry = RevocationRegistry()
         ca = CertificateAuthority("ca", keystore)
         graph = TrustGraph()
         delegation = DelegationRegistry(roots={"root"})
-        rbac = RbacModel("rbac")
-        for owner in (ca, graph, delegation, rbac):
+        for owner in (ca, graph, delegation):
             owner.bind_revocation_registry(registry)
 
         keypair = keystore.generate(label="s")
@@ -142,16 +125,12 @@ class TestOneSourceOfTruth:
         graph.revoke("a", "b", TrustKind.CAPABILITY)
         delegation.grant("root", "deputy", Scope(), max_depth=1)
         delegation.revoke("root", "deputy", Scope())
-        rbac.add_role("clerk")
-        rbac.grant_permission("clerk", "orders", "read")
-        rbac.revoke_permission("clerk", "orders", "read")
 
         kinds = {record.kind for record in registry.records()}
         assert kinds == {
             RevocationKind.CERTIFICATE,
             RevocationKind.TRUST_EDGE,
             RevocationKind.DELEGATION,
-            RevocationKind.ENTITLEMENT,
         }
-        assert registry.epoch == 4
-        assert [r.epoch for r in registry.records()] == [1, 2, 3, 4]
+        assert registry.epoch == 3
+        assert [r.epoch for r in registry.records()] == [1, 2, 3]

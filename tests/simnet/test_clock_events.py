@@ -26,15 +26,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             clock.advance_to(9.0)
 
-    def test_advance_by(self):
-        clock = SimClock(start=1.0)
-        clock.advance_by(2.0)
-        assert clock.now == 3.0
-
-    def test_advance_by_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().advance_by(-0.1)
-
 
 class TestEventLoop:
     def test_events_fire_in_time_order(self):

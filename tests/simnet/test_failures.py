@@ -1,8 +1,8 @@
-"""Tests for failure injection and availability probes."""
+"""Tests for failure injection."""
 
 import pytest
 
-from repro.simnet import AvailabilityProbe, FailureInjector, Message, Network
+from repro.simnet import FailureInjector, Network
 
 
 class TestFailureInjector:
@@ -25,24 +25,6 @@ class TestFailureInjector:
         assert not node.alive
         net.run(until=4.0)
         assert node.alive
-
-    def test_partition_and_heal_scheduled(self):
-        net = Network()
-        a = net.node("a")
-        inbox = []
-        b = net.node("b")
-        b.on_message(inbox.append)
-        injector = FailureInjector(net)
-        injector.partition_at("a", "b", at=1.0)
-        injector.heal_at("a", "b", at=3.0)
-        net.run(until=2.0)
-        a.send(Message(sender="a", recipient="b", kind="x", payload=""))
-        net.run(until=2.5)
-        assert inbox == []
-        net.run(until=3.5)
-        a.send(Message(sender="a", recipient="b", kind="x", payload=""))
-        net.run(until=4.0)
-        assert len(inbox) == 1
 
     def test_fault_in_past_rejected(self):
         net = Network()
@@ -73,22 +55,3 @@ class TestFailureInjector:
         net.run(until=5.0)
         kinds = [event.kind for event in injector.log]
         assert kinds == ["crash", "recover"]
-
-
-class TestAvailabilityProbe:
-    def test_availability_fraction(self):
-        probe = AvailabilityProbe()
-        probe.record(1.0, True)
-        probe.record(2.0, False)
-        probe.record(3.0, True)
-        probe.record(4.0, True)
-        assert probe.availability == pytest.approx(0.75)
-
-    def test_empty_probe_is_fully_available(self):
-        assert AvailabilityProbe().availability == 1.0
-
-    def test_downtime_windows(self):
-        probe = AvailabilityProbe()
-        for at, ok in [(1, True), (2, False), (3, False), (4, True), (5, False)]:
-            probe.record(float(at), ok)
-        assert probe.downtime_windows() == [(2.0, 3.0), (5.0, 5.0)]

@@ -62,12 +62,3 @@ class TestMetricsRegistry:
         assert snapshot["latency_mean_ms"] == 500.0
         assert snapshot["sent[q]"] == 1
         assert snapshot["count[denials]"] == 1
-
-    def test_reset(self):
-        metrics = MetricsRegistry()
-        metrics.record_send("q", 10)
-        metrics.bump("x")
-        metrics.reset()
-        assert metrics.messages_sent == 0
-        assert metrics.counters == {}
-        assert metrics.latency_samples == []

@@ -41,17 +41,6 @@ class TestTopicRouting:
         assert network.subscribers("t") == ["sub"]
         assert network.publish("pub", "t", "evt") == 1
 
-    def test_unsubscribe(self):
-        network = Network(seed=1)
-        inbox = collector(network, "sub")
-        network.node("pub")
-        network.subscribe("t", "sub")
-        assert network.unsubscribe("t", "sub") is True
-        assert network.unsubscribe("t", "sub") is False
-        network.publish("pub", "t", "evt")
-        network.run()
-        assert inbox == []
-
     def test_publication_subject_to_partition(self):
         network = Network(seed=1)
         inbox = collector(network, "sub")

@@ -12,8 +12,7 @@ from repro.components import (
     PolicyEnforcementPoint,
 )
 from repro.simnet import Network
-from repro.workloads import access_requests, drive_closed_loop
-from repro.workloads.generator import AccessEvent
+from repro.workloads import drive_closed_loop
 from repro.xacml import Policy, RequestContext, combining, permit_rule
 
 
@@ -93,16 +92,6 @@ def test_cache_hits_complete_synchronously():
     assert stats.completed == 20
     # Only the first submission crossed the wire; 19 were dedup/cache.
     assert stats.queue_latency.count <= 4
-
-
-def test_access_requests_converts_events():
-    events = [
-        AccessEvent("s", "d1", "r", "d2", "read"),
-        AccessEvent("s2", "d1", "r2", "d2", "write"),
-    ]
-    requests = access_requests(events)
-    assert [r.subject_id for r in requests] == ["s", "s2"]
-    assert [r.action_id for r in requests] == ["read", "write"]
 
 
 def test_rejects_non_positive_concurrency():

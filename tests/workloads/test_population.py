@@ -12,7 +12,6 @@ from repro.workloads.population import (
     SUBJECT_MANAGER,
     SUBJECT_UNIT,
     ZipfSampler,
-    build_population,
 )
 from repro.xacml import Decision, PdpEngine, PolicyStore, RequestContext
 from repro.xacml.attributes import (
@@ -89,14 +88,6 @@ class TestOrgStructure:
         for index in range(1, 500):
             manager = population.manager_index(index)
             assert 0 <= manager < index
-
-    def test_delegation_chain_climbs_to_root(self):
-        population = small_population()
-        chain = population.delegation_chain(499)
-        assert chain[0] == population.subject_id(499)
-        assert chain[-1] == population.subject_id(0)
-        # O(log_b n) depth, not O(n).
-        assert len(chain) <= 6
 
     def test_unit_is_a_shared_ancestor(self):
         population = small_population()
@@ -286,11 +277,3 @@ class TestSpecValidation:
     def test_bad_specs_rejected(self, overrides):
         with pytest.raises(ValueError):
             PopulationSpec(**overrides)
-
-    def test_build_population_bundles_policies(self):
-        workload = build_population(PopulationSpec(subjects=50, resources=5))
-        assert workload.population.spec is workload.spec
-        assert {policy.policy_id for policy in workload.policies} == {
-            f"pop-{workload.spec.seed}-{action}"
-            for action in ("read", "write", "delete")
-        }

@@ -147,27 +147,6 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="bad signature"):
             validator.validate(forged, at=1.0)
 
-    def test_is_valid_boolean_wrapper(self, keystore):
-        ca = CertificateAuthority("Root", keystore)
-        pair = keystore.generate("svc")
-        cert = ca.issue("svc", pair.public, not_before=0.0, lifetime=100.0)
-        validator = TrustValidator(keystore, [ca])
-        assert validator.is_valid(cert, at=1.0)
-        assert not validator.is_valid(cert, at=200.0)
-
-    def test_extensions_roundtrip(self, keystore):
-        ca = CertificateAuthority("Root", keystore)
-        pair = keystore.generate("svc")
-        cert = ca.issue(
-            "svc",
-            pair.public,
-            not_before=0.0,
-            lifetime=10.0,
-            extensions=(("vomsFqans", "/vo/group"),),
-        )
-        assert cert.extension("vomsFqans") == "/vo/group"
-        assert cert.extension("missing") is None
-
 
 class TestVerifiedSignatureMemo:
     """The validator remembers which issuer signatures verified — and
@@ -287,5 +266,6 @@ class TestVerifiedSignatureMemo:
 
         _, _, cert, validator = chain
         before = dict(validator._verified)
-        assert not validator.is_valid(replace(cert, subject="mallory"), at=2.0)
+        with pytest.raises(CertificateError, match="bad signature"):
+            validator.validate(replace(cert, subject="mallory"), at=2.0)
         assert validator._verified == before

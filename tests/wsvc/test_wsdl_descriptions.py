@@ -3,8 +3,6 @@
 from repro.wsvc import (
     Operation,
     ServiceDescription,
-    capability_service_description,
-    pap_description,
     pdp_description,
 )
 
@@ -22,8 +20,6 @@ class TestServiceDescription:
         )
         assert description.operation("order").input_kind == "order.request"
         assert description.operation("missing") is None
-        assert description.supports("cancel")
-        assert not description.supports("refund")
 
     def test_xml_rendering(self):
         description = pdp_description("pdp-1", "pdp-1.addr", domain="d")
@@ -36,15 +32,4 @@ class TestServiceDescription:
     def test_canonical_pdp_description(self):
         description = pdp_description("pdp-x", "addr", domain="acme")
         assert description.service_type == "pdp"
-        assert description.supports("evaluate")
         assert description.operation("evaluate").input_kind == "xacml.request"
-
-    def test_canonical_pap_description(self):
-        description = pap_description("pap-x", "addr")
-        assert description.supports("retrieve")
-        assert description.supports("publish")
-
-    def test_canonical_capability_description(self):
-        description = capability_service_description("cas-x", "addr")
-        assert description.service_type == "capability-service"
-        assert description.supports("request-capability")

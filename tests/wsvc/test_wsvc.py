@@ -11,7 +11,6 @@ from repro.wsvc import (
     WsSecurityError,
     pdp_description,
     request_envelope,
-    response_envelope,
     secure_envelope,
     signer_of,
     verify_envelope,
@@ -56,16 +55,6 @@ class TestSoapEnvelope:
     def test_not_an_envelope(self):
         with pytest.raises(SoapFault):
             SoapEnvelope.from_xml("<NotSoap/>")
-
-    def test_fault_envelope(self):
-        fault = SoapFault("soap:Sender", "bad request")
-        envelope = fault.to_envelope()
-        assert envelope.is_fault
-
-    def test_response_envelope_action(self):
-        request = request_envelope("op", "<B/>")
-        response = response_envelope(request, "<R/>")
-        assert response.action == "op:response"
 
     def test_wire_size_grows_with_content(self):
         small = request_envelope("op", "<B/>")
@@ -238,11 +227,3 @@ class TestRegistry:
         registry.mark_health("pdp-a", False)
         assert registry.find(service_type="pdp") == []
         assert len(registry.find(service_type="pdp", healthy_only=False)) == 1
-
-    def test_deregister(self):
-        registry = ServiceRegistry()
-        registry.register(pdp_description("pdp-a", "pdp-a"))
-        registry.deregister("pdp-a")
-        with pytest.raises(RegistryError):
-            registry.lookup("pdp-a")
-

@@ -30,6 +30,10 @@ from repro.xacml.analysis import (
 from repro.xacml.analysis.__main__ import main as cli_main
 
 
+def of_kind(report, kind):
+    return [finding for finding in report.findings if finding.kind is kind]
+
+
 def role_condition(role: str):
     return attribute_equals(Category.SUBJECT, SUBJECT_ROLE, string(role))
 
@@ -85,7 +89,7 @@ def clean_policy(policy_id="clean", resource="db") -> Policy:
 class TestDetectors:
     def test_shadowed_rule_is_detected_with_witness(self):
         report = analyze(shadowed_policy())
-        findings = report.by_kind(FindingKind.SHADOWED_RULE)
+        findings = of_kind(report, FindingKind.SHADOWED_RULE)
         assert len(findings) == 1
         finding = findings[0]
         assert finding.location == "policy[shadowed]/rule[deny-admin]"
@@ -94,13 +98,13 @@ class TestDetectors:
 
     def test_masked_effect_is_detected_with_witness(self):
         report = analyze(masked_policy())
-        findings = report.by_kind(FindingKind.MASKED_EFFECT)
+        findings = of_kind(report, FindingKind.MASKED_EFFECT)
         assert len(findings) == 1
         assert findings[0].witness_decision is Decision.PERMIT
 
     def test_redundant_rule_is_detected_with_witness(self):
         report = analyze(redundant_policy())
-        findings = report.by_kind(FindingKind.REDUNDANT_RULE)
+        findings = of_kind(report, FindingKind.REDUNDANT_RULE)
         assert len(findings) >= 1
         assert all(f.witness is not None for f in findings)
 
@@ -121,7 +125,7 @@ class TestDetectors:
             rules=(permit_rule("allow"),),
         )
         report = analyze(policy)
-        assert len(report.by_kind(FindingKind.DEAD_POLICY)) == 1
+        assert len(of_kind(report, FindingKind.DEAD_POLICY)) == 1
 
     def test_unsatisfiable_rule_target(self):
         from repro.xacml.targets import target_of, match_equal
@@ -141,7 +145,7 @@ class TestDetectors:
             ),
         )
         report = analyze(policy)
-        findings = report.by_kind(FindingKind.UNSATISFIABLE_TARGET)
+        findings = of_kind(report, FindingKind.UNSATISFIABLE_TARGET)
         assert [f.location for f in findings] == ["policy[p]/rule[never]"]
 
     def test_only_one_applicable_overlap(self):
@@ -154,7 +158,7 @@ class TestDetectors:
             ),
         )
         report = analyze(policy_set)
-        findings = report.by_kind(FindingKind.ONLY_ONE_APPLICABLE_OVERLAP)
+        findings = of_kind(report, FindingKind.ONLY_ONE_APPLICABLE_OVERLAP)
         assert len(findings) == 1
         assert findings[0].witness_decision is Decision.INDETERMINATE
 
@@ -172,7 +176,7 @@ class TestDetectors:
             children=(clean_policy("permits"), deny),
         )
         report = analyze(policy_set)
-        findings = report.by_kind(FindingKind.CROSS_POLICY_CONFLICT)
+        findings = of_kind(report, FindingKind.CROSS_POLICY_CONFLICT)
         assert len(findings) == 1
         assert findings[0].witness is not None
 
@@ -266,7 +270,7 @@ class TestWitnessGuarantee:
             ),
         )
         report = analyze(policy)
-        assert report.by_kind(FindingKind.REDUNDANT_RULE) == []
+        assert of_kind(report, FindingKind.REDUNDANT_RULE) == []
 
 
 class TestMetricsAndStats:
@@ -297,7 +301,7 @@ class TestStoreAnalysis:
             )
         )
         report = analyze(store)
-        findings = report.by_kind(FindingKind.ONLY_ONE_APPLICABLE_OVERLAP)
+        findings = of_kind(report, FindingKind.ONLY_ONE_APPLICABLE_OVERLAP)
         assert any(f.location == "policySet[via-ref]" for f in findings)
 
     def test_engine_analyze_covers_store_level_conflicts(self):
@@ -310,7 +314,7 @@ class TestStoreAnalysis:
         engine.store.add(clean_policy("permits"))
         engine.store.add(deny)
         report = engine.analyze()
-        assert len(report.by_kind(FindingKind.CROSS_POLICY_CONFLICT)) == 1
+        assert len(of_kind(report, FindingKind.CROSS_POLICY_CONFLICT)) == 1
 
 
 class TestAnalysisGate:

@@ -489,3 +489,38 @@ class TestMatchMayError:
             ),
         )
         assert match_may_error(match) is True
+
+
+class TestTwoRequestModels:
+    """The store index reads a request's attribute as a *bag*; the
+    algebra's model is single-valued.  So the two summaries of one
+    target answer different questions, and a ``pins()`` derived from the
+    normal form would drop a policy that applies (ROADMAP 5(a))."""
+
+    def test_a_conjunction_of_two_pins_on_one_bag(self):
+        from repro.xacml import Decision, PdpEngine, Policy, PolicyStore, RequestContext
+        from repro.xacml.attributes import Attribute
+
+        both = Target(
+            (
+                AnyOf(
+                    (
+                        AllOf(
+                            (
+                                match_equal(Category.RESOURCE, RESOURCE_ID, string("a")),
+                                match_equal(Category.RESOURCE, RESOURCE_ID, string("b")),
+                            )
+                        ),
+                    )
+                ),
+            )
+        )
+        policy = Policy(policy_id="both", rules=(permit_rule("p"),), target=both)
+        request = RequestContext.simple("alice", "a", "read")
+        request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, string("b")))
+        for indexed in (True, False):
+            store = PolicyStore(indexed=indexed)
+            store.add(policy)
+            assert PdpEngine(store).evaluate(request).decision is Decision.PERMIT
+        # One value cannot equal both: the algebra calls it unsatisfiable.
+        assert normalize_target(both).is_unsatisfiable() is Tri.YES

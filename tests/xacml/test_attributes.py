@@ -8,7 +8,6 @@ from repro.xacml import (
     Bag,
     Category,
     DataType,
-    bag_of,
     boolean,
     integer,
     string,
@@ -65,12 +64,12 @@ class TestBag:
             Bag([string("a"), integer(1)])
 
     def test_membership(self):
-        bag = bag_of(string("a"), string("b"))
+        bag = Bag([string("a"), string("b")])
         assert string("a") in bag
         assert string("z") not in bag
 
     def test_equality_is_order_insensitive(self):
-        assert bag_of(string("a"), string("b")) == bag_of(string("b"), string("a"))
+        assert Bag([string("a"), string("b")]) == Bag([string("b"), string("a")])
 
     def test_empty(self):
         assert Bag().is_empty()

@@ -10,6 +10,7 @@ from repro.xacml import (
     AnalysisGateError,
     Attribute,
     AttributeDesignator,
+    AttributeValue,
     Category,
     DataType,
     Decision,
@@ -29,7 +30,6 @@ from repro.xacml import (
     subject_resource_action_target,
     target_of,
 )
-from repro.xacml.attributes import any_uri
 from repro.xacml.targets import ACTION_BAG, RESOURCE_BAG
 
 
@@ -119,11 +119,7 @@ class TestPolicyStore:
         store.remove("policy-doc-1")
         request = RequestContext.simple("alice", "doc-1", "read")
         assert store.candidates(request) == []
-        assert store.shard_stats() == {
-            "elements": 0,
-            "unindexable": 0,
-            "index_keys": 0,
-        }
+        assert len(store) == 0 and store._index == {}
 
 
 def ill_typed_resource_target(resource_id) -> Target:
@@ -137,7 +133,7 @@ def ill_typed_resource_target(resource_id) -> Target:
                         (
                             Match(
                                 functions.FUNCTION_PREFIX_1_0 + "string-equal",
-                                any_uri(resource_id),
+                                AttributeValue(DataType.ANY_URI, resource_id),
                                 AttributeDesignator(
                                     Category.RESOURCE, RESOURCE_ID, DataType.STRING
                                 ),
@@ -192,7 +188,7 @@ class TestTargetSummaries:
         the bag a request is routed by: it may hold ``res-1`` while the
         request's own id reads ``res-2``."""
         for bag, literal in (
-            (URI_RESOURCE_BAG, any_uri("res-1")),
+            (URI_RESOURCE_BAG, AttributeValue(DataType.ANY_URI, "res-1")),
             (HR_RESOURCE_BAG, string("res-1")),
         ):
             target = pinning(bag, literal)
@@ -200,36 +196,35 @@ class TestTargetSummaries:
             assert target.pinned(bag) == {"res-1"}
             assert target.pinned(RESOURCE_BAG) is None
 
-    def test_a_shard_keeps_what_pins_another_bag(self):
-        """ISSUE 20 reproduction (a): routed by ``res-2``, denied through
-        the ``anyURI`` bag — on the shard exactly as unsharded."""
+    def test_the_index_keeps_what_pins_another_bag(self):
+        """Looked up by ``res-2``, denied through the ``anyURI`` bag:
+        the indexed store hands the pin on another bag to the engine."""
+        uri = AttributeValue(DataType.ANY_URI, "res-1")
         store = PolicyStore()
         store.add(
             Policy(
                 policy_id="deny-res-1",
                 rules=(deny_rule("d"),),
-                target=pinning(URI_RESOURCE_BAG, any_uri("res-1")),
+                target=pinning(URI_RESOURCE_BAG, uri),
             )
         )
         store.add(Policy(policy_id="permit-all", rules=(permit_rule("p"),)))
         request = RequestContext.simple("alice", "res-2", "read")
-        request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, any_uri("res-1")))
+        request.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, uri))
         assert request.resource_id == "res-2"
-        shard = store.partition_for(lambda resource: resource == "res-2")
-        assert len(shard) == 2
-        for held in (store, shard):
-            assert PdpEngine(held).evaluate(request).decision is Decision.DENY
+        assert len(store.candidates(request)) == 2
+        assert PdpEngine(store).evaluate(request).decision is Decision.DENY
 
     def test_an_ill_typed_equality_pins_nothing(self):
         target = ill_typed_resource_target("doc")
         assert target.any_ofs[0].pins() is None
         assert target.pinned(RESOURCE_BAG) is None
-        # ... so a shard may not drop the element: it is Indeterminate
-        # (a PEP denies) for every resource, on every shard.
+        # ... so the index may not drop the element: it is Indeterminate
+        # (a PEP denies) for every resource.
         store = PolicyStore()
         store.add(Policy(policy_id="p", rules=(deny_rule("d"),), target=target))
-        assert len(store.partition_for(lambda resource: False)) == 1
-        assert store.shard_stats()["unindexable"] == 1
+        request = RequestContext.simple("alice", "other", "read")
+        assert [p.policy_id for p in store.candidates(request)] == ["p"]
 
     def test_the_store_posts_under_the_first_group_and_keeps_the_rest(self):
         store = PolicyStore()
@@ -240,7 +235,6 @@ class TestTargetSummaries:
                 target=subject_resource_action_target("alice", "doc", "read"),
             )
         )
-        assert store.shard_stats()["index_keys"] == 1
         for subject, resource, action, handed in (
             ("alice", "doc", "read", 1),
             ("bob", "doc", "read", 0),  # misses the posting key

@@ -393,7 +393,7 @@ class TestBoundAtConstruction:
         ctx = ctx_for(subject_attributes={SUBJECT_ROLE: [string("head-nurse")]})
         assert equal.evaluate(ctx) is MatchResult.NO_MATCH
         assert regexp.evaluate(ctx) is MatchResult.MATCH
-        policy = Policy("p", (permit_rule("r"),)).with_issuer("acme")
+        policy = dataclasses.replace(Policy("p", (permit_rule("r"),)), issuer="acme")
         assert policy.evaluate(ctx).decision is Decision.PERMIT
 
     def test_shared_booleans_still_refuse_non_booleans(self):
