@@ -36,7 +36,7 @@ def shared_policy():
 def build(seed):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation("vo", ["home", "partner"], network, keystore)
+    vo = build_federation("vo", ["home", "partner"], network, keystore)
     home, partner = vo.domain("home"), vo.domain("partner")
     home.pap.publish(shared_policy())
     partner.pap.publish(shared_policy())

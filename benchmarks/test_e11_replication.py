@@ -43,7 +43,7 @@ def db_policy():
 def run_with_replicas(replicas, seed=11):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation("vo", ["acme"], network, keystore)
+    vo = build_federation("vo", ["acme"], network, keystore)
     domain = vo.domain("acme")
     system = AccessControlSystem(
         domain,
@@ -103,7 +103,7 @@ def test_e11_replication_availability(benchmark):
     # Benchmark: one replicated decision in steady state.
     network = Network(seed=111)
     keystore = KeyStore(seed=111)
-    vo, _ = build_federation("vo", ["acme"], network, keystore)
+    vo = build_federation("vo", ["acme"], network, keystore)
     system = AccessControlSystem(
         vo.domain("acme"), config=SystemConfig(pdp_replicas=3)
     )
@@ -115,7 +115,7 @@ def test_e11_replication_availability(benchmark):
 def test_e11_quorum_masks_corrupt_replica(benchmark):
     network = Network(seed=112)
     keystore = KeyStore(seed=112)
-    vo, _ = build_federation("vo", ["acme"], network, keystore)
+    vo = build_federation("vo", ["acme"], network, keystore)
     domain = vo.domain("acme")
     domain.pap.publish(db_policy())
     cluster = PdpCluster(domain, replicas=3)

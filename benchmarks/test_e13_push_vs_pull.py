@@ -54,7 +54,7 @@ def community_policy():
 def run_pull(accesses_per_client, cache_ttl=0.0, seed=13):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation("vo", ["host"], network, keystore)
+    vo = build_federation("vo", ["host"], network, keystore)
     host = vo.domain("host")
     for index in range(CLIENTS):
         host.new_subject(f"user-{index}", role=["analyst"])
@@ -73,7 +73,7 @@ def run_pull(accesses_per_client, cache_ttl=0.0, seed=13):
 def run_push(accesses_per_client, seed=13):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation(
+    vo = build_federation(
         "vo", ["host"], network, keystore, kinds=(TrustKind.CAPABILITY,)
     )
     host = vo.domain("host")
@@ -85,7 +85,7 @@ def run_push(accesses_per_client, seed=13):
     for index in range(CLIENTS):
         cas.set_subject_attribute(f"user-{index}", SUBJECT_ROLE, ["analyst"])
     resource = host.expose_resource("dataset")
-    verifier = CapabilityVerifier(keystore, host.validator)
+    verifier = CapabilityVerifier(host)
     enforcer = CapabilityEnforcer(resource.pep, verifier)
     before = network.metrics.messages_sent
     for index in range(CLIENTS):

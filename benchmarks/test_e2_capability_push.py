@@ -33,7 +33,7 @@ from repro.xacml import (
 def build(seed=2):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation(
+    vo = build_federation(
         "grid", ["issuing-site", "resource-site"], network, keystore,
         kinds=(TrustKind.CAPABILITY,),
     )
@@ -60,9 +60,7 @@ def build(seed=2):
         )
     )
     resource = hosting.expose_resource("dataset")
-    verifier = CapabilityVerifier(
-        keystore, hosting.validator, accepted_issuers={"cas.grid"}
-    )
+    verifier = CapabilityVerifier(hosting, accepted_issuers={"cas.grid"})
     enforcer = CapabilityEnforcer(resource.pep, verifier)
     return network, cas, enforcer
 

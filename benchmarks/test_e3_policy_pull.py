@@ -24,7 +24,7 @@ from repro.xacml import (
 def build(seed=3, cache_ttl=0.0):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation("corp", ["hq"], network, keystore)
+    vo = build_federation("corp", ["hq"], network, keystore)
     hq = vo.domain("hq")
     hq.pap.publish(
         Policy(

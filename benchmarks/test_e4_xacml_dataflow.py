@@ -31,7 +31,7 @@ RESOURCE_SENSITIVITY = "urn:repro:resource:sensitivity"
 def build(seed=4):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation("corp", ["hq"], network, keystore)
+    vo = build_federation("corp", ["hq"], network, keystore)
     hq = vo.domain("hq")
     hq.new_subject("alice", role=["analyst"])
     hq.pip.store.set_resource_attribute(

@@ -33,7 +33,7 @@ REQUEST_PERIOD = 0.5  # one request every 0.5 simulated seconds
 def build(ttl, seed=6):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation("corp", ["hq"], network, keystore)
+    vo = build_federation("corp", ["hq"], network, keystore)
     hq = vo.domain("hq")
     hq.pap.publish(
         Policy(

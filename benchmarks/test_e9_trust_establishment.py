@@ -27,7 +27,6 @@ from repro.domain import (
     TrustKind,
     build_federation,
 )
-from repro.saml import validate_assertion
 from repro.simnet import Network
 from repro.wss import KeyStore
 from repro.xacml import (
@@ -48,7 +47,7 @@ STRANGERS = ["stranger-0", "stranger-1", "stranger-2"]
 def build(seed=9):
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation(
+    vo = build_federation(
         "vo", ["resource-domain", "partner-domain"], network, keystore,
         kinds=(TrustKind.IDENTITY, TrustKind.CAPABILITY),
     )
@@ -105,7 +104,7 @@ def build(seed=9):
     return network, keystore, vo, host, partner, cas, traust
 
 
-def identity_style(network, keystore, host, partner, user):
+def identity_style(network, host, partner, user):
     """The service pulls the user's profile from a *trusted* IdP."""
     idp = None
     if host.idp.knows(user):
@@ -117,7 +116,7 @@ def identity_style(network, keystore, host, partner, user):
     before = network.metrics.messages_sent
     signed = idp.issue_assertion(user)
     try:
-        validate_assertion(signed, keystore, host.validator, at=network.now + 0.1)
+        host.accept(signed, TrustKind.IDENTITY, at=network.now + 0.1)
     except Exception:
         return False, network.metrics.messages_sent - before
     # Profile retrieval costs one request/response pair in the push-free
@@ -150,7 +149,7 @@ def negotiation_style(traust, user):
 def test_e9_trust_establishment_styles(benchmark):
     network, keystore, vo, host, partner, cas, traust = build()
     resource = host.expose_resource("dataset")
-    verifier = CapabilityVerifier(keystore, host.validator)
+    verifier = CapabilityVerifier(host)
     enforcer = CapabilityEnforcer(resource.pep, verifier)
 
     populations = (
@@ -170,7 +169,7 @@ def test_e9_trust_establishment_styles(benchmark):
         identity_ok = sum(
             1
             for user in users
-            if identity_style(network, keystore, host, partner, user)[0]
+            if identity_style(network, host, partner, user)[0]
         )
         capability_ok = sum(
             1

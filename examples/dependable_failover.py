@@ -58,7 +58,7 @@ def main() -> None:
     # --- 1. single PDP: outage -> fail-safe denial --------------------------
     network = Network(seed=3)
     keystore = KeyStore(seed=3)
-    vo, _ = build_federation("corp", ["solo"], network, keystore)
+    vo = build_federation("corp", ["solo"], network, keystore)
     solo = AccessControlSystem(vo.domain("solo"))
     solo.protect("payroll")
     solo.publish_policy(payroll_policy())
@@ -71,7 +71,7 @@ def main() -> None:
     # --- 2. replicated PDPs: the same fault is absorbed ----------------------
     network2 = Network(seed=4)
     keystore2 = KeyStore(seed=4)
-    vo2, _ = build_federation("corp", ["replicated"], network2, keystore2)
+    vo2 = build_federation("corp", ["replicated"], network2, keystore2)
     replicated = AccessControlSystem(
         vo2.domain("replicated"),
         config=SystemConfig(pdp_replicas=3, heartbeat_period=0.25),
@@ -93,7 +93,7 @@ def main() -> None:
     # --- 3. quorum voting vs a corrupted replica -----------------------------
     network3 = Network(seed=5)
     keystore3 = KeyStore(seed=5)
-    vo3, _ = build_federation("corp", ["quorum"], network3, keystore3)
+    vo3 = build_federation("corp", ["quorum"], network3, keystore3)
     domain3 = vo3.domain("quorum")
     domain3.pap.publish(payroll_policy())
     cluster = PdpCluster(domain3, replicas=3)

@@ -59,14 +59,14 @@ def main() -> None:
     keystore = KeyStore(seed=7)
 
     # Three sites federate under a VO root CA with full-mesh trust.
-    vo, agreement = build_federation(
+    vo = build_federation(
         "earth-science-vo",
         ["uni-physics", "data-archive", "hpc-centre"],
         network,
         keystore,
         kinds=(TrustKind.IDENTITY, TrustKind.CAPABILITY),
     )
-    print(f"federated VO {vo.name!r}: {sorted(vo.members_of())}")
+    print(f"federated VO {vo.name!r}: {sorted(vo.domains)}")
 
     physics = vo.domain("uni-physics")
     archive = vo.domain("data-archive")
@@ -102,8 +102,7 @@ def main() -> None:
     cas.set_subject_attribute("maria", SUBJECT_ROLE, ["researcher"])
     cas.add_policy(dataset_policy())
     verifier = CapabilityVerifier(
-        keystore, archive.validator,
-        accepted_issuers={"cas.earth-science-vo"},
+        archive, accepted_issuers={"cas.earth-science-vo"}
     )
     enforcer = CapabilityEnforcer(resource.pep, verifier)
 

@@ -17,13 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..components.pep import EnforcementResult, PolicyEnforcementPoint
-from ..saml.assertions import (
-    AssertionError_,
-    SignedAssertion,
-    validate_assertion,
-)
-from ..wss.keys import KeyStore
-from ..wss.pki import TrustValidator
+from ..domain.domain import AdministrativeDomain
+from ..domain.trust import TrustKind
+from ..saml.assertions import AssertionError_, SignedAssertion
 from ..xacml.context import Decision, RequestContext, Status, StatusCode
 from ..xacml.engine import PdpEngine
 
@@ -59,23 +55,22 @@ class VerificationOutcome:
 class CapabilityVerifier:
     """Relying-party verification of SAML capability assertions.
 
-    Checks, in order: signature + issuer trust chain (PKI), validity
-    window, audience restriction, issuer allow-list, and scope coverage.
+    Checks, in order: that the relying domain accepts capabilities from
+    the signer's domain, and the assertion's signature, chain, validity
+    window and audience (:meth:`~repro.domain.domain.AdministrativeDomain.
+    accept`); then the issuer allow-list, which pins a *component* such
+    as one capability service, and scope coverage.
     """
 
     def __init__(
         self,
-        keystore: KeyStore,
-        validator: TrustValidator,
+        domain: AdministrativeDomain,
         audience: Optional[str] = None,
         accepted_issuers: Optional[set[str]] = None,
     ) -> None:
-        self.keystore = keystore
-        self.validator = validator
+        self.domain = domain
         self.audience = audience
         self.accepted_issuers = accepted_issuers
-        self.verifications = 0
-        self.rejections = 0
 
     def verify(
         self,
@@ -85,29 +80,21 @@ class CapabilityVerifier:
         action_id: str,
         at: float,
     ) -> VerificationOutcome:
-        self.verifications += 1
         try:
-            assertion = validate_assertion(
-                capability,
-                self.keystore,
-                self.validator,
-                at=at,
-                expected_audience=self.audience,
+            assertion = self.domain.accept(
+                capability, TrustKind.CAPABILITY, at, audience=self.audience
             )
         except AssertionError_ as exc:
-            self.rejections += 1
             return VerificationOutcome(ok=False, reason=str(exc))
         if (
             self.accepted_issuers is not None
             and assertion.issuer not in self.accepted_issuers
         ):
-            self.rejections += 1
             return VerificationOutcome(
                 ok=False,
                 reason=f"issuer {assertion.issuer!r} not accepted here",
             )
         if assertion.subject_id != subject_id:
-            self.rejections += 1
             return VerificationOutcome(
                 ok=False,
                 reason=(
@@ -126,7 +113,6 @@ class CapabilityVerifier:
         }
         if wanted in scopes:
             return VerificationOutcome(ok=True)
-        self.rejections += 1
         return VerificationOutcome(
             ok=False,
             reason=f"capability does not cover {wanted.encode()!r}",

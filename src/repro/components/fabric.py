@@ -809,6 +809,17 @@ class BatchWireCore:
             replica, inflight.items, inflight.tried, job, inflight.parent
         )
 
+    def abandon(self, destination: str, exc: Exception) -> None:
+        """Fail safe every envelope in flight to ``destination``; a reply
+        that arrives for one later is dropped like a late reply."""
+        for msg_id, inflight in list(self._inflight.items()):
+            if inflight.replica == destination:
+                self._take_inflight(msg_id)
+                self.component.network.tracer.envelope_done(
+                    inflight.trace, inflight.items, "abandoned"
+                )
+                inflight.job.fail(inflight.items, exc)
+
     def handle_reply(self, message: Message) -> None:
         inflight = self._take_inflight(message.reply_to)
         if inflight is None:

@@ -23,7 +23,11 @@ VO-wide resource directory, see :mod:`repro.domain.directory`):
 The serving side accepts forwarded batches only from registered origin
 domains (:meth:`FederatedGateway.allow_origin`) and, on the secure
 channel, only when the envelope is signed by that origin's registered
-gateway.  Served requests that turn out to be governed by yet another
+gateway.  Both tables hold deployment addresses; the VO trust graph
+decides whether an entry stands, and a
+:class:`~repro.revocation.coherence.CoherenceAgent` withdraws one when
+the matching trust edge is revoked (DECISION: the peer; IDENTITY: the
+origin).  Served requests that turn out to be governed by yet another
 domain are forwarded onward with a decremented TTL, so a misconfigured
 directory produces a bounded forwarding chain ending in an
 Indeterminate fail-safe statement instead of a loop.
@@ -329,6 +333,8 @@ class FederatedGateway(DomainDecisionGateway):
     * serves forwarded batches from registered origins
       (:meth:`allow_origin`), re-forwarding onward-governed requests
       with a decremented TTL and failing safe on exhaustion;
+    * drops a peer or an origin whose trust edge was revoked
+      (:meth:`withdraw_peer`, :meth:`withdraw_origin`);
     * denies (fail-safe, with a metric) anything whose governing domain
       has neither a peer nor a direct route, and everything riding an
       envelope whose peer is unreachable or rejected.
@@ -487,6 +493,30 @@ class FederatedGateway(DomainDecisionGateway):
         if domain_name == self.domain:
             raise ValueError(f"{domain_name!r} is this gateway's own domain")
         self._origins[domain_name] = gateway_address
+
+    def withdraw_peer(self, domain_name: str) -> None:
+        """Stop enforcing ``domain_name``'s decisions (its DECISION trust
+        edge was revoked).
+
+        Requests it governs then fail safe like any unrouted domain's.
+        Slots waiting in its forward buffer, and slots riding envelopes
+        already in flight to it, fail safe now; a late reply to such an
+        envelope is dropped unread.
+        """
+        peer = self._peers.pop(domain_name, None)
+        if peer is not None:
+            withdrawn = RpcFault(
+                "federation:untrusted-peer",
+                f"trust in domain {domain_name!r}'s decisions was withdrawn",
+            )
+            self._stage.fail(self._forwards[domain_name].take(), withdrawn)
+            self._wire.abandon(peer, withdrawn)
+
+    def withdraw_origin(self, domain_name: str) -> None:
+        """Refuse ``domain_name``'s forwards from now on (its IDENTITY
+        trust edge was revoked: a forward carries that domain's claims
+        about its own subjects)."""
+        self._origins.pop(domain_name, None)
 
     def add_direct_route(
         self, domain_name: str, dispatcher: DecisionDispatcher

@@ -2,8 +2,8 @@
 
 Implements the environment of the paper's Fig. 1: autonomous
 administrative domains with their own CAs, IdPs and authorisation
-components, assembled into Virtual Organisations with explicit
-inter-domain trust (the federated collaboration mode), with trust
+components, assembled into Virtual Organisations whose trust graph every
+acceptance point reads (the federated collaboration mode), with trust
 negotiation for strangers.
 """
 
@@ -24,11 +24,7 @@ from .directory_service import (
     LOOKUP_ACTION,
     TRANSFER_KIND,
 )
-from .federation import (
-    CollaborationMode,
-    FederationAgreement,
-    build_federation,
-)
+from .federation import build_federation
 from .identity import (
     ASSERTION_LIFETIME,
     ATTRIBUTE_ALIASES,
@@ -47,14 +43,13 @@ from .trust_negotiation import (
     TraustServer,
     negotiate,
 )
-from .virtual_org import VirtualOrganization, VoPolicyRecord
+from .virtual_org import VirtualOrganization
 
 __all__ = [
     "ASSERTION_LIFETIME",
     "ATTRIBUTE_ALIASES",
     "AdministrativeDomain",
     "COMPONENT_CERT_LIFETIME",
-    "CollaborationMode",
     "Credential",
     "DEFAULT_DIRECTORY_TOPIC",
     "DirectoryClient",
@@ -64,7 +59,6 @@ __all__ = [
     "DisclosurePolicy",
     "LOOKUP_ACTION",
     "TRANSFER_KIND",
-    "FederationAgreement",
     "IdentityProvider",
     "MAX_ROUNDS",
     "NegotiationOutcome",
@@ -76,7 +70,6 @@ __all__ = [
     "TrustGraph",
     "TrustKind",
     "VirtualOrganization",
-    "VoPolicyRecord",
     "WebServiceResource",
     "build_federation",
     "negotiate",

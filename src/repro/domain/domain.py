@@ -10,17 +10,27 @@ assembles them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..components.base import ComponentIdentity
 from ..components.pap import PolicyAdministrationPoint
 from ..components.pdp import PdpConfig, PolicyDecisionPoint
 from ..components.pep import PepConfig, PolicyEnforcementPoint
 from ..components.pip import AttributeStore, PolicyInformationPoint
+from ..saml.assertions import (
+    Assertion,
+    AssertionError_,
+    SignedAssertion,
+    validate_assertion,
+)
 from ..simnet.network import INTRA_DOMAIN_LATENCY, Link, Network
 from ..wss.keys import KeyStore
 from ..wss.pki import CertificateAuthority, TrustValidator
 from .identity import IdentityProvider, Subject
+from .trust import TrustKind
+
+if TYPE_CHECKING:
+    from .virtual_org import VirtualOrganization
 
 #: Lifetime of component certificates (effectively the whole simulation).
 COMPONENT_CERT_LIFETIME = 10 * 365 * 86400.0
@@ -59,7 +69,8 @@ class AdministrativeDomain:
         self.network = network
         self.keystore = keystore
         self.ca = CertificateAuthority(f"ca.{name}", keystore, parent=parent_ca)
-        #: This domain's relying-party configuration: which CAs it trusts.
+        #: Which certificate chains this domain validates: its own CA's
+        #: and, once a VO creates it, every member's through the VO root.
         self.validator = TrustValidator(keystore, anchors=[self.ca])
         self.pap: Optional[PolicyAdministrationPoint] = None
         self.pdp: Optional[PolicyDecisionPoint] = None
@@ -68,6 +79,9 @@ class AdministrativeDomain:
         self.peps: dict[str, PolicyEnforcementPoint] = {}
         self.resources: dict[str, WebServiceResource] = {}
         self.subjects: dict[str, Subject] = {}
+        #: The VO that created this domain, whose trust graph
+        #: :meth:`accept` reads; None for a standalone domain.
+        self.vo: Optional[VirtualOrganization] = None
 
     # -- identity helpers ----------------------------------------------------------
 
@@ -88,9 +102,38 @@ class AdministrativeDomain:
             validator=self.validator,
         )
 
-    def trust_domain_ca(self, other: "AdministrativeDomain") -> None:
-        """Install another domain's CA as a trust anchor (cross-cert)."""
-        self.validator.add_anchor(other.ca)
+    def accept(
+        self,
+        signed: SignedAssertion,
+        kind: TrustKind,
+        at: float,
+        audience: Optional[str] = None,
+    ) -> Assertion:
+        """Admit an identity assertion or capability; returns its assertion.
+
+        The signer's domain is the member whose CA issued the signing
+        certificate.  A chain to the VO root proves only that it is a
+        member: the artefact is admitted if that domain is this one or
+        the VO's trust graph says this domain trusts it for ``kind``,
+        and the assertion then validates (signature, chain, window,
+        audience).
+
+        Raises:
+            AssertionError_: with the reason for a rejection.
+        """
+        issuer = signed.signed.certificate.issuer
+        members = self.vo.domains.values() if self.vo is not None else [self]
+        signer = next((m.name for m in members if m.ca.name == issuer), None)
+        if signer != self.name and (
+            signer is None or not self.vo.trust.trusts(self.name, signer, kind)
+        ):
+            raise AssertionError_(
+                f"domain {self.name!r} does not trust {signer or issuer!r} "
+                f"for {kind.value}"
+            )
+        return validate_assertion(
+            signed, self.keystore, self.validator, at, expected_audience=audience
+        )
 
     # -- component construction -----------------------------------------------------
 

@@ -9,33 +9,16 @@ Paper §2.1 distinguishes two ways multi-domain environments arise:
   collaborating partners".
 
 Every experiment and example builds the federated shape, so this module
-constructs that one, with the agreement record that makes it auditable.
+constructs that one; strangers outside it reach a resource through trust
+negotiation (:mod:`repro.domain.trust_negotiation`).
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 from ..simnet.network import Network
 from ..wss.keys import KeyStore
 from .trust import TrustKind
 from .virtual_org import VirtualOrganization
-
-
-class CollaborationMode(enum.Enum):
-    AD_HOC = "ad-hoc"
-    FEDERATED = "federated"
-
-
-@dataclass(frozen=True)
-class FederationAgreement:
-    """A bilateral (or VO-wide) record of what was agreed and when."""
-
-    parties: tuple[str, ...]
-    kinds: tuple[TrustKind, ...]
-    mode: CollaborationMode
-    established_at: float
 
 
 def build_federation(
@@ -47,21 +30,18 @@ def build_federation(
         TrustKind.IDENTITY,
         TrustKind.CAPABILITY,
     ),
-) -> tuple[VirtualOrganization, FederationAgreement]:
-    """Build a federated VO: common root CA, full-mesh trust, one agreement.
+) -> VirtualOrganization:
+    """Build a federated VO: common root CA and full-mesh trust for
+    ``kinds``.
 
     Every domain gets the standard component layout so the result is
     immediately usable by experiments.
     """
-    vo = VirtualOrganization(name, network, keystore, with_root_ca=True)
+    vo = VirtualOrganization(name, network, keystore)
     for domain_name in domain_names:
         vo.create_domain(domain_name).standard_layout()
-    for kind in kinds:
-        vo.full_mesh_trust(kind)
-    agreement = FederationAgreement(
-        parties=tuple(domain_names),
-        kinds=kinds,
-        mode=CollaborationMode.FEDERATED,
-        established_at=network.now,
-    )
-    return vo, agreement
+    for kind in kinds:  # full mesh: every member trusts every other
+        for truster in domain_names:
+            for trusted in domain_names:
+                vo.establish_trust(truster, trusted, kind)
+    return vo

@@ -56,8 +56,6 @@ class Subject:
     subject_id: str
     home_domain: str
     attributes: dict[str, list[str]] = field(default_factory=dict)
-    #: Credentials collected during a session (signed assertions).
-    wallet: list[SignedAssertion] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.attributes = {
@@ -109,12 +107,6 @@ class IdentityProvider(Component):
 
     def knows(self, subject_id: str) -> bool:
         return subject_id in self._subjects
-
-    def subject(self, subject_id: str) -> Optional[Subject]:
-        return self._subjects.get(subject_id)
-
-    def subjects(self) -> list[Subject]:
-        return list(self._subjects.values())
 
     # -- issuing -----------------------------------------------------------------
 

@@ -3,17 +3,23 @@
 "Due to the highly distributed nature of shared resources and a limited
 trust between collaborating partners such sharing needs to be controlled"
 (paper §2.1).  The trust graph records *which domain trusts which other
-domain for what purpose*; the PKI layer then realises each edge by
-installing the trusted domain's CA as a validation anchor.
+domain for what purpose*, and it is the one record acceptance reads: a
+certificate that chains to the VO root proves only that its holder's
+domain is a member, and :meth:`~repro.domain.domain.AdministrativeDomain.
+accept` admits an artefact signed in another member domain only while
+the edge for its kind holds.
 
 Trust kinds follow the paper's decomposition:
 
 * ``IDENTITY``   — accept identity/attribute assertions issued by the
-  other domain's IdP (identity-based style);
+  other domain's IdP (identity-based style), and forwarded decision
+  requests from its gateway, which carry that domain's claims about its
+  own subjects;
 * ``CAPABILITY`` — accept capability tokens minted by the other domain's
   (or the VO's) capability service (push model, Fig. 2);
 * ``DECISION``   — accept authorisation *decisions* from the other
-  domain's PDP (cross-domain decision delegation, §3.2 autonomy).
+  domain's PDP (cross-domain decision delegation, §3.2 autonomy): the
+  forwarding gateway enforces them.
 """
 
 from __future__ import annotations
@@ -28,15 +34,21 @@ class TrustKind(enum.Enum):
 
 
 class TrustGraph:
-    """The VO-wide record of inter-domain trust."""
+    """The VO-wide record of inter-domain trust.
+
+    Withdrawal follows :class:`~repro.wss.pki.CertificateAuthority`:
+    unbound, :meth:`revoke` removes the edge; bound to a
+    :class:`~repro.revocation.registry.RevocationRegistry`, it also
+    records a ``TRUST_EDGE`` revocation there, and :meth:`trusts` reads
+    the registry, so an edge revoked by a record issued anywhere in the
+    deployment stops holding.  Registry records are permanent, CRL-style:
+    an edge revoked there stays revoked.
+    """
 
     def __init__(self) -> None:
         #: Directed ``(truster, trusted, kind)``: ``truster`` accepts
         #: artefacts of ``kind`` from ``trusted``.
         self._edges: set[tuple[str, str, TrustKind]] = set()
-        #: Optional unified revocation registry (duck-typed; see
-        #: repro.revocation).  Bound, every edge revocation is recorded
-        #: there so cross-domain coherence can propagate it.
         self._revocation_registry = None
 
     def bind_revocation_registry(self, registry) -> None:
@@ -47,13 +59,23 @@ class TrustGraph:
         if truster != trusted:  # self-trust is implicit
             self._edges.add((truster, trusted, kind))
 
+    def trusts(self, truster: str, trusted: str, kind: TrustKind) -> bool:
+        """Whether ``truster`` accepts ``kind`` artefacts from another
+        domain ``trusted``: established and not revoked."""
+        if (truster, trusted, kind) not in self._edges:
+            return False
+        registry = self._revocation_registry
+        return registry is None or not registry.trust_edge_revoked(
+            truster, trusted, kind.value
+        )
+
     def revoke(self, truster: str, trusted: str, kind: TrustKind) -> bool:
-        key = (truster, trusted, kind)
-        if key in self._edges:
-            self._edges.remove(key)
-            if self._revocation_registry is not None:
-                self._revocation_registry.revoke_trust_edge(
-                    truster, trusted, kind.value
-                )
-            return True
-        return False
+        """Withdraw an edge; returns whether it held until now."""
+        if not self.trusts(truster, trusted, kind):
+            return False
+        self._edges.discard((truster, trusted, kind))
+        if self._revocation_registry is not None:
+            self._revocation_registry.revoke_trust_edge(
+                truster, trusted, kind.value
+            )
+        return True

@@ -3,16 +3,12 @@
 "A multi-domain computing environment, when composed to address a
 specific business or science related problem, is often referred to as a
 Virtual Organisation" (paper §2.1).  A :class:`VirtualOrganization`
-gathers administrative domains, wires the trust fabric between them
-(cross-certifying CAs according to the trust graph), grants subjects VO
-membership attributes, and can host VO-level services: a VO root CA, a
-capability service, a top-level PAP for syndication.
+gathers administrative domains under a VO root CA, keeps the trust graph
+between them, grants subjects VO membership attributes, and can host
+VO-level services such as a capability service.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
 
 from ..simnet.network import Network
 from ..wss.keys import KeyStore
@@ -22,48 +18,31 @@ from .identity import SUBJECT_VO_MEMBERSHIP, Subject
 from .trust import TrustGraph, TrustKind
 
 
-@dataclass
-class VoPolicyRecord:
-    """A VO-wide policy distributed to member domains (bookkeeping)."""
-
-    policy_id: str
-    deployed_to: list[str] = field(default_factory=list)
-
-
 class VirtualOrganization:
     """A named collaboration of administrative domains.
+
+    Every member domain's CA is certified under the VO root, so members
+    validate each other's certificates; what a member *accepts* from
+    another is the trust graph's to say (:attr:`trust`).
 
     Args:
         name: VO name, e.g. ``"climate-science-vo"``.
         network: shared simulated network.
         keystore: shared key store.
-        with_root_ca: when True the VO runs its own root CA that member
-            domain CAs get certified under (federated style); when False
-            domains keep self-signed roots and trust is configured
-            pairwise (ad-hoc style).
     """
 
-    def __init__(
-        self,
-        name: str,
-        network: Network,
-        keystore: KeyStore,
-        with_root_ca: bool = True,
-    ) -> None:
+    def __init__(self, name: str, network: Network, keystore: KeyStore) -> None:
         self.name = name
         self.network = network
         self.keystore = keystore
-        self.root_ca: Optional[CertificateAuthority] = (
-            CertificateAuthority(f"ca.vo.{name}", keystore) if with_root_ca else None
-        )
+        self.root_ca = CertificateAuthority(f"ca.vo.{name}", keystore)
         self.trust = TrustGraph()
         self.domains: dict[str, AdministrativeDomain] = {}
-        self.vo_policies: dict[str, VoPolicyRecord] = {}
 
     # -- membership -----------------------------------------------------------
 
     def create_domain(self, domain_name: str) -> AdministrativeDomain:
-        """Create a member domain (certified under the VO root if any)."""
+        """Create a member domain certified under the VO root."""
         if domain_name in self.domains:
             raise ValueError(f"domain {domain_name!r} already in VO {self.name!r}")
         domain = AdministrativeDomain(
@@ -72,16 +51,15 @@ class VirtualOrganization:
             self.keystore,
             parent_ca=self.root_ca,
         )
-        if self.root_ca is not None:
-            # Members under a VO root can validate each other's component
-            # certificates through the root; each validator needs the root
-            # as anchor and sibling CAs as intermediates.
-            domain.validator.add_anchor(self.root_ca)
+        domain.vo = self
+        # Members validate each other's component certificates through
+        # the root; each validator needs the root as anchor and sibling
+        # CAs as intermediates.
+        domain.validator.add_anchor(self.root_ca)
         self.domains[domain_name] = domain
-        if self.root_ca is not None:
-            for other in self.domains.values():
-                other.validator.add_intermediate(domain.ca)
-                domain.validator.add_intermediate(other.ca)
+        for other in self.domains.values():
+            other.validator.add_intermediate(domain.ca)
+            domain.validator.add_intermediate(other.ca)
         return domain
 
     def domain(self, name: str) -> AdministrativeDomain:
@@ -92,25 +70,11 @@ class VirtualOrganization:
 
     # -- trust fabric ------------------------------------------------------------
 
-    def establish_trust(
-        self, truster: str, trusted: str, kind: TrustKind
-    ) -> None:
-        """Record trust and realise it in the PKI (anchor installation)."""
+    def establish_trust(self, truster: str, trusted: str, kind: TrustKind) -> None:
+        """Record that ``truster`` accepts ``kind`` artefacts from
+        ``trusted``.  The PKI is left alone: membership already chains
+        every member to the root."""
         self.trust.establish(truster, trusted, kind)
-        truster_domain = self.domain(truster)
-        trusted_domain = self.domain(trusted)
-        truster_domain.trust_domain_ca(trusted_domain)
-
-    def establish_mutual_trust(self, a: str, b: str, kind: TrustKind) -> None:
-        self.establish_trust(a, b, kind)
-        self.establish_trust(b, a, kind)
-
-    def full_mesh_trust(self, kind: TrustKind) -> None:
-        """Federated mode: everyone trusts everyone for ``kind``."""
-        names = list(self.domains)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                self.establish_mutual_trust(a, b, kind)
 
     # -- VO membership attributes ---------------------------------------------------
 
@@ -126,11 +90,6 @@ class VirtualOrganization:
                 SUBJECT_VO_MEMBERSHIP,
                 string(f"{self.name}:{vo_role}"),
             )
-
-    def members_of(self) -> list[str]:
-        return list(self.domains)
-
-    # -- VO-level policy distribution --------------------------------------------------
 
     def __repr__(self) -> str:
         return f"VirtualOrganization({self.name}, domains={sorted(self.domains)})"

@@ -18,6 +18,7 @@ from ..components.base import Component, ComponentIdentity
 from ..components.cache import DecisionCache
 from ..components.pdp import PolicyDecisionPoint
 from ..components.pep import PolicyEnforcementPoint
+from ..domain.trust import TrustKind
 from ..simnet.message import Message
 from ..simnet.network import Network
 from ..xacml.context import RequestContext
@@ -34,6 +35,7 @@ from .records import (
     RevocationRecord,
     parse_records,
     subject_access_target,
+    trust_edge_of,
     verify_record,
 )
 
@@ -124,7 +126,9 @@ class CoherenceAgent(Component):
         the agent selectively drops the entries the record touches
         (same key discipline as PEP decision caches), so a revoked
         remote subject stops being served from the gateway tier within
-        the strategy's coherence window.
+        the strategy's coherence window.  A revoked trust edge whose
+        truster is the gateway's domain also withdraws the gateway's
+        peer or origin entry for the trusted domain.
         """
         self._gateways.append(gateway)
 
@@ -151,10 +155,13 @@ class CoherenceAgent(Component):
         # only moves on authoritative CRL replies (fetch_delta), so a
         # lost push leaves a gap the next delta pull still recovers.
         self.records_applied += 1
-        # A removed delegation or trust edge kills whole chains downstream
-        # of it (cascades die implicitly via reduction / trust walks), and
-        # some records carry no subject or resource at all: no selective
-        # key can name every affected decision, so the caches are flushed.
+        # Neither a delegation nor a trust-edge record names a subject or
+        # resource that a selective key could match: a withdrawn
+        # delegation changes which delegated policies reduce to an
+        # authority, and a withdrawn trust edge voids whatever was
+        # decided on the trusted domain's word.  So these records flush
+        # the caches and reload PDP policy, and a trust edge also
+        # withdraws the protected gateways' tables (_withdraw_trust).
         transitive = record.kind in (
             RevocationKind.DELEGATION,
             RevocationKind.TRUST_EDGE,
@@ -174,7 +181,27 @@ class CoherenceAgent(Component):
         if transitive:
             for pdp in self._pdps:
                 pdp.invalidate_policy_cache()
+        if record.kind is RevocationKind.TRUST_EDGE:
+            # After the flush: slots failed here may be resubmitted at
+            # once, and must not meet a stale cached grant.
+            self._withdraw_trust(record.target)
         return True
+
+    def _withdraw_trust(self, target: str) -> None:
+        """Apply a revoked edge ``(g, d, kind)`` to gateways of domain g.
+
+        DECISION drops peer d: the forwarding side is the one that
+        enforces d's decisions.  IDENTITY drops origin d: d's forwards
+        carry its claims about its own subjects.
+        """
+        truster, trusted, kind = trust_edge_of(target)
+        for gateway in self._gateways:
+            if gateway.domain != truster:
+                continue
+            if kind == TrustKind.DECISION.value:
+                gateway.withdraw_peer(trusted)
+            elif kind == TrustKind.IDENTITY.value:
+                gateway.withdraw_origin(trusted)
 
     # -- guards ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 from xml.sax.saxutils import escape, quoteattr
 
 # Re-exported: this module was the helpers' original home and the other
@@ -87,6 +87,17 @@ def subject_access_target(subject_id: str) -> str:
 
 def trust_edge_target(truster: str, trusted: str, kind: str) -> str:
     return f"{_component(truster)}->{_component(trusted)}#{_component(kind)}"
+
+
+def trust_edge_of(target: str) -> tuple[str, ...]:
+    """``(truster, trusted, kind)`` back from :func:`trust_edge_target`;
+    three empty names for a target that names no edge.
+
+    No encoded component holds ``>`` or ``#``, so the first ``->`` and
+    the ``#`` after it are the separators.
+    """
+    match = re.fullmatch(r"([^>]*)->([^#]*)#(.*)", target)
+    return tuple(map(unquote, match.groups())) if match else ("", "", "")
 
 
 def delegation_target(delegator: str, delegate: str, scope: str) -> str:

@@ -8,9 +8,10 @@ CRLs (``records_since``), and (c) drives push invalidation through
 listeners — the three access patterns behind the pull / online-status /
 push propagation strategies of :mod:`repro.revocation.strategies`.
 
-The scattered ``revoke()`` entry points stay in place for compatibility
-but delegate here once bound (``bind_revocation_registry`` on each
-owner class), keeping their public signatures intact.
+The owners' own ``revoke()`` entry points (a CA's, the trust graph's,
+the delegation registry's) delegate here once bound
+(``bind_revocation_registry`` on each owner class), and the CA and the
+trust graph read their revocation state back from here.
 """
 
 from __future__ import annotations
@@ -138,10 +139,10 @@ class RevocationRegistry:
 
     # -- kind-specific façade ----------------------------------------------------
     #
-    # These helpers let legacy owners (CA, trust graph, delegation
-    # registry) delegate by duck typing, without
-    # importing revocation types — which keeps the low layers
-    # (wss, domain, admin, models) free of upward dependencies.
+    # These helpers let the owners (CA, trust graph, delegation
+    # registry) delegate by duck typing, without importing revocation
+    # types — which keeps the low layers (wss, domain, admin) free of
+    # upward dependencies.
 
     def revoke_certificate(
         self, serial: int, reason: str = "", subject_id: str = ""
@@ -165,6 +166,11 @@ class RevocationRegistry:
             RevocationKind.TRUST_EDGE,
             trust_edge_target(truster, trusted, kind),
             reason=reason,
+        )
+
+    def trust_edge_revoked(self, truster: str, trusted: str, kind: str) -> bool:
+        return self.is_revoked(
+            RevocationKind.TRUST_EDGE, trust_edge_target(truster, trusted, kind)
         )
 
     def revoke_delegation(

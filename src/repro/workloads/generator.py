@@ -82,7 +82,7 @@ def build_workload(
     from ..domain.federation import build_federation
 
     domain_names = [f"domain-{i}" for i in range(spec.domains)]
-    vo, _ = build_federation(
+    vo = build_federation(
         f"workload-vo-{spec.seed}", domain_names, network, keystore
     )
     rbac = RbacModel(name=f"wl-{spec.seed}")

@@ -46,7 +46,7 @@ def healthcare_federation(seed: int = 0) -> Scenario:
     """
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation(
+    vo = build_federation(
         "health-info-exchange",
         ["hospital", "clinic", "research"],
         network,
@@ -193,7 +193,7 @@ def revocation_churn(
     """
     network = Network(seed=seed)
     keystore = KeyStore(seed=seed)
-    vo, _ = build_federation(
+    vo = build_federation(
         "churn-vo", ["registrar", "archive"], network, keystore
     )
     registrar = vo.domain("registrar")

@@ -573,7 +573,7 @@ class TestConsolidatedView:
 
         network = Network(seed=41)
         keystore = KeyStore(seed=41)
-        vo, _ = build_federation("vo", ["a", "b"], network, keystore)
+        vo = build_federation("vo", ["a", "b"], network, keystore)
         vo.domain("a").pap.publish(
             Policy(policy_id="pa", rules=(deny_rule("d"),))
         )

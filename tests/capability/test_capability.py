@@ -55,9 +55,7 @@ def setup():
         )
     )
     pep = PolicyEnforcementPoint("pep.data", network, domain="site")
-    verifier = CapabilityVerifier(
-        keystore, domain.validator, accepted_issuers={"cas.vo"}
-    )
+    verifier = CapabilityVerifier(domain, accepted_issuers={"cas.vo"})
     enforcer = CapabilityEnforcer(pep, verifier)
     return network, keystore, domain, cas, pep, verifier, enforcer
 
@@ -177,10 +175,8 @@ class TestVerifierAndEnforcer:
         assert not result.granted
 
     def test_issuer_allow_list(self, setup):
-        network, keystore, domain, cas, pep, _, _ = setup
-        strict = CapabilityVerifier(
-            keystore, domain.validator, accepted_issuers={"some-other-cas"}
-        )
+        network, _, domain, cas, pep, _, _ = setup
+        strict = CapabilityVerifier(domain, accepted_issuers={"some-other-cas"})
         enforcer = CapabilityEnforcer(pep, strict)
         capability = self.issue(cas)
         result = enforcer.authorize(capability, "alice", "dataset", "read")
@@ -188,10 +184,8 @@ class TestVerifierAndEnforcer:
         assert "not accepted" in result.detail
 
     def test_audience_restriction(self, setup):
-        network, keystore, domain, cas, pep, _, _ = setup
-        verifier = CapabilityVerifier(
-            keystore, domain.validator, audience="other-site"
-        )
+        network, _, domain, cas, pep, _, _ = setup
+        verifier = CapabilityVerifier(domain, audience="other-site")
         enforcer = CapabilityEnforcer(pep, verifier)
         capability = self.issue(cas, audience="this-site")
         result = enforcer.authorize(capability, "alice", "dataset", "read")

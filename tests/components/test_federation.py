@@ -56,13 +56,15 @@ def build_two_domains(
     cache_ttl=0.0,
     seed=91,
     remote_cache_ttl=0.0,
+    forward_delay=None,
 ):
     """Two insecure domains (west/east), one PEP + PDP + gateway each.
 
     ``resolvers`` overrides a domain's resource→domain map (how the
     loop test models two domains with *conflicting* directories).
     ``remote_cache_ttl`` enables the gateway-tier remote-decision
-    cache on both gateways.
+    cache on both gateways; ``forward_delay`` holds remote slots in the
+    forward buffers that long.
     """
     network = Network(seed=seed)
     hubs: dict[str, FederatedGateway] = {}
@@ -86,6 +88,7 @@ def build_two_domains(
             max_batch=8,
             max_delay=0.001,
             remote_cache_ttl=remote_cache_ttl,
+            forward_delay=forward_delay,
         )
         pep = PolicyEnforcementPoint(
             f"pep.{name}",
@@ -261,7 +264,7 @@ def build_secure_vo():
     their gateways peered both ways."""
     network = Network(seed=93)
     keystore = KeyStore(seed=93)
-    vo = VirtualOrganization("secvo", network, keystore, with_root_ca=True)
+    vo = VirtualOrganization("secvo", network, keystore)
     west = vo.create_domain("west").standard_layout()
     east = vo.create_domain("east").standard_layout()
     east.pap.publish(policy_for("res.east"))
@@ -624,3 +627,105 @@ class TestFederatedRevocation:
         assert not done[2].granted
         assert done[2].source == "revocation"
         assert peps["west"].revocation_denials == 1
+
+
+class TestTrustEdgeWithdrawal:
+    """A revoked trust edge ``(g, d, kind)`` withdraws the gateway entry
+    it backs, through a coherence agent protecting both gateways:
+    DECISION drops g's peer d (the forwarding side enforces d's
+    decisions), IDENTITY drops g's origin d (d's forwards carry its
+    claims about its own subjects)."""
+
+    def build(self, **kwargs):
+        network, peps, hubs = build_two_domains(**kwargs)
+        bus = InvalidationBus(network)
+        authority = RevocationAuthority("authority.vo", network, bus=bus)
+        agent = CoherenceAgent(
+            "coherence.vo", network, "authority.vo", PushStrategy(bus)
+        )
+        for hub in hubs.values():
+            agent.protect_gateway(hub)
+        return network, peps, hubs, authority.registry
+
+    def west_asks_east(self, network, peps):
+        done = []
+        peps["west"].submit(
+            RequestContext.simple("alice", "res.east", "read"), done.append
+        )
+        network.run(until=network.now + 10.0)
+        assert len(done) == 1
+        return done[0]
+
+    def test_revoked_decision_edge_denies_fail_safe(self):
+        network, peps, hubs, registry = self.build()
+        registry.revoke_trust_edge("west", "east", "decision")
+        network.run(until=network.now + 1.0)
+        result = self.west_asks_east(network, peps)
+        assert not result.granted and result.source == "fail-safe"
+        assert hubs["east"].forwarded_batches_served == 0
+        assert hubs["west"].forwarded_batches_sent == 0
+
+    def test_revoked_identity_edge_rejects_the_origin(self):
+        network, peps, hubs, registry = self.build()
+        registry.revoke_trust_edge("east", "west", "identity")
+        network.run(until=network.now + 1.0)
+        result = self.west_asks_east(network, peps)
+        assert not result.granted and result.source == "fail-safe"
+        assert "federation:untrusted-origin" in result.detail
+        assert hubs["east"].origin_rejections == 1
+        assert hubs["east"].forwarded_batches_served == 0
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            # A third domain withdrawing its own trust in east or west.
+            ("north", "east", "decision"),
+            ("north", "west", "identity"),
+            ("east", "west", "decision"),
+            ("west", "east", "identity"),
+            ("west", "east", "capability"),
+            ("east", "west", "capability"),
+        ],
+        ids="-".join,
+    )
+    def test_another_truster_or_kind_changes_nothing(self, edge):
+        network, peps, hubs, registry = self.build()
+        registry.revoke_trust_edge(*edge)
+        network.run(until=network.now + 1.0)
+        result = self.west_asks_east(network, peps)
+        assert result.granted and result.source == "pdp"
+        assert hubs["east"].forwarded_batches_served == 1
+
+    def test_buffered_slots_fail_safe_when_the_peer_is_withdrawn(self):
+        network, peps, hubs = build_two_domains(forward_delay=5.0)
+        done = []
+        peps["west"].submit(
+            RequestContext.simple("alice", "res.east", "read"), done.append
+        )
+        network.run(until=network.now + 1.0)
+        assert not done and hubs["west"].forwarded_batches_sent == 0
+        hubs["west"].withdraw_peer("east")
+        network.run(until=network.now + 10.0)
+        assert len(done) == 1
+        assert not done[0].granted and done[0].source == "fail-safe"
+        assert "federation:untrusted-peer" in done[0].detail
+        assert hubs["west"].forwarded_batches_sent == 0
+
+    def test_reply_in_flight_from_a_withdrawn_peer_is_not_delivered(self):
+        network, peps, hubs = build_two_domains()
+        done = []
+        peps["west"].submit(
+            RequestContext.simple("alice", "res.east", "read"), done.append
+        )
+        while hubs["west"].forwarded_batches_sent == 0:
+            network.run(until=network.now + 0.0005)
+        assert hubs["west"].inflight_count == 1 and not done
+        hubs["west"].withdraw_peer("east")
+        network.run(until=network.now + 10.0)
+        # East served the forward and answered; the answer was dropped.
+        assert hubs["east"].forwarded_batches_served == 1
+        assert hubs["west"].remote_decisions_delivered == 0
+        assert len(done) == 1
+        assert not done[0].granted and done[0].source == "fail-safe"
+        assert "federation:untrusted-peer" in done[0].detail
+

@@ -59,7 +59,7 @@ def simple_policy(resource_id="db", subject_id="alice"):
 def vo_env():
     network = Network(seed=43)
     keystore = KeyStore(seed=43)
-    vo, _ = build_federation("vo", ["acme"], network, keystore)
+    vo = build_federation("vo", ["acme"], network, keystore)
     return network, keystore, vo.domain("acme")
 
 
@@ -380,7 +380,7 @@ class TestSequences:
             )
         )
         resource = domain.expose_resource("db")
-        verifier = CapabilityVerifier(keystore, domain.validator)
+        verifier = CapabilityVerifier(domain)
         enforcer = CapabilityEnforcer(resource.pep, verifier)
         client = ClientAgent("client", network, "alice")
         trace, capability = push_sequence(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.domain import (
     AdministrativeDomain,
-    CollaborationMode,
     Subject,
     TrustGraph,
     TrustKind,
@@ -31,9 +30,11 @@ class TestTrustGraph:
     def test_revoke(self):
         graph = TrustGraph()
         graph.establish("a", "b", TrustKind.IDENTITY)
-        assert not graph.revoke("b", "a", TrustKind.IDENTITY)  # directed
-        assert not graph.revoke("a", "b", TrustKind.DECISION)  # per kind
+        assert graph.trusts("a", "b", TrustKind.IDENTITY)
+        assert not graph.trusts("b", "a", TrustKind.IDENTITY)  # directed
+        assert not graph.trusts("a", "b", TrustKind.DECISION)  # per kind
         assert graph.revoke("a", "b", TrustKind.IDENTITY)
+        assert not graph.trusts("a", "b", TrustKind.IDENTITY)
         assert not graph.revoke("a", "b", TrustKind.IDENTITY)
 
 
@@ -76,29 +77,11 @@ class TestVirtualOrganization:
     def test_cross_domain_certificate_validation_under_vo_root(
         self, network, keystore
     ):
-        vo = VirtualOrganization("vo", network, keystore, with_root_ca=True)
+        vo = VirtualOrganization("vo", network, keystore)
         a = vo.create_domain("a")
         b = vo.create_domain("b")
         identity_a = a.component_identity("svc.a")
         # b can validate a's component because both chain to the VO root.
-        b.validator.validate(identity_a.certificate, at=1.0)
-
-    def test_no_cross_validation_without_vo_root_or_trust(self, network, keystore):
-        from repro.wss import CertificateError
-
-        vo = VirtualOrganization("vo", network, keystore, with_root_ca=False)
-        a = vo.create_domain("a")
-        b = vo.create_domain("b")
-        identity_a = a.component_identity("svc.a")
-        with pytest.raises(CertificateError):
-            b.validator.validate(identity_a.certificate, at=1.0)
-
-    def test_establish_trust_installs_anchor(self, network, keystore):
-        vo = VirtualOrganization("vo", network, keystore, with_root_ca=False)
-        a = vo.create_domain("a")
-        b = vo.create_domain("b")
-        vo.establish_trust("b", "a", TrustKind.IDENTITY)
-        identity_a = a.component_identity("svc.a")
         b.validator.validate(identity_a.certificate, at=1.0)
 
     def test_membership_attribute_granted(self, network, keystore):
@@ -118,15 +101,15 @@ class TestVirtualOrganization:
 
 class TestFederationBuilders:
     def test_federated_full_mesh(self, network, keystore):
-        vo, agreement = build_federation(
-            "fed", ["x", "y", "z"], network, keystore
-        )
-        assert agreement.mode is CollaborationMode.FEDERATED
-        assert agreement.parties == ("x", "y", "z")
+        vo = build_federation("fed", ["x", "y", "z"], network, keystore)
+        assert list(vo.domains) == ["x", "y", "z"]
         for a in ("x", "y", "z"):
             for b in ("x", "y", "z"):
                 if a != b:
-                    assert vo.trust.revoke(a, b, TrustKind.IDENTITY)
+                    for kind in TrustKind:
+                        assert vo.trust.trusts(a, b, kind) == (
+                            kind is not TrustKind.DECISION
+                        )
 
 
 class TestIdentityProvider:

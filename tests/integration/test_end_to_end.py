@@ -40,7 +40,7 @@ class TestCrossDomainPull:
     def vo(self):
         network = Network(seed=101)
         keystore = KeyStore(seed=101)
-        vo, _ = build_federation(
+        vo = build_federation(
             "science", ["physics", "chemistry"], network, keystore
         )
         physics, chemistry = vo.domain("physics"), vo.domain("chemistry")
@@ -96,7 +96,7 @@ class TestPushVsPullEquivalence:
     def test_same_subjects_admitted(self):
         network = Network(seed=103)
         keystore = KeyStore(seed=103)
-        vo, _ = build_federation(
+        vo = build_federation(
             "grid", ["site-a", "site-b"], network, keystore,
             kinds=(TrustKind.IDENTITY, TrustKind.CAPABILITY),
         )
@@ -130,7 +130,7 @@ class TestPushVsPullEquivalence:
         cas.add_policy(policy)
         cas.set_subject_attribute("ana", SUBJECT_ROLE, ["analyst"])
         cas.set_subject_attribute("vic", SUBJECT_ROLE, ["visitor"])
-        verifier = CapabilityVerifier(keystore, site_b.validator)
+        verifier = CapabilityVerifier(site_b)
         enforcer = CapabilityEnforcer(resource.pep, verifier)
 
         for user, expected in (("ana", True), ("vic", False)):
@@ -151,7 +151,7 @@ class TestSelfProtection:
         """Admin rights expressed as an RBAC permission on the PAP itself."""
         network = Network(seed=109)
         keystore = KeyStore(seed=109)
-        vo, _ = build_federation("corp", ["hq"], network, keystore)
+        vo = build_federation("corp", ["hq"], network, keystore)
         hq = vo.domain("hq")
         admin_rbac = RbacModel("admin-model")
         admin_rbac.add_role("policy-admin")
@@ -174,7 +174,7 @@ class TestDependabilityUnderFaults:
     def test_replicated_system_rides_through_crash_storm(self):
         network = Network(seed=113)
         keystore = KeyStore(seed=113)
-        vo, _ = build_federation("vo", ["acme"], network, keystore)
+        vo = build_federation("vo", ["acme"], network, keystore)
         domain = vo.domain("acme")
         system = AccessControlSystem(
             domain,
@@ -217,7 +217,7 @@ class TestDependabilityUnderFaults:
     def test_single_pdp_system_fails_safe(self):
         network = Network(seed=127)
         keystore = KeyStore(seed=127)
-        vo, _ = build_federation("vo", ["acme"], network, keystore)
+        vo = build_federation("vo", ["acme"], network, keystore)
         domain = vo.domain("acme")
         system = AccessControlSystem(domain)
         system.protect("db")
@@ -241,7 +241,7 @@ class TestObligationDrivenContentControl:
 
         network = Network(seed=131)
         keystore = KeyStore(seed=131)
-        vo, _ = build_federation("vo", ["acme"], network, keystore)
+        vo = build_federation("vo", ["acme"], network, keystore)
         domain = vo.domain("acme")
         resource = domain.expose_resource("reports")
         domain.pap.publish(

@@ -98,7 +98,7 @@ class TestFailSafeInvariant:
     def test_no_crash_schedule_grants_unauthorised_access(self, schedule):
         network = Network(seed=5)
         keystore = KeyStore(seed=5)
-        vo, _ = build_federation("vo", ["acme"], network, keystore)
+        vo = build_federation("vo", ["acme"], network, keystore)
         system = AccessControlSystem(
             vo.domain("acme"),
             config=SystemConfig(pdp_replicas=3, heartbeat_period=0.3),
@@ -123,7 +123,7 @@ class TestFailSafeInvariant:
     def test_single_pdp_never_fails_open(self, schedule):
         network = Network(seed=6)
         keystore = KeyStore(seed=6)
-        vo, _ = build_federation("vo", ["acme"], network, keystore)
+        vo = build_federation("vo", ["acme"], network, keystore)
         system = AccessControlSystem(vo.domain("acme"))
         system.protect("db")
         system.publish_policy(db_policy())
@@ -141,7 +141,7 @@ class TestDeterminism:
     def run_once(self, seed):
         network = Network(seed=seed)
         keystore = KeyStore(seed=seed)
-        vo, _ = build_federation("vo", ["acme"], network, keystore)
+        vo = build_federation("vo", ["acme"], network, keystore)
         system = AccessControlSystem(
             vo.domain("acme"), config=SystemConfig(pdp_replicas=2)
         )

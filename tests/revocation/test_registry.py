@@ -16,7 +16,7 @@ from repro.revocation import (
     subject_access_target,
     trust_edge_target,
 )
-from repro.revocation.records import _component
+from repro.revocation.records import _component, trust_edge_of
 from repro.wss import KeyStore
 
 
@@ -53,6 +53,16 @@ class TestRecords:
             parsed = RevocationRecord.from_xml(record.to_xml())
             assert parsed == record
             assert parsed.tbs_bytes() == record.tbs_bytes()
+
+    @given(st.text(), st.text(), st.text())
+    def test_trust_edge_target_parses_back(self, truster, trusted, kind):
+        # The coherence agent reads the edge back to withdraw gateway
+        # entries: separator characters in a name must not shift it.
+        target = trust_edge_target(truster, trusted, kind)
+        assert trust_edge_of(target) == (truster, trusted, kind)
+
+    def test_a_target_naming_no_edge_parses_to_empty_names(self):
+        assert trust_edge_of("subject:alice") == ("", "", "")
 
     def test_bad_xml_rejected(self):
         with pytest.raises(RevocationError, match="not a Revocation"):

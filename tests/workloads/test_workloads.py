@@ -137,7 +137,9 @@ class TestScenarios:
         from repro.domain import TrustKind
         from repro.revocation import RevocationKind, trust_edge_target
 
+        assert vo.trust.trusts("registrar", "archive", TrustKind.IDENTITY)
         assert vo.trust.revoke("registrar", "archive", TrustKind.IDENTITY)
+        assert not vo.trust.trusts("registrar", "archive", TrustKind.IDENTITY)
         assert registry.is_revoked(
             RevocationKind.TRUST_EDGE,
             trust_edge_target("registrar", "archive", "identity"),
