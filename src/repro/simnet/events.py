@@ -195,10 +195,15 @@ class EventLoop:
             self.step()
             executed += 1
         if executed >= max_events:
-            raise RuntimeError(
-                f"event loop exceeded max_events={max_events}; "
-                "likely a self-rescheduling cycle"
-            )
+            # A runaway loop is one that still has events due: exactly
+            # ``max_events`` that drain the queue are a clean finish.
+            while self._heap and self._heap[0][2].cancelled:
+                self._entries.pop(heapq.heappop(self._heap)[1], None)
+            if self._heap and (until is None or self._heap[0][0] <= until):
+                raise RuntimeError(
+                    f"event loop exceeded max_events={max_events}; "
+                    "likely a self-rescheduling cycle"
+                )
         if until is not None and self.clock.now < until:
             self.clock.advance_to(until)
         return executed

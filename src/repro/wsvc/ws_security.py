@@ -17,6 +17,7 @@ decrypt first, then verify the signature over the recovered body.
 from __future__ import annotations
 
 import base64
+import binascii
 import functools
 import hashlib
 import re
@@ -86,7 +87,10 @@ def _parse_cert_token(header_xml: str) -> Certificate:
     match = _CERT_TOKEN.search(header_xml)
     if match is None:
         raise WsSecurityError("security header lacks a BinarySecurityToken")
-    return _certificate_of(*match.groups())
+    try:
+        return _certificate_of(*match.groups())
+    except ValueError as exc:  # a serial or validity bound that is no number
+        raise WsSecurityError(f"malformed BinarySecurityToken: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
@@ -257,11 +261,14 @@ def _decrypt_body(body_xml: str, keypair: KeyPair) -> str:
     value_match = _CIPHER_VALUE.search(body_xml)
     if key_match is None or value_match is None:
         raise WsSecurityError("body is not valid xenc:EncryptedData")
+    try:
+        nonce = base64.b64decode(value_match.group(1))
+        body = base64.b64decode(value_match.group(2))
+    except binascii.Error as exc:
+        raise WsSecurityError(f"malformed xenc:CipherValue: {exc}") from exc
     encrypted = EncryptedDocument(
         ciphertext=Ciphertext(
-            recipient=key_match.group(1),
-            nonce=base64.b64decode(value_match.group(1)),
-            body=base64.b64decode(value_match.group(2)),
+            recipient=key_match.group(1), nonce=nonce, body=body
         ),
         recipient_hint=key_match.group(1)[:16],
     )

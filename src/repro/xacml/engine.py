@@ -72,6 +72,35 @@ EvaluationContext.resolve`; XACML's "populated before it is first
 tested, thereafter immutable").  ``EvaluationStats.finder_calls`` is
 therefore bounded by the distinct finder-backed designators of the
 candidate set, not by its size.
+
+**The decision memo.**  So a decision is a function of the candidates
+and of the bags the evaluation fetched, in the order it first fetched
+them — and each fetch is decided by the bags before it.  Each store
+keeps a trie of what it has decided, per policy-combining algorithm:
+
+* **the root key** is the candidates' insertion ordinals, in candidate
+  order — ordinals are never reused, and :meth:`PolicyStore.replace`
+  re-queues under a fresh one, so a key names immutable elements for
+  good; the memo lives on the store, whose ordinals are its own;
+* **below the root** a node names the designator fetched next and
+  branches on the bag it yielded, keyed by each value's data type and
+  lexical form (``AttributeValue`` equality merges ``0.0`` and
+  ``-0.0``); the leaf is the combined decision, status and obligations.
+
+A hit walks the trie fetching each bag as the interpreter would
+(:meth:`~repro.xacml.expressions.EvaluationContext.fetch`, request then
+finder, in first-fetch order, without the ``must_be_present`` raise the
+leaf already accounts for), so finder calls, PIP round trips and
+``EvaluationStats`` are what interpretation gives; a miss interprets
+over the bags already fetched and records its path.  Not remembered:
+an element with a ``PolicyReference`` anywhere below it (its answer
+reads the store), and an evaluation that met a function id the registry
+does not know yet.  Memory is bounded by constants: :data:`MEMO_NODES`
+per store, past which the memo starts over, and :data:`MEMO_FANOUT`
+bags per node, past which the node stops learning and drops its
+children (a subject-id read: one branch per subject would learn
+nothing).  Finders answer with a list; one that raises is outside the
+contract either way.
 """
 
 from __future__ import annotations
@@ -81,7 +110,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Union
 
 from . import combining
-from .attributes import AttributeDesignator
+from .attributes import AttributeDesignator, Bag, DataType
 from .context import (
     Decision,
     Obligation,
@@ -90,7 +119,15 @@ from .context import (
     Status,
 )
 from .expressions import AttributeFinder, EvaluationContext
-from .policy import Policy, PolicyResult, PolicySet, child_identifier, outcomes
+from .policy import (
+    Policy,
+    PolicyReference,
+    PolicyResult,
+    PolicySet,
+    _result,
+    child_identifier,
+    outcomes,
+)
 
 if TYPE_CHECKING:  # analysis imports this module
     from .analysis.findings import AnalysisReport
@@ -126,6 +163,53 @@ class _IndexedBag:
 
 
 _VALUE_OF = operator.attrgetter("value")
+
+#: Nodes the decision memo of one store may hold, roots and leaves
+#: included; a record that would pass it empties the memo instead.
+MEMO_NODES = 1 << 14
+#: Distinct bags one memo node learns before it stops learning and
+#: drops its children (a subject-id read fans out per subject).
+MEMO_FANOUT = 32
+
+
+class _Fetch:
+    """A decision-memo node: the designator the evaluation fetches
+    next, and what follows per bag it yields (by :func:`_bag_key`) —
+    another node or the leaf, the combined :class:`PolicyResult`.
+
+    ``children`` is one ``(bag key, next)`` pair while the node has
+    seen one bag (a dict costs four times the node), a dict from the
+    second, and None once the node stopped learning."""
+
+    __slots__ = ("designator", "children")
+
+    def __init__(self, designator: AttributeDesignator, children: Any) -> None:
+        self.designator = designator
+        self.children = children
+
+    def next(self, slot: Any) -> Any:
+        children = self.children
+        if type(children) is tuple:
+            return children[1] if slot == children[0] else None
+        return None if children is None else children.get(slot)
+
+
+def _bag_key(bag: Bag, data_type: DataType) -> Any:
+    """What tells two bags apart for the memo: each value's data type
+    and lexical form, in order.  ``AttributeValue`` equality is coarser
+    (``double(0.0) == double(-0.0)``).  A single value of the
+    designator's own type, the common case, is its lexical string."""
+    values = bag.values
+    if len(values) == 1 and values[0].data_type is data_type:
+        return values[0].lexical()
+    return tuple([(value.data_type, value.lexical()) for value in values])
+
+
+def _reads_store(element: Any) -> bool:
+    """Does evaluating ``element`` resolve a reference against the store?"""
+    if isinstance(element, PolicyReference):
+        return True
+    return isinstance(element, PolicySet) and any(map(_reads_store, element.children))
 
 
 @dataclass
@@ -222,6 +306,13 @@ class PolicyStore:
         #: while it is here, each bag it names counts one residue use.
         self._residues: dict[Residue, list[Any]] = {}
         self._unindexable: Postings = {}
+        #: The decision memo: policy-combining id -> root key (the
+        #: candidates' ordinals) -> trie node or leaf.
+        self._memo: dict[str, dict[tuple[int, ...], Any]] = {}
+        self._memo_nodes = 0
+        #: Ordinals of the elements holding a PolicyReference: their
+        #: answers read the store, so they are never remembered.
+        self._reads_store: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -261,6 +352,7 @@ class PolicyStore:
         if element is None:
             return
         ordinal = self._ordinals.pop(identifier)
+        self._reads_store.discard(ordinal)
         posted, residue, _ = self._plan(element)
         if not posted:
             del self._unindexable[ordinal]
@@ -355,6 +447,8 @@ class PolicyStore:
         self._next_ordinal += 1
         self._elements[identifier] = element
         self._ordinals[identifier] = ordinal
+        if type(element) is not Policy and _reads_store(element):
+            self._reads_store.add(ordinal)
         posted, residue, read = self._plan(element)
         if not posted:
             self._unindexable[ordinal] = element
@@ -411,10 +505,20 @@ class PolicyStore:
         ``carried`` lets a caller that already derived the request's
         :meth:`_carried` (the batch memo) pass it in.
         """
+        return self._select(request, stats, carried)[1]
+
+    def _select(
+        self,
+        request: RequestContext,
+        stats: Optional[EvaluationStats] = None,
+        carried: Optional[dict[str, tuple[Any, ...]]] = None,
+    ) -> tuple[tuple[int, ...], list[PolicyElement]]:
+        """:meth:`candidates`, with their ordinals in the same order:
+        the root key of the decision memo."""
         if not self.indexed:
             if stats is not None:
                 stats.candidate_set_size = len(self._elements)
-            return self.elements()
+            return tuple(self._ordinals.values()), self.elements()
         if carried is None:
             carried = self._carried(request)
         admitted: list[Postings] = []
@@ -442,16 +546,66 @@ class PolicyStore:
                         admitted.append(postings)
         if len(admitted) == 1 and not self._unindexable:
             # One posting list is in insertion order by itself.
+            key = tuple(admitted[0])
             found = list(admitted[0].values())
         else:
             merged: Postings = dict(self._unindexable)
             for postings in admitted:
                 merged.update(postings)
-            found = [merged[ordinal] for ordinal in sorted(merged)]
+            key = tuple(sorted(merged))
+            found = [merged[ordinal] for ordinal in key]
         if stats is not None:
             stats.policies_skipped_by_index += len(self._elements) - len(found)
             stats.candidate_set_size = len(found)
-        return found
+        return key, found
+
+    def _memo_roots(
+        self, policy_combining: str, key: tuple[int, ...]
+    ) -> Optional[dict[tuple[int, ...], Any]]:
+        """The memo roots of one combining algorithm, or None when a
+        candidate under ``key`` reads the store."""
+        if self._reads_store and not self._reads_store.isdisjoint(key):
+            return None
+        roots = self._memo.get(policy_combining)
+        if roots is None:
+            roots = self._memo[policy_combining] = {}
+        return roots
+
+    def _remember(
+        self,
+        roots: dict[tuple[int, ...], Any],
+        key: tuple[int, ...],
+        holder: Optional[_Fetch],
+        slot: Any,
+        fetched: list[tuple[AttributeDesignator, Bag]],
+        leaf: PolicyResult,
+    ) -> None:
+        """Record the rest of a path the memo missed: one node per bag
+        fetched after the walk ended, then the leaf, under ``slot`` of
+        the last node walked (``holder``; None: the root ``key``)."""
+        if holder is not None and holder.children is None:
+            return  # stopped learning
+        if self._memo_nodes + len(fetched) >= MEMO_NODES:
+            for held in self._memo.values():
+                held.clear()
+            self._memo_nodes = 0
+            return  # ``holder`` went with the rest; the next miss starts over
+        branch: Any = leaf
+        for designator, bag in reversed(fetched):
+            branch = _Fetch(designator, (_bag_key(bag, designator.data_type), branch))
+        self._memo_nodes += len(fetched) + 1
+        if holder is None:
+            roots[key] = branch
+            return
+        # ``holder`` is read here, not when the walk ended: a finder that
+        # calls out may have let other evaluations grow it meanwhile.
+        children = holder.children
+        if type(children) is tuple:
+            holder.children = dict((children, (slot, branch)))
+        elif len(children) < MEMO_FANOUT:
+            children[slot] = branch
+        else:
+            holder.children = None
 
 
 @dataclass
@@ -505,9 +659,10 @@ class PdpEngine:
         """Evaluate a request and produce a single-result response."""
         self.evaluations += 1
         stats = EvaluationStats()
-        candidates = self.store.candidates(request, stats)
+        store = self.store
+        key, candidates = store._select(request, stats)
         return self._evaluate_candidates(
-            request, candidates, stats, current_time, self.attribute_finder
+            store, request, key, candidates, stats, current_time, self.attribute_finder
         )
 
     def evaluate_batch(
@@ -536,24 +691,25 @@ class PdpEngine:
                 omitted every element uses ``self.attribute_finder``.
         """
         self.batches_evaluated += 1
-        memo: dict[tuple[tuple[Any, ...], ...], list[PolicyElement]] = {}
+        store = self.store
+        memo: dict[
+            tuple[tuple[Any, ...], ...],
+            tuple[tuple[int, ...], list[PolicyElement]],
+        ] = {}
         responses: list[EngineResponse] = []
         for request in requests:
             self.evaluations += 1
             stats = EvaluationStats()
-            carried = self.store._carried(request)
-            key = tuple(carried.values())
-            candidates = memo.get(key)
-            if candidates is None:
-                candidates = self.store.candidates(request, stats, carried)
-                memo[key] = candidates
+            carried = store._carried(request)
+            shared = tuple(carried.values())
+            selected = memo.get(shared)
+            if selected is None:
+                selected = memo[shared] = store._select(request, stats, carried)
             else:
                 self.candidate_lookups_shared += 1
-                if self.store.indexed:
-                    stats.policies_skipped_by_index = len(self.store) - len(
-                        candidates
-                    )
-                stats.candidate_set_size = len(candidates)
+                if store.indexed:
+                    stats.policies_skipped_by_index = len(store) - len(selected[1])
+                stats.candidate_set_size = len(selected[1])
             finder = (
                 finder_for(request)
                 if finder_for is not None
@@ -561,36 +717,65 @@ class PdpEngine:
             )
             responses.append(
                 self._evaluate_candidates(
-                    request, candidates, stats, current_time, finder
+                    store, request, *selected, stats, current_time, finder
                 )
             )
         return responses
 
     def _evaluate_candidates(
         self,
+        store: PolicyStore,
         request: RequestContext,
+        key: tuple[int, ...],
         candidates: list[PolicyElement],
         stats: EvaluationStats,
         current_time: float,
         attribute_finder: Optional[AttributeFinder],
     ) -> EngineResponse:
-        """Combine the candidate elements' results into one response."""
+        """Combine the candidate elements' results into one response:
+        from the store's decision memo when it holds the path the
+        request's bags take, by interpretation otherwise."""
         ctx = EvaluationContext(
             request=request,
             current_time=current_time,
             attribute_finder=attribute_finder,
-            reference_resolver=self.store.get,
+            reference_resolver=store.get,
         )
         stats.policies_considered = len(candidates)
-        collected: list[Obligation] = []
-        decision, status = combining.lookup(self.policy_combining)(
-            outcomes(candidates, ctx, collected)
-        )
-        # A child's obligations attach to its own decision, so those of
-        # the combined decision are those of the children that took it.
-        obligations = tuple(
-            [ob for ob in collected if ob.fulfill_on is decision]
-        )
+        roots = store._memo_roots(self.policy_combining, key)
+        node = None if roots is None else roots.get(key)
+        holder, slot = None, key
+        while type(node) is _Fetch:
+            holder, designator = node, node.designator
+            slot = _bag_key(ctx.fetch(designator), designator.data_type)
+            node = node.next(slot)
+        if node is not None:
+            decision, status, obligations = (
+                node.decision,
+                node.status,
+                node.obligations,
+            )
+        else:
+            walked = len(ctx.fetched)
+            collected: list[Obligation] = []
+            decision, status = combining.lookup(self.policy_combining)(
+                outcomes(candidates, ctx, collected)
+            )
+            # A child's obligations attach to its own decision, so those
+            # of the combined decision are those of the children that
+            # took it.
+            obligations = tuple(
+                [ob for ob in collected if ob.fulfill_on is decision]
+            )
+            if roots is not None and not ctx.unbound_function:
+                store._remember(
+                    roots,
+                    key,
+                    holder,
+                    slot,
+                    ctx.fetched[walked:],
+                    _result(decision, status, obligations),
+                )
         stats.finder_calls = ctx.finder_calls
         response = ResponseContext.single(
             decision=decision,

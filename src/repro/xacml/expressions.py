@@ -21,7 +21,11 @@ The contract of this module:
   snapshot of its attributes even when the finder is a PIP across the
   wire whose store changes mid-evaluation, and the PIP is asked once
   per designator, not once per rule.  ``must_be_present`` is judged
-  against the remembered bag on every touch.
+  against the remembered bag on every touch.  The context also lists
+  the fetches in first-fetch order (:attr:`EvaluationContext.fetched`):
+  a decision is a function of that list, which is what the engine's
+  decision memo keys on and replays through :meth:`~EvaluationContext.
+  fetch`.
 * **Bound when built.**  :class:`Apply`, :class:`AnyOfFunction` and
   :class:`AllOfFunction` look their function up in the registry once, at
   construction (the registry refuses to overwrite, so the binding cannot
@@ -98,13 +102,19 @@ class EvaluationContext:
     #: ``AttributeDesignator.bag_key`` -> the bag fetched for it; a bag,
     #: empty or not, is fetched once and then immutable for the decision.
     _bags: dict[str, Bag] = field(default_factory=dict)
+    #: ``(designator, bag)`` per fetch, in first-fetch order: the path
+    #: the engine's decision memo records.
+    fetched: list[tuple[AttributeDesignator, Bag]] = field(default_factory=list)
+    #: Set when a function id the registry does not know was met: the
+    #: answer may change once it is registered, so it is not remembered.
+    unbound_function: bool = False
 
     def resolve(self, designator: AttributeDesignator) -> Bag:
         """The designator's bag: fetched on first touch (request first,
         then the PIP finder), remembered for the rest of the decision."""
         bag = self._bags.get(designator.bag_key)
         if bag is None:
-            bag = self._bags[designator.bag_key] = self._fetch(designator)
+            bag = self.fetch(designator)
         if designator.must_be_present and bag.is_empty():
             raise Indeterminate(
                 f"missing required attribute {designator.describe()}",
@@ -112,7 +122,10 @@ class EvaluationContext:
             )
         return bag
 
-    def _fetch(self, designator: AttributeDesignator) -> Bag:
+    def fetch(self, designator: AttributeDesignator) -> Bag:
+        """First fetch of a designator's bag, as :meth:`resolve` makes
+        it but without judging ``must_be_present``: remembered, and
+        appended to :attr:`fetched`."""
         bag = self.request.bag(
             designator.category,
             designator.attribute_id,
@@ -129,15 +142,17 @@ class EvaluationContext:
                     (designator.category, designator.attribute_id)
                 )
                 bag = Bag(values)
+        self._bags[designator.bag_key] = bag
+        self.fetched.append((designator, bag))
         return bag
 
-
-def _late_lookup(function_id: str) -> functions.Function:
-    """Evaluation-time lookup of an id that was unknown at construction."""
-    try:
-        return functions.lookup(function_id)
-    except functions.FunctionError as exc:
-        raise Indeterminate(str(exc)) from exc
+    def late_lookup(self, function_id: str) -> functions.Function:
+        """Evaluation-time lookup of an id that was unknown at construction."""
+        try:
+            return functions.lookup(function_id)
+        except functions.FunctionError as exc:
+            self.unbound_function = True
+            raise Indeterminate(str(exc)) from exc
 
 
 class Expression:
@@ -194,7 +209,7 @@ class Apply(_FunctionNode):
     arguments: tuple[Expression, ...]
 
     def evaluate(self, ctx: EvaluationContext) -> Union[AttributeValue, Bag]:
-        func = self._function or _late_lookup(self.function_id)
+        func = self._function or ctx.late_lookup(self.function_id)
         args: list[Union[AttributeValue, Bag]] = []
         for argument in self.arguments:
             # The two leaves are read in place (exactly these classes:
@@ -226,7 +241,7 @@ class AnyOfFunction(_FunctionNode):
     value: Expression
     bag: Expression
     def evaluate(self, ctx: EvaluationContext) -> AttributeValue:
-        func = self._function or _late_lookup(self.function_id)
+        func = self._function or ctx.late_lookup(self.function_id)
         value = self.value.evaluate(ctx)
         bag = self.bag.evaluate(ctx)
         if not isinstance(bag, Bag):
@@ -248,7 +263,7 @@ class AllOfFunction(_FunctionNode):
     value: Expression
     bag: Expression
     def evaluate(self, ctx: EvaluationContext) -> AttributeValue:
-        func = self._function or _late_lookup(self.function_id)
+        func = self._function or ctx.late_lookup(self.function_id)
         value = self.value.evaluate(ctx)
         bag = self.bag.evaluate(ctx)
         if not isinstance(bag, Bag):

@@ -125,9 +125,9 @@ class Match:
 
     def evaluate(self, ctx: EvaluationContext) -> MatchResult:
         try:
-            func = self._function or functions.lookup(self.match_function)
+            func = self._function or ctx.late_lookup(self.match_function)
             bag = ctx.resolve(self.designator)
-        except (Indeterminate, functions.FunctionError):
+        except Indeterminate:
             return MatchResult.INDETERMINATE
         saw_error = False
         if self._by_value:

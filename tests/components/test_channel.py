@@ -9,6 +9,8 @@ pins it; the ``owned`` row is the bypass the per-endpoint handlers used
 to leave open.
 """
 
+import re
+
 import pytest
 
 from repro.components import (
@@ -39,6 +41,7 @@ from repro.simnet import Network
 from repro.wss import KeyStore
 from repro.wss.pki import CertificateAuthority, TrustValidator
 from repro.wsvc import SoapEnvelope
+from repro.wsvc.soap import HeaderBlock
 from repro.xacml import (
     Policy,
     RequestContext,
@@ -209,6 +212,104 @@ class TestServerSide:
             secure_action(OWNED_BATCH_QUERY_ACTION)
             == "xacml.request.batch.owned.secure"
         )
+
+
+def with_token_field(envelope, field, text):
+    """``envelope`` with one ``BinarySecurityToken`` attribute replaced."""
+    headers = [
+        HeaderBlock(
+            block.name,
+            re.sub(f'{field}="[^"]*"', f'{field}="{text}"', block.content_xml),
+            block.must_understand,
+        )
+        for block in envelope.headers
+    ]
+    return SoapEnvelope(envelope.action, envelope.body_xml, headers)
+
+
+def with_bad_ciphertext(envelope):
+    """``envelope`` claiming an encrypted body whose base64 is broken."""
+    headers = [
+        HeaderBlock(block.name, block.content_xml + "<wsse:EncryptedBody/>", True)
+        for block in envelope.headers
+    ]
+    body = (
+        "<xenc:EncryptedData><ds:KeyInfo><ds:KeyName>k</ds:KeyName></ds:KeyInfo>"
+        '<xenc:CipherData><xenc:CipherValue nonce="abc">abcde</xenc:CipherValue>'
+        "</xenc:CipherData></xenc:EncryptedData>"
+    )
+    return SoapEnvelope(envelope.action, body, headers)
+
+
+#: A token a signer could never have written: each once made the
+#: receiving handler raise ``ValueError`` out of the event loop.
+MALFORMED = {
+    "serial": lambda envelope: with_token_field(envelope, "serial", "x1003"),
+    "notBefore": lambda envelope: with_token_field(envelope, "notBefore", "soon"),
+    "notAfter": lambda envelope: with_token_field(envelope, "notAfter", "later"),
+    "ciphertext": with_bad_ciphertext,
+}
+
+
+class TestMalformedToken:
+    """A security header that does not parse is a refused query and an
+    unvouched reply, never an exception out of the handler."""
+
+    @pytest.mark.parametrize("endpoint", sorted(SERVER_TABLE))
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_the_server_answers_a_fault(self, served, endpoint, damage):
+        world, pdp, gateway, client, channel = served
+        base, _, code = SERVER_TABLE[endpoint]
+        server = gateway if endpoint == "forward" else pdp
+        action, envelope = channel.seal(base, query_body(endpoint))
+        with pytest.raises(RpcFault) as fault:
+            client.call(server.name, action, MALFORMED[damage](envelope))
+        assert fault.value.code == code
+        assert pdp.decisions_made == 0
+
+    def test_a_forward_with_a_bad_token_is_an_origin_rejection(self, served):
+        world, pdp, gateway, client, channel = served
+        action, envelope = channel.seal(FORWARD_ACTION, query_body("forward"))
+        with pytest.raises(RpcFault):
+            client.call(gateway.name, action, MALFORMED["serial"](envelope))
+        assert gateway.origin_rejections == 1
+
+    def secure_pep(self, world):
+        return PolicyEnforcementPoint(
+            "pep",
+            world.network,
+            identity=world.identity("pep"),
+            pdp_address="pdp",
+            config=PepConfig(secure_channel=True),
+        )
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_a_query_with_a_bad_token_is_a_fail_safe_deny(self, damage):
+        world = World()
+        pdp = world.pdp("pdp")
+        pep = self.secure_pep(world)
+        seal = pep.channel.seal
+
+        def damaged(base, body_xml):
+            action, envelope = seal(base, body_xml)
+            return action, MALFORMED[damage](envelope)
+
+        pep.channel.seal = damaged
+        result = pep.authorize(REQUEST)
+        assert pdp.decisions_made == 0 and pdp.rejected_queries == 1
+        assert not result.granted and result.source == "fail-safe"
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_a_reply_with_a_bad_token_is_a_fail_safe_deny(self, damage):
+        world = World()
+        pdp = world.pdp("pdp")
+        seal_reply = pdp.channel.seal_reply
+        pdp.channel.seal_reply = lambda *args, **kwargs: MALFORMED[damage](
+            seal_reply(*args, **kwargs)
+        )
+        result = self.secure_pep(world).authorize(REQUEST)
+        assert pdp.decisions_made == 1
+        assert not result.granted and result.source == "fail-safe"
 
 
 class TestWrongSignerReply:

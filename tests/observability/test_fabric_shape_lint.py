@@ -45,10 +45,17 @@ And to static conflict analysis: E8's modality-conflict scan intersected
 disagreed on issued bags.  The scan is a query on the algebra now, and
 ``Target.pinned`` is read by shard partitioning and delegation scopes
 only.
+
+And, not yet, to blocking inside an event: ``Component.call`` nests the
+event loop, so a handler or timer that reaches it serves other queries
+re-entrantly while it waits (ROADMAP direction 9).  The last lint lists
+today's sites and fails on a new one; direction 9 empties the list.
 """
 
 import ast
 from pathlib import Path
+
+from test_surface_lint import identifiers as names_read
 
 REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 COMPONENTS = REPRO / "components"
@@ -450,3 +457,157 @@ def test_one_static_conflict_analyser():
         "Target.pinned is read outside delegation scopes — static "
         f"analysis reads targets through the algebra: {readers}"
     )
+
+
+# -- no handler blocks (ROADMAP direction 9, step 1) ------------------------------
+
+#: Calls that drive the event loop from inside whoever makes them: the
+#: synchronous RPC and the loop it nests.
+BLOCKING = {"call", "run_until"}
+#: Registrations whose callback — the second argument of each — runs as
+#: an event: ``on(kind, handler)`` and the loop's (or network's) timers.
+EVENT_ENTRIES = {"on", "schedule", "schedule_at"}
+
+#: ``module:Qualified.name`` -> why it may block, for now.  Today's
+#: sites: each nests the loop inside an event.
+BLOCKING_ALLOWED = {
+    site: "ROADMAP direction 9 removes"
+    for site in (
+        "admin/syndication.py:SyndicationNode._push_to_children",
+        "components/base.py:Component.call",
+        "components/pdp.py:PolicyDecisionPoint._answer_batch_sharded",
+        "components/pdp.py:PolicyDecisionPoint._attribute_finder_for",
+        "components/pdp.py:PolicyDecisionPoint._refresh_policies",
+        "core/dependability.py:HeartbeatMonitor._beat",
+        "core/dependability.py:QuorumClient.evaluate",
+        "core/discovery.py:HealthProber._probe",
+        "domain/directory_service.py:DirectoryClient.lookup",
+        "revocation/coherence.py:CoherenceAgent.fetch_delta",
+        "revocation/coherence.py:CoherenceAgent.query_status",
+    )
+}
+
+
+def event_units(module: str, tree: ast.Module):
+    """``(key, name, node)`` per ``def`` not inside another ``def`` (a
+    nested function — a finder, a callback — belongs to its encloser),
+    and per name a module or class body assigns (a dispatch table
+    reaches what it holds)."""
+
+    def visit(body, prefix):
+        for statement in body:
+            if isinstance(statement, ast.ClassDef):
+                yield from visit(statement.body, f"{prefix}{statement.name}.")
+            elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{module}:{prefix}{statement.name}", statement.name, statement
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)) and statement.value:
+                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        yield f"{module}:{prefix}{target.id}", target.id, statement.value
+
+    yield from visit(tree.body, "")
+
+
+def blocks(node: ast.AST) -> bool:
+    """Does ``node`` call ``<anything>.call(...)`` or ``run_until``?"""
+    return any(
+        isinstance(call, ast.Call)
+        and (
+            getattr(call.func, "attr", None) in BLOCKING
+            or getattr(call.func, "id", None) == "run_until"
+        )
+        for call in ast.walk(node)
+    )
+
+
+def blocking_sites(trees) -> list[str]:
+    """Units that block and are reachable, by name, from an event.
+
+    Roots are the identifiers in the callback argument of every
+    ``on(...)``, ``schedule(...)`` and ``schedule_at(...)`` call.  A
+    unit reads what ``test_surface_lint.identifiers`` finds in it, and
+    every unit bearing a name a reached unit reads is reached."""
+    units = [unit for module, tree in trees for unit in event_units(module, tree)]
+    by_name: dict[str, list] = {}
+    for unit in units:
+        by_name.setdefault(unit[1], []).append(unit)
+    pending = [
+        name
+        for _, tree in trees
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in EVENT_ENTRIES
+        and len(call.args) > 1
+        for name in names_read([call.args[1]])
+    ]
+    seen: set[str] = set()
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for key, _, node in by_name.get(name, []):
+            if key not in reached:
+                reached.add(key)
+                pending.extend(names_read([node]))
+    return sorted(
+        key for key, _, node in units if key in reached and blocks(node)
+    )
+
+
+def source_trees():
+    return [
+        (path.relative_to(REPRO).as_posix(), ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(REPRO.rglob("*.py"))
+    ]
+
+
+def test_no_handler_or_timer_reaches_a_blocking_call():
+    assert blocking_sites(source_trees()) == sorted(BLOCKING_ALLOWED), (
+        "a blocking call (.call / run_until) is reachable from a handler "
+        "registered with on(...) or a scheduled timer — send and handle "
+        "the reply as an event instead; an allow-list entry that no "
+        "longer blocks must go"
+    )
+
+
+#: A made-up component: a handler whose helper blocks, a timer that
+#: blocks through a dispatch table, and a blocking method that no event
+#: reaches (the caller's own entry point).
+BLOCKING_WORLD = """
+class Server:
+    def __init__(self):
+        self.on("query", self._handle)
+        self.loop.schedule(1.0, lambda: self._tick())
+
+    def _handle(self, message):
+        return self._lookup(message)
+
+    def _lookup(self, message):
+        return self.call("pip", "pip.query", message)
+
+    _TABLE = {"tick": _lookup}
+
+    def _tick(self):
+        return self._TABLE["tick"](self, None)
+
+    def drive(self):
+        return self.call("server", "query", "<Q/>")
+"""
+
+
+def test_the_blocking_lint_finds_a_handler_that_blocks():
+    trees = [("pkg/server.py", ast.parse(BLOCKING_WORLD))]
+    assert blocking_sites(trees) == ["pkg/server.py:Server._lookup"]
+    # Without the handler the timer still gets there, through the table.
+    unregistered = BLOCKING_WORLD.replace('self.on("query", self._handle)', "pass")
+    assert blocking_sites([("pkg/server.py", ast.parse(unregistered))]) == [
+        "pkg/server.py:Server._lookup"
+    ]
+    # Without both nothing an event runs blocks; the caller's own entry
+    # point never counted.
+    quiet = unregistered.replace("lambda: self._tick()", "lambda: None")
+    assert blocking_sites([("pkg/server.py", ast.parse(quiet))]) == []

@@ -132,6 +132,34 @@ class TestEventLoop:
         with pytest.raises(RuntimeError, match="max_events"):
             loop.run(max_events=100)
 
+    @pytest.mark.parametrize(
+        "scheduled, cancelled, until, runaway",
+        [
+            (3, 0, None, False),  # exactly max_events drain the queue
+            (4, 0, None, True),  # one event left over
+            (4, 1, None, False),  # what is left is cancelled
+            (4, 0, 3.5, False),  # what is left is past ``until``
+            (4, 0, 4.0, True),  # ... unless it is due at ``until``
+        ],
+    )
+    def test_max_events_is_exceeded_only_when_events_remain(
+        self, scheduled, cancelled, until, runaway
+    ):
+        loop = EventLoop()
+        fired = []
+        handles = [
+            loop.schedule(float(when), lambda when=when: fired.append(when))
+            for when in range(1, scheduled + 1)
+        ]
+        for handle in handles[len(handles) - cancelled :]:
+            loop.cancel(handle)
+        if runaway:
+            with pytest.raises(RuntimeError, match="max_events"):
+                loop.run(until=until, max_events=3)
+        else:
+            assert loop.run(until=until, max_events=3) == 3
+        assert fired == [1, 2, 3]
+
     def test_pending_and_processed_counters(self):
         loop = EventLoop()
         loop.schedule(1.0, lambda: None)

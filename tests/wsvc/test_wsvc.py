@@ -187,8 +187,11 @@ class TestWsSecurity:
         broken = SoapEnvelope.from_xml(
             protected.replace(f'serial="{cert.serial}"', 'serial="many"')
         )
+        # ... as a security error (it used to be the parser's
+        # ValueError, which no handler caught), and on every call: the
+        # token memo never remembers a failure.
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(WsSecurityError, match="malformed BinarySecurityToken"):
                 verify_envelope(broken, keystore, validator)
 
     def test_security_adds_measurable_overhead(self, pki):

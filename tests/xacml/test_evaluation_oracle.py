@@ -397,13 +397,13 @@ def oracle_condition_evaluate(self, ctx):
 
 
 def oracle_evaluate_candidates(
-    self, request, candidates, stats, current_time, attribute_finder
+    self, store, request, key, candidates, stats, current_time, attribute_finder
 ):
     ctx = EvaluationContext(
         request=request,
         current_time=current_time,
         attribute_finder=attribute_finder,
-        reference_resolver=self.store.get,
+        reference_resolver=store.get,
     )
     stats.policies_considered = len(candidates)
     results = []
