@@ -26,7 +26,9 @@ so every PR records where the headline experiments stand:
   adversarial witness replay (false positives pinned 0), clean-corpus
   scan (findings pinned 0);
 * **E29a** — the refresh herd: bundle fetches per policy change per
-  PDP (pinned 1.0) and the deepest refresh nesting (pinned 1).
+  PDP (pinned 1.0) and the deepest refresh nesting (pinned 1);
+* **E7a** — message sizes: the plain, signed and signed-and-encrypted
+  query envelope in bytes.
 
 Runs everything in smoke dimensions (the module forces
 ``REPRO_BENCH_SMOKE=1`` before importing the benchmark modules, whose
@@ -452,6 +454,21 @@ def collect_e25() -> dict:
     }
 
 
+def collect_e7() -> dict:
+    """Bytes of the sample query envelope under each protection."""
+    import test_e7_message_overhead as e7
+
+    envelopes, _ = e7.sample_envelopes(*e7.signing_identity())
+    return {
+        "description": "one XACML decision query in a SOAP envelope: "
+        "plain, WS-Security signed, signed and encrypted",
+        "configs": {
+            name: {"wire_bytes": envelope.wire_size}
+            for name, envelope in envelopes.items()
+        },
+    }
+
+
 def collect_e29() -> dict:
     """The refresh herd: what one policy change costs a loaded PDP."""
     import test_e29_control_plane as e29
@@ -491,6 +508,10 @@ def collect() -> dict:
             # these first would shift every later experiment's bytes.
             "E10": collect_e10(),
             "E11a": collect_e11(),
+            # After E11a for the same reason: its query id and serials
+            # are the process's next ones, so its bytes depend on this
+            # order.
+            "E7a": collect_e7(),
         },
     }
     e16 = summary["experiments"]["E16"]["configs"]
@@ -591,6 +612,12 @@ def collect() -> dict:
             "e11_unauthorised_grants": sum(
                 cell["unauthorised_grants"] for cell in e11.values()
             ),
+        }
+    )
+    summary["headline"].update(
+        {
+            f"e7_{name}_envelope_bytes": cell["wire_bytes"]
+            for name, cell in summary["experiments"]["E7a"]["configs"].items()
         }
     )
     return summary

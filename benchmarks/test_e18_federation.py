@@ -632,7 +632,7 @@ def schedule_revocation(network, paps, authority, audit) -> None:
             publish_revoked_policies(pap, name, REVOKED_SUBJECT)
         authority.registry.revoke_subject_access(REVOKED_SUBJECT)
 
-    network.loop.schedule(REVOKE_AT, fire, label="e18c-revoke")
+    network.loop.schedule(REVOKE_AT, fire)
 
 
 def run_cache_cell(
@@ -801,7 +801,7 @@ def run_directory_profile_row(
         subscribe=subscribe,
         moving_resource=True,
     )
-    vo.network.loop.schedule(TRANSFER_AT, vo.transfer, label="e18d-transfer")
+    vo.network.loop.schedule(TRANSFER_AT, vo.transfer)
     stats = drive(vo.network, vo.peps_by_domain, remote_fraction)
     return vo.network, stats, vo.gateways, vo.clients
 

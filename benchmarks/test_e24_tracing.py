@@ -354,7 +354,7 @@ def test_e24_trace_audit_misroutes():
     )
     network, hubs = vo.network, vo.gateways
     network.tracer.sample_rate = 1.0
-    network.loop.schedule(e18.TRANSFER_AT, vo.transfer, label="e24-transfer")
+    network.loop.schedule(e18.TRANSFER_AT, vo.transfer)
     stats = e18.drive(network, vo.peps_by_domain, 0.5)
     assert stats.fleet.completed == 2 * e18.PEPS_PER_DOMAIN * e18.EVENTS
     spans = network.tracer.spans

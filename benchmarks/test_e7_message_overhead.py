@@ -49,20 +49,33 @@ def policy_with_rules(rule_count):
     )
 
 
-def test_e7_message_overhead(benchmark):
+def signing_identity():
+    """``(keystore, key pair, certificate, recipient pair)`` of E7a."""
     keystore = KeyStore(seed=7)
     ca = CertificateAuthority("Root", keystore)
     pair = keystore.generate("pep")
     cert = ca.issue("pep", pair.public, not_before=0.0, lifetime=1e6)
-    recipient = keystore.generate("pdp")
+    return keystore, pair, cert, keystore.generate("pdp")
 
+
+def sample_envelopes(keystore, pair, cert, recipient):
+    """The sample query, plain, signed and signed-and-encrypted."""
     query = sample_query()
-    compact = f"{query.request.subject_id}|{query.request.resource_id}|read"
     plain = request_envelope("xacml.request", query.to_xml())
-    signed = secure_envelope(plain, pair, cert, keystore)
-    encrypted = secure_envelope(
-        plain, pair, cert, keystore, encrypt_to=recipient.public
-    )
+    return {
+        "plain": plain,
+        "signed": secure_envelope(plain, pair, cert, keystore),
+        "encrypted": secure_envelope(
+            plain, pair, cert, keystore, encrypt_to=recipient.public
+        ),
+    }, query
+
+
+def test_e7_message_overhead(benchmark):
+    keystore, pair, cert, recipient = signing_identity()
+    envelopes, query = sample_envelopes(keystore, pair, cert, recipient)
+    plain, signed, encrypted = (envelopes[k] for k in ("plain", "signed", "encrypted"))
+    compact = f"{query.request.subject_id}|{query.request.resource_id}|read"
 
     experiment = Experiment(
         exp_id="E7a",
@@ -88,6 +101,9 @@ def test_e7_message_overhead(benchmark):
     assert signed.wire_size > 1.5 * plain.wire_size
     assert encrypted.wire_size > signed.wire_size
     assert plain.wire_size > 10 * compact_size
+    # The arithmetic size is the serialised size, to the byte.
+    for envelope in envelopes.values():
+        assert envelope.wire_size == len(envelope.to_xml().encode("utf-8"))
 
     experiment_b = Experiment(
         exp_id="E7b",

@@ -84,6 +84,7 @@ class Component:
         self.identity = identity
         self.node: Node = network.node(name)
         self.node.on_message(self._dispatch)
+        self._clock = network.clock
         self._handlers: dict[str, Handler] = {}
         self._pending: dict[int, list[Message]] = {}
         self._rpc_ids = itertools.count(1)
@@ -104,7 +105,7 @@ class Component:
 
     @property
     def now(self) -> float:
-        return self.network.now
+        return self._clock.now
 
     # -- server side ---------------------------------------------------------
 

@@ -434,7 +434,6 @@ class BatchingStage:
             Called on every flush unless :attr:`draining` is set.
         complete: answer one slot's waiters with a decision statement.
         deny: fail one slot's waiters safe with an exception.
-        label: event label of the delay timer.
 
     Attributes:
         draining: set by a drain that continues past the current call
@@ -452,7 +451,6 @@ class BatchingStage:
         drain: Callable[[], None],
         complete: Callable[[Slot, object], None],
         deny: Callable[[Slot, Exception], None],
-        label: str,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -464,7 +462,6 @@ class BatchingStage:
         self.drain = drain
         self.complete = complete
         self.deny = deny
-        self.label = label
         self.pending: dict[object, Slot] = {}
         self.inflight: dict[object, Slot] = {}
         self.draining = False
@@ -473,7 +470,7 @@ class BatchingStage:
         self.flushes_on_delay = 0
 
     def downstream(
-        self, max_batch: int, max_delay: float, drain: Callable[[], None], label: str
+        self, max_batch: int, max_delay: float, drain: Callable[[], None]
     ) -> "BatchingStage":
         """A second window for slots already in flight in this stage.
 
@@ -483,7 +480,7 @@ class BatchingStage:
         dedup window rather than bypassing it) and settle here.
         """
         stage = BatchingStage(
-            self.loop, max_batch, max_delay, drain, self.complete, self.deny, label
+            self.loop, max_batch, max_delay, drain, self.complete, self.deny
         )
         stage.inflight = self.inflight
         return stage
@@ -507,9 +504,7 @@ class BatchingStage:
             self.flushes_on_size += 1
             self.flush()
         elif self._timer is None:
-            self._timer = self.loop.schedule(
-                self.max_delay, self._on_delay, label=self.label
-            )
+            self._timer = self.loop.schedule(self.max_delay, self._on_delay)
 
     def _on_delay(self) -> None:
         self._timer = None
@@ -762,9 +757,7 @@ class BatchWireCore:
             job.on_sent(items)
         self.component.node.send(message)
         self.component.network.loop.schedule(
-            job.timeout,
-            lambda: self._check_timeout(message.msg_id),
-            label=f"{self.label}-timeout",
+            job.timeout, lambda: self._check_timeout(message.msg_id)
         )
         link = self.component.network.link_between(self.component.name, replica)
         return message.size_bytes / link.bandwidth
@@ -946,7 +939,6 @@ class CoalescingDecisionQueue(_StagedTier):
             drain=self._drain,
             complete=self._complete_entry,
             deny=self._fail_entry,
-            label="fabric-flush",
         )
         self.submissions = 0
         self.deduplicated = 0
@@ -1198,7 +1190,6 @@ class DomainDecisionGateway(_StagedTier, Component):
             drain=self._drain_step,
             complete=self._complete_slot,
             deny=self._fail_slot,
-            label="gateway-flush",
         )
         self._rr_start = 0
         self.flushes_received = 0
@@ -1291,9 +1282,7 @@ class DomainDecisionGateway(_StagedTier, Component):
             # Slots that arrived meanwhile were deferred to this
             # reschedule, which keeps the stage's triggers held.
             stage.draining = True
-            self.network.loop.schedule(
-                tx_time, self._drain_step, label="gateway-drain"
-            )
+            self.network.loop.schedule(tx_time, self._drain_step)
 
     def _dispatch_slots(self, slots: list[Slot]) -> float:
         """Put one drawn super-batch on the wire; returns its tx time.

@@ -481,7 +481,6 @@ class FederatedGateway(DomainDecisionGateway):
                 self.forward_batch,
                 self.forward_delay,
                 drain=partial(self._drain_forward, domain_name),
-                label="federation-forward",
             )
 
     def allow_origin(self, domain_name: str, gateway_address: str) -> None:
@@ -641,7 +640,6 @@ class FederatedGateway(DomainDecisionGateway):
                 lambda slot=slot, statement=statement: (
                     self._deliver_cached_slot(slot, statement)
                 ),
-                label="federation-cache-hit",
             )
         return misses
 

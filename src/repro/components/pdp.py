@@ -243,9 +243,7 @@ class PolicyDecisionPoint(Component):
         finally:
             if self._parked:
                 # After this query's own reply: replies leave in arrival order.
-                self.network.loop.schedule(
-                    0.0, lambda: self._release_parked(fault), label="pdp-release"
-                )
+                self.network.loop.schedule(0.0, lambda: self._release_parked(fault))
             else:
                 self._parking = False
 
@@ -447,9 +445,7 @@ class PolicyDecisionPoint(Component):
             if self.alive:
                 self.node.send(reply)
 
-        self.network.loop.schedule(
-            self._busy_until - self.now, send_reply, label="pdp-service"
-        )
+        self.network.loop.schedule(self._busy_until - self.now, send_reply)
         return None
 
     def _trace_service(

@@ -109,7 +109,7 @@ class HeartbeatMonitor(Component):
     def _schedule_next(self) -> None:
         if not self._running:
             return
-        self.network.loop.schedule(self.period, self._beat, label="heartbeat")
+        self.network.loop.schedule(self.period, self._beat)
 
     def _beat(self) -> None:
         if not self._running:

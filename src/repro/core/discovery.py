@@ -56,7 +56,7 @@ class HealthProber(Component):
     def _schedule_next(self) -> None:
         if not self._running:
             return
-        self.network.loop.schedule(self.period, self._probe_all, label="health-probe")
+        self.network.loop.schedule(self.period, self._probe_all)
 
     def _probe_all(self) -> None:
         if not self._running:

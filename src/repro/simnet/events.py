@@ -18,12 +18,23 @@ from typing import Any, Callable, Optional
 from .clock import SimClock
 
 
-@dataclass(frozen=True)
-class EventHandle:
-    """Opaque handle returned by :meth:`EventLoop.schedule`, used to cancel."""
+class EventHandle(list):
+    """One scheduled event, ``[when, seq, callback]``: the loop's heap
+    entry and the handle :meth:`EventLoop.cancel` takes, in one object.
 
-    seq: int
-    when: float
+    The heap orders entries by their two leading numbers, compared in C
+    as list items; ``seq`` is unique, so a callback is never compared.
+    The callback slot is cleared when the event fires or is cancelled:
+    an entry whose callback is None is skipped when it surfaces, and
+    cannot be cancelled again.
+
+    To a holder the handle is opaque: pass it to :meth:`EventLoop.cancel`
+    and nothing else.  It is a list only so the heap can order it in C;
+    indexing or mutating it from outside the loop breaks the heap
+    invariant or revives a cancelled event.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -45,13 +56,6 @@ class TopicEvent:
     payload: Any = None
 
 
-@dataclass
-class _Entry:
-    callback: Callable[[], None]
-    cancelled: bool = False
-    label: str = ""
-
-
 class EventLoop:
     """A deterministic discrete-event loop.
 
@@ -67,12 +71,9 @@ class EventLoop:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        #: ``(when, seq, entry)``: the heap orders by the two leading
-        #: numbers, compared in C; ``seq`` is unique, so an entry itself
-        #: is never compared.  Cancelled entries stay until they surface.
-        self._heap: list[tuple[float, int, _Entry]] = []
+        #: Cancelled entries stay until they surface.
+        self._heap: list[EventHandle] = []
         self._seq = itertools.count()
-        self._entries: dict[int, _Entry] = {}
         self._processed = 0
 
     @property
@@ -82,43 +83,57 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return sum(1 for e in self._entries.values() if not e.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     @property
     def processed(self) -> int:
         """Number of events executed so far."""
         return self._processed
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], label: str = ""
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` simulated seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        when = self.clock.now + delay
-        return self.schedule_at(when, callback, label)
+        entry = EventHandle((self.clock.now + delay, next(self._seq), callback))
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule_at(
-        self, when: float, callback: Callable[[], None], label: str = ""
-    ) -> EventHandle:
+    def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``."""
         if when < self.clock.now:
             raise ValueError(
                 f"cannot schedule at {when}, clock already at {self.clock.now}"
             )
-        seq = next(self._seq)
-        entry = _Entry(callback=callback, label=label)
-        heapq.heappush(self._heap, (when, seq, entry))
-        self._entries[seq] = entry
-        return EventHandle(seq=seq, when=when)
+        entry = EventHandle((when, next(self._seq), callback))
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a scheduled event.  Returns True if it had not yet fired."""
-        entry = self._entries.get(handle.seq)
-        if entry is None or entry.cancelled:
+        if handle[2] is None:
             return False
-        entry.cancelled = True
+        handle[2] = None
         return True
+
+    def _next_due(self, until: Optional[float]) -> Optional[EventHandle]:
+        """The next live event due by ``until`` (whenever, if None),
+        after popping cancelled entries off the top of the heap."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2] is not None:
+                return head if until is None or head[0] <= until else None
+            heapq.heappop(heap)
+        return None
+
+    def _fire(self) -> None:
+        """Pop the live event on top of the heap and run it."""
+        entry = heapq.heappop(self._heap)
+        callback = entry[2]
+        entry[2] = None
+        self.clock.advance_to(entry[0])
+        callback()
+        self._processed += 1
 
     def step(self) -> bool:
         """Execute the next event, advancing the clock.
@@ -126,16 +141,10 @@ class EventLoop:
         Returns:
             True if an event was executed, False if the queue was empty.
         """
-        while self._heap:
-            when, seq, entry = heapq.heappop(self._heap)
-            self._entries.pop(seq, None)
-            if entry.cancelled:
-                continue
-            self.clock.advance_to(when)
-            entry.callback()
-            self._processed += 1
-            return True
-        return False
+        if self._next_due(None) is None:
+            return False
+        self._fire()
+        return True
 
     def run_until(
         self,
@@ -155,20 +164,21 @@ class EventLoop:
         Returns:
             True if the predicate became true, False on timeout (the
             clock is then positioned at ``timeout_at``).
+
+        Raises:
+            RuntimeError: ``max_events`` ran and another is still due by
+                ``timeout_at`` (exactly ``max_events`` that leave nothing
+                due are a plain timeout).
         """
         executed = 0
         while not predicate():
-            if executed >= max_events:
-                raise RuntimeError(
-                    f"run_until exceeded max_events={max_events}"
-                )
-            while self._heap and self._heap[0][2].cancelled:
-                self._entries.pop(heapq.heappop(self._heap)[1], None)
-            if not self._heap or self._heap[0][0] > timeout_at:
+            if self._next_due(timeout_at) is None:
                 if self.clock.now < timeout_at:
                     self.clock.advance_to(timeout_at)
                 return predicate()
-            self.step()
+            if executed >= max_events:
+                raise RuntimeError(f"run_until exceeded max_events={max_events}")
+            self._fire()
             executed += 1
         return True
 
@@ -178,32 +188,23 @@ class EventLoop:
         Args:
             until: stop once the next event would fire after this time; the
                 clock is advanced to ``until`` on exit so timers line up.
-            max_events: safety valve against runaway scheduling loops.
+            max_events: safety valve against runaway scheduling loops: it
+                raises when this many have run and another is still due
+                (exactly ``max_events`` that drain the queue are a clean
+                finish).
 
         Returns:
             Number of events executed by this call.
         """
         executed = 0
-        while self._heap and executed < max_events:
-            when, seq, head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                self._entries.pop(seq, None)
-                continue
-            if until is not None and when > until:
-                break
-            self.step()
-            executed += 1
-        if executed >= max_events:
-            # A runaway loop is one that still has events due: exactly
-            # ``max_events`` that drain the queue are a clean finish.
-            while self._heap and self._heap[0][2].cancelled:
-                self._entries.pop(heapq.heappop(self._heap)[1], None)
-            if self._heap and (until is None or self._heap[0][0] <= until):
+        while self._next_due(until) is not None:
+            if executed >= max_events:
                 raise RuntimeError(
                     f"event loop exceeded max_events={max_events}; "
                     "likely a self-rescheduling cycle"
                 )
+            self._fire()
+            executed += 1
         if until is not None and self.clock.now < until:
             self.clock.advance_to(until)
         return executed

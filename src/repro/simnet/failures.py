@@ -102,4 +102,4 @@ class FailureInjector:
         now = self.network.now
         if at < now:
             raise ValueError(f"cannot inject fault in the past (at={at}, now={now})")
-        self.network.loop.schedule_at(at, callback, label="fault")
+        self.network.loop.schedule_at(at, callback)

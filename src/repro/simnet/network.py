@@ -247,7 +247,7 @@ class Network:
             self.metrics.record_delivery(message.size_bytes, self.now - sent_at)
             dest._deliver(message)
 
-        self.loop.schedule(delay, deliver, label=f"deliver:{message.kind}")
+        self.loop.schedule(delay, deliver)
 
     def run(self, until: Optional[float] = None) -> int:
         """Drain the event loop; convenience passthrough."""

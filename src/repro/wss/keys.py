@@ -27,6 +27,10 @@ import hmac
 from dataclasses import dataclass, field
 
 
+#: SHA-256's block size in bytes: the HMAC key length.
+_SHA256_BLOCK = 64
+
+
 def _derive_public(private: bytes) -> str:
     return hashlib.sha256(b"public-of:" + private).hexdigest()
 
@@ -48,17 +52,36 @@ class KeyPair:
 
     private: bytes = field(repr=False)
     public: PublicKey = field()
+    #: HMAC-SHA256's inner and outer padded keys, derived from
+    #: :attr:`private` once rather than on every signature.
+    _pads: tuple[bytes, bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = self.private
+        if len(key) > _SHA256_BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_SHA256_BLOCK, b"\0")
+        # RFC 2104 §2: the inner and outer pads XOR 0x36 and 0x5C into
+        # every key byte.
+        object.__setattr__(
+            self,
+            "_pads",
+            (bytes(b ^ 0x36 for b in key), bytes(b ^ 0x5C for b in key)),
+        )
 
     def sign(self, data: bytes) -> str:
         """Produce a signature tag over ``data``.
 
         The tag commits to both the data and the public key id so that a
         verifier holding only :attr:`public` can check it via
-        :func:`verify`.
+        :func:`verify`.  The MAC is ``hmac.new(private, data, sha256)``,
+        spelled out over the precomputed pads: the same bytes, without
+        setting up a keyed MAC per call.
         """
-        mac = hmac.new(self.private, data, hashlib.sha256).hexdigest()
+        inner, outer = self._pads
+        mac = hashlib.sha256(outer + hashlib.sha256(inner + data).digest())
         return hashlib.sha256(
-            (mac + self.public.key_id).encode("ascii")
+            (mac.hexdigest() + self.public.key_id).encode("ascii")
         ).hexdigest()
 
     def decrypt(self, ciphertext: "Ciphertext") -> bytes:

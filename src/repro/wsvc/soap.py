@@ -19,6 +19,20 @@ from typing import Optional
 
 SOAP_NS = "http://www.w3.org/2003/05/soap-envelope"
 
+_MUST_UNDERSTAND = ' soap:mustUnderstand="true"'
+#: Bytes :meth:`SoapEnvelope.to_xml` writes around its parts: the
+#: envelope with an empty action and body, and the header section.
+_ENVELOPE_BYTES = len(
+    f'<soap:Envelope xmlns:soap="{SOAP_NS}" action="">'
+    "<soap:Body></soap:Body></soap:Envelope>"
+)
+_HEADER_SECTION_BYTES = len("<soap:Header></soap:Header>")
+
+
+def _utf8_len(text: str) -> int:
+    """Bytes ``text`` takes in UTF-8 (ASCII text without encoding it)."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
 
 class SoapFault(Exception):
     """A SOAP-level fault, raised by services and carried in responses."""
@@ -38,8 +52,18 @@ class HeaderBlock:
     must_understand: bool = False
 
     def to_xml(self) -> str:
-        mu = ' soap:mustUnderstand="true"' if self.must_understand else ""
+        mu = _MUST_UNDERSTAND if self.must_understand else ""
         return f"<{self.name}{mu}>{self.content_xml}</{self.name}>"
+
+    @property
+    def wire_size(self) -> int:
+        """``len(self.to_xml().encode("utf-8"))``, without writing it."""
+        return (
+            2 * _utf8_len(self.name)
+            + 5  # "<", ">", "</", ">"
+            + (len(_MUST_UNDERSTAND) if self.must_understand else 0)
+            + _utf8_len(self.content_xml)
+        )
 
 
 @dataclass
@@ -71,7 +95,14 @@ class SoapEnvelope:
 
     @property
     def wire_size(self) -> int:
-        return len(self.to_xml().encode("utf-8"))
+        """``len(self.to_xml().encode("utf-8"))``: the parts' byte
+        lengths added up, without writing the envelope."""
+        size = _ENVELOPE_BYTES + _utf8_len(self.action) + _utf8_len(self.body_xml)
+        if self.headers:
+            size += _HEADER_SECTION_BYTES + sum(
+                block.wire_size for block in self.headers
+            )
+        return size
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "SoapEnvelope":

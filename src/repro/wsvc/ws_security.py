@@ -22,7 +22,7 @@ import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..wss.keys import Ciphertext, KeyPair, KeyStore, PublicKey
 from ..wss.pki import Certificate, CertificateError, TrustValidator
@@ -31,25 +31,42 @@ from .soap import SoapEnvelope
 
 SECURITY_HEADER = "wsse:Security"
 
+_DSIG_OPEN = '<ds:Signature xmlns:ds="http://www.w3.org/2000/09/xmldsig#">'
+_ENCRYPTED_BODY = "<wsse:EncryptedBody/>"
+_TOKEN_FIELDS = (
+    "subject", "issuer", "serial", "keyId", "notBefore", "notAfter", "certSig", "extensions",
+)  # fmt: skip
+
+
+def _token_text(values: Iterable[object]) -> str:
+    """A ``BinarySecurityToken`` holding ``values``, one per field, in
+    :data:`_TOKEN_FIELDS` order (or a pattern, given patterns)."""
+    fields = " ".join(f'{name}="{value}"' for name, value in zip(_TOKEN_FIELDS, values))
+    return f"<wsse:BinarySecurityToken {fields}/>"
+
+
 # What a receiver reads out of the header and the encrypted body, compiled
 # once (the patterns mirror what :func:`secure_envelope` writes).
-_CERT_TOKEN = re.compile(
-    r'<wsse:BinarySecurityToken subject="([^"]*)" issuer="([^"]*)" '
-    r'serial="([^"]*)" keyId="([^"]*)" notBefore="([^"]*)" '
-    r'notAfter="([^"]*)" certSig="([^"]*)" extensions="([^"]*)"/>'
-)
-_SIGNATURE_BLOCK = re.compile(
-    r"<ds:DigestValue>([0-9a-f]+)</ds:DigestValue>.*?"
-    r"<ds:SignatureValue>([0-9a-f]+)</ds:SignatureValue>",
-    re.DOTALL,
+_CERT_TOKEN = re.compile(_token_text(['([^"]*)'] * len(_TOKEN_FIELDS)))
+#: The whole signed header, read in one anchored pass in the order
+#: :func:`secure_envelope` writes it: the token text, the digest, the
+#: signature value, then the encrypted-body marker when the body is
+#: encrypted.  Anything before, between or after them fails the match.
+_SIGNED_HEADER = re.compile(
+    "(" + _token_text(['[^"]*'] * len(_TOKEN_FIELDS)) + ")"
+    + re.escape(_DSIG_OPEN)
+    + '<ds:SignedInfo><ds:Reference URI="#body">'
+    "<ds:DigestValue>([0-9a-f]+)</ds:DigestValue></ds:Reference></ds:SignedInfo>"
+    "<ds:SignatureValue>([0-9a-f]+)</ds:SignatureValue></ds:Signature>"
+    f"({_ENCRYPTED_BODY})?"
 )
 _KEY_NAME = re.compile(r"<ds:KeyName>([^<]*)</ds:KeyName>")
 _CIPHER_VALUE = re.compile(
     r'<xenc:CipherValue nonce="([^"]*)">([^<]*)</xenc:CipherValue>'
 )
 
-#: Distinct tokens :func:`_certificate_of` remembers: one per signing
-#: identity a process hears from.
+#: Distinct tokens :func:`_certificate_of` and :func:`_token_of` each
+#: remember: one per signing identity a process hears from or signs as.
 TOKEN_MEMO_SIZE = 1024
 
 
@@ -72,52 +89,56 @@ def _bound_content(action: str, body_xml: str) -> bytes:
     return f'<bound action="{action}">{body_xml}</bound>'.encode("utf-8")
 
 
-def _cert_token_xml(certificate: Certificate) -> str:
-    ext = ";".join(f"{k}={v}" for k, v in certificate.extensions)
-    return (
-        f'<wsse:BinarySecurityToken subject="{certificate.subject}" '
-        f'issuer="{certificate.issuer}" serial="{certificate.serial}" '
-        f'keyId="{certificate.public_key.key_id}" '
-        f'notBefore="{certificate.not_before}" notAfter="{certificate.not_after}" '
-        f'certSig="{certificate.signature}" extensions="{ext}"/>'
+@functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _token_of(certificate: Certificate) -> str:
+    """The ``BinarySecurityToken`` text that carries ``certificate``;
+    one text per certificate, however many envelopes it signs.
+
+    The form ROADMAP direction 1's lint note allows, the inverse of
+    :func:`_certificate_of`: an ``lru_cache`` with a constant bound on a
+    pure function of an immutable argument (a frozen
+    :class:`Certificate` of frozen parts) returning an immutable value
+    (a string).  It maps a certificate to its text and mints nothing, so
+    two worlds in one process cannot perturb each other through it.
+    Writing the text is all it saves: every envelope is still digested
+    and signed on its own.
+    """
+    return _token_text(
+        (
+            certificate.subject,
+            certificate.issuer,
+            certificate.serial,
+            certificate.public_key.key_id,
+            certificate.not_before,
+            certificate.not_after,
+            certificate.signature,
+            ";".join(f"{k}={v}" for k, v in certificate.extensions),
+        )
     )
 
 
-def _parse_cert_token(header_xml: str) -> Certificate:
-    match = _CERT_TOKEN.search(header_xml)
-    if match is None:
-        raise WsSecurityError("security header lacks a BinarySecurityToken")
-    try:
-        return _certificate_of(*match.groups())
-    except ValueError as exc:  # a serial or validity bound that is no number
-        raise WsSecurityError(f"malformed BinarySecurityToken: {exc}") from exc
-
-
 @functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
-def _certificate_of(
-    subject: str,
-    issuer: str,
-    serial: str,
-    key_id: str,
-    not_before: str,
-    not_after: str,
-    signature: str,
-    extensions: str,
-) -> Certificate:
-    """The certificate a ``BinarySecurityToken``'s fields spell out;
+def _certificate_of(token: str) -> Certificate:
+    """The certificate a ``BinarySecurityToken``'s text spells out;
     equal texts share one parsed result.
 
     The form ROADMAP direction 1's lint note allows, beside
     ``xacml.parser.parse_response``: an ``lru_cache`` with a constant
-    bound on a pure function of immutable arguments (the token's field
-    texts) returning an immutable value (a frozen :class:`Certificate`
-    of frozen parts).  It maps texts to the value of those texts and
+    bound on a pure function of an immutable argument (the token's
+    text) returning an immutable value (a frozen :class:`Certificate`
+    of frozen parts).  It maps a text to the value of that text and
     mints nothing, so two worlds in one process cannot perturb each
     other through it, and a token that does not parse raises on every
     call.  Parsing is all it saves: what the certificate *claims* is
     checked by :func:`verify_envelope` and the trust validator on every
     message.
     """
+    match = _CERT_TOKEN.fullmatch(token)
+    if match is None:
+        raise ValueError("not a BinarySecurityToken")
+    subject, issuer, serial, key_id, not_before, not_after, signature, ext = (
+        match.groups()
+    )
     return Certificate(
         subject=subject,
         issuer=issuer,
@@ -128,7 +149,7 @@ def _certificate_of(
         signature=signature,
         extensions=tuple(
             tuple(pair.split("=", 1))  # type: ignore[misc]
-            for pair in extensions.split(";")
+            for pair in ext.split(";")
             if "=" in pair
         ),
     )
@@ -148,9 +169,8 @@ def secure_envelope(
     digest = hashlib.sha256(content).hexdigest()
     signature_value = keypair.sign(digest.encode("ascii"))
     security_content = (
-        _cert_token_xml(certificate)
-        + f'<ds:Signature xmlns:ds="http://www.w3.org/2000/09/xmldsig#">'
-        f"<ds:SignedInfo><ds:Reference URI=\"#body\">"
+        f"{_token_of(certificate)}{_DSIG_OPEN}"
+        f'<ds:SignedInfo><ds:Reference URI="#body">'
         f"<ds:DigestValue>{digest}</ds:DigestValue></ds:Reference>"
         f"</ds:SignedInfo>"
         f"<ds:SignatureValue>{signature_value}</ds:SignatureValue>"
@@ -171,7 +191,7 @@ def secure_envelope(
             f"{body_b64}</xenc:CipherValue></xenc:CipherData>"
             f"</xenc:EncryptedData>"
         )
-        security_content += "<wsse:EncryptedBody/>"
+        security_content += _ENCRYPTED_BODY
     protected = SoapEnvelope(
         action=envelope.action,
         body_xml=body_xml,
@@ -203,7 +223,17 @@ def verify_envelope(
             )
         return envelope
     header_xml = header.content_xml
-    is_encrypted = "<wsse:EncryptedBody/>" in header_xml
+    signed = None
+    if config.require_signature:
+        signed = _SIGNED_HEADER.fullmatch(header_xml)
+        if signed is None:
+            raise WsSecurityError(
+                "security header is not a BinarySecurityToken followed by "
+                "a signature block"
+            )
+        is_encrypted = signed.group(4) is not None
+    else:
+        is_encrypted = _ENCRYPTED_BODY in header_xml
     if config.require_encryption and not is_encrypted:
         raise WsSecurityError(
             f"cleartext message for action {envelope.action!r} rejected"
@@ -214,12 +244,12 @@ def verify_envelope(
             raise WsSecurityError("encrypted message but no decryption key")
         body_xml = _decrypt_body(envelope.body_xml, decrypt_with)
     signer_subject: Optional[str] = None
-    if config.require_signature:
-        certificate = _parse_cert_token(header_xml)
-        sig_match = _SIGNATURE_BLOCK.search(header_xml)
-        if sig_match is None:
-            raise WsSecurityError("security header lacks a signature block")
-        claimed_digest, signature_value = sig_match.group(1), sig_match.group(2)
+    if signed is not None:
+        token, claimed_digest, signature_value = signed.group(1, 2, 3)
+        try:
+            certificate = _certificate_of(token)
+        except ValueError as exc:  # a serial or validity bound that is no number
+            raise WsSecurityError(f"malformed BinarySecurityToken: {exc}") from exc
         actual_digest = hashlib.sha256(
             _bound_content(envelope.action, body_xml)
         ).hexdigest()
@@ -267,10 +297,7 @@ def _decrypt_body(body_xml: str, keypair: KeyPair) -> str:
     except binascii.Error as exc:
         raise WsSecurityError(f"malformed xenc:CipherValue: {exc}") from exc
     encrypted = EncryptedDocument(
-        ciphertext=Ciphertext(
-            recipient=key_match.group(1), nonce=nonce, body=body
-        ),
-        recipient_hint=key_match.group(1)[:16],
+        Ciphertext(recipient=key_match.group(1), nonce=nonce, body=body)
     )
     try:
         return decrypt_document(encrypted, keypair)

@@ -61,7 +61,6 @@ class StageMachine(RuleBasedStateMachine):
             drain=self.drain,
             complete=self.answer,
             deny=self.answer,
-            label="stage-under-test",
         )
         #: The model: key -> waiter ids, in insertion order.
         self.pending: dict[int, list[int]] = {}

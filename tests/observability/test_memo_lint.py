@@ -25,6 +25,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 ALLOWED = {
     "repro/xacml/parser.py:parse_response": "repro/xacml/parser.py:parse_response",
     "repro/wsvc/ws_security.py:_certificate_of": "repro/wsvc/ws_security.py:_certificate_of",
+    # The signer's side of the same token: certificate -> text.
+    "repro/wsvc/ws_security.py:_token_of": "repro/wsvc/ws_security.py:_token_of",
     # The policy-side leaf constructors (ISSUE 24): one contract, stated
     # on the first of them.
     "repro/xacml/attributes.py:_designator_of": "repro/xacml/attributes.py:_designator_of",

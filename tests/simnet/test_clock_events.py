@@ -188,3 +188,81 @@ class TestEventLoop:
         loop.run_until(lambda: False, timeout_at=2.0)
         assert fired == []
         assert loop.pending == 1
+
+    @pytest.mark.parametrize(
+        "scheduled, cancelled, timeout_at, runaway",
+        [
+            (3, 0, 1.0, False),  # exactly max_events, nothing else: a timeout
+            (4, 0, 1.0, True),  # one more event still due
+            (4, 1, 1.0, False),  # what is left is cancelled
+            (4, 0, 0.35, False),  # what is left is due after the deadline
+            (4, 0, 0.4, True),  # ... unless it is due at the deadline
+        ],
+    )
+    def test_run_until_raises_only_when_an_event_is_still_due(
+        self, scheduled, cancelled, timeout_at, runaway
+    ):
+        loop = EventLoop()
+        fired = []
+        handles = [
+            loop.schedule(when / 10, lambda when=when: fired.append(when))
+            for when in range(1, scheduled + 1)
+        ]
+        for handle in handles[len(handles) - cancelled :]:
+            loop.cancel(handle)
+        if runaway:
+            with pytest.raises(RuntimeError, match="max_events"):
+                loop.run_until(lambda: False, timeout_at, max_events=3)
+        else:
+            assert loop.run_until(lambda: False, timeout_at, max_events=3) is False
+            assert loop.now == timeout_at
+        assert fired == [1, 2, 3]
+
+
+class TestEventHandle:
+    """One object per event is the heap entry and the cancel handle
+    (cancelling before firing, twice, and ties: ``TestEventLoop``)."""
+
+    def test_cancel_after_firing_returns_false(self):
+        loop = EventLoop()
+        handle = loop.schedule(1.0, lambda: None)
+        loop.run()
+        assert loop.cancel(handle) is False
+        assert loop.processed == 1
+
+    def test_cancel_after_firing_from_inside_the_callback_returns_false(self):
+        loop = EventLoop()
+        answers = []
+        handles = []
+        handles.append(loop.schedule(1.0, lambda: answers.append(loop.cancel(handles[0]))))
+        loop.run()
+        assert answers == [False]
+
+    def test_pending_counts_scheduled_minus_fired_minus_cancelled(self):
+        loop = EventLoop()
+        handles = [loop.schedule(float(when), lambda: None) for when in range(1, 6)]
+        assert loop.pending == 5
+        loop.cancel(handles[4])
+        assert loop.pending == 4
+        loop.cancel(handles[4])
+        assert loop.pending == 4
+        loop.run(until=2.0)
+        assert loop.pending == 2
+        loop.cancel(handles[0])  # already fired: no change
+        assert loop.pending == 2
+        loop.run()
+        assert loop.pending == 0
+
+    def test_ties_fire_in_insertion_order_across_cancellations(self):
+        loop = EventLoop()
+        fired = []
+        handles = [
+            loop.schedule_at(1.0, lambda index=index: fired.append(index))
+            for index in range(8)
+        ]
+        loop.cancel(handles[2])
+        loop.cancel(handles[5])
+        later = loop.schedule_at(1.0, lambda: fired.append("late"))
+        loop.run()
+        assert fired == [0, 1, 3, 4, 6, 7, "late"]
+        assert loop.cancel(later) is False

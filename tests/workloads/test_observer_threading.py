@@ -168,7 +168,7 @@ class TestMultiPepObserver:
         network, pdps, peps = build_domain(replicas=2)
         streams = [mixed_requests(16, f"doc{i}") for i in range(len(peps))]
         recorder = TripleRecorder()
-        network.loop.schedule(0.004, pdps[0].crash, label="kill-pdp-0")
+        network.loop.schedule(0.004, pdps[0].crash)
         stats = drive_closed_loop(
             peps, streams, concurrency=4, observer=recorder
         )

@@ -1,6 +1,11 @@
 """Tests for key material and the PKI layer."""
 
+import hashlib
+import hmac
+import pickle
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.wss import (
     CertificateAuthority,
@@ -56,6 +61,28 @@ class TestKeys:
         pair = keystore.generate("recipient")
         ciphertext = keystore.encrypt_to(pair.public, b"secret data")
         assert b"secret" not in ciphertext.body
+
+    @settings(max_examples=100)
+    @given(private=st.binary(max_size=130), data=st.binary(max_size=300))
+    @example(private=bytes(range(63)), data=b"payload")
+    @example(private=bytes(range(64)), data=b"payload")
+    @example(private=bytes(range(65)), data=b"payload")
+    @example(private=bytes(range(130)), data=b"")
+    def test_sign_is_hmac_sha256_bound_to_the_public_id(self, private, data):
+        """The precomputed pads change no byte: a key shorter than, equal
+        to or longer than SHA-256's 64-byte block signs as ``hmac.new``."""
+        from repro.wss.keys import KeyPair, PublicKey
+
+        pair = KeyPair(private=private, public=PublicKey("id"))
+        mac = hmac.new(private, data, hashlib.sha256).hexdigest()
+        assert pair.sign(data) == hashlib.sha256((mac + "id").encode("ascii")).hexdigest()
+
+    def test_a_key_pair_copies_and_pickles_without_its_pads_in_equality(self, keystore):
+        pair = keystore.generate("signer")
+        twin = pickle.loads(pickle.dumps(pair))
+        assert twin == pair and hash(twin) == hash(pair)
+        assert twin.sign(b"payload") == pair.sign(b"payload")
+        assert "_pads" not in repr(pair) and "private" not in repr(pair)
 
     def test_encrypt_to_unknown_key_fails(self, keystore):
         from repro.wss.keys import PublicKey

@@ -1,8 +1,13 @@
 """Tests for the Web Services substrate: SOAP, WS-Security, registry."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.wsvc import (
+    SECURITY_HEADER,
+    HeaderBlock,
     RegistryError,
     SecurityConfig,
     ServiceRegistry,
@@ -60,6 +65,26 @@ class TestSoapEnvelope:
         small = request_envelope("op", "<B/>")
         large = request_envelope("op", "<B>" + "x" * 1000 + "</B>")
         assert large.wire_size > small.wire_size
+
+    @settings(max_examples=150)
+    @given(
+        action=st.text(),
+        body=st.text(),
+        headers=st.lists(st.tuples(st.text(), st.text(), st.booleans()), max_size=4),
+    )
+    @example(action="op", body="<B/>", headers=[])
+    @example(action="op", body="<B/>", headers=[("x:T", "v", True)])
+    @example(action="ö", body="<B>ü€𝄞</B>", headers=[("x:T", "€", False)])
+    @example(
+        action="op.ß",
+        body="<B/>",
+        headers=[("x:A", "<V>1</V>", True), ("é:B", "𝄞", False), ("x:C", "", True)],
+    )
+    def test_wire_size_is_the_byte_length_of_the_text(self, action, body, headers):
+        envelope = SoapEnvelope(
+            action, body, [HeaderBlock(name, content, mu) for name, content, mu in headers]
+        )
+        assert envelope.wire_size == len(envelope.to_xml().encode("utf-8"))
 
 
 class TestWsSecurity:
@@ -194,6 +219,19 @@ class TestWsSecurity:
             with pytest.raises(WsSecurityError, match="malformed BinarySecurityToken"):
                 verify_envelope(broken, keystore, validator)
 
+    def test_encrypted_body_hides_the_plaintext(self, pki):
+        keystore, pair, cert, recipient, _, _ = pki
+        protected = secure_envelope(
+            request_envelope("op", "<secret>42</secret>"),
+            pair,
+            cert,
+            keystore,
+            encrypt_to=recipient.public,
+        )
+        assert "<secret>42</secret>" not in protected.to_xml()
+        assert "secret" not in protected.body_xml
+        assert protected.body_xml.startswith("<xenc:EncryptedData")
+
     def test_security_adds_measurable_overhead(self, pki):
         keystore, pair, cert, recipient, _, _ = pki
         plain = request_envelope("op", "<Data>x</Data>")
@@ -203,6 +241,154 @@ class TestWsSecurity:
         )
         assert signed.wire_size > plain.wire_size
         assert encrypted.wire_size > signed.wire_size
+        assert len(encrypted.body_xml) > len(plain.body_xml)
+
+
+def with_security_content(envelope, content):
+    """``envelope`` with its security header's content replaced."""
+    return SoapEnvelope(
+        envelope.action,
+        envelope.body_xml,
+        [
+            HeaderBlock(block.name, content, block.must_understand)
+            if block.name == SECURITY_HEADER
+            else block
+            for block in envelope.headers
+        ],
+    )
+
+
+def security_parts(envelope):
+    """``(token, signature block)`` of a signed envelope's header."""
+    content = envelope.header(SECURITY_HEADER).content_xml
+    token_end = content.index("/>") + 2
+    return content[:token_end], content[token_end:]
+
+
+def _reshaped(arrange):
+    def damage(envelope, pki):
+        token, signature = security_parts(envelope)
+        return with_security_content(envelope, arrange(token, signature)), {}
+
+    return damage
+
+
+def _other_body(envelope, pki):
+    keystore, pair, cert, _, _, _ = pki
+    other = secure_envelope(request_envelope("op", "<B>other</B>"), pair, cert, keystore)
+    return with_security_content(
+        envelope, other.header(SECURITY_HEADER).content_xml
+    ), {}
+
+
+def _other_key(envelope, pki):
+    keystore, _, _, _, _, _ = pki
+    token, signature = security_parts(envelope)
+    digest = re.search("<ds:DigestValue>([0-9a-f]+)<", signature).group(1)
+    forged = keystore.generate("mallory").sign(digest.encode("ascii"))
+    signature = re.sub(
+        "<ds:SignatureValue>[0-9a-f]+<", f"<ds:SignatureValue>{forged}<", signature
+    )
+    return with_security_content(envelope, token + signature), {}
+
+
+def _expired(envelope, pki):
+    cert = pki[2]
+    return envelope, {"at": cert.not_after + 1.0}
+
+
+def _revoked(envelope, pki):
+    keystore, _, cert, _, _, validator = pki
+    validator._anchors["Root"].revoke(cert)
+    return envelope, {}
+
+
+#: Each a header (or a moment) that must not verify, however the rest
+#: of the envelope looks: the one-pass header read refuses any layout
+#: :func:`secure_envelope` does not write, and every check after it
+#: still runs on every message.
+REFUSALS = {
+    "token missing": (_reshaped(lambda token, signature: signature), "security header"),
+    "token not first": (
+        _reshaped(lambda token, signature: "<wsse:Timestamp/>" + token + signature),
+        "security header",
+    ),
+    "token duplicated": (
+        _reshaped(lambda token, signature: token + token + signature),
+        "security header",
+    ),
+    "signature block missing": (
+        _reshaped(lambda token, signature: token),
+        "security header",
+    ),
+    "signature block before the token": (
+        _reshaped(lambda token, signature: signature + token),
+        "security header",
+    ),
+    "non-hex digest": (
+        _reshaped(
+            lambda token, signature: token
+            + re.sub("<ds:DigestValue>[0-9a-f]{8}", "<ds:DigestValue>zzzzzzzz", signature)
+        ),
+        "security header",
+    ),
+    "digest of another body": (_other_body, "digest mismatch"),
+    "signature by another key": (_other_key, "invalid signature"),
+    "outside the validity window": (_expired, "outside validity"),
+    "revoked certificate": (_revoked, "revoked"),
+}
+
+
+class TestSecurityHeaderRefusals:
+    @pytest.mark.parametrize("over_the_wire", [False, True])
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_every_refusal_is_a_security_error(self, pki, case, over_the_wire):
+        keystore, pair, cert, _, _, validator = pki
+        signed = secure_envelope(
+            request_envelope("op", "<Data>7</Data>"), pair, cert, keystore
+        )
+        assert signer_of(verify_envelope(signed, keystore, validator, at=1.0)) == "sender"
+        damage, message = REFUSALS[case]
+        damaged, options = damage(signed, pki)
+        if over_the_wire:
+            damaged = SoapEnvelope.from_xml(damaged.to_xml())
+        options.setdefault("at", 1.0)
+        with pytest.raises(WsSecurityError, match=message):
+            verify_envelope(damaged, keystore, validator, **options)
+
+    def test_the_header_is_read_in_the_order_it_is_written(self, pki):
+        keystore, pair, cert, recipient, _, validator = pki
+        for encrypt_to in (None, recipient.public):
+            signed = secure_envelope(
+                request_envelope("op", "<Data>7</Data>"),
+                pair,
+                cert,
+                keystore,
+                encrypt_to=encrypt_to,
+            )
+            content = signed.header(SECURITY_HEADER).content_xml
+            assert content.startswith("<wsse:BinarySecurityToken ")
+            assert content.endswith(
+                "</ds:Signature>" if encrypt_to is None else "<wsse:EncryptedBody/>"
+            )
+            clear = verify_envelope(signed, keystore, validator, decrypt_with=recipient)
+            assert clear.body_xml == "<Data>7</Data>"
+            assert clear.header(SECURITY_HEADER) is None
+
+    def test_the_token_text_is_written_once_per_certificate(self, pki):
+        from repro.wsvc import ws_security
+
+        keystore, pair, cert, _, _, _ = pki
+        ws_security._token_of.cache_clear()
+        texts = {
+            secure_envelope(
+                request_envelope("op", f"<B>{index}</B>"), pair, cert, keystore
+            ).header(SECURITY_HEADER).content_xml.split("/>", 1)[0]
+            for index in range(3)
+        }
+        info = ws_security._token_of.cache_info()
+        assert (info.misses, info.hits, len(texts)) == (1, 2, 1)
+        assert ws_security._certificate_of(texts.pop() + "/>") == cert
 
 
 class TestRegistry:
