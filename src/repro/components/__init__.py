@@ -22,7 +22,8 @@ waits on it; a :class:`~repro.components.fabric.BatchingStage` owns the
 pending window, the in-flight map identical requests keep joining, the
 size-or-delay trigger and the fan-out of answers; every stage's drain
 sends through one :class:`~repro.components.fabric.BatchWireCore`
-(one envelope per owning shard, failover, reply validation)::
+(one envelope per owning shard, failover, reply validation), and so
+does a PEP's ``authorize`` — one single query, then a top-level wait::
 
     submit ─▶ Slot ─▶ BatchingStage ── drain ──▶ BatchWireCore.send ──▶ … ──▶ stage.deliver / stage.fail ─▶ waiters
 

@@ -5,10 +5,16 @@ registry front-ends) is a :class:`Component`: a named endpoint on the
 simulated network that registers operation handlers by message kind and
 can issue synchronous RPCs to peers.
 
-RPC is synchronous *in simulated time*: the caller drives the shared
-event loop until the reply lands or the deadline passes.  A handler may
-itself issue nested RPCs (PDP → PIP during evaluation) — re-entrancy is
-safe because there is a single deterministic event queue.
+:meth:`Component.call` is synchronous *in simulated time*: the caller
+drives the shared event loop until the reply lands or the deadline
+passes.  A handler may itself issue nested calls (PDP → PIP during
+evaluation) — deterministic because there is a single event queue, but
+a handler that waits serves other queries re-entrantly meanwhile, which
+ROADMAP direction 9 removes site by site.  Decision traffic no longer
+uses it: a PEP's queries, like every fabric tier's, are sent on a
+:class:`~repro.components.fabric.BatchWireCore` and their replies,
+faults and deadlines handled as events; ``authorize`` is a send plus a
+top-level wait.
 """
 
 from __future__ import annotations

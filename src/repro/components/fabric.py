@@ -14,18 +14,21 @@ instantiated per tier:
   trigger with its one timer, ``take`` and the fan-out of answers.
   The per-PEP queue, the gateway backlog and each per-peer forward
   buffer are instances; a tier hands the stage only its *drain*;
-* :class:`BatchWireCore` — what every drain sends through: one envelope
-  per owning replica when the job's dispatcher carries a placement,
-  the in-flight map, timeout failover across replicas, sealing and
-  reply validation through the job's
+* :class:`BatchWireCore` — what every drain, and a PEP's
+  ``authorize``, sends through: one envelope per owning replica when
+  the job's dispatcher carries a placement, the in-flight map, timeout
+  failover across replicas (the only re-send in the fabric), sealing
+  and reply validation through the job's
   :class:`~repro.components.channel.DecisionChannel`, fail-safe
-  fan-out;
+  fan-out.  A :class:`WireJob` says what one class of envelopes
+  carries — a batch query by default, the single-query pull profile
+  for ``authorize`` — and where its answers land;
 * :class:`DecisionDispatcher` — routes decision traffic across a set of
-  PDP replicas under a :class:`RoutingPolicy` and fails over to the
-  next replica on :class:`~repro.components.base.RpcTimeout`, which
-  makes E11-style replication an actual *throughput* mechanism rather
-  than only an availability one.  It is the only way a PEP reaches a
-  PDP: a PEP bound to one ``pdp_address`` holds a ring of one.
+  PDP replicas under a :class:`RoutingPolicy`; the core asks it for the
+  next replica when an envelope times out, which makes E11-style
+  replication an actual *throughput* mechanism rather than only an
+  availability one.  It is the only way a PEP reaches a PDP: a PEP
+  bound to one ``pdp_address`` holds a ring of one.
 
 The three drains are the only per-tier code:
 
@@ -43,12 +46,15 @@ Everything is event-driven: drains *send* a message and return, and
 replies/timeouts are handled as ordinary inbound events, so a
 completion callback may safely submit the next request (the closed-loop
 pattern of :mod:`repro.workloads.highload`) without growing the stack.
+The one wait is at the top level: ``authorize`` sends like a drain,
+then runs the loop until its slot settles.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 from ..observability.tracing import TRACE_HEADER
@@ -58,8 +64,8 @@ from ..simnet.network import Network
 from ..saml.xacml_profile import XacmlAuthzDecisionBatchQuery
 from ..xacml.context import RequestContext
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout, _parse_fault
-from .channel import DecisionChannel
-from .pdp import BATCH_QUERY_ACTION, SECURE_BATCH_QUERY_ACTION
+from .channel import DecisionChannel, secure_action
+from .pdp import BATCH_QUERY_ACTION
 from .placement import PlacementSpec
 
 #: Metrics sample series fed with per-request submit→completion delays.
@@ -80,7 +86,8 @@ class RoutingPolicy(Protocol):
 
     A policy is pure selection logic over the dispatcher's bookkeeping
     (replica list, outstanding counters, rotation cursor); the
-    dispatcher keeps owning the counters and the failover loop.
+    dispatcher keeps owning the counters, and the wire core's timeout
+    the failover.
 
     Attributes:
         name: stable identifier (reports and reprs).
@@ -89,10 +96,7 @@ class RoutingPolicy(Protocol):
     name: str
 
     def choose(
-        self,
-        dispatcher: "DecisionDispatcher",
-        candidates: Sequence[str],
-        request: Optional[RequestContext] = None,
+        self, dispatcher: "DecisionDispatcher", candidates: Sequence[str]
     ) -> Optional[str]:
         """Pick one of ``candidates`` (non-empty, in ring order), or
         None when the policy will send to none of them (fail safe)."""
@@ -100,11 +104,11 @@ class RoutingPolicy(Protocol):
 
 
 class RoundRobinRouting:
-    """Rotate through the replica ring regardless of load or key."""
+    """Rotate through the replica ring regardless of load."""
 
     name = "round-robin"
 
-    def choose(self, dispatcher, candidates, request=None) -> str:
+    def choose(self, dispatcher, candidates) -> str:
         return dispatcher._rotate(candidates)
 
     def __repr__(self) -> str:
@@ -115,15 +119,15 @@ class LeastOutstandingRouting:
     """Prefer the replica with the fewest in-flight envelopes.
 
     Only differs from round-robin once replies actually take time —
-    i.e. under the PDP service-time model.  Ties rotate, because on the
-    synchronous path outstanding counts are back to zero by the next
-    select and least-outstanding would otherwise pin every request to
-    the first replica.
+    i.e. under the PDP service-time model.  Ties rotate, because with
+    one decision outstanding (a PEP's ``authorize``) the counts are back
+    to zero by the next select and least-outstanding would otherwise pin
+    every request to the first replica.
     """
 
     name = "least-outstanding"
 
-    def choose(self, dispatcher, candidates, request=None) -> str:
+    def choose(self, dispatcher, candidates) -> str:
         lowest = min(dispatcher.outstanding[r] for r in candidates)
         ties = [r for r in candidates if dispatcher.outstanding[r] == lowest]
         return dispatcher._rotate(ties)
@@ -138,10 +142,11 @@ class ConsistentHashRouting:
     The sharded tier's client half: with a :class:`~repro.components.
     placement.PlacementSpec` shared with the PDP replicas, decisions for
     one subject (or resource) always land on the replica that owns that
-    key's attribute partition.  Failover and keyless traffic walk the
-    ring: excluded owners fall through to the key's ring successors, and
-    a selection with no request at all (pure load-balancing calls)
-    degrades to rotation.
+    key's attribute partition.  The placement does the routing — the
+    wire core splits every send by owner (:meth:`DecisionDispatcher.
+    partition`) and pins each envelope to it (:meth:`DecisionDispatcher.
+    selector_for`); what the policy itself picks is where an envelope
+    fails over to once its owner timed out, by rotation.
     """
 
     def __init__(self, placement: PlacementSpec) -> None:
@@ -153,11 +158,7 @@ class ConsistentHashRouting:
         self.placement = placement
         self.name = f"hash-{placement.shard_by}"
 
-    def choose(self, dispatcher, candidates, request=None) -> str:
-        if request is not None:
-            for address in self.placement.preference_for(request):
-                if address in candidates:
-                    return address
+    def choose(self, dispatcher, candidates) -> str:
         return dispatcher._rotate(candidates)
 
     def __repr__(self) -> str:
@@ -172,7 +173,7 @@ class HealthyFirstRouting:
     registry's health marks say which replicas are believed alive; the
     ring order is the preference order.  Detection only orders the
     ring: a replica that crashed before anyone noticed costs one
-    timeout, after which the dispatcher fails over to the next healthy
+    timeout, after which the wire core fails over to the next healthy
     replica.  When no candidate is healthy the policy returns None and
     the caller fails safe without sending anything.
 
@@ -186,7 +187,7 @@ class HealthyFirstRouting:
         self.healthy = healthy
         self.passed_over = 0
 
-    def choose(self, dispatcher, candidates, request=None) -> Optional[str]:
+    def choose(self, dispatcher, candidates) -> Optional[str]:
         for address in candidates:
             if self.healthy(address):
                 if address != dispatcher.replicas[0]:
@@ -199,14 +200,16 @@ class HealthyFirstRouting:
 
 
 class DecisionDispatcher:
-    """Load-balances decision queries over PDP replicas, with failover.
+    """Load-balances decision queries over PDP replicas.
 
-    The dispatcher is transport-neutral bookkeeping plus two entry
-    points: :meth:`dispatch` performs a synchronous RPC with failover
-    for the blocking PEP paths, while the wire core drives
-    :meth:`select` / :meth:`note_sent` / :meth:`note_done` itself for
-    the event-driven path.  *Which* replica a selection picks is
-    delegated to the :class:`RoutingPolicy`.
+    The dispatcher is transport-neutral bookkeeping: the wire core
+    drives :meth:`select` / :meth:`note_sent` / :meth:`note_done` for
+    every envelope, asks :meth:`partition` and :meth:`selector_for` to
+    split a send by placement owner, and bumps :attr:`failovers` each
+    time a timed-out envelope is re-sent to another replica (the final
+    timeout, with nobody left to ask, fails safe and is no failover).
+    *Which* replica a selection picks is delegated to the
+    :class:`RoutingPolicy`.
 
     Args:
         replica_addresses: the PDP replica ring, in order.
@@ -253,23 +256,15 @@ class DecisionDispatcher:
             if choice in candidates:
                 return choice
 
-    def select(
-        self,
-        exclude: Sequence[str] = (),
-        request: Optional[RequestContext] = None,
-    ) -> Optional[str]:
+    def select(self, exclude: Sequence[str] = ()) -> Optional[str]:
         """Pick the next replica, or None when every candidate is
-        excluded or the routing policy vouches for none of them.
-
-        ``request`` lets key-aware policies route by placement key; the
-        load-based policies ignore it.
-        """
+        excluded or the routing policy vouches for none of them."""
         candidates = (
             [r for r in self.replicas if r not in exclude] if exclude else self.replicas
         )
         if not candidates:
             return None
-        return self.routing.choose(self, candidates, request)
+        return self.routing.choose(self, candidates)
 
     def note_sent(self, address: str) -> None:
         self.outstanding[address] += 1
@@ -316,47 +311,6 @@ class DecisionDispatcher:
 
         return select
 
-    def dispatch(
-        self,
-        caller,
-        action: str,
-        payload,
-        timeout: float,
-        request: Optional[RequestContext] = None,
-    ) -> tuple[Message, str]:
-        """Synchronous RPC through the next replica; failover on timeout.
-
-        The only loop that retries a replica.  Faults are *answers* (an
-        authentication rejection must not be retried against a
-        sibling), so only :class:`RpcTimeout` rotates to the next
-        replica.  Raises the last timeout when every replica the routing
-        policy will send to has been tried, and a timeout without
-        sending anything when it will send to none.
-
-        Returns:
-            ``(reply, address)`` — the reply message and which replica
-            produced it (secure callers pin signature checks to it).
-        """
-        tried: list[str] = []
-        last_timeout: Optional[RpcTimeout] = None
-        while True:
-            address = self.select(exclude=tried, request=request)
-            if address is None:
-                if last_timeout is not None:
-                    raise last_timeout
-                raise RpcTimeout(caller.name, "<none>", action, caller.now)
-            tried.append(address)
-            self.note_sent(address)
-            try:
-                reply = caller.call(address, action, payload, timeout=timeout)
-            except RpcTimeout as exc:
-                last_timeout = exc
-                self.failovers += 1
-                continue
-            finally:
-                self.note_done(address)
-            return reply, address
-
     def __repr__(self) -> str:
         return (
             f"DecisionDispatcher({self.routing.name}, "
@@ -372,7 +326,7 @@ CompletionCallback = Callable[[object], None]
 # -- slot and stage: the one accumulate → dedup → flush → settle ----------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Slot:
     """One unique request inside one stage, and whoever waits on it.
 
@@ -561,12 +515,37 @@ class BatchingStage:
 # -- the shared wire core ----------------------------------------------------------
 
 
-def _batch_body(batch: XacmlAuthzDecisionBatchQuery) -> tuple[str, str]:
+def batch_query(
+    items: list["Slot"], issuer: str, issue_instant: float
+) -> XacmlAuthzDecisionBatchQuery:
+    """One transmit attempt's batch query over the items' requests."""
+    return XacmlAuthzDecisionBatchQuery.for_requests(
+        [item.request for item in items],
+        issuer=issuer,
+        issue_instant=issue_instant,
+    )
+
+
+def _batch_body(
+    items: list["Slot"], issuer: str, issue_instant: float
+) -> tuple[str, str, str]:
     """The default envelope body: the batch query itself, PDP-bound."""
-    return BATCH_QUERY_ACTION, batch.to_xml()
+    batch = batch_query(items, issuer, issue_instant)
+    return batch.batch_id, BATCH_QUERY_ACTION, batch.to_xml()
 
 
-def _no_replica(tried: Sequence[str]) -> Optional[str]:
+def _open_batch(
+    channel: DecisionChannel,
+    reply: Message,
+    replica: str,
+    exchange_id: str,
+    count: int,
+) -> Sequence:
+    """The default reply: one batch statement answering the batch sent."""
+    return channel.open_batch_reply(reply, replica, exchange_id, count).statements
+
+
+def no_replica(tried: Sequence[str]) -> Optional[str]:
     """The select of a PEP bound to no PDP: every send fails safe."""
     return None
 
@@ -577,10 +556,12 @@ class WireJob:
 
     A tier configures a default job at construction; sends may override
     it per envelope (the federated gateway uses that to aim the same
-    core at local replicas, peer gateways and remote replica sets).
-    Every in-flight :class:`Slot` carries its ``request``; the core
-    batches those, and the job's channel seals the query and opens the
-    reply — signature policy lives there, not in per-tier callbacks.
+    core at local replicas, peer gateways and remote replica sets, and a
+    PEP to send its pull queries and its queue's batches through one
+    core).  Every in-flight :class:`Slot` carries its ``request``; the
+    job's ``encode`` writes the query over those, and the job's channel
+    seals it and opens the reply — signature policy lives there, not in
+    per-tier callbacks.
 
     Attributes:
         select: pick the next destination given the already-tried list;
@@ -589,8 +570,15 @@ class WireJob:
         fail: fan one exception out to the slots (fail-safe deny).
         timeout: per-attempt reply deadline in simulated seconds.
         channel: the sending component's decision channel.
-        encode: turn the batch query into ``(base action, body)``;
-            the federated gateway wraps forwards here.
+        encode: write one transmit attempt's query over the slots'
+            requests, given the issuer and the instant, as ``(exchange
+            id, base action, body)``.  The default is one batch query;
+            the federated gateway wraps forwards here, and a PEP's pull
+            job writes the single-query profile.  Called per attempt, so
+            a failover re-send carries a fresh id.
+        open: the reply, opened by the job's channel into one statement
+            per slot: ``(channel, reply, replica, exchange id, slot
+            count)``; it checks the reply answers the exchange id.
         dispatcher: optional dispatcher whose outstanding counters and
             failover tally this job maintains — and whose placement,
             when it carries one, splits every send into one envelope
@@ -604,18 +592,19 @@ class WireJob:
     fail: Callable[[list, Exception], None]
     timeout: float
     channel: DecisionChannel
-    encode: Callable[[XacmlAuthzDecisionBatchQuery], tuple[str, str]] = (
-        _batch_body
+    encode: Callable[[list, str, float], tuple[str, str, str]] = _batch_body
+    open: Callable[[DecisionChannel, Message, str, str, int], Sequence] = (
+        _open_batch
     )
     dispatcher: Optional[DecisionDispatcher] = None
     on_sent: Optional[Callable[[list], None]] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _InflightEnvelope:
-    """One batch envelope on the wire, awaiting its reply or deadline."""
+    """One envelope on the wire, awaiting its reply or deadline."""
 
-    batch: XacmlAuthzDecisionBatchQuery
+    exchange_id: str
     items: list[Slot]
     replica: str
     tried: list[str]
@@ -624,6 +613,9 @@ class _InflightEnvelope:
     #: hop's trace context it parents under (tracing only).
     trace: Optional[object] = None
     parent: Optional[object] = None
+    #: The reply deadline's timer; settling the envelope cancels it,
+    #: so only an envelope still in flight ever times out.
+    deadline: Optional[EventHandle] = None
 
 
 class BatchWireCore:
@@ -631,31 +623,31 @@ class BatchWireCore:
 
     Owns exactly the pieces the tiers used to carry privately: shard
     partitioning (one envelope per owning replica), the in-flight map
-    (msg_id → envelope), timeout failover across replicas, reply
-    validation (the job channel's signature, batch id and statement
-    count checks) and fail-safe fan-out on faults, forged replies and
-    replica exhaustion.
+    (msg_id → envelope), timeout failover across replicas — the only
+    re-send anywhere in the fabric — reply validation (the job
+    channel's signature, exchange id and statement count checks) and
+    fail-safe fan-out on faults, forged replies and replica exhaustion.
 
     The core is deliberately policy-free: *what* travels, *where* it
     may go and *how* results land stay with the owning tier through its
-    :class:`WireJob`.
+    :class:`WireJob`.  A core built without a default job (a PEP's)
+    takes one with every send.
     """
 
     def __init__(
         self,
         component: Component,
-        job: WireJob,
+        job: Optional[WireJob] = None,
         actions: Sequence[str] = (),
-        label: str = "wire",
     ) -> None:
         self.component = component
         self.job = job
-        self.label = label
         self._inflight: dict[int, _InflightEnvelope] = {}
         self.failovers = 0
-        for action in actions:
-            component.on(f"{action}:response", self.handle_reply)
-            component.on(f"{action}:fault", self.handle_fault)
+        for action in actions:  # replies come back plain or secure
+            for kind in (action, secure_action(action)):
+                component.on(f"{kind}:response", self.handle_reply)
+                component.on(f"{kind}:fault", self.handle_fault)
 
     # -- sending ------------------------------------------------------------------
 
@@ -679,11 +671,7 @@ class BatchWireCore:
         """
         job = job if job is not None else self.job
         dispatcher = job.dispatcher
-        groups = (
-            dispatcher.partition(items)
-            if dispatcher is not None
-            else [(None, items)]
-        )
+        groups = [(None, items)] if dispatcher is None else dispatcher.partition(items)
         tx_time = 0.0
         for owner, group in groups:
             pinned = (
@@ -712,14 +700,12 @@ class BatchWireCore:
         job: WireJob,
         parent: Optional[object],
     ) -> float:
-        # Built per transmit attempt: a failover re-send gets a fresh
-        # batch id and a fresh signature.
-        batch = XacmlAuthzDecisionBatchQuery.for_requests(
-            [item.request for item in items],
-            issuer=self.component.name,
-            issue_instant=self.component.now,
+        # Written per transmit attempt: a failover re-send gets a fresh
+        # exchange id and a fresh signature.
+        exchange_id, base, body = job.encode(
+            items, self.component.name, self.component.now
         )
-        action, payload = job.channel.seal(*job.encode(batch))
+        action, payload = job.channel.seal(base, body)
         message = Message(
             sender=self.component.name,
             recipient=replica,
@@ -735,15 +721,15 @@ class BatchWireCore:
             envelope_trace = tracer.envelope_sent(
                 self.component,
                 items,
-                batch_id=batch.batch_id,
+                batch_id=exchange_id,
                 kind=action,
                 replica=replica,
                 attempt=len(tried) + 1,
                 parent=parent,
             )
             message.headers[TRACE_HEADER] = envelope_trace.context.header()
-        self._inflight[message.msg_id] = _InflightEnvelope(
-            batch=batch,
+        self._inflight[message.msg_id] = inflight = _InflightEnvelope(
+            exchange_id=exchange_id,
             items=items,
             replica=replica,
             tried=tried + [replica],
@@ -756,8 +742,8 @@ class BatchWireCore:
         if job.on_sent is not None:
             job.on_sent(items)
         self.component.node.send(message)
-        self.component.network.loop.schedule(
-            job.timeout, lambda: self._check_timeout(message.msg_id)
+        inflight.deadline = self.component.network.loop.schedule(
+            job.timeout, partial(self._check_timeout, message.msg_id)
         )
         link = self.component.network.link_between(self.component.name, replica)
         return message.size_bytes / link.bandwidth
@@ -768,14 +754,15 @@ class BatchWireCore:
         self, reply_to: Optional[int]
     ) -> Optional[_InflightEnvelope]:
         inflight = self._inflight.pop(reply_to, None)
-        if inflight is not None and inflight.job.dispatcher is not None:
-            inflight.job.dispatcher.note_done(inflight.replica)
+        if inflight is not None:
+            self.component.network.loop.cancel(inflight.deadline)
+            if inflight.job.dispatcher is not None:
+                inflight.job.dispatcher.note_done(inflight.replica)
         return inflight
 
     def _check_timeout(self, msg_id: int) -> None:
+        # Still in flight: settling an envelope cancels its timer.
         inflight = self._take_inflight(msg_id)
-        if inflight is None:
-            return  # answered in time (or already failed over)
         job = inflight.job
         replica = job.select(inflight.tried)
         if replica is None:
@@ -787,7 +774,7 @@ class BatchWireCore:
                 RpcTimeout(
                     self.component.name,
                     inflight.replica,
-                    "batch decision query",
+                    "decision query",
                     self.component.now,
                 ),
             )
@@ -819,10 +806,11 @@ class BatchWireCore:
             return  # late reply after a timeout-triggered failover
         job = inflight.job
         try:
-            statement_batch = job.channel.open_batch_reply(
+            statements = job.open(
+                job.channel,
                 message,
                 inflight.replica,
-                inflight.batch.batch_id,
+                inflight.exchange_id,
                 len(inflight.items),
             )
         except Exception as exc:  # malformed/forged reply: fail safe
@@ -834,7 +822,7 @@ class BatchWireCore:
         self.component.network.tracer.envelope_done(
             inflight.trace, inflight.items, "ok"
         )
-        job.deliver(inflight.items, statement_batch.statements)
+        job.deliver(inflight.items, statements)
 
     def handle_fault(self, message: Message) -> None:
         inflight = self._take_inflight(message.reply_to)
@@ -849,7 +837,7 @@ class BatchWireCore:
 
     def __repr__(self) -> str:
         return (
-            f"BatchWireCore({self.component.name}, label={self.label}, "
+            f"BatchWireCore({self.component.name}, "
             f"inflight={len(self._inflight)})"
         )
 
@@ -872,10 +860,6 @@ class _StagedTier:
     @property
     def flushes_on_delay(self) -> int:
         return self._stage.flushes_on_delay
-
-    @property
-    def _inflight(self) -> dict[int, _InflightEnvelope]:
-        return self._wire._inflight
 
     @property
     def inflight_count(self) -> int:
@@ -905,8 +889,9 @@ class CoalescingDecisionQueue(_StagedTier):
     Args:
         pep: the owning :class:`~repro.components.pep.
             PolicyEnforcementPoint`; its revocation guard, decision
-            cache, obligation handlers and counters all apply exactly as
-            on the synchronous path.
+            cache, obligation handlers, counters and completion all
+            apply exactly as on ``authorize``, and its batches go out on
+            the PEP's wire core.
         max_batch: flush as soon as this many *unique* requests wait.
         max_delay: flush this many simulated seconds after the first
             request entered an empty queue (latency bound).  Envelopes
@@ -928,10 +913,6 @@ class CoalescingDecisionQueue(_StagedTier):
     ) -> None:
         self.pep = pep
         self.gateway = gateway
-        #: Scope prefix of every dedup key this queue mints: the owning
-        #: PEP's identity.  Keeps entries from different PEPs distinct
-        #: even inside shared (gateway-tier) bookkeeping.
-        self._scope = (pep.domain, pep.name)
         self._stage = BatchingStage(
             pep.network.loop,
             max_batch,
@@ -940,31 +921,25 @@ class CoalescingDecisionQueue(_StagedTier):
             complete=self._complete_entry,
             deny=self._fail_entry,
         )
-        self.submissions = 0
         self.deduplicated = 0
         self.batches_sent = 0
-        self.completions = 0
         dispatcher = pep.dispatcher
-        self._wire = BatchWireCore(
-            pep,
-            WireJob(
-                select=dispatcher.select if dispatcher is not None else _no_replica,
-                deliver=self._stage.deliver,
-                fail=self._stage.fail,
-                timeout=pep.config.pdp_timeout,
-                channel=pep.channel,
-                dispatcher=dispatcher,
-                on_sent=self._note_batch_sent,
-            ),
-            actions=(BATCH_QUERY_ACTION, SECURE_BATCH_QUERY_ACTION),
-            label="fabric",
+        self._wire = pep._wire
+        self._job = WireJob(
+            select=dispatcher.select if dispatcher is not None else no_replica,
+            deliver=self._stage.deliver,
+            fail=self._stage.fail,
+            timeout=pep.config.pdp_timeout,
+            channel=pep.channel,
+            dispatcher=dispatcher,
+            on_sent=self._note_batch_sent,
         )
         if gateway is not None:
             gateway.register(self)
 
     def scoped_key(self, cache_key: tuple) -> tuple:
         """The PEP/domain-scoped dedup key for one request identity."""
-        return (self._scope, cache_key)
+        return (self.pep._scope, cache_key)
 
     # -- submission --------------------------------------------------------------
 
@@ -979,7 +954,6 @@ class CoalescingDecisionQueue(_StagedTier):
         or in flight are deduplicated: the new waiter joins the existing
         wire slot.
         """
-        self.submissions += 1
         self.pep.enforcements += 1
         cache_key = request.cache_key()
         tracer = self.pep.network.tracer
@@ -987,7 +961,6 @@ class CoalescingDecisionQueue(_StagedTier):
         if immediate is not None:
             if tracer.enabled:
                 tracer.sync_decision(self.pep, request, immediate)
-            self.completions += 1
             callback(immediate)
             return True
         key = self.scoped_key(cache_key)
@@ -1037,7 +1010,7 @@ class CoalescingDecisionQueue(_StagedTier):
             # incremented for hand-offs).
             self.gateway.ingest(self, entries)
         else:
-            self._wire.send(entries)
+            self._wire.send(entries, self._job)
 
     # -- the wire (BatchWireCore variation points) --------------------------------
 
@@ -1053,43 +1026,16 @@ class CoalescingDecisionQueue(_StagedTier):
         metrics.record_sample(pep_latency_series(self.pep.name), delay)
 
     def _complete_entry(self, entry: Slot, statement) -> None:
-        """Deliver one decision statement to every waiter of ``entry``.
-
-        Caching, obligation enforcement and counters all happen against
-        the *owning* PEP — the gateway demultiplexes a shared wire slot
-        into one of these calls per contributing PEP.
-        """
-        self.pep.decision_cache.admit(entry.key[1], statement)
+        """Answer every waiter of ``entry`` through the owning PEP's
+        completion — the gateway demultiplexes a shared wire slot into
+        one of these calls per contributing PEP."""
         self._record_latency(entry)
-        for callback in entry.waiters:  # never empty: a slot opens with one
-            result = self.pep._settle(entry.request, statement)
-            self.completions += 1
-            callback(result)
-        if entry.trace is not None:
-            self.pep.network.tracer.finish_decision(
-                entry.trace,
-                self.pep,
-                granted=result.granted,
-                decision=str(statement.response.decision),
-                source="pdp",
-            )
+        self.pep._complete(entry, statement)
 
     def _fail_entry(self, entry: Slot, exc: Exception) -> None:
-        """Fail-safe denial for every waiter of one entry."""
+        """Fail every waiter of one entry safe, likewise."""
         self._record_latency(entry)
-        for callback in entry.waiters:
-            result = self.pep._fail_safe_result(exc)
-            self.completions += 1
-            callback(result)
-        if entry.trace is not None:
-            self.pep.network.tracer.finish_decision(
-                entry.trace,
-                self.pep,
-                granted=result.granted,
-                decision=str(result.decision),
-                source=result.source,
-                error=type(exc).__name__,
-            )
+        self.pep._complete(entry, error=exc)
 
     def __repr__(self) -> str:
         return (
@@ -1150,7 +1096,8 @@ class DomainDecisionGateway(_StagedTier, Component):
             super-batch; None disables the cap (round-robin draw only).
         secure_channel: sign super-batch queries / verify reply
             signatures with the gateway's identity.
-        pdp_timeout: RPC deadline towards the PDP tier.
+        pdp_timeout: reply deadline towards the PDP tier, per replica
+            tried (> 0).
     """
 
     def __init__(
@@ -1171,6 +1118,8 @@ class DomainDecisionGateway(_StagedTier, Component):
             raise ValueError("gateway requires a DecisionDispatcher")
         if fairness_cap is not None and fairness_cap < 1:
             raise ValueError(f"fairness_cap must be >= 1, got {fairness_cap}")
+        if not pdp_timeout > 0:
+            raise ValueError(f"pdp_timeout must be > 0, got {pdp_timeout}")
         #: How every envelope this gateway sends (PDP-bound, forwarded)
         #: or serves is sealed and opened.
         self.channel = DecisionChannel(
@@ -1208,8 +1157,7 @@ class DomainDecisionGateway(_StagedTier, Component):
                 dispatcher=dispatcher,
                 on_sent=self._note_super_batch,
             ),
-            actions=(BATCH_QUERY_ACTION, SECURE_BATCH_QUERY_ACTION),
-            label="gateway",
+            actions=(BATCH_QUERY_ACTION,),
         )
 
     # -- registration -------------------------------------------------------------

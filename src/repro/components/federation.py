@@ -79,6 +79,7 @@ from .fabric import (
     DomainDecisionGateway,
     Slot,
     WireJob,
+    batch_query,
 )
 
 #: Gateway→gateway forwarded decision traffic.
@@ -388,7 +389,7 @@ class FederatedGateway(DomainDecisionGateway):
             simulated seconds after the first entered an empty buffer
             (default: the gateway's ``max_delay``).
         peer_timeout: reply deadline for gateway→gateway envelopes
-            (defaults to ``pdp_timeout``).
+            (> 0; defaults to ``pdp_timeout``).
         remote_cache_ttl: lifetime of gateway-tier cached remote
             decisions in simulated seconds; 0 (default) disables the
             cache — the PR 4 behaviour.
@@ -421,6 +422,8 @@ class FederatedGateway(DomainDecisionGateway):
             raise ValueError(
                 f"forward_delay must be >= 0, got {forward_delay}"
             )
+        if peer_timeout is not None and not peer_timeout > 0:
+            raise ValueError(f"peer_timeout must be > 0, got {peer_timeout}")
         super().__init__(name, network, dispatcher, domain=domain, **kwargs)
         self.resolve_domain = resolve_domain
         self.resolve_authoritative = resolve_authoritative
@@ -678,14 +681,17 @@ class FederatedGateway(DomainDecisionGateway):
         def select(exclude: Sequence[str]) -> Optional[str]:
             return None if peer in exclude else peer
 
-        def encode(batch: XacmlAuthzDecisionBatchQuery) -> tuple[str, str]:
+        def encode(
+            items: list[Slot], issuer: str, issue_instant: float
+        ) -> tuple[str, str, str]:
+            batch = batch_query(items, issuer, issue_instant)
             forwarded = ForwardedBatchQuery(
                 batch=batch,
                 origin_domain=self.domain,
                 origin_gateway=self.name,
                 ttl=hops,
             )
-            return FORWARD_ACTION, forwarded.to_xml()
+            return batch.batch_id, FORWARD_ACTION, forwarded.to_xml()
 
         return WireJob(
             select=select,

@@ -7,7 +7,15 @@ covers the architectural duties Section 3 assigns to enforcement points:
 
 * querying a PDP (pull model) with optional WS-Security mutual
   authentication, verifying that responses really come from the trusted
-  decision point;
+  decision point.  There are two entry points and one transport:
+  :meth:`PolicyEnforcementPoint.authorize` sends one single-query
+  envelope at once and waits (a top-level wait: it runs the event
+  loop until the answer lands, so no handler or timer may call it), and
+  :meth:`~PolicyEnforcementPoint.submit` feeds the coalescing queue.
+  Both put their envelopes on the PEP's one
+  :class:`~repro.components.fabric.BatchWireCore` — one in-flight map,
+  one timeout failover, one reply check — and both land in one
+  completion (cache admit, obligations, counters, trace);
 * **decision caching** with TTL (paper §3.2 communication performance;
   experiment E6 measures both the savings and the staleness risk);
 * **obligation enforcement**: registered handlers run before access is
@@ -22,13 +30,13 @@ covers the architectural duties Section 3 assigns to enforcement points:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..saml.xacml_profile import XacmlAuthzDecisionQuery, XacmlAuthzDecisionStatement
 from ..simnet.message import Message
 from ..simnet.network import Network
-from ..wsvc.ws_security import WsSecurityError
 from ..xacml.context import (
     Decision,
     Obligation,
@@ -36,11 +44,18 @@ from ..xacml.context import (
     Status,
     StatusCode,
 )
-from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
+from .base import Component, ComponentIdentity
 from .cache import DecisionCache
 from .channel import DecisionChannel
-from .fabric import CoalescingDecisionQueue, DecisionDispatcher
-from .pdp import QUERY_ACTION
+from .fabric import (
+    BatchWireCore,
+    CoalescingDecisionQueue,
+    DecisionDispatcher,
+    Slot,
+    WireJob,
+    no_replica,
+)
+from .pdp import BATCH_QUERY_ACTION, QUERY_ACTION
 
 #: Obligation handler: receives the obligation and the request, performs
 #: the action, returns True when fulfilled.
@@ -59,8 +74,30 @@ class PepConfig:
     decision_cache_ttl: float = 0.0
     #: Sign queries / verify response signatures (mutual authentication).
     secure_channel: bool = False
-    #: RPC deadline towards the PDP.
+    #: Reply deadline towards the PDP, per replica tried (> 0).
     pdp_timeout: float = 2.0
+
+    def __post_init__(self) -> None:
+        if not self.pdp_timeout > 0:
+            raise ValueError(f"pdp_timeout must be > 0, got {self.pdp_timeout}")
+
+
+def _query_body(
+    items: list[Slot], issuer: str, issue_instant: float
+) -> tuple[str, str, str]:
+    """The pull profile's envelope body: one single query (paper §3.2)."""
+    (item,) = items
+    query = XacmlAuthzDecisionQuery(
+        request=item.request, issuer=issuer, issue_instant=issue_instant
+    )
+    return query.query_id, QUERY_ACTION, query.to_xml()
+
+
+def _open_statement(
+    channel: DecisionChannel, reply: Message, replica: str, query_id: str, count: int
+) -> Sequence[XacmlAuthzDecisionStatement]:
+    """The pull profile's reply: one statement answering ``query_id``."""
+    return (channel.open_statement_reply(reply, replica, query_id),)
 
 
 @dataclass(frozen=True)
@@ -92,18 +129,25 @@ class PolicyEnforcementPoint(Component):
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.config = config if config is not None else PepConfig()
-        #: How every decision exchange of this PEP (blocking or
-        #: coalesced) is sealed and opened.
+        #: How every decision exchange of this PEP (pull or coalesced)
+        #: is sealed and opened.
         self.channel = DecisionChannel(
             self, secure=self.config.secure_channel, role="pep"
         )
-        #: The replica ring both query paths (blocking, coalesced)
-        #: reaches its PDP through, with failover; ``pdp_address`` is a
-        #: ring of one.  Replace it directly or via
-        #: :meth:`enable_batching`; None (no PDP) fails every query safe.
+        #: The replica ring both entry points reach their PDP through;
+        #: ``pdp_address`` is a ring of one.  Replace it directly (the
+        #: next ``authorize`` uses it) or via :meth:`enable_batching`;
+        #: None (no PDP) fails every query safe.
         self.dispatcher: Optional[DecisionDispatcher] = (
             DecisionDispatcher([pdp_address]) if pdp_address is not None else None
         )
+        #: The one transport of both entry points: single queries from
+        #: :meth:`authorize`, batches from the coalescing queue.
+        self._wire = BatchWireCore(self, actions=(QUERY_ACTION, BATCH_QUERY_ACTION))
+        #: Scope prefix of every slot key this PEP mints: its identity.
+        #: Keeps entries from different PEPs distinct even inside shared
+        #: (gateway-tier) bookkeeping.
+        self._scope = (domain, name)
         #: Client-side coalescing queue (see :meth:`enable_batching`).
         self.coalescer: Optional[CoalescingDecisionQueue] = None
         self.decision_cache = DecisionCache(
@@ -143,25 +187,6 @@ class PolicyEnforcementPoint(Component):
 
     # -- the decision query (pull model) ----------------------------------------------
 
-    def _exchange(self, action: str, payload) -> tuple[Message, str]:
-        """One decision round-trip through the dispatcher's failover."""
-        if self.dispatcher is None:
-            raise RpcTimeout(self.name, "<none>", "no PDP configured", self.now)
-        return self.dispatcher.dispatch(
-            self, action, payload, timeout=self.config.pdp_timeout
-        )
-
-    def _query_pdp(self, request: RequestContext) -> XacmlAuthzDecisionStatement:
-        """One blocking round-trip.  A reply that does not decode, or
-        that answers another query, is a ``pep:bad-reply`` fault: the
-        caller fails safe on it exactly as it does on a timeout."""
-        query = XacmlAuthzDecisionQuery(
-            request=request, issuer=self.name, issue_instant=self.now
-        )
-        action, payload = self.channel.seal(QUERY_ACTION, query.to_xml())
-        reply, pdp = self._exchange(action, payload)
-        return self.channel.open_statement_reply(reply, pdp, query.query_id)
-
     def enable_batching(
         self,
         max_batch: int = 16,
@@ -171,9 +196,9 @@ class PolicyEnforcementPoint(Component):
     ) -> CoalescingDecisionQueue:
         """Attach the coalescing queue (and a dispatcher or gateway).
 
-        Afterwards :meth:`submit` feeds the queue; the blocking
-        :meth:`authorize` keeps working.  A given dispatcher replaces the
-        PEP's own for both paths.  With a
+        Afterwards :meth:`submit` feeds the queue, whose batches share
+        the PEP's wire core with :meth:`authorize`'s queries.  A given
+        dispatcher replaces the PEP's own for both entry points.  With a
         :class:`~repro.components.fabric.DomainDecisionGateway` the
         queue's flushes hand off to the domain's shared aggregation
         point instead of sending per-PEP envelopes; the gateway owns
@@ -232,37 +257,93 @@ class PolicyEnforcementPoint(Component):
         )
 
     def authorize(self, request: RequestContext) -> EnforcementResult:
-        """Full pull-model enforcement of one access request."""
+        """Full pull-model enforcement of one access request.
+
+        The guard and the decision cache answer first; otherwise one
+        single query leaves at once on the PEP's wire core, and the
+        event loop runs until its slot settles — answered, refused or
+        failed safe once every replica the dispatcher offers timed out.
+        The wait is a top-level one: nothing that runs as an event may
+        call ``authorize``.
+        """
         self.enforcements += 1
         tracer = self.network.tracer
         trace = tracer.begin_decision(self, request) if tracer.enabled else None
         if trace is not None:
-            # A blocking RPC has no queue/batch/demux phases: record a
-            # single span covering the whole call.
+            # No queue/batch/demux phases: the decision is a single span
+            # covering the whole call.
             trace.set("sync", True)
             trace.set("path", "authorize")
-        result = self._authorize_inner(request)
+        cache_key = request.cache_key()
+        immediate = self._pre_decision(request, cache_key)
+        if immediate is not None:
+            self._finish(trace, immediate)
+            return immediate
+        answer: list[EnforcementResult] = []
+        slot = Slot(
+            request, (self._scope, cache_key), self.name, [answer.append], trace=trace
+        )
+        self._wire.send([slot], self._pull_job())
+        self.network.loop.run_until(answer.__len__, math.inf)  # until answered
+        return answer[0]
+
+    def _pull_job(self) -> WireJob:
+        """How ``authorize``'s query travels, through the dispatcher and
+        deadline the PEP holds now."""
+        dispatcher = self.dispatcher
+        return WireJob(
+            select=dispatcher.select if dispatcher is not None else no_replica,
+            # One slot per pull envelope.
+            deliver=lambda slots, answers: self._complete(slots[0], answers[0]),
+            fail=lambda slots, exc: self._complete(slots[0], error=exc),
+            timeout=self.config.pdp_timeout,
+            channel=self.channel,
+            encode=_query_body,
+            open=_open_statement,
+            dispatcher=dispatcher,
+        )
+
+    def _complete(
+        self,
+        slot: Slot,
+        statement: Optional[XacmlAuthzDecisionStatement] = None,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """The one completion of a PDP exchange, for either entry point.
+
+        A statement is admitted to the decision cache (under the slot
+        key's bare request identity) and enforced once per waiter; an
+        error — a timeout past the last replica, a fault, a reply that
+        does not verify or decode — is a fail-safe denial per waiter.
+        The slot's sampled trace is finished last.
+        """
+        if error is None:
+            self.decision_cache.admit(slot.key[1], statement)
+        for waiter in slot.waiters:  # never empty: a slot opens with one
+            result = (
+                self._settle(slot.request, statement)
+                if error is None
+                else self._fail_safe_result(error)
+            )
+            waiter(result)
+        self._finish(slot.trace, result, error)
+
+    def _finish(
+        self,
+        trace,
+        result: EnforcementResult,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Close a sampled decision trace on the result enforced."""
         if trace is not None:
-            tracer.finish_decision(
+            self.network.tracer.finish_decision(
                 trace,
                 self,
                 granted=result.granted,
                 decision=str(result.decision),
                 source=result.source,
+                error="" if error is None else type(error).__name__,
             )
-        return result
-
-    def _authorize_inner(self, request: RequestContext) -> EnforcementResult:
-        cache_key = request.cache_key()
-        immediate = self._pre_decision(request, cache_key)
-        if immediate is not None:
-            return immediate
-        try:
-            statement = self._query_pdp(request)
-        except (RpcTimeout, RpcFault, WsSecurityError) as exc:
-            return self._fail_safe_result(exc)
-        self.decision_cache.admit(cache_key, statement)
-        return self._settle(request, statement)
 
     def _settle(
         self,

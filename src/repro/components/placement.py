@@ -170,24 +170,6 @@ class PlacementMap:
             slot = 0
         return self._owners[slot]
 
-    def preference(self, key: str) -> list[str]:
-        """Every replica in failover order for ``key``: owner first,
-        then distinct successors walking the ring."""
-        if len(self._replicas) == 1:
-            return list(self._replicas)
-        point = stable_hash(key, self.hash_name)
-        start = bisect.bisect(self._points, point)
-        ordered: list[str] = []
-        seen: set[str] = set()
-        for offset in range(len(self._points)):
-            owner = self._owners[(start + offset) % len(self._points)]
-            if owner not in seen:
-                seen.add(owner)
-                ordered.append(owner)
-                if len(ordered) == len(self._replicas):
-                    break
-        return ordered
-
     def __repr__(self) -> str:
         return (
             f"PlacementMap(replicas={len(self._replicas)}, "
@@ -235,9 +217,6 @@ class PlacementSpec:
 
     def owner_of(self, request) -> str:
         return self.ring.owner(self.key_of(request))
-
-    def preference_for(self, request) -> list[str]:
-        return self.ring.preference(self.key_of(request))
 
     def routing_view(self) -> "PlacementSpec":
         """A snapshot spec whose ring updates independently — models a

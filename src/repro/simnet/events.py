@@ -17,6 +17,10 @@ from typing import Any, Callable, Optional
 
 from .clock import SimClock
 
+#: Cancelled entries the heap may hold before :meth:`EventLoop.cancel`
+#: considers rebuilding it without them.
+COMPACT_AT = 32
+
 
 class EventHandle(list):
     """One scheduled event, ``[when, seq, callback]``: the loop's heap
@@ -71,8 +75,10 @@ class EventLoop:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        #: Cancelled entries stay until they surface.
+        #: Cancelled entries stay until they surface, or until
+        #: :meth:`cancel` rebuilds the heap without them.
         self._heap: list[EventHandle] = []
+        self._cancelled = 0
         self._seq = itertools.count()
         self._processed = 0
 
@@ -109,10 +115,24 @@ class EventLoop:
         return entry
 
     def cancel(self, handle: EventHandle) -> bool:
-        """Cancel a scheduled event.  Returns True if it had not yet fired."""
+        """Cancel a scheduled event.  Returns True if it had not yet fired.
+
+        Once cancelled entries outnumber live ones (and there are more
+        than :data:`COMPACT_AT`) the heap is rebuilt without them, so a
+        component that cancels most of its timers — a wire core's reply
+        deadlines — does not make every other push and pop pay for
+        them.  Entries keep their ``(when, seq)``: the firing order is
+        the same either way.
+        """
         if handle[2] is None:
             return False
         handle[2] = None
+        self._cancelled += 1
+        heap = self._heap
+        if self._cancelled > COMPACT_AT and 2 * self._cancelled > len(heap):
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapq.heapify(heap)
+            self._cancelled = 0
         return True
 
     def _next_due(self, until: Optional[float]) -> Optional[EventHandle]:
@@ -124,6 +144,7 @@ class EventLoop:
             if head[2] is not None:
                 return head if until is None or head[0] <= until else None
             heapq.heappop(heap)
+            self._cancelled -= 1
         return None
 
     def _fire(self) -> None:

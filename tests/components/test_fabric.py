@@ -10,7 +10,6 @@ from repro.components import (
     PolicyAdministrationPoint,
     PolicyDecisionPoint,
     PolicyEnforcementPoint,
-    RpcTimeout,
 )
 from repro.simnet import Network
 from repro.xacml import (
@@ -75,8 +74,8 @@ class TestDecisionDispatcher:
         assert dispatcher.select() == "a"
 
     def test_least_outstanding_rotates_through_ties(self):
-        """On the synchronous path outstanding counts are zero at every
-        select; ties must rotate rather than pin replica 0."""
+        """With one ``authorize`` outstanding the counts are zero at
+        every select; ties must rotate rather than pin replica 0."""
         network, pdps, pep = build_env(replicas=3)
         pep.dispatcher = DecisionDispatcher(
             [p.name for p in pdps], policy=LeastOutstandingRouting()
@@ -92,25 +91,6 @@ class TestDecisionDispatcher:
     def test_empty_replica_set_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             DecisionDispatcher([])
-
-    def test_dispatch_fails_over_on_timeout(self):
-        network, pdps, pep = build_env(replicas=3)
-        pdps[0].crash()
-        dispatcher = DecisionDispatcher([p.name for p in pdps])
-        pep.dispatcher = dispatcher
-        result = pep.authorize_simple("alice", "doc", "read")
-        assert result.granted
-        assert dispatcher.failovers == 1
-        assert pdps[1].decisions_made == 1
-
-    def test_dispatch_raises_when_all_replicas_dead(self):
-        network, pdps, pep = build_env(replicas=2)
-        for pdp in pdps:
-            pdp.crash()
-        dispatcher = DecisionDispatcher([p.name for p in pdps])
-        with pytest.raises(RpcTimeout):
-            dispatcher.dispatch(pep, "xacml.request", "<x/>", timeout=0.5)
-        assert dispatcher.failovers == 2
 
 
 class TestCoalescingQueue:
@@ -224,7 +204,7 @@ class TestCoalescingQueue:
         assert done[0].source == "fail-safe"
         assert network.metrics.messages_sent - sent == 1
         assert queue.failovers == 0
-        # The blocking path: one attempt, one deadline, then fail safe.
+        # authorize: one attempt, one deadline, then fail safe.
         sent, start = network.metrics.messages_sent, network.now
         result = pep.authorize_simple("alice", "doc", "read")
         assert result.source == "fail-safe"

@@ -218,6 +218,18 @@ class TestFailSafeEdges:
         assert hubs["west"].peer_failures == 1
         assert network.metrics.counters["federation.peer_unreachable"] == 1
 
+    def test_a_peer_deadline_that_is_not_in_the_future_is_rejected(self):
+        network = Network(seed=3)
+        for index, timeout in enumerate((0.0, -1.0, float("nan"))):
+            with pytest.raises(ValueError, match="peer_timeout must be > 0"):
+                FederatedGateway(
+                    f"gw{index}",
+                    network,
+                    DecisionDispatcher(["pdp"]),
+                    domain="west",
+                    peer_timeout=timeout,
+                )
+
     def test_forwarding_loop_cut_by_ttl(self):
         """Two domains with conflicting directories bounce a request
         between them; the TTL ends the chain in a fail-safe deny."""

@@ -247,7 +247,7 @@ class TestFairness:
         peps[0].coalescer.flush()  # 7 slots >= 4: drains as two envelopes
         # The paced drain puts the first envelope on the wire now; the
         # second follows after the first finishes serialising.
-        first = list(gateway._inflight.values())
+        first = list(gateway._wire._inflight.values())
         assert [len(batch.items) for batch in first] == [4]
         # The quiet PEP's single slot made the first envelope despite the
         # chatty PEP's larger backlog.
@@ -295,6 +295,20 @@ class TestFairness:
             DomainDecisionGateway(
                 "g4", network, dispatcher, secure_channel=True
             )
+
+    def test_a_deadline_that_is_not_in_the_future_is_rejected(self):
+        """A past deadline used to construct, then raise out of
+        ``Network.run`` at the first flush ("cannot schedule an event in
+        the past")."""
+        network = Network(seed=73)
+        for index, timeout in enumerate((0.0, -1.0, float("nan"))):
+            with pytest.raises(ValueError, match="pdp_timeout must be > 0"):
+                DomainDecisionGateway(
+                    f"g{index}",
+                    network,
+                    DecisionDispatcher(["pdp"]),
+                    pdp_timeout=timeout,
+                )
 
 
 class TestSecureChannel:

@@ -1,15 +1,21 @@
-"""A PEP has two decision paths, and they enforce alike.
+"""A PEP has two entry points and one transport, and they enforce alike.
 
-``authorize`` is the paper's pull model: one blocking query per access
-(§3.2).  ``submit`` is the fabric: the same enforcement, coalesced into
-batch queries.  Every outcome enforcement can reach — a PDP decision of
-each kind, an obligation fulfilled, not understood or failed, a
+``authorize`` is the paper's pull model: one single query per access
+(§3.2), sent at once, with the caller waiting until it settles.
+``submit`` is the fabric: the same enforcement, coalesced into batch
+queries.  Both put their envelopes on the PEP's one wire core — one
+in-flight map, one timeout failover, one reply check — and both land in
+one completion.  Every outcome enforcement can reach — a PDP decision
+of each kind, an obligation fulfilled, not understood or failed, a
 revocation guard denial, a decision-cache hit or miss, a PDP that cannot
-be reached or refuses, a replica failover — is one cell here, decided on
-each path, with the same result and the same counters.
+be reached or refuses, a replica failover — is one cell here, decided
+through each entry point, with the same result and the same counters.
+The cells after the table pin what the shared transport makes equal
+(the failover tally) and what ``authorize``'s wait promises.
 """
 
 import inspect
+import math
 from typing import Callable, NamedTuple, Optional
 
 import pytest
@@ -300,3 +306,70 @@ def test_no_switch_makes_a_pep_fail_open():
         "secure_channel",
         "pdp_timeout",
     }
+
+
+def test_a_pep_rejects_a_deadline_that_is_not_in_the_future():
+    for timeout in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="pdp_timeout must be > 0"):
+            PepConfig(pdp_timeout=timeout)
+
+
+def test_every_replica_down_is_one_failover_on_both_paths():
+    """Two replicas, both down: the first timeout fails over, the second
+    has nobody left to ask and fails safe — one failover, however the
+    request entered."""
+    failovers = {}
+    for path, decide in PATHS.items():
+        world = build(pdps=("pdp-a", "pdp-b"))
+        for pdp in world.pdps.values():
+            pdp.crash()
+        result = decide(world.pep, RequestContext.simple("alice", "doc", "read"))
+        assert result.source == "fail-safe"
+        failovers[path] = world.pep.dispatcher.failovers
+    assert failovers == {"authorize": 1, "submit": 1}
+
+
+def test_the_wait_ends_when_the_last_replica_times_out():
+    world = build(pdps=("pdp-a", "pdp-b"), pdp_timeout=0.5)
+    for pdp in world.pdps.values():
+        pdp.crash()
+    start = world.network.now
+    result = world.pep.authorize(RequestContext.simple("alice", "doc", "read"))
+    assert result.source == "fail-safe" and "no reply by" in result.detail
+    assert world.network.now == start + 0.5 + 0.5
+    assert math.isfinite(world.network.now)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_a_reply_after_its_failover_settles_nothing(path):
+    """``pdp-a`` answers after the deadline: the query fails over to
+    ``pdp-b``, whose answer settles it; ``pdp-a``'s reply then lands and
+    is dropped."""
+    world = build(pdps=("pdp-a", "pdp-b"), pdp_timeout=0.5)
+    world.pdps["pdp-a"].config.envelope_overhead = 2.0
+    result = PATHS[path](world.pep, RequestContext.simple("alice", "logged", "read"))
+    assert (result.decision, result.source) == (Decision.PERMIT, "pdp")
+    before = counters(world.pep)
+    world.network.run(until=world.network.now + 10.0)
+    assert [pdp.decisions_made for pdp in world.pdps.values()] == [1, 1]
+    assert counters(world.pep) == before == {
+        "enforcements": 1,
+        "grants": 1,
+        "denials": 0,
+        "fail_safe_denials": 0,
+        "obligation_failures": 0,
+        "revocation_denials": 0,
+    }
+    assert world.log == ["alice"]  # the obligation ran once
+    assert world.pep.dispatcher.failovers == 1
+    assert not world.pep._wire._inflight
+
+
+def test_a_pep_without_a_pdp_fails_safe_and_schedules_nothing():
+    world = build(pdps=())
+    loop, now = world.network.loop, world.network.now
+    sent, pending = world.network.metrics.messages_sent, loop.pending
+    result = world.pep.authorize(RequestContext.simple("alice", "doc", "read"))
+    assert result.source == "fail-safe" and "no PDP" in result.detail
+    assert (world.network.now, loop.pending) == (now, pending)
+    assert world.network.metrics.messages_sent == sent

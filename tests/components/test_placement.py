@@ -69,13 +69,6 @@ class TestPlacementMap:
         ring.add_replica("pdp-4")
         assert ring.epoch == 2
 
-    def test_preference_starts_at_owner_and_covers_all(self):
-        ring = three_ring()
-        for key in KEYS[:50]:
-            preference = ring.preference(key)
-            assert preference[0] == ring.owner(key)
-            assert sorted(preference) == sorted(ring.replicas)
-
     def test_copy_is_independent(self):
         ring = three_ring()
         view = ring.copy()
@@ -106,7 +99,6 @@ class TestPlacementSpec:
         spec = PlacementSpec("subject", three_ring())
         request = RequestContext.simple("alice", "doc", "read")
         assert spec.owner_of(request) == spec.ring.owner("alice")
-        assert spec.preference_for(request)[0] == spec.owner_of(request)
 
     def test_routing_view_lags_until_synced(self):
         spec = PlacementSpec("subject", three_ring())

@@ -310,7 +310,7 @@ def test_forward_drain_empties_an_overfull_buffer_as_back_to_back_chunks():
     hubs["west"].flush()
     west = hubs["west"]
     assert network.now == sent_at
-    assert [len(envelope.items) for envelope in west._inflight.values()] == [2, 2, 1]
+    assert [len(envelope.items) for envelope in west._wire._inflight.values()] == [2, 2, 1]
     assert (west.forwarded_batches_sent, west.requests_forwarded) == (3, 5)
     # A late identical request from another PEP still joins the
     # forwarded slot instead of travelling again.

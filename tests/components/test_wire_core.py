@@ -107,14 +107,13 @@ def drive_outcomes(via_gateway: bool, crash_after: float):
 
 class TestSharedCore:
     def test_both_tiers_delegate_to_the_same_core(self):
-        """No private copies left: queue and gateway expose one
-        BatchWireCore each, and the wire state lives only there."""
+        """No private copies left: a queue sends on its PEP's one
+        BatchWireCore (``authorize``'s too), the gateway on its own."""
         network, pdps, peps, gateway = build_tier(via_gateway=True)
         queue = peps[0].coalescer
         assert isinstance(queue._wire, BatchWireCore)
+        assert queue._wire is peps[0]._wire
         assert isinstance(gateway._wire, BatchWireCore)
-        assert queue._inflight is queue._wire._inflight
-        assert gateway._inflight is gateway._wire._inflight
 
     def test_fault_reply_fails_safe_without_failover(self):
         network, pdps, peps, gateway = build_tier(

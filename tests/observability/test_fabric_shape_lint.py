@@ -38,7 +38,12 @@ And to replica failover: a PEP could reach its PDP through the
 dispatcher, through a ``pdp_selector`` hook (a heartbeat router, a
 registry selector) or straight to its one configured address, and only
 the first retried a replica that timed out.  ``DecisionDispatcher`` is
-the only way now, and its ``dispatch`` the only loop that fails over.
+the only way now.  Then the PEP still had two transports — a blocking
+RPC with a failover loop of its own (``DecisionDispatcher.dispatch``)
+for ``authorize``, the wire core for ``submit`` — which counted
+failovers differently.  Both entry points send through the wire core
+now, and its timeout is the only re-send: no loop moves on to another
+replica after a timeout.
 
 And to static conflict analysis: E8's modality-conflict scan intersected
 ``Target.pinned`` sets beside E25's constraint algebra, and the two
@@ -48,8 +53,11 @@ only.
 
 And, not yet, to blocking inside an event: ``Component.call`` nests the
 event loop, so a handler or timer that reaches it serves other queries
-re-entrantly while it waits (ROADMAP direction 9).  The last lint lists
+re-entrantly while it waits (ROADMAP direction 9).  One lint lists
 today's sites and fails on a new one; direction 9 empties the list.
+Another keeps the loop itself at the top level: under ``src/`` only
+``Component.call`` and a PEP's ``authorize`` (a top-level wait on the
+wire core) run it to a predicate.
 """
 
 import ast
@@ -330,7 +338,6 @@ def test_one_function_runs_expat_on_query_envelopes():
 
 #: Who may ask a dispatcher for a replica while excluding the ones tried.
 EXCLUDING_SELECTORS = {
-    "components/fabric.py:dispatch",
     "components/fabric.py:selector_for",
     "components/fabric.py:_check_timeout",
 }
@@ -367,7 +374,7 @@ def retries_after_timeout(loop: ast.AST) -> bool:
     return False
 
 
-def test_dispatch_is_the_only_failover_loop():
+def test_the_wire_core_timeout_is_the_only_failover():
     everything = sorted(REPRO.rglob("*.py"))
     hooks = [
         path.relative_to(REPRO).as_posix()
@@ -395,9 +402,10 @@ def test_dispatch_is_the_only_failover_loop():
         for site, node in owned_nodes(everything)
         if isinstance(node, (ast.For, ast.While)) and retries_after_timeout(node)
     }
-    assert loops == {"components/fabric.py:dispatch", *FAN_OUTS}, (
-        "a timeout moves on to another replica outside "
-        f"DecisionDispatcher.dispatch — route through it: {sorted(loops)}"
+    assert loops == set(FAN_OUTS), (
+        "a loop moves on to another replica after a timeout — send through "
+        "the wire core, whose timeout fails over: "
+        f"{sorted(loops - set(FAN_OUTS))}"
     )
 
 
@@ -611,3 +619,68 @@ def test_the_blocking_lint_finds_a_handler_that_blocks():
     # point never counted.
     quiet = unregistered.replace("lambda: self._tick()", "lambda: None")
     assert blocking_sites([("pkg/server.py", ast.parse(quiet))]) == []
+
+
+# -- the loop runs to a predicate at the top level only (ROADMAP direction 9) -----
+
+#: ``module:Qualified.name`` of every function under ``src/`` that may
+#: run the event loop until a predicate holds.
+LOOP_RUNNERS = {
+    "components/base.py:Component.call": "the blocking RPC, direction 9 removes",
+    "components/pep.py:PolicyEnforcementPoint.authorize": (
+        "the pull model's top-level wait on the PEP's wire core"
+    ),
+}
+
+
+def run_until_sites(trees) -> list[str]:
+    """``module:Qualified.name`` of each function calling ``run_until``
+    (a nested function counts for the ``def`` it is in)."""
+    return sorted(
+        {
+            key
+            for module, tree in trees
+            for key, _, node in event_units(module, tree)
+            if any(
+                isinstance(call, ast.Call)
+                and (
+                    getattr(call.func, "attr", None) == "run_until"
+                    or getattr(call.func, "id", None) == "run_until"
+                )
+                for call in ast.walk(node)
+            )
+        }
+    )
+
+
+def test_only_top_level_waits_run_the_loop_to_a_predicate():
+    assert run_until_sites(source_trees()) == sorted(LOOP_RUNNERS), (
+        "run_until is called outside Component.call and "
+        "PolicyEnforcementPoint.authorize — send, and handle the reply as "
+        "an event; a script or test waits from outside src/"
+    )
+
+
+#: A made-up PEP whose completion waits for a second answer.
+WAITING_WORLD = """
+class PolicyEnforcementPoint:
+    def authorize(self, request):
+        answer = []
+        self._wire.send(request, answer.append)
+        self.network.loop.run_until(lambda: bool(answer), math.inf)
+        return answer[0]
+
+    def _complete(self, slot, statement):
+        def recheck():
+            self.loop.run_until(lambda: slot.done, self.now + 1.0)
+        recheck()
+"""
+
+
+def test_the_wait_lint_finds_a_second_wait():
+    trees = [("components/pep.py", ast.parse(WAITING_WORLD))]
+    assert run_until_sites(trees) == [
+        "components/pep.py:PolicyEnforcementPoint._complete",
+        "components/pep.py:PolicyEnforcementPoint.authorize",
+    ]
+    assert run_until_sites(trees) != sorted(LOOP_RUNNERS)

@@ -100,6 +100,29 @@ class TestEventLoop:
         assert loop.cancel(handle) is True
         assert loop.cancel(handle) is False
 
+    def test_cancelled_entries_are_dropped_without_reordering(self):
+        """A loop whose timers are mostly cancelled (a wire core's reply
+        deadlines) rebuilds its heap without them once they outnumber
+        the live ones; what still fires fires in the same order."""
+        loop = EventLoop()
+        early = [loop.schedule(0.1, lambda: None) for _ in range(10)]
+        for handle in early:
+            loop.cancel(handle)
+        loop.run(until=0.5)  # the early ones surface and are popped
+        fired = []
+        handles = [
+            loop.schedule(1.0 + (index % 7) * 0.25, lambda i=index: fired.append(i))
+            for index in range(300)
+        ]
+        kept = [index for index in range(300) if index % 5 == 0]
+        for index, handle in enumerate(handles):
+            if index % 5:
+                assert loop.cancel(handle)
+        assert loop.pending == len(kept)
+        assert len(loop._heap) < 2 * len(kept) + 33
+        loop.run()
+        assert fired == sorted(kept, key=lambda i: (1.0 + (i % 7) * 0.25, i))
+
     def test_run_until_time_stops_and_aligns_clock(self):
         loop = EventLoop()
         fired = []
