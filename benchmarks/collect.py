@@ -26,7 +26,8 @@ so every PR records where the headline experiments stand:
   adversarial witness replay (false positives pinned 0), clean-corpus
   scan (findings pinned 0);
 * **E29a** — the refresh herd: bundle fetches per policy change per
-  PDP (pinned 1.0) and the deepest refresh nesting (pinned 1);
+  PDP (pinned 1.0) and the most refresh requests on the wire at once
+  (pinned 1);
 * **E7a** — message sizes: the plain, signed and signed-and-encrypted
   query envelope in bytes.
 
@@ -589,8 +590,8 @@ def collect() -> dict:
     e29 = summary["experiments"]["E29a"]["configs"].values()
     summary["headline"].update(
         {
-            # Pins, not trends: a second bundle per change, or a refresh
-            # nested inside a refresh, is the herd growing back.
+            # Pins, not trends: a second bundle per change, or a second
+            # refresh on the wire beside the first, is the herd growing back.
             "e29_fetches_per_change_per_pdp": max(
                 cell["fetches_per_change"] for cell in e29
             ),

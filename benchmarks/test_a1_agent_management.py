@@ -13,7 +13,11 @@ suffices and PDPs pick it up on their next fetch.
 """
 
 from repro.bench import Experiment
-from repro.components import PolicyAdministrationPoint, PolicyDecisionPoint
+from repro.components import (
+    PolicyAdministrationPoint,
+    PolicyDecisionPoint,
+    PolicyEnforcementPoint,
+)
 from repro.core import AgentProxy
 from repro.simnet import Network
 from repro.xacml import (
@@ -84,8 +88,10 @@ def run_central():
     pap.publish(updated_policy())
     network.run()
     messages = network.metrics.messages_sent - before
+    # Verify the shared PDP now decides by the new policy.
+    pep = PolicyEnforcementPoint("pep.svc-0", network, pdp_address=pdp.name)
     request = RequestContext.simple("alice", "r", "read")
-    assert pdp.evaluate(request).decision is Decision.PERMIT
+    assert pep.authorize(request).decision is Decision.PERMIT
     return messages
 
 

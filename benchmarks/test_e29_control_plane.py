@@ -16,7 +16,8 @@ to a PAP holding 8 policies — under a closed loop; all 8 policies are
 republished every ``CHANGE_EVERY`` completions (the shape of a
 revocation in the ``federated_cached`` perf workload).  Per window it
 reports, per change per PDP: bundle fetches, revision probes, parked
-queries and ``pap.*`` bytes; the deepest nesting of the refresh path;
+queries and ``pap.*`` bytes; the most refresh requests on the wire at
+once (the ``nesting`` column: 1 when the refresh is single-flight);
 and how many decisions were made under a revision whose successor had
 already been announced to the PDP when their query arrived (pinned 0 —
 parking may only delay an answer, never age it).
@@ -50,6 +51,9 @@ from repro.xacml import (
 )
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+#: What a PDP asks its PAP for when it refreshes.
+PAP_REFRESH = ("pap.revision", "pap.retrieve")
 
 RESOURCES = 8
 SUBJECTS = 200
@@ -102,53 +106,51 @@ def resource_policies(denied: tuple[str, ...]) -> list[Policy]:
 
 
 class RefreshProbe:
-    """Watches one PDP's refresh path from outside.
+    """Watches one PDP's refresh path from outside, on the wire.
 
-    ``nesting_max``: deepest ``_ensure_policies`` recursion.
+    ``nesting_max``: most PAP requests of the PDP on the wire at once
+    with no reply yet (one refresh in flight: 1).
     ``superseded``: decisions made under revision r for a query that
     arrived after a notice had announced some r' > r.
     """
 
     def __init__(self, pdp: PolicyDecisionPoint) -> None:
         self.pdp = pdp
-        self.nesting = self.nesting_max = 0
+        self.nesting_max = 0
         self.superseded = 0
         self._announced = 0
+        #: PAP request message ids the PDP sent that have no reply yet.
+        self._unanswered: set[int] = set()
         #: Query message id -> revision announced when it first arrived.
         self._owed: dict[int, int] = {}
-        self._serving: list[int] = []
         self._dispatch = pdp._dispatch
-        self._ensure = pdp._ensure_policies
-        self._evaluate_batch = pdp.evaluate_batch
+        self._reply = pdp._reply_after_service
+        self._transmit = pdp.network.transmit
         pdp.node.on_message(self.dispatch)
         pdp._dispatch = self.dispatch
-        pdp._ensure_policies = self.ensure
-        pdp.evaluate_batch = self.evaluate_batch
+        pdp._reply_after_service = self.reply
+        pdp.network.transmit = self.transmit
+
+    def transmit(self, message) -> None:
+        if message.sender == self.pdp.name and message.kind in PAP_REFRESH:
+            self._unanswered.add(message.msg_id)
+            self.nesting_max = max(self.nesting_max, len(self._unanswered))
+        self._unanswered.discard(message.reply_to)
+        self._transmit(message)
 
     def dispatch(self, message) -> None:
         if message.kind == "pap.changed":
             revision = parse_change_notice(str(message.payload))
             self._announced = max(self._announced, revision or 0)
-        owed = self._owed.setdefault(message.msg_id, self._announced)
-        self._serving.append(owed)
-        try:
-            self._dispatch(message)
-        finally:
-            self._serving.pop()
+        self._owed.setdefault(message.msg_id, self._announced)
+        self._dispatch(message)
 
-    def ensure(self) -> None:
-        self.nesting += 1
-        self.nesting_max = max(self.nesting_max, self.nesting)
-        try:
-            self._ensure()
-        finally:
-            self.nesting -= 1
-
-    def evaluate_batch(self, requests):
-        responses = self._evaluate_batch(requests)
-        if (self.pdp._cached_revision or 0) < self._serving[-1]:
-            self.superseded += len(requests)
-        return responses
+    def reply(self, message, payload, decisions, batch_id=""):
+        # Evaluation here has no PIP or owner to wait for: a query is
+        # decided under the revision held when its reply is sealed.
+        if (self.pdp._cached_revision or 0) < self._owed[message.msg_id]:
+            self.superseded += decisions
+        return self._reply(message, payload, decisions, batch_id)
 
 
 def build_domain():

@@ -3,26 +3,27 @@
 Every authorisation component (PEP, PDP, PAP, PIP, capability service,
 registry front-ends) is a :class:`Component`: a named endpoint on the
 simulated network that registers operation handlers by message kind and
-can issue synchronous RPCs to peers.
+asks its peers for replies.
 
-:meth:`Component.call` is synchronous *in simulated time*: the caller
-drives the shared event loop until the reply lands or the deadline
-passes.  A handler may itself issue nested calls (PDP → PIP during
-evaluation) — deterministic because there is a single event queue, but
-a handler that waits serves other queries re-entrantly meanwhile, which
-ROADMAP direction 9 removes site by site.  Decision traffic no longer
-uses it: a PEP's queries, like every fabric tier's, are sent on a
-:class:`~repro.components.fabric.BatchWireCore` and their replies,
-faults and deadlines handled as events; ``authorize`` is a send plus a
-top-level wait.
+:meth:`Component.ask` is the one way to wait for a reply: it sends one
+message and runs an on-reply or on-error continuation from the event
+that delivers the reply, the fault or the deadline.  ``Component`` is
+the only place a reply is matched to its request, and a crash is
+fail-stop: it drops the pending asks, so a crashed component's
+continuations never run.  :meth:`Component.call` is ``ask`` plus a
+driver wait — it runs the shared event loop until the ask settles — for
+drivers and setup; a handler that calls it serves other queries
+re-entrantly while it waits, which ROADMAP direction 9 removes site by
+site.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
+from ..simnet.events import EventHandle
 from ..simnet.message import Message
 from ..simnet.network import Network, Node
 from ..wss.keys import KeyPair, KeyStore
@@ -90,10 +91,12 @@ class Component:
         self.identity = identity
         self.node: Node = network.node(name)
         self.node.on_message(self._dispatch)
+        self.node.on_crash(self._crashed)
         self._clock = network.clock
         self._handlers: dict[str, Handler] = {}
-        self._pending: dict[int, list[Message]] = {}
-        self._rpc_ids = itertools.count(1)
+        #: Request message id -> ``(on_reply, on_error, deadline)`` of
+        #: the ask awaiting its reply.
+        self._asks: dict[int, tuple[Callable, Callable, EventHandle]] = {}
         # Liveness probe used by heartbeat monitors and health probers.
         self.on("ping", lambda message: "<Pong/>")
 
@@ -105,6 +108,13 @@ class Component:
 
     def crash(self) -> None:
         self.node.crash()
+
+    def _crashed(self) -> None:
+        """Fail-stop: pending asks are volatile state; their deadlines
+        are cancelled and their continuations never run."""
+        asks, self._asks = self._asks, {}
+        for _, _, deadline in asks.values():
+            self.network.loop.cancel(deadline)
 
     def recover(self) -> None:
         self.node.recover()
@@ -128,8 +138,13 @@ class Component:
         self._handlers[kind] = handler
 
     def _dispatch(self, message: Message) -> None:
-        if message.reply_to is not None and message.reply_to in self._pending:
-            self._pending[message.reply_to].append(message)
+        if message.reply_to in self._asks:
+            on_reply, on_error, deadline = self._asks.pop(message.reply_to)
+            self.network.loop.cancel(deadline)
+            if message.kind.endswith(":fault"):
+                on_error(RpcFault(*_parse_fault(str(message.payload))))
+            else:
+                on_reply(message)
             return
         handler = self._handlers.get(message.kind)
         if handler is None:
@@ -155,6 +170,40 @@ class Component:
 
     # -- client side -----------------------------------------------------------
 
+    def ask(
+        self,
+        recipient: str,
+        kind: str,
+        payload: Any,
+        on_reply: Callable[[Message], None],
+        on_error: Callable[[Exception], None],
+        timeout: float = DEFAULT_TIMEOUT,
+        headers: Optional[dict[str, Any]] = None,
+    ) -> Message:
+        """Send one request; settle it exactly once, as an event.
+
+        ``on_reply`` receives the reply; ``on_error`` an
+        :class:`RpcFault` when the peer answered with a fault, or an
+        :class:`RpcTimeout` when the deadline, ``timeout`` seconds after
+        the send, fires first.  The deadline is scheduled at the send,
+        so a reply due at the very instant of the deadline is late; a
+        late reply is dropped.  Returns the request sent.
+        """
+        request = Message(self.name, recipient, kind, payload, headers=headers or {})
+        self.node.send(request)
+        deadline = self.network.loop.schedule(timeout, partial(self._expire, request))
+        self._asks[request.msg_id] = (on_reply, on_error, deadline)
+        return request
+
+    def forget(self, msg_id: int) -> None:
+        """Drop one pending ask: neither continuation runs, and its
+        reply, should one come, is dropped like a late one."""
+        self.network.loop.cancel(self._asks.pop(msg_id)[2])
+
+    def _expire(self, request: Message) -> None:
+        _, on_error, _ = self._asks.pop(request.msg_id)
+        on_error(RpcTimeout(self.name, request.recipient, request.kind, self.now))
+
     def call(
         self,
         recipient: str,
@@ -162,30 +211,24 @@ class Component:
         payload: Any,
         timeout: float = DEFAULT_TIMEOUT,
     ) -> Message:
-        """Synchronous RPC: send, then drive the loop until reply/deadline.
+        """:meth:`ask`, then run the event loop until it settles.
+
+        For drivers and setup: the wait nests the loop inside whoever
+        calls it.
 
         Raises:
             RpcTimeout: no reply before the deadline.
             RpcFault: the peer replied with a fault.
         """
-        request = Message(
-            sender=self.name, recipient=recipient, kind=kind, payload=payload
-        )
-        slot: list[Message] = []
-        self._pending[request.msg_id] = slot
+        settled: list = []
         deadline = self.now + timeout
-        try:
-            self.node.send(request)
-            arrived = self.network.loop.run_until(lambda: bool(slot), deadline)
-            if not arrived:
-                raise RpcTimeout(self.name, recipient, kind, deadline)
-        finally:
-            self._pending.pop(request.msg_id, None)
-        reply = slot[0]
-        if reply.kind.endswith(":fault"):
-            code, reason = _parse_fault(str(reply.payload))
-            raise RpcFault(code, reason)
-        return reply
+        self.ask(recipient, kind, payload, settled.append, settled.append, timeout)
+        if not self.network.loop.run_until(settled.__len__, deadline):
+            # This component crashed while it waited: the ask is gone.
+            raise RpcTimeout(self.name, recipient, kind, deadline)
+        if isinstance(settled[0], Exception):
+            raise settled[0]
+        return settled[0]
 
     def notify(self, recipient: str, kind: str, payload: Any) -> None:
         """One-way message; no reply expected."""

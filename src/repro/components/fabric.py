@@ -63,8 +63,8 @@ from ..simnet.message import Message
 from ..simnet.network import Network
 from ..saml.xacml_profile import XacmlAuthzDecisionBatchQuery
 from ..xacml.context import RequestContext
-from .base import Component, ComponentIdentity, RpcFault, RpcTimeout, _parse_fault
-from .channel import DecisionChannel, secure_action
+from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
+from .channel import DecisionChannel
 from .pdp import BATCH_QUERY_ACTION
 from .placement import PlacementSpec
 
@@ -613,20 +613,22 @@ class _InflightEnvelope:
     #: hop's trace context it parents under (tracing only).
     trace: Optional[object] = None
     parent: Optional[object] = None
-    #: The reply deadline's timer; settling the envelope cancels it,
-    #: so only an envelope still in flight ever times out.
-    deadline: Optional[EventHandle] = None
+    #: The request message: the ask the component settles it by.
+    msg_id: int = 0
 
 
 class BatchWireCore:
     """The shared send/in-flight/failover machinery of every tier.
 
     Owns exactly the pieces the tiers used to carry privately: shard
-    partitioning (one envelope per owning replica), the in-flight map
-    (msg_id → envelope), timeout failover across replicas — the only
-    re-send anywhere in the fabric — reply validation (the job
-    channel's signature, exchange id and statement count checks) and
-    fail-safe fan-out on faults, forged replies and replica exhaustion.
+    partitioning (one envelope per owning replica), the record of what
+    is in flight (msg_id → envelope), timeout failover across replicas
+    — the only re-send anywhere in the fabric — reply validation (the
+    job channel's signature, exchange id and statement count checks)
+    and fail-safe fan-out on faults, forged replies and replica
+    exhaustion.  Every envelope is a :meth:`Component.ask`: the
+    component matches the reply, the fault or the deadline to it and
+    runs the core's continuation.
 
     The core is deliberately policy-free: *what* travels, *where* it
     may go and *how* results land stay with the owning tier through its
@@ -634,20 +636,11 @@ class BatchWireCore:
     takes one with every send.
     """
 
-    def __init__(
-        self,
-        component: Component,
-        job: Optional[WireJob] = None,
-        actions: Sequence[str] = (),
-    ) -> None:
+    def __init__(self, component: Component, job: Optional[WireJob] = None) -> None:
         self.component = component
         self.job = job
         self._inflight: dict[int, _InflightEnvelope] = {}
         self.failovers = 0
-        for action in actions:  # replies come back plain or secure
-            for kind in (action, secure_action(action)):
-                component.on(f"{kind}:response", self.handle_reply)
-                component.on(f"{kind}:fault", self.handle_fault)
 
     # -- sending ------------------------------------------------------------------
 
@@ -700,26 +693,27 @@ class BatchWireCore:
         job: WireJob,
         parent: Optional[object],
     ) -> float:
+        component = self.component
         # Written per transmit attempt: a failover re-send gets a fresh
         # exchange id and a fresh signature.
-        exchange_id, base, body = job.encode(
-            items, self.component.name, self.component.now
-        )
+        exchange_id, base, body = job.encode(items, component.name, component.now)
         action, payload = job.channel.seal(base, body)
-        message = Message(
-            sender=self.component.name,
-            recipient=replica,
-            kind=action,
-            payload=payload,
+        inflight = _InflightEnvelope(
+            exchange_id=exchange_id,
+            items=items,
+            replica=replica,
+            tried=tried + [replica],
+            job=job,
+            parent=parent,
         )
-        tracer = self.component.network.tracer
-        envelope_trace = None
+        headers = {}
+        tracer = component.network.tracer
         if tracer.enabled:
             # The context rides the message *headers* — outside the
             # size model, like a traceparent header — so tracing never
             # changes envelope bytes, counts or pacing.
-            envelope_trace = tracer.envelope_sent(
-                self.component,
+            inflight.trace = tracer.envelope_sent(
+                component,
                 items,
                 batch_id=exchange_id,
                 kind=action,
@@ -727,48 +721,57 @@ class BatchWireCore:
                 attempt=len(tried) + 1,
                 parent=parent,
             )
-            message.headers[TRACE_HEADER] = envelope_trace.context.header()
-        self._inflight[message.msg_id] = inflight = _InflightEnvelope(
-            exchange_id=exchange_id,
-            items=items,
-            replica=replica,
-            tried=tried + [replica],
-            job=job,
-            trace=envelope_trace,
-            parent=parent,
-        )
+            headers[TRACE_HEADER] = inflight.trace.context.header()
         if job.dispatcher is not None:
             job.dispatcher.note_sent(replica)
         if job.on_sent is not None:
             job.on_sent(items)
-        self.component.node.send(message)
-        inflight.deadline = self.component.network.loop.schedule(
-            job.timeout, partial(self._check_timeout, message.msg_id)
-        )
-        link = self.component.network.link_between(self.component.name, replica)
+        on_reply, on_error = partial(self._on_reply, inflight), partial(self._on_error, inflight)
+        message = component.ask(replica, action, payload, on_reply, on_error, job.timeout, headers)
+        inflight.msg_id = message.msg_id
+        self._inflight[message.msg_id] = inflight
+        link = component.network.link_between(component.name, replica)
         return message.size_bytes / link.bandwidth
 
     # -- replies, faults, deadlines ----------------------------------------------
 
-    def _take_inflight(
-        self, reply_to: Optional[int]
-    ) -> Optional[_InflightEnvelope]:
-        inflight = self._inflight.pop(reply_to, None)
-        if inflight is not None:
-            self.component.network.loop.cancel(inflight.deadline)
-            if inflight.job.dispatcher is not None:
-                inflight.job.dispatcher.note_done(inflight.replica)
-        return inflight
+    def _take(self, inflight: _InflightEnvelope) -> None:
+        del self._inflight[inflight.msg_id]
+        if inflight.job.dispatcher is not None:
+            inflight.job.dispatcher.note_done(inflight.replica)
 
-    def _check_timeout(self, msg_id: int) -> None:
-        # Still in flight: settling an envelope cancels its timer.
-        inflight = self._take_inflight(msg_id)
+    def _done(self, inflight: _InflightEnvelope, outcome: str) -> None:
+        self.component.network.tracer.envelope_done(inflight.trace, inflight.items, outcome)
+
+    def _on_reply(self, inflight: _InflightEnvelope, message: Message) -> None:
+        self._take(inflight)
         job = inflight.job
+        try:
+            statements = job.open(
+                job.channel,
+                message,
+                inflight.replica,
+                inflight.exchange_id,
+                len(inflight.items),
+            )
+        except Exception as exc:  # malformed/forged reply: fail safe
+            self._done(inflight, "reply-rejected")
+            job.fail(inflight.items, exc)
+            return
+        self._done(inflight, "ok")
+        job.deliver(inflight.items, statements)
+
+    def _on_error(self, inflight: _InflightEnvelope, exc: Exception) -> None:
+        self._take(inflight)
+        job = inflight.job
+        if isinstance(exc, RpcFault):
+            # A fault is an answer, not a crash: no failover, fail-safe deny.
+            self._done(inflight, "fault")
+            job.fail(inflight.items, exc)
+            return
         replica = job.select(inflight.tried)
         if replica is None:
-            self.component.network.tracer.envelope_done(
-                inflight.trace, inflight.items, "exhausted"
-            )
+            self._done(inflight, "exhausted")
             job.fail(
                 inflight.items,
                 RpcTimeout(
@@ -782,9 +785,7 @@ class BatchWireCore:
         self.failovers += 1
         if job.dispatcher is not None:
             job.dispatcher.failovers += 1
-        self.component.network.tracer.envelope_done(
-            inflight.trace, inflight.items, "timeout"
-        )
+        self._done(inflight, "timeout")
         self._transmit(
             replica, inflight.items, inflight.tried, job, inflight.parent
         )
@@ -792,48 +793,12 @@ class BatchWireCore:
     def abandon(self, destination: str, exc: Exception) -> None:
         """Fail safe every envelope in flight to ``destination``; a reply
         that arrives for one later is dropped like a late reply."""
-        for msg_id, inflight in list(self._inflight.items()):
+        for inflight in list(self._inflight.values()):
             if inflight.replica == destination:
-                self._take_inflight(msg_id)
-                self.component.network.tracer.envelope_done(
-                    inflight.trace, inflight.items, "abandoned"
-                )
+                self.component.forget(inflight.msg_id)
+                self._take(inflight)
+                self._done(inflight, "abandoned")
                 inflight.job.fail(inflight.items, exc)
-
-    def handle_reply(self, message: Message) -> None:
-        inflight = self._take_inflight(message.reply_to)
-        if inflight is None:
-            return  # late reply after a timeout-triggered failover
-        job = inflight.job
-        try:
-            statements = job.open(
-                job.channel,
-                message,
-                inflight.replica,
-                inflight.exchange_id,
-                len(inflight.items),
-            )
-        except Exception as exc:  # malformed/forged reply: fail safe
-            self.component.network.tracer.envelope_done(
-                inflight.trace, inflight.items, "reply-rejected"
-            )
-            job.fail(inflight.items, exc)
-            return
-        self.component.network.tracer.envelope_done(
-            inflight.trace, inflight.items, "ok"
-        )
-        job.deliver(inflight.items, statements)
-
-    def handle_fault(self, message: Message) -> None:
-        inflight = self._take_inflight(message.reply_to)
-        if inflight is None:
-            return
-        code, reason = _parse_fault(str(message.payload))
-        self.component.network.tracer.envelope_done(
-            inflight.trace, inflight.items, "fault"
-        )
-        # A fault is an answer, not a crash: no failover, fail-safe deny.
-        inflight.job.fail(inflight.items, RpcFault(code, reason))
 
     def __repr__(self) -> str:
         return (
@@ -1157,7 +1122,6 @@ class DomainDecisionGateway(_StagedTier, Component):
                 dispatcher=dispatcher,
                 on_sent=self._note_super_batch,
             ),
-            actions=(BATCH_QUERY_ACTION,),
         )
 
     # -- registration -------------------------------------------------------------

@@ -186,12 +186,13 @@ class _ServiceContext:
 
     def start(self) -> None:
         gateway = self.gateway
-        counters_before = (
-            gateway.recheck_failures,
-            gateway.misroutes_detected,
-            gateway.misroutes_reforwarded,
-            gateway.ttl_denials,
-            gateway.unknown_domain_denials,
+        # This batch's routing outcomes, for the serve span.  Counted
+        # here, not as deltas of the gateway's counters: an
+        # authoritative re-check over the network lets other batches
+        # be served meanwhile.
+        counts = dict.fromkeys(
+            ("recheck_failed", "misroutes", "reforwarded", "ttl_expired", "unknown_domain"),
+            0,
         )
         #: Governing domain -> the slots travelling there (this domain's
         #: own replica set, or onward to a peer).
@@ -204,6 +205,7 @@ class _ServiceContext:
                 # deciding under this gateway's own (possibly stale)
                 # policy could mis-grant, so the request fails closed.
                 gateway.recheck_failures += 1
+                counts["recheck_failed"] += 1
                 gateway.network.metrics.bump("federation.recheck_failed")
                 self.statements[index] = gateway._indeterminate_statement(
                     query,
@@ -217,9 +219,11 @@ class _ServiceContext:
                 # cache or conflicting configuration.  Never mis-decide
                 # it locally; re-forward or fail safe.
                 gateway.misroutes_detected += 1
+                counts["misroutes"] += 1
                 gateway.network.metrics.bump("federation.misroute")
                 if governing not in gateway._peers:
                     gateway.unknown_domain_denials += 1
+                    counts["unknown_domain"] += 1
                     gateway.network.metrics.bump("federation.unknown_domain")
                     self.statements[index] = gateway._indeterminate_statement(
                         query, f"no route to domain {governing!r}"
@@ -227,30 +231,19 @@ class _ServiceContext:
                     continue
                 if self.fwd.ttl <= 1:
                     gateway.ttl_denials += 1
+                    counts["ttl_expired"] += 1
                     gateway.network.metrics.bump("federation.ttl_expired")
                     self.statements[index] = gateway._indeterminate_statement(
                         query, f"forward TTL exhausted at {gateway.domain!r}"
                     )
                     continue
                 gateway.misroutes_reforwarded += 1
+                counts["reforwarded"] += 1
             routes.setdefault(governing, []).append(
                 Slot(query.request, index, self.fwd.origin_domain)
             )
         if self.serve_ctx is not None:
-            # ``start`` runs atomically in simulated time, so the
-            # counter deltas are exactly this batch's routing outcomes —
-            # recorded on the serve span for the trace-query audits.
-            self._counts = {
-                "recheck_failed": gateway.recheck_failures
-                - counters_before[0],
-                "misroutes": gateway.misroutes_detected - counters_before[1],
-                "reforwarded": gateway.misroutes_reforwarded
-                - counters_before[2],
-                "ttl_expired": gateway.ttl_denials - counters_before[3],
-                "unknown_domain": gateway.unknown_domain_denials
-                - counters_before[4],
-                "local": len(routes.get(gateway.domain, ())),
-            }
+            self._counts = {**counts, "local": len(routes.get(gateway.domain, ()))}
         self.outstanding = sum(map(len, routes.values()))
         if not self.outstanding:  # nothing travels: answer at once
             self._reply()
@@ -468,8 +461,6 @@ class FederatedGateway(DomainDecisionGateway):
         self.origin_rejections = 0
         for action in (FORWARD_ACTION, SECURE_FORWARD_ACTION):
             self.on(action, self._handle_forward)
-            self.on(f"{action}:response", self._wire.handle_reply)
-            self.on(f"{action}:fault", self._wire.handle_fault)
 
     # -- federation topology -------------------------------------------------------
 

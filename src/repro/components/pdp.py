@@ -9,19 +9,24 @@ architecture adds around it:
 * **policy retrieval** from a PAP, with a TTL'd policy cache and an
   optional cheap revision probe (the caching the paper proposes for
   decision points, experiment E6).  The refresh is *single-flight and
-  notice-driven*: the query that finds the cache stale fetches, every
-  query that reaches this PDP while that fetch is on the wire is parked
-  (whole message, before decode) and re-dispatched in arrival order
-  when it lands, and a change notice that already named a newer
-  revision is the probe's answer.  Parking is sound because it only
-  ever makes an answer *later and fresher*: a parked query checks
-  freshness for itself when released, so it is decided under the bundle
-  a fetch of its own would have brought, or a newer one.  It costs one
-  deque append per parked query and buys one bundle per policy change
-  per PDP whatever the load (experiment E29a), where every stale query
-  used to probe and fetch for itself, nested inside the one already
-  waiting;
-* **PIP attribute resolution** over the network during evaluation;
+  notice-driven*: the query that finds the cache stale asks the PAP and
+  waits for the answer as a continuation, every query that reaches this
+  PDP while that ask is on the wire is parked (whole message, before
+  decode) and re-dispatched in arrival order when it lands, and a change
+  notice that already named a newer revision is the probe's answer.
+  Parking is sound because it only ever makes an answer *later and
+  fresher*: a parked query checks freshness for itself when released,
+  so it is decided under the bundle a fetch of its own would have
+  brought, or a newer one.  It costs one deque append per parked query
+  and buys one bundle per policy change per PDP whatever the load
+  (experiment E29a);
+* **PIP attribute resolution** over the network during evaluation.  A
+  PDP never waits inside a query: an evaluation pass that needs an
+  attribute only a PIP can supply records the miss, the PIPs are asked
+  for it, and the request is evaluated again once the answer lands —
+  under the same store snapshot and instant.  When no PIP answers at
+  all the request is Indeterminate (``missing-attribute``), never
+  decided as if the attribute were absent;
 * **mutually authenticated queries**: signed queries are verified before
   evaluation — "decision points should only reveal decisions on authentic
   access request decision queries.  Otherwise, they can leak information
@@ -33,7 +38,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from ..observability.tracing import TRACE_HEADER, TraceContext
 from ..simnet.message import Message
@@ -46,9 +52,16 @@ from ..saml.xacml_profile import (
 from ..simnet.network import Network
 from ..wsvc.ws_security import WsSecurityError
 from ..xacml.attributes import AttributeValue, Category, DataType
-from ..xacml.context import RequestContext
+from ..xacml.context import (
+    Decision,
+    RequestContext,
+    ResponseContext,
+    Status,
+    StatusCode,
+)
 from ..xacml.engine import EngineResponse, PdpEngine, PolicyStore
-from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
+from ..xacml.expressions import AttributeFinder
+from .base import Component, ComponentIdentity, RpcFault
 from .channel import (
     DecisionChannel,
     base_action,
@@ -176,12 +189,11 @@ class PolicyDecisionPoint(Component):
         #: probe answer older than it was overtaken on the wire by the
         #: notice of a later change and must not mark the cache fresh.
         self._announced_revision = 0
-        #: Single-flight guard of the policy refresh: set when a refresh
-        #: goes on the wire, cleared when the queries that arrived
-        #: meanwhile (``_parked``: whole messages, arrival order) are
-        #: released.  Volatile: a crash drops them.
-        self._parking = False
-        self._parked: deque[Message] = deque()
+        #: Single-flight guard of the policy refresh: while a refresh is
+        #: on the wire (and until its release runs), the queries that
+        #: reach this PDP, whole messages in arrival order; None when no
+        #: refresh is.  Volatile: a crash drops them.
+        self._parked: Optional[deque[Message]] = None
         self.decisions_made = 0
         self.pip_queries_sent = 0
         self.policy_fetches = 0
@@ -212,93 +224,113 @@ class PolicyDecisionPoint(Component):
         """Install a policy directly (bypasses the PAP; tests/local use)."""
         self.engine.store.add(element)
 
-    def _ensure_policies(self) -> None:
-        """Refresh the policy store from the PAP when the cache is stale.
+    def _ensure_policies(self, message: Message, then: Callable[[], None]) -> None:
+        """Run ``then`` once the policy cache is fresh: now, or when the
+        refresh this starts lands.
 
-        Single flight: the query that finds the cache stale runs the
-        refresh, and while its blocking call drives the event loop every
-        other query that reaches this PDP is parked by
+        Single flight: from the moment the refresh goes on the wire,
+        every other query that reaches this PDP is parked by
         :meth:`_serve_query` instead of starting a probe and a fetch of
-        its own for the same revision.  A failed refresh is this
-        component's fault (``pdp:policy-unavailable``), for the query
-        that ran it and for those parked behind it; the cache stays
-        stale, so the next query tries again.
+        its own for the same revision.  When it lands, ``then`` runs
+        first — it answers ``message``, the query that found the cache
+        stale — and the parked queries are released after it.  A failed
+        refresh is this component's fault (``pdp:policy-unavailable``),
+        for ``message`` and for every query parked behind it; the cache
+        stays stale, so the next query tries again.
         """
-        if self.pap_address is None:
-            return
-        fresh = (
+        if self.pap_address is None or (
             self._policies_fetched_at is not None
             and self.config.policy_cache_ttl > 0
             and self.now - self._policies_fetched_at < self.config.policy_cache_ttl
-        )
-        if fresh:
+        ):
+            then()
             return
-        fault: Optional[RpcFault] = None
-        self._parking = True
-        try:
-            self._refresh_policies()
-        except (RpcTimeout, RpcFault) as exc:
-            fault = RpcFault("pdp:policy-unavailable", f"policy refresh failed: {exc}")
-            raise fault from exc
-        finally:
+        self._parked = deque()
+
+        def landed(fault: Optional[RpcFault]) -> None:
             if self._parked:
                 # After this query's own reply: replies leave in arrival order.
-                self.network.loop.schedule(0.0, lambda: self._release_parked(fault))
+                self.network.loop.schedule(0.0, partial(self._release_parked, fault))
             else:
-                self._parking = False
+                self._parked = None
+            if fault is None:
+                then()
+            else:
+                self._reply_fault(message, fault)
 
-    def _refresh_policies(self) -> None:
+        self._refresh_policies(landed)
+
+    def _refresh_policies(self, done: Callable[[Optional[RpcFault]], None]) -> None:
         """The one place that asks the PAP for policy (probe, then bundle).
 
         A notice that already named a revision newer than the bundle
         held is the probe's answer; only a TTL expiry with no such
-        notice pays the ``pap.revision`` round trip.
+        notice pays the ``pap.revision`` round trip.  ``done`` gets None
+        once the cache is fresh, or the fault that failed the refresh.
         """
+
+        def failed(exc: Exception) -> None:
+            done(RpcFault("pdp:policy-unavailable", f"policy refresh failed: {exc}"))
+
+        def fetch() -> None:
+            self.ask(self.pap_address, "pap.retrieve", '<PapQuery scope="all"/>', fetched, failed)
+
+        def fetched(reply: Message) -> None:
+            self.policy_fetches += 1
+            elements, revision = parse_bundle(str(reply.payload))
+            store = PolicyStore()
+            for element in elements:
+                store.add(element)
+            self.engine.store = store
+            self._cached_revision = revision
+            overtaken = revision < self._announced_revision
+            self._policies_fetched_at = None if overtaken else self.now
+            done(None)
+
+        def probed(reply: Message) -> None:
+            self.revision_probes += 1
+            revision = parse_revision(str(reply.payload))
+            if revision == self._cached_revision and revision >= self._announced_revision:
+                self._policies_fetched_at = self.now
+                done(None)
+            else:
+                fetch()
+
         if (
             self.config.refresh_mode == "probe"
             and self._cached_revision is not None
             and self._announced_revision <= self._cached_revision
         ):
-            reply = self.call(self.pap_address, "pap.revision", "<PapQuery/>")
-            self.revision_probes += 1
-            revision = parse_revision(str(reply.payload))
-            if revision == self._cached_revision and revision >= self._announced_revision:
-                self._policies_fetched_at = self.now
-                return
-        reply = self.call(self.pap_address, "pap.retrieve", "<PapQuery scope=\"all\"/>")
-        self.policy_fetches += 1
-        elements, revision = parse_bundle(str(reply.payload))
-        store = PolicyStore()
-        for element in elements:
-            store.add(element)
-        self.engine.store = store
-        self._cached_revision = revision
-        overtaken = revision < self._announced_revision
-        self._policies_fetched_at = None if overtaken else self.now
+            self.ask(self.pap_address, "pap.revision", "<PapQuery/>", probed, failed)
+        else:
+            fetch()
 
     def _release_parked(self, fault: Optional[RpcFault]) -> None:
         """Let the parked queries back in, in arrival order.
 
         Each re-enters :meth:`_dispatch`, so it is authenticated and
         checks freshness like any other query: if the bundle that just
-        landed was itself overtaken, the first one becomes the next
+        landed was itself overtaken, the first one starts the next
         single flight and the rest wait for *its* release.  After a
         failed refresh they all get its fault instead — one timeout for
-        the lot, not one each in sequence.
+        the lot, not one each in sequence.  (After a crash there is
+        nothing to release: the parked queries died with it.)
         """
-        self._parking = False
-        while self._parked and not self._parking:
-            message = self._parked.popleft()
+        parked, self._parked = self._parked, None
+        while parked and self._parked is None:
+            message = parked.popleft()
             if fault is None:
                 self._dispatch(message)
             else:
                 self._reply_fault(message, fault)
+        if parked:  # a released query started the next refresh
+            self._parked.extend(parked)
 
-    def crash(self) -> None:
+    def _crashed(self) -> None:
         """Fail-stop: parked queries are volatile state and die with the
-        process; their callers time out and fail safe."""
-        super().crash()
-        self._parked.clear()
+        process, like the asks; their callers time out and fail safe."""
+        super()._crashed()
+        self._parked = None
 
     def invalidate_policy_cache(self) -> None:
         self._policies_fetched_at = None
@@ -326,103 +358,58 @@ class PolicyDecisionPoint(Component):
 
     # -- attribute resolution ------------------------------------------------------
 
-    def _attribute_finder_for(self, request: RequestContext):
-        partition = self.partition
-        resolver = self.attribute_resolver
-        if partition is None and resolver is None and not self.pip_addresses:
-            return None
-        shard_category = {
-            "subject": Category.SUBJECT,
-            "resource": Category.RESOURCE,
-        }.get(partition.spec.shard_by) if partition is not None else None
+    def _ask_pips(self, query: str, done: Callable) -> None:
+        """Ask the PIPs, in order, for one miss: a timeout, a fault or
+        an empty answer moves on to the next address.  ``done`` gets the
+        first values found, ``[]`` when some PIP answered with none, and
+        None when none answered at all."""
+        addresses = iter(self.pip_addresses)
+        answered = False
 
-        def finder(
-            category: Category, attribute_id: str, data_type: DataType
-        ) -> list[AttributeValue]:
-            if category is Category.SUBJECT:
-                about = request.subject_id or ""
-            elif category is Category.RESOURCE:
-                about = request.resource_id or ""
+        def ask_next(_: Optional[Exception] = None) -> None:
+            address = next(addresses, None)
+            if address is None:
+                done([] if answered else None)
             else:
-                about = ""
-            if about:
-                # Sharded: the owned partition answers (faulting state
-                # in from the authoritative resolver on first touch).
-                if partition is not None and category is shard_category:
-                    values = partition.lookup(about, attribute_id, data_type)
-                    if values:
-                        return values
-                elif resolver is not None:
-                    attributes = resolver(about) or {}
-                    values = [
-                        value
-                        for value in attributes.get(attribute_id, [])
-                        if value.data_type is data_type
-                    ]
-                    if values:
-                        return values
-            query = serialize_pip_query(category, attribute_id, about, data_type)
-            for pip_address in self.pip_addresses:
-                try:
-                    reply = self.call(pip_address, "pip.query", query)
-                except (RpcTimeout, RpcFault):
-                    continue
-                self.pip_queries_sent += 1
-                values = parse_pip_response(str(reply.payload))
-                if values:
-                    return values
-            return []
+                self.ask(address, "pip.query", query, got, ask_next)
 
-        return finder
+        def got(reply: Message) -> None:
+            nonlocal answered
+            answered = True
+            self.pip_queries_sent += 1
+            values = parse_pip_response(str(reply.payload))
+            if values:
+                done(values)
+            else:
+                ask_next()
+
+        ask_next()
 
     # -- evaluation ------------------------------------------------------------------
 
-    def evaluate(self, request: RequestContext) -> EngineResponse:
-        """Evaluate locally (the engine call every query path funnels into)."""
-        self._ensure_policies()
-        self.engine.attribute_finder = self._attribute_finder_for(request)
-        self.decisions_made += 1
-        return self.engine.evaluate(request, current_time=self.now)
-
-    def evaluate_batch(self, requests: list[RequestContext]) -> list[EngineResponse]:
-        """Evaluate N requests with one policy refresh and one store snapshot.
-
-        The whole point of the batched decision fabric at this layer:
-        :meth:`_ensure_policies` (with its potential PAP round-trip) runs
-        once per batch instead of once per request, and the engine shares
-        target-index lookups across identical request triples.
-        """
-        self._ensure_policies()
-        self.decisions_made += len(requests)
+    def _decide_batch(self, queries: Sequence[XacmlAuthzDecisionQuery], then: Callable) -> None:
+        """Decide a batch's queries (see :class:`_Decision`), counted as
+        one batch evaluation."""
         self.batch_queries_served += 1
-        self.batched_decisions += len(requests)
-        responses = self.engine.evaluate_batch(
-            requests,
-            current_time=self.now,
-            finder_for=self._attribute_finder_for,
-        )
-        metrics = self.network.metrics
-        for engine_response in responses:
-            metrics.record_sample(
-                CANDIDATE_SET_SERIES,
-                engine_response.stats.candidate_set_size,
-            )
-        return responses
+        self.batched_decisions += len(queries)
+        _Decision(self, queries, then).run()
 
     # -- service-time model -------------------------------------------------------------
 
     def _reply_after_service(
-        self, message: Message, payload, decisions: int, batch_id: str = ""
-    ):
-        """Return the reply now, or queue it behind this PDP's busy time.
+        self, message: Message, statement, decisions: int, batch_id: str
+    ) -> None:
+        """Seal ``statement`` as the reply to ``message`` (one signature
+        per envelope, however many decisions ride it) and send it now,
+        or queue it behind this PDP's busy time.
 
-        With the service-time model disabled (the default) the payload is
-        returned and the base class replies immediately — seed behaviour.
-        Otherwise the PDP is a FIFO server: the reply is scheduled for
-        when the accumulated busy period ends, so concurrent load
-        exhibits real queueing delay (measured by experiments E16/E17).
-        Envelope overhead is serialised; the envelope's decisions are
-        spread over ``worker_count`` workers, whose makespan is
+        With the service-time model disabled (the default) the reply
+        leaves at once — seed behaviour.  Otherwise the PDP is a FIFO
+        server: the reply is scheduled for when the accumulated busy
+        period ends, so concurrent load exhibits real queueing delay
+        (measured by experiments E16/E17).  Envelope overhead is
+        serialised; the envelope's decisions are spread over
+        ``worker_count`` workers, whose makespan is
         ``ceil(decisions / workers)`` decision service times.
         """
         cost = self.config.envelope_overhead
@@ -431,22 +418,25 @@ class PolicyDecisionPoint(Component):
                 -(-decisions // self.config.worker_count)
                 * self.config.decision_service_time
             )
+        payload = self.channel.seal_reply(
+            message, statement.to_xml(), sign=self.config.sign_responses
+        )
+        reply = message.reply(kind=f"{message.kind}:response", payload=payload)
         if cost <= 0:
             self._trace_service(message, batch_id, decisions, 0.0, 0.0)
-            return payload
+            self.node.send(reply)
+            return
         start = max(self._busy_until, self.now)
         self._busy_until = start + cost
         self._trace_service(
             message, batch_id, decisions, start - self.now, cost
         )
-        reply = message.reply(kind=f"{message.kind}:response", payload=payload)
 
         def send_reply() -> None:
             if self.alive:
                 self.node.send(reply)
 
         self.network.loop.schedule(self._busy_until - self.now, send_reply)
-        return None
 
     def _trace_service(
         self,
@@ -502,8 +492,11 @@ class PolicyDecisionPoint(Component):
 
         While a policy refresh is on the wire the query is parked
         untouched instead; :meth:`_release_parked` brings it back here.
+        Otherwise the answer is a continuation: it runs once the policy
+        cache is fresh and every PIP or owner it asks has settled, and
+        sends the reply itself.
         """
-        if self._parking:
+        if self._parked is not None:
             self._parked.append(message)
             self.parked_queries += 1
             return None
@@ -526,22 +519,15 @@ class PolicyDecisionPoint(Component):
         except ValueError as exc:  # ParseError is one
             self.rejected_queries += 1
             raise RpcFault("pdp:malformed-query", str(exc)) from exc
-        statement, decisions, exchange_id = answer(self, query)
-        reply = self.channel.seal_reply(
-            message, statement.to_xml(), sign=self.config.sign_responses
-        )
-        return self._reply_after_service(
-            message, reply, decisions=decisions, batch_id=exchange_id
-        )
 
-    def _answer_query(self, query: XacmlAuthzDecisionQuery):
-        statement = self._statement_for(query, self.evaluate(query.request))
-        return statement, 1, query.query_id
+        reply = partial(self._reply_after_service, message)
+        self._ensure_policies(message, lambda: answer(self, query, reply))
+        return None
 
-    def _answer_routed_batch(self, batch: XacmlAuthzDecisionBatchQuery):
-        return self._answer_batch(batch), len(batch.queries), batch.batch_id
+    def _answer_query(self, query: XacmlAuthzDecisionQuery, reply) -> None:
+        _Decision(self, [query], lambda statements: reply(statements[0], 1, query.query_id)).run()
 
-    def _answer_owned_batch(self, batch: XacmlAuthzDecisionBatchQuery):
+    def _answer_owned_batch(self, batch: XacmlAuthzDecisionBatchQuery, reply) -> None:
         """Answer a peer replica's reforward of slots this replica owns.
 
         Never forwards again even if the local view disagrees (one-hop
@@ -550,8 +536,7 @@ class PolicyDecisionPoint(Component):
         attribute resolver is authoritative.
         """
         self.owned_batches_served += 1
-        answer = self._answer_batch(batch, allow_forward=False)
-        return answer, len(batch.queries), batch.batch_id
+        self._answer_batch(batch, reply, allow_forward=False)
 
     def _statement_for(
         self, query: XacmlAuthzDecisionQuery, engine_response: EngineResponse
@@ -565,42 +550,41 @@ class PolicyDecisionPoint(Component):
         )
 
     def _answer_batch(
-        self, batch: XacmlAuthzDecisionBatchQuery, allow_forward: bool = True
-    ) -> XacmlAuthzDecisionBatchStatement:
+        self, batch: XacmlAuthzDecisionBatchQuery, reply, allow_forward: bool = True
+    ) -> None:
+        def settled(statements: list[XacmlAuthzDecisionStatement]) -> None:
+            answer = XacmlAuthzDecisionBatchStatement(
+                statements=tuple(statements),
+                in_response_to=batch.batch_id,
+                issuer=self.name,
+                issue_instant=self.now,
+            )
+            reply(answer, len(batch.queries), batch.batch_id)
+
         placement = self.config.placement
         if placement is None or not allow_forward:
-            engine_responses = self.evaluate_batch(
-                [query.request for query in batch.queries]
-            )
-            statements = tuple(
-                self._statement_for(query, engine_response)
-                for query, engine_response in zip(
-                    batch.queries, engine_responses, strict=True
-                )
-            )
+            self._decide_batch(batch.queries, settled)
         else:
-            statements = self._answer_batch_sharded(batch, placement)
-        return XacmlAuthzDecisionBatchStatement(
-            statements=statements,
-            in_response_to=batch.batch_id,
-            issuer=self.name,
-            issue_instant=self.now,
-        )
+            self._answer_batch_sharded(batch, placement, settled)
 
     def _answer_batch_sharded(
-        self, batch: XacmlAuthzDecisionBatchQuery, placement: PlacementSpec
-    ) -> tuple[XacmlAuthzDecisionStatement, ...]:
+        self,
+        batch: XacmlAuthzDecisionBatchQuery,
+        placement: PlacementSpec,
+        then: Callable[[list[XacmlAuthzDecisionStatement]], None],
+    ) -> None:
         """Answer a batch on a sharded replica: own, reforward, or fall back.
 
-        Slots whose placement key this replica owns evaluate locally.
+        Slots whose placement key this replica owns evaluate first.
         Misrouted slots — a client routed with a stale ring view, or a
-        failover landed the envelope on a non-owner — are reforwarded to
-        their owning replica in one nested call per owner and the
-        owner's statements are spliced back in query order.  If the
-        owner is unreachable (or replies malformed) the slots are
-        evaluated locally from the authoritative resolver: correctness
-        is preserved, only placement is violated, and the partition does
-        not retain the foreign keys.  All three paths are counted
+        failover landed the envelope on a non-owner — are then
+        reforwarded to their owning replica, one ask per owner, one
+        owner after the other, and the owner's statements are spliced
+        back in query order.  If the owner does not answer in time (or
+        faults, or replies malformed) the slots are evaluated locally
+        from the authoritative resolver: correctness is preserved, only
+        placement is violated, and the partition does not retain the
+        foreign keys.  All three paths are counted
         (``placement.misrouted`` / ``placement.reforwarded`` /
         ``placement.reforward_fallback``).
         """
@@ -615,50 +599,54 @@ class PolicyDecisionPoint(Component):
         statements: list[Optional[XacmlAuthzDecisionStatement]] = [
             None
         ] * len(batch.queries)
-        if owned:
-            engine_responses = self.evaluate_batch(
-                [query.request for _, query in owned]
-            )
-            for (index, query), engine_response in zip(
-                owned, engine_responses, strict=True
-            ):
-                statements[index] = self._statement_for(query, engine_response)
         metrics = self.network.metrics
-        for owner, group in misrouted.items():
+        owners = iter(misrouted.items())
+
+        def splice(group, answers) -> None:
+            for (index, _), statement in zip(group, answers, strict=True):
+                statements[index] = statement
+            forward_next()
+
+        def evaluate_here(group) -> None:
+            self._decide_batch([query for _, query in group], partial(splice, group))
+
+        def forward_next() -> None:
+            owner, group = next(owners, (None, None))
+            if owner is None:
+                then(statements)
+                return
             metrics.bump("placement.misrouted", len(group))
             sub_batch = XacmlAuthzDecisionBatchQuery(
                 queries=tuple(query for _, query in group),
                 issuer=self.name,
                 issue_instant=self.now,
             )
-            answers = None
+
+            def answered(reply: Message) -> None:
+                try:
+                    answers = self.channel.open_batch_reply(
+                        reply, owner, sub_batch.batch_id, len(group)
+                    ).statements
+                except (RpcFault, WsSecurityError) as exc:
+                    fall_back(exc)
+                    return
+                self.reforwarded_batches += 1
+                metrics.bump("placement.reforwarded", len(group))
+                splice(group, answers)
+
+            def fall_back(_: Exception) -> None:
+                metrics.bump("placement.reforward_fallback", len(group))
+                evaluate_here(group)
+
             action, payload = self.channel.seal(
                 OWNED_BATCH_QUERY_ACTION, sub_batch.to_xml()
             )
-            try:
-                reply = self.call(
-                    owner, action, payload, timeout=self.config.forward_timeout
-                )
-                answers = self.channel.open_batch_reply(
-                    reply, owner, sub_batch.batch_id, len(group)
-                ).statements
-            except (RpcTimeout, RpcFault, WsSecurityError):
-                answers = None
-            if answers is not None:
-                self.reforwarded_batches += 1
-                metrics.bump("placement.reforwarded", len(group))
-                for (index, _), statement in zip(group, answers, strict=True):
-                    statements[index] = statement
-                continue
-            metrics.bump("placement.reforward_fallback", len(group))
-            engine_responses = self.evaluate_batch(
-                [query.request for _, query in group]
-            )
-            for (index, query), engine_response in zip(
-                group, engine_responses, strict=True
-            ):
-                statements[index] = self._statement_for(query, engine_response)
-        return tuple(statements)
+            self.ask(owner, action, payload, answered, fall_back, self.config.forward_timeout)
+
+        if owned:
+            evaluate_here(owned)
+        else:
+            forward_next()
 
     # -- placement lifecycle ------------------------------------------------------------
 
@@ -686,12 +674,128 @@ class PolicyDecisionPoint(Component):
     #: plain and under its ``.secure`` twin by :meth:`_serve_query`.
     _ENDPOINTS = {
         QUERY_ACTION: (XacmlAuthzDecisionQuery.from_xml, _answer_query),
-        BATCH_QUERY_ACTION: (
-            XacmlAuthzDecisionBatchQuery.from_xml,
-            _answer_routed_batch,
-        ),
+        BATCH_QUERY_ACTION: (XacmlAuthzDecisionBatchQuery.from_xml, _answer_batch),
         OWNED_BATCH_QUERY_ACTION: (
             XacmlAuthzDecisionBatchQuery.from_xml,
             _answer_owned_batch,
         ),
     }
+
+
+#: The request category a placement's ``shard_by`` partitions.
+_SHARD_CATEGORY = {"subject": Category.SUBJECT, "resource": Category.RESOURCE}
+
+
+class _Decision:
+    """Queries being decided in order under one store snapshot and one
+    instant; ``then`` gets their statements once each has settled.
+
+    A pass evaluates every request not yet settled.  Its first miss
+    (see :meth:`finder_for`) settles the requests before it; the PIPs
+    are asked for that one designator, and the next pass starts from
+    the request that missed, with the answer among the bags.  So the
+    PIP queries go out one at a time, in the order a blocking finder
+    would have sent them, and a pass that still had a miss is thrown
+    away.  When no PIP answers at all, that request is Indeterminate
+    (``missing-attribute``): an unreachable attribute authority is not
+    an absent attribute.  (A class rather than closures that call each
+    other: those would leave every decision behind as a reference cycle
+    for the garbage collector.)
+    """
+
+    __slots__ = (
+        "pdp", "queries", "then", "store", "now", "bags", "responses", "index", "misses"
+    )
+
+    def __init__(
+        self,
+        pdp: PolicyDecisionPoint,
+        queries: Sequence[XacmlAuthzDecisionQuery],
+        then: Callable[[list[XacmlAuthzDecisionStatement]], None],
+    ) -> None:
+        pdp.decisions_made += len(queries)
+        self.pdp, self.queries, self.then = pdp, queries, then
+        self.store, self.now = pdp.engine.store, pdp.now
+        #: ``(request index, category, attribute id, data type)`` -> what
+        #: the PIPs said; the requests settled so far.
+        self.bags: dict[tuple, list[AttributeValue]] = {}
+        self.responses: list[EngineResponse] = []
+
+    def run(self) -> None:
+        pdp, responses = self.pdp, self.responses
+        engine = pdp.engine
+        if engine.store is not self.store:  # a refresh landed meanwhile
+            engine = PdpEngine(self.store, engine.policy_combining)
+        start = self.index = len(responses)
+        self.misses: list[tuple] = []
+        sourced = pdp.partition or pdp.attribute_resolver or pdp.pip_addresses
+        passes = engine.evaluate_batch(
+            [query.request for query in self.queries[start:]],
+            current_time=self.now,
+            finder_for=self.finder_for if sourced else None,
+        )
+        if self.misses:
+            ((key, query),) = self.misses
+            responses.extend(passes[: key[0] - start])
+            pdp._ask_pips(query, partial(self.fetched, key, passes[key[0] - start]))
+            return
+        responses.extend(passes)
+        metrics = pdp.network.metrics
+        for response in responses:
+            metrics.record_sample(CANDIDATE_SET_SERIES, response.stats.candidate_set_size)
+        self.then([pdp._statement_for(*pair) for pair in zip(self.queries, responses, strict=True)])
+
+    def finder_for(self, request: RequestContext) -> AttributeFinder:
+        """The attribute finder of the next request of this pass (a PDP
+        with no partition, resolver or PIP evaluates without one).
+
+        It answers from what the PIPs already said (``bags``), else from
+        the partition (sharded: faulting owned state in from the
+        authoritative resolver on first touch) or the resolver.  A
+        designator only a PIP can supply is a miss: the pass's first is
+        recorded in ``misses``, and it reads as an empty bag until the
+        PIPs have answered — the engine's contract holds, a finder
+        never raises.
+        """
+        pdp, bags, misses = self.pdp, self.bags, self.misses
+        index, self.index = self.index, self.index + 1
+        partition, resolver = pdp.partition, pdp.attribute_resolver
+        shard_category = _SHARD_CATEGORY.get(partition.spec.shard_by) if partition else None
+
+        def finder(
+            category: Category, attribute_id: str, data_type: DataType
+        ) -> list[AttributeValue]:
+            key = (index, category, attribute_id, data_type)
+            if key in bags:
+                return bags[key]
+            if category is Category.SUBJECT:
+                about = request.subject_id or ""
+            elif category is Category.RESOURCE:
+                about = request.resource_id or ""
+            else:
+                about = ""
+            values = []
+            if about and category is shard_category:
+                values = partition.lookup(about, attribute_id, data_type)
+            elif about and resolver is not None:
+                values = [
+                    value
+                    for value in (resolver(about) or {}).get(attribute_id, [])
+                    if value.data_type is data_type
+                ]
+            if not values and pdp.pip_addresses and not misses:
+                misses.append((key, serialize_pip_query(category, attribute_id, about, data_type)))
+            return values
+
+        return finder
+
+    def fetched(self, key: tuple, response: EngineResponse, values) -> None:
+        if values is not None:
+            self.bags[key] = values
+        else:
+            status = Status(StatusCode.MISSING_ATTRIBUTE, f"no PIP answered for {key[2]}")
+            missing = ResponseContext.single(
+                Decision.INDETERMINATE, status, resource_id=self.queries[key[0]].request.resource_id
+            )
+            self.responses.append(EngineResponse(missing, response.stats))
+        self.run()

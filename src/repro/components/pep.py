@@ -55,7 +55,7 @@ from .fabric import (
     WireJob,
     no_replica,
 )
-from .pdp import BATCH_QUERY_ACTION, QUERY_ACTION
+from .pdp import QUERY_ACTION
 
 #: Obligation handler: receives the obligation and the request, performs
 #: the action, returns True when fulfilled.
@@ -143,7 +143,7 @@ class PolicyEnforcementPoint(Component):
         )
         #: The one transport of both entry points: single queries from
         #: :meth:`authorize`, batches from the coalescing queue.
-        self._wire = BatchWireCore(self, actions=(QUERY_ACTION, BATCH_QUERY_ACTION))
+        self._wire = BatchWireCore(self)
         #: Scope prefix of every slot key this PEP mints: its identity.
         #: Keeps entries from different PEPs distinct even inside shared
         #: (gateway-tier) bookkeeping.

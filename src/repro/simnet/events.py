@@ -175,12 +175,13 @@ class EventLoop:
     ) -> bool:
         """Process events until ``predicate`` holds or ``timeout_at`` passes.
 
-        This is the engine behind synchronous RPC over the simulated
-        network: the caller sends a request, then drives the loop until
-        the reply callback flips a flag.  Re-entrant by design — a handler
-        that itself issues a nested RPC simply drives the same loop
-        deeper; determinism is preserved because there is only one event
-        queue and one clock.
+        This is the driver wait behind ``Component.call`` and a PEP's
+        ``authorize``: the caller sends a request, then drives the loop
+        until the reply's continuation flips a flag.  It is for the top
+        level — a driver, a setup step, a script — since a caller inside
+        an event would serve other events re-entrantly while it waits;
+        a component that waits inside an event asks instead
+        (``Component.ask``) and continues from the reply's event.
 
         Returns:
             True if the predicate became true, False on timeout (the

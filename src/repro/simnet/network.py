@@ -54,7 +54,8 @@ class Node:
 
     Subclasses (or composition users) register a handler that receives
     delivered messages.  A crashed node silently drops inbound traffic,
-    matching fail-stop semantics.
+    matching fail-stop semantics, and tells its owner (:meth:`on_crash`)
+    so volatile state dies with it however the crash was injected.
     """
 
     def __init__(self, address: str, network: "Network") -> None:
@@ -62,10 +63,14 @@ class Node:
         self.network = network
         self.alive = True
         self._handler: Optional[MessageHandler] = None
+        self._crash_listener: Optional[Callable[[], None]] = None
         network._register(self)
 
     def on_message(self, handler: MessageHandler) -> None:
         self._handler = handler
+
+    def on_crash(self, listener: Callable[[], None]) -> None:
+        self._crash_listener = listener
 
     def send(self, message: Message) -> None:
         """Send a message; delivery is scheduled on the event loop."""
@@ -73,6 +78,8 @@ class Node:
 
     def crash(self) -> None:
         self.alive = False
+        if self._crash_listener is not None:
+            self._crash_listener()
 
     def recover(self) -> None:
         self.alive = True

@@ -193,15 +193,15 @@ class TestPap:
 
 class TestPdp:
     def test_evaluates_with_pap_and_pip(self, env):
-        network, _, _, pdp, _ = env
-        response = pdp.evaluate(RequestContext.simple("alice", "doc", "read"))
-        assert response.decision is Decision.PERMIT
+        _, _, _, _, pep = env
+        result = pep.authorize(RequestContext.simple("alice", "doc", "read"))
+        assert result.decision is Decision.PERMIT and result.source == "pdp"
 
     def test_policy_cache_avoids_refetch(self, env):
-        network, pap, _, pdp, _ = env
-        pdp.evaluate(RequestContext.simple("alice", "doc", "read"))
+        _, _, _, pdp, pep = env
+        pep.authorize(RequestContext.simple("alice", "doc", "read"))
         fetches = pdp.policy_fetches
-        pdp.evaluate(RequestContext.simple("alice", "doc", "read"))
+        pep.authorize(RequestContext.simple("alice", "doc", "read"))
         assert pdp.policy_fetches == fetches  # cache still fresh
 
     def test_revision_probe_skips_full_fetch(self):
@@ -214,9 +214,10 @@ class TestPdp:
             pap_address="pap2",
             config=PdpConfig(policy_cache_ttl=1.0, refresh_mode="probe"),
         )
-        pdp.evaluate(RequestContext.simple("x", "doc", "read"))
+        pep = PolicyEnforcementPoint("pep2", network, pdp_address="pdp2")
+        pep.authorize(RequestContext.simple("x", "doc", "read"))
         network.loop.run_until(lambda: False, timeout_at=network.now + 2.0)
-        pdp.evaluate(RequestContext.simple("x", "doc", "read"))
+        pep.authorize(RequestContext.simple("x", "doc", "read"))
         assert pdp.policy_fetches == 1
         assert pdp.revision_probes == 1
 
@@ -230,10 +231,11 @@ class TestPdp:
             pap_address="pap3",
             config=PdpConfig(policy_cache_ttl=1.0, refresh_mode="probe"),
         )
-        pdp.evaluate(RequestContext.simple("x", "doc", "read"))
+        pep = PolicyEnforcementPoint("pep3", network, pdp_address="pdp3")
+        pep.authorize(RequestContext.simple("x", "doc", "read"))
         pap.publish(role_policy("doc2"))
         network.loop.run_until(lambda: False, timeout_at=network.now + 2.0)
-        pdp.evaluate(RequestContext.simple("x", "doc2", "read"))
+        pep.authorize(RequestContext.simple("x", "doc2", "read"))
         assert pdp.policy_fetches == 2
 
     def test_unsigned_query_rejected_when_required(self):

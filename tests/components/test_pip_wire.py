@@ -13,6 +13,7 @@ import pytest
 from repro.components import (
     AttributeStore,
     PolicyDecisionPoint,
+    PolicyEnforcementPoint,
     PolicyInformationPoint,
     parse_pip_query,
     parse_pip_response,
@@ -103,15 +104,12 @@ class TestEndToEnd:
             .default_deny()
             .build()
         )
-        result = pdp.evaluate(
-            RequestContext.simple(subject_id, "doc", "read")
-        )
+        pep = PolicyEnforcementPoint("pep", network, pdp_address="pdp")
+        result = pep.authorize(RequestContext.simple(subject_id, "doc", "read"))
         assert result.decision is Decision.PERMIT
         assert pdp.pip_queries_sent == 1
         # And an unknown hostile subject still resolves (to nothing).
-        other = pdp.evaluate(
-            RequestContext.simple('eve"dropper', "doc", "read")
-        )
+        other = pep.authorize(RequestContext.simple('eve"dropper', "doc", "read"))
         assert other.decision is Decision.DENY
 
     def test_rules_on_one_attribute_cost_one_query(self):
@@ -134,7 +132,8 @@ class TestEndToEnd:
                 .build()
             )
         pdp.add_local_policy(policy.default_deny().build())
-        result = pdp.evaluate(RequestContext.simple("carol", "doc", "read"))
+        pep = PolicyEnforcementPoint("pep", network, pdp_address="pdp")
+        result = pep.authorize(RequestContext.simple("carol", "doc", "read"))
         assert result.decision is Decision.PERMIT
-        assert result.stats.finder_calls == 1
+        assert network.metrics.sent_by_kind["pip.query"] == 1
         assert pdp.pip_queries_sent == 1

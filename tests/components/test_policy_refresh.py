@@ -37,6 +37,8 @@ from repro.xacml import (
 )
 
 BATCH = "xacml.request.batch"
+#: What a PDP asks its PAP for when it refreshes.
+PAP_REFRESH = ("pap.revision", "pap.retrieve")
 RESOURCES = 8
 SERVICE_MODEL = {
     "fifo": PdpConfig(envelope_overhead=0.004, decision_service_time=0.001),
@@ -67,7 +69,8 @@ def policies(revision_tag: int):
 @dataclass
 class Rig:
     """PAP (8 policies) ← subscribed PDP ← a raw client sending batch
-    queries, with the PDP's refresh path instrumented from outside."""
+    queries, with the PDP's refresh path watched from outside, on the
+    wire."""
 
     network: Network
     pap: PolicyAdministrationPoint
@@ -81,9 +84,10 @@ class Rig:
     #: Reply log, in the order the PDP put replies on the wire:
     #: ``(query message id, instant, kind, payload)``.
     replies: list = field(default_factory=list)
-    nesting: int = 0
+    #: Most PAP requests of the PDP on the wire at once that no reply
+    #: had left the PAP for yet, and that no reply had reached the PDP
+    #: for yet: one refresh in flight means 1 and 1.
     worst_nesting: int = 0
-    in_flight: int = 0
     worst_in_flight: int = 0
 
     @classmethod
@@ -103,8 +107,13 @@ class Rig:
     def _instrument(self) -> None:
         pdp = self.pdp
         announced = [0]
+        # The refresh path, watched on the wire: PAP requests the PDP
+        # sent that have no reply yet.
+        unanswered: set[int] = set()
+        unreplied: set[int] = set()
 
         def receive(message):
+            unreplied.discard(message.reply_to)
             if message.kind == "pap.changed":
                 revision = parse_change_notice(str(message.payload))
                 announced[0] = max(announced[0], revision or 0)
@@ -113,32 +122,18 @@ class Rig:
             pdp._dispatch(message)
 
         pdp.node.on_message(receive)
+        transmit = self.network.transmit
 
-        ensure = pdp._ensure_policies
+        def watched(message):
+            if message.sender == "pdp" and message.kind in PAP_REFRESH:
+                unanswered.add(message.msg_id)
+                unreplied.add(message.msg_id)
+                self.worst_nesting = max(self.worst_nesting, len(unanswered))
+                self.worst_in_flight = max(self.worst_in_flight, len(unreplied))
+            unanswered.discard(message.reply_to)
+            transmit(message)
 
-        def nested_ensure():
-            self.nesting += 1
-            self.worst_nesting = max(self.worst_nesting, self.nesting)
-            try:
-                ensure()
-            finally:
-                self.nesting -= 1
-
-        pdp._ensure_policies = nested_ensure
-
-        call = pdp.call
-
-        def counted_call(recipient, kind, payload, **kwargs):
-            if recipient != "pap":
-                return call(recipient, kind, payload, **kwargs)
-            self.in_flight += 1
-            self.worst_in_flight = max(self.worst_in_flight, self.in_flight)
-            try:
-                return call(recipient, kind, payload, **kwargs)
-            finally:
-                self.in_flight -= 1
-
-        pdp.call = counted_call
+        self.network.transmit = watched
 
         send = pdp.node.send
 

@@ -482,18 +482,20 @@ class ParkedBehindARefresh:
         assert (self.pdp._announced_revision, self.pdp._cached_revision) == (2, 1)
         #: (subject, result, completion instant) in completion order.
         self.answers = []
-        self.worst_in_flight = self._in_flight = 0
-        call = self.pdp.call
+        #: Most PAP requests of the PDP on the wire at once with no
+        #: reply yet: the refresh path, watched on the wire.
+        self.worst_in_flight = 0
+        unanswered = set()
+        transmit = network.transmit
 
-        def counted(recipient, kind, payload, **kwargs):
-            self._in_flight += 1
-            self.worst_in_flight = max(self.worst_in_flight, self._in_flight)
-            try:
-                return call(recipient, kind, payload, **kwargs)
-            finally:
-                self._in_flight -= 1
+        def watched(message):
+            if message.sender == "pdp" and message.recipient == "pap":
+                unanswered.add(message.msg_id)
+                self.worst_in_flight = max(self.worst_in_flight, len(unanswered))
+            unanswered.discard(message.reply_to)
+            transmit(message)
 
-        self.pdp.call = counted
+        network.transmit = watched
 
     def submit(self, subjects):
         """The first subject now, the others 5 ms apart behind it (each

@@ -19,8 +19,8 @@ the scan and the fences now, for both tiers.
 And to the PDP's policy refresh: every query that found the policy
 cache stale used to probe and fetch for itself, nested inside whichever
 query was already waiting for the same bundle.  One function asks the
-PAP for policy now, and only under the single-flight guard that parks
-everybody else.
+PAP for policy now, entered from one place, and while its ask is on the
+wire every query is parked before anything else is done with it.
 
 And to policy leaves: RBAC compilation spelled its role ``Match`` and the
 ``Target(AnyOf(AllOf(...)))`` around it by hand, with a literal function
@@ -51,13 +51,18 @@ disagreed on issued bags.  The scan is a query on the algebra now, and
 ``Target.pinned`` is read by shard partitioning and delegation scopes
 only.
 
-And, not yet, to blocking inside an event: ``Component.call`` nests the
-event loop, so a handler or timer that reaches it serves other queries
-re-entrantly while it waits (ROADMAP direction 9).  One lint lists
-today's sites and fails on a new one; direction 9 empties the list.
-Another keeps the loop itself at the top level: under ``src/`` only
-``Component.call`` and a PEP's ``authorize`` (a top-level wait on the
-wire core) run it to a predicate.
+And to waiting for a reply: ``Component.call`` nested the event loop
+inside whatever handler called it, and the wire core kept reply
+handlers of its own, registered per action.  ``Component.ask`` is the
+one way to wait now — it runs a continuation from the event that
+settles the ask — and ``Component`` alone matches a reply: no handler
+under ``src/`` is registered for a ``:response`` or ``:fault`` kind.
+A PDP never waits inside a query.  ``call`` (``ask`` plus a driver
+wait) is left to drivers, setup and the control-plane sites one lint
+still lists (ROADMAP direction 9 empties the list).  Another keeps the
+loop itself at the top level: under ``src/`` only ``Component.call``
+and a PEP's ``authorize`` (a top-level wait on the wire core) run it
+to a predicate.
 """
 
 import ast
@@ -167,11 +172,17 @@ def test_only_the_cache_keeps_fences():
 # -- one policy refresh in flight per PDP (ISSUE 23) -----------------------------
 
 
-def pdp_functions():
+def pdp_methods():
+    """``name -> node`` per method of ``PolicyDecisionPoint`` (a nested
+    function belongs to the method it is in)."""
+    tree = ast.parse((COMPONENTS / "pdp.py").read_text(encoding="utf-8"))
+    (pdp,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "PolicyDecisionPoint"
+    ]
     return {
-        name.split(":")[1]: node
-        for name, node in functions()
-        if name.startswith("pdp.py:")
+        node.name: node for node in pdp.body if isinstance(node, ast.FunctionDef)
     }
 
 
@@ -187,8 +198,9 @@ def is_self_attr(node: ast.AST, attr: str) -> bool:
 def test_one_function_asks_the_pap_for_policy():
     askers = {
         (name, call.args[1].value)
-        for name, node in pdp_functions().items()
-        for call in calls(node, "call")
+        for name, node in pdp_methods().items()
+        for method in ("ask", "call")
+        for call in calls(node, method)
         if call.args and is_self_attr(call.args[0], "pap_address")
     }
     assert askers == {
@@ -206,27 +218,33 @@ def mentions(node: ast.AST, attr: str) -> bool:
 
 
 def test_the_refresh_runs_only_under_the_single_flight_guard():
-    pdp = pdp_functions()
+    pdp = pdp_methods()
     entries = [name for name, node in pdp.items() if mentions(node, "_refresh_policies")]
     assert entries == ["_ensure_policies"], (
         f"_refresh_policies is entered from more than one place: {entries}"
     )
-    # ... right after the guard is raised, inside the try whose finally
-    # lowers it (or hands it to the release of whoever was parked).
+    # ... and only once the guard is raised: the statement that parks
+    # queries from now on comes before the one that sends the refresh.
     body = pdp["_ensure_policies"].body
-    (at,) = [
-        index
-        for index, statement in enumerate(body)
-        if isinstance(statement, ast.Try) and mentions(statement, "_refresh_policies")
-    ]
-    assert ast.unparse(body[at - 1]) == "self._parking = True"
-    assert any(mentions(statement, "_parking") for statement in body[at].finalbody)
-    # ... and the guard is the first thing every query endpoint tests.
-    docstring, first = pdp["_serve_query"].body[:2]
-    assert isinstance(docstring.value, ast.Constant)
-    assert isinstance(first, ast.If) and ast.unparse(first.test) == "self._parking", (
-        "_serve_query must park a query before it does anything else with it"
+
+    def first(predicate):
+        return min(index for index, statement in enumerate(body) if predicate(statement))
+
+    raised = first(
+        lambda statement: isinstance(statement, ast.Assign)
+        and any(is_self_attr(target, "_parked") for target in ast.walk(statement))
     )
+    sent = first(
+        lambda statement: isinstance(statement, ast.Expr)
+        and mentions(statement, "_refresh_policies")
+    )
+    assert raised < sent, "the refresh goes on the wire before queries are parked"
+    # ... and the in-flight check is the first thing every query endpoint does.
+    docstring, check = pdp["_serve_query"].body[:2]
+    assert isinstance(docstring.value, ast.Constant)
+    assert isinstance(check, ast.If) and (
+        ast.unparse(check.test) == "self._parked is not None"
+    ), "_serve_query must park a query before it does anything else with it"
 
 
 # -- one way to build a policy leaf (ISSUE 24) --------------------------------------
@@ -339,14 +357,13 @@ def test_one_function_runs_expat_on_query_envelopes():
 #: Who may ask a dispatcher for a replica while excluding the ones tried.
 EXCLUDING_SELECTORS = {
     "components/fabric.py:selector_for",
-    "components/fabric.py:_check_timeout",
+    "components/fabric.py:_on_error",
 }
 
 #: Loops that go on to the next address after a timeout without being a
 #: failover: every address is asked on purpose.
 FAN_OUTS = {
     "admin/syndication.py:_push_to_children": "pushes to every child",
-    "components/pdp.py:_attribute_finder_for": "asks each PIP, not a PDP",
     "core/dependability.py:_beat": "the heartbeat pings every replica",
     "core/dependability.py:evaluate": "quorum voting asks for votes",
 }
@@ -477,15 +494,13 @@ BLOCKING = {"call", "run_until"}
 EVENT_ENTRIES = {"on", "schedule", "schedule_at"}
 
 #: ``module:Qualified.name`` -> why it may block, for now.  Today's
-#: sites: each nests the loop inside an event.
+#: sites: each nests the loop inside an event — the seven control-plane
+#: sites, and the wait they share.
 BLOCKING_ALLOWED = {
     site: "ROADMAP direction 9 removes"
     for site in (
         "admin/syndication.py:SyndicationNode._push_to_children",
         "components/base.py:Component.call",
-        "components/pdp.py:PolicyDecisionPoint._answer_batch_sharded",
-        "components/pdp.py:PolicyDecisionPoint._attribute_finder_for",
-        "components/pdp.py:PolicyDecisionPoint._refresh_policies",
         "core/dependability.py:HeartbeatMonitor._beat",
         "core/dependability.py:QuorumClient.evaluate",
         "core/discovery.py:HealthProber._probe",
@@ -626,7 +641,7 @@ def test_the_blocking_lint_finds_a_handler_that_blocks():
 #: ``module:Qualified.name`` of every function under ``src/`` that may
 #: run the event loop until a predicate holds.
 LOOP_RUNNERS = {
-    "components/base.py:Component.call": "the blocking RPC, direction 9 removes",
+    "components/base.py:Component.call": "ask plus a driver wait",
     "components/pep.py:PolicyEnforcementPoint.authorize": (
         "the pull model's top-level wait on the PEP's wire core"
     ),
@@ -684,3 +699,50 @@ def test_the_wait_lint_finds_a_second_wait():
         "components/pep.py:PolicyEnforcementPoint.authorize",
     ]
     assert run_until_sites(trees) != sorted(LOOP_RUNNERS)
+
+
+# -- one place matches a reply (ROADMAP direction 9) ------------------------------
+
+REPLY_KINDS = (":response", ":fault")
+
+
+def reply_handlers(trees) -> list[str]:
+    """``module:line`` of every ``on(kind, ...)`` whose kind — a literal,
+    or an f-string by its literal tail — is a reply kind."""
+    sites = []
+    for module, tree in trees:
+        for call in ast.walk(tree):
+            if not (
+                isinstance(call, ast.Call)
+                and getattr(call.func, "attr", None) == "on"
+                and call.args
+            ):
+                continue
+            kind = call.args[0]
+            if isinstance(kind, ast.JoinedStr) and kind.values:
+                kind = kind.values[-1]
+            if isinstance(kind, ast.Constant) and str(kind.value).endswith(REPLY_KINDS):
+                sites.append(f"{module}:{call.lineno}")
+    return sites
+
+
+def test_component_alone_matches_replies():
+    assert reply_handlers(source_trees()) == [], (
+        "a handler is registered for a :response or :fault kind — ask, and "
+        "let Component match the reply to its continuation"
+    )
+
+
+#: A made-up client that matches its own replies, twice.
+REPLY_WORLD = """
+class Client:
+    def __init__(self, action):
+        self.on("query", self._serve)
+        self.on(f"{action}:response", self._reply)
+        self.on("pip.query:fault", self._fault)
+"""
+
+
+def test_the_reply_lint_finds_a_reply_handler():
+    trees = [("pkg/client.py", ast.parse(REPLY_WORLD))]
+    assert reply_handlers(trees) == ["pkg/client.py:5", "pkg/client.py:6"]
