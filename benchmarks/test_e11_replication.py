@@ -7,6 +7,8 @@ availability with replica count under crash faults; quorum voting should mask a
 corrupted replica without ever granting unauthorised access.
 """
 
+import math
+
 from repro.bench import Experiment
 from repro.core import AccessControlSystem, QuorumClient, SystemConfig
 from repro.core.dependability import PdpCluster
@@ -22,6 +24,14 @@ from repro.xacml import (
     permit_rule,
     subject_resource_action_target,
 )
+
+def vote(network, client, request):
+    """One quorum evaluation, the loop run until its outcome lands."""
+    outcomes = []
+    client.evaluate(request, outcomes.append)
+    network.loop.run_until(outcomes.__len__, math.inf)
+    return outcomes[0]
+
 
 PROBES = 40
 PROBE_PERIOD = 0.5
@@ -129,8 +139,8 @@ def test_e11_quorum_masks_corrupt_replica(benchmark):
     )
 
     client = QuorumClient("qc", network, cluster.addresses, quorum=3)
-    legit = client.evaluate(RequestContext.simple("alice", "db", "read"))
-    attack = client.evaluate(RequestContext.simple("eve", "db", "read"))
+    legit = vote(network, client, RequestContext.simple("alice", "db", "read"))
+    attack = vote(network, client, RequestContext.simple("eve", "db", "read"))
 
     experiment = Experiment(
         exp_id="E11b",
@@ -154,5 +164,5 @@ def test_e11_quorum_masks_corrupt_replica(benchmark):
     assert attack.disagreement  # and the disagreement is visible for audit
 
     benchmark(
-        lambda: client.evaluate(RequestContext.simple("alice", "db", "read"))
+        lambda: vote(network, client, RequestContext.simple("alice", "db", "read"))
     )

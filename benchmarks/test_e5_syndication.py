@@ -50,6 +50,13 @@ def global_policy():
     )
 
 
+def syndicate(network, root, element):
+    """Publish at ``root`` and run the loop until its subtree answered."""
+    reports = []
+    root.publish(element, reports.append)
+    network.loop.run_until(reports.__len__, math.inf)
+
+
 def run_central():
     """Every domain PDP fetches from the one central PAP (inter-domain)."""
     network = Network(seed=5)
@@ -106,7 +113,7 @@ def run_syndicated():
         "synd.root",
         {"west": local_paps[: DOMAINS // 2], "east": local_paps[DOMAINS // 2 :]},
     )
-    root.publish(global_policy())
+    syndicate(network, root, global_policy())
     pdps = []
     for index in range(DOMAINS):
         pdp = PolicyDecisionPoint(
@@ -190,6 +197,6 @@ def test_e5_syndication_vs_central(benchmark):
         root, _ = build_hierarchy(
             network, "root", {"west": paps[:3], "east": paps[3:]}
         )
-        root.publish(global_policy())
+        syndicate(network, root, global_policy())
 
     benchmark(publish_once)

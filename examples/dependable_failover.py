@@ -13,6 +13,8 @@ shows the repo's three mechanisms working against injected crashes:
 Run:  python examples/dependable_failover.py
 """
 
+import math
+
 from repro.core import AccessControlSystem, QuorumClient, SystemConfig
 from repro.core.dependability import PdpCluster
 from repro.domain import build_federation
@@ -105,7 +107,10 @@ def main() -> None:
     client = QuorumClient("qc", network3, cluster.addresses, quorum=3)
     print("\nquorum of 3 with one corrupted (permit-everything) replica:")
     for subject in ("hr-user", "intruder"):
-        outcome = client.evaluate(RequestContext.simple(subject, "payroll", "read"))
+        outcomes = []
+        client.evaluate(RequestContext.simple(subject, "payroll", "read"), outcomes.append)
+        network3.loop.run_until(outcomes.__len__, math.inf)  # until the votes are in
+        (outcome,) = outcomes
         flag = " [disagreement detected]" if outcome.disagreement else ""
         print(
             f"  {subject:>8}: votes={outcome.votes} -> "

@@ -15,6 +15,8 @@ Walks the management machinery of the paper's Section 3.2:
 Run:  python examples/policy_administration.py
 """
 
+import math
+
 from repro.admin import (
     DelegationRegistry,
     PolicyLifecycleManager,
@@ -120,7 +122,10 @@ def main() -> None:
         rules=(deny_rule("lockdown",
                subject_resource_action_target(action_id="delete")),),
     )
-    reports = root.publish(global_policy)
+    done = []
+    root.publish(global_policy, done.append)
+    network.loop.run_until(done.__len__, math.inf)  # until every node reported
+    (reports,) = done
     for report in reports:
         status = "accepted" if report.accepted else "REJECTED"
         print(f"  {report.node:<18} {status}")

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from ..components.base import Component, ComponentIdentity, RpcFault, RpcTimeout
+from ..components.base import Component, ComponentIdentity
 from ..components.pap import PolicyAdministrationPoint
 from ..simnet.message import Message
 from ..simnet.network import Network
@@ -98,21 +98,17 @@ class SyndicationNode(Component):
 
     # -- publication (root-side API) -------------------------------------------------
 
-    def publish(self, element: PolicyElement) -> list[SyndicationReport]:
-        """Publish at this node and syndicate downwards.
+    def publish(
+        self, element: PolicyElement, then: Callable[[list[SyndicationReport]], None]
+    ) -> None:
+        """Publish at this node and syndicate downwards; ``then`` gets
+        the reports of the entire subtree (depth-first) once the last
+        child has answered.
 
-        Returns the reports collected from the entire subtree (depth-first,
-        synchronous in simulated time).
+        Unlike a relayed update, a published one is pushed to the
+        children even when this node's own acceptance check rejects it.
         """
-        reports = []
-        applied = self._apply_locally(element)
-        report = SyndicationReport(node=self.name)
-        (report.accepted if applied else report.rejected).append(
-            child_identifier(element)
-        )
-        reports.append(report)
-        reports.extend(self._push_to_children(element))
-        return reports
+        self._syndicate(element, then, push_rejected=True)
 
     def _apply_locally(self, element: PolicyElement) -> bool:
         if self.acceptance is not None and not self.acceptance(element):
@@ -125,37 +121,51 @@ class SyndicationNode(Component):
         self.updates_applied += 1
         return True
 
-    def _push_to_children(self, element: PolicyElement) -> list[SyndicationReport]:
-        """Reports of every child's subtree; a child that is unreachable
-        or answers with a fault is reported as having rejected the update
-        (it did not apply it), and its siblings are still served."""
-        reports = []
+    def _syndicate(
+        self,
+        element: PolicyElement,
+        then: Callable[[list[SyndicationReport]], None],
+        push_rejected: bool = False,
+    ) -> None:
+        """Apply ``element`` here, then push it to the children in turn.
+
+        A child that is unreachable or answers with a fault is reported
+        as having rejected the update (it did not apply it), and its
+        siblings are still served.
+        """
+        identifier = child_identifier(element)
+        applied = self._apply_locally(element)
+        own = SyndicationReport(node=self.name)
+        (own.accepted if applied else own.rejected).append(identifier)
+        reports = [own]
+        if not (applied or push_rejected):
+            then(reports)
+            return
         payload = serialize_policy(element)
-        for child in self.children:
+
+        def push(child: str, settled: Callable[[], None]) -> None:
             self.updates_pushed += 1
-            try:
-                reply = self.call(child, "synd.update", payload)
-            except (RpcTimeout, RpcFault):
-                reports.append(
-                    SyndicationReport(child, rejected=[child_identifier(element)])
-                )
-                continue
-            reports.extend(_parse_reports(str(reply.payload)))
-        return reports
+
+            def answered(reply: Message) -> None:
+                reports.extend(_parse_reports(str(reply.payload)))
+                settled()
+
+            def failed(_: Exception) -> None:
+                reports.append(SyndicationReport(child, rejected=[identifier]))
+                settled()
+
+            self.ask(child, "synd.update", payload, answered, failed)
+
+        self.in_turn(self.children, push, lambda: then(reports))
 
     # -- handlers ------------------------------------------------------------------------
 
-    def _handle_update(self, message: Message) -> str:
-        element = parse_policy(str(message.payload))
-        applied = self._apply_locally(element)
-        own = SyndicationReport(node=self.name)
-        (own.accepted if applied else own.rejected).append(
-            child_identifier(element)
+    def _handle_update(self, message: Message) -> None:
+        """Apply and relay; reply once the subtree has answered."""
+        self._syndicate(
+            parse_policy(str(message.payload)),
+            lambda reports: self.respond(message, "".join(r.to_xml() for r in reports)),
         )
-        reports = [own]
-        if applied:
-            reports.extend(self._push_to_children(element))
-        return "".join(r.to_xml() for r in reports)
 
     def _handle_report(self, message: Message) -> str:
         self.reports_received.extend(_parse_reports(str(message.payload)))

@@ -10,18 +10,23 @@ message and runs an on-reply or on-error continuation from the event
 that delivers the reply, the fault or the deadline.  ``Component`` is
 the only place a reply is matched to its request, and a crash is
 fail-stop: it drops the pending asks, so a crashed component's
-continuations never run.  :meth:`Component.call` is ``ask`` plus a
-driver wait — it runs the shared event loop until the ask settles — for
-drivers and setup; a handler that calls it serves other queries
-re-entrantly while it waits, which ROADMAP direction 9 removes site by
-site.
+continuations never run — except an ask it makes for a caller on
+another component (a gateway's directory lookup, a PEP's status
+check), which fails at once, so that caller settles.  A handler or
+timer never waits: what it needs from a peer it asks for, a run of
+peers it asks in turn (:meth:`Component.in_turn`), a periodic duty
+runs in rounds (:meth:`Component.every`), and a reply that comes
+later goes out through :meth:`Component.respond`.  :meth:`Component.call` is ``ask``
+plus a driver wait — it runs the shared event loop until the ask
+settles — for drivers and setup only: the loop refuses to nest, so a
+handler that calls it raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..simnet.events import EventHandle
 from ..simnet.message import Message
@@ -78,6 +83,11 @@ class Component:
             (used by tests and by experiments isolating protocol costs).
     """
 
+    #: Kinds of the asks this component makes for a caller on another
+    #: component, which a crash of this one leaves up: a crash fails
+    #: them at once, as timeouts, instead of dropping them.
+    caller_kinds: frozenset[str] = frozenset()
+
     def __init__(
         self,
         name: str,
@@ -94,9 +104,11 @@ class Component:
         self.node.on_crash(self._crashed)
         self._clock = network.clock
         self._handlers: dict[str, Handler] = {}
-        #: Request message id -> ``(on_reply, on_error, deadline)`` of
-        #: the ask awaiting its reply.
-        self._asks: dict[int, tuple[Callable, Callable, EventHandle]] = {}
+        #: Request message id -> ``(request, on_reply, on_error,
+        #: deadline)`` of the ask awaiting its reply.
+        self._asks: dict[int, tuple[Message, Callable, Callable, EventHandle]] = {}
+        #: One re-arm per :meth:`every`, run on a crash.
+        self._rounds: list[Callable[[], None]] = []
         # Liveness probe used by heartbeat monitors and health probers.
         self.on("ping", lambda message: "<Pong/>")
 
@@ -111,10 +123,18 @@ class Component:
 
     def _crashed(self) -> None:
         """Fail-stop: pending asks are volatile state; their deadlines
-        are cancelled and their continuations never run."""
+        are cancelled and their continuations never run — but the ask of
+        one of :attr:`caller_kinds` fails now, as an event, as if its
+        deadline had come."""
+        loop = self.network.loop
         asks, self._asks = self._asks, {}
-        for _, _, deadline in asks.values():
-            self.network.loop.cancel(deadline)
+        for request, _, on_error, deadline in asks.values():
+            loop.cancel(deadline)
+            if request.kind in self.caller_kinds:
+                error = RpcTimeout(self.name, request.recipient, request.kind, self.now)
+                loop.schedule(0.0, partial(on_error, error))
+        for rearm in self._rounds:
+            rearm()
 
     def recover(self) -> None:
         self.node.recover()
@@ -129,17 +149,16 @@ class Component:
         """Register a handler for inbound messages of ``kind``.
 
         The handler's return value, if not None, is sent back as a reply
-        of kind ``f"{kind}:response"``.  Raising :class:`RpcFault` sends a
-        fault reply instead, and so does an :class:`RpcTimeout` from a
-        call the handler made (code ``upstream-timeout``): a peer that is
-        down is the caller's fault to report, not an exception for the
-        event loop every component shares.
+        of kind ``f"{kind}:response"``; raising :class:`RpcFault` sends a
+        fault reply instead (see :meth:`respond`).  A handler that
+        answers later — once an ask of its own settles — returns None
+        and responds from the continuation.
         """
         self._handlers[kind] = handler
 
     def _dispatch(self, message: Message) -> None:
         if message.reply_to in self._asks:
-            on_reply, on_error, deadline = self._asks.pop(message.reply_to)
+            _, on_reply, on_error, deadline = self._asks.pop(message.reply_to)
             self.network.loop.cancel(deadline)
             if message.kind.endswith(":fault"):
                 on_error(RpcFault(*_parse_fault(str(message.payload))))
@@ -152,21 +171,20 @@ class Component:
         try:
             result = handler(message)
         except RpcFault as fault:
-            self._reply_fault(message, fault)
-            return
-        except RpcTimeout as timeout:
-            self._reply_fault(message, RpcFault("upstream-timeout", str(timeout)))
-            return
+            result = fault
         if result is not None:
-            self.node.send(message.reply(kind=f"{message.kind}:response", payload=result))
+            self.respond(message, result)
 
-    def _reply_fault(self, message: Message, fault: RpcFault) -> None:
-        self.node.send(
-            message.reply(
-                kind=f"{message.kind}:fault",
-                payload=f"<Fault code=\"{fault.code}\">{fault.reason}</Fault>",
-            )
-        )
+    def respond(self, message: Message, result: Any) -> None:
+        """Send ``result`` as the reply to ``message``: an
+        :class:`RpcFault` as a fault (kind ``f"{kind}:fault"``), anything
+        else as the response (``f"{kind}:response"``)."""
+        if isinstance(result, RpcFault):
+            kind = f"{message.kind}:fault"
+            result = f"<Fault code=\"{result.code}\">{result.reason}</Fault>"
+        else:
+            kind = f"{message.kind}:response"
+        self.node.send(message.reply(kind=kind, payload=result))
 
     # -- client side -----------------------------------------------------------
 
@@ -192,17 +210,77 @@ class Component:
         request = Message(self.name, recipient, kind, payload, headers=headers or {})
         self.node.send(request)
         deadline = self.network.loop.schedule(timeout, partial(self._expire, request))
-        self._asks[request.msg_id] = (on_reply, on_error, deadline)
+        self._asks[request.msg_id] = (request, on_reply, on_error, deadline)
         return request
 
     def forget(self, msg_id: int) -> None:
         """Drop one pending ask: neither continuation runs, and its
         reply, should one come, is dropped like a late one."""
-        self.network.loop.cancel(self._asks.pop(msg_id)[2])
+        self.network.loop.cancel(self._asks.pop(msg_id)[3])
 
     def _expire(self, request: Message) -> None:
-        _, on_error, _ = self._asks.pop(request.msg_id)
+        _, _, on_error, _ = self._asks.pop(request.msg_id)
         on_error(RpcTimeout(self.name, request.recipient, request.kind, self.now))
+
+    def in_turn(
+        self,
+        items: Iterable,
+        step: Callable[[Any, Callable[[], None]], None],
+        done: Callable[[], None],
+    ) -> None:
+        """Run ``step(item, settled)`` for each of ``items``, one at a time.
+
+        A step settles by calling ``settled()`` — from an ask's
+        continuation, or at once when it needs no peer — and the next
+        item starts only then; ``done()`` runs once the last has
+        settled.  A step that never settles ends the turn there (it
+        found what it was after, or a crash dropped its ask).  Steps
+        that settle at once are taken in a loop, not by recursion.
+        """
+        items = iter(items)
+        inline = None  # while a step runs: whether it has settled yet
+
+        def settled() -> None:
+            nonlocal inline
+            if inline is not None:  # inside the step below: the loop goes on
+                inline = True
+                return
+            for item in items:
+                inline = False
+                step(item, settled)
+                if not inline:
+                    inline = None
+                    return
+            inline = None
+            done()
+
+        settled()
+
+    def every(self, period: float, round_: Callable[[Callable[[], None]], None]) -> None:
+        """Run ``round_(end)`` in rounds, the first ``period`` seconds
+        from now and each next one ``period`` after the last calls
+        ``end()``.
+
+        A round due while this component is down runs nothing: the next
+        is due a period later.  A crash ends the round in flight — its
+        asks are dropped, so it never ends — and re-arms the timer, a
+        period from the crash.
+        """
+        loop = self.network.loop
+
+        def tick() -> None:
+            if self.alive:
+                round_(arm)
+            else:
+                arm()
+
+        def arm() -> None:
+            nonlocal timer
+            loop.cancel(timer)  # still pending only when a crash re-arms
+            timer = loop.schedule(period, tick)
+
+        timer = loop.schedule(period, tick)
+        self._rounds.append(arm)
 
     def call(
         self,
@@ -213,8 +291,8 @@ class Component:
     ) -> Message:
         """:meth:`ask`, then run the event loop until it settles.
 
-        For drivers and setup: the wait nests the loop inside whoever
-        calls it.
+        For drivers and setup only: the loop refuses to nest, so a
+        handler or timer that calls this raises ``RuntimeError``.
 
         Raises:
             RpcTimeout: no reply before the deadline.

@@ -391,10 +391,11 @@ class BatchingStage:
 
     Attributes:
         draining: set by a drain that continues past the current call
-            (a paced, rescheduled drain).  While set, triggers and
-            :meth:`flush` leave the window alone — the drain chain picks
-            new slots up — so a nested event-loop turn cannot start a
-            second, untracked chain.
+            (a paced, rescheduled drain, or a step waiting for its
+            slots' resolution).  While set, triggers and :meth:`flush`
+            leave the window alone — the drain chain picks new slots up
+            — so a flush that arrives meanwhile, or from a completion
+            the step runs inline, cannot start a second chain.
     """
 
     def __init__(
@@ -914,44 +915,50 @@ class CoalescingDecisionQueue(_StagedTier):
         """Enqueue one enforcement; ``callback`` receives the result.
 
         Returns True when the request completed synchronously (revocation
-        guard denial or decision-cache hit) and False when it was queued
-        for a batched PDP round-trip.  Identical requests already queued
-        or in flight are deduplicated: the new waiter joins the existing
-        wire slot.
+        guard denial or decision-cache hit) and False otherwise: queued
+        for a batched PDP round-trip, or waiting for an online guard's
+        answer.  Identical requests already queued or in flight are
+        deduplicated: the new waiter joins the existing wire slot.
         """
         self.pep.enforcements += 1
         cache_key = request.cache_key()
-        tracer = self.pep.network.tracer
-        immediate = self.pep._pre_decision(request, cache_key)
-        if immediate is not None:
-            if tracer.enabled:
-                tracer.sync_decision(self.pep, request, immediate)
-            callback(immediate)
-            return True
-        key = self.scoped_key(cache_key)
-        entry = self._stage.join(key)
-        if entry is not None:
-            self.deduplicated += 1
-            if tracer.enabled:
-                tracer.join_decision(entry.trace)
-            entry.waiters.append(callback)
-            return False
-        self._stage.open(
-            Slot(
-                request=request,
-                key=key,
-                owner=self.pep.name,
-                waiters=[callback],
-                enqueued_at=self.pep.now,
-                trace=(
-                    tracer.begin_decision(self.pep, request)
-                    if tracer.enabled
-                    else None
-                ),
+        settled = False
+
+        def proceed(immediate) -> None:
+            nonlocal settled
+            tracer = self.pep.network.tracer
+            if immediate is not None:
+                if tracer.enabled:
+                    tracer.sync_decision(self.pep, request, immediate)
+                callback(immediate)
+                settled = True
+                return
+            key = self.scoped_key(cache_key)
+            entry = self._stage.join(key)
+            if entry is not None:
+                self.deduplicated += 1
+                if tracer.enabled:
+                    tracer.join_decision(entry.trace)
+                entry.waiters.append(callback)
+                return
+            self._stage.open(
+                Slot(
+                    request=request,
+                    key=key,
+                    owner=self.pep.name,
+                    waiters=[callback],
+                    enqueued_at=self.pep.now,
+                    trace=(
+                        tracer.begin_decision(self.pep, request)
+                        if tracer.enabled
+                        else None
+                    ),
+                )
             )
-        )
-        self._stage.trigger()
-        return False
+            self._stage.trigger()
+
+        self.pep._pre_decision(request, cache_key, proceed)
+        return settled
 
     def _drain(self) -> None:
         """Send everything pending as one batch query.
@@ -1173,38 +1180,36 @@ class DomainDecisionGateway(_StagedTier, Component):
         the egress link's bandwidth).  A real gateway writes envelopes
         to its socket sequentially; emitting them all at the same
         instant would let the simulator's per-message delivery model
-        reorder small envelopes ahead of large ones.
+        reorder small envelopes ahead of large ones.  The stage stays
+        draining from the draw until the step's continuation runs —
+        after a directory lookup, on a federated gateway — so flushes
+        arriving meanwhile wait for the next step.
         """
         stage = self._stage
         stage.draining = False  # this step is the drain that was pending
         if not stage.pending:
             return
         slots = self._take_super_batch()
-        # A step may run nested event-loop turns (synchronous directory
-        # lookups, fail-safe completion callbacks that submit the next
-        # closed-loop request); a flush arriving in that window must not
-        # start a second, untracked drain chain and break the
-        # one-envelope-at-a-time pacing.
         stage.draining = True
-        try:
-            tx_time = self._dispatch_slots(slots)
-        finally:
-            stage.draining = False
-        if stage.pending:
-            # Slots that arrived meanwhile were deferred to this
-            # reschedule, which keeps the stage's triggers held.
-            stage.draining = True
+        self._dispatch_slots(slots, self._drained)
+
+    def _drained(self, tx_time: float) -> None:
+        """After a step: schedule the next while slots wait."""
+        stage = self._stage
+        stage.draining = bool(stage.pending)
+        if stage.draining:
             self.network.loop.schedule(tx_time, self._drain_step)
 
-    def _dispatch_slots(self, slots: list[Slot]) -> float:
-        """Put one drawn super-batch on the wire; returns its tx time.
+    def _dispatch_slots(self, slots: list[Slot], then: Callable[[float], None]) -> None:
+        """Put one drawn super-batch on the wire; ``then`` gets its tx
+        time.
 
         The federated gateway overrides this to classify slots by
         governing domain first (local PDP tier vs gateway→gateway
         forwarding); the base gateway sends everything to the local
         replica set.
         """
-        return self._wire.send(slots)
+        then(self._wire.send(slots))
 
     def _take_super_batch(self) -> list[Slot]:
         """Draw the next super-batch fairly from the per-PEP backlogs.

@@ -51,6 +51,7 @@ from itertools import islice
 from typing import Callable, Optional, Sequence
 from xml.sax.saxutils import quoteattr
 
+from ..domain.directory import DomainResolver
 from ..observability.tracing import TRACE_HEADER, TraceContext
 from ..saml.xacml_profile import (
     XacmlAuthzDecisionBatchQuery,
@@ -88,9 +89,6 @@ SECURE_FORWARD_ACTION = secure_action(FORWARD_ACTION)
 
 #: Default maximum number of gateway hops a forwarded batch may take.
 DEFAULT_FORWARD_TTL = 3
-
-#: Resolves the domain governing one request's resource (None = local).
-DomainResolver = Callable[[RequestContext], Optional[str]]
 
 _FORWARD_TAG = qualified("fed:ForwardedBatchQuery")
 _NOT_A_FORWARD = "not a ForwardedBatchQuery"
@@ -185,11 +183,19 @@ class _ServiceContext:
                 self._serve_parent = context.span_id
 
     def start(self) -> None:
+        """Classify the batch's requests (the authoritative re-check,
+        when configured) and send each on its way."""
+        self.gateway._classify(
+            [query.request for query in self.fwd.batch.queries],
+            self._route,
+            authoritative=True,
+        )
+
+    def _route(self, domains: list) -> None:
         gateway = self.gateway
         # This batch's routing outcomes, for the serve span.  Counted
-        # here, not as deltas of the gateway's counters: an
-        # authoritative re-check over the network lets other batches
-        # be served meanwhile.
+        # here, not as deltas of the gateway's counters: other batches
+        # are served while an authoritative re-check is on the wire.
         counts = dict.fromkeys(
             ("recheck_failed", "misroutes", "reforwarded", "ttl_expired", "unknown_domain"),
             0,
@@ -197,10 +203,10 @@ class _ServiceContext:
         #: Governing domain -> the slots travelling there (this domain's
         #: own replica set, or onward to a peer).
         routes: dict[str, list[Slot]] = {}
-        for index, query in enumerate(self.fwd.batch.queries):
-            try:
-                governing = gateway._serving_domain(query.request)
-            except Exception as exc:
+        for index, (query, governing) in enumerate(
+            zip(self.fwd.batch.queries, domains, strict=True)
+        ):
+            if isinstance(governing, Exception):
                 # The authoritative re-check could not be completed:
                 # deciding under this gateway's own (possibly stale)
                 # policy could mis-grant, so the request fails closed.
@@ -209,7 +215,7 @@ class _ServiceContext:
                 gateway.network.metrics.bump("federation.recheck_failed")
                 self.statements[index] = gateway._indeterminate_statement(
                     query,
-                    f"authoritative directory re-check failed: {exc}",
+                    f"authoritative directory re-check failed: {governing}",
                 )
                 continue
             if governing != gateway.domain:
@@ -303,11 +309,7 @@ class _ServiceContext:
                 decisions=len(self.statements),
                 **(self._counts or {}),
             )
-        gateway.node.send(
-            self.message.reply(
-                kind=f"{self.message.kind}:response", payload=payload
-            )
-        )
+        gateway.respond(self.message, payload)
 
 
 class FederatedGateway(DomainDecisionGateway):
@@ -365,15 +367,17 @@ class FederatedGateway(DomainDecisionGateway):
     it is delivered but not retained.
 
     Args:
-        resolve_domain: maps a request to its governing domain name;
-            None (the callable, or its return value) means local.
+        resolve_domain: a :data:`~repro.domain.directory.
+            DomainResolver` naming each drawn request's governing
+            domain; None (the resolver, or an answer) means local.
         resolve_authoritative: optional *authoritative* resolver used
             when serving inbound forwarded batches.  When
             ``resolve_domain`` reads a TTL'd directory cache (see
             :class:`~repro.domain.directory_service.DirectoryClient`),
             a stale origin may misroute requests here; the serving-side
             re-check detects that and re-forwards to the true governing
-            domain instead of mis-deciding.  Defaults to
+            domain instead of mis-deciding.  An answer that is an
+            exception fails its request closed.  Defaults to
             ``resolve_domain``.
         forward_ttl: gateway hops a forwarded batch may take.
         forward_batch: flush a target domain's buffered slots as soon
@@ -530,26 +534,31 @@ class FederatedGateway(DomainDecisionGateway):
 
     # -- classification ------------------------------------------------------------
 
-    def _governing_domain(self, request: RequestContext) -> str:
-        governing = (
-            self.resolve_domain(request) if self.resolve_domain else None
-        )
-        return governing or self.domain
+    def _classify(
+        self,
+        requests: list[RequestContext],
+        then: Callable[[list], None],
+        authoritative: bool = False,
+    ) -> None:
+        """``then`` gets each request's governing domain — this one's
+        where the resolver says None — in one list, once the resolver
+        answers.
 
-    def _serving_domain(self, request: RequestContext) -> str:
-        """The governing domain as the *serving* side must see it.
-
-        Inbound forwarded batches are classified with the authoritative
-        resolver when one is configured: accepting an origin's (possibly
-        stale-cache-derived) routing at face value would let a directory
-        transfer turn into wrong decisions instead of re-forwards.
+        ``authoritative`` is the *serving* side's view: inbound
+        forwarded batches are classified with the authoritative
+        resolver when one is configured, since accepting an origin's
+        (possibly stale-cache-derived) routing at face value would let a
+        directory transfer turn into wrong decisions instead of
+        re-forwards.  A re-check that failed is handed over as its
+        exception.
         """
-        if self.resolve_authoritative is not None:
-            governing = self.resolve_authoritative(request)
-            return governing or self.domain
-        return self._governing_domain(request)
+        resolve = (authoritative and self.resolve_authoritative) or self.resolve_domain
+        if resolve is None:
+            then([self.domain] * len(requests))
+        else:
+            resolve(requests, lambda domains: then([d or self.domain for d in domains]))
 
-    def _dispatch_slots(self, slots: list[Slot]) -> float:
+    def _dispatch_slots(self, slots: list[Slot], then: Callable[[float], None]) -> None:
         """Partition one drawn super-batch by governing domain and send.
 
         Local slots ride the inherited PDP-tier path; remote ones wait
@@ -558,11 +567,15 @@ class FederatedGateway(DomainDecisionGateway):
         serialise onto the same egress wire, so the paced drain waits
         for their summed transmission time.
         """
+        self._classify(
+            [slot.request for slot in slots],
+            lambda domains: then(self._send_classified(slots, domains)),
+        )
+
+    def _send_classified(self, slots: list[Slot], domains: list) -> float:
         groups: dict[str, list[Slot]] = {}
-        for slot in slots:
-            groups.setdefault(self._governing_domain(slot.request), []).append(
-                slot
-            )
+        for slot, governing in zip(slots, domains, strict=True):
+            groups.setdefault(governing, []).append(slot)
         tx_time = 0.0
         for target in sorted(groups, key=lambda t: (t != self.domain, t)):
             group = groups[target]
@@ -612,12 +625,12 @@ class FederatedGateway(DomainDecisionGateway):
 
         Delivery is deferred to a zero-delay event rather than run
         inline: a completion callback may submit the next request
-        (closed loop) and flush straight back into this gateway, and a
-        nested ``_drain_step`` while the outer drain is still
-        classifying would break the paced-drain invariant (two
-        scheduled drains, only one tracked).  The slot stays in flight
-        at the gateway stage until the deferred delivery fires, so
-        late-joining waiters still attach and are served with it.
+        (closed loop) and flush straight back into this gateway, so a
+        hit is answered once the drain step that found it has put the
+        rest of its super-batch on the wire, not from inside its
+        classification.  The slot stays in flight at the gateway stage
+        until the deferred delivery fires, so late-joining waiters
+        still attach and are served with it.
         """
         if not self.remote_cache.enabled:
             return slots

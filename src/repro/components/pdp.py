@@ -256,7 +256,7 @@ class PolicyDecisionPoint(Component):
             if fault is None:
                 then()
             else:
-                self._reply_fault(message, fault)
+                self.respond(message, fault)
 
         self._refresh_policies(landed)
 
@@ -322,7 +322,7 @@ class PolicyDecisionPoint(Component):
             if fault is None:
                 self._dispatch(message)
             else:
-                self._reply_fault(message, fault)
+                self.respond(message, fault)
         if parked:  # a released query started the next refresh
             self._parked.extend(parked)
 
@@ -363,27 +363,22 @@ class PolicyDecisionPoint(Component):
         an empty answer moves on to the next address.  ``done`` gets the
         first values found, ``[]`` when some PIP answered with none, and
         None when none answered at all."""
-        addresses = iter(self.pip_addresses)
         answered = False
 
-        def ask_next(_: Optional[Exception] = None) -> None:
-            address = next(addresses, None)
-            if address is None:
-                done([] if answered else None)
-            else:
-                self.ask(address, "pip.query", query, got, ask_next)
+        def ask_pip(address: str, settled: Callable[[], None]) -> None:
+            def got(reply: Message) -> None:
+                nonlocal answered
+                answered = True
+                self.pip_queries_sent += 1
+                values = parse_pip_response(str(reply.payload))
+                if values:
+                    done(values)
+                else:
+                    settled()
 
-        def got(reply: Message) -> None:
-            nonlocal answered
-            answered = True
-            self.pip_queries_sent += 1
-            values = parse_pip_response(str(reply.payload))
-            if values:
-                done(values)
-            else:
-                ask_next()
+            self.ask(address, "pip.query", query, got, lambda _: settled())
 
-        ask_next()
+        self.in_turn(self.pip_addresses, ask_pip, lambda: done([] if answered else None))
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -421,10 +416,9 @@ class PolicyDecisionPoint(Component):
         payload = self.channel.seal_reply(
             message, statement.to_xml(), sign=self.config.sign_responses
         )
-        reply = message.reply(kind=f"{message.kind}:response", payload=payload)
         if cost <= 0:
             self._trace_service(message, batch_id, decisions, 0.0, 0.0)
-            self.node.send(reply)
+            self.respond(message, payload)
             return
         start = max(self._busy_until, self.now)
         self._busy_until = start + cost
@@ -434,7 +428,7 @@ class PolicyDecisionPoint(Component):
 
         def send_reply() -> None:
             if self.alive:
-                self.node.send(reply)
+                self.respond(message, payload)
 
         self.network.loop.schedule(self._busy_until - self.now, send_reply)
 

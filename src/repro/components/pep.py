@@ -61,11 +61,12 @@ from .pdp import QUERY_ACTION
 #: the action, returns True when fulfilled.
 ObligationHandler = Callable[[Obligation, RequestContext], bool]
 
-#: Revocation guard: consulted before any decision (cached or fresh) is
-#: served; returns a denial reason when the request hits revoked state,
-#: None to let enforcement proceed.  Installed by
+#: Revocation guard, ``guard(request, then)``: consulted before any
+#: decision (cached or fresh) is served; ``then`` gets a denial reason
+#: when the request hits revoked state, None to let enforcement proceed
+#: — at once, or when an online status check lands.  Installed by
 #: :meth:`repro.revocation.coherence.CoherenceAgent.protect_pep`.
-RevocationGuard = Callable[[RequestContext], Optional[str]]
+RevocationGuard = Callable[[RequestContext, Callable[[Optional[str]], None]], None]
 
 
 @dataclass
@@ -216,7 +217,8 @@ class PolicyEnforcementPoint(Component):
 
         The callback receives this request's :class:`EnforcementResult`
         once the (possibly batched, possibly deduplicated) decision
-        lands.  Requires :meth:`enable_batching` first.
+        lands.  Returns True exactly when the callback has already run.
+        Requires :meth:`enable_batching` first.
         """
         if self.coalescer is None:
             raise ValueError(
@@ -228,23 +230,27 @@ class PolicyEnforcementPoint(Component):
     # -- enforcement ----------------------------------------------------------------
 
     def _pre_decision(
-        self, request: RequestContext, cache_key: tuple
-    ) -> Optional[EnforcementResult]:
-        """Guard + cache front of every path; None means 'ask a PDP'."""
-        if self.revocation_guard is not None:
-            reason = self.revocation_guard(request)
+        self,
+        request: RequestContext,
+        cache_key: tuple,
+        then: Callable[[Optional[EnforcementResult]], None],
+    ) -> None:
+        """Guard + cache front of every path: ``then`` gets the result
+        they settle, or None for 'ask a PDP'."""
+
+        def guarded(reason: Optional[str]) -> None:
             if reason is not None:
                 self.revocation_denials += 1
                 self.denials += 1
-                return EnforcementResult(
-                    decision=Decision.DENY,
-                    source="revocation",
-                    detail=reason,
-                )
-        cached = self.decision_cache.get(cache_key)
-        if cached is not None:
-            return self._settle(request, cached, source="cache")
-        return None
+                then(EnforcementResult(decision=Decision.DENY, source="revocation", detail=reason))
+                return
+            cached = self.decision_cache.get(cache_key)
+            then(None if cached is None else self._settle(request, cached, source="cache"))
+
+        if self.revocation_guard is None:
+            guarded(None)
+        else:
+            self.revocation_guard(request, guarded)
 
     def _fail_safe_result(self, exc: Exception) -> EnforcementResult:
         self.fail_safe_denials += 1
@@ -260,11 +266,12 @@ class PolicyEnforcementPoint(Component):
         """Full pull-model enforcement of one access request.
 
         The guard and the decision cache answer first; otherwise one
-        single query leaves at once on the PEP's wire core, and the
-        event loop runs until its slot settles — answered, refused or
-        failed safe once every replica the dispatcher offers timed out.
-        The wait is a top-level one: nothing that runs as an event may
-        call ``authorize``.
+        single query leaves on the PEP's wire core as soon as the guard
+        lets it, and the event loop runs until its slot settles —
+        answered, refused or failed safe once every replica the
+        dispatcher offers timed out.  The wait is a top-level one: the
+        loop refuses to nest, so nothing that runs as an event may call
+        ``authorize``.
         """
         self.enforcements += 1
         tracer = self.network.tracer
@@ -275,15 +282,19 @@ class PolicyEnforcementPoint(Component):
             trace.set("sync", True)
             trace.set("path", "authorize")
         cache_key = request.cache_key()
-        immediate = self._pre_decision(request, cache_key)
-        if immediate is not None:
-            self._finish(trace, immediate)
-            return immediate
         answer: list[EnforcementResult] = []
-        slot = Slot(
-            request, (self._scope, cache_key), self.name, [answer.append], trace=trace
-        )
-        self._wire.send([slot], self._pull_job())
+
+        def proceed(immediate: Optional[EnforcementResult]) -> None:
+            if immediate is not None:
+                self._finish(trace, immediate)
+                answer.append(immediate)
+                return
+            slot = Slot(
+                request, (self._scope, cache_key), self.name, [answer.append], trace=trace
+            )
+            self._wire.send([slot], self._pull_job())
+
+        self._pre_decision(request, cache_key, proceed)
         self.network.loop.run_until(answer.__len__, math.inf)  # until answered
         return answer[0]
 

@@ -8,16 +8,20 @@ Fig. 3).  Three mechanisms, composable per deployment:
 
 * **replication** — a domain runs R identical PDP replicas behind one
   logical decision endpoint (:class:`PdpCluster`);
-* **heartbeat failover** — a :class:`HeartbeatMonitor` pings replicas on
-  a period; the PEPs' :class:`~repro.components.fabric.
+* **heartbeat failover** — a :class:`HeartbeatMonitor` pings replicas in
+  turn, a round a period; the PEPs' :class:`~repro.components.fabric.
   DecisionDispatcher` routes under a :class:`~repro.components.fabric.
   HealthyFirstRouting` fed by it, so every query goes to the first
   replica not suspected, and a replica that crashed before the monitor
-  noticed costs one ``pdp_timeout`` before the dispatcher fails over;
-* **quorum voting** — a :class:`QuorumClient` queries q replicas and
-  takes the majority decision, masking not just crashes but a *corrupted
-  replica returning wrong decisions* (deny-biased on ties and
-  disagreement).
+  noticed costs one ``pdp_timeout`` before the dispatcher fails over.
+  A monitor that is itself down suspects nobody;
+* **quorum voting** — a :class:`QuorumClient` asks replicas in turn
+  until q have voted and takes the majority decision, masking not just
+  crashes but a *corrupted replica returning wrong decisions*
+  (deny-biased on ties and disagreement).
+
+Neither waits inside an event: each asks one replica at a time
+(``Component.in_turn``) and continues from the reply's event.
 
 Experiment E11 measures availability and latency against replica count
 and injected crash faults.
@@ -27,13 +31,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from ..components.base import Component, RpcFault, RpcTimeout
+from ..components.base import Component, RpcFault
 from ..components.channel import DecisionChannel
 from ..components.pdp import PdpConfig, PolicyDecisionPoint, QUERY_ACTION
 from ..domain.domain import AdministrativeDomain
 from ..saml.xacml_profile import XacmlAuthzDecisionQuery
+from ..simnet.message import Message
 from ..simnet.network import Network
 from ..xacml.context import Decision, RequestContext
 
@@ -70,7 +75,10 @@ class HeartbeatMonitor(Component):
 
     A replica is *suspected* after ``miss_threshold`` consecutive missed
     heartbeats — the classic trade-off between detection latency
-    (period × threshold) and false suspicion, which E11 sweeps.
+    (period × threshold) and false suspicion, which E11 sweeps.  A round
+    pings the replicas in turn, and the next is due a period after it
+    ends.  A monitor that is down judges nobody: its rounds run nothing
+    until it recovers (see :meth:`Component.every`).
     """
 
     def __init__(
@@ -92,46 +100,37 @@ class HeartbeatMonitor(Component):
         self.heartbeats_sent = 0
         self.suspicions_raised = 0
         self.suspicions_cleared = 0
-        self._running = False
+        self._started = False
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._running = False
+        if not self._started:
+            self._started = True
+            self.every(self.period, self._beat)
 
     def is_suspected(self, target: str) -> bool:
         return target in self._suspected
 
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        self.network.loop.schedule(self.period, self._beat)
+    def _beat(self, end: Callable[[], None]) -> None:
+        self.in_turn(self.targets, self._ping, end)
 
-    def _beat(self) -> None:
-        if not self._running:
-            return
-        for target in self.targets:
-            self.heartbeats_sent += 1
-            try:
-                self.call(target, "ping", "<Ping/>", timeout=self.probe_timeout)
-            except (RpcTimeout, RpcFault):
-                self._misses[target] += 1
-                if (
-                    self._misses[target] >= self.miss_threshold
-                    and target not in self._suspected
-                ):
-                    self._suspected.add(target)
-                    self.suspicions_raised += 1
-                continue
+    def _ping(self, target: str, settled: Callable[[], None]) -> None:
+        self.heartbeats_sent += 1
+
+        def heard(_: Message) -> None:
             self._misses[target] = 0
             if target in self._suspected:
                 self._suspected.discard(target)
                 self.suspicions_cleared += 1
-        self._schedule_next()
+            settled()
+
+        def missed(_: Exception) -> None:
+            self._misses[target] += 1
+            if self._misses[target] >= self.miss_threshold and target not in self._suspected:
+                self._suspected.add(target)
+                self.suspicions_raised += 1
+            settled()
+
+        self.ask(target, "ping", "<Ping/>", heard, missed, timeout=self.probe_timeout)
 
 
 @dataclass
@@ -172,40 +171,62 @@ class QuorumClient(Component):
         self.channel = DecisionChannel(self, role="quorum")
         self.disagreements_observed = 0
 
-    def evaluate(self, request: RequestContext) -> QuorumOutcome:
+    def evaluate(
+        self, request: RequestContext, then: Callable[[QuorumOutcome], None]
+    ) -> None:
+        """Ask the replicas in turn until ``quorum`` have voted (a
+        timeout, a fault or an unreadable reply is no vote); ``then``
+        gets the outcome."""
         votes: Counter[str] = Counter()
-        replies = 0
         asked = 0
-        for address in self.replica_addresses:
-            if replies >= self.quorum:
-                break
+
+        def vote(address: str, settled: Callable[[], None]) -> None:
+            nonlocal asked
+            if votes.total() >= self.quorum:
+                settled()  # enough votes: the rest are not asked
+                return
             asked += 1
             query = XacmlAuthzDecisionQuery(
                 request=request, issuer=self.name, issue_instant=self.now
             )
-            try:
-                reply = self.call(
-                    address, QUERY_ACTION, query.to_xml(), timeout=self.reply_timeout
-                )
-                statement = self.channel.open_statement_reply(
-                    reply, address, query.query_id
-                )
-            except (RpcTimeout, RpcFault):
-                continue
-            votes[statement.response.decision.value] += 1
-            replies += 1
-        disagreement = len([v for v in votes.values() if v > 0]) > 1
-        if disagreement:
-            self.disagreements_observed += 1
-        decision = Decision.DENY
-        if replies >= self.quorum:
-            permits = votes.get(Decision.PERMIT.value, 0)
-            if permits * 2 > replies:  # strict majority of received replies
+
+            def answered(reply: Message) -> None:
+                try:
+                    statement = self.channel.open_statement_reply(
+                        reply, address, query.query_id
+                    )
+                except RpcFault:
+                    pass
+                else:
+                    votes[statement.response.decision.value] += 1
+                settled()
+
+            self.ask(
+                address,
+                QUERY_ACTION,
+                query.to_xml(),
+                answered,
+                lambda _: settled(),
+                timeout=self.reply_timeout,
+            )
+
+        def count() -> None:
+            replies = votes.total()
+            disagreement = len(votes) > 1
+            if disagreement:
+                self.disagreements_observed += 1
+            decision = Decision.DENY
+            # Permit needs a strict majority of the replies received.
+            if replies >= self.quorum and votes[Decision.PERMIT.value] * 2 > replies:
                 decision = Decision.PERMIT
-        return QuorumOutcome(
-            decision=decision,
-            votes=dict(votes),
-            replicas_asked=asked,
-            replies=replies,
-            disagreement=disagreement,
-        )
+            then(
+                QuorumOutcome(
+                    decision=decision,
+                    votes=dict(votes),
+                    replicas_asked=asked,
+                    replies=replies,
+                    disagreement=disagreement,
+                )
+            )
+
+        self.in_turn(self.replica_addresses, vote, count)

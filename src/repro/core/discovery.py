@@ -6,8 +6,9 @@ computing environments ... In such cases a discovery mechanism needs to
 be employed."  This module provides that mechanism:
 
 * PDPs register in a :class:`~repro.wsvc.registry.ServiceRegistry`;
-* a :class:`HealthProber` pings registered PDPs on a period and marks
-  them (un)healthy;
+* a :class:`HealthProber` pings registered PDPs in turn, a round a
+  period, and marks them (un)healthy — a prober that is down marks
+  nothing;
 * :func:`discovering_dispatcher` builds the PEP's
   :class:`~repro.components.fabric.DecisionDispatcher` over the
   registered PDPs, sending to a healthy PDP of the PEP's domain first,
@@ -18,15 +19,22 @@ Experiment E10 compares static binding vs discovery under PDP churn.
 
 from __future__ import annotations
 
-from ..components.base import Component, RpcFault, RpcTimeout
+from typing import Callable
+
+from ..components.base import Component
 from ..components.fabric import DecisionDispatcher, HealthyFirstRouting
 from ..simnet.network import Network
 from ..wsvc.registry import ServiceRegistry
-from ..wsvc.wsdl import pdp_description
+from ..wsvc.wsdl import ServiceDescription, pdp_description
 
 
 class HealthProber(Component):
-    """Periodically pings services and updates registry health marks."""
+    """Periodically pings services and updates registry health marks.
+
+    A round pings every registered service in turn; the next is due a
+    period after it ends, and rounds due while the prober is down run
+    nothing (see :meth:`Component.every`).
+    """
 
     def __init__(
         self,
@@ -42,42 +50,33 @@ class HealthProber(Component):
         self.probe_timeout = probe_timeout
         self.probes_sent = 0
         self.state_changes = 0
-        self._running = False
+        self._started = False
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._schedule_next()
+        if not self._started:
+            self._started = True
+            self.every(self.period, self._probe_all)
 
-    def stop(self) -> None:
-        self._running = False
+    def _probe_all(self, end: Callable[[], None]) -> None:
+        self.in_turn(self.registry.find(healthy_only=False), self._probe, end)
 
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        self.network.loop.schedule(self.period, self._probe_all)
+    def _probe(self, description: ServiceDescription, settled: Callable[[], None]) -> None:
+        self.probes_sent += 1
 
-    def _probe_all(self) -> None:
-        if not self._running:
-            return
-        for description in self.registry.find(healthy_only=False):
-            healthy = self._probe(description.address)
-            entry_known_healthy = description in self.registry.find(
-                healthy_only=True
-            )
-            if healthy != entry_known_healthy:
+        def mark(healthy: bool) -> None:
+            if healthy != (description in self.registry.find(healthy_only=True)):
                 self.state_changes += 1
             self.registry.mark_health(description.name, healthy)
-        self._schedule_next()
+            settled()
 
-    def _probe(self, address: str) -> bool:
-        self.probes_sent += 1
-        try:
-            self.call(address, "ping", "<Ping/>", timeout=self.probe_timeout)
-        except (RpcTimeout, RpcFault):
-            return False
-        return True
+        self.ask(
+            description.address,
+            "ping",
+            "<Ping/>",
+            lambda _: mark(True),
+            lambda _: mark(False),
+            timeout=self.probe_timeout,
+        )
 
 
 def discovering_dispatcher(

@@ -17,12 +17,16 @@ is after.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..xacml.context import RequestContext
 
-#: Resolver signature the federated gateway consumes.
-DomainResolver = Callable[[RequestContext], Optional[str]]
+#: Resolver signature the federated gateway consumes:
+#: ``resolve(requests, then)``, one call per drawn batch.  ``then`` gets
+#: one answer per request, in order — its governing domain, None for
+#: "locally governed", or the exception that left an authoritative
+#: lookup unanswered — now or once a lookup on the wire lands.
+DomainResolver = Callable[[Sequence[RequestContext], Callable[[list], None]], None]
 
 
 class ResourceDirectory:
@@ -87,16 +91,15 @@ class ResourceDirectory:
         return len(self._governing)
 
     def resolver(self) -> DomainResolver:
-        """A request→governing-domain resolver for federated gateways."""
+        """A resolver for federated gateways; it answers at once.
 
-        def resolve(request: RequestContext) -> Optional[str]:
-            resource_id = request.resource_id
-            if resource_id is None:
-                # No resource named: nothing for a directory to govern.
-                # "Unknown -> locally governed" applies a fortiori, so a
-                # resource-less request must never be forwarded to a
-                # remote default domain.
-                return None
-            return self.domain_of(resource_id)
+        A request that names no resource has nothing for a directory to
+        govern: "unknown -> locally governed" applies a fortiori, so it
+        is never forwarded to a remote default domain.
+        """
+
+        def resolve(requests: Sequence[RequestContext], then: Callable[[list], None]) -> None:
+            resources = [request.resource_id for request in requests]
+            then([None if resource is None else self.domain_of(resource) for resource in resources])
 
         return resolve

@@ -17,37 +17,35 @@ directory staleness:
   caches converge at push speed rather than TTL speed;
 * :class:`DirectoryClient` is one gateway's resolver over the service:
   a :class:`~repro.components.cache.TtlCache` of resource → governing
-  domain (negative answers cached too), refreshed by lookup RPCs on
-  miss and patched in place by transfer notices.  Its
+  domain (negative answers cached too), refreshed by lookups on miss
+  and patched in place by transfer notices.  Its
   :meth:`~DirectoryClient.resolver` plugs into a federated gateway's
-  ``resolve_domain``; :meth:`~DirectoryClient.authoritative_resolver`
-  (always one RPC, cache refreshed as a side effect) plugs into
-  ``resolve_authoritative`` so the *serving* gateway detects a stale
-  origin's misroutes and re-forwards instead of mis-deciding.
+  ``resolve_domain``: cache hits answer at once, misses are asked
+  about in turn.  :meth:`~DirectoryClient.authoritative_resolver`
+  (always one lookup per request, cache refreshed as a side effect)
+  plugs into ``resolve_authoritative`` so the *serving* gateway
+  detects a stale origin's misroutes and re-forwards instead of
+  mis-deciding.
 
 An unreachable or faulting directory service degrades fail-safe, but
 the safe default differs per side: an *origin-side* resolve treats the
 resource as locally governed (the local decision for a foreign
 resource is typically NotApplicable → deny), while the *serving-side*
-authoritative re-check raises :class:`DirectoryLookupError` so the
-gateway answers Indeterminate — deciding a forwarded request under a
-possibly-stale local policy could mis-grant, which is the one thing
-the re-check exists to prevent.
+authoritative re-check hands the gateway a
+:class:`DirectoryLookupError` so it answers Indeterminate — deciding a
+forwarded request under a possibly-stale local policy could mis-grant,
+which is the one thing the re-check exists to prevent.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 from xml.sax.saxutils import quoteattr
 
-from ..components.base import (
-    Component,
-    ComponentIdentity,
-    RpcFault,
-    RpcTimeout,
-)
+from ..components.base import Component, ComponentIdentity, RpcFault
 from ..components.cache import TtlCache
 from ..simnet.message import Message
 from ..simnet.network import Network
@@ -62,16 +60,20 @@ TRANSFER_KIND = "directory.transfer"
 #: Default topic directory change notices ride on.
 DEFAULT_DIRECTORY_TOPIC = "directory"
 
+#: What a lookup resolves to: the governing domain, None (unknown, or
+#: locally governed), or the error that left it unanswered.
+Answer = Union[str, None, Exception]
+
 #: Cache sentinel distinguishing "cached: unknown resource" (treated as
 #: locally governed) from a cache miss (TtlCache.get returns None).
 _UNKNOWN = ""
 
 
 class DirectoryLookupError(Exception):
-    """An authoritative lookup could not be completed.
+    """A lookup could not be completed.
 
-    Raised only on the fail-*closed* path (the serving-side misroute
-    re-check): "treat as local" is a safe default for an origin-side
+    Only the fail-*closed* path (the serving-side misroute re-check)
+    sees it: "treat as local" is a safe default for an origin-side
     resolve (the local decision ends in a deny for foreign resources),
     but on the serving side it would let a domain decide a forwarded
     request under its own possibly-stale policy — a mis-grant, not a
@@ -210,7 +212,13 @@ class DirectoryClient(Component):
             patch cached entries in place (push convergence); without
             it staleness is bounded only by ``ttl``.
         lookup_timeout: RPC deadline towards the service.
+
+    A crash fails the lookups on the wire at once (see
+    :attr:`~repro.components.base.Component.caller_kinds`): the gateway
+    waiting on them is up, and fails them safe or closed.
     """
+
+    caller_kinds = frozenset({LOOKUP_ACTION})
 
     def __init__(
         self,
@@ -272,77 +280,76 @@ class DirectoryClient(Component):
 
     # -- resolution ---------------------------------------------------------------
 
-    def lookup(
-        self, resource_id: str, fail_closed: bool = False
-    ) -> Optional[str]:
-        """One lookup RPC.
-
-        On service failure: fail-safe None (treated as locally
-        governed) by default, or :class:`DirectoryLookupError` when
-        ``fail_closed`` — the authoritative re-check path must deny
-        rather than guess.
-        """
+    def lookup(self, resource_id: str, then: Callable[[Answer], None]) -> None:
+        """Ask the service once; ``then`` gets the governing domain
+        (None: unknown) or the :class:`DirectoryLookupError` that left
+        it unanswered."""
         self.lookups_sent += 1
-        try:
-            reply = self.call(
-                self.service_address,
-                LOOKUP_ACTION,
-                lookup_request(resource_id),
-                timeout=self.lookup_timeout,
-            )
-            record = DirectoryRecord.from_xml(str(reply.payload))
-        except (RpcTimeout, RpcFault, ValueError) as exc:
+
+        def failed(exc: Exception) -> None:
             self.failed_lookups += 1
-            if fail_closed:
-                raise DirectoryLookupError(
-                    f"directory lookup for {resource_id!r} failed: {exc}"
-                ) from exc
-            return None
-        self.known_epoch = max(self.known_epoch, record.epoch)
-        if record.epoch >= self._resource_epochs.get(resource_id, -1):
-            # Same per-resource guard as notices: a reply that raced a
-            # newer transfer notice must not clobber the patched entry.
-            self._resource_epochs[resource_id] = record.epoch
-            self.cache.put(resource_id, record.domain or _UNKNOWN)
-        return record.domain
+            then(DirectoryLookupError(f"directory lookup for {resource_id!r} failed: {exc}"))
+
+        def answered(reply: Message) -> None:
+            try:
+                record = DirectoryRecord.from_xml(str(reply.payload))
+            except ValueError as exc:
+                failed(exc)
+                return
+            self.known_epoch = max(self.known_epoch, record.epoch)
+            if record.epoch >= self._resource_epochs.get(resource_id, -1):
+                # Same per-resource guard as notices: a reply that raced a
+                # newer transfer notice must not clobber the patched entry.
+                self._resource_epochs[resource_id] = record.epoch
+                self.cache.put(resource_id, record.domain or _UNKNOWN)
+            then(record.domain)
+
+        self.ask(
+            self.service_address,
+            LOOKUP_ACTION,
+            lookup_request(resource_id),
+            answered,
+            failed,
+            timeout=self.lookup_timeout,
+        )
 
     def domain_for(
-        self, resource_id: Optional[str], authoritative: bool = False
-    ) -> Optional[str]:
-        """Resolve one resource; None means locally governed.
+        self,
+        resource_id: Optional[str],
+        then: Callable[[Answer], None],
+        authoritative: bool = False,
+    ) -> None:
+        """Resolve one resource; ``then`` gets its governing domain, None
+        meaning locally governed — at once on a cache hit.
 
         ``authoritative`` skips the cached answer (the serving-side
         misroute re-check) but still refreshes the cache with what the
-        service said.
+        service said, and hands a failed lookup's error over; otherwise
+        a failed lookup resolves to None.
         """
         if resource_id is None:
-            return None
+            then(None)
+            return
         tracer = self.network.tracer
         started = self.now if tracer.enabled else 0.0
+        cached = None if authoritative else self.cache.get(resource_id)
+
+        def resolved(domain: Answer, hit: bool = False) -> None:
+            if isinstance(domain, Exception):
+                if authoritative:
+                    then(domain)
+                    return
+                domain = None
+            if tracer.enabled:
+                self._trace_resolve(started, resource_id, domain, hit, authoritative)
+            then(domain)
+
+        if cached is not None:
+            resolved(cached or None, hit=True)
+            return
         if authoritative:
             self.authoritative_lookups += 1
-            domain = self.lookup(resource_id, fail_closed=True)
-            if tracer.enabled:
-                self._trace_resolve(
-                    started, resource_id, domain, cached=False,
-                    authoritative=True,
-                )
-            return domain
-        cached = self.cache.get(resource_id)
-        if cached is not None:
-            if tracer.enabled:
-                self._trace_resolve(
-                    started, resource_id, cached or None, cached=True,
-                    authoritative=False,
-                )
-            return cached or None
-        domain = self.lookup(resource_id)
-        if tracer.enabled:
-            self._trace_resolve(
-                started, resource_id, domain, cached=False,
-                authoritative=False,
-            )
-        return domain
+        self.lookup(resource_id, resolved)
 
     def _trace_resolve(
         self,
@@ -353,7 +360,7 @@ class DirectoryClient(Component):
         authoritative: bool,
     ) -> None:
         """One ``directory.resolve`` span: a cache hit is zero-duration,
-        a lookup covers the blocking RPC."""
+        a lookup runs from its send to its answer."""
         self.network.tracer.emit(
             "directory.resolve",
             self.name,
@@ -367,25 +374,35 @@ class DirectoryClient(Component):
         )
 
     def resolver(self) -> DomainResolver:
-        """TTL'd request→domain resolver (a gateway's ``resolve_domain``)."""
-
-        def resolve(request: RequestContext) -> Optional[str]:
-            return self.domain_for(request.resource_id)
-
-        return resolve
+        """TTL'd resolver (a gateway's ``resolve_domain``)."""
+        return partial(self._resolve, authoritative=False)
 
     def authoritative_resolver(self) -> DomainResolver:
         """Always-fresh resolver (a gateway's ``resolve_authoritative``).
 
-        Raises :class:`DirectoryLookupError` when the service cannot
-        answer — the serving gateway fails the affected requests closed
-        instead of serving them under local policy.
+        A request whose lookup fails is answered with its
+        :class:`DirectoryLookupError` — the serving gateway fails it
+        closed instead of serving it under local policy.
         """
+        return partial(self._resolve, authoritative=True)
 
-        def resolve(request: RequestContext) -> Optional[str]:
-            return self.domain_for(request.resource_id, authoritative=True)
+    def _resolve(
+        self,
+        requests: Sequence[RequestContext],
+        then: Callable[[list], None],
+        authoritative: bool,
+    ) -> None:
+        """The requests' resources, resolved in turn."""
+        domains: list[Answer] = []
 
-        return resolve
+        def resolve(request: RequestContext, settled: Callable[[], None]) -> None:
+            def got(domain: Answer) -> None:
+                domains.append(domain)
+                settled()
+
+            self.domain_for(request.resource_id, got, authoritative)
+
+        self.in_turn(requests, resolve, lambda: then(domains))
 
     def __repr__(self) -> str:
         return (

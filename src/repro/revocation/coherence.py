@@ -12,7 +12,7 @@ record touches instead of flushing whole caches or waiting out TTLs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..components.base import Component, ComponentIdentity
 from ..components.cache import DecisionCache
@@ -53,7 +53,13 @@ class CoherenceAgent(Component):
             on the bus could deny arbitrary subjects and flush caches.
         keystore: key store used for signature checks; defaults to the
             agent identity's store when an identity is configured.
+
+    A crash fails the status checks on the wire at once (see
+    :attr:`~repro.components.base.Component.caller_kinds`): the PEPs
+    waiting on them are up, and deny.
     """
+
+    caller_kinds = frozenset({STATUS_ACTION})
 
     def __init__(
         self,
@@ -137,10 +143,6 @@ class CoherenceAgent(Component):
     def is_revoked_locally(self, kind: RevocationKind, target: str) -> bool:
         return (kind.value, target) in self._revoked
 
-    def is_revoked(self, kind: RevocationKind, target: str) -> bool:
-        """Strategy-mediated check (may cost a round-trip, see strategies)."""
-        return self.strategy.check(self, kind, target)
-
     def apply(self, record: RevocationRecord) -> bool:
         """Fold one record into the local view; returns True if it was new.
 
@@ -205,13 +207,21 @@ class CoherenceAgent(Component):
 
     # -- guards ------------------------------------------------------------------
 
-    def _pep_guard(self, request: RequestContext) -> Optional[str]:
+    def _pep_guard(
+        self, request: RequestContext, then: Callable[[Optional[str]], None]
+    ) -> None:
+        """A PEP's revocation guard: the strategy decides (an online
+        one asks the authority first)."""
         subject = request.subject_id
-        if subject and self.is_revoked(
-            RevocationKind.ENTITLEMENT, subject_access_target(subject)
-        ):
-            return f"access for subject {subject!r} revoked"
-        return None
+        if not subject:
+            then(None)
+            return
+        self.strategy.check(
+            self,
+            RevocationKind.ENTITLEMENT,
+            subject_access_target(subject),
+            lambda revoked: then(f"access for subject {subject!r} revoked" if revoked else None),
+        )
 
     # -- transports used by strategies -------------------------------------------
 
@@ -255,35 +265,63 @@ class CoherenceAgent(Component):
             return False
         return self.apply(record)
 
-    def fetch_delta(self) -> int:
-        """Pull every record after our epoch; returns newly applied count."""
-        reply = self.call(
-            self.authority_address, CRL_ACTION, crl_request(self.known_epoch)
-        )
-        records, epoch = parse_records(str(reply.payload))
-        applied = 0
-        for record in records:
-            if self.authority_key is not None and not verify_record(
-                record, self.keystore, self.authority_key
-            ):
-                # Advance only past the contiguous verified prefix: the
-                # bad record (and what follows) is retried next poll,
-                # but the verified prefix is never refetched.
-                self.rejected_invalidations += 1
-                return applied
-            if self.apply(record):
-                applied += 1
-            self.known_epoch = max(self.known_epoch, record.epoch)
-        self.known_epoch = max(self.known_epoch, epoch)
-        return applied
+    def _ask_authority(
+        self, kind: str, payload: str, parse: Callable, then: Callable, on_error: Callable
+    ) -> None:
+        """Ask the authority; ``then`` gets the parsed reply, ``on_error``
+        the timeout, fault or malformed reply (a compromised or
+        misconfigured endpoint must degrade the strategy, never crash
+        the simulation)."""
 
-    def query_status(self, kind: RevocationKind, target: str) -> bool:
-        """One OCSP-style online check against the authority."""
-        reply = self.call(
-            self.authority_address, STATUS_ACTION, status_request(kind, target)
+        def answered(reply: Message) -> None:
+            try:
+                parsed = parse(str(reply.payload))
+            except RevocationError as exc:
+                on_error(exc)
+                return
+            then(parsed)
+
+        self.ask(self.authority_address, kind, payload, answered, on_error)
+
+    def fetch_delta(self, then: Callable[[int], None], on_error: Callable) -> None:
+        """Pull every record after our epoch; ``then`` gets the newly
+        applied count."""
+
+        def apply_delta(delta: tuple[list[RevocationRecord], int]) -> None:
+            records, epoch = delta
+            applied = 0
+            for record in records:
+                if self.authority_key is not None and not verify_record(
+                    record, self.keystore, self.authority_key
+                ):
+                    # Advance only past the contiguous verified prefix: the
+                    # bad record (and what follows) is retried next poll,
+                    # but the verified prefix is never refetched.
+                    self.rejected_invalidations += 1
+                    break
+                if self.apply(record):
+                    applied += 1
+                self.known_epoch = max(self.known_epoch, record.epoch)
+            else:
+                self.known_epoch = max(self.known_epoch, epoch)
+            then(applied)
+
+        self._ask_authority(
+            CRL_ACTION, crl_request(self.known_epoch), parse_records, apply_delta, on_error
         )
-        revoked, _ = parse_status(str(reply.payload))
-        return revoked
+
+    def query_status(
+        self, kind: RevocationKind, target: str, then: Callable[[bool], None], on_error: Callable
+    ) -> None:
+        """One OCSP-style online check against the authority; ``then``
+        gets whether ``target`` is revoked."""
+        self._ask_authority(
+            STATUS_ACTION,
+            status_request(kind, target),
+            parse_status,
+            lambda status: then(status[0]),
+            on_error,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -14,24 +14,19 @@ push (bus)      propagation latency     1 msg / revocation / subscriber
 ==============  ======================  ==============================
 
 Each strategy attaches to a :class:`~repro.revocation.coherence.
-CoherenceAgent` and answers ``check(agent, kind, target)`` at
-enforcement time; pull and push additionally feed the agent's local
-view (which is what triggers selective cache invalidation).
+CoherenceAgent` and answers ``check(agent, kind, target, then)`` at
+enforcement time — at once from the agent's local view, or, online,
+once the authority's answer lands; pull and push additionally feed
+that view (which is what triggers selective cache invalidation).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from ..components.base import RpcFault, RpcTimeout
 from ..components.cache import TtlCache
 from .bus import BATCH_INVALIDATION_KIND, INVALIDATION_KIND, InvalidationBus
-from .records import RevocationError, RevocationKind
-
-#: A failed authority interaction: unreachable, faulting, or replying
-#: with garbage (a compromised/misconfigured endpoint must degrade the
-#: strategy, never crash the simulation).
-_AUTHORITY_ERRORS = (RpcTimeout, RpcFault, RevocationError)
+from .records import RevocationKind
 
 
 class PropagationStrategy:
@@ -47,8 +42,10 @@ class PropagationStrategy:
     def attach(self, agent) -> None:  # pragma: no cover - trivial
         pass
 
-    def check(self, agent, kind: RevocationKind, target: str) -> bool:
-        return agent.is_revoked_locally(kind, target)
+    def check(
+        self, agent, kind: RevocationKind, target: str, then: Callable[[bool], None]
+    ) -> None:
+        then(agent.is_revoked_locally(kind, target))
 
 
 #: Alias that reads better at call sites building the E15 baseline.
@@ -58,10 +55,12 @@ TtlOnlyStrategy = PropagationStrategy
 class PullStrategy(PropagationStrategy):
     """Periodic delta-CRL pull: bounded staleness, bounded message cost.
 
-    Every ``interval`` simulated seconds the agent asks the authority
-    for records newer than its epoch.  An unreachable authority is
-    tolerated (the poll retries next round) — the dependability
-    behaviour CRL distribution points are deployed for.
+    Every ``interval`` simulated seconds after the last poll settled
+    the agent asks the authority for records newer than its epoch.  An
+    unreachable authority is tolerated (the poll retries next round) —
+    the dependability behaviour CRL distribution points are deployed
+    for — and so is a crash of the agent itself: polls resume within
+    an interval of its recovery (see ``Component.every``).
     """
 
     name = "pull"
@@ -82,20 +81,16 @@ class PullStrategy(PropagationStrategy):
                 f"{self._agent.name!r}; build one per agent"
             )
         self._agent = agent
-        self._schedule_next(agent)
+        agent.every(self.interval, self._poll)
 
-    def _schedule_next(self, agent) -> None:
-        agent.network.schedule(self.interval, lambda: self._poll(agent))
-
-    def _poll(self, agent) -> None:
-        if not agent.alive:
-            return
+    def _poll(self, end: Callable[[], None]) -> None:
         self.polls += 1
-        try:
-            agent.fetch_delta()
-        except _AUTHORITY_ERRORS:
+
+        def failed(_: Exception) -> None:
             self.failed_polls += 1
-        self._schedule_next(agent)
+            end()
+
+        self._agent.fetch_delta(lambda _: end(), failed)
 
 
 class OnlineStatusStrategy(PropagationStrategy):
@@ -122,23 +117,29 @@ class OnlineStatusStrategy(PropagationStrategy):
             ttl=self.cache_ttl, clock=lambda: agent.now, capacity=10_000
         )
 
-    def check(self, agent, kind: RevocationKind, target: str) -> bool:
+    def check(
+        self, agent, kind: RevocationKind, target: str, then: Callable[[bool], None]
+    ) -> None:
         if agent.is_revoked_locally(kind, target):
-            return True
+            then(True)
+            return
         key = (kind.value, target)
-        if self._cache is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self._cache.get(key) if self._cache is not None else None
+        if cached is not None:
+            then(cached)
+            return
         self.status_checks += 1
-        try:
-            revoked = agent.query_status(kind, target)
-        except _AUTHORITY_ERRORS:
+
+        def answered(revoked: bool) -> None:
+            if self._cache is not None:
+                self._cache.put(key, revoked)
+            then(revoked)
+
+        def failed(_: Exception) -> None:
             self.failed_checks += 1
-            return True
-        if self._cache is not None:
-            self._cache.put(key, revoked)
-        return revoked
+            then(True)
+
+        agent.query_status(kind, target, answered, failed)
 
 
 class PushStrategy(PropagationStrategy):

@@ -81,6 +81,8 @@ class EventLoop:
         self._cancelled = 0
         self._seq = itertools.count()
         self._processed = 0
+        #: Set while :meth:`run` or :meth:`run_until` is on the stack.
+        self._running = False
 
     @property
     def now(self) -> float:
@@ -177,10 +179,10 @@ class EventLoop:
 
         This is the driver wait behind ``Component.call`` and a PEP's
         ``authorize``: the caller sends a request, then drives the loop
-        until the reply's continuation flips a flag.  It is for the top
-        level — a driver, a setup step, a script — since a caller inside
-        an event would serve other events re-entrantly while it waits;
-        a component that waits inside an event asks instead
+        until the reply's continuation flips a flag.  Only the top level
+        — a driver, a setup step, a script — may wait: the loop refuses
+        to nest, so a handler or timer that waits raises here.  A
+        component that needs a reply inside an event asks instead
         (``Component.ask``) and continues from the reply's event.
 
         Returns:
@@ -188,21 +190,13 @@ class EventLoop:
             clock is then positioned at ``timeout_at``).
 
         Raises:
-            RuntimeError: ``max_events`` ran and another is still due by
+            RuntimeError: the loop is already running (a nested wait),
+                or ``max_events`` ran and another is still due by
                 ``timeout_at`` (exactly ``max_events`` that leave nothing
                 due are a plain timeout).
         """
-        executed = 0
-        while not predicate():
-            if self._next_due(timeout_at) is None:
-                if self.clock.now < timeout_at:
-                    self.clock.advance_to(timeout_at)
-                return predicate()
-            if executed >= max_events:
-                raise RuntimeError(f"run_until exceeded max_events={max_events}")
-            self._fire()
-            executed += 1
-        return True
+        self._drive(predicate, timeout_at, max_events)
+        return predicate()
 
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:
         """Run events until the queue drains or ``until`` is reached.
@@ -217,16 +211,40 @@ class EventLoop:
 
         Returns:
             Number of events executed by this call.
+
+        Raises:
+            RuntimeError: the loop is already running (see
+                :meth:`run_until`), or the safety valve tripped.
         """
-        executed = 0
-        while self._next_due(until) is not None:
-            if executed >= max_events:
-                raise RuntimeError(
-                    f"event loop exceeded max_events={max_events}; "
-                    "likely a self-rescheduling cycle"
-                )
-            self._fire()
-            executed += 1
-        if until is not None and self.clock.now < until:
-            self.clock.advance_to(until)
-        return executed
+        return self._drive(None, until, max_events)
+
+    def _drive(
+        self, predicate: Optional[Callable[[], bool]], until: Optional[float], max_events: int
+    ) -> int:
+        """Fire the events due by ``until`` (any, if None) until
+        ``predicate`` holds (never, if None); once none is due, the
+        clock moves up to ``until``.  Returns the number fired.  The one
+        place the loop runs, so the one place it refuses to nest."""
+        if self._running:
+            raise RuntimeError(
+                "the event loop is already running: an event must not wait "
+                "for another — ask (Component.ask) and continue from the reply"
+            )
+        self._running = True
+        try:
+            executed = 0
+            while predicate is None or not predicate():
+                if self._next_due(until) is None:
+                    if until is not None and self.clock.now < until:
+                        self.clock.advance_to(until)
+                    break
+                if executed >= max_events:
+                    raise RuntimeError(
+                        f"event loop exceeded max_events={max_events}; "
+                        "likely a self-rescheduling cycle"
+                    )
+                self._fire()
+                executed += 1
+            return executed
+        finally:
+            self._running = False

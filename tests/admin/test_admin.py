@@ -229,6 +229,15 @@ class TestDelegation:
         assert registry.total_steps > 0
 
 
+def published(network, root, element):
+    """Drive one syndicated publish to its reports."""
+    done = []
+    root.publish(element, done.append)
+    network.loop.run_until(done.__len__, network.now + 60.0)
+    (reports,) = done
+    return reports
+
+
 class TestSyndication:
     def test_hierarchy_distributes_to_all_leaves(self):
         network = Network(seed=37)
@@ -240,7 +249,7 @@ class TestSyndication:
             network, "root", {"eu": paps[:2], "us": paps[2:]}
         )
         policy = Policy(policy_id="global", rules=(deny_rule("lockdown"),))
-        reports = root.publish(policy)
+        reports = published(network, root, policy)
         assert all("global" in pap.repository for pap in paps)
         accepted = [r for r in reports if r.accepted]
         assert len(accepted) == 7  # root + 2 regional + 4 leaves
@@ -262,7 +271,7 @@ class TestSyndication:
             acceptance_for=acceptance_for,
         )
         rogue = Policy(policy_id="rogue", rules=(permit_rule("p"),))
-        reports = root.publish(rogue)
+        reports = published(network, root, rogue)
         assert "rogue" in open_pap.repository
         assert "rogue" not in strict_pap.repository
         rejected_nodes = [r.node for r in reports if r.rejected]
@@ -278,7 +287,7 @@ class TestSyndication:
         leaf = SyndicationNode("leaf", network, domain="leaf", local_pap=leaf_pap)
         root.add_child(blocker)
         blocker.add_child(leaf)
-        root.publish(Policy(policy_id="p", rules=(deny_rule("d"),)))
+        published(network, root, Policy(policy_id="p", rules=(deny_rule("d"),)))
         assert "p" not in leaf_pap.repository
 
     def crashed_leaf_hierarchy(self):
@@ -292,12 +301,12 @@ class TestSyndication:
         return network, root, paps, dead, live
 
     def test_a_crashed_leaf_is_a_rejected_report_not_an_exception(self):
-        """The region's blocking push to the dead leaf times out *inside
-        its update handler*, inside the loop the root's ``publish`` is
-        driving: the ``RpcTimeout`` used to come out of ``publish``."""
+        """The region's push to the dead leaf times out while its update
+        handler's reply waits on it: the root hears a report, not an
+        exception (the ``RpcTimeout`` used to come out of ``publish``)."""
         network, root, (dead_pap, live_pap), dead, live = self.crashed_leaf_hierarchy()
         policy = Policy(policy_id="global", rules=(deny_rule("lockdown"),))
-        reports = root.publish(policy)
+        reports = published(network, root, policy)
         # The region waited for the leaf for as long as the root waited
         # for the region: to the root it is the region that did not answer.
         assert [(r.node, r.accepted, r.rejected) for r in reports] == [
@@ -307,13 +316,13 @@ class TestSyndication:
         network.run(until=network.now + 5.0)  # the late reply is dropped, not raised
         assert "global" in live_pap.repository and "global" not in dead_pap.repository
         dead.recover()
-        assert [r.node for r in root.publish(policy) if r.accepted] == [
+        assert [r.node for r in published(network, root, policy) if r.accepted] == [
             "root", "synd.eu", dead.name, live.name
         ]  # fmt: skip
 
     def test_an_update_handler_survives_a_crashed_child_in_the_event_loop(self):
-        """The same push with nobody blocking on it: the exception used
-        to leave ``network.run``, taking every component with it."""
+        """The same push with no publish waiting on it: the exception
+        used to leave ``network.run``, taking every component with it."""
         network, root, (dead_pap, live_pap), dead, live = self.crashed_leaf_hierarchy()
         replies = []
         root.on("synd.update:response", lambda message: replies.append(message.payload))
@@ -340,7 +349,7 @@ class TestSyndication:
         ]
         root, _ = build_hierarchy(network, "root", {"r": paps})
         before = network.metrics.messages_sent
-        root.publish(Policy(policy_id="p", rules=(deny_rule("d"),)))
+        published(network, root, Policy(policy_id="p", rules=(deny_rule("d"),)))
         used = network.metrics.messages_sent - before
         # 1 regional + 4 leaves = 5 updates, each with a reply = 10.
         assert used == 10

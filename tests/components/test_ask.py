@@ -143,3 +143,72 @@ class TestOneDeadlineRule:
         assert pep.authorize(RequestContext.simple("a", "r", "read")).decision is (
             Decision.PERMIT
         )
+
+
+class TestInTurn:
+    """``Component.in_turn``: one step at a time, the next once the last
+    settled — later, from an ask, or at once without recursion."""
+
+    def test_asks_go_out_one_at_a_time_in_order(self):
+        network, server, client = pair()
+        log = []
+
+        def step(item, settled):
+            log.append(("ask", item, client.now))
+            client.ask("server", "op", item, lambda reply: settled(), lambda exc: settled())
+
+        client.in_turn(["a", "b", "c"], step, lambda: log.append(("done", client.now)))
+        network.run()
+        assert log == [("ask", "a", 0.0), ("ask", "b", 1.0), ("ask", "c", 2.0), ("done", 3.0)]
+
+    def test_steps_that_settle_at_once_loop_without_recursion(self):
+        _, _, client = pair()
+        done = []
+        client.in_turn(range(100_000), lambda item, settled: settled(), lambda: done.append(1))
+        assert done == [1]
+
+    def test_a_step_that_never_settles_ends_the_turn(self):
+        _, _, client = pair()
+        seen, done = [], []
+
+        def step(item, settled):
+            seen.append(item)
+            if item != 2:
+                settled()
+
+        client.in_turn([1, 2, 3], step, lambda: done.append(1))
+        assert seen == [1, 2] and done == []
+
+
+class TestEvery:
+    """``Component.every``: rounds a period apart, none while down, and
+    a crash re-arms the timer instead of ending the rounds."""
+
+    def rounds(self, client, log, asks=True):
+        def round_(end):
+            log.append(client.now)
+            if asks:
+                client.ask("server", "op", "<Q/>", lambda reply: end(), lambda exc: end())
+            else:
+                end()
+
+        client.every(2.0, round_)
+
+    def test_the_next_round_is_due_a_period_after_the_last_ends(self):
+        network, _, client = pair()
+        log = []
+        self.rounds(client, log)
+        network.run(until=10.0)
+        assert log == [2.0, 5.0, 8.0]  # each round takes one 1 s round trip
+
+    def test_a_crash_ends_the_round_in_flight_and_rearms(self):
+        network, _, client = pair()
+        log = []
+        self.rounds(client, log)
+        network.run(until=2.5)  # the first round's ask is on the wire
+        client.crash()
+        network.run(until=6.0)  # due at 4.5 while down: runs nothing
+        assert log == [2.0]
+        client.recover()
+        network.run(until=9.0)
+        assert log == [2.0, 6.5]

@@ -100,7 +100,7 @@ class World:
             self.network,
             DecisionDispatcher([pdp_name]),
             domain=domain,
-            resolve_domain=lambda request: "east",
+            resolve_domain=lambda requests, then: then(["east" for request in requests]),
             identity=self.identity(signs_as or name),
             secure_channel=True,
             max_batch=4,

@@ -100,19 +100,40 @@ class TestRpc:
         assert client.call("server", "ping", "").payload == "<Pong/>"
 
     def test_nested_rpc(self):
-        """A handler may itself issue an RPC (PDP -> PIP pattern)."""
+        """A handler may itself need a peer (PDP -> PIP pattern): it
+        asks, and responds from the reply's continuation."""
         network = Network()
         backend = Component("backend", network)
         backend.on("data", lambda message: "42")
         middle = Component("middle", network)
 
         def relay(message):
-            inner = middle.call("backend", "data", "")
-            return f"relayed:{inner.payload}"
+            middle.ask(
+                "backend",
+                "data",
+                "",
+                lambda inner: middle.respond(message, f"relayed:{inner.payload}"),
+                lambda exc: middle.respond(message, RpcFault("relay", str(exc))),
+            )
 
         middle.on("front", relay)
         client = Component("client", network)
         assert client.call("middle", "front", "").payload == "relayed:42"
+
+    def test_a_handler_that_waits_raises(self):
+        """The loop refuses to nest: a handler that calls ``call`` (which
+        would run the loop inside the event that runs it) raises, out of
+        the loop that delivered its message."""
+        network = Network()
+        Component("backend", network)
+        middle = Component("middle", network)
+        middle.on("front", lambda message: middle.call("backend", "ping", "").payload)
+        client = Component("client", network)
+        client.notify("middle", "front", "")
+        with pytest.raises(RuntimeError, match="already running"):
+            network.run(until=network.now + 1.0)
+        with pytest.raises(RuntimeError, match="already running"):
+            client.call("middle", "front", "")
 
 
 class TestPip:

@@ -140,8 +140,8 @@ class TestCoalescingQueue:
         network, pdps, pep = build_env(
             replicas=1, pep_config=PepConfig(decision_cache_ttl=60.0)
         )
-        pep.revocation_guard = (
-            lambda request: "revoked" if request.subject_id == "mallory" else None
+        pep.revocation_guard = lambda request, then: then(
+            "revoked" if request.subject_id == "mallory" else None
         )
         queue = pep.enable_batching(max_batch=10, max_delay=0.01)
         done = []

@@ -82,7 +82,9 @@ def build_two_domains(
             DecisionDispatcher([f"pdp.{name}"]),
             domain=name,
             resolve_domain=(
-                lambda request, m=mapping: m.get(request.resource_id)
+                lambda requests, then, m=mapping: then(
+                    [m.get(request.resource_id) for request in requests]
+                )
             ),
             forward_ttl=forward_ttl,
             max_batch=8,
@@ -567,7 +569,9 @@ class TestServingSideMisrouteReCheck:
         assert clients["east"].cache.get("res.moving") == "west"
         # Governance moves to east; east's cache stays stale.
         service.transfer("res.moving", "east")
-        assert clients["east"].domain_for("res.moving") == "west"  # stale
+        stale = []
+        clients["east"].domain_for("res.moving", stale.append)
+        assert stale == ["west"]  # a cache hit, answered at once
         done = []
         peps["east"].submit(
             RequestContext.simple("alice", "res.moving", "read"), done.append
@@ -609,6 +613,45 @@ class TestServingSideMisrouteReCheck:
         assert not done[0].granted
         assert hubs["east"].recheck_failures >= 1
         assert network.metrics.counters["federation.recheck_failed"] >= 1
+
+    def test_a_client_crashing_mid_lookup_fails_it_safe_and_the_gateway_drains_on(self):
+        """The gateway waiting on a lookup is up when its directory
+        client crashes with the lookup on the wire: the lookup fails at
+        once, the request is decided locally (deny for a foreign
+        resource), and the gateway drains again after ``recover()``."""
+        network, peps, hubs, clients, service = (
+            self.build_with_directory_service()
+        )
+        client = clients["west"]
+        done = []
+        peps["west"].submit(RequestContext.simple("alice", "res.east", "read"), done.append)
+        network.loop.run_until(lambda: client.lookups_sent == 1, network.now + 1.0)
+        client.crash()  # the lookup is on the wire
+        network.run(until=network.now + 1.0)
+        assert [(result.granted, client.failed_lookups) for result in done] == [(False, 1)]
+        client.recover()
+        peps["west"].submit(RequestContext.simple("alice", "res.east", "read"), done.append)
+        network.run(until=network.now + 5.0)
+        assert [result.granted for result in done] == [False, True]
+
+    def test_a_client_crashing_mid_recheck_fails_it_closed(self):
+        network, peps, hubs, clients, service = (
+            self.build_with_directory_service()
+        )
+        client = clients["east"]
+        done = []
+        peps["west"].submit(RequestContext.simple("alice", "res.east", "read"), done.append)
+        network.loop.run_until(
+            lambda: client.authoritative_lookups == 1, network.now + 1.0
+        )
+        client.crash()  # the serving side's re-check is on the wire
+        network.run(until=network.now + 1.0)
+        assert [result.granted for result in done] == [False]
+        assert hubs["east"].recheck_failures == 1
+        client.recover()
+        peps["west"].submit(RequestContext.simple("alice", "res.east", "read"), done.append)
+        network.run(until=network.now + 5.0)
+        assert [result.granted for result in done] == [False, True]
 
 
 class TestFederatedRevocation:

@@ -143,7 +143,7 @@ PATHS = {"authorize": by_authorize, "submit": by_submit}
 
 
 def revoke_alice(world):
-    world.pep.revocation_guard = lambda request: (
+    world.pep.revocation_guard = lambda request, then: then(
         "alice revoked" if request.subject_id == "alice" else None
     )
 

@@ -182,7 +182,9 @@ class TestGatewayRemoteCache:
                 network,
                 DecisionDispatcher([f"pdp.{name}"]),
                 domain=name,
-                resolve_domain=lambda request: request.resource_id.split(".")[1],
+                resolve_domain=lambda requests, then: then(
+                    [request.resource_id.split(".")[1] for request in requests]
+                ),
                 max_batch=8,
                 max_delay=0.001,
                 remote_cache_ttl=60.0,

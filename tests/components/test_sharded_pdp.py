@@ -187,7 +187,7 @@ def build_forwarding_origin(network, names, spec):
         network,
         DecisionDispatcher(names),
         domain="west",
-        resolve_domain=lambda request: "east",
+        resolve_domain=lambda requests, then: then(["east" for request in requests]),
         max_batch=REQUESTS + 4,
         max_delay=0.001,
         peer_timeout=10.0,

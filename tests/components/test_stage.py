@@ -240,7 +240,9 @@ def test_gateway_drain_defers_reentrant_ingest_to_its_next_step():
         network,
         DecisionDispatcher(["pdp"]),
         domain="here",
-        resolve_domain=lambda request: "nowhere",  # fails safe in the step
+        resolve_domain=lambda requests, then: then(  # fails safe in the step
+            ["nowhere" for request in requests]
+        ),
         max_batch=1,
         max_delay=0.5,
     )
@@ -290,7 +292,7 @@ def test_forward_drain_empties_an_overfull_buffer_as_back_to_back_chunks():
             network,
             DecisionDispatcher([f"pdp.{name}"]),
             domain=name,
-            resolve_domain=lambda request: "east",
+            resolve_domain=lambda requests, then: then(["east" for request in requests]),
             max_batch=8,
             max_delay=0.001,
             forward_batch=2,

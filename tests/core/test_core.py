@@ -55,6 +55,15 @@ def simple_policy(resource_id="db", subject_id="alice"):
     )
 
 
+def voted(network, client, request):
+    """Drive one quorum evaluation to its outcome."""
+    outcomes = []
+    client.evaluate(request, outcomes.append)
+    network.loop.run_until(outcomes.__len__, network.now + 60.0)
+    (outcome,) = outcomes
+    return outcome
+
+
 @pytest.fixture
 def vo_env():
     network = Network(seed=43)
@@ -178,6 +187,35 @@ class TestHeartbeatAndFailover:
         assert not monitor.is_suspected(cluster.addresses[0])
         assert monitor.suspicions_cleared >= 1
 
+    def test_a_crashed_monitor_suspects_nobody(self, vo_env):
+        """A monitor that is down judges nobody: the round a crash cuts
+        short counts nothing, and the rounds due while it is down run
+        nothing — they used to book its own dead waits as the replicas'
+        misses, suspect all three live replicas and make ``authorize``
+        fail safe with "no PDP reachable".  After recovery it detects a
+        real crash again."""
+        network, _, domain = vo_env
+        system = AccessControlSystem(
+            domain, config=SystemConfig(pdp_replicas=3, heartbeat_period=0.2)
+        )
+        system.protect("db")
+        system.publish_policy(simple_policy())
+        monitor, addresses = system.monitor, system.cluster.addresses
+        sent = monitor.heartbeats_sent
+        network.loop.run_until(lambda: monitor.heartbeats_sent > sent, network.now + 1.0)
+        monitor.crash()  # with a ping on the wire
+        network.run(until=network.now + 2.0)
+        assert not any(map(monitor.is_suspected, addresses))
+        assert monitor.heartbeats_sent == sent + 1
+        result = system.authorize("alice", "db", "read")
+        assert result.granted and result.source == "pdp"
+        monitor.recover()
+        system.cluster.replicas[0].crash()
+        network.run(until=network.now + 1.5)
+        assert [monitor.is_suspected(address) for address in addresses] == [
+            True, False, False
+        ]  # fmt: skip
+
     def test_healthy_first_routing_prefers_first_unsuspected(self, vo_env):
         network, _, domain = vo_env
         cluster = PdpCluster(domain, replicas=3)
@@ -239,7 +277,7 @@ class TestQuorum:
         domain.pap.publish(simple_policy())
         cluster = PdpCluster(domain, replicas=3)
         client = QuorumClient("qc", network, cluster.addresses, quorum=2)
-        outcome = client.evaluate(RequestContext.simple("alice", "db", "read"))
+        outcome = voted(network, client, RequestContext.simple("alice", "db", "read"))
         assert outcome.decision is Decision.PERMIT
         assert not outcome.disagreement
 
@@ -255,7 +293,7 @@ class TestQuorum:
             Policy(policy_id="evil", rules=(deny_rule("deny-all"),))
         )
         client = QuorumClient("qc", network, cluster.addresses, quorum=3)
-        outcome = client.evaluate(RequestContext.simple("alice", "db", "read"))
+        outcome = voted(network, client, RequestContext.simple("alice", "db", "read"))
         assert outcome.decision is Decision.PERMIT
         assert outcome.disagreement
 
@@ -268,7 +306,7 @@ class TestQuorum:
         client = QuorumClient(
             "qc", network, cluster.addresses, quorum=2, reply_timeout=0.3
         )
-        outcome = client.evaluate(RequestContext.simple("alice", "db", "read"))
+        outcome = voted(network, client, RequestContext.simple("alice", "db", "read"))
         assert outcome.decision is Decision.DENY
         assert outcome.replies == 0
 
@@ -279,7 +317,7 @@ class TestQuorum:
         junk = Component("pdp.junk", network)
         junk.on(QUERY_ACTION, lambda message: "<junk/>")
         client = QuorumClient("qc", network, ["pdp.junk", *cluster.addresses], quorum=2)
-        outcome = client.evaluate(RequestContext.simple("alice", "db", "read"))
+        outcome = voted(network, client, RequestContext.simple("alice", "db", "read"))
         assert outcome.decision is Decision.PERMIT
         assert outcome.replicas_asked == 3 and outcome.replies == 2
 
@@ -294,7 +332,7 @@ class TestQuorum:
         replayer = Component("pdp.replay", network)
         replayer.on(QUERY_ACTION, lambda message: replay)
         client = QuorumClient("qc", network, ["pdp.replay"], quorum=1)
-        outcome = client.evaluate(RequestContext.simple("eve", "db", "read"))
+        outcome = voted(network, client, RequestContext.simple("eve", "db", "read"))
         assert outcome.decision is Decision.DENY
         assert outcome.replies == 0
 
@@ -317,6 +355,28 @@ class TestDiscovery:
         domain.pdp.crash()
         network.run(until=network.now + 1.0)
         assert registry.find(service_type="pdp") == []
+
+    def test_a_crashed_prober_marks_nobody_unhealthy(self, vo_env):
+        """Likewise for the prober: while it is down it marks nothing
+        (it used to mark both live PDPs unhealthy within three seconds),
+        and after recovery it marks a real crash."""
+        network, _, domain = vo_env
+        registry = ServiceRegistry()
+        pdps = [domain.pdp, domain.create_pdp(suffix="-b")]
+        for pdp in pdps:
+            register_pdp(registry, pdp.name, domain.name)
+        prober = HealthProber("prober", network, registry, period=0.5)
+        prober.start()
+        network.run(until=network.now + 2.0)
+        prober.crash()
+        probes = prober.probes_sent
+        network.run(until=network.now + 3.0)
+        assert len(registry.find(service_type="pdp")) == 2
+        assert prober.probes_sent == probes
+        prober.recover()
+        pdps[0].crash()
+        network.run(until=network.now + 2.0)
+        assert [d.address for d in registry.find(service_type="pdp")] == [pdps[1].name]
 
     def test_dispatcher_prefers_local_then_fallback(self, vo_env):
         network, keystore, domain = vo_env

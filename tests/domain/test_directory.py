@@ -58,9 +58,13 @@ class TestResourceDirectory:
     def test_resolver_reads_the_request_resource(self):
         directory = ResourceDirectory()
         directory.register("res.a", "alpha")
-        resolve = directory.resolver()
-        assert resolve(RequestContext.simple("u", "res.a", "read")) == "alpha"
-        assert resolve(RequestContext.simple("u", "res.x", "read")) is None
+        answers = []
+        requests = [
+            RequestContext.simple("u", "res.a", "read"),
+            RequestContext.simple("u", "res.x", "read"),
+        ]
+        directory.resolver()(requests, answers.append)
+        assert answers == [["alpha", None]]  # at once, one per request
 
     def test_resolver_treats_resource_less_requests_as_local(self):
         """Even with a default domain, a request naming *no* resource
@@ -68,9 +72,11 @@ class TestResourceDirectory:
         could govern, so forwarding it to a default domain would be a
         misroute by construction."""
         directory = ResourceDirectory(default_domain="hub")
-        resolve = directory.resolver()
         request = RequestContext()
         assert request.resource_id is None
-        assert resolve(request) is None
+        answers = []
         # Named-but-unlisted resources still use the default domain.
-        assert resolve(RequestContext.simple("u", "res.x", "read")) == "hub"
+        directory.resolver()(
+            [request, RequestContext.simple("u", "res.x", "read")], answers.append
+        )
+        assert answers == [[None, "hub"]]

@@ -310,7 +310,7 @@ class TestGatewayCacheIsNotRepoisoned:
                 network,
                 DecisionDispatcher([f"pdp.{name}"]),
                 domain=name,
-                resolve_domain=lambda request: "east",
+                resolve_domain=lambda requests, then: then(["east" for request in requests]),
                 max_batch=8,
                 max_delay=0.001,
                 remote_cache_ttl=10.0,
@@ -641,14 +641,25 @@ class TestTheWorldSurvivesItsPap:
 
 
 class TestAHandlersDeadPeerIsAFaultReply:
-    """``Component._dispatch`` is the one place that cannot forget: any
-    handler that blocks on a crashed peer used to raise ``RpcTimeout``
-    out of ``network.run``."""
+    """A handler whose peer is down hears so as its ask's error — an
+    event like any other — and answers its own caller with a fault.
+    Its blocking form used to raise ``RpcTimeout`` out of
+    ``network.run``."""
 
     def relay_to_a_dead_peer(self):
         network = Network(seed=3)
         client, relay, peer = (Component(name, network) for name in ("client", "relay", "peer"))
-        relay.on("relay", lambda message: relay.call("peer", "ping", "<Ping/>").payload)
+
+        def forward(message):
+            relay.ask(
+                "peer",
+                "ping",
+                "<Ping/>",
+                lambda reply: relay.respond(message, reply.payload),
+                lambda exc: relay.respond(message, RpcFault("upstream-timeout", str(exc))),
+            )
+
+        relay.on("relay", forward)
         assert client.call("relay", "relay", "<Go/>").payload == "<Pong/>"
         peer.crash()
         return network, client, relay, peer
@@ -658,7 +669,7 @@ class TestAHandlersDeadPeerIsAFaultReply:
         faults = []
         client.on("relay:fault", lambda message: faults.append(message.payload))
         client.notify("relay", "relay", "<Go/>")
-        network.run(until=network.now + 5.0)  # used to raise RpcTimeout
+        network.run(until=network.now + 5.0)
         (fault,) = faults
         assert fault.startswith('<Fault code="upstream-timeout">relay -> peer \'ping\'')
         peer.recover()
@@ -676,7 +687,7 @@ class TestAHandlersDeadPeerIsAFaultReply:
 
 # -- a message that does not decode ----------------------------------------------
 #
-# ``_dispatch`` turns ``RpcFault`` and ``RpcTimeout`` into fault replies;
+# ``_dispatch`` turns an ``RpcFault`` into a fault reply;
 # anything else a handler raises leaves ``network.run`` — for every
 # component on the network.  A decoder's ``ValueError`` used to be that.
 

@@ -57,12 +57,12 @@ handlers of its own, registered per action.  ``Component.ask`` is the
 one way to wait now — it runs a continuation from the event that
 settles the ask — and ``Component`` alone matches a reply: no handler
 under ``src/`` is registered for a ``:response`` or ``:fault`` kind.
-A PDP never waits inside a query.  ``call`` (``ask`` plus a driver
-wait) is left to drivers, setup and the control-plane sites one lint
-still lists (ROADMAP direction 9 empties the list).  Another keeps the
-loop itself at the top level: under ``src/`` only ``Component.call``
-and a PEP's ``authorize`` (a top-level wait on the wire core) run it
-to a predicate.
+No handler or timer waits: no unit an event reaches calls ``call``
+(``ask`` plus a driver wait, left to drivers and setup) or runs the
+loop, and the loop itself refuses to nest.  Another lint keeps the
+loop at the top level: under ``src/`` only ``Component.call`` and a
+PEP's ``authorize`` (a top-level wait on the wire core) run it to a
+predicate.
 """
 
 import ast
@@ -360,12 +360,16 @@ EXCLUDING_SELECTORS = {
     "components/fabric.py:_on_error",
 }
 
-#: Loops that go on to the next address after a timeout without being a
-#: failover: every address is asked on purpose.
+#: Who asks a run of peers in turn (``Component.in_turn``), going on to
+#: the next after a timeout without being a failover: each is asked on
+#: purpose.
 FAN_OUTS = {
-    "admin/syndication.py:_push_to_children": "pushes to every child",
+    "admin/syndication.py:_syndicate": "pushes to every child",
+    "components/pdp.py:_ask_pips": "each PIP is a source of its own",
     "core/dependability.py:_beat": "the heartbeat pings every replica",
     "core/dependability.py:evaluate": "quorum voting asks for votes",
+    "core/discovery.py:_probe_all": "the prober pings every service",
+    "domain/directory_service.py:_resolve": "one lookup per resource",
 }
 
 
@@ -418,6 +422,7 @@ def test_the_wire_core_timeout_is_the_only_failover():
         site
         for site, node in owned_nodes(everything)
         if isinstance(node, (ast.For, ast.While)) and retries_after_timeout(node)
+        or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "in_turn"
     }
     assert loops == set(FAN_OUTS), (
         "a loop moves on to another replica after a timeout — send through "
@@ -484,31 +489,37 @@ def test_one_static_conflict_analyser():
     )
 
 
-# -- no handler blocks (ROADMAP direction 9, step 1) ------------------------------
+# -- no handler blocks (ROADMAP direction 9) ---------------------------------------
 
 #: Calls that drive the event loop from inside whoever makes them: the
-#: synchronous RPC and the loop it nests.
+#: synchronous RPC and the loop it runs.
 BLOCKING = {"call", "run_until"}
-#: Registrations whose callback — the second argument of each — runs as
-#: an event: ``on(kind, handler)`` and the loop's (or network's) timers.
-EVENT_ENTRIES = {"on", "schedule", "schedule_at"}
-
-#: ``module:Qualified.name`` -> why it may block, for now.  Today's
-#: sites: each nests the loop inside an event — the seven control-plane
-#: sites, and the wait they share.
-BLOCKING_ALLOWED = {
-    site: "ROADMAP direction 9 removes"
-    for site in (
-        "admin/syndication.py:SyndicationNode._push_to_children",
-        "components/base.py:Component.call",
-        "core/dependability.py:HeartbeatMonitor._beat",
-        "core/dependability.py:QuorumClient.evaluate",
-        "core/discovery.py:HealthProber._probe",
-        "domain/directory_service.py:DirectoryClient.lookup",
-        "revocation/coherence.py:CoherenceAgent.fetch_delta",
-        "revocation/coherence.py:CoherenceAgent.query_status",
-    )
+#: Calls whose callbacks run as events, by the parameters each takes:
+#: ``on``'s handler, the loop's (or network's) timers, a component's
+#: rounds, an ask's two continuations, the step and end of a turn and
+#: the completion a PEP's ``submit`` runs when the decision lands.
+EVENT_ENTRIES = {
+    "on": ("kind", "handler"),
+    "schedule": ("delay", "callback"),
+    "schedule_at": ("when", "callback"),
+    "every": ("period", "round_"),
+    "ask": ("recipient", "kind", "payload", "on_reply", "on_error"),
+    "in_turn": ("items", "step", "done"),
+    "submit": ("request", "callback"),
 }
+#: The parameters of :data:`EVENT_ENTRIES` that take a callback.
+CALLBACKS = {"handler", "callback", "round_", "on_reply", "on_error", "step", "done"}
+
+
+def event_callbacks(call: ast.Call) -> list[ast.AST]:
+    """The arguments of ``call`` — one of :data:`EVENT_ENTRIES` — that
+    run as events, passed by position or by keyword."""
+    parameters = EVENT_ENTRIES[call.func.attr]
+    return [
+        argument
+        for parameter, argument in zip(parameters, call.args)
+        if parameter in CALLBACKS
+    ] + [keyword.value for keyword in call.keywords if keyword.arg in CALLBACKS]
 
 
 def event_units(module: str, tree: ast.Module):
@@ -532,6 +543,17 @@ def event_units(module: str, tree: ast.Module):
     yield from visit(tree.body, "")
 
 
+def hook_units(module: str, tree: ast.Module):
+    """``(key, name, value)`` per attribute assigned anywhere: a hook
+    such as ``pep.revocation_guard = self._pep_guard`` reaches what it
+    holds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute):
+                    yield f"{module}:{node.lineno}:{target.attr}", target.attr, node.value
+
+
 def blocks(node: ast.AST) -> bool:
     """Does ``node`` call ``<anything>.call(...)`` or ``run_until``?"""
     return any(
@@ -547,13 +569,16 @@ def blocks(node: ast.AST) -> bool:
 def blocking_sites(trees) -> list[str]:
     """Units that block and are reachable, by name, from an event.
 
-    Roots are the identifiers in the callback argument of every
-    ``on(...)``, ``schedule(...)`` and ``schedule_at(...)`` call.  A
-    unit reads what ``test_surface_lint.identifiers`` finds in it, and
-    every unit bearing a name a reached unit reads is reached."""
+    Roots are the identifiers in the callback arguments of every call
+    to one of :data:`EVENT_ENTRIES` (``on``, the timers, ``every``,
+    ``ask`` and ``in_turn``); a unit that passes a lambda or one of its
+    own nested functions there is a root itself, since that callback is
+    part of it.  A unit reads what ``test_surface_lint.identifiers``
+    finds in it, and every unit or hook (:func:`hook_units`) bearing a
+    name a reached unit reads is reached."""
     units = [unit for module, tree in trees for unit in event_units(module, tree)]
     by_name: dict[str, list] = {}
-    for unit in units:
+    for unit in units + [hook for module, tree in trees for hook in hook_units(module, tree)]:
         by_name.setdefault(unit[1], []).append(unit)
     pending = [
         name
@@ -562,11 +587,13 @@ def blocking_sites(trees) -> list[str]:
         if isinstance(call, ast.Call)
         and isinstance(call.func, ast.Attribute)
         and call.func.attr in EVENT_ENTRIES
-        and len(call.args) > 1
-        for name in names_read([call.args[1]])
+        for name in names_read(event_callbacks(call))
     ]
+    reached = {key for key, _, node in units if continues_in_itself(node)}
+    for key, _, node in units:
+        if key in reached:
+            pending.extend(names_read([node]))
     seen: set[str] = set()
-    reached = set()
     while pending:
         name = pending.pop()
         if name in seen:
@@ -581,6 +608,25 @@ def blocking_sites(trees) -> list[str]:
     )
 
 
+def continues_in_itself(unit: ast.AST) -> bool:
+    """Does ``unit`` hand one of :data:`EVENT_ENTRIES` a lambda or a
+    function it nests?"""
+    nested = {
+        node.name
+        for node in ast.walk(unit)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not unit
+    }
+    return any(
+        isinstance(node, ast.Lambda) or isinstance(node, ast.Name) and node.id in nested
+        for call in ast.walk(unit)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in EVENT_ENTRIES
+        for argument in event_callbacks(call)
+        for node in ast.walk(argument)
+    )
+
+
 def source_trees():
     return [
         (path.relative_to(REPRO).as_posix(), ast.parse(path.read_text(encoding="utf-8")))
@@ -589,11 +635,10 @@ def source_trees():
 
 
 def test_no_handler_or_timer_reaches_a_blocking_call():
-    assert blocking_sites(source_trees()) == sorted(BLOCKING_ALLOWED), (
+    assert blocking_sites(source_trees()) == [], (
         "a blocking call (.call / run_until) is reachable from a handler "
-        "registered with on(...) or a scheduled timer — send and handle "
-        "the reply as an event instead; an allow-list entry that no "
-        "longer blocks must go"
+        "registered with on(...), a timer, a round or a continuation — ask, and "
+        "continue from the reply's event instead"
     )
 
 
@@ -634,6 +679,67 @@ def test_the_blocking_lint_finds_a_handler_that_blocks():
     # point never counted.
     quiet = unregistered.replace("lambda: self._tick()", "lambda: None")
     assert blocking_sites([("pkg/server.py", ast.parse(quiet))]) == []
+
+
+#: A made-up watcher: an ask's continuation, a continuation nested in
+#: its asker, a hook an error continuation reads, a turn's end and a
+#: submit's completion that block, each reached only as a continuation
+#: of a driver's call.
+CONTINUING_WORLD = """
+class Watcher:
+    def lookup(self, key):
+        def answered(reply):
+            self.call("peer", "confirm", reply)
+
+        self.ask("directory", "lookup", key, answered, self._missed)
+
+    def start(self):
+        self.ask("peer", "ping", "<Ping/>", self._heard, on_error=self._missed)
+
+    def _heard(self, reply):
+        return self._confirm(reply)
+
+    def _confirm(self, reply):
+        return self.call("peer", "confirm", reply)
+
+    def _missed(self, exc):
+        return self.pep.guard(exc)
+
+    def protect(self, pep):
+        pep.guard = self._status
+
+    def _status(self, request):
+        return self.call("authority", "status", request)
+
+    def enqueue(self, pep, request):
+        pep.submit(request, self._settled)
+
+    def _settled(self, result):
+        return self.call("audit", "record", result)
+
+    def sweep(self, peers):
+        self.in_turn(peers, lambda peer, settled: settled(), done=self._report)
+
+    def _report(self):
+        self.network.loop.run_until(lambda: True, self.now + 1.0)
+"""
+
+
+def test_the_blocking_lint_follows_continuations():
+    trees = [("pkg/watcher.py", ast.parse(CONTINUING_WORLD))]
+    assert blocking_sites(trees) == [
+        "pkg/watcher.py:Watcher._confirm",
+        "pkg/watcher.py:Watcher._report",
+        "pkg/watcher.py:Watcher._settled",
+        "pkg/watcher.py:Watcher._status",
+        "pkg/watcher.py:Watcher.lookup",
+    ]
+    # Handed no continuation, the driver's own entry points never count.
+    detached = CONTINUING_WORLD.replace("self._heard, on_error=self._missed", "None, None")
+    detached = detached.replace("done=self._report", "done=None")
+    detached = detached.replace("key, answered, self._missed", "key, None, None")
+    detached = detached.replace("request, self._settled", "request, None")
+    assert blocking_sites([("pkg/watcher.py", ast.parse(detached))]) == []
 
 
 # -- the loop runs to a predicate at the top level only (ROADMAP direction 9) -----

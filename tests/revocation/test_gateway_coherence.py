@@ -94,7 +94,9 @@ def build(strategy_factory, pep_count=3, seed=191):
             network,
             DecisionDispatcher([f"pdp.{name}"]),
             domain=name,
-            resolve_domain=lambda request: DIRECTORY.get(request.resource_id),
+            resolve_domain=lambda requests, then: then(
+                [DIRECTORY.get(request.resource_id) for request in requests]
+            ),
             max_batch=8,
             max_delay=0.001,
             remote_cache_ttl=REMOTE_TTL,

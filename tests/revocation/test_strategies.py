@@ -57,6 +57,15 @@ def build_env(strategy_factory, decision_cache_ttl=3600.0, push_window=0.0):
     return network, authority, agent, pep, pdp
 
 
+def pulled(network, agent):
+    """Drive one delta pull to its applied count."""
+    counts = []
+    agent.fetch_delta(counts.append, counts.append)
+    network.loop.run_until(counts.__len__, network.now + 10.0)
+    (count,) = counts
+    return count
+
+
 class TestPushStrategy:
     def test_invalidation_applies_on_delivery(self):
         network, authority, agent, pep, pdp = build_env(PushStrategy)
@@ -101,7 +110,7 @@ class TestPushStrategy:
         authority.registry.revoke_subject_access("bob")
         network.run(until=network.now + 1.0)
         assert agent.records_applied == 1  # only bob's arrived
-        assert agent.fetch_delta() == 1  # alice's record recovered
+        assert pulled(network, agent) == 1  # alice's record recovered
         assert not pep.authorize_simple("alice", "doc", "read").granted
 
     def test_forged_push_rejected_when_authority_key_configured(self):
@@ -170,12 +179,12 @@ class TestPushStrategy:
         # no longer matches its TBS bytes.
         index = authority.registry._records.index(corrupt)
         authority.registry._records[index] = replace(corrupt, signature="bogus")
-        assert agent.fetch_delta() == 1  # the verified prefix (alice)
+        assert pulled(network, agent) == 1  # the verified prefix (alice)
         assert agent.known_epoch == good_one.epoch
         assert agent.rejected_invalidations == 1
         # Next poll retries from the cursor: still blocked on the
         # corrupt record, but the prefix is never refetched.
-        assert agent.fetch_delta() == 0
+        assert pulled(network, agent) == 0
         assert agent.known_epoch == good_one.epoch
 
     def test_malformed_push_payload_rejected(self):
@@ -344,6 +353,33 @@ class TestPullStrategy:
         network.run(until=network.now + 6.0)
         assert agent.records_applied == 1
 
+    def test_polls_resume_after_a_crash_with_a_pull_on_the_wire(self):
+        """The crash drops the pull in flight; the poll timer is re-armed,
+        so polling resumes within an interval of the recovery."""
+        strategy = PullStrategy(interval=5.0)
+        network, authority, agent, pep, pdp = build_env(lambda bus: strategy)
+        network.loop.run_until(lambda: strategy.polls == 1, network.now + 10.0)
+        agent.crash()  # the CRL request is on the wire
+        network.run(until=network.now + 3.0)
+        agent.recover()
+        polls = strategy.polls
+        authority.registry.revoke_subject_access("alice")
+        network.run(until=network.now + 5.0)
+        assert strategy.polls > polls
+        assert agent.records_applied == 1
+
+    def test_a_poll_due_while_down_counts_nothing_and_reschedules(self):
+        strategy = PullStrategy(interval=5.0)
+        network, authority, agent, pep, pdp = build_env(lambda bus: strategy)
+        agent.crash()
+        network.run(until=network.now + 12.0)  # two polls due
+        assert (strategy.polls, strategy.failed_polls) == (0, 0)
+        agent.recover()
+        authority.registry.revoke_subject_access("alice")
+        network.run(until=network.now + 5.0)
+        assert strategy.polls == 1
+        assert agent.records_applied == 1
+
     def test_rejects_non_positive_interval(self):
         with pytest.raises(ValueError, match="interval"):
             PullStrategy(interval=0.0)
@@ -404,12 +440,42 @@ class TestOnlineStatusStrategy:
         network.run(until=network.now + 1.0)
         assert [result.granted for result in results] == [True]
         authority.crash()
-        pep.submit(RequestContext.simple("alice", "doc", "read"), results.append)
-        network.run(until=network.now + 1.0)
+        assert not pep.submit(RequestContext.simple("alice", "doc", "read"), results.append)
+        network.run(until=network.now + 3.0)  # past the status check's deadline
         assert not results[1].granted
         assert results[1].source == "revocation"
         assert strategy.failed_checks == 1
         assert pdp.decisions_made == 1
+
+    def test_an_agent_crashing_mid_check_fails_the_check_safe(self):
+        """The PEP waiting on a status check is up when the agent
+        crashes with the check on the wire: the check fails at once,
+        ``authorize`` denies, and checks resume after ``recover()``."""
+        strategy = OnlineStatusStrategy()
+        network, authority, agent, pep, pdp = build_env(lambda bus: strategy)
+        crashed_at = network.now + 0.0001  # the status request is on the wire
+        network.loop.schedule_at(crashed_at, agent.crash)
+        result = pep.authorize_simple("alice", "doc", "read")
+        assert (result.granted, result.source) == (False, "revocation")
+        assert network.now == crashed_at
+        assert (strategy.status_checks, strategy.failed_checks) == (1, 1)
+        agent.recover()
+        assert pep.authorize_simple("alice", "doc", "read").granted
+        assert strategy.failed_checks == 1
+
+    def test_an_agent_crashing_mid_check_fails_the_queued_path_safe(self):
+        strategy = OnlineStatusStrategy()
+        network, authority, agent, pep, pdp = build_env(lambda bus: strategy)
+        pep.enable_batching(max_batch=4, max_delay=0.001)
+        results = []
+        assert not pep.submit(RequestContext.simple("alice", "doc", "read"), results.append)
+        network.loop.schedule(0.0001, agent.crash)
+        network.run(until=network.now + 0.01)
+        assert [(result.granted, result.source) for result in results] == [
+            (False, "revocation")
+        ]
+        assert strategy.failed_checks == 1
+        assert pdp.decisions_made == 0
 
 
 class TestTtlOnlyBaseline:
@@ -475,6 +541,6 @@ class TestGuardScope:
         network.run(until=network.now + 1.0)
         assert not pep.authorize_simple("alice", "doc", "read").granted
         assert pep.authorize_simple("bob", "doc", "read").granted
-        assert agent.is_revoked(
+        assert agent.is_revoked_locally(
             RevocationKind.ENTITLEMENT, subject_access_target("alice")
         )

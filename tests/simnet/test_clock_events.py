@@ -242,6 +242,40 @@ class TestEventLoop:
         assert fired == [1, 2, 3]
 
 
+class TestTheLoopRefusesToNest:
+    """Only the top level waits: an event that runs the loop raises."""
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            lambda loop: loop.run(),
+            lambda loop: loop.run(until=loop.now + 1.0),
+            lambda loop: loop.run_until(lambda: False, loop.now + 1.0),
+        ],
+        ids=["run", "run-until-time", "run_until"],
+    )
+    @pytest.mark.parametrize("outer", ["run", "run_until"])
+    def test_a_nested_run_raises(self, inner, outer):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(1.0, lambda: inner(loop))
+        loop.schedule(2.0, lambda: fired.append(loop.now))
+        with pytest.raises(RuntimeError, match="already running"):
+            if outer == "run":
+                loop.run()
+            else:
+                loop.run_until(lambda: False, 5.0)
+        assert loop.now == 1.0 and fired == []
+        # The refusal leaves the loop usable from the top level.
+        assert loop.run() == 1 and fired == [2.0]
+
+    def test_a_predicate_that_already_holds_is_still_a_wait(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: loop.run_until(lambda: True, loop.now))
+        with pytest.raises(RuntimeError, match="already running"):
+            loop.run()
+
+
 class TestEventHandle:
     """One object per event is the heap entry and the cancel handle
     (cancelling before firing, twice, and ties: ``TestEventLoop``)."""

@@ -222,7 +222,9 @@ def build_federated_pair(remote_cache_ttl=60.0, seed=72):
             network,
             DecisionDispatcher([f"pdp.{name}"]),
             domain=name,
-            resolve_domain=lambda request: directory.get(request.resource_id),
+            resolve_domain=lambda requests, then: then(
+                [directory.get(request.resource_id) for request in requests]
+            ),
             max_batch=8,
             max_delay=0.001,
             remote_cache_ttl=remote_cache_ttl,
