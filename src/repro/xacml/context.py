@@ -121,7 +121,7 @@ class RequestContext:
     numerous live objects wherever decisions are cached or in flight,
     so anything added here is paid per request: a side index by
     ``(category, id)`` measured +17 MiB on ``gateway_plain`` (ROADMAP
-    direction 3), and ``tests/xacml/test_context_oracle.py`` pins the
+    direction 3), and ``tests/xacml/test_context_reference.py`` pins the
     shape.  Per-category order is insertion order, which is all the
     serializer reads.
 

@@ -5,7 +5,9 @@ a response context.  :class:`PolicyStore` holds the top-level elements
 and picks the ones worth evaluating:
 
 * ``indexed=False`` — the straightforward "evaluate every element" model
-  of the standard, kept as the oracle the property tests compare with;
+  of the standard.  Both forms are judged by the same reference
+  semantics, an interpreter written from XACML 2.0 under
+  ``tests/reference/`` (``tests/xacml/test_evaluation_reference.py``);
 * ``indexed=True`` (the default) — target indexing: a request is handed
   only the elements whose target can still match it.  This is the
   mechanism behind the scalability shape of experiment E14.
@@ -254,9 +256,9 @@ class PolicyStore:
     wildcard rule and why both are sound).  A request is handed the
     postings of the buckets it hits whose residue it can still satisfy,
     plus all unindexable elements.  Indexing never changes decisions —
-    only which elements get *checked* — and property tests assert that,
-    and the stronger superset property, against the ``indexed=False``
-    oracle.
+    only which elements get *checked*: property tests judge both forms
+    by the reference semantics and hold the candidates to the stronger
+    superset property.
 
     Every element gets a monotonically increasing insertion ordinal at
     :meth:`add`; each posting list, and the unindexable set, maps

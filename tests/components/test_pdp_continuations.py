@@ -13,6 +13,8 @@ answer a designator the request is Indeterminate (``missing-attribute``)
 a PIP that *answers* with no values is an empty bag, as before.
 """
 
+from reference import xacml
+
 from repro.components import (
     DecisionDispatcher,
     PdpConfig,
@@ -116,7 +118,11 @@ class TestUnreachablePip:
         assert result.source == "pdp"
         assert pdp.pip_queries_sent == 0
 
-    def test_the_status_travels_as_missing_attribute(self):
+    def test_ledger_no_pip_answer(self):
+        """The status travels as missing-attribute.  A ledger entry of the
+        README: XACML 2.0 §7.15.3 reads a designator nobody answers as an
+        empty bag, Indeterminate only under ``MustBePresent``, so the
+        standard lets alice read."""
         network, (pip,), _, _ = pip_world("suspended")
         pip.crash()
         client = Component("client", network)
@@ -129,6 +135,9 @@ class TestUnreachablePip:
         assert result.decision is Decision.INDETERMINATE
         assert result.status.code is StatusCode.MISSING_ATTRIBUTE
         assert SUBJECT_ROLE in result.status.message
+        assert xacml.authorization_decision(
+            [suspension_policy()], alice_reads(), combining.POLICY_DENY_OVERRIDES, lambda *_: []
+        ) == (Decision.PERMIT, StatusCode.OK, ())
 
     def test_a_pip_that_answers_with_nothing_is_an_empty_bag(self):
         _, _, pdp, pep = pip_world(None)

@@ -1,95 +1,151 @@
-"""Tests for combining algorithms, policies and policy sets."""
+"""Combining algorithms, policies and policy sets.  Their decisions,
+status codes and obligations are judged by the reference semantics
+(``test_evaluation_reference.py``, and the Appendix C property of
+``test_properties.py``); nothing there judges the reference, so the
+known answers here pin both.  Here too are laziness, the construction
+checks and the one status message a combiner writes."""
 
 import pytest
+from reference import xacml
 
 from repro.xacml import (
+    Category,
     Condition,
     Decision,
     Obligation,
     ObligationAssignment,
+    PdpEngine,
     Policy,
     PolicySet,
     RequestContext,
+    StatusCode,
+    apply_,
     combining,
     deny_rule,
+    designator,
     evaluate_element,
     permit_rule,
     string,
-    subject_resource_action_target,
+    subject_resource_action_target as sra,
 )
+from repro.xacml.functions import FUNCTION_PREFIX_1_0
+
+P, D = Decision.PERMIT, Decision.DENY
+N, I = Decision.NOT_APPLICABLE, Decision.INDETERMINATE
+#: A combiner fed child outcomes: algorithm, outcomes, decision.
+OUTCOME_CELLS = {
+    "deny_overrides_deny_wins": (combining.RULE_DENY_OVERRIDES, (P, D, P), D),
+    "deny_overrides_all_permit": (combining.RULE_DENY_OVERRIDES, (P, N), P),
+    "deny_overrides_indeterminate_masks_permit": (combining.RULE_DENY_OVERRIDES, (I, P), I),
+    "permit_overrides_permit_wins": (combining.RULE_PERMIT_OVERRIDES, (D, P), P),
+    "permit_overrides_deny_when_no_permit": (combining.RULE_PERMIT_OVERRIDES, (D, N), D),
+    "first_applicable_takes_first_definitive": (combining.RULE_FIRST_APPLICABLE, (N, D, P), D),
+    "first_applicable_leading_indeterminate_stops": (combining.RULE_FIRST_APPLICABLE, (I, P), I),
+    "first_applicable_empty": (combining.RULE_FIRST_APPLICABLE, (), N),
+    "only_one_applicable_single": (combining.POLICY_ONLY_ONE_APPLICABLE, (N, P), P),
+    "only_one_applicable_multiple_is_error": (combining.POLICY_ONLY_ONE_APPLICABLE, (P, P), I),
+    **{
+        f"empty_children_are_not_applicable-{algorithm.rsplit(':', 1)[1]}": (algorithm, (), N)
+        for algorithm in (
+            combining.POLICY_DENY_OVERRIDES,
+            combining.POLICY_PERMIT_OVERRIDES,
+            combining.POLICY_FIRST_APPLICABLE,
+            combining.POLICY_ONLY_ONE_APPLICABLE,
+        )
+    },
+}
 
 
-def make_children(*decisions):
-    """Child outcomes the way a combiner is fed them: lazily."""
-    return ((decision, None) for decision in decisions)
+@pytest.mark.parametrize(
+    "algorithm, outcomes, decision", OUTCOME_CELLS.values(), ids=OUTCOME_CELLS.keys()
+)
+def test_a_combiner_over_outcomes(algorithm, outcomes, decision):
+    assert combining.lookup(algorithm)((o, None) for o in outcomes)[0] is decision
+
+
+LOG = Obligation("urn:test:log", P, (ObligationAssignment("level", string("info")),))
+ON_DENY = Obligation("urn:test:on-deny", D)
+ALLOW, REFUSE = permit_rule("r"), deny_rule("r")
+BOB_FIRST = Policy(
+    "p",
+    (deny_rule("deny-bob", sra("bob")), permit_rule("allow-all")),
+    rule_combining=combining.RULE_FIRST_APPLICABLE,
+)
+NESTED = PolicySet(
+    "outer",
+    (Policy("inner", (permit_rule("r", sra("alice")),)),),
+    policy_combining=combining.POLICY_FIRST_APPLICABLE,
+)
+ONE_AND_ONLY = apply_(
+    FUNCTION_PREFIX_1_0 + "string-one-and-only", designator(Category.SUBJECT, "urn:test:none")
+)
+BROKEN = Policy("broken", (permit_rule("r", condition=Condition(ONE_AND_ONLY)),))
+EXCLUSIVE = PolicySet(
+    "exclusive",
+    (
+        Policy("permit-read", (permit_rule("allow"),), target=sra(action_id="read")),
+        Policy("audit-doc", (permit_rule("log-and-allow"),), target=sra(resource_id="doc")),
+    ),
+    policy_combining=combining.POLICY_ONLY_ONE_APPLICABLE,
+)
+#: A policy or policy set over the subject's read of doc: element,
+#: subject, decision, obligations.
+ELEMENT_CELLS = {
+    "policy_target_gates_rules": (Policy("p", (ALLOW,), target=sra(None, "other")), "alice", N, ()),
+    "first_applicable_ordering-bob": (BOB_FIRST, "bob", D, ()),
+    "first_applicable_ordering-alice": (BOB_FIRST, "alice", P, ()),
+    "obligations_attached_on_matching_decision": (
+        Policy("p", (ALLOW,), obligations=(LOG,)), "alice", P, (LOG,)
+    ),
+    "obligations_not_attached_on_other_decision": (
+        Policy("p", (ALLOW,), obligations=(ON_DENY,)), "alice", P, ()
+    ),
+    "nested_evaluation-alice": (NESTED, "alice", P, ()),
+    "nested_evaluation-eve": (NESTED, "eve", N, ()),
+    "deny_overrides_across_policies": (
+        PolicySet("set", (Policy("allow", (ALLOW,)), Policy("deny", (REFUSE,)))), "alice", D, ()
+    ),
+    "child_obligations_flow_up_only_for_final_decision": (
+        PolicySet(
+            "s",
+            (
+                Policy("permit-p", (ALLOW,), obligations=(LOG,)),
+                Policy("deny-p", (REFUSE,), obligations=(ON_DENY,)),
+            ),
+        ),
+        "alice",
+        D,
+        (ON_DENY,),
+    ),
+    # The policy-deny-overrides ledger entry: the standard says Deny.
+    "indeterminate_condition_propagates": (PolicySet("s", (BROKEN,)), "alice", I, ()),
+    "only_one_applicable_two_matching_policies_end_to_end": (EXCLUSIVE, "alice", I, ()),
+}
+
+
+@pytest.mark.parametrize(
+    "element, subject, decision, obligations",
+    ELEMENT_CELLS.values(),
+    ids=ELEMENT_CELLS.keys(),
+)
+def test_a_known_answer(element, subject, decision, obligations):
+    """The engine's answer, and the reference's as the ledger reads it."""
+    request = RequestContext.simple(subject, "doc", "read")
+    got = evaluate_element(element, request)
+    expected = xacml.evaluate(xacml.Context(request, readings=xacml.ENGINE), element)
+    assert (got.decision, got.obligations) == (decision, obligations)
+    assert (expected[0], expected[2]) == (decision, obligations)
 
 
 def recording(calls, *decisions):
-    """Like ``make_children``, noting each outcome as it is pulled."""
+    """Child outcomes the way a combiner is fed them, lazily, noting each
+    as it is pulled."""
     for decision in decisions:
         calls.append(decision)
         yield decision, None
 
 
 class TestCombiningAlgorithms:
-    def test_deny_overrides_deny_wins(self):
-        combiner = combining.lookup(combining.RULE_DENY_OVERRIDES)
-        decision, _ = combiner(
-            make_children(Decision.PERMIT, Decision.DENY, Decision.PERMIT)
-        )
-        assert decision is Decision.DENY
-
-    def test_deny_overrides_all_permit(self):
-        combiner = combining.lookup(combining.RULE_DENY_OVERRIDES)
-        decision, _ = combiner(make_children(Decision.PERMIT, Decision.NOT_APPLICABLE))
-        assert decision is Decision.PERMIT
-
-    def test_deny_overrides_indeterminate_masks_permit(self):
-        combiner = combining.lookup(combining.RULE_DENY_OVERRIDES)
-        decision, _ = combiner(
-            make_children(Decision.INDETERMINATE, Decision.PERMIT)
-        )
-        assert decision is Decision.INDETERMINATE
-
-    def test_permit_overrides_permit_wins(self):
-        combiner = combining.lookup(combining.RULE_PERMIT_OVERRIDES)
-        decision, _ = combiner(
-            make_children(Decision.DENY, Decision.PERMIT)
-        )
-        assert decision is Decision.PERMIT
-
-    def test_permit_overrides_deny_when_no_permit(self):
-        combiner = combining.lookup(combining.RULE_PERMIT_OVERRIDES)
-        decision, _ = combiner(make_children(Decision.DENY, Decision.NOT_APPLICABLE))
-        assert decision is Decision.DENY
-
-    def test_first_applicable_takes_first_definitive(self):
-        combiner = combining.lookup(combining.RULE_FIRST_APPLICABLE)
-        decision, _ = combiner(
-            make_children(Decision.NOT_APPLICABLE, Decision.DENY, Decision.PERMIT)
-        )
-        assert decision is Decision.DENY
-
-    def test_first_applicable_empty(self):
-        combiner = combining.lookup(combining.RULE_FIRST_APPLICABLE)
-        decision, _ = combiner([])
-        assert decision is Decision.NOT_APPLICABLE
-
-    def test_only_one_applicable_single(self):
-        combiner = combining.lookup(combining.POLICY_ONLY_ONE_APPLICABLE)
-        decision, _ = combiner(
-            make_children(Decision.NOT_APPLICABLE, Decision.PERMIT)
-        )
-        assert decision is Decision.PERMIT
-
-    def test_only_one_applicable_multiple_is_error(self):
-        combiner = combining.lookup(combining.POLICY_ONLY_ONE_APPLICABLE)
-        decision, status = combiner(
-            make_children(Decision.PERMIT, Decision.PERMIT)
-        )
-        assert decision is Decision.INDETERMINATE
-        assert "more than one" in status.message
-
     def test_deny_overrides_short_circuits(self):
         calls = []
         combiner = combining.lookup(combining.RULE_DENY_OVERRIDES)
@@ -100,70 +156,26 @@ class TestCombiningAlgorithms:
         with pytest.raises(combining.CombiningError):
             combining.lookup("urn:bogus")
 
-    def test_first_applicable_leading_indeterminate_stops(self):
-        # An Indeterminate is "applicable" for first-applicable: iteration
-        # stops there and later definitive children never decide.
-        combiner = combining.lookup(combining.RULE_FIRST_APPLICABLE)
-        decision, _ = combiner(
-            make_children(Decision.INDETERMINATE, Decision.PERMIT)
-        )
-        assert decision is Decision.INDETERMINATE
-
     def test_first_applicable_leading_indeterminate_short_circuits(self):
         calls = []
         combiner = combining.lookup(combining.RULE_FIRST_APPLICABLE)
         combiner(recording(calls, Decision.INDETERMINATE, Decision.DENY))
         assert calls == [Decision.INDETERMINATE]
 
-    @pytest.mark.parametrize(
-        "algorithm",
-        [
-            combining.POLICY_DENY_OVERRIDES,
-            combining.POLICY_PERMIT_OVERRIDES,
-            combining.POLICY_FIRST_APPLICABLE,
-            combining.POLICY_ONLY_ONE_APPLICABLE,
-        ],
-    )
-    def test_empty_children_are_not_applicable(self, algorithm):
-        decision, status = combining.lookup(algorithm)([])
-        assert decision is Decision.NOT_APPLICABLE
-
-    def test_only_one_applicable_two_matching_policies_end_to_end(self):
-        permit = Policy(
-            policy_id="permit-read",
-            target=subject_resource_action_target(action_id="read"),
-            rules=(permit_rule("allow"),),
+    def test_the_only_one_applicable_status_message(self):
+        engine = PdpEngine(policy_combining=combining.POLICY_ONLY_ONE_APPLICABLE)
+        engine.add_policies(
+            [Policy(name, (permit_rule("allow"),)) for name in ("first", "second")]
         )
-        audit = Policy(
-            policy_id="audit-doc",
-            target=subject_resource_action_target(resource_id="doc"),
-            rules=(permit_rule("log-and-allow"),),
+        response = engine.evaluate(RequestContext.simple("alice", "doc", "read"))
+        status = response.response.result.status
+        assert (status.code, status.message) == (
+            StatusCode.PROCESSING_ERROR,
+            "more than one policy applicable under only-one-applicable",
         )
-        outer = PolicySet(
-            policy_set_id="exclusive",
-            children=(permit, audit),
-            policy_combining=combining.POLICY_ONLY_ONE_APPLICABLE,
-        )
-        result = evaluate_element(
-            outer, RequestContext.simple("alice", "doc", "read")
-        )
-        assert result.decision is Decision.INDETERMINATE
-        assert "more than one" in result.status.message
-
-
-def req(subject="alice", resource="doc", action="read"):
-    return RequestContext.simple(subject, resource, action)
 
 
 class TestPolicy:
-    def test_policy_target_gates_rules(self):
-        policy = Policy(
-            policy_id="p",
-            rules=(permit_rule("r"),),
-            target=subject_resource_action_target(resource_id="other"),
-        )
-        assert evaluate_element(policy, req()).decision is Decision.NOT_APPLICABLE
-
     def test_duplicate_rule_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate rule id"):
             Policy(policy_id="p", rules=(permit_rule("r"), deny_rule("r")))
@@ -176,41 +188,6 @@ class TestPolicy:
         with pytest.raises(combining.CombiningError):
             Policy(policy_id="p", rules=(), rule_combining="urn:bogus")
 
-    def test_first_applicable_ordering(self):
-        policy = Policy(
-            policy_id="p",
-            rules=(
-                deny_rule("deny-bob", subject_resource_action_target(subject_id="bob")),
-                permit_rule("allow-all"),
-            ),
-            rule_combining=combining.RULE_FIRST_APPLICABLE,
-        )
-        assert evaluate_element(policy, req(subject="bob")).decision is Decision.DENY
-        assert evaluate_element(policy, req()).decision is Decision.PERMIT
-
-    def test_obligations_attached_on_matching_decision(self):
-        obligation = Obligation(
-            obligation_id="urn:test:log",
-            fulfill_on=Decision.PERMIT,
-            assignments=(ObligationAssignment("level", string("info")),),
-        )
-        policy = Policy(
-            policy_id="p",
-            rules=(permit_rule("r"),),
-            obligations=(obligation,),
-        )
-        result = evaluate_element(policy, req())
-        assert result.obligations == (obligation,)
-
-    def test_obligations_not_attached_on_other_decision(self):
-        obligation = Obligation(
-            obligation_id="urn:test:log", fulfill_on=Decision.DENY
-        )
-        policy = Policy(
-            policy_id="p", rules=(permit_rule("r"),), obligations=(obligation,)
-        )
-        assert evaluate_element(policy, req()).obligations == ()
-
     def test_obligation_must_attach_to_definitive_decision(self):
         with pytest.raises(ValueError):
             Obligation(
@@ -219,56 +196,10 @@ class TestPolicy:
 
 
 class TestPolicySet:
-    def test_nested_evaluation(self):
-        inner = Policy(
-            policy_id="inner",
-            rules=(permit_rule("r", subject_resource_action_target(subject_id="alice")),),
-        )
-        outer = PolicySet(
-            policy_set_id="outer",
-            children=(inner,),
-            policy_combining=combining.POLICY_FIRST_APPLICABLE,
-        )
-        assert evaluate_element(outer, req()).decision is Decision.PERMIT
-        assert (
-            evaluate_element(outer, req(subject="eve")).decision
-            is Decision.NOT_APPLICABLE
-        )
-
-    def test_deny_overrides_across_policies(self):
-        allow = Policy(policy_id="allow", rules=(permit_rule("r"),))
-        deny = Policy(policy_id="deny", rules=(deny_rule("r"),))
-        both = PolicySet(
-            policy_set_id="set",
-            children=(allow, deny),
-            policy_combining=combining.POLICY_DENY_OVERRIDES,
-        )
-        assert evaluate_element(both, req()).decision is Decision.DENY
-
     def test_duplicate_children_rejected(self):
         policy = Policy(policy_id="same", rules=(permit_rule("r"),))
         with pytest.raises(ValueError, match="duplicate child"):
             PolicySet(policy_set_id="s", children=(policy, policy))
-
-    def test_child_obligations_flow_up_only_for_final_decision(self):
-        ob_permit = Obligation("urn:test:on-permit", Decision.PERMIT)
-        ob_deny = Obligation("urn:test:on-deny", Decision.DENY)
-        permit_policy = Policy(
-            policy_id="permit-p",
-            rules=(permit_rule("r"),),
-            obligations=(ob_permit,),
-        )
-        deny_policy = Policy(
-            policy_id="deny-p", rules=(deny_rule("r"),), obligations=(ob_deny,)
-        )
-        combined = PolicySet(
-            policy_set_id="s",
-            children=(permit_policy, deny_policy),
-            policy_combining=combining.POLICY_DENY_OVERRIDES,
-        )
-        result = evaluate_element(combined, req())
-        assert result.decision is Decision.DENY
-        assert [o.obligation_id for o in result.obligations] == ["urn:test:on-deny"]
 
     def test_flatten(self):
         p1 = Policy(policy_id="p1", rules=(permit_rule("r"),))
@@ -276,28 +207,3 @@ class TestPolicySet:
         nested = PolicySet(policy_set_id="inner", children=(p2,))
         outer = PolicySet(policy_set_id="outer", children=(p1, nested))
         assert [p.policy_id for p in outer.flatten()] == ["p1", "p2"]
-
-    def test_indeterminate_condition_propagates(self):
-        from repro.xacml import Category, apply_, designator
-        from repro.xacml.functions import FUNCTION_PREFIX_1_0
-
-        broken = Policy(
-            policy_id="broken",
-            rules=(
-                permit_rule(
-                    "r",
-                    condition=Condition(
-                        apply_(
-                            FUNCTION_PREFIX_1_0 + "string-one-and-only",
-                            designator(Category.SUBJECT, "urn:test:none"),
-                        )
-                    ),
-                ),
-            ),
-        )
-        outer = PolicySet(
-            policy_set_id="s",
-            children=(broken,),
-            policy_combining=combining.POLICY_DENY_OVERRIDES,
-        )
-        assert evaluate_element(outer, req()).decision is Decision.INDETERMINATE

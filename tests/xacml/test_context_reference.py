@@ -1,31 +1,30 @@
-"""Differential oracle and shape pins for the context model.
+"""The request model judged by the reference semantics, and its shape.
 
-``OracleRequestContext`` below is the body ``RequestContext`` had before
-it became one flat list under ``__slots__``: a dict of five per-category
-lists, a key that sorts per category and again at the end.  Hypothesis
-drives both through the same ``add`` sequences (all five categories,
-repeated ids, multi-valued attributes, mixed data types, issuers,
-environment attributes) and through the ``attributes=`` constructor
-form; every read, ``repr`` and the serialised bytes must agree.
+Hypothesis drives ``RequestContext`` through ``add`` sequences (all five
+categories, repeated ids, multi-valued attributes, mixed data types,
+issuers, environment attributes) and through the ``attributes=``
+constructor form.  Every read must be what the sequence says: the
+attributes in order, and each bag, each value list and each first value
+what :mod:`reference.xacml` reads off the request's entries (XACML 2.0
+§7.2.4); the serialised bytes, read back by :mod:`reference.wire`, must
+be the same attributes.
 
-The identity is pinned against its definition rather than the oracle's
-key, which forgot data type and issuer (the oracle's key is still what
-the new one must agree with wherever those two do not vary).  The
-response memo and the object shape are pinned at the end.
+The identity is pinned against its definition.  The response memo and
+the object shape are pinned at the end.
 """
 
 import sys
+import xml.etree.ElementTree as ET
 from collections import Counter
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import wire, xacml
 
 from repro.xacml import (
     ACTION_ID,
     Attribute,
     AttributeValue,
-    Bag,
     Category,
     DataType,
     Decision,
@@ -43,88 +42,6 @@ from repro.xacml import (
 )
 from repro.xacml import parser as parser_module
 from repro.xacml.parser import RESPONSE_MEMO_SIZE
-
-# -- the parent's request ----------------------------------------------------------
-
-
-class OracleRequestContext:
-    def __init__(
-        self, attributes: Optional[dict[Category, list[Attribute]]] = None
-    ) -> None:
-        self._attributes: dict[Category, list[Attribute]] = {
-            category: [] for category in Category
-        }
-        if attributes:
-            for category, attrs in attributes.items():
-                self._attributes[category] = list(attrs)
-
-    def add(self, category: Category, attribute: Attribute) -> None:
-        self._attributes[category].append(attribute)
-
-    def attributes(self, category: Category) -> list[Attribute]:
-        return list(self._attributes[category])
-
-    def bag(self, category, attribute_id, data_type, issuer=None) -> Bag:
-        collected: list[AttributeValue] = []
-        for attribute in self._attributes[category]:
-            if attribute.attribute_id != attribute_id:
-                continue
-            if issuer is not None and attribute.issuer != issuer:
-                continue
-            collected.extend(
-                v for v in attribute.values if v.data_type is data_type
-            )
-        return Bag(collected)
-
-    def values(self, category, attribute_id) -> list[AttributeValue]:
-        return [
-            value
-            for attribute in self._attributes[category]
-            if attribute.attribute_id == attribute_id
-            for value in attribute.values
-        ]
-
-    def first_value(self, category, attribute_id) -> Optional[AttributeValue]:
-        for attribute in self._attributes[category]:
-            if attribute.attribute_id == attribute_id and attribute.values:
-                return attribute.values[0]
-        return None
-
-    @property
-    def subject_id(self) -> Optional[str]:
-        value = self.first_value(Category.SUBJECT, SUBJECT_ID)
-        return None if value is None else str(value.value)
-
-    @property
-    def resource_id(self) -> Optional[str]:
-        value = self.first_value(Category.RESOURCE, RESOURCE_ID)
-        return None if value is None else str(value.value)
-
-    @property
-    def action_id(self) -> Optional[str]:
-        value = self.first_value(Category.ACTION, ACTION_ID)
-        return None if value is None else str(value.value)
-
-    def cache_key(self) -> tuple:
-        parts = []
-        for category in Category:
-            for attribute in sorted(
-                self._attributes[category], key=lambda a: a.attribute_id
-            ):
-                if category is Category.ENVIRONMENT:
-                    continue
-                for value in attribute.values:
-                    parts.append(
-                        (category.value, attribute.attribute_id, value.lexical())
-                    )
-        return tuple(sorted(parts))
-
-    def __repr__(self) -> str:
-        return (
-            f"RequestContext(subject={self.subject_id!r}, "
-            f"resource={self.resource_id!r}, action={self.action_id!r})"
-        )
-
 
 # -- strategies --------------------------------------------------------------------
 
@@ -192,54 +109,48 @@ def identity(adds) -> Counter:
     )
 
 
-def assert_reads_alike(request, oracle):
+def assert_reads_as_added(request, adds):
+    held = xacml.entries_of(adds)
     for category in Category:
-        assert request.attributes(category) == oracle.attributes(category)
+        assert request.attributes(category) == [a for c, a in adds if c is category]
         for attribute_id in ATTRIBUTE_IDS:
-            assert request.values(category, attribute_id) == oracle.values(
-                category, attribute_id
-            )
-            assert request.first_value(
-                category, attribute_id
-            ) == oracle.first_value(category, attribute_id)
+            values = [v for c, i, _, _, v in held if (c, i) == (category, attribute_id)]
+            assert request.values(category, attribute_id) == values
+            assert request.first_value(category, attribute_id) == (values or [None])[0]
             for data_type in DataType:
                 for issuer in ISSUERS:
                     # Bag equality is by sorted lexicals; the engine
                     # reads them in order, so compare the tuples.
-                    assert (
-                        request.bag(category, attribute_id, data_type, issuer).values
-                        == oracle.bag(category, attribute_id, data_type, issuer).values
+                    assert request.bag(category, attribute_id, data_type, issuer).values == tuple(
+                        xacml.request_bag(held, category, attribute_id, data_type, issuer)
                     )
-    assert request.subject_id == oracle.subject_id
-    assert request.resource_id == oracle.resource_id
-    assert request.action_id == oracle.action_id
-    assert repr(request) == repr(oracle)
+    for name, category, attribute_id in (
+        ("subject_id", Category.SUBJECT, SUBJECT_ID),
+        ("resource_id", Category.RESOURCE, RESOURCE_ID),
+        ("action_id", Category.ACTION, ACTION_ID),
+    ):
+        first = request.first_value(category, attribute_id)
+        assert getattr(request, name) == (None if first is None else str(first.value))
     # The serializer reads a request through ``attributes()`` alone.
-    assert serialize_request(request) == serialize_request(oracle)
+    assert wire.request(ET.fromstring(serialize_request(request))) == tuple(
+        tuple(request.attributes(category)) for category in Category
+    )
 
 
-class TestAgainstTheOracle:
+class TestReadsAgainstTheReference:
     @settings(max_examples=150, deadline=None)
-    @given(add_sequences())
-    def test_add_sequences_read_alike(self, adds):
-        assert_reads_alike(
-            build(RequestContext, adds), build(OracleRequestContext, adds)
-        )
-
-    @settings(max_examples=100, deadline=None)
     @given(
         st.dictionaries(
             st.sampled_from(list(Category)), st.lists(attributes(), max_size=3)
         ),
         add_sequences(),
     )
-    def test_constructor_mapping_reads_alike(self, mapping, adds):
+    def test_constructor_mapping_then_add_sequences(self, mapping, adds):
         request = RequestContext(mapping)
-        oracle = OracleRequestContext(mapping)
         for category, attribute in adds:
             request.add(category, attribute)
-            oracle.add(category, attribute)
-        assert_reads_alike(request, oracle)
+        held = [(c, a) for c, attrs in mapping.items() for a in attrs]
+        assert_reads_as_added(request, held + adds)
 
     def test_constructor_copies_its_lists(self):
         held = [Attribute.of("a", string("v"))]
@@ -252,67 +163,27 @@ class TestAgainstTheOracle:
         request.attributes(Category.SUBJECT).clear()
         assert request.subject_id == "alice"
 
-    def test_simple_reads_alike(self):
-        arguments = dict(
-            subject_attributes={"urn:test:role": [string("a"), string("b")]},
-            resource_attributes={"urn:test:owner": [string("alice")]},
-            environment={"urn:test:tod": [string("noon")]},
+    def test_simple(self):
+        role, owner, tod = "urn:test:role", "urn:test:owner", "urn:test:tod"
+        request = RequestContext.simple(
+            "alice",
+            "doc",
+            "read",
+            subject_attributes={role: [string("a"), string("b")]},
+            resource_attributes={owner: [string("alice")]},
+            environment={tod: [string("noon")]},
         )
-        request = RequestContext.simple("alice", "doc", "read", **arguments)
-        oracle = OracleRequestContext()
-        oracle.add(Category.SUBJECT, Attribute.of(SUBJECT_ID, string("alice")))
-        oracle.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, string("doc")))
-        oracle.add(Category.ACTION, Attribute.of(ACTION_ID, string("read")))
-        oracle.add(
-            Category.SUBJECT,
-            Attribute("urn:test:role", (string("a"), string("b"))),
+        added = [
+            (Category.SUBJECT, SUBJECT_ID, "alice"),
+            (Category.RESOURCE, RESOURCE_ID, "doc"),
+            (Category.ACTION, ACTION_ID, "read"),
+            (Category.SUBJECT, role, "a", "b"),
+            (Category.RESOURCE, owner, "alice"),
+            (Category.ENVIRONMENT, tod, "noon"),
+        ]
+        assert_reads_as_added(
+            request, [(c, Attribute.of(i, *map(string, vs))) for c, i, *vs in added]
         )
-        oracle.add(
-            Category.RESOURCE, Attribute("urn:test:owner", (string("alice"),))
-        )
-        oracle.add(
-            Category.ENVIRONMENT, Attribute("urn:test:tod", (string("noon"),))
-        )
-        assert_reads_alike(request, oracle)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(list(Category)),
-                st.builds(
-                    Attribute,
-                    attribute_id=st.sampled_from(ATTRIBUTE_IDS),
-                    values=st.lists(
-                        st.sampled_from(["alice", "bob", ""]).map(string),
-                        min_size=1,
-                        max_size=3,
-                    ).map(tuple),
-                ),
-            ),
-            max_size=6,
-        ),
-        st.data(),
-    )
-    def test_key_equality_agrees_where_type_and_issuer_do_not_vary(
-        self, adds, data
-    ):
-        """Untyped-string, issuer-less requests — every request the
-        benchmarks and experiments make — are told apart exactly as the
-        parent told them apart, so no cache or dedup table splits or
-        merges differently."""
-        other = data.draw(st.permutations(adds) | st.just(adds[1:]))
-        assert (
-            build(RequestContext, adds).cache_key()
-            == build(RequestContext, other).cache_key()
-        ) == (
-            build(OracleRequestContext, adds).cache_key()
-            == build(OracleRequestContext, other).cache_key()
-        )
-        # Field by field: the parent's triple leads each part.
-        assert [
-            part[:3] for part in build(RequestContext, adds).cache_key()
-        ] == list(build(OracleRequestContext, adds).cache_key())
 
 
 class TestIdentity:

@@ -13,7 +13,7 @@ evaluation fetched, so the store remembers each distinct path once (the
 * **bounded** — a subject-id read does not grow the memo per subject.
 """
 
-from unittest import mock
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,7 +46,7 @@ from repro.xacml import (
 from repro.xacml.engine import MEMO_FANOUT, MEMO_NODES
 from repro.xacml.functions import FUNCTION_PREFIX_1_0
 
-from test_evaluation_oracle import POLICY_COMBINING, finders, requests, stores
+from test_evaluation_reference import POLICY_COMBINING, finders, requests, stores
 
 REQUEST = RequestContext.simple("alice", "doc", "read")
 LEVEL = "urn:test:level"
@@ -145,11 +145,19 @@ class TestDifferential:
             [role_policy()], finder=logged(lambda *_: [string("nurse")], log)
         )
         first = engine.evaluate(REQUEST)
-        interpreted = mock.patch.object(
-            Policy, "evaluate", side_effect=AssertionError("interpreted")
-        )
-        with interpreted:
+        interpreted: list[str] = []
+
+        def watch(frame, event, _arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.endswith(("policy.py", "rules.py")):
+                interpreted.append(code.co_name)
+
+        sys.setprofile(watch)
+        try:
             again = engine.evaluate(REQUEST)
+        finally:
+            sys.setprofile(None)
+        assert interpreted == []
         assert again.response == first.response
         assert again.decision is Decision.PERMIT
         # The hit asked the finder as interpretation did: once each.

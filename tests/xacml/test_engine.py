@@ -248,25 +248,6 @@ class TestTargetSummaries:
 
 
 class TestPdpEngine:
-    def test_indexed_and_linear_agree(self):
-        """Indexing is an optimisation: it must never change decisions."""
-        policies = [resource_policy(f"doc-{i}") for i in range(30)]
-        indexed = PdpEngine(PolicyStore(indexed=True))
-        linear = PdpEngine(PolicyStore(indexed=False))
-        for policy in policies:
-            indexed.add_policy(policy)
-            linear.add_policy(policy)
-        for subject in ("alice", "bob"):
-            for resource in ("doc-0", "doc-15", "missing"):
-                request = RequestContext.simple(subject, resource, "read")
-                assert indexed.decide(request) == linear.decide(request)
-
-    def test_not_applicable_when_nothing_matches(self):
-        engine = PdpEngine()
-        engine.add_policy(resource_policy("doc-1"))
-        request = RequestContext.simple("alice", "unknown", "read")
-        assert engine.decide(request) is Decision.NOT_APPLICABLE
-
     def test_stats_reported(self):
         engine = PdpEngine()
         for index in range(20):
@@ -274,20 +255,6 @@ class TestPdpEngine:
         response = engine.evaluate(RequestContext.simple("alice", "doc-3", "read"))
         assert response.stats.policies_considered == 1
         assert response.stats.policies_skipped_by_index == 19
-
-    def test_obligations_flow_to_response(self):
-        from repro.xacml import Obligation
-
-        obligation = Obligation("urn:test:audit", Decision.PERMIT)
-        policy = Policy(
-            policy_id="with-ob",
-            rules=(permit_rule("r"),),
-            obligations=(obligation,),
-        )
-        engine = PdpEngine()
-        engine.add_policy(policy)
-        response = engine.evaluate(RequestContext.simple("a", "r", "read"))
-        assert response.response.result.obligations == (obligation,)
 
     def test_engine_counts_evaluations(self):
         engine = PdpEngine()

@@ -1,12 +1,20 @@
-"""Tests for expressions, targets, rules: the evaluation core."""
+"""The evaluation core: known answers for expressions, targets and
+rules, bags fetched once per decision, functions bound when a node is
+built, unknown functions, and every status message the engine writes.
+What expressions, targets and rules decide is judged by the reference
+semantics (``test_evaluation_reference.py``); nothing there judges the
+reference, so the known answers here pin both."""
 
 import dataclasses
 
 import pytest
+from reference import xacml
 
 from repro.xacml import (
     ANY_TARGET,
+    AllOf,
     AllOfFunction,
+    AnyOf,
     AnyOfFunction,
     AttributeDesignator,
     Category,
@@ -21,7 +29,9 @@ from repro.xacml import (
     Policy,
     RequestContext,
     SUBJECT_ROLE,
+    SUBJECT_ID,
     StatusCode,
+    Target,
     apply_,
     combining,
     attribute_equals,
@@ -36,211 +46,19 @@ from repro.xacml import (
     permit_rule,
     serialize_policy,
     string,
-    subject_resource_action_target,
+    subject_resource_action_target as sra,
     target_of,
 )
 from repro.xacml.expressions import Designator
 from repro.xacml.functions import FUNCTION_PREFIX_1_0
+from repro.xacml.policy import PolicySet
+from repro.xacml.rules import Rule
 
 
 def ctx_for(subject="alice", resource="doc", action="read", **kwargs):
     return EvaluationContext(
         request=RequestContext.simple(subject, resource, action, **kwargs)
     )
-
-
-class TestExpressions:
-    def test_literal(self):
-        assert literal(integer(5)).evaluate(ctx_for()).value == 5
-
-    def test_designator_resolves_from_request(self):
-        ctx = ctx_for(subject_attributes={"urn:test:attr": [string("v")]})
-        bag = designator(Category.SUBJECT, "urn:test:attr").evaluate(ctx)
-        assert [v.value for v in bag] == ["v"]
-
-    def test_missing_required_attribute_indeterminate(self):
-        expr = designator(
-            Category.SUBJECT, "urn:test:missing", must_be_present=True
-        )
-        with pytest.raises(Indeterminate) as err:
-            expr.evaluate(ctx_for())
-        assert err.value.status.code is StatusCode.MISSING_ATTRIBUTE
-
-    def test_missing_optional_attribute_is_empty_bag(self):
-        bag = designator(Category.SUBJECT, "urn:test:missing").evaluate(ctx_for())
-        assert bag.is_empty()
-
-    def test_attribute_finder_consulted(self):
-        calls = []
-
-        def finder(category, attribute_id, data_type):
-            calls.append(attribute_id)
-            return [string("found")]
-
-        ctx = EvaluationContext(
-            request=RequestContext.simple("s", "r", "a"), attribute_finder=finder
-        )
-        bag = designator(Category.SUBJECT, "urn:test:remote").evaluate(ctx)
-        assert [v.value for v in bag] == ["found"]
-        assert calls == ["urn:test:remote"]
-        assert ctx.finder_calls == 1
-
-    def test_apply_nested(self):
-        expr = apply_(
-            FUNCTION_PREFIX_1_0 + "integer-add",
-            literal(integer(1)),
-            apply_(
-                FUNCTION_PREFIX_1_0 + "integer-multiply",
-                literal(integer(2)),
-                literal(integer(3)),
-            ),
-        )
-        assert expr.evaluate(ctx_for()).value == 7
-
-    def test_apply_type_error_becomes_indeterminate(self):
-        expr = apply_(
-            FUNCTION_PREFIX_1_0 + "integer-add",
-            literal(string("oops")),
-            literal(integer(1)),
-        )
-        with pytest.raises(Indeterminate):
-            expr.evaluate(ctx_for())
-
-    def test_any_of(self):
-        ctx = ctx_for(
-            subject_attributes={"urn:test:roles": [string("a"), string("b")]}
-        )
-        expr = AnyOfFunction(
-            function_id=FUNCTION_PREFIX_1_0 + "string-equal",
-            value=literal(string("b")),
-            bag=designator(Category.SUBJECT, "urn:test:roles"),
-        )
-        assert expr.evaluate(ctx).value is True
-
-    def test_all_of(self):
-        ctx = ctx_for(
-            subject_attributes={"urn:test:nums": [integer(5), integer(7)]}
-        )
-        expr = AllOfFunction(
-            function_id=FUNCTION_PREFIX_1_0 + "integer-less-than",
-            value=literal(integer(3)),
-            bag=designator(Category.SUBJECT, "urn:test:nums", DataType.INTEGER),
-        )
-        assert expr.evaluate(ctx).value is True
-
-    def test_condition_must_be_boolean(self):
-        condition = Condition(literal(integer(1)))
-        with pytest.raises(Indeterminate, match="boolean"):
-            condition.evaluate(ctx_for())
-
-    def test_condition_rejects_bag_result(self):
-        condition = Condition(designator(Category.SUBJECT, "urn:test:x"))
-        with pytest.raises(Indeterminate):
-            condition.evaluate(
-                ctx_for(subject_attributes={"urn:test:x": [string("v")]})
-            )
-
-
-class TestTargets:
-    def test_empty_target_matches_everything(self):
-        assert ANY_TARGET.evaluate(ctx_for()) is MatchResult.MATCH
-
-    def test_subject_resource_action_target(self):
-        target = subject_resource_action_target("alice", "doc", "read")
-        assert target.evaluate(ctx_for()) is MatchResult.MATCH
-        assert target.evaluate(ctx_for(subject="bob")) is MatchResult.NO_MATCH
-        assert target.evaluate(ctx_for(action="write")) is MatchResult.NO_MATCH
-
-    def test_any_of_disjunction(self):
-        from repro.xacml import AllOf, AnyOf, SUBJECT_ID, Target
-
-        target = Target(
-            any_ofs=(
-                AnyOf(
-                    all_ofs=(
-                        AllOf(
-                            matches=(
-                                match_equal(
-                                    Category.SUBJECT, SUBJECT_ID, string("alice")
-                                ),
-                            )
-                        ),
-                        AllOf(
-                            matches=(
-                                match_equal(
-                                    Category.SUBJECT, SUBJECT_ID, string("bob")
-                                ),
-                            )
-                        ),
-                    )
-                ),
-            )
-        )
-        assert target.evaluate(ctx_for(subject="alice")) is MatchResult.MATCH
-        assert target.evaluate(ctx_for(subject="bob")) is MatchResult.MATCH
-        assert target.evaluate(ctx_for(subject="carol")) is MatchResult.NO_MATCH
-
-    def test_match_over_multivalued_bag(self):
-        target = target_of(
-            match_equal(Category.SUBJECT, "urn:test:role", string("admin"))
-        )
-        ctx = ctx_for(
-            subject_attributes={
-                "urn:test:role": [string("user"), string("admin")]
-            }
-        )
-        assert target.evaluate(ctx) is MatchResult.MATCH
-
-
-class TestRules:
-    def test_rule_effect_on_match(self):
-        rule = permit_rule("r", subject_resource_action_target("alice", "doc", "read"))
-        assert rule.evaluate(ctx_for()).decision is Decision.PERMIT
-
-    def test_rule_not_applicable_on_target_miss(self):
-        rule = permit_rule("r", subject_resource_action_target(subject_id="bob"))
-        assert rule.evaluate(ctx_for()).decision is Decision.NOT_APPLICABLE
-
-    def test_rule_condition_false_not_applicable(self):
-        rule = permit_rule(
-            "r",
-            condition=Condition(literal(boolean(False))),
-        )
-        assert rule.evaluate(ctx_for()).decision is Decision.NOT_APPLICABLE
-
-    def test_rule_condition_error_indeterminate(self):
-        rule = permit_rule(
-            "r",
-            condition=Condition(
-                apply_(
-                    FUNCTION_PREFIX_1_0 + "string-one-and-only",
-                    designator(Category.SUBJECT, "urn:test:absent"),
-                )
-            ),
-        )
-        result = rule.evaluate(ctx_for())
-        assert result.decision is Decision.INDETERMINATE
-
-    def test_deny_rule(self):
-        rule = deny_rule("r")
-        assert rule.evaluate(ctx_for()).decision is Decision.DENY
-
-    def test_effect_must_be_definitive(self):
-        from repro.xacml.rules import Rule
-
-        with pytest.raises(ValueError):
-            Rule(rule_id="bad", effect=Decision.NOT_APPLICABLE)
-
-    def test_attribute_equals_helper(self):
-        rule = permit_rule(
-            "r",
-            condition=attribute_equals(
-                Category.SUBJECT, "urn:test:group", string("staff")
-            ),
-        )
-        ctx = ctx_for(subject_attributes={"urn:test:group": [string("staff")]})
-        assert rule.evaluate(ctx).decision is Decision.PERMIT
-        assert rule.evaluate(ctx_for()).decision is Decision.NOT_APPLICABLE
 
 
 ROLE = AttributeDesignator(Category.SUBJECT, SUBJECT_ROLE, DataType.STRING)
@@ -355,23 +173,139 @@ class TestOneBagPerDesignatorPerDecision:
         assert [v.value for v in ctx.resolve(ROLE)] == ["a"]
         assert ctx.finder_calls == 2
 
-    def test_an_issuer_bound_designator_does_not_read_the_unbound_bag(self):
-        from repro.xacml import Attribute
-
-        request = RequestContext.simple("s", "r", "a")
-        request.add(
-            Category.SUBJECT,
-            Attribute.of(SUBJECT_ROLE, string("nurse"), issuer="hospital-idp"),
-        )
-        ctx = EvaluationContext(request=request)
-        assert [v.value for v in ctx.resolve(ROLE)] == ["nurse"]
-        other = dataclasses.replace(ROLE, issuer="somebody-else")
-        assert ctx.resolve(other).is_empty()
-
     def test_must_be_present_does_not_separate_designators(self):
         required = dataclasses.replace(ROLE, must_be_present=True)
         assert required.bag_key == ROLE.bag_key
         assert required != ROLE
+
+
+def ask(subject="alice", action="read", x=None):
+    """A request for doc; ``x``: the values of subject attribute X."""
+    return RequestContext.simple(subject, "doc", action, {X: x} if x else None)
+
+
+def either(*subjects):
+    """A target with one alternative per subject."""
+    alternatives = tuple(
+        AllOf((match_equal(Category.SUBJECT, SUBJECT_ID, string(s)),)) for s in subjects
+    )
+    return Target((AnyOf(alternatives),))
+
+
+def f(name):
+    return FUNCTION_PREFIX_1_0 + name
+
+
+def when(expression):
+    return permit_rule("r", condition=Condition(expression))
+
+
+X = "urn:test:x"
+X_BAG = designator(Category.SUBJECT, X)
+X_REQUIRED = designator(Category.SUBJECT, X, must_be_present=True)
+X_INTEGERS = designator(Category.SUBJECT, X, DataType.INTEGER)
+ONE, TWO, THREE = (literal(integer(n)) for n in (1, 2, 3))
+ALICE_READS_DOC = sra("alice", "doc", "read")
+ALICE_OR_BOB = either("alice", "bob")
+X_IS_ONE = target_of(Match(f("integer-equal"), integer(1), X_BAG.designator))
+STAFF = attribute_equals(Category.SUBJECT, X, string("staff"))
+MATCH, NO_MATCH = MatchResult.MATCH, MatchResult.NO_MATCH
+PERMIT, DENY = Decision.PERMIT, Decision.DENY
+NOT_APPLICABLE, INDETERMINATE = Decision.NOT_APPLICABLE, Decision.INDETERMINATE
+#: A target over a request: target, request, result.
+TARGET_CELLS = {
+    "empty_target_matches_everything": (ANY_TARGET, ask(), MATCH),
+    "subject_resource_action_target": (ALICE_READS_DOC, ask(), MATCH),
+    "subject_resource_action_target-bob": (ALICE_READS_DOC, ask("bob"), NO_MATCH),
+    "subject_resource_action_target-write": (ALICE_READS_DOC, ask(action="write"), NO_MATCH),
+    "any_of_disjunction-alice": (ALICE_OR_BOB, ask(), MATCH),
+    "any_of_disjunction-bob": (ALICE_OR_BOB, ask("bob"), MATCH),
+    "any_of_disjunction-carol": (ALICE_OR_BOB, ask("carol"), NO_MATCH),
+    "match_over_multivalued_bag": (
+        target_of(match_equal(Category.SUBJECT, X, string("admin"))),
+        ask(x=[string("user"), string("admin")]),
+        MATCH,
+    ),
+    "equality_of_another_type_than_the_designator_is_an_error": (
+        X_IS_ONE, ask(x=[string("1")]), MatchResult.INDETERMINATE
+    ),
+    "equality_of_another_type_over_an_empty_bag": (X_IS_ONE, ask(), NO_MATCH),
+}
+
+
+@pytest.mark.parametrize("target, request_, result", TARGET_CELLS.values(), ids=TARGET_CELLS.keys())
+def test_a_target_known_answer(target, request_, result):
+    assert target.evaluate(EvaluationContext(request=request_)) is result
+    reference = xacml.Context(request_, readings=xacml.ENGINE)
+    assert xacml.target(reference, target)[0] == result.value
+
+
+#: A rule over a request: rule, request, decision.
+RULE_CELLS = {
+    "rule_effect_on_match": (permit_rule("r", ALICE_READS_DOC), ask(), PERMIT),
+    "rule_not_applicable_on_target_miss": (permit_rule("r", sra("bob")), ask(), NOT_APPLICABLE),
+    "rule_condition_false_not_applicable": (when(literal(boolean(False))), ask(), NOT_APPLICABLE),
+    "rule_condition_error_indeterminate": (
+        when(apply_(f("string-one-and-only"), X_BAG)), ask(), INDETERMINATE
+    ),
+    "missing_required_attribute_indeterminate": (
+        when(apply_(f("string-is-in"), literal(string("x")), X_REQUIRED)),
+        ask(),
+        INDETERMINATE,
+    ),
+    "deny_rule": (deny_rule("r"), ask(), DENY),
+    "attribute_equals_helper-staff": (
+        permit_rule("r", condition=STAFF), ask(x=[string("staff")]), PERMIT
+    ),
+    "attribute_equals_helper-nobody": (permit_rule("r", condition=STAFF), ask(), NOT_APPLICABLE),
+    "condition_must_be_boolean": (when(ONE), ask(), INDETERMINATE),
+    "condition_rejects_bag_result": (when(X_BAG), ask(x=[string("v")]), INDETERMINATE),
+}
+
+
+@pytest.mark.parametrize("rule, request_, decision", RULE_CELLS.values(), ids=RULE_CELLS.keys())
+def test_a_rule_known_answer(rule, request_, decision):
+    """Decision, and a status code the reference agrees with."""
+    got = rule.evaluate(EvaluationContext(request=request_))
+    code = got.status.code if got.status else StatusCode.OK
+    reference = xacml.Context(request_, readings=xacml.ENGINE)
+    assert got.decision is decision
+    assert xacml.evaluate(reference, rule)[:2] == (decision, code)
+
+
+#: An expression over a request: expression, request, value.
+EXPRESSION_CELLS = {
+    "literal": (literal(integer(5)), ask(), 5),
+    "apply_nested": (
+        apply_(f("integer-add"), ONE, apply_(f("integer-multiply"), TWO, THREE)),
+        ask(),
+        7,
+    ),
+    "any_of": (
+        AnyOfFunction(f("string-equal"), literal(string("b")), X_BAG),
+        ask(x=[string("a"), string("b")]),
+        True,
+    ),
+    "all_of": (
+        AllOfFunction(f("integer-less-than"), THREE, X_INTEGERS),
+        ask(x=[integer(5), integer(7)]),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "expression, request_, value", EXPRESSION_CELLS.values(), ids=EXPRESSION_CELLS.keys()
+)
+def test_an_expression_known_answer(expression, request_, value):
+    assert expression.evaluate(EvaluationContext(request=request_)).value == value
+    reference = xacml.Context(request_, readings=xacml.ENGINE)
+    assert xacml.value_of(reference, expression).value == value
+
+
+def test_a_rule_effect_must_be_definitive():
+    with pytest.raises(ValueError):
+        Rule(rule_id="bad", effect=Decision.NOT_APPLICABLE)
 
 
 class TestBoundAtConstruction:
@@ -401,26 +335,6 @@ class TestBoundAtConstruction:
         assert boolean(False).value is False
         with pytest.raises(TypeError):
             boolean(1)
-
-    def test_value_compare_keeps_the_type_guard(self):
-        # Only a finder can put a wrongly-typed value in a bag; the
-        # equality function calls that an error, not a mismatch.
-        match = match_equal(Category.SUBJECT, SUBJECT_ROLE, string("1"))
-        wrong, _ = counting_finder([[integer(1)]])
-        ctx = EvaluationContext(
-            request=RequestContext.simple("s", "r", "a"), attribute_finder=wrong
-        )
-        assert match.evaluate(ctx) is MatchResult.INDETERMINATE
-
-    def test_equality_of_another_type_than_the_designator_is_an_error(self):
-        match = Match(
-            match_function=FUNCTION_PREFIX_1_0 + "integer-equal",
-            value=integer(1),
-            designator=ROLE,
-        )
-        ctx = ctx_for(subject_attributes={SUBJECT_ROLE: [string("1")]})
-        assert match.evaluate(ctx) is MatchResult.INDETERMINATE
-        assert match.evaluate(ctx_for()) is MatchResult.NO_MATCH  # empty bag
 
 
 BOGUS = "urn:bogus:function"
@@ -496,3 +410,75 @@ class TestUnknownFunction:
             assert expression.evaluate(ctx).value is True
         finally:
             del functions._REGISTRY[late]
+
+
+CLEARANCE = AttributeDesignator(
+    Category.SUBJECT, "urn:test:clearance", DataType.STRING, must_be_present=True
+)
+NEEDS_CLEARANCE = target_of(
+    Match(FUNCTION_PREFIX_1_0 + "string-equal", string("secret"), CLEARANCE)
+)
+ONE_AND_ONLY = FUNCTION_PREFIX_1_0 + "integer-one-and-only"
+GREATER = FUNCTION_PREFIX_1_0 + "integer-greater-than"
+TYPE_ERROR = f"{GREATER}: expected INTEGER, got STRING"
+ABSENT = designator(Category.SUBJECT, "urn:test:absent", DataType.INTEGER)
+
+
+def conditioned(expression):
+    return Policy("p", (permit_rule("r", condition=Condition(expression)),))
+
+
+def over_roles(node):
+    """An any-of or all-of of an integer compare over the string roles."""
+    return conditioned(node(GREATER, literal(integer(1)), Designator(ROLE)))
+
+
+IS_IN = FUNCTION_PREFIX_1_0 + "string-is-in"
+PERMITS = permit_rule("r")
+#: Every status message the engine writes, with an element that makes
+#: it: the reference semantics judges decision and status code only.
+STATUS_MESSAGES = {
+    "missing-attribute": (
+        conditioned(apply_(IS_IN, literal(string("x")), Designator(CLEARANCE))),
+        "missing required attribute subject:urn:test:clearance",
+    ),
+    "function-error": (
+        conditioned(apply_(ONE_AND_ONLY, ABSENT)),
+        f"error applying {ONE_AND_ONLY}: {ONE_AND_ONLY}: "
+        "bag has 0 elements, exactly one required",
+    ),
+    "any-of": (over_roles(AnyOfFunction), f"any-of: {TYPE_ERROR}"),
+    "all-of": (over_roles(AllOfFunction), f"all-of: {TYPE_ERROR}"),
+    "not-a-boolean": (
+        conditioned(literal(string("x"))),
+        "condition evaluated to STRING, expected boolean",
+    ),
+    "a-bag": (conditioned(Designator(ROLE)), "condition evaluated to a bag, expected boolean"),
+    "unknown-function": (conditioned(apply_(BOGUS)), f"unknown function {BOGUS!r}"),
+    "rule-target": (
+        Policy("p", (permit_rule("r", target=NEEDS_CLEARANCE),)),
+        "target of rule r indeterminate",
+    ),
+    "policy-target": (
+        Policy("p", (PERMITS,), target=NEEDS_CLEARANCE),
+        "target of policy p indeterminate",
+    ),
+    "policy-set-target": (
+        PolicySet("s", (Policy("p", (PERMITS,)),), target=NEEDS_CLEARANCE),
+        "target of policy set s indeterminate",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "element, message", STATUS_MESSAGES.values(), ids=STATUS_MESSAGES.keys()
+)
+def test_status_message(element, message):
+    engine = PdpEngine(policy_combining=combining.POLICY_FIRST_APPLICABLE)
+    engine.add_policy(element)
+    request = RequestContext.simple(
+        "alice", "doc", "read", subject_attributes={SUBJECT_ROLE: [string("nurse")]}
+    )
+    result = engine.evaluate(request).response.result
+    assert result.decision is Decision.INDETERMINATE
+    assert result.status.message == message

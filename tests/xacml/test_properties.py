@@ -3,13 +3,16 @@
 Invariants checked:
 
 * combining-algorithm algebra (deny/permit-overrides invariance under
-  permutation; deny-overrides never yields Permit if any child denies);
+  permutation; deny-overrides never yields Permit if any child denies),
+  and every combiner over child outcomes is Appendix C as the README's
+  ledger reads it (``tests/reference/xacml.py``);
 * serializer/parser round-trip over randomly generated policies;
 * target indexing never changes engine decisions — over conjunctive,
   disjunctive and ordered-comparison targets, multi-valued id bags and
   requests that leave a canonical id to the PIP finder;
 * the property those are instances of: the indexed store hands a
-  request every element whose target does not evaluate NO_MATCH — over
+  request every element whose target does not evaluate NO_MATCH (as
+  the reference semantics evaluates it) — over
   multi-group, multi-alternative, typed, issuer-bound and ill-typed
   targets, and finders that supply the canonical ids;
 * under interleaved add / remove / replace the indexed store keeps
@@ -40,10 +43,11 @@ from hypothesis.stateful import (
     rule,
 )
 
-from test_evaluation_oracle import (
-    finders as oracle_finders,
-    requests as oracle_requests,
-    targets as oracle_targets,
+from reference import xacml
+from test_evaluation_reference import (
+    finders as drawn_finders,
+    requests as drawn_requests,
+    targets as drawn_targets,
 )
 
 from repro.workloads import Population, PopulationSpec
@@ -56,15 +60,14 @@ from repro.xacml import (
     Category,
     DataType,
     Decision,
-    EvaluationContext,
     Match,
-    MatchResult,
     PdpEngine,
     Policy,
     PolicyStore,
     RESOURCE_ID,
     RequestContext,
     SUBJECT_ID,
+    StatusCode,
     Target,
     combining,
     deny_rule,
@@ -150,16 +153,23 @@ class TestCombiningAlgebra:
         if Decision.PERMIT in items:
             assert decision is Decision.PERMIT
 
-    @given(st.lists(decisions, max_size=8))
-    def test_first_applicable_matches_manual_scan(self, items):
-        combiner = combining.lookup(combining.RULE_FIRST_APPLICABLE)
-        decision, _ = combiner(evaluables(items))
-        expected = Decision.NOT_APPLICABLE
-        for item in items:
-            if item is not Decision.NOT_APPLICABLE:
-                expected = item
-                break
-        assert decision == expected
+    @given(
+        st.lists(decisions, max_size=8),
+        st.sampled_from(
+            [combining.RULE_FIRST_APPLICABLE]
+            + sorted(a for a in combining.known_algorithms() if ":policy-" in a)
+        ),
+    )
+    def test_combiners_are_appendix_c_as_the_ledger_reads_it(self, items, algorithm):
+        """Over policy outcomes (rule-level overrides need the rules'
+        effects: ``test_evaluation_reference.py`` judges those)."""
+        decision, _ = combining.lookup(algorithm)(evaluables(items))
+        expected, _ = xacml.ALGORITHMS[algorithm](
+            xacml.Context(RequestContext(), readings=xacml.ENGINE),
+            items,
+            lambda item: (item, StatusCode.PROCESSING_ERROR, ()),
+        )
+        assert decision is expected
 
     @given(st.lists(decisions, max_size=8))
     def test_all_not_applicable_stays_not_applicable(self, items):
@@ -497,9 +507,9 @@ class TestIndexingProperties:
         assert single == batched == oracle
 
     @given(
-        st.lists(oracle_targets, min_size=1, max_size=6),
-        oracle_requests(),
-        oracle_finders(),
+        st.lists(drawn_targets, min_size=1, max_size=6),
+        drawn_requests(),
+        drawn_finders(),
     )
     @settings(max_examples=400, deadline=None)
     def test_candidates_hold_every_element_that_can_match(
@@ -521,10 +531,8 @@ class TestIndexingProperties:
         handed = store.candidates(request)
         assert is_subsequence(handed, store.elements())
         for element in store.elements():
-            outcome = element.target.evaluate(
-                EvaluationContext(request=request, attribute_finder=finder)
-            )
-            if outcome is not MatchResult.NO_MATCH:
+            outcome, _ = xacml.target(xacml.Context(request, finder), element.target)
+            if outcome != xacml.NO_MATCH:
                 assert any(element is held for held in handed), (
                     element.policy_id,
                     outcome,

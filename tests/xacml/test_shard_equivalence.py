@@ -5,12 +5,14 @@ splitting the decision tier's state across a consistent-hash ring must
 be *invisible* in decisions.  Including mid-stream replica joins,
 evaluating with each replica's
 :class:`~repro.components.placement.AttributePartition` (lazy fault-in
-from a shared authoritative resolver) returns exactly what a
-direct-resolver engine returns, and replicas only ever retain keys they
-own.
+from a shared authoritative resolver) returns exactly what the
+reference semantics (``tests/reference/xacml.py``) decides with the
+authoritative resolver as its finder, and replicas only ever retain
+keys they own.
 """
 
 from hypothesis import given, settings, strategies as st
+from reference import xacml
 
 from repro.components.placement import (
     AttributePartition,
@@ -131,27 +133,28 @@ def churn(ring: PlacementMap, op: str) -> bool:
     return False
 
 
-def assert_same_decision(sharded, unsharded, context: str) -> None:
-    assert sharded.decision is unsharded.decision, context
-    assert (
-        sharded.response.result.obligations
-        == unsharded.response.result.obligations
-    ), context
-    assert (
-        sharded.response.result.status == unsharded.response.result.status
+def assert_decides_as_the_reference(sharded, policies, request, context: str) -> None:
+    result = sharded.response.result
+    assert (result.decision, result.status.code, result.obligations) == (
+        xacml.authorization_decision(
+            policies,
+            request,
+            combining.POLICY_DENY_OVERRIDES,
+            direct_finder(request),
+            xacml.ENGINE,
+        )
     ), context
 
 
 class TestSubjectShardedAttributes:
     @given(mixed_policies(), events, st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_partitioned_attributes_agree_with_direct_resolver(
+    def test_partitioned_attributes_decide_as_the_reference(
         self, policies, events, indexed
     ):
         store = PolicyStore(indexed=indexed)
         for policy in policies:
             store.add(policy)
-        reference = PdpEngine(store)
         ring = PlacementMap(REPLICA_POOL[:2])
         spec = PlacementSpec("subject", ring)
         partitions = {
@@ -173,10 +176,10 @@ class TestSubjectShardedAttributes:
             replicas[owner].attribute_finder = partition_finder(
                 partitions[owner], request
             )
-            reference.attribute_finder = direct_finder(request)
-            assert_same_decision(
+            assert_decides_as_the_reference(
                 replicas[owner].evaluate(request),
-                reference.evaluate(request),
+                policies,
+                request,
                 f"{request.subject_id} on {owner} (epoch {ring.epoch})",
             )
         # Placement invariant: after any churn history, a replica only
