@@ -9,6 +9,7 @@ I/II entirely; the resource provider still holds final say.
 
 from repro.bench import Experiment
 from repro.capability import (
+    CAPABILITY_LIFETIME,
     CapabilityEnforcer,
     CapabilityVerifier,
     CommunityAuthorizationService,
@@ -114,7 +115,7 @@ def test_e2_capability_push_flow(benchmark):
     # PEP-side validation rejects out-of-scope, stolen and expired tokens.
     out_of_scope = enforcer.authorize(capability, "ana", "dataset", "write")
     stolen = enforcer.authorize(capability, "mallory", "dataset", "read")
-    network.clock.advance_to(network.now + cas.capability_lifetime + 1.0)
+    network.clock.advance_to(network.now + CAPABILITY_LIFETIME + 1.0)
     expired = enforcer.authorize(capability, "ana", "dataset", "read")
     experiment.add_row("out-of-scope action", "-", 0, 0, out_of_scope.granted)
     experiment.add_row("stolen by mallory", "-", 0, 0, stolen.granted)

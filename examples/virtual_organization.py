@@ -8,7 +8,7 @@ sites, then authorises the same cross-domain access two ways:
   the researcher's role from her *home* site's PIP;
 * **push** (Fig. 2): the researcher first obtains a SAML capability from
   the VO's Community Authorization Service and presents it with the call;
-  the archive validates it offline and applies its own local vetoes.
+  the archive validates it offline.
 
 Run:  python examples/virtual_organization.py
 """

@@ -61,7 +61,6 @@ class AdminGrant:
     delegate: str
     scope: Scope
     max_depth: int = 0
-    granted_at: float = 0.0
 
 
 @dataclass
@@ -88,13 +87,6 @@ class DelegationRegistry:
         self._grants: list[AdminGrant] = []
         self.reductions_performed = 0
         self.total_steps = 0
-        #: Optional unified revocation registry (duck-typed; see
-        #: repro.revocation): bound, every withdrawn grant is recorded
-        #: there, giving revoked delegations a propagation path.
-        self._revocation_registry = None
-
-    def bind_revocation_registry(self, registry) -> None:
-        self._revocation_registry = registry
 
     def grant(
         self,
@@ -102,7 +94,6 @@ class DelegationRegistry:
         delegate: str,
         scope: Scope,
         max_depth: int = 0,
-        at: float = 0.0,
     ) -> AdminGrant:
         """Record a delegation; the delegator must itself hold the right.
 
@@ -120,7 +111,6 @@ class DelegationRegistry:
             delegate=delegate,
             scope=scope,
             max_depth=max_depth,
-            granted_at=at,
         )
         self._grants.append(grant)
         return grant
@@ -138,10 +128,6 @@ class DelegationRegistry:
         ]
         for victim in victims:
             self._grants.remove(victim)
-        if victims and self._revocation_registry is not None:
-            self._revocation_registry.revoke_delegation(
-                delegator, delegate, str(scope)
-            )
         return len(victims)
 
     def grants(self) -> list[AdminGrant]:

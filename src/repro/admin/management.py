@@ -154,16 +154,8 @@ class PolicyLifecycleManager:
         self._transition(managed, LifecycleState.ISSUED, issuer)
         return version
 
-    def withdraw(
-        self,
-        policy_id: str,
-        actor: str,
-        pap: Optional[PolicyAdministrationPoint] = None,
-    ) -> None:
-        managed = self._get(policy_id)
-        if pap is not None:
-            pap.withdraw(policy_id, requester=actor)
-        self._transition(managed, LifecycleState.WITHDRAWN, actor)
+    def withdraw(self, policy_id: str, actor: str) -> None:
+        self._transition(self._get(policy_id), LifecycleState.WITHDRAWN, actor)
 
     def state_of(self, policy_id: str) -> LifecycleState:
         return self._get(policy_id).state

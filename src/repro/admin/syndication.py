@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from ..components.base import Component, ComponentIdentity
+from ..components.base import Component
 from ..components.pap import PolicyAdministrationPoint
 from ..simnet.message import Message
 from ..simnet.network import Network
@@ -74,11 +74,10 @@ class SyndicationNode(Component):
         name: str,
         network: Network,
         domain: str = "",
-        identity: Optional[ComponentIdentity] = None,
         local_pap: Optional[PolicyAdministrationPoint] = None,
         acceptance: Optional[AcceptancePolicy] = None,
     ) -> None:
-        super().__init__(name, network, domain, identity)
+        super().__init__(name, network, domain)
         self.local_pap = local_pap
         self.acceptance = acceptance
         self.children: list[str] = []

@@ -33,7 +33,7 @@ from ..xacml.context import Decision, RequestContext
 from ..xacml.engine import PdpEngine
 from .tokens import CAPABILITY_SCOPE_ATTR, CAPABILITY_VO_ATTR, CapabilityScope
 
-#: Default capability lifetime (simulated seconds).
+#: Capability lifetime (simulated seconds).
 CAPABILITY_LIFETIME = 300.0
 
 
@@ -93,11 +93,9 @@ class CommunityAuthorizationService(Component):
         domain: str,
         identity: ComponentIdentity,
         vo_name: str = "",
-        capability_lifetime: float = CAPABILITY_LIFETIME,
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.vo_name = vo_name
-        self.capability_lifetime = capability_lifetime
         self.engine = PdpEngine()
         self._subject_attributes: dict[str, dict[str, list[str]]] = {}
         self.capabilities_issued = 0
@@ -170,7 +168,7 @@ class CommunityAuthorizationService(Component):
             subject_id=cap_request.subject_id,
             issue_instant=self.now,
             not_before=self.now,
-            not_on_or_after=self.now + self.capability_lifetime,
+            not_on_or_after=self.now + CAPABILITY_LIFETIME,
             statements=tuple(statements),
             audience=cap_request.audience,
         )

@@ -20,8 +20,7 @@ from ..components.pep import EnforcementResult, PolicyEnforcementPoint
 from ..domain.domain import AdministrativeDomain
 from ..domain.trust import TrustKind
 from ..saml.assertions import AssertionError_, SignedAssertion
-from ..xacml.context import Decision, RequestContext, Status, StatusCode
-from ..xacml.engine import PdpEngine
+from ..xacml.context import Decision, Status, StatusCode
 
 #: SAML attribute names used inside capability assertions.
 CAPABILITY_SCOPE_ATTR = "urn:repro:capability:scope"
@@ -123,21 +122,13 @@ class CapabilityEnforcer:
     """Push-model enforcement wrapper around a PEP.
 
     The enforcer never contacts a PDP: the capability *is* the decision.
-    An optional ``local_engine`` lets the resource provider impose its own
-    restrictions on top (the paper's "resource providers may impose their
-    own restrictions on access requests"): a local Deny vetoes the
-    capability; NotApplicable/Permit lets it stand.
     """
 
     def __init__(
-        self,
-        pep: PolicyEnforcementPoint,
-        verifier: CapabilityVerifier,
-        local_engine: Optional[PdpEngine] = None,
+        self, pep: PolicyEnforcementPoint, verifier: CapabilityVerifier
     ) -> None:
         self.pep = pep
         self.verifier = verifier
-        self.local_engine = local_engine
 
     def authorize(
         self,
@@ -160,15 +151,5 @@ class CapabilityEnforcer:
                 ),
                 detail=outcome.reason,
             )
-        if self.local_engine is not None:
-            request = RequestContext.simple(subject_id, resource_id, action_id)
-            local = self.local_engine.decide(request, current_time=self.pep.now)
-            if local is Decision.DENY:
-                self.pep.denials += 1
-                return EnforcementResult(
-                    decision=Decision.DENY,
-                    source="capability",
-                    detail="local provider policy vetoed the capability",
-                )
         self.pep.grants += 1
         return EnforcementResult(decision=Decision.PERMIT, source="capability")

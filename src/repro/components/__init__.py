@@ -31,7 +31,8 @@ The per-PEP queue, the domain gateway's backlog and the federated
 gateway's per-peer forward buffers are instances of the stage; the
 only per-tier batching code is the drain — single shot (queue), at most
 ``max_batch`` slots per paced step drawn fairly over the PEPs
-(gateway), back-to-back chunks of ``forward_batch`` (forward buffer).
+(gateway), back-to-back chunks of the gateway's ``max_batch`` (forward
+buffer).
 """
 
 from .base import (
@@ -61,7 +62,7 @@ from .fabric import (
     pep_latency_series,
 )
 from .federation import (
-    DEFAULT_FORWARD_TTL,
+    FORWARD_TTL,
     FORWARD_ACTION,
     FederatedGateway,
     ForwardedBatchQuery,
@@ -115,7 +116,7 @@ __all__ = [
     "BatchingStage",
     "CacheStats",
     "CoalescingDecisionQueue",
-    "DEFAULT_FORWARD_TTL",
+    "FORWARD_TTL",
     "DecisionCache",
     "DecisionChannel",
     "DecisionDispatcher",

@@ -287,9 +287,9 @@ class Component:
         recipient: str,
         kind: str,
         payload: Any,
-        timeout: float = DEFAULT_TIMEOUT,
     ) -> Message:
-        """:meth:`ask`, then run the event loop until it settles.
+        """:meth:`ask`, then run the event loop until it settles (at the
+        latest :data:`DEFAULT_TIMEOUT` after the send).
 
         For drivers and setup only: the loop refuses to nest, so a
         handler or timer that calls this raises ``RuntimeError``.
@@ -299,8 +299,8 @@ class Component:
             RpcFault: the peer replied with a fault.
         """
         settled: list = []
-        deadline = self.now + timeout
-        self.ask(recipient, kind, payload, settled.append, settled.append, timeout)
+        deadline = self.now + DEFAULT_TIMEOUT
+        self.ask(recipient, kind, payload, settled.append, settled.append)
         if not self.network.loop.run_until(settled.__len__, deadline):
             # This component crashed while it waited: the ask is gone.
             raise RpcTimeout(self.name, recipient, kind, deadline)

@@ -59,6 +59,10 @@ class CacheStats:
         }
 
 
+#: Entries a cache holds before LRU eviction.
+CACHE_CAPACITY = 10_000
+
+
 @dataclass
 class _Entry(Generic[V]):
     value: V
@@ -73,22 +77,15 @@ class TtlCache(Generic[K, V]):
         ttl: entry lifetime in simulated seconds; 0 disables caching
             entirely (every ``get`` is a miss), which experiments use as
             the no-cache baseline.
-        capacity: maximum entries before LRU eviction.
         clock: callable returning the current simulated time.
+
+    Past :data:`CACHE_CAPACITY` entries the least recently used goes.
     """
 
-    def __init__(
-        self,
-        ttl: float,
-        clock: Callable[[], float],
-        capacity: int = 10_000,
-    ) -> None:
+    def __init__(self, ttl: float, clock: Callable[[], float]) -> None:
         if ttl < 0:
             raise ValueError(f"ttl must be >= 0, got {ttl}")
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
         self.ttl = ttl
-        self.capacity = capacity
         self._clock = clock
         self._entries: OrderedDict[K, _Entry[V]] = OrderedDict()
         self.stats = CacheStats()
@@ -124,7 +121,7 @@ class TtlCache(Generic[K, V]):
         now = self._clock()
         if key in self._entries:
             del self._entries[key]
-        elif len(self._entries) >= self.capacity:
+        elif len(self._entries) >= CACHE_CAPACITY:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
         self._entries[key] = _Entry(
@@ -223,10 +220,8 @@ class DecisionCache(TtlCache[tuple[KeyPart, ...], XacmlAuthzDecisionStatement]):
     delivery time the cache does not have).
     """
 
-    def __init__(
-        self, ttl: float, clock: Callable[[], float], capacity: int = 10_000
-    ) -> None:
-        super().__init__(ttl, clock, capacity)
+    def __init__(self, ttl: float, clock: Callable[[], float]) -> None:
+        super().__init__(ttl, clock)
         self._fence = _NO_FENCE  # cache-wide
         #: ``(category, attribute id, lexical)`` of a revoked subject /
         #: resource id -> when it was last invalidated.

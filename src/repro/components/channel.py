@@ -22,7 +22,7 @@ is the only place under ``components/`` that touches WS-Security:
   :meth:`~DecisionChannel.seal_reply`.
 
 Whether a server *refuses* plain queries is its own policy (the PDP's
-``require_signed_queries``, a gateway's ``secure_channel``); how an
+``require_signed_queries``, a gateway's identity); how an
 exchange is authenticated is not.
 """
 

@@ -39,8 +39,8 @@ The three drains are the only per-tier code:
   with an optional fairness cap, paced by the envelopes' serialisation
   time, repeated until the backlog is empty;
 * :class:`~repro.components.federation.FederatedGateway` (between
-  domains) — per target domain, back-to-back chunks of
-  ``forward_batch``.
+  domains) — per target domain, back-to-back chunks of the gateway's
+  ``max_batch``.
 
 Everything is event-driven: drains *send* a message and return, and
 replies/timeouts are handled as ordinary inbound events, so a
@@ -63,7 +63,7 @@ from ..simnet.message import Message
 from ..simnet.network import Network
 from ..saml.xacml_profile import XacmlAuthzDecisionBatchQuery
 from ..xacml.context import RequestContext
-from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
+from .base import DEFAULT_TIMEOUT, Component, ComponentIdentity, RpcFault, RpcTimeout
 from .channel import DecisionChannel
 from .pdp import BATCH_QUERY_ACTION
 from .placement import PlacementSpec
@@ -1056,7 +1056,9 @@ class DomainDecisionGateway(_StagedTier, Component):
             aggregation without dispatch would re-create the single
             choke point replication exists to remove).
         domain: owning administrative domain.
-        identity: key material for the secure channel.
+        identity: key material for the secure channel: a gateway with
+            an identity signs super-batch queries and verifies reply
+            signatures with it.
         max_batch: flush as soon as this many unique slots are pending;
             also the hard size cap of one super-batch envelope (a flush
             with a larger backlog drains as several envelopes, which
@@ -1066,10 +1068,9 @@ class DomainDecisionGateway(_StagedTier, Component):
             several PEPs' flushes into one envelope).
         fairness_cap: maximum slots one PEP contributes to a single
             super-batch; None disables the cap (round-robin draw only).
-        secure_channel: sign super-batch queries / verify reply
-            signatures with the gateway's identity.
-        pdp_timeout: reply deadline towards the PDP tier, per replica
-            tried (> 0).
+
+    The reply deadline towards the PDP tier, per replica tried, is
+    :data:`~repro.components.base.DEFAULT_TIMEOUT`.
     """
 
     def __init__(
@@ -1082,24 +1083,19 @@ class DomainDecisionGateway(_StagedTier, Component):
         max_batch: int = 64,
         max_delay: float = 0.001,
         fairness_cap: Optional[int] = None,
-        secure_channel: bool = False,
-        pdp_timeout: float = 2.0,
     ) -> None:
         super().__init__(name, network, domain, identity)
         if dispatcher is None:
             raise ValueError("gateway requires a DecisionDispatcher")
         if fairness_cap is not None and fairness_cap < 1:
             raise ValueError(f"fairness_cap must be >= 1, got {fairness_cap}")
-        if not pdp_timeout > 0:
-            raise ValueError(f"pdp_timeout must be > 0, got {pdp_timeout}")
         #: How every envelope this gateway sends (PDP-bound, forwarded)
         #: or serves is sealed and opened.
         self.channel = DecisionChannel(
-            self, secure=secure_channel, role="gateway"
+            self, secure=identity is not None, role="gateway"
         )
         self.dispatcher = dispatcher
         self.fairness_cap = fairness_cap
-        self.pdp_timeout = pdp_timeout
         self._queues: dict[str, CoalescingDecisionQueue] = {}
         #: Per-owner FIFO of pending slots, in registration order, drawn
         #: round-robin at flush.
@@ -1124,7 +1120,7 @@ class DomainDecisionGateway(_StagedTier, Component):
                 select=dispatcher.select,
                 deliver=self._stage.deliver,
                 fail=self._stage.fail,
-                timeout=pdp_timeout,
+                timeout=DEFAULT_TIMEOUT,
                 channel=self.channel,
                 dispatcher=dispatcher,
                 on_sent=self._note_super_batch,

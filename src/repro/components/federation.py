@@ -35,7 +35,7 @@ Indeterminate fail-safe statement instead of a loop.
 Remote slots wait in one :class:`~repro.components.fabric.
 BatchingStage` per peer domain — a second window downstream of the
 gateway's own — whose drain is the only batching code here: back-to-back
-chunks of ``forward_batch`` until the buffer is empty.  All wire
+chunks of the gateway's ``max_batch`` until the buffer is empty.  All wire
 behaviour — shard partitioning, the in-flight map, timeout failover,
 reply validation, fail-safe fan-out — comes from the shared
 :class:`~repro.components.fabric.BatchWireCore`, for outbound forwards
@@ -71,7 +71,7 @@ from ..xacml.context import (
     Status,
     StatusCode,
 )
-from .base import RpcFault
+from .base import DEFAULT_TIMEOUT, RpcFault
 from .cache import DecisionCache
 from .channel import is_secure_action, secure_action
 from .fabric import (
@@ -87,8 +87,8 @@ from .fabric import (
 FORWARD_ACTION = "xacml.request.forward"
 SECURE_FORWARD_ACTION = secure_action(FORWARD_ACTION)
 
-#: Default maximum number of gateway hops a forwarded batch may take.
-DEFAULT_FORWARD_TTL = 3
+#: Maximum number of gateway hops a forwarded batch may take.
+FORWARD_TTL = 3
 
 _FORWARD_TAG = qualified("fed:ForwardedBatchQuery")
 _NOT_A_FORWARD = "not a ForwardedBatchQuery"
@@ -108,7 +108,7 @@ class ForwardedBatchQuery:
     batch: XacmlAuthzDecisionBatchQuery
     origin_domain: str
     origin_gateway: str
-    ttl: int = DEFAULT_FORWARD_TTL
+    ttl: int = FORWARD_TTL
 
     def __post_init__(self) -> None:
         if self.ttl < 1:
@@ -338,9 +338,9 @@ class FederatedGateway(DomainDecisionGateway):
     Remote slots are not forwarded the instant a drain step classifies
     them: they accumulate in a per-target-domain buffer (a
     :class:`~repro.components.fabric.BatchingStage` downstream of the
-    gateway's own) that flushes on ``forward_batch`` slots or after
+    gateway's own) that flushes on ``max_batch`` slots or after
     ``forward_delay`` seconds, as unpaced back-to-back chunks of
-    ``forward_batch``; they stay in flight at the gateway stage
+    ``max_batch``; they stay in flight at the gateway stage
     meanwhile, so late identical requests still join them.  The
     inter-domain hop is the expensive one (WAN latency, a WS-Security
     signature per envelope), so trading a bounded extra origin-side
@@ -379,17 +379,17 @@ class FederatedGateway(DomainDecisionGateway):
             domain instead of mis-deciding.  An answer that is an
             exception fails its request closed.  Defaults to
             ``resolve_domain``.
-        forward_ttl: gateway hops a forwarded batch may take.
-        forward_batch: flush a target domain's buffered slots as soon
-            as this many wait (default: the gateway's ``max_batch``).
         forward_delay: flush a target domain's buffered slots this many
             simulated seconds after the first entered an empty buffer
             (default: the gateway's ``max_delay``).
-        peer_timeout: reply deadline for gateway→gateway envelopes
-            (> 0; defaults to ``pdp_timeout``).
         remote_cache_ttl: lifetime of gateway-tier cached remote
             decisions in simulated seconds; 0 (default) disables the
             cache — the PR 4 behaviour.
+
+    A forwarded batch may take :data:`FORWARD_TTL` gateway hops; a
+    target domain's buffer flushes once the gateway's ``max_batch``
+    slots wait, in chunks of that size; gateway→gateway envelopes have
+    the PDP tier's reply deadline.
     """
 
     def __init__(
@@ -400,39 +400,21 @@ class FederatedGateway(DomainDecisionGateway):
         domain: str,
         resolve_domain: Optional[DomainResolver] = None,
         resolve_authoritative: Optional[DomainResolver] = None,
-        forward_ttl: int = DEFAULT_FORWARD_TTL,
-        forward_batch: Optional[int] = None,
         forward_delay: Optional[float] = None,
-        peer_timeout: Optional[float] = None,
         remote_cache_ttl: float = 0.0,
         **kwargs,
     ) -> None:
         if not domain:
             raise ValueError("a federated gateway needs a domain name")
-        if forward_ttl < 1:
-            raise ValueError(f"forward_ttl must be >= 1, got {forward_ttl}")
-        if forward_batch is not None and forward_batch < 1:
-            raise ValueError(
-                f"forward_batch must be >= 1, got {forward_batch}"
-            )
         if forward_delay is not None and forward_delay < 0:
             raise ValueError(
                 f"forward_delay must be >= 0, got {forward_delay}"
             )
-        if peer_timeout is not None and not peer_timeout > 0:
-            raise ValueError(f"peer_timeout must be > 0, got {peer_timeout}")
         super().__init__(name, network, dispatcher, domain=domain, **kwargs)
         self.resolve_domain = resolve_domain
         self.resolve_authoritative = resolve_authoritative
-        self.forward_ttl = forward_ttl
-        self.forward_batch = (
-            forward_batch if forward_batch is not None else self._stage.max_batch
-        )
         self.forward_delay = (
             forward_delay if forward_delay is not None else self._stage.max_delay
-        )
-        self.peer_timeout = (
-            peer_timeout if peer_timeout is not None else self.pdp_timeout
         )
         #: Remote domain -> that domain's gateway address (forwarding).
         self._peers: dict[str, str] = {}
@@ -476,7 +458,7 @@ class FederatedGateway(DomainDecisionGateway):
         self._peers[domain_name] = gateway_address
         if domain_name not in self._forwards:
             self._forwards[domain_name] = self._stage.downstream(
-                self.forward_batch,
+                self._stage.max_batch,
                 self.forward_delay,
                 drain=partial(self._drain_forward, domain_name),
             )
@@ -602,12 +584,12 @@ class FederatedGateway(DomainDecisionGateway):
         return tx_time
 
     def _drain_forward(self, target: str) -> None:
-        """One peer's forward drain: chunks of ``forward_batch``, back to
+        """One peer's forward drain: chunks of its ``max_batch``, back to
         back and unpaced, until the buffer is empty."""
         buffer = self._forwards[target]
         while buffer.pending:
             chunk = buffer.take(
-                list(islice(buffer.pending.values(), self.forward_batch))
+                list(islice(buffer.pending.values(), buffer.max_batch))
             )
             self._wire.send(chunk, job=self._forward_job(target))
 
@@ -680,7 +662,7 @@ class FederatedGateway(DomainDecisionGateway):
 
     def _forward_job(self, target: str, ttl: Optional[int] = None) -> WireJob:
         peer = self._peers[target]
-        hops = self.forward_ttl if ttl is None else ttl
+        hops = FORWARD_TTL if ttl is None else ttl
 
         def select(exclude: Sequence[str]) -> Optional[str]:
             return None if peer in exclude else peer
@@ -703,7 +685,7 @@ class FederatedGateway(DomainDecisionGateway):
             # destination, which for a forward job is the peer gateway.
             deliver=self._deliver_remote_slots,
             fail=self._fail_forwarded_slots,
-            timeout=self.peer_timeout,
+            timeout=DEFAULT_TIMEOUT,
             channel=self.channel,
             encode=encode,
             on_sent=self._note_forward,
@@ -715,7 +697,7 @@ class FederatedGateway(DomainDecisionGateway):
             select=dispatcher.select,
             deliver=self._deliver_remote_slots,
             fail=self._stage.fail,
-            timeout=self.pdp_timeout,
+            timeout=DEFAULT_TIMEOUT,
             channel=self.channel,
             dispatcher=dispatcher,
         )

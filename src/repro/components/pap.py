@@ -4,16 +4,14 @@
 into the authorisation system" (paper §2.2).  This PAP stores versioned
 policy elements, serves retrieval queries from PDPs (the remote fetches
 that caching and syndication — E5/E6 — exist to reduce) and accepts
-publish/withdraw operations, optionally guarded by an authorisation hook
-so the access control system protects itself with its own machinery
-(paper §3.2, "Security of Access Control Systems").
+publish/withdraw operations.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..simnet.message import Message
 from ..simnet.network import Network
@@ -24,9 +22,6 @@ from ..xacml.validation import is_deployable
 from .base import Component, ComponentIdentity, RpcFault
 
 PolicyElement = Union[Policy, PolicySet]
-
-#: Guard callback: (operation, requester, policy_id) -> allowed?
-AdminGuard = Callable[[str, str, str], bool]
 
 
 @dataclass
@@ -146,13 +141,9 @@ class PolicyAdministrationPoint(Component):
         network: Network,
         domain: str = "",
         identity: Optional[ComponentIdentity] = None,
-        guard: Optional[AdminGuard] = None,
-        validate_on_publish: bool = True,
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.repository = PolicyRepository()
-        self.guard = guard
-        self.validate_on_publish = validate_on_publish
         self.retrievals_served = 0
         #: Addresses notified on every policy change (paper §3.2: caching
         #: "reduces the flexibility of revoking old access control rules";
@@ -168,8 +159,7 @@ class PolicyAdministrationPoint(Component):
     # -- local API (used by in-domain administrators) ---------------------------
 
     def publish(self, element: PolicyElement, publisher: str = "local-admin") -> int:
-        self._check_guard("publish", publisher, child_identifier(element))
-        if self.validate_on_publish and not is_deployable(element):
+        if not is_deployable(element):
             raise RpcFault(
                 "pap:invalid-policy",
                 f"policy {child_identifier(element)!r} failed validation",
@@ -178,8 +168,7 @@ class PolicyAdministrationPoint(Component):
         self._notify_change(child_identifier(element))
         return version
 
-    def withdraw(self, identifier: str, requester: str = "local-admin") -> bool:
-        self._check_guard("withdraw", requester, identifier)
+    def withdraw(self, identifier: str) -> bool:
         removed = self.repository.withdraw(identifier)
         if removed:
             self._notify_change(identifier)
@@ -205,13 +194,6 @@ class PolicyAdministrationPoint(Component):
         self.subscribe_changes(message.sender)
         return "<Ack/>"
 
-    def _check_guard(self, operation: str, requester: str, policy_id: str) -> None:
-        if self.guard is not None and not self.guard(operation, requester, policy_id):
-            raise RpcFault(
-                "pap:unauthorised",
-                f"{requester!r} may not {operation} {policy_id!r}",
-            )
-
     # -- message handlers ---------------------------------------------------------
 
     def _handle_retrieve(self, message: Message) -> str:
@@ -232,7 +214,7 @@ class PolicyAdministrationPoint(Component):
         match = re.match(r'<PapWithdraw policyId="([^"]*)"/>$', str(message.payload))
         if match is None:
             raise RpcFault("pap:bad-request", "malformed withdraw")
-        removed = self.withdraw(match.group(1), requester=message.sender)
+        removed = self.withdraw(match.group(1))
         return f'<PapAck policyId="{match.group(1)}" removed="{str(removed).lower()}"/>'
 
 

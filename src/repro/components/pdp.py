@@ -126,13 +126,12 @@ class PdpConfig:
     #: Placement contract of a sharded tier (None = unsharded, the
     #: default).  When set, this replica owns only its hash range of the
     #: placement ring: its attribute partition materialises owned keys
-    #: lazily, misrouted batch slots are reforwarded to their owner, and
+    #: lazily, misrouted batch slots are reforwarded to their owner
+    #: (under the default RPC deadline), and
     #: :meth:`PolicyDecisionPoint.rebalance_placement` implements the
     #: join/leave story.  Replicas and client-side hash routing must
     #: share the same spec object (or synchronised copies).
     placement: Optional[PlacementSpec] = None
-    #: RPC deadline for replica→replica reforwards of misrouted slots.
-    forward_timeout: float = 2.0
 
     def __post_init__(self) -> None:
         if self.worker_count < 1:
@@ -145,10 +144,6 @@ class PdpConfig:
             raise ValueError(
                 f"placement must be a PlacementSpec or None, got "
                 f"{type(self.placement).__name__}"
-            )
-        if self.forward_timeout <= 0:
-            raise ValueError(
-                f"forward_timeout must be > 0, got {self.forward_timeout}"
             )
 
 
@@ -635,7 +630,7 @@ class PolicyDecisionPoint(Component):
             action, payload = self.channel.seal(
                 OWNED_BATCH_QUERY_ACTION, sub_batch.to_xml()
             )
-            self.ask(owner, action, payload, answered, fall_back, self.config.forward_timeout)
+            self.ask(owner, action, payload, answered, fall_back)
 
         if owned:
             evaluate_here(owned)

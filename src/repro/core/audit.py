@@ -31,16 +31,19 @@ class AuditRecord:
     detail: str = ""
 
 
+#: Records a log keeps; later ones are counted as dropped.
+AUDIT_CAPACITY = 1_000_000
+
+
 class AuditLog:
     """Append-only audit store with simple analytics."""
 
-    def __init__(self, capacity: int = 1_000_000) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._records: list[AuditRecord] = []
         self.dropped = 0
 
     def record(self, record: AuditRecord) -> None:
-        if len(self._records) >= self.capacity:
+        if len(self._records) >= AUDIT_CAPACITY:
             self.dropped += 1
             return
         self._records.append(record)
@@ -57,21 +60,12 @@ class AuditLog:
         self,
         subject_id: Optional[str] = None,
         resource_id: Optional[str] = None,
-        decision: Optional[Decision] = None,
-        source: Optional[str] = None,
-        since: Optional[float] = None,
     ) -> list[AuditRecord]:
         out = []
         for record in self._records:
             if subject_id is not None and record.subject_id != subject_id:
                 continue
             if resource_id is not None and record.resource_id != resource_id:
-                continue
-            if decision is not None and record.decision != decision:
-                continue
-            if source is not None and record.source != source:
-                continue
-            if since is not None and record.at < since:
                 continue
             out.append(record)
         return out

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..components.base import Component, RpcFault
 from ..components.channel import DecisionChannel
-from ..components.pdp import PdpConfig, PolicyDecisionPoint, QUERY_ACTION
+from ..components.pdp import PolicyDecisionPoint, QUERY_ACTION
 from ..domain.domain import AdministrativeDomain
 from ..saml.xacml_profile import XacmlAuthzDecisionQuery
 from ..simnet.message import Message
@@ -55,14 +55,13 @@ class PdpCluster:
         self,
         domain: AdministrativeDomain,
         replicas: int,
-        config: Optional[PdpConfig] = None,
     ) -> None:
         if replicas < 1:
             raise ValueError(f"cluster needs >= 1 replica, got {replicas}")
         self.domain = domain
         self.replicas: list[PolicyDecisionPoint] = []
         for index in range(replicas):
-            replica = domain.create_pdp(config=config, suffix=f"-r{index}")
+            replica = domain.create_pdp(suffix=f"-r{index}")
             self.replicas.append(replica)
 
     @property
@@ -70,11 +69,17 @@ class PdpCluster:
         return [replica.name for replica in self.replicas]
 
 
+#: Reply deadline of one heartbeat ping (simulated seconds).
+PROBE_TIMEOUT = 0.2
+#: Reply deadline of one quorum vote (simulated seconds).
+REPLY_TIMEOUT = 1.0
+
+
 class HeartbeatMonitor(Component):
     """Tracks replica liveness through periodic pings.
 
     A replica is *suspected* after ``miss_threshold`` consecutive missed
-    heartbeats — the classic trade-off between detection latency
+    heartbeats (a ping unanswered within :data:`PROBE_TIMEOUT`) — the classic trade-off between detection latency
     (period × threshold) and false suspicion, which E11 sweeps.  A round
     pings the replicas in turn, and the next is due a period after it
     ends.  A monitor that is down judges nobody: its rounds run nothing
@@ -87,13 +92,11 @@ class HeartbeatMonitor(Component):
         network: Network,
         targets: list[str],
         period: float = 0.5,
-        probe_timeout: float = 0.2,
         miss_threshold: int = 2,
     ) -> None:
         super().__init__(name, network)
         self.targets = list(targets)
         self.period = period
-        self.probe_timeout = probe_timeout
         self.miss_threshold = miss_threshold
         self._misses: dict[str, int] = {target: 0 for target in targets}
         self._suspected: set[str] = set()
@@ -130,7 +133,7 @@ class HeartbeatMonitor(Component):
                 self.suspicions_raised += 1
             settled()
 
-        self.ask(target, "ping", "<Ping/>", heard, missed, timeout=self.probe_timeout)
+        self.ask(target, "ping", "<Ping/>", heard, missed, timeout=PROBE_TIMEOUT)
 
 
 @dataclass
@@ -148,8 +151,8 @@ class QuorumClient(Component):
     Deny-biased: ties, insufficient replies or any disagreement that
     leaves Permit without a strict majority resolve to Deny — a corrupted
     minority can cause denial of service but never unauthorised access.
-    A reply that does not decode, or that answers another query, counts
-    as no reply.
+    A reply that does not decode, or that answers another query, or
+    that misses :data:`REPLY_TIMEOUT`, counts as no reply.
     """
 
     def __init__(
@@ -158,7 +161,6 @@ class QuorumClient(Component):
         network: Network,
         replica_addresses: list[str],
         quorum: int,
-        reply_timeout: float = 1.0,
     ) -> None:
         super().__init__(name, network)
         if quorum < 1 or quorum > len(replica_addresses):
@@ -167,7 +169,6 @@ class QuorumClient(Component):
             )
         self.replica_addresses = list(replica_addresses)
         self.quorum = quorum
-        self.reply_timeout = reply_timeout
         self.channel = DecisionChannel(self, role="quorum")
         self.disagreements_observed = 0
 
@@ -207,7 +208,7 @@ class QuorumClient(Component):
                 query.to_xml(),
                 answered,
                 lambda _: settled(),
-                timeout=self.reply_timeout,
+                timeout=REPLY_TIMEOUT,
             )
 
         def count() -> None:

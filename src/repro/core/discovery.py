@@ -109,10 +109,6 @@ def discovering_dispatcher(
     )
 
 
-def register_pdp(
-    registry: ServiceRegistry, pdp_name: str, domain: str, at: float = 0.0
-) -> None:
+def register_pdp(registry: ServiceRegistry, pdp_name: str, domain: str) -> None:
     """Convenience: publish a PDP's WSDL-lite description."""
-    registry.register(
-        pdp_description(name=pdp_name, address=pdp_name, domain=domain), at=at
-    )
+    registry.register(pdp_description(name=pdp_name, address=pdp_name, domain=domain))

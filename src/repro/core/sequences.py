@@ -68,7 +68,6 @@ def pull_sequence(
     pep: PolicyEnforcementPoint,
     resource_id: str,
     action_id: str,
-    request: Optional[RequestContext] = None,
 ) -> FlowTrace:
     """Fig. 3: policy-issuing (pull).  Client calls; PEP asks the PDP.
 
@@ -79,8 +78,7 @@ def pull_sequence(
     metrics = client.network.metrics
     messages_before = metrics.messages_sent
     bytes_before = metrics.bytes_sent
-    if request is None:
-        request = RequestContext.simple(client.subject_id, resource_id, action_id)
+    request = RequestContext.simple(client.subject_id, resource_id, action_id)
     trace.add("I", "access request", client.name, pep.name, client.now)
     pdp_name = "|".join(pep.dispatcher.replicas) if pep.dispatcher else "(none)"
     trace.add("II", "authorisation decision query", pep.name, pdp_name, client.now)
@@ -105,7 +103,6 @@ def push_sequence(
     enforcer: CapabilityEnforcer,
     resource_id: str,
     action_id: str,
-    audience: Optional[str] = None,
     reuse_capability: Optional[SignedAssertion] = None,
 ) -> tuple[FlowTrace, Optional[SignedAssertion]]:
     """Fig. 2: capability-issuing (push).
@@ -124,7 +121,6 @@ def push_sequence(
         cap_request = CapabilityRequest(
             subject_id=client.subject_id,
             scopes=(CapabilityScope(resource_id, action_id),),
-            audience=audience,
         )
         trace.add(
             "I", "capability request", client.name, capability_service, client.now
@@ -172,11 +168,10 @@ class AgentProxy(Component):
         name: str,
         network: Network,
         service_name: str,
-        engine: Optional[PdpEngine] = None,
     ) -> None:
         super().__init__(name, network)
         self.service_name = service_name
-        self.engine = engine if engine is not None else PdpEngine()
+        self.engine = PdpEngine()
         self.grants = 0
         self.denials = 0
 

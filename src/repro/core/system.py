@@ -15,8 +15,7 @@ from typing import Optional, Union
 
 from ..admin.conflicts import MetaPolicyEngine, Veto
 from ..components.fabric import DecisionDispatcher, HealthyFirstRouting
-from ..components.pdp import PdpConfig
-from ..components.pep import EnforcementResult, PepConfig, PolicyEnforcementPoint
+from ..components.pep import EnforcementResult, PolicyEnforcementPoint
 from ..domain.domain import AdministrativeDomain, WebServiceResource
 from ..xacml.context import Decision, RequestContext
 from ..xacml.policy import Policy, PolicySet
@@ -35,8 +34,6 @@ class SystemConfig:
     #: Heartbeat period for the failover monitor (replicated mode only).
     heartbeat_period: float = 0.5
     heartbeat_miss_threshold: int = 2
-    pdp_config: Optional[PdpConfig] = None
-    pep_config: Optional[PepConfig] = None
 
 
 class AccessControlSystem:
@@ -46,15 +43,11 @@ class AccessControlSystem:
         self,
         domain: AdministrativeDomain,
         config: Optional[SystemConfig] = None,
-        meta_policies: Optional[MetaPolicyEngine] = None,
-        audit: Optional[AuditLog] = None,
     ) -> None:
         self.domain = domain
         self.config = config if config is not None else SystemConfig()
-        self.meta_policies = (
-            meta_policies if meta_policies is not None else MetaPolicyEngine()
-        )
-        self.audit = audit if audit is not None else AuditLog()
+        self.meta_policies = MetaPolicyEngine()
+        self.audit = AuditLog()
         self.cluster: Optional[PdpCluster] = None
         self.monitor: Optional[HeartbeatMonitor] = None
         #: The replicated mode's shared ring, set on every protected PEP.
@@ -64,11 +57,7 @@ class AccessControlSystem:
         if domain.pip is None:
             domain.create_pip()
         if self.config.pdp_replicas > 1:
-            self.cluster = PdpCluster(
-                domain,
-                replicas=self.config.pdp_replicas,
-                config=self.config.pdp_config,
-            )
+            self.cluster = PdpCluster(domain, replicas=self.config.pdp_replicas)
             self.monitor = monitor = HeartbeatMonitor(
                 f"hb.{domain.name}",
                 domain.network,
@@ -82,15 +71,13 @@ class AccessControlSystem:
                 HealthyFirstRouting(lambda address: not monitor.is_suspected(address)),
             )
         elif domain.pdp is None:
-            domain.create_pdp(config=self.config.pdp_config)
+            domain.create_pdp()
 
     # -- resources -----------------------------------------------------------------
 
     def protect(self, resource_id: str, description: str = "") -> WebServiceResource:
         """Expose a resource behind a PEP wired to this system's PDP(s)."""
-        resource = self.domain.expose_resource(
-            resource_id, description=description, pep_config=self.config.pep_config
-        )
+        resource = self.domain.expose_resource(resource_id, description=description)
         if self.dispatcher is not None:
             resource.pep.dispatcher = self.dispatcher
         return resource
@@ -105,9 +92,9 @@ class AccessControlSystem:
 
     # -- policy administration ---------------------------------------------------------
 
-    def publish_policy(self, element: PolicyElement, publisher: str = "admin") -> int:
+    def publish_policy(self, element: PolicyElement) -> int:
         assert self.domain.pap is not None
-        return self.domain.pap.publish(element, publisher=publisher)
+        return self.domain.pap.publish(element, publisher="admin")
 
     # -- authorisation ------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from .directory import (
     ResourceDirectory,
 )
 from .directory_service import (
-    DEFAULT_DIRECTORY_TOPIC,
+    DIRECTORY_TOPIC,
     DirectoryClient,
     DirectoryLookupError,
     DirectoryRecord,
@@ -51,7 +51,7 @@ __all__ = [
     "AdministrativeDomain",
     "COMPONENT_CERT_LIFETIME",
     "Credential",
-    "DEFAULT_DIRECTORY_TOPIC",
+    "DIRECTORY_TOPIC",
     "DirectoryClient",
     "DirectoryLookupError",
     "DirectoryRecord",

@@ -32,15 +32,12 @@ DomainResolver = Callable[[Sequence[RequestContext], Callable[[list], None]], No
 class ResourceDirectory:
     """Maps resource identifiers to their governing domain.
 
-    Args:
-        default_domain: what :meth:`domain_of` returns for unlisted
-            resources; None means "unknown" (the federated gateway then
-            treats the resource as locally governed).
+    An unlisted resource's domain is None, "unknown" (the federated
+    gateway then treats the resource as locally governed).
     """
 
-    def __init__(self, default_domain: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._governing: dict[str, str] = {}
-        self.default_domain = default_domain
         #: Monotone governance-change counter: bumped by every effective
         #: :meth:`transfer`, so cached resolutions can be epoch-checked
         #: (the :class:`~repro.domain.directory_service.DirectoryService`
@@ -82,7 +79,7 @@ class ResourceDirectory:
         return self.epoch
 
     def domain_of(self, resource_id: str) -> Optional[str]:
-        return self._governing.get(resource_id, self.default_domain)
+        return self._governing.get(resource_id)
 
     def domains(self) -> set[str]:
         return set(self._governing.values())
@@ -91,15 +88,11 @@ class ResourceDirectory:
         return len(self._governing)
 
     def resolver(self) -> DomainResolver:
-        """A resolver for federated gateways; it answers at once.
-
-        A request that names no resource has nothing for a directory to
-        govern: "unknown -> locally governed" applies a fortiori, so it
-        is never forwarded to a remote default domain.
-        """
+        """A resolver for federated gateways; it answers at once.  A
+        request that names no resource, like one naming an unlisted
+        resource, is locally governed."""
 
         def resolve(requests: Sequence[RequestContext], then: Callable[[list], None]) -> None:
-            resources = [request.resource_id for request in requests]
-            then([None if resource is None else self.domain_of(resource) for resource in resources])
+            then([self.domain_of(request.resource_id) for request in requests])
 
         return resolve

@@ -45,7 +45,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Union
 from xml.sax.saxutils import quoteattr
 
-from ..components.base import Component, ComponentIdentity, RpcFault
+from ..components.base import DEFAULT_TIMEOUT, Component, RpcFault
 from ..components.cache import TtlCache
 from ..simnet.message import Message
 from ..simnet.network import Network
@@ -58,7 +58,7 @@ LOOKUP_ACTION = "directory.lookup"
 #: Topic publication carrying one governance transfer (epoch bump).
 TRANSFER_KIND = "directory.transfer"
 #: Default topic directory change notices ride on.
-DEFAULT_DIRECTORY_TOPIC = "directory"
+DIRECTORY_TOPIC = "directory"
 
 #: What a lookup resolves to: the governing domain, None (unknown, or
 #: locally governed), or the error that left it unanswered.
@@ -132,7 +132,8 @@ class DirectoryService(Component):
     Args:
         directory: the authoritative resource directory this service
             fronts (its ``epoch`` is the service's epoch).
-        topic: simnet topic transfer notices are published on.
+
+    Transfer notices are published on :data:`DIRECTORY_TOPIC`.
     """
 
     def __init__(
@@ -140,13 +141,9 @@ class DirectoryService(Component):
         name: str,
         network: Network,
         directory: ResourceDirectory,
-        domain: str = "",
-        identity: Optional[ComponentIdentity] = None,
-        topic: str = DEFAULT_DIRECTORY_TOPIC,
     ) -> None:
-        super().__init__(name, network, domain, identity)
+        super().__init__(name, network)
         self.directory = directory
-        self.topic = topic
         self.lookups_served = 0
         self.transfers_published = 0
         self.notices_pushed = 0
@@ -184,7 +181,7 @@ class DirectoryService(Component):
             self.transfers_published += 1
             self.notices_pushed += self.network.publish(
                 self.name,
-                self.topic,
+                DIRECTORY_TOPIC,
                 TRANSFER_KIND,
                 DirectoryRecord(
                     resource_id=resource_id,
@@ -211,7 +208,9 @@ class DirectoryClient(Component):
         subscribe: receive transfer notices on the directory topic and
             patch cached entries in place (push convergence); without
             it staleness is bounded only by ``ttl``.
-        lookup_timeout: RPC deadline towards the service.
+
+    A lookup's RPC deadline towards the service is
+    :data:`~repro.components.base.DEFAULT_TIMEOUT`.
 
     A crash fails the lookups on the wire at once (see
     :attr:`~repro.components.base.Component.caller_kinds`): the gateway
@@ -227,18 +226,11 @@ class DirectoryClient(Component):
         service_address: str,
         ttl: float = 5.0,
         domain: str = "",
-        identity: Optional[ComponentIdentity] = None,
-        topic: str = DEFAULT_DIRECTORY_TOPIC,
         subscribe: bool = True,
-        lookup_timeout: float = 2.0,
-        cache_capacity: int = 10_000,
     ) -> None:
-        super().__init__(name, network, domain, identity)
+        super().__init__(name, network, domain)
         self.service_address = service_address
-        self.lookup_timeout = lookup_timeout
-        self.cache: TtlCache[str, str] = TtlCache(
-            ttl=ttl, clock=lambda: self.now, capacity=cache_capacity
-        )
+        self.cache: TtlCache[str, str] = TtlCache(ttl=ttl, clock=lambda: self.now)
         #: Directory epoch at which each resource's cached governance
         #: was learned.  The dedup key for notices must be
         #: *per-resource*: the epoch is directory-global, so a lookup
@@ -254,7 +246,7 @@ class DirectoryClient(Component):
         self.transfer_notices = 0
         self.subscribed = subscribe
         if subscribe:
-            network.subscribe(topic, name)
+            network.subscribe(DIRECTORY_TOPIC, name)
             self.on(TRANSFER_KIND, self._handle_transfer)
 
     # -- push convergence ---------------------------------------------------------
@@ -310,7 +302,7 @@ class DirectoryClient(Component):
             lookup_request(resource_id),
             answered,
             failed,
-            timeout=self.lookup_timeout,
+            timeout=DEFAULT_TIMEOUT,
         )
 
     def domain_for(

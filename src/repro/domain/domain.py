@@ -225,14 +225,11 @@ class AdministrativeDomain:
         self._intra_domain_link(address)
         return pep
 
-    def standard_layout(
-        self,
-        pdp_config: Optional[PdpConfig] = None,
-    ) -> "AdministrativeDomain":
+    def standard_layout(self) -> "AdministrativeDomain":
         """Create the canonical PAP + PIP + PDP + IdP quartet (Fig. 1)."""
         self.create_pap()
         self.create_pip()
-        self.create_pdp(config=pdp_config)
+        self.create_pdp()
         self.create_idp()
         return self
 

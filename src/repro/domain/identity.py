@@ -87,10 +87,8 @@ class IdentityProvider(Component):
         network: Network,
         domain: str,
         identity: ComponentIdentity,
-        assertion_lifetime: float = ASSERTION_LIFETIME,
     ) -> None:
         super().__init__(name, network, domain, identity)
-        self.assertion_lifetime = assertion_lifetime
         self._subjects: dict[str, Subject] = {}
         self.assertions_issued = 0
         self.profile_requests = 0
@@ -130,7 +128,7 @@ class IdentityProvider(Component):
             subject_id=subject_id,
             issue_instant=self.now,
             not_before=self.now,
-            not_on_or_after=self.now + self.assertion_lifetime,
+            not_on_or_after=self.now + ASSERTION_LIFETIME,
             statements=(
                 AuthnStatement(authn_instant=self.now),
                 AttributeStatement(attributes=attributes),

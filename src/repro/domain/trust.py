@@ -37,12 +37,13 @@ class TrustGraph:
     """The VO-wide record of inter-domain trust.
 
     Withdrawal follows :class:`~repro.wss.pki.CertificateAuthority`:
-    unbound, :meth:`revoke` removes the edge; bound to a
-    :class:`~repro.revocation.registry.RevocationRegistry`, it also
-    records a ``TRUST_EDGE`` revocation there, and :meth:`trusts` reads
-    the registry, so an edge revoked by a record issued anywhere in the
-    deployment stops holding.  Registry records are permanent, CRL-style:
-    an edge revoked there stays revoked.
+    revocations are recorded in one place, the
+    :class:`~repro.revocation.registry.RevocationRegistry` the graph is
+    bound to.  Bound, :meth:`trusts` reads the registry, so an edge
+    revoked by a ``TRUST_EDGE`` record issued anywhere in the deployment
+    stops holding; unbound, the graph holds no revocations.  Registry
+    records are permanent, CRL-style: an edge revoked there stays
+    revoked.
     """
 
     def __init__(self) -> None:
@@ -68,14 +69,3 @@ class TrustGraph:
         return registry is None or not registry.trust_edge_revoked(
             truster, trusted, kind.value
         )
-
-    def revoke(self, truster: str, trusted: str, kind: TrustKind) -> bool:
-        """Withdraw an edge; returns whether it held until now."""
-        if not self.trusts(truster, trusted, kind):
-            return False
-        self._edges.discard((truster, trusted, kind))
-        if self._revocation_registry is not None:
-            self._revocation_registry.revoke_trust_edge(
-                truster, trusted, kind.value
-            )
-        return True

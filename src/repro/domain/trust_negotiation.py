@@ -107,7 +107,6 @@ def negotiate(
     requester: NegotiationParty,
     provider: NegotiationParty,
     access_policy: frozenset[str],
-    max_rounds: int = MAX_ROUNDS,
 ) -> NegotiationOutcome:
     """Run an eager bilateral trust negotiation.
 
@@ -122,7 +121,7 @@ def negotiate(
     requester_shown: set[str] = set()
     provider_shown: set[str] = set()
     outcome = NegotiationOutcome(success=False, rounds=0, messages=0)
-    for round_number in range(1, max_rounds + 1):
+    for round_number in range(1, MAX_ROUNDS + 1):
         outcome.rounds = round_number
         progressed = False
         # Requester discloses first (it wants something), then provider.
@@ -147,7 +146,7 @@ def negotiate(
         if not progressed:
             outcome.reason = "fixpoint: no further disclosures possible"
             return outcome
-    outcome.reason = f"round limit {max_rounds} reached"
+    outcome.reason = f"round limit {MAX_ROUNDS} reached"
     return outcome
 
 

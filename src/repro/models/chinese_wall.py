@@ -48,8 +48,7 @@ class ChineseWallEngine:
 
     SANITISED = "sanitised"
 
-    def __init__(self, name: str = "wall") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._datasets: dict[str, Dataset] = {}
         #: subject -> conflict class -> dataset chosen
         self._commitments: dict[str, dict[str, str]] = {}

@@ -176,22 +176,21 @@ class RbacModel:
         """
         return [self.compile_role_policy(role) for role in sorted(self._roles)]
 
-    def compile_policy_set(self, include_fallback_deny: bool = True) -> PolicySet:
+    def compile_policy_set(self) -> PolicySet:
         """The deployable unit: role policies under permit-overrides.
 
-        Any role policy that permits wins; the optional fallback denies
-        everything else, making the set self-contained (closed world).
+        Any role policy that permits wins; a fallback denies everything
+        else, making the set self-contained (closed world).
         """
         children: list[Policy] = self.compile_policies()
-        if include_fallback_deny:
-            children.append(
-                Policy(
-                    policy_id=f"rbac:{self.name}:fallback-deny",
-                    rules=(deny_rule("deny-all"),),
-                    rule_combining=combining.RULE_FIRST_APPLICABLE,
-                    description="Deny anything no role policy permits",
-                )
+        children.append(
+            Policy(
+                policy_id=f"rbac:{self.name}:fallback-deny",
+                rules=(deny_rule("deny-all"),),
+                rule_combining=combining.RULE_FIRST_APPLICABLE,
+                description="Deny anything no role policy permits",
             )
+        )
         return PolicySet(
             policy_set_id=f"rbac:{self.name}",
             children=tuple(children),

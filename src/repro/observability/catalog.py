@@ -61,22 +61,6 @@ COUNTERS: dict[str, tuple[str, str]] = {
         "components.pdp",
         "partition entries evicted by a ring rebalance (join/leave)",
     ),
-    "analysis.findings": (
-        "xacml.analysis",
-        "static-analysis finding reported (witness-verified where required)",
-    ),
-    "analysis.witness_failed": (
-        "xacml.analysis",
-        "candidate finding suppressed: witness replay contradicted the claim",
-    ),
-    "analysis.witness_unsynthesizable": (
-        "xacml.analysis",
-        "candidate finding suppressed: no concrete witness request derivable",
-    ),
-    "analysis.gate_rejections": (
-        "xacml.engine",
-        "policy element refused deployment by the store's analysis gate",
-    ),
 }
 
 #: Every statically named ``record_sample()`` series.

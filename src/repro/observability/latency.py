@@ -79,17 +79,14 @@ def _index(spans: Iterable[Span]):
     return roots, children, pdp_by_trace
 
 
-def decompose(
-    spans: Sequence[Span], include_sync: bool = False
-) -> list[DecompositionRow]:
+def decompose(spans: Sequence[Span]) -> list[DecompositionRow]:
     """Per-decision latency rows; synchronous completions (cache /
-    revocation-guard hits, zero latency by definition) are skipped
-    unless asked for."""
+    revocation-guard hits, zero latency by definition) are skipped."""
     roots, children, pdp_by_trace = _index(spans)
     rows: list[DecompositionRow] = []
     for root in roots:
         sync = bool(root.attrs.get("sync"))
-        if sync and not include_sync:
+        if sync:
             continue
         phases = {
             span.name: span

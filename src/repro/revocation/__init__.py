@@ -27,7 +27,7 @@ from .authority import (
 )
 from .bus import (
     BATCH_INVALIDATION_KIND,
-    DEFAULT_TOPIC,
+    INVALIDATION_TOPIC,
     INVALIDATION_KIND,
     InvalidationBus,
 )
@@ -37,7 +37,6 @@ from .records import (
     RevocationKind,
     RevocationRecord,
     certificate_target,
-    delegation_target,
     parse_records,
     serialize_records,
     subject_access_target,
@@ -58,7 +57,7 @@ __all__ = [
     "BATCH_INVALIDATION_KIND",
     "CRL_ACTION",
     "CoherenceAgent",
-    "DEFAULT_TOPIC",
+    "INVALIDATION_TOPIC",
     "HybridStrategy",
     "INVALIDATION_KIND",
     "InvalidationBus",
@@ -76,7 +75,6 @@ __all__ = [
     "TtlOnlyStrategy",
     "certificate_target",
     "crl_request",
-    "delegation_target",
     "parse_records",
     "parse_status",
     "serialize_records",

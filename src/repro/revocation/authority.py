@@ -39,8 +39,6 @@ class RevocationAuthority(Component):
     """Network-attached component answering revocation queries.
 
     Args:
-        registry: the unified registry this authority fronts; a fresh
-            unsigned one is created when omitted.
         bus: when given, every new record is pushed to subscribers.
         push_window: when positive, new records are *coalesced*: instead
             of one bus publication per record, records issued within a
@@ -56,18 +54,15 @@ class RevocationAuthority(Component):
         network: Network,
         domain: str = "",
         identity: Optional[ComponentIdentity] = None,
-        registry: Optional[RevocationRegistry] = None,
         bus: Optional[InvalidationBus] = None,
         push_window: float = 0.0,
     ) -> None:
         super().__init__(name, network, domain, identity)
-        if registry is None:
-            registry = RevocationRegistry(
-                authority_name=name,
-                keypair=identity.keypair if identity else None,
-                clock=lambda: self.now,
-            )
-        self.registry = registry
+        self.registry = RevocationRegistry(
+            authority_name=name,
+            keypair=identity.keypair if identity else None,
+            clock=lambda: self.now,
+        )
         self.bus = bus
         self.push_window = push_window
         self.status_queries = 0
@@ -76,7 +71,7 @@ class RevocationAuthority(Component):
         self.push_flushes = 0
         self._push_buffer: list = []
         self._flush_scheduled = False
-        registry.add_listener(self._on_revocation)
+        self.registry.add_listener(self._on_revocation)
         self.on(STATUS_ACTION, self._handle_status)
         self.on(CRL_ACTION, self._handle_crl)
 
@@ -88,16 +83,10 @@ class RevocationAuthority(Component):
         target: str,
         reason: str = "",
         subject_id: str = "",
-        resource_id: str = "",
     ):
         """Issue a revocation through the registry (push fires via listener)."""
         return self.registry.revoke(
-            kind,
-            target,
-            reason=reason,
-            subject_id=subject_id,
-            resource_id=resource_id,
-            at=self.now,
+            kind, target, reason=reason, subject_id=subject_id, at=self.now
         )
 
     def _on_revocation(self, record) -> None:

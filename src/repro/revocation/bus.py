@@ -18,31 +18,30 @@ from .records import RevocationRecord, serialize_records
 INVALIDATION_KIND = "revocation.invalidate"
 #: Message kind carried by coalesced (batched) pushed invalidations.
 BATCH_INVALIDATION_KIND = "revocation.invalidate.batch"
-#: Default topic revocation traffic rides on.
-DEFAULT_TOPIC = "revocation"
+#: The topic revocation traffic rides on.
+INVALIDATION_TOPIC = "revocation"
 
 
 class InvalidationBus:
     """A named topic on the simulated network carrying revocation records."""
 
-    def __init__(self, network: Network, topic: str = DEFAULT_TOPIC) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.topic = topic
         self.publications = 0
         self.messages_pushed = 0
         self.batch_publications = 0
         self.records_batched = 0
 
     def subscribe(self, address: str) -> None:
-        self.network.subscribe(self.topic, address)
+        self.network.subscribe(INVALIDATION_TOPIC, address)
 
     def subscriber_count(self) -> int:
-        return len(self.network.subscribers(self.topic))
+        return len(self.network.subscribers(INVALIDATION_TOPIC))
 
     def publish(self, sender: str, record: RevocationRecord) -> int:
         """Push one record to every subscriber; returns messages sent."""
         sent = self.network.publish(
-            sender, self.topic, INVALIDATION_KIND, record.to_xml()
+            sender, INVALIDATION_TOPIC, INVALIDATION_KIND, record.to_xml()
         )
         self.publications += 1
         self.messages_pushed += sent
@@ -64,7 +63,7 @@ class InvalidationBus:
         epoch = max(record.epoch for record in records)
         sent = self.network.publish(
             sender,
-            self.topic,
+            INVALIDATION_TOPIC,
             BATCH_INVALIDATION_KIND,
             serialize_records(list(records), epoch),
         )
@@ -75,6 +74,6 @@ class InvalidationBus:
 
     def __repr__(self) -> str:
         return (
-            f"InvalidationBus({self.topic!r}, "
+            f"InvalidationBus({INVALIDATION_TOPIC!r}, "
             f"subscribers={self.subscriber_count()})"
         )

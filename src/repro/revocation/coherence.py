@@ -50,9 +50,8 @@ class CoherenceAgent(Component):
         authority_key: the authority's public key.  When given, pushed
             invalidations must carry a valid signature over their TBS
             bytes or they are dropped — without it a forged publication
-            on the bus could deny arbitrary subjects and flush caches.
-        keystore: key store used for signature checks; defaults to the
-            agent identity's store when an identity is configured.
+            on the bus could deny arbitrary subjects and flush caches;
+            the checks use the agent identity's key store.
 
     A crash fails the status checks on the wire at once (see
     :attr:`~repro.components.base.Component.caller_kinds`): the PEPs
@@ -70,19 +69,14 @@ class CoherenceAgent(Component):
         domain: str = "",
         identity: Optional[ComponentIdentity] = None,
         authority_key=None,
-        keystore=None,
     ) -> None:
         super().__init__(name, network, domain, identity)
         self.authority_address = authority_address
         self.strategy = strategy
         self.authority_key = authority_key
-        self.keystore = keystore if keystore is not None else (
-            identity.keystore if identity is not None else None
-        )
+        self.keystore = identity.keystore if identity is not None else None
         if authority_key is not None and self.keystore is None:
-            raise ValueError(
-                f"{name}: authority_key requires a keystore (or identity)"
-            )
+            raise ValueError(f"{name}: authority_key requires an identity")
         self._revoked: dict[tuple[str, str], RevocationRecord] = {}
         self.known_epoch = 0
         self.records_applied = 0
@@ -97,25 +91,17 @@ class CoherenceAgent(Component):
 
     # -- protection wiring -------------------------------------------------------
 
-    def protect_pep(
-        self, pep: PolicyEnforcementPoint, install_guard: bool = True
-    ) -> None:
-        """Invalidate this PEP's decision cache on matching revocations.
-
-        When ``install_guard`` is set the PEP also consults this agent
-        before serving any decision (cached or fresh), so revocations the
-        agent already knows about deny immediately.
-        """
+    def protect_pep(self, pep: PolicyEnforcementPoint) -> None:
+        """Invalidate this PEP's decision cache on matching revocations,
+        and consult this agent before the PEP serves any decision (cached
+        or fresh), so revocations the agent already knows about deny
+        immediately."""
+        if pep.revocation_guard is not None:
+            # Silent overwrite would leave the displaced agent's
+            # revocations un-enforced at decision time.
+            raise ValueError(f"PEP {pep.name!r} already has a revocation guard")
         self._peps.append(pep)
-        if install_guard:
-            if pep.revocation_guard is not None:
-                # Silent overwrite would leave the displaced agent's
-                # revocations un-enforced at decision time.
-                raise ValueError(
-                    f"PEP {pep.name!r} already has a revocation guard; "
-                    "pass install_guard=False to only manage its cache"
-                )
-            pep.revocation_guard = self._pep_guard
+        pep.revocation_guard = self._pep_guard
 
     def protect_pdp(self, pdp: PolicyDecisionPoint) -> None:
         """Invalidate this PDP's policy cache on policy-level revocations."""

@@ -100,10 +100,6 @@ def trust_edge_of(target: str) -> tuple[str, ...]:
     return tuple(map(unquote, match.groups())) if match else ("", "", "")
 
 
-def delegation_target(delegator: str, delegate: str, scope: str) -> str:
-    return f"{_component(delegator)}->{_component(delegate)}#{_component(scope)}"
-
-
 @dataclass(frozen=True)
 class RevocationRecord:
     """One revocation event, signed and epoch-numbered.

@@ -8,10 +8,9 @@ CRLs (``records_since``), and (c) drives push invalidation through
 listeners — the three access patterns behind the pull / online-status /
 push propagation strategies of :mod:`repro.revocation.strategies`.
 
-The owners' own ``revoke()`` entry points (a CA's, the trust graph's,
-the delegation registry's) delegate here once bound
-(``bind_revocation_registry`` on each owner class), and the CA and the
-trust graph read their revocation state back from here.
+Revocations are recorded here only (``revoke``): a CA and the trust
+graph bound to the registry (``bind_revocation_registry`` on each)
+read their revocation state from it, and an unbound one holds none.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .records import (
     RevocationKind,
     RevocationRecord,
     certificate_target,
-    delegation_target,
     subject_access_target,
     trust_edge_target,
     verify_record,
@@ -76,7 +74,6 @@ class RevocationRegistry:
         target: str,
         reason: str = "",
         subject_id: str = "",
-        resource_id: str = "",
         at: Optional[float] = None,
     ) -> RevocationRecord:
         """Issue (or return the existing) revocation for ``(kind, target)``.
@@ -96,7 +93,6 @@ class RevocationRegistry:
             revoked_at=self._now() if at is None else at,
             reason=reason,
             subject_id=subject_id,
-            resource_id=resource_id,
         )
         if self.keypair is not None:
             record = replace(
@@ -139,48 +135,18 @@ class RevocationRegistry:
 
     # -- kind-specific façade ----------------------------------------------------
     #
-    # These helpers let the owners (CA, trust graph, delegation
-    # registry) delegate by duck typing, without importing revocation
-    # types — which keeps the low layers (wss, domain, admin) free of
-    # upward dependencies.
-
-    def revoke_certificate(
-        self, serial: int, reason: str = "", subject_id: str = ""
-    ) -> RevocationRecord:
-        return self.revoke(
-            RevocationKind.CERTIFICATE,
-            certificate_target(serial),
-            reason=reason,
-            subject_id=subject_id,
-        )
+    # These helpers let the readers (CA, trust graph) ask by duck typing,
+    # without importing revocation types — which keeps the low layers
+    # (wss, domain) free of upward dependencies.
 
     def certificate_revoked(self, serial: int) -> bool:
         return self.is_revoked(
             RevocationKind.CERTIFICATE, certificate_target(serial)
         )
 
-    def revoke_trust_edge(
-        self, truster: str, trusted: str, kind: str, reason: str = ""
-    ) -> RevocationRecord:
-        return self.revoke(
-            RevocationKind.TRUST_EDGE,
-            trust_edge_target(truster, trusted, kind),
-            reason=reason,
-        )
-
     def trust_edge_revoked(self, truster: str, trusted: str, kind: str) -> bool:
         return self.is_revoked(
             RevocationKind.TRUST_EDGE, trust_edge_target(truster, trusted, kind)
-        )
-
-    def revoke_delegation(
-        self, delegator: str, delegate: str, scope: str, reason: str = ""
-    ) -> RevocationRecord:
-        return self.revoke(
-            RevocationKind.DELEGATION,
-            delegation_target(delegator, delegate, scope),
-            reason=reason,
-            subject_id=delegate,
         )
 
     def revoke_subject_access(

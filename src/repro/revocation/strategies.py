@@ -22,9 +22,8 @@ that view (which is what triggers selective cache invalidation).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from ..components.cache import TtlCache
 from .bus import BATCH_INVALIDATION_KIND, INVALIDATION_KIND, InvalidationBus
 from .records import RevocationKind
 
@@ -96,26 +95,16 @@ class PullStrategy(PropagationStrategy):
 class OnlineStatusStrategy(PropagationStrategy):
     """OCSP-style per-check status query: freshest answer, dearest cost.
 
-    Args:
-        cache_ttl: optional response cache (an OCSP responder's
-            ``nextUpdate`` analogue); 0 queries on every check.
-
-    An unreachable authority means revoked: fail-safe denial, as at the
-    PEP.
+    Every check not already settled by the agent's local view asks the
+    authority.  An unreachable authority means revoked: fail-safe
+    denial, as at the PEP.
     """
 
     name = "online"
 
-    def __init__(self, cache_ttl: float = 0.0) -> None:
-        self.cache_ttl = cache_ttl
+    def __init__(self) -> None:
         self.status_checks = 0
         self.failed_checks = 0
-        self._cache: Optional[TtlCache] = None
-
-    def attach(self, agent) -> None:
-        self._cache = TtlCache(
-            ttl=self.cache_ttl, clock=lambda: agent.now, capacity=10_000
-        )
 
     def check(
         self, agent, kind: RevocationKind, target: str, then: Callable[[bool], None]
@@ -123,23 +112,13 @@ class OnlineStatusStrategy(PropagationStrategy):
         if agent.is_revoked_locally(kind, target):
             then(True)
             return
-        key = (kind.value, target)
-        cached = self._cache.get(key) if self._cache is not None else None
-        if cached is not None:
-            then(cached)
-            return
         self.status_checks += 1
-
-        def answered(revoked: bool) -> None:
-            if self._cache is not None:
-                self._cache.put(key, revoked)
-            then(revoked)
 
         def failed(_: Exception) -> None:
             self.failed_checks += 1
             then(True)
 
-        agent.query_status(kind, target, answered, failed)
+        agent.query_status(kind, target, then, failed)
 
 
 class PushStrategy(PropagationStrategy):

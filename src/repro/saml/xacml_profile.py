@@ -120,6 +120,8 @@ _ISSUER_TAG = qualified("saml:Issuer")
 _QUERY_TAG = qualified("xacml-samlp:XACMLAuthzDecisionQuery")
 _BATCH_QUERY_TAG = qualified("xacml-samlp:XACMLAuthzDecisionBatchQuery")
 _QUERY_ATTRIBUTES = ["ID", "IssueInstant", "ReturnContext"]
+#: ``ReturnContext`` is an XML Schema boolean.
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 _BATCH_QUERY_ATTRIBUTES = ["ID", "IssueInstant", "Count"]
 _NOT_A_QUERY = "not an XACMLAuthzDecisionQuery"
 _NOT_A_BATCH_QUERY = "not an XACMLAuthzDecisionBatchQuery"
@@ -209,11 +211,14 @@ def _query_of(
     if len(element) != 2 or element[1].tag != "Request" or element[1].tail is not None:
         raise ValueError(what)
     issuer, request = element
+    return_context = _BOOLEANS.get(attributes["ReturnContext"])
+    if return_context is None:
+        raise ValueError(what)
     return XacmlAuthzDecisionQuery(
         request=_request_of(request),
         issuer=_issuer_of(issuer, what),
         issue_instant=_instant(attributes["IssueInstant"], read, what),
-        return_context=attributes["ReturnContext"] == "true",
+        return_context=return_context,
         query_id=attributes["ID"],
     )
 

@@ -18,10 +18,8 @@ class SimClock:
     advance the clock; everything else reads it.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"clock cannot start before zero, got {start}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

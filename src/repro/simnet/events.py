@@ -20,6 +20,9 @@ from .clock import SimClock
 #: Cancelled entries the heap may hold before :meth:`EventLoop.cancel`
 #: considers rebuilding it without them.
 COMPACT_AT = 32
+#: Events one ``run`` / ``run_until`` may fire: the safety valve against
+#: runaway self-rescheduling cycles.
+MAX_EVENTS = 1_000_000
 
 
 class EventHandle(list):
@@ -173,7 +176,6 @@ class EventLoop:
         self,
         predicate: Callable[[], bool],
         timeout_at: float,
-        max_events: int = 1_000_000,
     ) -> bool:
         """Process events until ``predicate`` holds or ``timeout_at`` passes.
 
@@ -191,23 +193,23 @@ class EventLoop:
 
         Raises:
             RuntimeError: the loop is already running (a nested wait),
-                or ``max_events`` ran and another is still due by
-                ``timeout_at`` (exactly ``max_events`` that leave nothing
-                due are a plain timeout).
+                or :data:`MAX_EVENTS` ran and another is still due by
+                ``timeout_at`` (exactly :data:`MAX_EVENTS` that leave
+                nothing due are a plain timeout).
         """
-        self._drive(predicate, timeout_at, max_events)
+        self._drive(predicate, timeout_at)
         return predicate()
 
-    def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Run events until the queue drains or ``until`` is reached.
 
         Args:
             until: stop once the next event would fire after this time; the
                 clock is advanced to ``until`` on exit so timers line up.
-            max_events: safety valve against runaway scheduling loops: it
-                raises when this many have run and another is still due
-                (exactly ``max_events`` that drain the queue are a clean
-                finish).
+
+        A safety valve against runaway scheduling loops raises once
+        :data:`MAX_EVENTS` have run and another is still due (exactly
+        :data:`MAX_EVENTS` that drain the queue are a clean finish).
 
         Returns:
             Number of events executed by this call.
@@ -216,10 +218,10 @@ class EventLoop:
             RuntimeError: the loop is already running (see
                 :meth:`run_until`), or the safety valve tripped.
         """
-        return self._drive(None, until, max_events)
+        return self._drive(None, until)
 
     def _drive(
-        self, predicate: Optional[Callable[[], bool]], until: Optional[float], max_events: int
+        self, predicate: Optional[Callable[[], bool]], until: Optional[float]
     ) -> int:
         """Fire the events due by ``until`` (any, if None) until
         ``predicate`` holds (never, if None); once none is due, the
@@ -238,9 +240,9 @@ class EventLoop:
                     if until is not None and self.clock.now < until:
                         self.clock.advance_to(until)
                     break
-                if executed >= max_events:
+                if executed >= MAX_EVENTS:
                     raise RuntimeError(
-                        f"event loop exceeded max_events={max_events}; "
+                        f"event loop exceeded {MAX_EVENTS} events; "
                         "likely a self-rescheduling cycle"
                     )
                 self._fire()

@@ -103,8 +103,8 @@ class Network:
     run self-contained and reproducible from its seed.
     """
 
-    def __init__(self, seed: int = 0, loop: Optional[EventLoop] = None) -> None:
-        self.loop = loop if loop is not None else EventLoop(SimClock())
+    def __init__(self, seed: int = 0) -> None:
+        self.loop = EventLoop(SimClock())
         self.rng = random.Random(seed)
         self.metrics = MetricsRegistry()
         #: Decision-path tracer, off by default (``sample_rate`` 0).
@@ -145,15 +145,15 @@ class Network:
         except KeyError:
             raise KeyError(f"no node registered at {address!r}") from None
 
-    def set_link(self, src: str, dst: str, link: Link, symmetric: bool = True) -> None:
+    def set_link(self, src: str, dst: str, link: Link) -> None:
+        """Set the link both ways (each direction its own copy)."""
         self._links[(src, dst)] = link
-        if symmetric:
-            self._links[(dst, src)] = Link(
-                latency=link.latency,
-                bandwidth=link.bandwidth,
-                loss_probability=link.loss_probability,
-                up=link.up,
-            )
+        self._links[(dst, src)] = Link(
+            latency=link.latency,
+            bandwidth=link.bandwidth,
+            loss_probability=link.loss_probability,
+            up=link.up,
+        )
 
     def link_between(self, src: str, dst: str) -> Link:
         return self._links.get((src, dst), self.default_link)

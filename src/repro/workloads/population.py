@@ -314,16 +314,11 @@ class Population:
         AttributeResolver` (what sharded partitions fault state from)."""
         return self.subject_attributes
 
-    def populate_pip(self, store, limit: Optional[int] = None) -> int:
-        """Eagerly load subject attributes into a PIP's AttributeStore.
-
-        Only sensible for small populations (tests, unsharded
-        baselines); ``limit`` caps how many subjects to materialise.
-        Returns the number loaded.
-        """
-        count = self.spec.subjects if limit is None else min(
-            limit, self.spec.subjects
-        )
+    def populate_pip(self, store) -> int:
+        """Eagerly load every subject's attributes into a PIP's
+        AttributeStore (only sensible for small populations: unsharded
+        baselines).  Returns the number loaded."""
+        count = self.spec.subjects
         for index in range(count):
             subject_id = self.subject_id(index)
             for attribute_id, values in self.subject_attributes(

@@ -21,6 +21,9 @@ from .keys import KeyPair, KeyStore, PublicKey
 
 _serials = itertools.count(1000)
 
+#: How long a CA's own certificate is valid (simulated seconds: ten years).
+CA_VALIDITY = 10 * 365 * 86400.0
+
 
 class CertificateError(Exception):
     """Raised when certificate validation fails."""
@@ -64,11 +67,11 @@ class CertificateAuthority:
     set — the concrete mechanism behind the paper's "established trust
     relationship" between PEPs and capability/credential services (Fig. 2).
 
-    Revocation state lives in the local serial set until the CA is bound
-    to a :class:`~repro.revocation.registry.RevocationRegistry`
-    (``bind_revocation_registry``); bound, every revoke/is-revoked
-    operation delegates there, making the registry the single source of
-    revocation truth across the deployment.
+    Revocations are recorded in one place, the
+    :class:`~repro.revocation.registry.RevocationRegistry` the CA is bound
+    to (``bind_revocation_registry``): a bound CA reads its certificates'
+    revocation state there, an unbound one holds no revocations.  A CA
+    certificate is valid for :data:`CA_VALIDITY` from time 0.
     """
 
     def __init__(
@@ -76,33 +79,31 @@ class CertificateAuthority:
         name: str,
         keystore: KeyStore,
         parent: Optional["CertificateAuthority"] = None,
-        validity: float = 10 * 365 * 86400.0,
     ) -> None:
         self.name = name
         self.keystore = keystore
         self.parent = parent
         self.keypair: KeyPair = keystore.generate(label=f"ca:{name}")
-        self._revoked: set[int] = set()
         self._revocation_registry = None
         self.certificate = (
-            self._self_sign(validity)
+            self._self_sign()
             if parent is None
             else parent.issue(
                 subject=name,
                 public_key=self.keypair.public,
                 not_before=0.0,
-                lifetime=validity,
+                lifetime=CA_VALIDITY,
                 extensions=(("basicConstraints", "CA:TRUE"),),
             )
         )
 
-    def _self_sign(self, validity: float) -> Certificate:
+    def _self_sign(self) -> Certificate:
         unsigned = Certificate(
             subject=self.name,
             issuer=self.name,
             public_key=self.keypair.public,
             not_before=0.0,
-            not_after=validity,
+            not_after=CA_VALIDITY,
             serial=next(_serials),
             signature="",
         )
@@ -149,36 +150,16 @@ class CertificateAuthority:
         )
 
     def bind_revocation_registry(self, registry) -> None:
-        """Delegate revocation state to the unified registry.
+        """Read revocation state from the unified registry.
 
-        Serials already revoked locally are migrated so no revocation is
-        lost at the handover.  The registry is duck-typed (it offers
-        ``revoke_certificate`` / ``certificate_revoked``) to keep this
-        low layer free of upward
-        imports.
+        The registry is duck-typed (it offers ``certificate_revoked``)
+        to keep this low layer free of upward imports.
         """
-        for serial in sorted(self._revoked):
-            registry.revoke_certificate(serial, reason=f"migrated from {self.name}")
-        self._revoked.clear()
         self._revocation_registry = registry
 
-    def revoke(self, certificate: Certificate) -> None:
-        """Add a certificate to this CA's revocation list (CRL analogue)."""
-        if self._revocation_registry is not None:
-            self._revocation_registry.revoke_certificate(
-                certificate.serial,
-                reason=f"revoked by {self.name}",
-                subject_id=certificate.subject,
-            )
-            return
-        self._revoked.add(certificate.serial)
-
     def is_revoked(self, certificate: Certificate) -> bool:
-        if self._revocation_registry is not None:
-            return self._revocation_registry.certificate_revoked(
-                certificate.serial
-            )
-        return certificate.serial in self._revoked
+        registry = self._revocation_registry
+        return registry is not None and registry.certificate_revoked(certificate.serial)
 
 
 class TrustValidator:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .keys import KeyPair, KeyStore
-from .pki import Certificate, CertificateError, TrustValidator
+from .pki import Certificate, TrustValidator
 
 
 class SignatureError(Exception):

@@ -10,7 +10,7 @@ against registry lookups under PDP churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .wsdl import ServiceDescription
 
@@ -67,7 +67,6 @@ class ServiceRegistry:
         service_type: Optional[str] = None,
         domain: Optional[str] = None,
         healthy_only: bool = True,
-        predicate: Optional[Callable[[ServiceDescription], bool]] = None,
     ) -> list[ServiceDescription]:
         """All registered services matching the given filters."""
         self.lookups += 1
@@ -79,8 +78,6 @@ class ServiceRegistry:
             if service_type is not None and desc.service_type != service_type:
                 continue
             if domain is not None and desc.domain != domain:
-                continue
-            if predicate is not None and not predicate(desc):
                 continue
             out.append(desc)
         return out

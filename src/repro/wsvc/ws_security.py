@@ -76,12 +76,9 @@ class WsSecurityError(Exception):
 
 @dataclass(frozen=True)
 class SecurityConfig:
-    """What protection to apply on send / require on receive."""
+    """What protection to require on receive."""
 
-    sign: bool = True
-    encrypt: bool = False
     require_signature: bool = True
-    require_encryption: bool = False
 
 
 def _bound_content(action: str, body_xml: str) -> bytes:
@@ -217,7 +214,7 @@ def verify_envelope(
     """
     header = envelope.header(SECURITY_HEADER)
     if header is None:
-        if config.require_signature or config.require_encryption:
+        if config.require_signature:
             raise WsSecurityError(
                 f"unprotected message for action {envelope.action!r} rejected"
             )
@@ -234,10 +231,6 @@ def verify_envelope(
         is_encrypted = signed.group(4) is not None
     else:
         is_encrypted = _ENCRYPTED_BODY in header_xml
-    if config.require_encryption and not is_encrypted:
-        raise WsSecurityError(
-            f"cleartext message for action {envelope.action!r} rejected"
-        )
     body_xml = envelope.body_xml
     if is_encrypted:
         if decrypt_with is None:

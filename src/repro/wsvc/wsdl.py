@@ -11,7 +11,6 @@ for discovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,6 @@ class ServiceDescription:
     address: str
     operations: tuple[Operation, ...] = ()
     domain: str = ""
-
-    def operation(self, name: str) -> Optional[Operation]:
-        for op in self.operations:
-            if op.name == name:
-                return op
-        return None
 
     def to_xml(self) -> str:
         ops = "".join(

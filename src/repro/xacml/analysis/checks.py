@@ -31,7 +31,6 @@ from ..context import Decision
 from ..policy import (
     Policy,
     PolicyChild,
-    PolicyReference,
     PolicySet,
     child_identifier,
 )
@@ -111,37 +110,20 @@ class _ChildProfile:
 class Analyzer:
     """One analysis run; accumulates findings into a report."""
 
-    def __init__(
-        self,
-        resolver: Optional[Resolver] = None,
-        metrics: Optional[object] = None,
-    ) -> None:
+    def __init__(self, resolver: Optional[Resolver] = None) -> None:
         self.report = AnalysisReport()
         self.resolver = resolver
-        self.metrics = metrics
 
     # -- bookkeeping -------------------------------------------------------
 
     def _emit(self, finding: Finding) -> None:
         self.report.findings.append(finding)
-        if self.metrics is not None:
-            self.metrics.bump("analysis.findings")
-
-    def _witness_failed(self) -> None:
-        self.report.stats.witnesses_failed += 1
-        if self.metrics is not None:
-            self.metrics.bump("analysis.witness_failed")
-
-    def _witness_unsynthesizable(self) -> None:
-        self.report.stats.witnesses_unsynthesizable += 1
-        if self.metrics is not None:
-            self.metrics.bump("analysis.witness_unsynthesizable")
 
     def _record_outcome(self, outcome: Optional[WitnessOutcome]) -> None:
         if outcome is None:
-            self._witness_unsynthesizable()
+            self.report.stats.witnesses_unsynthesizable += 1
         elif not outcome.ok:
-            self._witness_failed()
+            self.report.stats.witnesses_failed += 1
 
     # -- entry points ------------------------------------------------------
 
@@ -534,7 +516,7 @@ class Analyzer:
                     )
                     return
         if attempted:
-            self._witness_failed()
+            self.report.stats.witnesses_failed += 1
 
     def _check_conflict_pair(
         self,
@@ -584,7 +566,7 @@ class Analyzer:
                         )
                         return
         if attempted:
-            self._witness_failed()
+            self.report.stats.witnesses_failed += 1
 
     # -- witness plumbing --------------------------------------------------
 
@@ -681,9 +663,7 @@ def analyze(
     subject,
     *,
     policy_combining: str = combining.POLICY_DENY_OVERRIDES,
-    resolver: Optional[Resolver] = None,
     include_validation: bool = True,
-    metrics: Optional[object] = None,
 ) -> AnalysisReport:
     """Statically analyze a Policy, PolicySet or PolicyStore.
 
@@ -691,18 +671,17 @@ def analyze(
         subject: the element or store to analyze.
         policy_combining: for a store, the engine-level combining
             algorithm its elements meet under.
-        resolver: resolves ``PolicyReference`` children by id; defaults
-            to the store's own lookup when a store is given.
         include_validation: fold structural :mod:`..validation` issues
             into the report.
-        metrics: optional :class:`repro.simnet.metrics.MetricsRegistry`
-            receiving ``analysis.*`` counters.
+
+    A store's ``PolicyReference`` children resolve through the store; a
+    lone element's do not resolve.
     """
     from ..engine import PolicyStore  # local import to avoid a cycle
 
     if isinstance(subject, PolicyStore):
         elements = subject.elements()
-        analyzer = Analyzer(resolver=resolver or subject.get, metrics=metrics)
+        analyzer = Analyzer(resolver=subject.get)
         analyzer.analyze_store_elements(elements, policy_combining)
         if include_validation:
             for element in elements:
@@ -710,12 +689,10 @@ def analyze(
                     validation.validate(element, resolver=analyzer.resolver)
                 )
         return analyzer.report
-    analyzer = Analyzer(resolver=resolver, metrics=metrics)
+    analyzer = Analyzer()
     analyzer.analyze_element(subject)
     if include_validation:
-        analyzer.report.validation_issues.extend(
-            validation.validate(subject, resolver=resolver)
-        )
+        analyzer.report.validation_issues.extend(validation.validate(subject))
     return analyzer.report
 
 

@@ -158,8 +158,8 @@ class AnalysisReport:
             "stats": self.stats.to_dict(),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def render_text(self) -> str:
         lines: list[str] = []

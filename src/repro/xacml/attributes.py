@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
@@ -61,6 +63,15 @@ class DataType(enum.Enum):
 _DATA_TYPE_BY_URI = {member.value: member for member in DataType}
 
 
+#: XML Schema's lexical forms of an integer and of a double (ASCII
+#: digits only; ``NaN``, ``INF`` and ``-INF`` spelled so), and the
+#: white space its ``collapse`` facet lets surround them.
+_INTEGER_FORM = re.compile(r"[+-]?[0-9]+")
+_DOUBLE_FORM = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([Ee][+-]?[0-9]+)?|-?INF|NaN")
+_XML_SPACE = " \t\n\r"
+_NON_FINITE = {"nan": "NaN", "inf": "INF", "-inf": "-INF"}
+
+
 _PYTHON_TYPES: dict[DataType, type | tuple[type, ...]] = {
     DataType.STRING: str,
     DataType.BOOLEAN: bool,
@@ -99,23 +110,35 @@ class AttributeValue:
             )
 
     def lexical(self) -> str:
-        """The XML lexical form used by the serializer."""
+        """The XML lexical form used by the serializer: a form
+        :meth:`parse` reads back to this value."""
         if self.data_type is DataType.BOOLEAN:
             return "true" if self.value else "false"
-        return str(self.value)
+        value = self.value
+        if type(value) is float and not math.isfinite(value):
+            return _NON_FINITE[str(value)]
+        return str(value)
 
     @classmethod
     def parse(cls, data_type: DataType, text: str) -> "AttributeValue":
-        """Inverse of :meth:`lexical`."""
+        """Inverse of :meth:`lexical`.  Integers and doubles (times too)
+        are read in XML Schema's forms only: ``int()`` and ``float()``
+        also read ``1_0``, non-ASCII digits, ``nan`` and ``inf``."""
         if data_type is DataType.BOOLEAN:
             lowered = text.strip().lower()
             if lowered not in ("true", "false", "1", "0"):
                 raise ValueError(f"bad boolean lexical value {text!r}")
             return cls(data_type, lowered in ("true", "1"))
         if data_type is DataType.INTEGER:
-            return cls(data_type, int(text.strip()))
+            number = text.strip(_XML_SPACE)
+            if _INTEGER_FORM.fullmatch(number) is None:
+                raise ValueError(f"bad integer lexical value {text!r}")
+            return cls(data_type, int(number))
         if data_type in (DataType.DOUBLE, DataType.TIME, DataType.DATE_TIME):
-            return cls(data_type, float(text.strip()))
+            number = text.strip(_XML_SPACE)
+            if _DOUBLE_FORM.fullmatch(number) is None:
+                raise ValueError(f"bad double lexical value {text!r}")
+            return cls(data_type, float(number))
         return cls(data_type, text)
 
 

@@ -135,13 +135,8 @@ class RequestContext:
 
     __slots__ = ("_entries",)
 
-    def __init__(
-        self, attributes: Optional[dict[Category, list[Attribute]]] = None
-    ) -> None:
+    def __init__(self) -> None:
         self._entries: list[tuple[Category, Attribute]] = []
-        if attributes:
-            for category, attrs in attributes.items():
-                self._entries.extend((category, attribute) for attribute in attrs)
 
     @classmethod
     def simple(
@@ -150,8 +145,6 @@ class RequestContext:
         resource_id: str,
         action_id: str,
         subject_attributes: Optional[dict[str, Iterable[AttributeValue]]] = None,
-        resource_attributes: Optional[dict[str, Iterable[AttributeValue]]] = None,
-        environment: Optional[dict[str, Iterable[AttributeValue]]] = None,
     ) -> "RequestContext":
         """Build the canonical {subject, resource, action} request.
 
@@ -164,15 +157,10 @@ class RequestContext:
             (Category.RESOURCE, _attribute_of(RESOURCE_ID, None, ((_STRING, resource_id),))),
             (Category.ACTION, _attribute_of(ACTION_ID, None, ((_STRING, action_id),))),
         ]
-        for category, extra in (
-            (Category.SUBJECT, subject_attributes),
-            (Category.RESOURCE, resource_attributes),
-            (Category.ENVIRONMENT, environment),
-        ):
-            for attr_id, values in (extra or {}).items():
-                held = tuple(values)
-                if held:
-                    entries.append((category, Attribute(attr_id, held)))
+        for attr_id, values in (subject_attributes or {}).items():
+            held = tuple(values)
+            if held:
+                entries.append((Category.SUBJECT, Attribute(attr_id, held)))
         return request
 
     def add(self, category: Category, attribute: Attribute) -> None:

@@ -226,26 +226,6 @@ class EvaluationStats:
     candidate_set_size: int = 0
 
 
-class AnalysisGateError(ValueError):
-    """An element was refused deployment by the store's analysis gate.
-
-    Carries the blocking findings so callers (PAPs, tests, operators) can
-    show *why* — every one of them is backed by an engine-verified
-    witness request.
-    """
-
-    def __init__(self, identifier: str, findings: list) -> None:
-        summary = "; ".join(
-            f"{f.kind.value}@{f.location}" for f in findings[:3]
-        )
-        more = f" (+{len(findings) - 3} more)" if len(findings) > 3 else ""
-        super().__init__(
-            f"analysis gate refused {identifier!r}: {summary}{more}"
-        )
-        self.identifier = identifier
-        self.findings = findings
-
-
 class PolicyStore:
     """Holds top-level policy elements and finds the applicable ones.
 
@@ -272,30 +252,10 @@ class PolicyStore:
     element; a posting list, bucket, bag or residue goes when its last
     user does.  :meth:`replace` re-queues the element at the end of the
     insertion order.
-
-    ``analysis_gate`` opts into pre-deployment static analysis on every
-    :meth:`add` and :meth:`replace`: ``"error"`` refuses elements with
-    ERROR-severity findings (shadowed rules, masked effects,
-    only-one-applicable overlaps), ``"warning"`` refuses on any finding
-    at all.  Refusals raise :class:`AnalysisGateError` and leave the
-    store unchanged — a refused replacement leaves the deployed version
-    in force.
     """
 
-    def __init__(
-        self,
-        indexed: bool = True,
-        analysis_gate: Optional[str] = None,
-        metrics: Optional[object] = None,
-    ) -> None:
-        if analysis_gate not in (None, "error", "warning"):
-            raise ValueError(
-                f"analysis_gate must be 'error', 'warning' or None, "
-                f"got {analysis_gate!r}"
-            )
+    def __init__(self, indexed: bool = True) -> None:
         self.indexed = indexed
-        self.analysis_gate = analysis_gate
-        self.metrics = metrics
         #: id -> element, in insertion (= ordinal) order.
         self._elements: dict[str, PolicyElement] = {}
         self._ordinals: dict[str, int] = {}
@@ -323,31 +283,7 @@ class PolicyStore:
         identifier = child_identifier(element)
         if identifier in self._elements:
             raise ValueError(f"duplicate policy element id {identifier!r}")
-        self._gate_check(identifier, element)
         self._post(identifier, element)
-
-    def _gate_check(self, identifier: str, element: PolicyElement) -> None:
-        if self.analysis_gate is None:
-            return
-        from .analysis import analyze  # deferred: analysis imports this module
-        from .validation import Severity
-
-        level = (
-            Severity.WARNING
-            if self.analysis_gate == "warning"
-            else Severity.ERROR
-        )
-        report = analyze(
-            element,
-            resolver=self.get,
-            include_validation=False,
-            metrics=self.metrics,
-        )
-        blocking = report.blocking(level)
-        if blocking:
-            if self.metrics is not None:
-                self.metrics.bump("analysis.gate_rejections")
-            raise AnalysisGateError(identifier, blocking)
 
     def remove(self, identifier: str) -> None:
         element = self._elements.pop(identifier, None)
@@ -384,10 +320,8 @@ class PolicyStore:
 
     def replace(self, element: PolicyElement) -> None:
         """Swap in a new version of an element (or add a first one), at
-        the end of the insertion order.  The gate judges the replacement
-        before the deployed version goes."""
+        the end of the insertion order."""
         identifier = child_identifier(element)
-        self._gate_check(identifier, element)
         self.remove(identifier)
         self._post(identifier, element)
 
@@ -500,14 +434,9 @@ class PolicyStore:
         self,
         request: RequestContext,
         stats: Optional[EvaluationStats] = None,
-        carried: Optional[dict[str, tuple[Any, ...]]] = None,
     ) -> list[PolicyElement]:
-        """Elements worth evaluating for this request, in insertion order.
-
-        ``carried`` lets a caller that already derived the request's
-        :meth:`_carried` (the batch memo) pass it in.
-        """
-        return self._select(request, stats, carried)[1]
+        """Elements worth evaluating for this request, in insertion order."""
+        return self._select(request, stats)[1]
 
     def _select(
         self,
@@ -798,25 +727,13 @@ class PdpEngine:
         policy-combining algorithm (see :mod:`repro.xacml.analysis`)."""
         from .analysis import analyze
 
-        return analyze(
-            self.store,
-            policy_combining=self.policy_combining,
-            metrics=self.store.metrics,
-        )
+        return analyze(self.store, policy_combining=self.policy_combining)
 
 
 def evaluate_element(
     element: PolicyElement,
     request: RequestContext,
-    current_time: float = 0.0,
-    attribute_finder: Optional[AttributeFinder] = None,
-    reference_resolver: Optional[Callable[[str], Any]] = None,
 ) -> PolicyResult:
-    """Evaluate a single policy element outside any engine (test helper)."""
-    ctx = EvaluationContext(
-        request=request,
-        current_time=current_time,
-        attribute_finder=attribute_finder,
-        reference_resolver=reference_resolver,
-    )
-    return element.evaluate(ctx)
+    """Evaluate a single policy element outside any engine: at time 0,
+    with no attribute finder and no policy references resolved."""
+    return element.evaluate(EvaluationContext(request=request))

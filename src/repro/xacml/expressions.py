@@ -311,11 +311,8 @@ def designator(
     category: Category,
     attribute_id: str,
     data_type: DataType = DataType.STRING,
-    must_be_present: bool = False,
 ) -> Designator:
-    return Designator(
-        _designator_of(category, attribute_id, data_type, must_be_present, None)
-    )
+    return Designator(_designator_of(category, attribute_id, data_type, False, None))
 
 
 def apply_(function_id: str, *arguments: Expression) -> Apply:
@@ -345,7 +342,6 @@ def attribute_equals(
     category: Category,
     attribute_id: str,
     value: AttributeValue,
-    must_be_present: bool = False,
 ) -> Condition:
     """Condition: the designated attribute bag contains ``value``."""
     type_name = _type_short_name(value.data_type)
@@ -353,9 +349,7 @@ def attribute_equals(
         f"{functions.FUNCTION_PREFIX_1_0}{type_name}-is-in",
         value.data_type,
         value.lexical(),
-        _designator_of(
-            category, attribute_id, value.data_type, must_be_present, None
-        ),
+        _designator_of(category, attribute_id, value.data_type, False, None),
     )
 
 

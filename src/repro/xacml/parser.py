@@ -360,6 +360,8 @@ def _request_of(root: ET.Element) -> RequestContext:
                 uri = value_el.get("DataType")
                 if uri is None:
                     raise ParseError("AttributeValue missing DataType")
+                if len(value_el):
+                    raise ParseError("AttributeValue holds an element")
                 values.append((uri, value_el.text or ""))
             try:
                 attribute = _attribute_of(

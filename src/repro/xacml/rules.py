@@ -98,15 +98,13 @@ def permit_rule(
     rule_id: str,
     target: Target = ANY_TARGET,
     condition: Optional[Condition] = None,
-    description: str = "",
 ) -> Rule:
-    return Rule(rule_id, Decision.PERMIT, target, condition, description)
+    return Rule(rule_id, Decision.PERMIT, target, condition)
 
 
 def deny_rule(
     rule_id: str,
     target: Target = ANY_TARGET,
     condition: Optional[Condition] = None,
-    description: str = "",
 ) -> Rule:
-    return Rule(rule_id, Decision.DENY, target, condition, description)
+    return Rule(rule_id, Decision.DENY, target, condition)

@@ -52,8 +52,8 @@ ANY_OF_FUNCTION_ID = "urn:oasis:names:tc:xacml:1.0:function:any-of"
 ALL_OF_FUNCTION_ID = "urn:oasis:names:tc:xacml:1.0:function:all-of"
 
 
-def _value_element(value: AttributeValue, tag: str = "AttributeValue") -> ET.Element:
-    element = ET.Element(tag, {"DataType": value.data_type.value})
+def _value_element(value: AttributeValue) -> ET.Element:
+    element = ET.Element("AttributeValue", {"DataType": value.data_type.value})
     element.text = value.lexical()
     return element
 

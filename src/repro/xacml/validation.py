@@ -252,17 +252,7 @@ def validate(
     )
 
 
-def is_deployable(
-    element: Union[Policy, PolicySet],
-    resolver: Optional[Resolver] = None,
-    blocking: Severity = Severity.ERROR,
-) -> bool:
-    """True when no issue at or above the blocking severity exists.
-
-    The default blocks on ERROR only — warnings advise, they do not stop
-    deployment.  Pass ``blocking=Severity.WARNING`` for strict gates.
-    """
-    issues = validate(element, resolver=resolver)
-    if blocking is Severity.WARNING:
-        return not issues
-    return not any(issue.severity is Severity.ERROR for issue in issues)
+def is_deployable(element: Union[Policy, PolicySet]) -> bool:
+    """True when no ERROR issue exists: warnings advise, they do not
+    stop deployment."""
+    return not any(issue.severity is Severity.ERROR for issue in validate(element))

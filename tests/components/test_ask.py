@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.components import (
+    DEFAULT_TIMEOUT,
     PepConfig,
     PolicyDecisionPoint,
     PolicyEnforcementPoint,
@@ -119,14 +120,16 @@ class TestOneDeadlineRule:
     event due by the deadline before giving up.)"""
 
     def test_call(self):
-        network, _, client = pair()
+        # A second each way: the reply is due at ``call``'s deadline.
+        network, _, client = pair(link=Link(latency=DEFAULT_TIMEOUT / 2, bandwidth=math.inf))
         with pytest.raises(RpcTimeout):
-            client.call("server", "op", "<Q/>", timeout=1.0)
-        assert network.now == 1.0
+            client.call("server", "op", "<Q/>")
+        assert network.now == DEFAULT_TIMEOUT
 
-    def test_call_a_hair_longer(self):
-        _, _, client = pair()
-        assert client.call("server", "op", "<Q/>", timeout=1.0001).payload == "<Ok/>"
+    def test_call_a_hair_shorter(self):
+        link = Link(latency=DEFAULT_TIMEOUT / 2 - 0.00005, bandwidth=math.inf)
+        _, _, client = pair(link=link)
+        assert client.call("server", "op", "<Q/>").payload == "<Ok/>"
 
     def test_the_wire_core(self):
         network = Network()

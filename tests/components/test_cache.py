@@ -3,6 +3,7 @@
 import pytest
 
 from repro.components import TtlCache
+from repro.components.cache import CACHE_CAPACITY
 from repro.simnet import SimClock
 
 
@@ -11,8 +12,8 @@ def clock():
     return SimClock()
 
 
-def make_cache(clock, ttl=10.0, capacity=3):
-    return TtlCache(ttl=ttl, clock=lambda: clock.now, capacity=capacity)
+def make_cache(clock, ttl=10.0):
+    return TtlCache(ttl=ttl, clock=lambda: clock.now)
 
 
 class TestTtlCache:
@@ -47,21 +48,23 @@ class TestTtlCache:
             make_cache(clock, ttl=-1.0)
 
     def test_lru_eviction(self, clock):
-        cache = make_cache(clock, capacity=3)
-        for key in ("a", "b", "c"):
+        cache = make_cache(clock)
+        for key in range(CACHE_CAPACITY):
             cache.put(key, key)
-        cache.get("a")  # refresh a
-        cache.put("d", "d")  # evicts b (least recently used)
-        assert cache.get("b") is None
-        assert cache.get("a") == "a"
+        cache.get(0)  # refresh 0
+        cache.put("new", "new")  # evicts 1 (least recently used)
+        assert len(cache) == CACHE_CAPACITY
+        assert cache.get(1) is None
+        assert cache.get(0) == 0
         assert cache.stats.evictions == 1
 
     def test_overwrite_does_not_evict(self, clock):
-        cache = make_cache(clock, capacity=2)
-        cache.put("a", "1")
-        cache.put("a", "2")
-        cache.put("b", "3")
-        assert cache.get("a") == "2"
+        cache = make_cache(clock)
+        for key in range(CACHE_CAPACITY - 1):
+            cache.put(key, key)
+        cache.put(0, "again")
+        cache.put("last", "last")
+        assert cache.get(0) == "again"
         assert cache.stats.evictions == 0
 
     def test_invalidate(self, clock):
@@ -72,7 +75,7 @@ class TestTtlCache:
         assert cache.invalidate("k") is False
 
     def test_invalidate_where(self, clock):
-        cache = make_cache(clock, capacity=10)
+        cache = make_cache(clock)
         for index in range(5):
             cache.put(("res", index), index)
         removed = cache.invalidate_where(lambda key: key[1] % 2 == 0)
@@ -115,7 +118,7 @@ class TestTtlCache:
     def test_invalidate_where_counts_only_live_entries(self, clock):
         """Matching-but-expired victims are expirations, not coherence
         work — same discipline as clear()."""
-        cache = make_cache(clock, ttl=5.0, capacity=10)
+        cache = make_cache(clock, ttl=5.0)
         cache.put(("res", 0), "dead")
         clock.advance_to(6.0)
         cache.put(("res", 1), "live")

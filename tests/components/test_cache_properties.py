@@ -11,6 +11,7 @@ Invariants:
 from hypothesis import given, settings, strategies as st
 
 from repro.components import TtlCache
+from repro.components.cache import CACHE_CAPACITY
 from repro.simnet import SimClock
 
 
@@ -33,7 +34,7 @@ class TestCacheProperties:
     @settings(max_examples=80)
     def test_never_serves_past_ttl(self, script, ttl):
         clock = SimClock()
-        cache = TtlCache(ttl=ttl, clock=lambda: clock.now, capacity=4)
+        cache = TtlCache(ttl=ttl, clock=lambda: clock.now)
         stored_at: dict[int, float] = {}
         for op in script:
             if op[0] == "advance":
@@ -54,7 +55,10 @@ class TestCacheProperties:
     @settings(max_examples=40)
     def test_capacity_never_exceeded(self, script):
         clock = SimClock()
-        cache = TtlCache(ttl=100.0, clock=lambda: clock.now, capacity=3)
+        cache = TtlCache(ttl=100.0, clock=lambda: clock.now)
+        # Three slots short of full, as the script's puts need to evict.
+        for key in range(CACHE_CAPACITY - 3):
+            cache.put(("filler", key), "v")
         for op in script:
             if op[0] == "advance":
                 clock.advance_to(clock.now + op[1])
@@ -64,7 +68,7 @@ class TestCacheProperties:
                 cache.invalidate(op[1])
             else:
                 cache.get(op[1])
-            assert len(cache) <= 3
+            assert len(cache) <= CACHE_CAPACITY
 
     @given(cache_scripts())
     @settings(max_examples=20)

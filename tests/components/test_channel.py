@@ -102,7 +102,6 @@ class World:
             domain=domain,
             resolve_domain=lambda requests, then: then(["east" for request in requests]),
             identity=self.identity(signs_as or name),
-            secure_channel=True,
             max_batch=4,
             max_delay=0.001,
         )

@@ -15,6 +15,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.components import DecisionCache
+from repro.components.cache import CACHE_CAPACITY
 from repro.saml import XacmlAuthzDecisionStatement
 from repro.simnet import SimClock
 from repro.xacml import (
@@ -31,7 +32,6 @@ from repro.xacml import (
 )
 
 TTL = 4.0
-CAPACITY = 4
 
 SUBJECTS = ["s0", "s1", "s2"]
 RESOURCES = ["r0", "r1", "r2"]
@@ -93,10 +93,9 @@ class DecisionCacheMachine(RuleBasedStateMachine):
         super().__init__()
         # The parent read a fence of 0.0 as "no fence yet"; the machine
         # starts after that instant so oracle and cache can be compared.
-        self.clock = SimClock(start=1.0)
-        self.cache = DecisionCache(
-            ttl=TTL, clock=lambda: self.clock.now, capacity=CAPACITY
-        )
+        self.clock = SimClock()
+        self.clock.advance_to(1.0)
+        self.cache = DecisionCache(ttl=TTL, clock=lambda: self.clock.now)
         self.oracle = ParentFences(lambda: self.clock.now)
         #: (instant, subject filter, resource filter); both None = all.
         self.invalidations: list[tuple[float, object, object]] = []
@@ -164,7 +163,7 @@ class DecisionCacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def bounded_and_counted(self):
-        assert len(self.cache) <= CAPACITY
+        assert len(self.cache) <= CACHE_CAPACITY
         assert self.cache.fenced == self.refused
 
 
@@ -174,13 +173,19 @@ TestDecisionCacheMachine.settings = settings(
 )
 
 
+def clock_at(now: float) -> SimClock:
+    clock = SimClock()
+    clock.advance_to(now)
+    return clock
+
+
 def cache_at(clock: SimClock, ttl: float = TTL) -> DecisionCache:
     return DecisionCache(ttl=ttl, clock=lambda: clock.now)
 
 
 class TestTheRule:
     def test_at_the_invalidation_is_refused_and_after_it_is_admitted(self):
-        clock = SimClock(start=5.0)
+        clock = clock_at(5.0)
         cache = cache_at(clock)
         key = REQUESTS[0].cache_key()
         cache.invalidate_for(subject_id="s0")
@@ -200,7 +205,7 @@ class TestTheRule:
     def test_a_fence_touches_what_the_invalidation_touches(self):
         """Every typed variant and every value of a multi-valued id, as
         ``cache_key_touches`` reads a key: what is dropped is fenced."""
-        clock = SimClock(start=5.0)
+        clock = clock_at(5.0)
         cache = cache_at(clock)
         typed = RequestContext.simple("other", "r0", "read")
         typed.add(
@@ -220,7 +225,7 @@ class TestTheRule:
         assert cache.admit(bystander.cache_key(), statement(4.5))
 
     def test_no_filter_drops_and_fences_nothing(self):
-        clock = SimClock(start=5.0)
+        clock = clock_at(5.0)
         cache = cache_at(clock)
         key = REQUESTS[0].cache_key()
         assert cache.admit(key, statement(4.0))
@@ -228,7 +233,7 @@ class TestTheRule:
         assert cache.admit(key, statement(4.0))
 
     def test_a_disabled_cache_admits_nothing_and_fences_nothing(self):
-        clock = SimClock(start=5.0)
+        clock = clock_at(5.0)
         cache = cache_at(clock, ttl=0.0)
         cache.invalidate_all()
         assert not cache.admit(REQUESTS[0].cache_key(), statement(1.0))
@@ -236,7 +241,7 @@ class TestTheRule:
         assert len(cache) == 0
 
     def test_snapshot_purges_before_it_counts(self):
-        clock = SimClock(start=5.0)
+        clock = clock_at(5.0)
         cache = cache_at(clock)
         cache.admit(REQUESTS[0].cache_key(), statement(5.0))
         cache.admit(REQUESTS[1].cache_key(), statement(5.0))

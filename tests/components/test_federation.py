@@ -5,6 +5,7 @@ import pytest
 from repro.components import (
     DecisionDispatcher,
     FORWARD_ACTION,
+    FORWARD_TTL,
     FederatedGateway,
     ForwardedBatchQuery,
     PepConfig,
@@ -18,6 +19,8 @@ from repro.revocation import (
     InvalidationBus,
     PushStrategy,
     RevocationAuthority,
+    RevocationKind,
+    trust_edge_target,
 )
 from repro.saml.xacml_profile import XacmlAuthzDecisionBatchQuery
 from repro.simnet import Network
@@ -51,7 +54,6 @@ def policy_for(resource_id: str) -> Policy:
 
 def build_two_domains(
     resolvers=None,
-    forward_ttl=3,
     connect=True,
     cache_ttl=0.0,
     seed=91,
@@ -86,7 +88,6 @@ def build_two_domains(
                     [m.get(request.resource_id) for request in requests]
                 )
             ),
-            forward_ttl=forward_ttl,
             max_batch=8,
             max_delay=0.001,
             remote_cache_ttl=remote_cache_ttl,
@@ -220,18 +221,6 @@ class TestFailSafeEdges:
         assert hubs["west"].peer_failures == 1
         assert network.metrics.counters["federation.peer_unreachable"] == 1
 
-    def test_a_peer_deadline_that_is_not_in_the_future_is_rejected(self):
-        network = Network(seed=3)
-        for index, timeout in enumerate((0.0, -1.0, float("nan"))):
-            with pytest.raises(ValueError, match="peer_timeout must be > 0"):
-                FederatedGateway(
-                    f"gw{index}",
-                    network,
-                    DecisionDispatcher(["pdp"]),
-                    domain="west",
-                    peer_timeout=timeout,
-                )
-
     def test_forwarding_loop_cut_by_ttl(self):
         """Two domains with conflicting directories bounce a request
         between them; the TTL ends the chain in a fail-safe deny."""
@@ -239,9 +228,7 @@ class TestFailSafeEdges:
             "west": {**DIRECTORY, "res.ghost": "east"},
             "east": {**DIRECTORY, "res.ghost": "west"},
         }
-        network, peps, hubs = build_two_domains(
-            resolvers=resolvers, forward_ttl=2
-        )
+        network, peps, hubs = build_two_domains(resolvers=resolvers)
         done = []
         peps["west"].submit(
             RequestContext.simple("alice", "res.ghost", "read"), done.append
@@ -249,12 +236,15 @@ class TestFailSafeEdges:
         network.run(until=network.now + 10.0)
         assert len(done) == 1
         assert not done[0].granted
-        # west forwarded (ttl 2), east re-forwarded (ttl 1), west cut it.
+        # west forwarded (ttl 3), east re-forwarded (ttl 2), west
+        # re-forwarded (ttl 1), east cut it.
+        assert FORWARD_TTL == 3
+        assert hubs["west"].forwarded_batches_sent == 2
         assert hubs["east"].forwarded_batches_sent == 1
-        assert hubs["west"].ttl_denials == 1
+        assert hubs["east"].ttl_denials == 1
         assert network.metrics.counters["federation.ttl_expired"] == 1
-        # Exactly two forwards crossed the wire — the loop is bounded.
-        assert network.metrics.sent_by_kind[FORWARD_ACTION] == 2
+        # Exactly three forwards crossed the wire — the loop is bounded.
+        assert network.metrics.sent_by_kind[FORWARD_ACTION] == 3
 
     def test_unregistered_origin_rejected(self):
         network, peps, hubs = build_two_domains(connect=False)
@@ -294,7 +284,6 @@ def build_secure_vo():
             domain=domain.name,
             identity=domain.component_identity(f"gateway.{domain.name}"),
             resolve_domain=directory.resolver(),
-            secure_channel=True,
             max_batch=8,
             max_delay=0.001,
         )
@@ -423,7 +412,7 @@ class TestGatewayRemoteDecisionCache:
             "east": {**DIRECTORY, "res.ghost": "west"},
         }
         network, peps, hubs = build_two_domains(
-            resolvers=resolvers, forward_ttl=2, remote_cache_ttl=60.0
+            resolvers=resolvers, remote_cache_ttl=60.0
         )
         request = RequestContext.simple("alice", "res.ghost", "read")
         done = []
@@ -435,7 +424,7 @@ class TestGatewayRemoteDecisionCache:
         assert len(done) == 2
         # Second attempt forwarded again: nothing was cached.
         assert hubs["west"].remote_cache_hits == 0
-        assert network.metrics.sent_by_kind[FORWARD_ACTION] == 4
+        assert network.metrics.sent_by_kind[FORWARD_ACTION] == 6
 
     def test_revocation_selectively_invalidates_gateway_cache(self):
         """The tentpole coherence wiring: a pushed revocation kills
@@ -485,7 +474,9 @@ class TestGatewayRemoteDecisionCache:
         )
         network.run(until=network.now + 5.0)
         assert len(hubs["west"].remote_cache) == 1
-        authority.registry.revoke_trust_edge("west", "east", "decision")
+        authority.registry.revoke(
+            RevocationKind.TRUST_EDGE, trust_edge_target("west", "east", "decision")
+        )
         network.run(until=network.now + 2.0)
         assert len(hubs["west"].remote_cache) == 0
 
@@ -713,7 +704,9 @@ class TestTrustEdgeWithdrawal:
 
     def test_revoked_decision_edge_denies_fail_safe(self):
         network, peps, hubs, registry = self.build()
-        registry.revoke_trust_edge("west", "east", "decision")
+        registry.revoke(
+            RevocationKind.TRUST_EDGE, trust_edge_target("west", "east", "decision")
+        )
         network.run(until=network.now + 1.0)
         result = self.west_asks_east(network, peps)
         assert not result.granted and result.source == "fail-safe"
@@ -722,7 +715,9 @@ class TestTrustEdgeWithdrawal:
 
     def test_revoked_identity_edge_rejects_the_origin(self):
         network, peps, hubs, registry = self.build()
-        registry.revoke_trust_edge("east", "west", "identity")
+        registry.revoke(
+            RevocationKind.TRUST_EDGE, trust_edge_target("east", "west", "identity")
+        )
         network.run(until=network.now + 1.0)
         result = self.west_asks_east(network, peps)
         assert not result.granted and result.source == "fail-safe"
@@ -745,7 +740,7 @@ class TestTrustEdgeWithdrawal:
     )
     def test_another_truster_or_kind_changes_nothing(self, edge):
         network, peps, hubs, registry = self.build()
-        registry.revoke_trust_edge(*edge)
+        registry.revoke(RevocationKind.TRUST_EDGE, trust_edge_target(*edge))
         network.run(until=network.now + 1.0)
         result = self.west_asks_east(network, peps)
         assert result.granted and result.source == "pdp"

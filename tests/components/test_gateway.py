@@ -291,24 +291,6 @@ class TestFairness:
             DomainDecisionGateway("g2", network, dispatcher, max_delay=-1.0)
         with pytest.raises(ValueError, match="fairness_cap"):
             DomainDecisionGateway("g3", network, dispatcher, fairness_cap=0)
-        with pytest.raises(ValueError, match="identity"):
-            DomainDecisionGateway(
-                "g4", network, dispatcher, secure_channel=True
-            )
-
-    def test_a_deadline_that_is_not_in_the_future_is_rejected(self):
-        """A past deadline used to construct, then raise out of
-        ``Network.run`` at the first flush ("cannot schedule an event in
-        the past")."""
-        network = Network(seed=73)
-        for index, timeout in enumerate((0.0, -1.0, float("nan"))):
-            with pytest.raises(ValueError, match="pdp_timeout must be > 0"):
-                DomainDecisionGateway(
-                    f"g{index}",
-                    network,
-                    DecisionDispatcher(["pdp"]),
-                    pdp_timeout=timeout,
-                )
 
 
 class TestSecureChannel:
@@ -348,7 +330,6 @@ class TestSecureChannel:
             network,
             DecisionDispatcher([pdp.name for pdp in pdps]),
             identity=identity("gateway"),
-            secure_channel=True,
             max_batch=8,
             max_delay=0.001,
         )

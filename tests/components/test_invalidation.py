@@ -24,7 +24,7 @@ from repro.xacml import Policy, combining, permit_rule
 class TestInvalidateWhere:
     def make(self):
         clock = SimClock()
-        return TtlCache(ttl=100.0, clock=lambda: clock.now, capacity=100)
+        return TtlCache(ttl=100.0, clock=lambda: clock.now)
 
     def test_removes_only_matching_entries(self):
         cache = self.make()

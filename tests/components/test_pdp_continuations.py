@@ -129,7 +129,12 @@ class TestUnreachablePip:
         query = XacmlAuthzDecisionQuery(
             request=alice_reads(), issuer="client", issue_instant=network.now
         )
-        reply = client.call("pdp", "xacml.request", query.to_xml(), timeout=5.0)
+        # The PDP answers once its PIP ask times out: past ``call``'s
+        # deadline, so ask with a longer one.
+        replies = []
+        client.ask("pdp", "xacml.request", query.to_xml(), replies.append, replies.append, 5.0)
+        network.run(until=network.now + 5.0)
+        (reply,) = replies
         statement = XacmlAuthzDecisionStatement.from_xml(str(reply.payload))
         result = statement.response.result
         assert result.decision is Decision.INDETERMINATE

@@ -124,17 +124,13 @@ class TestPepDecisionCache:
             pdp_address="pdp",
             config=PepConfig(decision_cache_ttl=60),
         )
-        as_uri = RequestContext(
-            {
-                Category.SUBJECT: [
-                    Attribute.of(
-                        SUBJECT_ID, AttributeValue(DataType.ANY_URI, "alice")
-                    )
-                ],
-                Category.RESOURCE: [Attribute.of(RESOURCE_ID, string("doc"))],
-                Category.ACTION: [Attribute.of(ACTION_ID, string("read"))],
-            }
+        as_uri = RequestContext()
+        as_uri.add(
+            Category.SUBJECT,
+            Attribute.of(SUBJECT_ID, AttributeValue(DataType.ANY_URI, "alice")),
         )
+        as_uri.add(Category.RESOURCE, Attribute.of(RESOURCE_ID, string("doc")))
+        as_uri.add(Category.ACTION, Attribute.of(ACTION_ID, string("read")))
         assert pep.authorize(RequestContext.simple("alice", "doc", "read")).granted
         answer = pep.authorize(as_uri)
         assert answer.decision is Decision.NOT_APPLICABLE

@@ -28,7 +28,7 @@ from repro.xacml.attributes import Category
 REQUESTS = 60
 
 
-def build_tier(replicas=3, seed=19, stale_view=False, forward_timeout=2.0):
+def build_tier(replicas=3, seed=19, stale_view=False, pdp_timeout=2.0):
     network = Network(seed=seed)
     population = Population(PopulationSpec(subjects=300, resources=24))
     names = [f"pdp-{index}" for index in range(replicas)]
@@ -38,16 +38,16 @@ def build_tier(replicas=3, seed=19, stale_view=False, forward_timeout=2.0):
         pdp = PolicyDecisionPoint(
             name,
             network,
-            config=PdpConfig(
-                placement=spec, forward_timeout=forward_timeout
-            ),
+            config=PdpConfig(placement=spec),
             attribute_resolver=population.attribute_resolver(),
         )
         for policy in population.policy_set():
             pdp.add_local_policy(policy)
         pdps.append(pdp)
     pep = PolicyEnforcementPoint(
-        "pep", network, config=PepConfig(decision_cache_ttl=0.0)
+        "pep",
+        network,
+        config=PepConfig(decision_cache_ttl=0.0, pdp_timeout=pdp_timeout),
     )
     routing = spec.routing_view() if stale_view else spec
     dispatcher = DecisionDispatcher(
@@ -156,9 +156,8 @@ class TestStaleRoutingView:
         assert dispatcher.placement.ring.epoch != spec.ring.epoch
 
     def test_unreachable_owner_falls_back_locally(self):
-        network, population, spec, pdps, pep, dispatcher = build_tier(
-            forward_timeout=0.5
-        )
+        # The PEP outwaits the replicas' reforward deadline.
+        network, population, spec, pdps, pep, dispatcher = build_tier(pdp_timeout=5.0)
         # Kill one owner; the dispatcher's failover re-aims its
         # envelopes at survivors, whose reforward to the dead owner
         # times out and falls back to authoritative local evaluation.
@@ -180,7 +179,6 @@ def build_forwarding_origin(network, names, spec):
         DecisionDispatcher(names, policy=ConsistentHashRouting(spec)),
         domain="east",
         max_batch=REQUESTS + 4,
-        pdp_timeout=0.5,
     )
     west = FederatedGateway(
         "gw.west",
@@ -190,7 +188,6 @@ def build_forwarding_origin(network, names, spec):
         resolve_domain=lambda requests, then: then(["east" for request in requests]),
         max_batch=REQUESTS + 4,
         max_delay=0.001,
-        peer_timeout=10.0,
     )
     west.add_peer("east", east.name)
     east.allow_origin("west", west.name)
@@ -225,8 +222,11 @@ class TestForwardedIntoShardedDomain:
         owners = {spec.owner_of(request) for request in requests}
         assert {pdp.name for pdp in pdps if pdp.decisions_made} == owners
 
-    def test_dead_owner_still_fails_over_through_rotation(self):
-        network, population, spec, pdps, _, _ = build_tier(forward_timeout=0.2)
+    def test_dead_owner_fails_over_through_rotation_past_the_peer_deadline(self):
+        """The serving gateway fails over from the dead owner, but its
+        envelope's deadline is the origin's peer deadline: the origin
+        gives up first and the whole forwarded batch fails safe."""
+        network, population, spec, pdps, _, _ = build_tier()
         west, east, pep = build_forwarding_origin(
             network, [pdp.name for pdp in pdps], spec
         )
@@ -234,9 +234,10 @@ class TestForwardedIntoShardedDomain:
         requests = list(population.request_contexts(REQUESTS + 4, seed=2))
         assert any(spec.owner_of(r) == pdps[0].name for r in requests)
         granted = drive(network, pep, requests)
-        assert granted == reference_decisions(population, requests)
+        assert not any(granted)
         assert east.failovers > 0
-        assert pep.fail_safe_denials == 0
+        assert west.peer_failures > 0
+        assert pep.fail_safe_denials == len(requests)
         assert pdps[0].decisions_made == 0
 
 

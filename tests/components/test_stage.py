@@ -270,9 +270,10 @@ def test_gateway_drain_defers_reentrant_ingest_to_its_next_step():
 
 
 def test_forward_drain_empties_an_overfull_buffer_as_back_to_back_chunks():
-    """Per target domain, unpaced: five remote slots and a
-    ``forward_batch`` of two leave as 2 + 2 + 1 at the same instant, and
-    stay in flight at the gateway stage until the peer answers."""
+    """Per target domain, unpaced: a forward buffer holding one slot
+    that a drain step of two overfills leaves in chunks of the gateway's
+    ``max_batch`` (two), 2 + 1 at the same instant, and its slots stay in
+    flight at the gateway stage until the peer answers."""
     network = Network(seed=7)
     hubs = {}
     for name in ("west", "east"):
@@ -293,9 +294,8 @@ def test_forward_drain_empties_an_overfull_buffer_as_back_to_back_chunks():
             DecisionDispatcher([f"pdp.{name}"]),
             domain=name,
             resolve_domain=lambda requests, then: then(["east" for request in requests]),
-            max_batch=8,
+            max_batch=2,
             max_delay=0.001,
-            forward_batch=2,
             forward_delay=60.0,
         )
     hubs["west"].add_peer("east", "gw.east")
@@ -305,15 +305,19 @@ def test_forward_drain_empties_an_overfull_buffer_as_back_to_back_chunks():
     )
     pep.enable_batching(max_batch=8, max_delay=0.001, gateway=hubs["west"])
     done = []
-    for index in range(5):
+    west = hubs["west"]
+    pep.submit(request(0, "east-doc"), done.append)
+    pep.coalescer.flush()
+    west.flush()  # one slot: it waits in the forward buffer
+    assert west.forwarded_batches_sent == 0
+    for index in (1, 2):
         pep.submit(request(index, "east-doc"), done.append)
     sent_at = network.now
     pep.coalescer.flush()
-    hubs["west"].flush()
-    west = hubs["west"]
+    west.flush()
     assert network.now == sent_at
-    assert [len(envelope.items) for envelope in west._wire._inflight.values()] == [2, 2, 1]
-    assert (west.forwarded_batches_sent, west.requests_forwarded) == (3, 5)
+    assert [len(envelope.items) for envelope in west._wire._inflight.values()] == [2, 1]
+    assert (west.forwarded_batches_sent, west.requests_forwarded) == (2, 3)
     # A late identical request from another PEP still joins the
     # forwarded slot instead of travelling again.
     late = PolicyEnforcementPoint("pep-late", network, domain="west")
@@ -322,5 +326,5 @@ def test_forward_drain_empties_an_overfull_buffer_as_back_to_back_chunks():
     late.coalescer.flush()
     assert west.cross_pep_deduplicated == 1
     network.run(until=network.now + 5.0)
-    assert [result.granted for result in done] == [True] * 6
-    assert west.requests_forwarded == 5
+    assert [result.granted for result in done] == [True] * 4
+    assert west.requests_forwarded == 3

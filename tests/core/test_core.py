@@ -28,6 +28,7 @@ from repro.domain import build_federation
 from repro.saml import XacmlAuthzDecisionStatement
 from repro.simnet import Network
 from repro.wss import KeyStore
+from repro.core.audit import AUDIT_CAPACITY
 from repro.wsvc import ServiceRegistry
 from repro.xacml import (
     Decision,
@@ -91,16 +92,9 @@ class TestAuditLog:
         log = AuditLog()
         self.record(log, subject="alice")
         self.record(log, subject="bob", decision=Decision.DENY)
-        assert len(log.filter(subject_id="alice")) == 1
-        assert len(log.filter(decision=Decision.DENY)) == 1
-
-    def test_filter_by_source(self):
-        log = AuditLog()
-        self.record(log, source="pdp")
-        self.record(log, subject="bob", decision=Decision.DENY, source="fail-safe")
-        self.record(log, subject="carol", source="cache")
-        assert [r.subject_id for r in log.filter(source="fail-safe")] == ["bob"]
-        assert log.filter(source="fail-safe", decision=Decision.PERMIT) == []
+        assert [r.subject_id for r in log.filter(subject_id="alice")] == ["alice"]
+        assert [r.subject_id for r in log.filter(resource_id="r")] == ["alice", "bob"]
+        assert log.filter(subject_id="bob", resource_id="elsewhere") == []
 
     def test_denial_rate(self):
         log = AuditLog()
@@ -109,10 +103,12 @@ class TestAuditLog:
         assert log.denial_rate() == pytest.approx(0.5)
 
     def test_capacity(self):
-        log = AuditLog(capacity=1)
+        log = AuditLog()
         self.record(log)
-        self.record(log)
-        assert len(log) == 1
+        (record,) = log.records()
+        for _ in range(AUDIT_CAPACITY):
+            log.record(record)
+        assert len(log) == AUDIT_CAPACITY
         assert log.dropped == 1
 
 
@@ -127,16 +123,15 @@ class TestAccessControlSystem:
         assert len(system.audit) == 2
 
     def test_meta_policy_veto_recorded(self, vo_env):
-        from repro.admin import ChineseWallMetaPolicy, MetaPolicyEngine
+        from repro.admin import ChineseWallMetaPolicy
         from repro.models import ChineseWallEngine
 
         network, _, domain = vo_env
         wall = ChineseWallEngine()
         wall.register_dataset("db", "rivals")
         wall.register_dataset("db2", "rivals")
-        meta = MetaPolicyEngine()
-        meta.add(ChineseWallMetaPolicy("wall", wall))
-        system = AccessControlSystem(domain, meta_policies=meta)
+        system = AccessControlSystem(domain)
+        system.meta_policies.add(ChineseWallMetaPolicy("wall", wall))
         system.protect("db")
         system.protect("db2")
         system.publish_policy(simple_policy("db"))
@@ -251,14 +246,9 @@ class TestHeartbeatAndFailover:
         """A replica that crashed before the heartbeat noticed costs one
         ``pdp_timeout``; the next healthy replica answers."""
         network, _, domain = vo_env
-        timeout = 0.5
+        timeout = PepConfig().pdp_timeout
         system = AccessControlSystem(
-            domain,
-            config=SystemConfig(
-                pdp_replicas=3,
-                heartbeat_period=5.0,
-                pep_config=PepConfig(pdp_timeout=timeout),
-            ),
+            domain, config=SystemConfig(pdp_replicas=3, heartbeat_period=5.0)
         )
         system.protect("db")
         system.publish_policy(simple_policy())
@@ -303,9 +293,7 @@ class TestQuorum:
         cluster = PdpCluster(domain, replicas=2)
         cluster.replicas[0].crash()
         cluster.replicas[1].crash()
-        client = QuorumClient(
-            "qc", network, cluster.addresses, quorum=2, reply_timeout=0.3
-        )
+        client = QuorumClient("qc", network, cluster.addresses, quorum=2)
         outcome = voted(network, client, RequestContext.simple("alice", "db", "read"))
         assert outcome.decision is Decision.DENY
         assert outcome.replies == 0

@@ -51,9 +51,9 @@ class TestResourceDirectory:
         assert directory.transfer("res.a", "beta") == 1
         assert directory.transfer("res.a", "alpha") == 2
 
-    def test_default_domain_for_unknown_resources(self):
-        directory = ResourceDirectory(default_domain="hub")
-        assert directory.domain_of("anything") == "hub"
+    def test_an_unknown_resource_has_no_domain(self):
+        directory = ResourceDirectory()
+        assert directory.domain_of("anything") is None
 
     def test_resolver_reads_the_request_resource(self):
         directory = ResourceDirectory()
@@ -71,11 +71,11 @@ class TestResourceDirectory:
         must resolve local (None) — it has nothing a remote domain
         could govern, so forwarding it to a default domain would be a
         misroute by construction."""
-        directory = ResourceDirectory(default_domain="hub")
+        directory = ResourceDirectory()
+        directory.register("res.x", "hub")
         request = RequestContext()
         assert request.resource_id is None
         answers = []
-        # Named-but-unlisted resources still use the default domain.
         directory.resolver()(
             [request, RequestContext.simple("u", "res.x", "read")], answers.append
         )

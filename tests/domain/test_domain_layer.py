@@ -10,6 +10,7 @@ from repro.domain import (
     VirtualOrganization,
     build_federation,
 )
+from repro.revocation import RevocationKind, RevocationRegistry, trust_edge_target
 from repro.simnet import Network
 from repro.wss import KeyStore
 from repro.xacml import SUBJECT_ROLE
@@ -29,13 +30,14 @@ class TestTrustGraph:
 
     def test_revoke(self):
         graph = TrustGraph()
+        registry = RevocationRegistry()
+        graph.bind_revocation_registry(registry)
         graph.establish("a", "b", TrustKind.IDENTITY)
         assert graph.trusts("a", "b", TrustKind.IDENTITY)
         assert not graph.trusts("b", "a", TrustKind.IDENTITY)  # directed
         assert not graph.trusts("a", "b", TrustKind.DECISION)  # per kind
-        assert graph.revoke("a", "b", TrustKind.IDENTITY)
+        registry.revoke(RevocationKind.TRUST_EDGE, trust_edge_target("a", "b", "identity"))
         assert not graph.trusts("a", "b", TrustKind.IDENTITY)
-        assert not graph.revoke("a", "b", TrustKind.IDENTITY)
 
 
 class TestAdministrativeDomain:

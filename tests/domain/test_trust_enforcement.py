@@ -23,7 +23,7 @@ from repro.domain import (
     TrustKind,
     build_federation,
 )
-from repro.revocation import RevocationRegistry
+from repro.revocation import RevocationKind, RevocationRegistry, trust_edge_target
 from repro.saml import AssertionError_
 from repro.simnet import Network
 from repro.wss import KeyStore
@@ -38,7 +38,6 @@ CELLS = (
     "trusted",
     "trusted-for-the-other-kind",
     "trusted-the-other-way",
-    "revoked",
     "revoked-by-registry-record",
 )
 
@@ -53,14 +52,14 @@ def federation(cell, kind):
         vo.establish_trust("partner", "home", kind)
     elif cell != "never-trusted":
         vo.establish_trust("home", "partner", kind)
-    if cell == "revoked":
-        assert vo.trust.revoke("home", "partner", kind)
-    elif cell == "revoked-by-registry-record":
-        # The record is issued at the registry, not through the graph:
-        # a bound graph reads it all the same.
+    if cell == "revoked-by-registry-record":
+        # Revocation is recorded at the registry only; a bound graph
+        # reads it.
         registry = RevocationRegistry()
         vo.trust.bind_revocation_registry(registry)
-        registry.revoke_trust_edge("home", "partner", kind.value)
+        registry.revoke(
+            RevocationKind.TRUST_EDGE, trust_edge_target("home", "partner", kind.value)
+        )
     return network, vo
 
 

@@ -14,7 +14,6 @@ from repro.core import (
     push_sequence,
 )
 from repro.domain import TrustKind, build_federation
-from repro.models import RbacModel
 from repro.simnet import FailureInjector, Network
 from repro.wss import KeyStore
 from repro.xacml import (
@@ -142,32 +141,6 @@ class TestPushVsPullEquivalence:
             except Exception:
                 push_granted = False
             assert pull_result.granted == push_granted == expected
-
-
-class TestSelfProtection:
-    """Paper §3.2: the PAP is guarded by the same PEP/PDP machinery."""
-
-    def test_rbac_protected_administration(self):
-        """Admin rights expressed as an RBAC permission on the PAP itself."""
-        network = Network(seed=109)
-        keystore = KeyStore(seed=109)
-        vo = build_federation("corp", ["hq"], network, keystore)
-        hq = vo.domain("hq")
-        admin_rbac = RbacModel("admin-model")
-        admin_rbac.add_role("policy-admin")
-        admin_rbac.grant_permission("policy-admin", "pap.hq", "publish")
-        admin_rbac.assign_user("root-admin", "policy-admin")
-
-        def guard(operation, requester, policy_id):
-            return admin_rbac.check_access(requester, "pap.hq", operation)
-
-        hq.pap.guard = guard
-        policy = Policy(policy_id="p", rules=(deny_rule("d"),))
-        hq.pap.publish(policy, publisher="root-admin")
-        from repro.components import RpcFault
-
-        with pytest.raises(RpcFault):
-            hq.pap.publish(policy, publisher="intern")
 
 
 class TestDependabilityUnderFaults:

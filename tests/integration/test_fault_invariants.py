@@ -115,7 +115,11 @@ class TestFailSafeInvariant:
             assert not system.authorize("eve", "db", "read").granted
         # Authorised access may be temporarily denied (fail-safe) but the
         # audit must never contain a grant for eve.
-        granted = system.audit.filter(resource_id="db", decision=Decision.PERMIT)
+        granted = [
+            record
+            for record in system.audit.filter(resource_id="db")
+            if record.decision is Decision.PERMIT
+        ]
         assert {record.subject_id for record in granted} <= {"alice"}
 
     @given(crash_schedules)
@@ -188,10 +192,7 @@ def revoke_an_entitlement(authority):
     """An ENTITLEMENT record for alice on doc that the subject-access
     guard does not match."""
     authority.registry.revoke(
-        RevocationKind.ENTITLEMENT,
-        "dac:alice:read@doc",
-        subject_id="alice",
-        resource_id="doc",
+        RevocationKind.ENTITLEMENT, "dac:alice:read@doc", subject_id="alice"
     )
 
 
@@ -417,12 +418,13 @@ class TestPolicyCacheIsNotRepoisoned:
         assert pep.authorize(ALICE_READS_DOC).granted
         network.run(until=network.now + 6.0)  # stale: the next decision probes
         healthy = network.link_between("pap", "pdp")
-        network.set_link("pap", "pdp", Link(latency=1.0), symmetric=False)
+        # One way only: ``set_link`` sets both directions.
+        network._links[("pap", "pdp")] = Link(latency=1.0)
         answer = pap._handle_revision
 
         def answer_then_republish(message):
             def heal_and_republish():
-                network.set_link("pap", "pdp", healthy, symmetric=False)
+                network._links[("pap", "pdp")] = healthy
                 pap.publish(deny_all())
 
             network.loop.schedule(0.002, heal_and_republish)
@@ -678,10 +680,13 @@ class TestAHandlersDeadPeerIsAFaultReply:
     def test_under_a_blocking_call(self):
         network, client, relay, peer = self.relay_to_a_dead_peer()
         # Patient enough to hear the relay out: its own deadline for the
-        # peer (2 s) ends after a default deadline that started earlier.
-        with pytest.raises(RpcFault) as caught:
-            client.call("relay", "relay", "<Go/>", timeout=5.0)
-        assert caught.value.code == "upstream-timeout"
+        # peer (2 s) ends after ``call``'s, which started earlier, so the
+        # driver waits on an ask with a longer one.
+        settled = []
+        client.ask("relay", "relay", "<Go/>", settled.append, settled.append, 5.0)
+        network.loop.run_until(settled.__len__, network.now + 5.0)
+        (error,) = settled
+        assert isinstance(error, RpcFault) and error.code == "upstream-timeout"
         network.run(until=network.now + 5.0)
 
 

@@ -1,5 +1,6 @@
-"""Surface lint: every module under ``src/repro``, and every function,
-class and method in it, has a user that is not a test.
+"""Surface lint: every module under ``src/repro``, every function, class
+and method in it, and every option they take, has a user that is not a
+test.
 
 A module earns its keep when an experiment, an example or another live
 module uses it.  A module whose only importers are its own package
@@ -44,6 +45,32 @@ Names, read the same way:
   registering decorator (``functions.register``) is live by it.
 
 ``ALLOWED_NAMES`` is the second allow-list, of the same form and rule.
+
+Options, one level down again: a default is a second configuration of
+the code, and it earns its keep the way a name does.
+
+- *An option* is a defaulted parameter of a live function unit
+  (``self`` / ``cls`` excluded), or a defaulted field of a live
+  ``*Config`` dataclass.
+- *A use* is a call that names the unit and passes the option — by
+  keyword, by position, or through a ``*`` / ``**`` splat — in a file
+  under ``benchmarks/`` or ``examples/``, in always-run code of a live
+  module, or in a live unit.  A call names an ``__init__`` by its class
+  (or a subclass that runs it, or ``cls`` inside it, or
+  ``super().__init__`` in a subclass), and a ``*Config`` field by its
+  class or by ``replace``.  An assignment ``x.<option> = ...`` (``x``
+  not ``self`` / ``cls``) outside the option's own class is a use too.
+- *A forward* — a live unit passing on its own parameter, by name or by
+  splatting its ``*args`` / ``**kwargs`` — is a use only once that
+  parameter is itself used: the same fixed point as for names.
+- An unused option becomes a constant at its default, and the code only
+  another value reached goes with it.  ``ALLOWED_OPTIONS`` (same form and
+  rule) takes only deployment settings: addresses, identities and keys,
+  names and topics.  "A test sets it" is never a reason.
+
+Imports, last: a module under ``src/repro`` reads every name it imports
+(Pyflakes' unused-import rule, F401, which CI's ruff runs); a package
+``__init__`` re-exports, and is exempt.
 """
 
 import ast
@@ -258,6 +285,7 @@ class Unit(NamedTuple):
     owner: Optional[str]  # the enclosing class's key
     reads: set[str]  # what its signature and body read
     exempt: bool  # live whenever its owner is: dunder, registered
+    node: ast.AST  # its ``def`` or ``class``
 
 
 def units_of(module: str, tree: ast.Module) -> tuple[list[Unit], set[str]]:
@@ -293,14 +321,15 @@ def units_of(module: str, tree: ast.Module) -> tuple[list[Unit], set[str]]:
                 )
                 own = identifiers(signature + statement.body)
             exempt = is_dunder(statement.name) or registers(statement)
-            units.append(Unit(key, statement.name, owner, own, exempt))
+            units.append(Unit(key, statement.name, owner, own, exempt, statement))
 
     visit(tree.body, None, "", always)
     return units, always
 
 
-def dead_names(sources, users, allowed=(), module_allowed=ALLOWED) -> list[str]:
-    """Units of the live modules of ``sources`` that nothing live reads.
+def live_units(sources, users, allowed=(), module_allowed=ALLOWED):
+    """The units of the live modules of ``sources``, and the keys of the
+    live ones, with what the always-run code of live modules reads.
 
     A unit is live when its name is read by a user, by always-run code
     of a live module, or by another live unit — and, for a method, its
@@ -312,13 +341,15 @@ def dead_names(sources, users, allowed=(), module_allowed=ALLOWED) -> list[str]:
     users = list(users)
     dead_modules_ = set(dead_modules(sources.items(), users, module_allowed))
     units: dict[str, Unit] = {}
+    always: dict[str, list] = {}
     reached = identifiers(tree for _, tree in users)
     for module, tree in sources.items():
         if module in dead_modules_:
             continue
-        found, always = units_of(module, tree)
+        found, read = units_of(module, tree)
         units.update((unit.key, unit) for unit in found)
-        reached |= always
+        always[module] = [s for s in tree.body if not isinstance(s, _DEFS)]
+        reached |= read
     readers: dict[str, set[str]] = {}
     live: set[str] = set()
     grew = True
@@ -337,6 +368,13 @@ def dead_names(sources, users, allowed=(), module_allowed=ALLOWED) -> list[str]:
                 for name in unit.reads:
                     readers.setdefault(name, set()).add(unit.key)
                 grew = True
+    return units, live, always
+
+
+def dead_names(sources, users, allowed=(), module_allowed=ALLOWED) -> list[str]:
+    """Units of the live modules of ``sources`` that nothing live reads
+    (see :func:`live_units`), as a sorted list."""
+    units, live, _ = live_units(sources, users, allowed, module_allowed)
     return sorted(
         key for key, unit in units.items() if key not in live and not unit.exempt
     )
@@ -581,3 +619,415 @@ def test_an_allow_list_entry_that_gains_a_user_fails_the_lint():
     # the equality the repo-wide check asserts breaks.
     used = {**files, "examples/other.py": "from pkg.m import spare\nspare()\n"}
     assert sorted(allowed) != name_lint(used)
+
+
+# -- options -------------------------------------------------------------------
+
+
+class Option(NamedTuple):
+    """One defaulted parameter of a live unit, or defaulted field of a
+    live ``*Config`` dataclass."""
+
+    unit: str  # the key of its unit (the class, for a field)
+    name: str
+    owner: str  # the class an assignment outside of which is a use
+
+
+def is_config(node) -> bool:
+    return (
+        isinstance(node, ast.ClassDef)
+        and node.name.endswith("Config")
+        and any(
+            "dataclass" in identifiers([d.func if isinstance(d, ast.Call) else d])
+            for d in node.decorator_list
+        )
+    )
+
+
+def fields_of(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """A dataclass's fields in order, each with whether it has a default."""
+    return [
+        (statement.target.id, statement.value is not None)
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+        and "ClassVar" not in identifiers([statement.annotation])
+    ]
+
+
+def parameters_of(unit: Unit) -> tuple[list[str], list[str], set[str], set[str]]:
+    """``(positional, keyword_only, defaulted, variadic)`` names of a
+    function unit, a method's ``self`` / ``cls`` dropped."""
+    args = unit.node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = set(positional[len(positional) - len(args.defaults):])
+    defaulted |= {
+        a.arg
+        for a, default in zip(args.kwonlyargs, args.kw_defaults, strict=True)
+        if default is not None
+    }
+    static = "staticmethod" in identifiers(unit.node.decorator_list)
+    if unit.owner is not None and not static and positional:
+        positional = positional[1:]
+    variadic = {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    return positional, [a.arg for a in args.kwonlyargs], defaulted, variadic
+
+
+def unused_options(sources, users, allowed=()) -> list[str]:
+    """Options of live units that no user and no live unit passes, as
+    sorted ``"<unit key>(<name>)"`` strings (see the module docstring)."""
+    users = list(users)
+    units, live, always = live_units(sources, users)
+    live_units_ = [units[key] for key in sorted(live)]
+    classes: dict[str, list[Unit]] = {}
+    for unit in live_units_:
+        if isinstance(unit.node, ast.ClassDef):
+            classes.setdefault(unit.name, []).append(unit)
+
+    def init_of(class_name: str, seen=()) -> list[Unit]:
+        """The ``__init__`` (or ``*Config`` fields) a call naming the
+        class runs: its own, else the nearest one up its bases."""
+        found = []
+        for cls in classes.get(class_name, []):
+            own = f"{cls.key}.__init__"
+            if own in live:
+                found.append(units[own])
+            elif is_config(cls.node):
+                found.append(cls)
+            else:
+                for base in cls.node.bases:
+                    name = identifiers([base])
+                    for base_name in name - set(seen) - {class_name}:
+                        found += init_of(base_name, (*seen, class_name))
+        return found
+
+    # Every option, and the parameters through which a unit forwards.
+    options: dict[tuple[str, str], Option] = {}
+    signature: dict[str, tuple[list[str], set[str], set[str]]] = {}
+    for unit in live_units_:
+        if is_config(unit.node):
+            fields = fields_of(unit.node)
+            names = [name for name, _ in fields]
+            signature[unit.key] = (names, set(), set())
+            for name, default in fields:
+                if default:
+                    options[unit.key, name] = Option(unit.key, name, unit.key)
+        elif isinstance(unit.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            positional, keyword_only, defaulted, variadic = parameters_of(unit)
+            signature[unit.key] = (positional, set(positional + keyword_only), variadic)
+            owner = unit.owner or unit.key
+            for name in positional + keyword_only:
+                if name in defaulted:
+                    options[unit.key, name] = Option(unit.key, name, owner)
+    by_unit: dict[str, list[Option]] = {}
+    for option in options.values():
+        by_unit.setdefault(option.unit, []).append(option)
+    by_name: dict[str, list[Option]] = {}
+    for option in options.values():
+        by_name.setdefault(option.name, []).append(option)
+    fields_named = {
+        name: [o for o in found if is_config(units[o.unit].node)]
+        for name, found in by_name.items()
+    }
+
+    # A pass is ``(option key, condition)``: the condition is None, or
+    # the ``(unit key, name)`` that must be passed to the forwarder.
+    passes: list[tuple[tuple[str, str], Optional[tuple[str, str]]]] = []
+
+    def condition(value, forwarder: Optional[Unit], name: str):
+        """None when ``value`` is a choice; else what forwarding needs."""
+        if forwarder is None or forwarder.key not in signature:
+            return None
+        positional, named, variadic = signature[forwarder.key]
+        starred = isinstance(value, ast.Starred)
+        inner = value.value if starred else value
+        if not isinstance(inner, ast.Name):
+            return None
+        if inner.id in variadic:
+            return (forwarder.key, "*" if starred else name)
+        if inner.id in named and (forwarder.key, inner.id) in options:
+            return (forwarder.key, inner.id)
+        return None
+
+    def targets(call: ast.Call, enclosing: Optional[Unit]) -> list[Unit]:
+        func = call.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"
+            and enclosing is not None
+            and enclosing.owner is not None
+        ):
+            bases = units[enclosing.owner].node.bases
+            return [t for base in identifiers(bases) for t in init_of(base)]
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            return []
+        if name == "cls" and enclosing is not None and enclosing.owner is not None:
+            name = units[enclosing.owner].name
+        found = [u for u in live_units_ if u.name == name and u.key in signature]
+        return [u for u in found if not isinstance(u.node, ast.ClassDef)] + init_of(name)
+
+    def visit_call(call: ast.Call, enclosing: Optional[Unit]):
+        is_replace = getattr(call.func, "id", getattr(call.func, "attr", None)) == "replace"
+        for target in targets(call, enclosing):
+            positional, _, _ = signature[target.key]
+            for index, arg in enumerate(call.args):
+                starred = isinstance(arg, ast.Starred)
+                names = positional[index:] if starred else positional[index : index + 1]
+                if starred or index >= len(positional):
+                    names = [*names, "*"]  # what the target's ``*args`` takes
+                for name in names:
+                    passes.append(((target.key, name), condition(arg, enclosing, name)))
+            for keyword in call.keywords:
+                if keyword.arg is not None:
+                    passes.append(((target.key, keyword.arg), condition(keyword.value, enclosing, keyword.arg)))  # fmt: skip
+                    continue
+                # A splat: every keyword, each forwarded on its own.
+                for name in [*(o.name for o in by_unit.get(target.key, [])), "**"]:
+                    passes.append(((target.key, name), condition(keyword.value, enclosing, name)))  # fmt: skip
+        if is_replace:
+            for keyword in call.keywords:
+                if keyword.arg is None:
+                    passes.extend(((o.unit, o.name), None) for found in fields_named.values() for o in found)  # fmt: skip
+                for option in fields_named.get(keyword.arg, []):
+                    passes.append(((option.unit, option.name), condition(keyword.value, enclosing, option.name)))  # fmt: skip
+
+    def visit_assign(target: ast.Attribute, value, enclosing: Optional[Unit]):
+        if getattr(target.value, "id", None) in ("self", "cls"):
+            return
+        for option in by_name.get(target.attr, []):
+            if option.owner == option.unit and not is_config(units[option.unit].node):
+                continue  # a function's parameter is no attribute
+            if enclosing is None or option.owner not in (enclosing.key, enclosing.owner):
+                passes.append(((option.unit, option.name), condition(value, enclosing, option.name)))  # fmt: skip
+
+    def visit(nodes, enclosing: Optional[Unit]):
+        for root in nodes:
+            for node in ast.walk(root):
+                if isinstance(node, ast.Call):
+                    visit_call(node, enclosing)
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    found = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in found:
+                        if isinstance(target, ast.Attribute):
+                            visit_assign(target, node.value, enclosing)
+
+    visit([tree for _, tree in users], None)
+    for statements in always.values():
+        visit(statements, None)
+    for unit in live_units_:
+        node = unit.node
+        if isinstance(node, ast.ClassDef):
+            visit([s for s in node.body if not isinstance(s, _DEFS)] + node.bases, unit)
+        else:
+            visit(node.decorator_list, None)
+            visit(node.args.defaults + [d for d in node.args.kw_defaults if d] + node.body, unit)  # fmt: skip
+
+    used: set[tuple[str, str]] = set()
+
+    def holds(fact) -> bool:
+        unit, name = fact
+        return fact in used or (unit, "**") in used and name != "*"
+
+    grew = True
+    while grew:
+        grew = False
+        for option, needs in passes:
+            if option not in used and (needs is None or holds(needs)):
+                used.add(option)
+                grew = True
+    return sorted(
+        f"{option.unit}({option.name})"
+        for key, option in options.items()
+        if not holds(key) and f"{option.unit}({option.name})" not in allowed
+    )
+
+
+#: ``"<unit key>(<option>)"`` -> the deployment setting it is: only
+#: addresses, identities and keys, names and topics belong here.
+ALLOWED_OPTIONS = {
+    "repro/capability/tokens.py:CapabilityVerifier.__init__(audience)": (
+        "the relying party's own name, which a capability must be "
+        "addressed to"
+    ),
+    "repro/components/fabric.py:DomainDecisionGateway.__init__(identity)": (
+        "the identity a deployment gives a gateway: with one, the gateway "
+        "signs its queries and verifies its replies"
+    ),
+    "repro/domain/identity.py:IdentityProvider.issue_assertion(audience)": (
+        "the name of the relying party an assertion is addressed to"
+    ),
+}
+
+
+def test_every_option_has_a_non_test_user():
+    assert unused_options(repo_sources(), repo_users(), ALLOWED_OPTIONS) == [], (
+        "options only tests set (or nobody): make each a constant at its "
+        "default and delete what only another value reached"
+    )
+
+
+def test_every_option_allow_list_entry_would_otherwise_be_unused():
+    assert sorted(ALLOWED_OPTIONS) == unused_options(repo_sources(), repo_users()), (
+        "an option allow-list entry gained a user (or vanished): drop it"
+    )
+
+
+def test_every_option_allow_list_entry_has_a_reason():
+    for key, reason in ALLOWED_OPTIONS.items():
+        assert key.endswith(")") and isinstance(reason, str) and reason.strip(), key
+
+
+def option_lint(files: dict[str, str]) -> list[str]:
+    """:func:`unused_options` over a made-up tree laid out like the repo."""
+    parsed = {path: ast.parse(text) for path, text in files.items()}
+    return unused_options(
+        [(path.removeprefix("src/"), tree) for path, tree in parsed.items() if path.startswith("src/")],
+        [(path, tree) for path, tree in parsed.items() if path.split("/")[0] in USER_DIRS],
+    )  # fmt: skip
+
+
+#: A made-up library: a component with a keyword-only knob, a config
+#: dataclass, a helper taking a positional option and a factory that
+#: forwards its own option to the component.
+OPTION_WORLD = """
+from dataclasses import dataclass, replace
+
+@dataclass
+class CacheConfig:
+    ttl: float = 0.0
+    capacity: int = 100
+
+class Gateway:
+    def __init__(self, name, *, forward_ttl=3, config=None):
+        self.name = name
+        self.forward_ttl = forward_ttl
+
+def lookup(key, timeout=2.0):
+    return key
+
+def build(name, forward_ttl=3):
+    return Gateway(name, forward_ttl=forward_ttl)
+"""
+
+
+def test_a_rule_of_the_option_lint():
+    files = {
+        "src/pkg/m.py": OPTION_WORLD,
+        "examples/demo.py": "from pkg.m import build, lookup, CacheConfig\nbuild('g')\nlookup('k')\nCacheConfig()\n",
+        "tests/test_m.py": "from pkg.m import *\nGateway('g', forward_ttl=1)\nlookup('k', 0.5)\nreplace(CacheConfig(), ttl=5)\n",
+    }
+    every = [
+        "pkg/m.py:CacheConfig(capacity)",
+        "pkg/m.py:CacheConfig(ttl)",
+        "pkg/m.py:Gateway.__init__(config)",
+        "pkg/m.py:Gateway.__init__(forward_ttl)",
+        "pkg/m.py:build(forward_ttl)",
+        "pkg/m.py:lookup(timeout)",
+    ]
+    # What tests set is no use, and a forward of an unused option is none.
+    assert option_lint(files) == every
+
+    def used_by(example: str) -> list[str]:
+        return option_lint({**files, "examples/more.py": "from pkg.m import *\n" + example})
+
+    # A keyword, a position, ``replace`` and the class call are uses ...
+    assert used_by("Gateway('g', forward_ttl=1)\n") == [o for o in every if "Gateway" not in o or "config" in o]  # fmt: skip
+    assert used_by("lookup('k', 0.5)\n") == [o for o in every if "lookup" not in o]
+    assert used_by("replace(CacheConfig(), ttl=5)\n") == [o for o in every if "(ttl)" not in o]
+    assert used_by("CacheConfig(1.0, 10)\n") == [o for o in every if "CacheConfig" not in o]
+    # ... a splat passes every option it can reach ...
+    assert used_by("lookup(*args)\nCacheConfig(**kw)\n") == [
+        o for o in every if "lookup" not in o and "CacheConfig" not in o
+    ]
+    # ... the forward counts once its own option is used ...
+    assert used_by("build('g', forward_ttl=2)\n") == [
+        o for o in every if "forward_ttl" not in o
+    ]
+    # ... and so does an assignment outside the option's class.
+    assert used_by("g = Gateway('g')\ng.forward_ttl = 9\n") == [
+        o for o in every if "Gateway.__init__(forward_ttl)" not in o
+    ]
+
+
+def test_a_subclass_call_and_a_super_forward_reach_the_base_options():
+    files = {
+        "src/pkg/m.py": (
+            "class Base:\n"
+            "    def __init__(self, name, timeout=1.0, identity=None): ...\n"
+            "class Sub(Base): ...\n"
+            "class Own(Base):\n"
+            "    def __init__(self, name, limit=5, **kwargs):\n"
+            "        super().__init__(name, **kwargs)\n"
+        ),
+        "examples/demo.py": "from pkg.m import Sub, Own\nSub('s', timeout=2.0)\nOwn('o', identity='k')\n",  # fmt: skip
+    }
+    # ``Sub`` runs ``Base.__init__``; ``Own`` forwards its keywords to it.
+    assert option_lint(files) == ["pkg/m.py:Own.__init__(limit)"]
+
+
+# -- imports -------------------------------------------------------------------
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every bare name ``tree`` reads, string annotations and ``__all__``
+    included (what a Pyflakes-style unused-import check counts)."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            annotations = [a.annotation for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs + [arguments.vararg, arguments.kwarg] if a is not None] + [node.returns]  # fmt: skip
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in annotations:
+            for inner in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+                    read |= names_read(ast.parse(inner.value, mode="eval"))
+        if isinstance(node, ast.Assign) and "__all__" in identifiers(node.targets):
+            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return read
+
+
+def unused_imports(sources) -> list[str]:
+    """``"<module>:<name>"`` for every name a module under ``src/``
+    imports and never reads; a package ``__init__`` re-exports, so it
+    is exempt."""
+    found = []
+    for module, tree in sources:
+        if Path(module).name == "__init__.py":
+            continue
+        read = names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in read:
+                        found.append(f"{module}:{bound}")
+    return sorted(found)
+
+
+def test_every_import_under_src_is_read():
+    assert unused_imports(repo_sources()) == []
+
+
+def test_the_import_lint_finds_an_unread_import():
+    module = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from typing import Optional, TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .engine import Store\n"
+        "from .spare import helper\n"
+        "def f(x: Optional[int]) -> 'Store': return os.path.join(x)\n"
+    )
+    assert unused_imports([("pkg/m.py", module)]) == [
+        "pkg/m.py:helper", "pkg/m.py:j"
+    ]  # fmt: skip
+    # A package ``__init__`` re-exports what it imports.
+    assert unused_imports([("pkg/__init__.py", module)]) == []

@@ -256,10 +256,6 @@ class TestDecomposition:
         assert rows[0].phase_sum == pytest.approx(rows[0].e2e, abs=1e-12)
         assert rows[0].pdp_eval > 0.0
         assert rows[0].signature > 0.0
-        with_sync = decompose(network.tracer.spans, include_sync=True)
-        assert len(with_sync) == 2
-        sync_row = next(r for r in with_sync if r.e2e == 0.0)
-        assert sync_row.phase_sum == 0.0
 
     def test_table_aggregates_means(self):
         network, pdps, pep = build_env()

@@ -15,13 +15,18 @@ itself refuses, the README's rules:
   at least one;
 * every number is read in a form the writers write (``wire_number``): a
   count or TTL is ASCII digits, an instant is finite and is the ``repr``
-  of its float or of its integer.
+  of its float or of its integer;
+* ``ReturnContext`` is an XML Schema boolean: ``true`` / ``1`` or
+  ``false`` / ``0``.
 
 Inside a ``Request`` the context format's own reading applies: each
 ``Attributes`` child names a known ``Category``, each ``Attribute`` in
 it an ``AttributeId`` (an ``Issuer`` optional) and at least one
-``AttributeValue``, each value a known ``DataType`` and a text that type
-reads (its text before any child element); other children are not read.
+``AttributeValue``, each value a known ``DataType``, text only (no child
+element) and a text that type reads; other children are not read.  An
+integer, double, time or dateTime is read in XML Schema's lexical form
+(``[+-]?[0-9]+``; decimal digits with an optional point and exponent,
+or ``NaN``, ``INF``, ``-INF``), white space around it allowed.
 
 Each reader returns a plain view (strings, ``repr`` of each instant, the
 request's attributes per category) or raises ``ValueError``.
@@ -30,6 +35,7 @@ request's attributes per category) or raises ``ValueError``.
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ET
 
 from repro.xacml.attributes import Attribute, AttributeValue, Category, DataType
@@ -45,6 +51,16 @@ BATCH = f"{{{PREFIXES['xacml-samlp']}}}XACMLAuthzDecisionBatchQuery"
 ISSUER = f"{{{PREFIXES['saml']}}}Issuer"
 FORWARD = f"{{{PREFIXES['fed']}}}ForwardedBatchQuery"
 CATEGORIES = {category.value: category for category in Category}
+NUMBERS = {
+    DataType.INTEGER: (re.compile(r"[+-]?[0-9]+"), int),
+    **{
+        data_type: (
+            re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([Ee][+-]?[0-9]+)?|-?INF|NaN"),
+            float,
+        )
+        for data_type in (DataType.DOUBLE, DataType.TIME, DataType.DATE_TIME)
+    },
+}
 
 
 def require(condition) -> None:
@@ -79,10 +95,27 @@ def instant(text: str) -> str:
     return repr(value)
 
 
+def boolean(text: str) -> bool:
+    """XML Schema's boolean: ``true`` / ``1`` or ``false`` / ``0``."""
+    require(text in ("true", "1", "false", "0"))
+    return text in ("true", "1")
+
+
 def issuer(element: ET.Element) -> str:
     require(element.tag == ISSUER and not element.attrib and not len(element))
     require(element.tail is None)
     return element.text or ""
+
+
+def attribute_value(element: ET.Element) -> AttributeValue:
+    require(not len(element))
+    data_type, text = DataType.from_uri(element.get("DataType")), element.text or ""
+    if data_type not in NUMBERS:
+        return AttributeValue.parse(data_type, text)
+    form, kind = NUMBERS[data_type]
+    number = text.strip(" \t\n\r")
+    require(form.fullmatch(number))
+    return AttributeValue(data_type, kind(number))
 
 
 def request(element: ET.Element) -> tuple:
@@ -93,10 +126,7 @@ def request(element: ET.Element) -> tuple:
         for attribute in attributes.findall("Attribute"):
             attribute_id = attribute.get("AttributeId")
             require(attribute_id is not None)
-            values = tuple(
-                AttributeValue.parse(DataType.from_uri(value.get("DataType")), value.text or "")
-                for value in attribute.findall("AttributeValue")
-            )
+            values = tuple(map(attribute_value, attribute.findall("AttributeValue")))
             read.append((category, Attribute(attribute_id, values, attribute.get("Issuer"))))
     return tuple(tuple(a for c, a in read if c is category) for category in Category)
 
@@ -108,7 +138,7 @@ def query(element: ET.Element) -> tuple:
         attributes["ID"],
         issuer(element[0]),
         instant(attributes["IssueInstant"]),
-        attributes["ReturnContext"] == "true",
+        boolean(attributes["ReturnContext"]),
         request(element[1]),
     )
 

@@ -16,8 +16,6 @@ the *gateway tier*: the only places a stale grant can come from are the
 gateway's remote cache and the governing domain itself.
 """
 
-import pytest
-
 from repro.components import (
     DecisionDispatcher,
     FederatedGateway,
@@ -221,12 +219,11 @@ class TestGatewayCacheCoherenceWindows:
         assert agent.remote_entries_invalidated == 1
 
 
-@pytest.mark.parametrize("install", [True, False])
-def test_protect_gateway_composes_with_pep_guard(install):
+def test_protect_gateway_composes_with_pep_guard():
     """protect_gateway and protect_pep are independent layers: wiring
     both must not double-install or interfere."""
     network, peps, hubs, paps, authority, agent = build(PushStrategy)
-    agent.protect_pep(peps[0], install_guard=install)
+    agent.protect_pep(peps[0])
     alice = RequestContext.simple("alice", "res.east", "read")
     assert all(sample(network, peps, alice).values())
     paps["east"].publish(revoked_policy("res.east"))
@@ -234,5 +231,4 @@ def test_protect_gateway_composes_with_pep_guard(install):
     network.run(until=network.now + 1.0)
     granted = sample(network, peps, alice)
     assert not any(granted.values())
-    if install:
-        assert peps[0].revocation_denials >= 1
+    assert peps[0].revocation_denials >= 1

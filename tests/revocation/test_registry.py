@@ -10,7 +10,7 @@ from repro.revocation import (
     RevocationKind,
     RevocationRecord,
     RevocationRegistry,
-    delegation_target,
+    certificate_target,
     parse_records,
     serialize_records,
     subject_access_target,
@@ -153,32 +153,28 @@ class TestRegistry:
 
     def test_kind_helpers(self):
         registry = RevocationRegistry()
-        registry.revoke_certificate(1234)
-        registry.revoke_trust_edge("a", "b", "identity")
-        registry.revoke_delegation("root", "deputy", "*@*")
+        registry.revoke(RevocationKind.CERTIFICATE, certificate_target(1234))
+        registry.revoke(RevocationKind.TRUST_EDGE, trust_edge_target("a", "b", "identity"))
         registry.revoke_subject_access("dave")
         assert registry.certificate_revoked(1234)
-        assert registry.is_revoked(
-            RevocationKind.TRUST_EDGE, trust_edge_target("a", "b", "identity")
-        )
-        assert registry.is_revoked(
-            RevocationKind.DELEGATION, delegation_target("root", "deputy", "*@*")
-        )
+        assert not registry.certificate_revoked(1235)
+        assert registry.trust_edge_revoked("a", "b", "identity")
+        assert not registry.trust_edge_revoked("b", "a", "identity")
         entitlement = RevocationKind.ENTITLEMENT
         assert registry.is_revoked(entitlement, subject_access_target("dave"))
         assert not registry.is_revoked(entitlement, subject_access_target("carol"))
 
     def test_targets_with_separator_characters_do_not_collide(self):
-        # Without component escaping these two distinct delegations
+        # Without component escaping these two distinct trust edges
         # would share one target and the second revocation would be
         # silently swallowed by idempotency.
-        a = delegation_target("a->b", "c", "*")
-        b = delegation_target("a", "b->c", "*")
+        a = trust_edge_target("a->b", "c", "identity")
+        b = trust_edge_target("a", "b->c", "identity")
         assert a != b
         registry = RevocationRegistry()
-        registry.revoke_delegation("a->b", "c", "*")
-        assert not registry.is_revoked(RevocationKind.DELEGATION, b)
-        registry.revoke_delegation("a", "b->c", "*")
+        registry.revoke(RevocationKind.TRUST_EDGE, a)
+        assert not registry.is_revoked(RevocationKind.TRUST_EDGE, b)
+        registry.revoke(RevocationKind.TRUST_EDGE, b)
         assert registry.epoch == 2
 
     @given(

@@ -8,13 +8,15 @@ offset, and on the edits of the explicit cells, they must accept exactly
 what it accepts and read exactly what it reads.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import wire
 
 from repro.components import ForwardedBatchQuery
 from repro.saml import XacmlAuthzDecisionBatchQuery, XacmlAuthzDecisionQuery
-from repro.xacml import Attribute, Category, RequestContext, string
+from repro.xacml import Attribute, Category, RequestContext, double, integer, string
 
 from test_xacml_profile import (
     QUERY_CLOSE,
@@ -265,3 +267,89 @@ def test_junk_beside_a_forwarded_batch_is_refused(where, junk):
     assert judged(ForwardedBatchQuery.from_xml, view_forward, wire.read_forward, text) is None
     with pytest.raises(ValueError, match="not an? (ForwardedBatchQuery|XACML)"):
         ForwardedBatchQuery.from_xml(text)
+
+
+# -- numbers and booleans are read in XML Schema's forms --------------------------
+
+
+def numbers_batch():
+    """One query whose request carries an integer and a double."""
+    request = RequestContext.simple("alice", "doc", "read")
+    request.add(Category.SUBJECT, Attribute.of("urn:test:level", integer(10)))
+    request.add(Category.SUBJECT, Attribute.of("urn:test:score", double(1.5)))
+    return XacmlAuthzDecisionBatchQuery(
+        (XacmlAuthzDecisionQuery(request, "pep", 0.5, query_id="q"),), "gw", 0.5, "b"
+    )
+
+
+NUMBERS_TEXT = numbers_batch().to_xml()
+INTEGER_TEXT, DOUBLE_TEXT = ">10</AttributeValue>", ">1.5</AttributeValue>"
+
+
+def with_number(old, new):
+    assert old in NUMBERS_TEXT
+    return NUMBERS_TEXT.replace(old, new.join((">", "</AttributeValue>")), 1)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(INTEGER_TEXT, "1_0"), (INTEGER_TEXT, " ١٠ "), (DOUBLE_TEXT, "nan"), (DOUBLE_TEXT, "inf")],
+    ids=["integer-underscore", "integer-arabic-indic-digits", "double-nan", "double-inf"],
+)
+def test_a_number_only_int_or_float_reads_is_refused(old, new):
+    """``int()`` reads ``1_0`` and non-ASCII digits, ``float()`` reads
+    ``nan`` and ``inf``: XML Schema's forms do not."""
+    text = with_number(old, new)
+    assert judged(new_batch, view_batch, wire.read_batch, text) is None
+    with pytest.raises(ValueError, match="lexical value"):
+        new_batch(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, value",
+    [
+        (INTEGER_TEXT, " +10 ", 10),
+        (INTEGER_TEXT, "-0", 0),
+        (DOUBLE_TEXT, "INF", math.inf),
+        (DOUBLE_TEXT, "-INF", -math.inf),
+        (DOUBLE_TEXT, "1E3", 1000.0),
+        (DOUBLE_TEXT, ".5", 0.5),
+    ],
+)
+def test_xml_schema_number_forms_are_read(old, new, value):
+    got = judged(new_batch, view_batch, wire.read_batch, with_number(old, new))
+    (query,) = got[3]
+    values = [a.values[0].value for a in query[4][0] if a.attribute_id.startswith("urn:test:")]
+    assert value in values
+
+
+def test_nan_is_read_as_xml_schema_spells_it():
+    # NaN is no value equal to itself: compare what each reader read.
+    text = with_number(DOUBLE_TEXT, "NaN")
+    for got in (view_batch(new_batch(text)), wire.read_batch(text)):
+        (query,) = got[3]
+        (score,) = [a for a in query[4][0] if a.attribute_id == "urn:test:score"]
+        assert math.isnan(score.values[0].value) and score.values[0].lexical() == "NaN"
+
+
+def test_a_value_holding_an_element_is_refused():
+    """ElementTree reads ``al<x/>ice`` as the text ``al``."""
+    text = edited(">alice<", ">al<x/>ice<")
+    assert judged(new_batch, view_batch, wire.read_batch, text) is None
+    with pytest.raises(ValueError, match="holds an element"):
+        new_batch(text)
+
+
+@pytest.mark.parametrize("lexical, read", [("true", True), ("1", True), ("false", False), ("0", False)])
+def test_return_context_is_an_xml_schema_boolean(lexical, read):
+    text = edited('ReturnContext="false"', f'ReturnContext="{lexical}"')
+    got = judged(new_batch, view_batch, wire.read_batch, text)
+    assert got[3][0][3] is read
+
+
+@pytest.mark.parametrize("lexical", ["tru", "True", "yes", "", " true"])
+def test_return_context_refuses_what_is_no_xml_schema_boolean(lexical):
+    text = edited('ReturnContext="false"', f'ReturnContext="{lexical}"')
+    assert judged(new_batch, view_batch, wire.read_batch, text) is None
+    with pytest.raises(ValueError, match=NOT_A_BATCH):
+        new_batch(text)

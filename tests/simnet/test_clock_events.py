@@ -3,18 +3,33 @@
 import pytest
 
 from repro.simnet import EventLoop, SimClock
+from repro.simnet.events import MAX_EVENTS
+
+
+def chain(loop, scheduled, cancelled):
+    """``scheduled`` events one second apart, each scheduling the next
+    as it fires (the heap holds one at a time); the last ``cancelled``
+    are cancelled as soon as they are scheduled.  Returns the count of
+    those fired, as a one-item list."""
+    fired = [0]
+
+    def fire():
+        fired[0] += 1
+        arm(fired[0] + 1)
+
+    def arm(index):
+        if index <= scheduled:
+            handle = loop.schedule(1.0, fire)
+            if index > scheduled - cancelled:
+                loop.cancel(handle)
+
+    arm(1)
+    return fired
 
 
 class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now == 0.0
-
-    def test_custom_start(self):
-        assert SimClock(start=5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(start=-1.0)
 
     def test_advance_to(self):
         clock = SimClock()
@@ -22,7 +37,8 @@ class TestSimClock:
         assert clock.now == 3.5
 
     def test_advance_backwards_rejected(self):
-        clock = SimClock(start=10.0)
+        clock = SimClock()
+        clock.advance_to(10.0)
         with pytest.raises(ValueError):
             clock.advance_to(9.0)
 
@@ -152,36 +168,31 @@ class TestEventLoop:
             loop.schedule(0.1, reschedule)
 
         loop.schedule(0.1, reschedule)
-        with pytest.raises(RuntimeError, match="max_events"):
-            loop.run(max_events=100)
+        with pytest.raises(RuntimeError, match=f"exceeded {MAX_EVENTS} events"):
+            loop.run()
+        assert loop.processed == MAX_EVENTS
 
     @pytest.mark.parametrize(
         "scheduled, cancelled, until, runaway",
         [
-            (3, 0, None, False),  # exactly max_events drain the queue
-            (4, 0, None, True),  # one event left over
-            (4, 1, None, False),  # what is left is cancelled
-            (4, 0, 3.5, False),  # what is left is past ``until``
-            (4, 0, 4.0, True),  # ... unless it is due at ``until``
+            (MAX_EVENTS, 0, None, False),  # exactly MAX_EVENTS drain the queue
+            (MAX_EVENTS + 1, 0, None, True),  # one event left over
+            (MAX_EVENTS + 1, 1, None, False),  # what is left is cancelled
+            (MAX_EVENTS + 1, 0, MAX_EVENTS + 0.5, False),  # past ``until``
+            (MAX_EVENTS + 1, 0, MAX_EVENTS + 1.0, True),  # ... unless due at it
         ],
     )
     def test_max_events_is_exceeded_only_when_events_remain(
         self, scheduled, cancelled, until, runaway
     ):
         loop = EventLoop()
-        fired = []
-        handles = [
-            loop.schedule(float(when), lambda when=when: fired.append(when))
-            for when in range(1, scheduled + 1)
-        ]
-        for handle in handles[len(handles) - cancelled :]:
-            loop.cancel(handle)
+        fired = chain(loop, scheduled, cancelled)
         if runaway:
-            with pytest.raises(RuntimeError, match="max_events"):
-                loop.run(until=until, max_events=3)
+            with pytest.raises(RuntimeError, match="events; likely"):
+                loop.run(until=until)
         else:
-            assert loop.run(until=until, max_events=3) == 3
-        assert fired == [1, 2, 3]
+            assert loop.run(until=until) == MAX_EVENTS
+        assert fired == [MAX_EVENTS]
 
     def test_pending_and_processed_counters(self):
         loop = EventLoop()
@@ -215,31 +226,26 @@ class TestEventLoop:
     @pytest.mark.parametrize(
         "scheduled, cancelled, timeout_at, runaway",
         [
-            (3, 0, 1.0, False),  # exactly max_events, nothing else: a timeout
-            (4, 0, 1.0, True),  # one more event still due
-            (4, 1, 1.0, False),  # what is left is cancelled
-            (4, 0, 0.35, False),  # what is left is due after the deadline
-            (4, 0, 0.4, True),  # ... unless it is due at the deadline
+            # exactly MAX_EVENTS, nothing else: a timeout
+            (MAX_EVENTS, 0, MAX_EVENTS + 10.0, False),
+            (MAX_EVENTS + 1, 0, MAX_EVENTS + 10.0, True),  # one more still due
+            (MAX_EVENTS + 1, 1, MAX_EVENTS + 10.0, False),  # what is left is cancelled
+            (MAX_EVENTS + 1, 0, MAX_EVENTS + 0.5, False),  # due after the deadline
+            (MAX_EVENTS + 1, 0, MAX_EVENTS + 1.0, True),  # ... unless due at it
         ],
     )
     def test_run_until_raises_only_when_an_event_is_still_due(
         self, scheduled, cancelled, timeout_at, runaway
     ):
         loop = EventLoop()
-        fired = []
-        handles = [
-            loop.schedule(when / 10, lambda when=when: fired.append(when))
-            for when in range(1, scheduled + 1)
-        ]
-        for handle in handles[len(handles) - cancelled :]:
-            loop.cancel(handle)
+        fired = chain(loop, scheduled, cancelled)
         if runaway:
-            with pytest.raises(RuntimeError, match="max_events"):
-                loop.run_until(lambda: False, timeout_at, max_events=3)
+            with pytest.raises(RuntimeError, match="events; likely"):
+                loop.run_until(lambda: False, timeout_at)
         else:
-            assert loop.run_until(lambda: False, timeout_at, max_events=3) is False
+            assert loop.run_until(lambda: False, timeout_at) is False
             assert loop.now == timeout_at
-        assert fired == [1, 2, 3]
+        assert fired == [MAX_EVENTS]
 
 
 class TestTheLoopRefusesToNest:

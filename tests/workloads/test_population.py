@@ -15,7 +15,6 @@ from repro.workloads.population import (
 )
 from repro.xacml import Decision, PdpEngine, PolicyStore, RequestContext
 from repro.xacml.attributes import (
-    AttributeValue,
     Category,
     DataType,
     SUBJECT_ROLE,
@@ -132,7 +131,7 @@ class TestAttributes:
         population = small_population()
         assert population.attribute_resolver()("mallory") == {}
 
-    def test_populate_pip_respects_limit(self):
+    def test_populate_pip_loads_every_subject(self):
         class FakeStore:
             def __init__(self):
                 self.subjects = set()
@@ -143,8 +142,9 @@ class TestAttributes:
 
         population = small_population()
         store = FakeStore()
-        assert population.populate_pip(store, limit=25) == 25
-        assert len(store.subjects) == 25
+        subjects = population.spec.subjects
+        assert population.populate_pip(store) == subjects
+        assert len(store.subjects) == subjects
 
 
 class TestPolicies:

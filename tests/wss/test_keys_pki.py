@@ -7,6 +7,7 @@ import pickle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.revocation import RevocationKind, RevocationRegistry, certificate_target
 from repro.wss import (
     CertificateAuthority,
     CertificateError,
@@ -18,6 +19,14 @@ from repro.wss import (
 @pytest.fixture
 def keystore():
     return KeyStore(seed=1)
+
+
+def revoke(ca, certificate):
+    """Bind ``ca`` to a fresh registry and record ``certificate``'s
+    revocation there, the one place revocations are recorded."""
+    registry = RevocationRegistry()
+    ca.bind_revocation_registry(registry)
+    registry.revoke(RevocationKind.CERTIFICATE, certificate_target(certificate.serial))
 
 
 class TestKeys:
@@ -129,7 +138,7 @@ class TestCertificates:
         ca = CertificateAuthority("Root", keystore)
         pair = keystore.generate("svc")
         cert = ca.issue("svc", pair.public, not_before=0.0, lifetime=100.0)
-        ca.revoke(cert)
+        revoke(ca, cert)
         validator = TrustValidator(keystore, [ca])
         with pytest.raises(CertificateError, match="revoked"):
             validator.validate(cert, at=1.0)
@@ -157,7 +166,7 @@ class TestCertificates:
         intermediate = CertificateAuthority("Mid", keystore, parent=root)
         pair = keystore.generate("svc")
         cert = intermediate.issue("svc", pair.public, not_before=0.0, lifetime=100.0)
-        root.revoke(intermediate.certificate)
+        revoke(root, intermediate.certificate)
         validator = TrustValidator(keystore, [root])
         validator.add_intermediate(intermediate)
         with pytest.raises(CertificateError, match="revoked"):
@@ -194,18 +203,16 @@ class TestVerifiedSignatureMemo:
 
     def test_revoked_after_first_use_is_refused_on_the_next_message(self, chain):
         _, intermediate, cert, validator = chain
-        intermediate.revoke(cert)
+        revoke(intermediate, cert)
         with pytest.raises(CertificateError, match="revoked"):
             validator.validate(cert, at=2.0)
 
     def test_revocation_through_a_bound_registry_is_seen_too(self, chain):
-        from repro.revocation import RevocationRegistry
-
         _, intermediate, cert, validator = chain
         registry = RevocationRegistry()
         intermediate.bind_revocation_registry(registry)
         validator.validate(cert, at=2.0)
-        registry.revoke_certificate(cert.serial)
+        registry.revoke(RevocationKind.CERTIFICATE, certificate_target(cert.serial))
         with pytest.raises(CertificateError, match="revoked"):
             validator.validate(cert, at=3.0)
 
@@ -239,7 +246,7 @@ class TestVerifiedSignatureMemo:
 
     def test_revoking_an_intermediate_refuses_its_leaves(self, chain):
         root, intermediate, cert, validator = chain
-        root.revoke(intermediate.certificate)
+        revoke(root, intermediate.certificate)
         with pytest.raises(CertificateError, match="revoked"):
             validator.validate(cert, at=2.0)
 

@@ -1,26 +1,9 @@
 """Tests for WSDL-lite service descriptions."""
 
-from repro.wsvc import (
-    Operation,
-    ServiceDescription,
-    pdp_description,
-)
+from repro.wsvc import pdp_description
 
 
 class TestServiceDescription:
-    def test_operation_lookup(self):
-        description = ServiceDescription(
-            name="svc",
-            service_type="business",
-            address="svc.addr",
-            operations=(
-                Operation("order", "order.request", "order.ack"),
-                Operation("cancel", "cancel.request", "cancel.ack"),
-            ),
-        )
-        assert description.operation("order").input_kind == "order.request"
-        assert description.operation("missing") is None
-
     def test_xml_rendering(self):
         description = pdp_description("pdp-1", "pdp-1.addr", domain="d")
         xml = description.to_xml()
@@ -32,4 +15,5 @@ class TestServiceDescription:
     def test_canonical_pdp_description(self):
         description = pdp_description("pdp-x", "addr", domain="acme")
         assert description.service_type == "pdp"
-        assert description.operation("evaluate").input_kind == "xacml.request"
+        (evaluate,) = (op for op in description.operations if op.name == "evaluate")
+        assert evaluate.input_kind == "xacml.request"

@@ -14,9 +14,10 @@ from repro.xacml import (
     subject_resource_action_target,
     target_of,
 )
-from repro.xacml.attributes import RESOURCE_ID, SUBJECT_ID, SUBJECT_ROLE, AttributeValue
+from repro.xacml.attributes import RESOURCE_ID, SUBJECT_ID, SUBJECT_ROLE
 from repro.xacml.expressions import (
     Condition,
+    Designator,
     apply_,
     designator,
     literal,
@@ -26,7 +27,6 @@ from repro.xacml.analysis.predicates import (
     MAX_CLAUSES,
     AttributeConstraint,
     Clause,
-    NormalizedTarget,
     Tri,
     UNCONSTRAINED,
     interpret_condition,
@@ -373,8 +373,16 @@ class TestConditionInterpretation:
         assert constraint.allowed == frozenset({"admin"})
 
     def test_must_be_present_flags_may_error(self):
-        condition = attribute_equals(
-            Category.SUBJECT, SUBJECT_ROLE, string("admin"), must_be_present=True
+        condition = Condition(
+            apply_(
+                functions.FUNCTION_PREFIX_1_0 + "string-is-in",
+                literal(string("admin")),
+                Designator(
+                    AttributeDesignator(
+                        Category.SUBJECT, SUBJECT_ROLE, DataType.STRING, must_be_present=True
+                    )
+                ),
+            )
         )
         _, may_error = interpret_condition(condition)
         assert may_error is True

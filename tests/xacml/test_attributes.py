@@ -1,6 +1,9 @@
 """Tests for the XACML attribute model."""
 
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.xacml import (
     Attribute,
@@ -105,3 +108,40 @@ class TestCategory:
         # components/pip.py turns this ValueError into a bad-query fault.
         with pytest.raises(ValueError, match="unsupported data type URI"):
             DataType.from_uri("urn:bogus")
+
+
+NUMBER_TYPES = (DataType.DOUBLE, DataType.TIME, DataType.DATE_TIME)
+
+
+class TestLexicalForms:
+    """``lexical`` writes only what ``parse`` reads: XML Schema's forms."""
+
+    @given(st.integers())
+    def test_an_integer_round_trips(self, value):
+        written = AttributeValue(DataType.INTEGER, value)
+        assert AttributeValue.parse(DataType.INTEGER, written.lexical()) == written
+
+    @given(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(NUMBER_TYPES))
+    def test_a_double_round_trips_finite_or_not(self, value, data_type):
+        written = AttributeValue(data_type, value)
+        read = AttributeValue.parse(data_type, written.lexical())
+        assert read.lexical() == written.lexical()
+        assert read.value == value or math.isnan(value) and math.isnan(read.value)
+
+    @pytest.mark.parametrize(
+        "value, lexical",
+        [(math.nan, "NaN"), (math.inf, "INF"), (-math.inf, "-INF"), (1e16, "1e+16")],
+    )
+    def test_non_finite_doubles_are_spelled_as_xml_schema_does(self, value, lexical):
+        assert AttributeValue(DataType.DOUBLE, value).lexical() == lexical
+
+    @pytest.mark.parametrize("text", ["1_0", " ١٠ ", "10.0", "0x10", "", "١"])
+    def test_integers_outside_the_form_are_refused(self, text):
+        with pytest.raises(ValueError, match="integer lexical value"):
+            AttributeValue.parse(DataType.INTEGER, text)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "+INF", "Infinity", "1_0.5", "١.٥", "e5"])
+    @pytest.mark.parametrize("data_type", NUMBER_TYPES)
+    def test_doubles_outside_the_form_are_refused(self, text, data_type):
+        with pytest.raises(ValueError, match="double lexical value"):
+            AttributeValue.parse(data_type, text)

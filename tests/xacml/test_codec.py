@@ -12,11 +12,13 @@ from hypothesis import given, strategies as st
 
 from repro.xacml import (
     Attribute,
+    AttributeDesignator,
     AttributeValue,
     Category,
     Condition,
     DataType,
     Decision,
+    Designator,
     Obligation,
     ObligationAssignment,
     ParseError,
@@ -26,6 +28,7 @@ from repro.xacml import (
     RequestContext,
     ResponseContext,
     Result,
+    Rule,
     Severity,
     Status,
     StatusCode,
@@ -60,8 +63,9 @@ def rich_policy():
         issuer="dept-admin",
         target=subject_resource_action_target(resource_id="vault"),
         rules=(
-            permit_rule(
+            Rule(
                 "allow-keyholders",
+                Decision.PERMIT,
                 target=subject_resource_action_target(action_id="read"),
                 condition=attribute_equals(
                     Category.SUBJECT, "urn:test:group", string("keyholders")
@@ -75,11 +79,13 @@ def rich_policy():
                         FUNCTION_PREFIX_1_0 + "integer-greater-than",
                         apply_(
                             FUNCTION_PREFIX_1_0 + "integer-one-and-only",
-                            designator(
-                                Category.SUBJECT,
-                                "urn:test:level",
-                                DataType.INTEGER,
-                                must_be_present=True,
+                            Designator(
+                                AttributeDesignator(
+                                    Category.SUBJECT,
+                                    "urn:test:level",
+                                    DataType.INTEGER,
+                                    must_be_present=True,
+                                )
                             ),
                         ),
                         literal(integer(5)),
@@ -174,8 +180,8 @@ class TestContextRoundTrip:
             "doc",
             "read",
             subject_attributes={"urn:test:role": [string("a"), string("b")]},
-            environment={"urn:test:tod": [integer(42)]},
         )
+        request.add(Category.ENVIRONMENT, Attribute.of("urn:test:tod", integer(42)))
         reparsed = parse_request(serialize_request(request))
         assert reparsed.cache_key() == request.cache_key()
         assert reparsed.subject_id == "alice"
@@ -318,6 +324,14 @@ def attribute_values(text):
     )
 
 
+def request_of(mapping):
+    request = RequestContext()
+    for category, attributes in mapping.items():
+        for attribute in attributes:
+            request.add(category, attribute)
+    return request
+
+
 def request_contexts(text):
     attributes = st.builds(
         Attribute,
@@ -327,7 +341,7 @@ def request_contexts(text):
     )
     return st.dictionaries(
         st.sampled_from(list(Category)), st.lists(attributes, max_size=3)
-    ).map(RequestContext)
+    ).map(request_of)
 
 
 def response_contexts(text, min_results=0):
@@ -384,8 +398,8 @@ class TestContextCodecPinned:
             "doc<1>",
             "read",
             subject_attributes={"urn:test:role": [string("a&b"), string("")]},
-            environment={"urn:test:tod": [integer(42)]},
         )
+        request.add(Category.ENVIRONMENT, Attribute.of("urn:test:tod", integer(42)))
         request.add(
             Category.SUBJECT,
             Attribute.of("urn:test:\"q\"", string("é"), issuer="idp\n1"),
@@ -732,13 +746,13 @@ class TestValidationComposability:
             and "unknown function" in issue.message
             for issue in issues
         )
-        assert not is_deployable(self.referencing_set(), resolver=catalog.get)
 
-    def test_resolver_with_clean_reference_is_deployable(self):
+    def test_resolver_with_clean_reference_has_no_errors(self):
         catalog = {
             "target-id": Policy(policy_id="fine", rules=(permit_rule("r"),))
         }
-        assert is_deployable(self.referencing_set(), resolver=catalog.get)
+        issues = validate(self.referencing_set(), resolver=catalog.get)
+        assert not any(issue.severity is Severity.ERROR for issue in issues)
 
     def test_unresolvable_reference_is_an_error(self):
         issues = validate(self.referencing_set(), resolver={}.get)
@@ -773,7 +787,7 @@ class TestValidationComposability:
         issues = validate(catalog["a"], resolver=catalog.get)
         assert any("cyclic" in issue.message for issue in issues)
 
-    def test_strict_gate_blocks_on_warnings(self):
+    def test_warnings_do_not_block_deployment(self):
         empty = Policy(policy_id="empty", rules=())
-        assert is_deployable(empty)  # default gate: errors only
-        assert not is_deployable(empty, blocking=Severity.WARNING)
+        assert validate(empty)  # it warns ...
+        assert is_deployable(empty)  # ... and only errors block

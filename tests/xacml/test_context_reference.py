@@ -145,18 +145,12 @@ class TestReadsAgainstTheReference:
         ),
         add_sequences(),
     )
-    def test_constructor_mapping_then_add_sequences(self, mapping, adds):
-        request = RequestContext(mapping)
-        for category, attribute in adds:
-            request.add(category, attribute)
+    def test_a_mapping_added_then_add_sequences(self, mapping, adds):
+        request = RequestContext()
         held = [(c, a) for c, attrs in mapping.items() for a in attrs]
+        for category, attribute in held + adds:
+            request.add(category, attribute)
         assert_reads_as_added(request, held + adds)
-
-    def test_constructor_copies_its_lists(self):
-        held = [Attribute.of("a", string("v"))]
-        request = RequestContext({Category.SUBJECT: held})
-        held.append(Attribute.of("b", string("w")))
-        assert len(request.attributes(Category.SUBJECT)) == 1
 
     def test_attributes_returns_a_fresh_list(self):
         request = RequestContext.simple("alice", "doc", "read")
@@ -170,9 +164,9 @@ class TestReadsAgainstTheReference:
             "doc",
             "read",
             subject_attributes={role: [string("a"), string("b")]},
-            resource_attributes={owner: [string("alice")]},
-            environment={tod: [string("noon")]},
         )
+        request.add(Category.RESOURCE, Attribute.of(owner, string("alice")))
+        request.add(Category.ENVIRONMENT, Attribute.of(tod, string("noon")))
         added = [
             (Category.SUBJECT, SUBJECT_ID, "alice"),
             (Category.RESOURCE, RESOURCE_ID, "doc"),
@@ -274,12 +268,9 @@ class TestIdentity:
         assert len(set(keys)) == len(keys)
 
     def test_environment_is_not_identity(self):
-        assert (
-            RequestContext.simple(
-                "s", "r", "a", environment={"urn:test:tod": [string("noon")]}
-            ).cache_key()
-            == RequestContext.simple("s", "r", "a").cache_key()
-        )
+        request = RequestContext.simple("s", "r", "a")
+        request.add(Category.ENVIRONMENT, Attribute.of("urn:test:tod", string("noon")))
+        assert request.cache_key() == RequestContext.simple("s", "r", "a").cache_key()
 
     @settings(max_examples=150, deadline=None)
     @given(add_sequences(), st.sampled_from(["alice", "1", "true", "", "nobody"]))
@@ -492,8 +483,8 @@ class TestShape:
             "doc",
             "read",
             subject_attributes={"urn:test:role": [string("a"), string("b")]},
-            environment={"urn:test:tod": [string("noon")]},
         )
+        request.add(Category.ENVIRONMENT, Attribute.of("urn:test:tod", string("noon")))
         delegate = Attribute.of("d", string("v"))
         entered: list[str] = []
 

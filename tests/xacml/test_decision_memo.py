@@ -19,10 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.xacml import (
+    AttributeDesignator,
     Category,
     Condition,
     DataType,
     Decision,
+    Designator,
     PdpEngine,
     Policy,
     PolicyReference,
@@ -34,7 +36,6 @@ from repro.xacml import (
     attribute_equals,
     combining,
     deny_rule,
-    designator,
     double,
     functions,
     integer,
@@ -175,11 +176,13 @@ class TestDifferential:
                             FUNCTION_PREFIX_1_0 + "integer-greater-than",
                             apply_(
                                 FUNCTION_PREFIX_1_0 + "integer-one-and-only",
-                                designator(
-                                    Category.SUBJECT,
-                                    LEVEL,
-                                    DataType.INTEGER,
-                                    must_be_present=True,
+                                Designator(
+                                    AttributeDesignator(
+                                        Category.SUBJECT,
+                                        LEVEL,
+                                        DataType.INTEGER,
+                                        must_be_present=True,
+                                    )
                                 ),
                             ),
                             literal(integer(0)),

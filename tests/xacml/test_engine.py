@@ -7,7 +7,6 @@ import pytest
 from repro.xacml import (
     AllOf,
     AnyOf,
-    AnalysisGateError,
     Attribute,
     AttributeDesignator,
     AttributeValue,
@@ -69,25 +68,6 @@ class TestPolicyStore:
         store.add(second)
         store.replace(first)
         assert store.elements() == [second, first]
-
-    def test_refused_replace_keeps_the_deployed_version(self):
-        """A deny policy must not vanish (fail open) because its
-        replacement did not pass the gate."""
-        store = PolicyStore(analysis_gate="warning")
-        deployed = resource_policy("doc-1")
-        store.add(deployed)
-        shadowed = Policy(
-            policy_id=deployed.policy_id,
-            rules=(permit_rule("allow-any"), deny_rule("never-reached")),
-            rule_combining=combining.RULE_FIRST_APPLICABLE,
-            target=deployed.target,
-        )
-        with pytest.raises(AnalysisGateError):
-            store.replace(shadowed)
-        assert store.get(deployed.policy_id) is deployed
-        assert store.candidates(
-            RequestContext.simple("alice", "doc-1", "read")
-        ) == [deployed]
 
     def test_index_prunes_candidates(self):
         store = PolicyStore(indexed=True)

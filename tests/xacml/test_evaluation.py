@@ -21,6 +21,7 @@ from repro.xacml import (
     Condition,
     DataType,
     Decision,
+    Designator,
     EvaluationContext,
     Indeterminate,
     Match,
@@ -202,7 +203,9 @@ def when(expression):
 
 X = "urn:test:x"
 X_BAG = designator(Category.SUBJECT, X)
-X_REQUIRED = designator(Category.SUBJECT, X, must_be_present=True)
+X_REQUIRED = Designator(
+    AttributeDesignator(Category.SUBJECT, X, DataType.STRING, must_be_present=True)
+)
 X_INTEGERS = designator(Category.SUBJECT, X, DataType.INTEGER)
 ONE, TWO, THREE = (literal(integer(n)) for n in (1, 2, 3))
 ALICE_READS_DOC = sra("alice", "doc", "read")

@@ -8,6 +8,7 @@ rides on.
 
 
 from repro.xacml import (
+    EvaluationContext,
     Decision,
     PdpEngine,
     Policy,
@@ -57,10 +58,11 @@ class TestResolution:
         assert engine.decide(request_eve) is Decision.DENY
 
     def test_unresolvable_reference_is_indeterminate(self):
-        result = evaluate_element(
-            referring_set("ghost-policy"),
-            RequestContext.simple("alice", "r", "read"),
-            reference_resolver=lambda identifier: None,
+        result = referring_set("ghost-policy").evaluate(
+            EvaluationContext(
+                request=RequestContext.simple("alice", "r", "read"),
+                reference_resolver=lambda identifier: None,
+            )
         )
         assert result.decision is Decision.INDETERMINATE
         assert "unresolvable" in result.status.message

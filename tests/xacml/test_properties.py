@@ -51,6 +51,8 @@ from test_evaluation_reference import (
 )
 
 from repro.workloads import Population, PopulationSpec
+from repro.xacml.attributes import _designator_of
+from repro.xacml.expressions import _condition_of
 from repro.xacml import (
     ACTION_ID,
     AllOf,
@@ -722,6 +724,19 @@ policy_recipes = st.tuples(
 )
 
 
+def role_condition(role, must_be_present):
+    """``attribute_equals`` on the subject's role; a must-be-present one
+    through the same leaf memos (parsed policies spell it)."""
+    if not must_be_present:
+        return attribute_equals(Category.SUBJECT, SUBJECT_ROLE, string(role))
+    return _condition_of(
+        f"{functions.FUNCTION_PREFIX_1_0}string-is-in",
+        DataType.STRING,
+        role,
+        _designator_of(Category.SUBJECT, SUBJECT_ROLE, DataType.STRING, True, None),
+    )
+
+
 def build(recipe):
     """The policy a recipe spells, every leaf through the builders."""
     policy_id, rule_rows, target, algorithm = recipe
@@ -731,10 +746,7 @@ def build(recipe):
             (permit_rule if permit else deny_rule)(
                 f"rule-{index}",
                 target=subject_resource_action_target(subject, resource, action),
-                condition=asks
-                and attribute_equals(
-                    Category.SUBJECT, SUBJECT_ROLE, string(asks[0]), asks[1]
-                ),
+                condition=asks and role_condition(*asks),
             )
         )
     return Policy(
