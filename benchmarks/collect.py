@@ -5,6 +5,8 @@ gates the build on it (``check_regression.py`` against the committed
 ``BENCH_baseline.json``) and uploads the JSON as a workflow artifact,
 so every PR records where the headline experiments stand:
 
+* **E7a** — message sizes: the plain, signed and signed-and-encrypted
+  query envelope in bytes;
 * **E8a** — static modality-conflict scan: injected conflicts missed
   over the three generated corpora (pinned 0);
 * **E10** — PDP discovery under churn: failed decisions of a static
@@ -27,15 +29,14 @@ so every PR records where the headline experiments stand:
   scan (findings pinned 0);
 * **E29a** — the refresh herd: bundle fetches per policy change per
   PDP (pinned 1.0) and the most refresh requests on the wire at once
-  (pinned 1);
-* **E7a** — message sizes: the plain, signed and signed-and-encrypted
-  query envelope in bytes.
+  (pinned 1).
 
 Runs everything in smoke dimensions (the module forces
 ``REPRO_BENCH_SMOKE=1`` before importing the benchmark modules, whose
 sweep constants are bound at import time), so one pass takes seconds.
-The simulation is deterministic, so the recorded numbers are stable
-across runs and machines — any drift is a real change.
+The simulation is deterministic and every experiment builds its own
+worlds, which mint their own ids, so the recorded numbers are stable
+across runs, machines and run orders — any drift is a real change.
 
 Usage::
 
@@ -494,7 +495,10 @@ def collect() -> dict:
         "revision": git_revision(),
         "smoke": True,
         "experiments": {
+            "E7a": collect_e7(),
             "E8a": collect_e8(),
+            "E10": collect_e10(),
+            "E11a": collect_e11(),
             "E15": collect_e15(),
             "E16": collect_e16(),
             "E17": collect_e17(),
@@ -505,14 +509,6 @@ def collect() -> dict:
             "E24": collect_e24(),
             "E25": collect_e25(),
             "E29a": collect_e29(),
-            # Last: wire ids are still minted per process, so running
-            # these first would shift every later experiment's bytes.
-            "E10": collect_e10(),
-            "E11a": collect_e11(),
-            # After E11a for the same reason: its query id and serials
-            # are the process's next ones, so its bytes depend on this
-            # order.
-            "E7a": collect_e7(),
         },
     }
     e16 = summary["experiments"]["E16"]["configs"]

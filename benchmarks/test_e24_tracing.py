@@ -26,23 +26,18 @@ tiers grown so far and pins both halves of that contract:
   the misroute/forwarding accounting (E18d) re-derived purely from
   spans agree exactly with the ground-truth observers and counters.
 
-Tier runners reset the process-global wire-ID counters before each
-build: message/query/batch IDs are embedded in XML payloads, so two
-otherwise-identical runs in one process drift by a few payload bytes
-as the counters grow — resetting them is what makes the off-vs-on
-comparison exact instead of merely close.
+Each tier runner builds a fresh world, and a world mints its own wire
+ids (message, query, batch and assertion ids on its ``Network``,
+certificate serials on its ``KeyStore``): the ids embedded in XML
+payloads start over with every build, so the off-vs-on comparison is
+exact with no reset, whatever ran earlier in the process.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the driven workloads (via the E16–E18
 module constants, bound at their import) to CI-sized passes.
 """
 
-import itertools
 import os
 
-import repro.saml.assertions as saml_assertions
-import repro.saml.xacml_profile as xacml_profile
-import repro.simnet.message as simnet_message
-import repro.wss.pki as wss_pki
 from repro.bench import Experiment
 from repro.observability import (
     critical_path,
@@ -63,23 +58,6 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 RECONCILE_TOLERANCE = 0.001
 
 
-def _reset_wire_ids() -> None:
-    """Rewind the process-global ID counters a run consumes.
-
-    Message, query, batch and assertion IDs (and PKI serials) are
-    itertools counters shared by every simulation in the process, and
-    several of them end up *inside* XML payloads — so a second run's
-    messages are a few bytes larger purely because its IDs are longer
-    strings.  Paired runs that must be bit-identical each start from
-    the same counter state.
-    """
-    simnet_message._message_ids = itertools.count(1)
-    xacml_profile._query_ids = itertools.count(1)
-    xacml_profile._batch_ids = itertools.count(1)
-    saml_assertions._assertion_ids = itertools.count(1)
-    wss_pki._serials = itertools.count(1000)
-
-
 def _headline(network, fleet) -> dict:
     """The tier-independent numbers the overhead contract is judged on."""
     return {
@@ -97,7 +75,6 @@ def run_e16_tier(sample_rate: float):
     """Single-PEP coalescing fabric (E16's headline configuration)."""
     import test_e16_batching as e16
 
-    _reset_wire_ids()
     network, pep, pdps, dispatcher = e16.build_fabric(8, 2)
     network.tracer.sample_rate = sample_rate
     stats = e16.drive(pep, e16.request_mix(e16.EVENTS), concurrency=8)
@@ -108,7 +85,6 @@ def run_e17_tier(sample_rate: float):
     """Many-PEP domain gateway (E17's headline configuration)."""
     import test_e17_gateway as e17
 
-    _reset_wire_ids()
     network, peps, pdps, hub = e17.build_domain(
         pep_count=4, replicas=2, gateway=True
     )
@@ -121,7 +97,6 @@ def run_e18_tier(sample_rate: float):
     """Cross-domain federation (E18's headline configuration)."""
     import test_e18_federation as e18
 
-    _reset_wire_ids()
     vo = e18.build_federated_vo(2, 1)
     network = vo.network
     network.tracer.sample_rate = sample_rate
@@ -291,7 +266,6 @@ def test_e24_trace_audit_staleness():
     """
     import test_e18_federation as e18
 
-    _reset_wire_ids()
     vo = e18.build_federated_vo(
         2, 1, remote_cache_ttl=e18.COVERING_TTL, coherence=True
     )
@@ -346,7 +320,6 @@ def test_e24_trace_audit_misroutes():
     """
     import test_e18_federation as e18
 
-    _reset_wire_ids()
     vo = e18.build_federated_vo(
         directory_mode="service",
         directory_ttl=e18.DIRECTORY_TTLS["long"],

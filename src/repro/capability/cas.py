@@ -171,6 +171,7 @@ class CommunityAuthorizationService(Component):
             not_on_or_after=self.now + CAPABILITY_LIFETIME,
             statements=tuple(statements),
             audience=cap_request.audience,
+            assertion_id=self.network.mint("saml"),
         )
         self.capabilities_issued += 1
         return sign_assertion(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Optional, TypeVar
 
 from ..saml.xacml_profile import XacmlAuthzDecisionStatement
-from ..xacml.attributes import RESOURCE_ID, SUBJECT_ID, Category
+from ..xacml.attributes import SUBJECT_ID, Category
 from ..xacml.context import KeyPart, cache_key_touches
 
 K = TypeVar("K", bound=Hashable)
@@ -182,9 +182,8 @@ class TtlCache(Generic[K, V]):
 
 
 #: The key-part prefix (category, attribute id; then the lexical value)
-#: ``cache_key_touches`` compares for a subject / resource id.
+#: ``cache_key_touches`` compares for a subject id.
 _SUBJECT_PART = (Category.SUBJECT.value, SUBJECT_ID)
-_RESOURCE_PART = (Category.RESOURCE.value, RESOURCE_ID)
 _NO_FENCE = float("-inf")
 
 
@@ -193,9 +192,9 @@ class DecisionCache(TtlCache[tuple[KeyPart, ...], XacmlAuthzDecisionStatement]):
     **an invalidation beats every statement issued at or before it.**
 
     :meth:`invalidate_for` / :meth:`invalidate_all` drop what is held
-    *and* leave a fence — the instant, per subject / resource id or
-    cache-wide; :meth:`admit` is a ``put`` that refuses a statement not
-    issued later than a fence its key touches.  Without it the answer
+    *and* leave a fence — the instant, per subject id or cache-wide;
+    :meth:`admit` is a ``put`` that refuses a statement not issued
+    later than a fence its key touches.  Without it the answer
     to a query sent just before a revocation, still on the wire or
     queued at the PDP, refills the cache the revocation cleaned and is
     served for a whole TTL (the PEP tier did, until it shared this
@@ -216,15 +215,15 @@ class DecisionCache(TtlCache[tuple[KeyPart, ...], XacmlAuthzDecisionStatement]):
 
     Cost: nothing until the first selective invalidation, then one dict
     probe per key part per admission; one table entry per distinct
-    revoked subject / resource id, never pruned (that needs a bound on
-    delivery time the cache does not have).
+    revoked subject id, never pruned (that needs a bound on delivery
+    time the cache does not have).
     """
 
     def __init__(self, ttl: float, clock: Callable[[], float]) -> None:
         super().__init__(ttl, clock)
         self._fence = _NO_FENCE  # cache-wide
-        #: ``(category, attribute id, lexical)`` of a revoked subject /
-        #: resource id -> when it was last invalidated.
+        #: ``(category, attribute id, lexical)`` of a revoked subject id
+        #: -> when it was last invalidated.
         self._fences: dict[tuple[str, str, str], float] = {}
         self.fenced = 0  # admissions refused
 
@@ -246,32 +245,16 @@ class DecisionCache(TtlCache[tuple[KeyPart, ...], XacmlAuthzDecisionStatement]):
         self.put(key, statement)
         return True
 
-    def invalidate_for(
-        self,
-        subject_id: Optional[str] = None,
-        resource_id: Optional[str] = None,
-    ) -> int:
-        """Drop, and fence, the decisions touching a subject and / or resource.
+    def invalidate_for(self, subject_id: str) -> int:
+        """Drop, and fence, the decisions touching a subject.
 
         The selective coherence a revocation needs: revoking one
         subject's rights must not cost every other cached decision
         (paper §3.2 pits caching against revocation flexibility).
-        Entries matching *either* filter go; with neither, nothing does
-        (that is :meth:`invalidate_all`).  Returns the live entries
-        dropped.
+        Returns the live entries dropped.
         """
-        if subject_id is None and resource_id is None:
-            return 0
-        now = self._clock()
-        if subject_id is not None:
-            self._fences[(*_SUBJECT_PART, subject_id)] = now
-        if resource_id is not None:
-            self._fences[(*_RESOURCE_PART, resource_id)] = now
-        return self.invalidate_where(
-            lambda key: cache_key_touches(
-                key, subject_id=subject_id, resource_id=resource_id
-            )
-        )
+        self._fences[(*_SUBJECT_PART, subject_id)] = self._clock()
+        return self.invalidate_where(lambda key: cache_key_touches(key, subject_id))
 
     def invalidate_all(self) -> None:
         """Drop every decision (a change no selective key can name)."""

@@ -61,7 +61,7 @@ from ..observability.tracing import TRACE_HEADER
 from ..simnet.events import EventHandle, EventLoop
 from ..simnet.message import Message
 from ..simnet.network import Network
-from ..saml.xacml_profile import XacmlAuthzDecisionBatchQuery
+from ..saml.xacml_profile import XacmlAuthzDecisionBatchQuery, XacmlAuthzDecisionQuery
 from ..xacml.context import RequestContext
 from .base import DEFAULT_TIMEOUT, Component, ComponentIdentity, RpcFault, RpcTimeout
 from .channel import DecisionChannel
@@ -516,22 +516,29 @@ class BatchingStage:
 # -- the shared wire core ----------------------------------------------------------
 
 
-def batch_query(
-    items: list["Slot"], issuer: str, issue_instant: float
-) -> XacmlAuthzDecisionBatchQuery:
-    """One transmit attempt's batch query over the items' requests."""
-    return XacmlAuthzDecisionBatchQuery.for_requests(
-        [item.request for item in items],
+def batch_query(items: list["Slot"], sender: Component) -> XacmlAuthzDecisionBatchQuery:
+    """One transmit attempt's batch query over the items' requests,
+    issued by ``sender`` now, with ids its world mints."""
+    issuer, instant, mint = sender.name, sender.now, sender.network.mint
+    return XacmlAuthzDecisionBatchQuery(
+        queries=tuple(
+            XacmlAuthzDecisionQuery(
+                request=item.request,
+                issuer=issuer,
+                issue_instant=instant,
+                query_id=mint("xacmlq"),
+            )
+            for item in items
+        ),
         issuer=issuer,
-        issue_instant=issue_instant,
+        issue_instant=instant,
+        batch_id=mint("xacmlb"),
     )
 
 
-def _batch_body(
-    items: list["Slot"], issuer: str, issue_instant: float
-) -> tuple[str, str, str]:
+def _batch_body(items: list["Slot"], sender: Component) -> tuple[str, str, str]:
     """The default envelope body: the batch query itself, PDP-bound."""
-    batch = batch_query(items, issuer, issue_instant)
+    batch = batch_query(items, sender)
     return batch.batch_id, BATCH_QUERY_ACTION, batch.to_xml()
 
 
@@ -572,7 +579,8 @@ class WireJob:
         timeout: per-attempt reply deadline in simulated seconds.
         channel: the sending component's decision channel.
         encode: write one transmit attempt's query over the slots'
-            requests, given the issuer and the instant, as ``(exchange
+            requests, given the sending component (the issuer, the
+            instant and the world that mints the ids), as ``(exchange
             id, base action, body)``.  The default is one batch query;
             the federated gateway wraps forwards here, and a PEP's pull
             job writes the single-query profile.  Called per attempt, so
@@ -593,7 +601,7 @@ class WireJob:
     fail: Callable[[list, Exception], None]
     timeout: float
     channel: DecisionChannel
-    encode: Callable[[list, str, float], tuple[str, str, str]] = _batch_body
+    encode: Callable[[list, Component], tuple[str, str, str]] = _batch_body
     open: Callable[[DecisionChannel, Message, str, str, int], Sequence] = (
         _open_batch
     )
@@ -697,7 +705,7 @@ class BatchWireCore:
         component = self.component
         # Written per transmit attempt: a failover re-send gets a fresh
         # exchange id and a fresh signature.
-        exchange_id, base, body = job.encode(items, component.name, component.now)
+        exchange_id, base, body = job.encode(items, component)
         action, payload = job.channel.seal(base, body)
         inflight = _InflightEnvelope(
             exchange_id=exchange_id,

@@ -71,7 +71,7 @@ from ..xacml.context import (
     Status,
     StatusCode,
 )
-from .base import DEFAULT_TIMEOUT, RpcFault
+from .base import DEFAULT_TIMEOUT, Component, RpcFault
 from .cache import DecisionCache
 from .channel import is_secure_action, secure_action
 from .fabric import (
@@ -667,10 +667,8 @@ class FederatedGateway(DomainDecisionGateway):
         def select(exclude: Sequence[str]) -> Optional[str]:
             return None if peer in exclude else peer
 
-        def encode(
-            items: list[Slot], issuer: str, issue_instant: float
-        ) -> tuple[str, str, str]:
-            batch = batch_query(items, issuer, issue_instant)
+        def encode(items: list[Slot], sender: Component) -> tuple[str, str, str]:
+            batch = batch_query(items, sender)
             forwarded = ForwardedBatchQuery(
                 batch=batch,
                 origin_domain=self.domain,

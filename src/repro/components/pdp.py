@@ -609,6 +609,7 @@ class PolicyDecisionPoint(Component):
                 queries=tuple(query for _, query in group),
                 issuer=self.name,
                 issue_instant=self.now,
+                batch_id=self.network.mint("xacmlb"),
             )
 
             def answered(reply: Message) -> None:

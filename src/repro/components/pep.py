@@ -83,13 +83,14 @@ class PepConfig:
             raise ValueError(f"pdp_timeout must be > 0, got {self.pdp_timeout}")
 
 
-def _query_body(
-    items: list[Slot], issuer: str, issue_instant: float
-) -> tuple[str, str, str]:
+def _query_body(items: list[Slot], sender: Component) -> tuple[str, str, str]:
     """The pull profile's envelope body: one single query (paper §3.2)."""
     (item,) = items
     query = XacmlAuthzDecisionQuery(
-        request=item.request, issuer=issuer, issue_instant=issue_instant
+        request=item.request,
+        issuer=sender.name,
+        issue_instant=sender.now,
+        query_id=sender.network.mint("xacmlq"),
     )
     return query.query_id, QUERY_ACTION, query.to_xml()
 

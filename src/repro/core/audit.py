@@ -11,7 +11,6 @@ fail-safe denial engage) the paper's management section motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..xacml.context import Decision
 
@@ -55,20 +54,6 @@ class AuditLog:
         return list(self._records)
 
     # -- queries --------------------------------------------------------------
-
-    def filter(
-        self,
-        subject_id: Optional[str] = None,
-        resource_id: Optional[str] = None,
-    ) -> list[AuditRecord]:
-        out = []
-        for record in self._records:
-            if subject_id is not None and record.subject_id != subject_id:
-                continue
-            if resource_id is not None and record.resource_id != resource_id:
-                continue
-            out.append(record)
-        return out
 
     def denial_rate(self) -> float:
         if not self._records:

@@ -188,7 +188,10 @@ class QuorumClient(Component):
                 return
             asked += 1
             query = XacmlAuthzDecisionQuery(
-                request=request, issuer=self.name, issue_instant=self.now
+                request=request,
+                issuer=self.name,
+                issue_instant=self.now,
+                query_id=self.network.mint("xacmlq"),
             )
 
             def answered(reply: Message) -> None:

@@ -134,6 +134,7 @@ class IdentityProvider(Component):
                 AttributeStatement(attributes=attributes),
             ),
             audience=audience,
+            assertion_id=self.network.mint("saml"),
         )
         self.assertions_issued += 1
         return sign_assertion(

@@ -215,6 +215,7 @@ class TraustServer(Component):
                     )
                 ),
             ),
+            assertion_id=self.network.mint("saml"),
         )
         signed = sign_assertion(
             assertion, self.identity.keypair, self.identity.certificate

@@ -143,22 +143,22 @@ class CoherenceAgent(Component):
         # only moves on authoritative CRL replies (fetch_delta), so a
         # lost push leaves a gap the next delta pull still recovers.
         self.records_applied += 1
-        # Neither a delegation nor a trust-edge record names a subject or
-        # resource that a selective key could match: a withdrawn
-        # delegation changes which delegated policies reduce to an
-        # authority, and a withdrawn trust edge voids whatever was
-        # decided on the trusted domain's word.  So these records flush
-        # the caches and reload PDP policy, and a trust edge also
-        # withdraws the protected gateways' tables (_withdraw_trust).
+        # Neither a delegation nor a trust-edge record names a subject
+        # that a selective key could match: a withdrawn delegation
+        # changes which delegated policies reduce to an authority, and a
+        # withdrawn trust edge voids whatever was decided on the trusted
+        # domain's word.  So these records flush the caches and reload
+        # PDP policy, and a trust edge also withdraws the protected
+        # gateways' tables (_withdraw_trust).
         transitive = record.kind in (
             RevocationKind.DELEGATION,
             RevocationKind.TRUST_EDGE,
         )
-        subject, resource = record.subject_id or None, record.resource_id or None
+        subject = record.subject_id
 
         def invalidate(cache: DecisionCache) -> int:
-            if not transitive and (subject or resource):
-                return cache.invalidate_for(subject, resource)
+            if not transitive and subject:
+                return cache.invalidate_for(subject)
             cache.invalidate_all()
             return 0
 

@@ -114,7 +114,6 @@ class RevocationRecord:
         reason: free-text operator reason, carried for audit.
         subject_id: optional subject the revocation concerns — drives
             *selective* PEP decision-cache invalidation.
-        resource_id: optional resource the revocation concerns.
         signature: authority signature over :meth:`tbs_bytes`; empty when
             the registry runs unsigned (unit tests, local use).
     """
@@ -126,7 +125,6 @@ class RevocationRecord:
     revoked_at: float
     reason: str = ""
     subject_id: str = ""
-    resource_id: str = ""
     signature: str = ""
 
     @property
@@ -158,7 +156,6 @@ class RevocationRecord:
             f"issuer={quoteattr(self.issuer)} "
             f'epoch="{self.epoch}" at="{self.revoked_at}" '
             f"subject={quoteattr(self.subject_id)} "
-            f"resource={quoteattr(self.resource_id)} "
             f"signature={quoteattr(self.signature)}>"
             f"{escape(self.reason)}</Revocation>"
         )
@@ -179,7 +176,6 @@ class RevocationRecord:
                 epoch=int(attrs["epoch"]),
                 revoked_at=float(attrs["at"]),
                 subject_id=attrs["subject"],
-                resource_id=attrs["resource"],
                 signature=attrs["signature"],
                 reason=unescape(match.group(2)),
             )

@@ -10,15 +10,12 @@ its issuer so relying parties can verify provenance through the PKI.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..wss.keys import KeyPair, KeyStore
 from ..wss.pki import Certificate, CertificateError, TrustValidator
 from ..wss.xmldsig import SignatureError, SignedDocument, sign_document, verify_document
-
-_assertion_ids = itertools.count(1)
 
 
 class AssertionError_(Exception):
@@ -91,9 +88,8 @@ class Assertion:
     not_on_or_after: float
     statements: tuple[Statement, ...] = ()
     audience: Optional[str] = None
-    assertion_id: str = field(
-        default_factory=lambda: f"saml-{next(_assertion_ids)}"
-    )
+    #: Minted by the issuer's world (``network.mint("saml")``).
+    assertion_id: str = "saml-0"
 
     def to_xml(self) -> str:
         conditions = (

@@ -57,20 +57,16 @@ ParseError` (one too) when expat or the XACML parser refused the text.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, TypeVar
 
 from ..xacml.context import RequestContext, ResponseContext
 from ..xacml.parser import ParseError, _request_of, parse_request, parse_response
 from ..xacml.serializer import serialize_request, serialize_response
 from ..xmlutil import escape_attr, escape_text, unescape
-
-_query_ids = itertools.count(1)
-_batch_ids = itertools.count(1)
 
 #: The prefixes query envelopes are written with.  The wire text never
 #: declares them: :func:`parse_envelope` parses it inside a holder
@@ -275,7 +271,9 @@ class XacmlAuthzDecisionQuery:
     #: When true the PDP must include the evaluated request back in its
     #: statement, binding decision to request (profile's ReturnContext).
     return_context: bool = False
-    query_id: str = field(default_factory=lambda: f"xacmlq-{next(_query_ids)}")
+    #: Minted by the sender's world (``network.mint("xacmlq")``); the
+    #: default is for a query that never travels.
+    query_id: str = "xacmlq-0"
 
     def to_xml(self) -> str:
         return (
@@ -360,7 +358,9 @@ class XacmlAuthzDecisionBatchQuery:
     queries: tuple[XacmlAuthzDecisionQuery, ...]
     issuer: str
     issue_instant: float
-    batch_id: str = field(default_factory=lambda: f"xacmlb-{next(_batch_ids)}")
+    #: Minted by the sender's world (``network.mint("xacmlb")``); the
+    #: default is for a batch that never travels.
+    batch_id: str = "xacmlb-0"
 
     def __post_init__(self) -> None:
         if not self.queries:
@@ -373,6 +373,9 @@ class XacmlAuthzDecisionBatchQuery:
         issuer: str,
         issue_instant: float,
     ) -> "XacmlAuthzDecisionBatchQuery":
+        """A batch over ``requests`` with the default ids, for encoding
+        outside any world; a sender mints its ids instead
+        (:func:`repro.components.fabric.batch_query`)."""
         return cls(
             queries=tuple(
                 XacmlAuthzDecisionQuery(

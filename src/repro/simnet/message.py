@@ -10,11 +10,8 @@ bytes as measured here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-_message_ids = itertools.count(1)
 
 #: Fixed per-message envelope overhead in bytes (HTTP + TCP/IP headers).
 #: Chosen to match a typical HTTP/1.1 POST carrying a SOAP envelope.
@@ -52,7 +49,8 @@ class Message:
         kind: application-level message type tag, e.g. ``"xacml.request"``.
         payload: opaque content; its size is measured by ``payload_size``.
         size_bytes: total wire footprint (payload + transport overhead).
-        msg_id: unique id, for tracing and reply correlation.
+        msg_id: unique id within its world, for reply correlation; the
+            :class:`~repro.simnet.network.Network` stamps it at transmit.
         reply_to: id of the request this message answers, if any.
         headers: small key/value metadata (e.g. signature markers).
     """
@@ -61,7 +59,7 @@ class Message:
     recipient: str
     kind: str
     payload: Any = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = 0
     reply_to: Optional[int] = None
     headers: dict[str, Any] = field(default_factory=dict)
     size_bytes: int = -1

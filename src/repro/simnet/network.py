@@ -14,6 +14,7 @@ communication-performance analysis:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
@@ -99,8 +100,9 @@ class Network:
     """The message fabric connecting all simulated components.
 
     A single :class:`Network` instance underpins one experiment run: it owns
-    the event loop, the clock, the RNG and the metrics registry, making each
-    run self-contained and reproducible from its seed.
+    the event loop, the clock, the RNG, the metrics registry and the
+    identifiers its components mint, making each run self-contained and
+    reproducible from its seed, whatever else ran in the process.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -116,6 +118,8 @@ class Network:
         self.default_link = Link()
         self._topics: dict[str, list[str]] = {}
         self.topic_log: list[TopicEvent] = []
+        self._message_ids = itertools.count(1)
+        self._minted: dict[str, int] = {}
 
     @property
     def clock(self) -> SimClock:
@@ -124,6 +128,13 @@ class Network:
     @property
     def now(self) -> float:
         return self.loop.now
+
+    def mint(self, prefix: str) -> str:
+        """This world's next ``prefix-N`` identifier, ``N`` counting from
+        1 per prefix: query (``xacmlq``), batch (``xacmlb``) and assertion
+        (``saml``) ids, unique within the world that mints them."""
+        count = self._minted[prefix] = self._minted.get(prefix, 0) + 1
+        return f"{prefix}-{count}"
 
     # -- topology ----------------------------------------------------------
 
@@ -234,7 +245,9 @@ class Network:
     # -- transmission ------------------------------------------------------
 
     def transmit(self, message: Message) -> None:
-        """Queue a message for delivery subject to link state and loss."""
+        """Stamp the message with this world's next id, then queue it for
+        delivery subject to link state and loss."""
+        message.msg_id = next(self._message_ids)
         self.metrics.record_send(message.kind, message.size_bytes)
         link = self.link_between(message.sender, message.recipient)
         if not link.up:

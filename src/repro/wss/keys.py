@@ -126,14 +126,23 @@ class KeyStore:
     only the private key decrypts.  Our HMAC construction needs the private
     bytes to build the keystream, so encryption is mediated by the KeyStore
     that *created* the pair: ``encrypt_to`` looks the pair up internally and
-    never reveals it to the caller.  One process-wide KeyStore per
-    simulation plays the role of the mathematics.
+    never reveals it to the caller.  One KeyStore per simulated world
+    plays the role of the mathematics, and mints that world's
+    certificate serials.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._counter = 0
         self._pairs: dict[str, KeyPair] = {}
+        self._serial = 999
+
+    def mint_serial(self) -> int:
+        """The next certificate serial, from 1000.  Every CA built on
+        this store draws from it, so serials stay unique across the CAs
+        of a VO: revocation keys a certificate by serial alone."""
+        self._serial += 1
+        return self._serial
 
     def generate(self, label: str = "") -> KeyPair:
         """Deterministically generate a fresh key pair."""

@@ -13,13 +13,10 @@ over the TBS ("to-be-signed") serialization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .keys import KeyPair, KeyStore, PublicKey
-
-_serials = itertools.count(1000)
 
 #: How long a CA's own certificate is valid (simulated seconds: ten years).
 CA_VALIDITY = 10 * 365 * 86400.0
@@ -104,7 +101,7 @@ class CertificateAuthority:
             public_key=self.keypair.public,
             not_before=0.0,
             not_after=CA_VALIDITY,
-            serial=next(_serials),
+            serial=self.keystore.mint_serial(),
             signature="",
         )
         signature = self.keypair.sign(unsigned.tbs_bytes())
@@ -133,7 +130,7 @@ class CertificateAuthority:
             public_key=public_key,
             not_before=not_before,
             not_after=not_before + lifetime,
-            serial=next(_serials),
+            serial=self.keystore.mint_serial(),
             signature="",
             extensions=extensions,
         )

@@ -270,36 +270,20 @@ class RequestContext:
 
 
 _SUBJECT_URI: str = Category.SUBJECT.value
-_RESOURCE_URI: str = Category.RESOURCE.value
 
 
-def cache_key_touches(
-    key: tuple[KeyPart, ...],
-    subject_id: Optional[str] = None,
-    resource_id: Optional[str] = None,
-) -> bool:
-    """Does a :meth:`RequestContext.cache_key` involve a subject/resource?
+def cache_key_touches(key: tuple[KeyPart, ...], subject_id: str) -> bool:
+    """Does a :meth:`RequestContext.cache_key` involve a subject?
 
     The selective-invalidation predicate every decision-cache tier
     (PEP caches, the gateway-tier remote-decision cache) applies when a
-    revocation names a subject and/or resource: entries matching
-    *either* filter are coherence victims.  With neither filter given
-    nothing matches (the caller should flush instead).  Only category,
-    id and lexical value are compared, so every typed or issued variant
-    of the id is a victim: a revocation may drop more than it must,
-    never less.
+    revocation names a subject: the entries it matches are coherence
+    victims.  Only category, id and lexical value are compared, so
+    every typed or issued variant of the id is a victim: a revocation
+    may drop more than it must, never less.
     """
     for part in key:
-        lexical = part[2]
-        if (
-            lexical == subject_id
-            and part[1] == SUBJECT_ID
-            and part[0] == _SUBJECT_URI
-        ) or (
-            lexical == resource_id
-            and part[1] == RESOURCE_ID
-            and part[0] == _RESOURCE_URI
-        ):
+        if part[2] == subject_id and part[1] == SUBJECT_ID and part[0] == _SUBJECT_URI:
             return True
     return False
 

@@ -42,7 +42,6 @@ REQUESTS = [
 ]
 
 subjects = st.sampled_from(SUBJECTS)
-resources = st.sampled_from(RESOURCES)
 requests = st.sampled_from(REQUESTS)
 spans = st.sampled_from([0.0, 0.25, 1.0, 3.0])
 
@@ -64,26 +63,19 @@ class ParentFences:
         self._clock = clock
         self._remote_fence = 0.0
         self._subject_fences: dict[str, float] = {}
-        self._resource_fences: dict[str, float] = {}
 
     def fenced(self, request: RequestContext, issued_at: float) -> bool:
         fence = self._remote_fence
         subject = request.subject_id
         if subject is not None:
             fence = max(fence, self._subject_fences.get(subject, 0.0))
-        resource = request.resource_id
-        if resource is not None:
-            fence = max(fence, self._resource_fences.get(resource, 0.0))
         return fence > 0.0 and issued_at <= fence
 
     def invalidate_all(self) -> None:
         self._remote_fence = self._clock()
 
-    def invalidate_for(self, subject_id=None, resource_id=None) -> None:
-        if subject_id is not None:
-            self._subject_fences[subject_id] = self._clock()
-        if resource_id is not None:
-            self._resource_fences[resource_id] = self._clock()
+    def invalidate_for(self, subject_id) -> None:
+        self._subject_fences[subject_id] = self._clock()
 
 
 class DecisionCacheMachine(RuleBasedStateMachine):
@@ -97,8 +89,8 @@ class DecisionCacheMachine(RuleBasedStateMachine):
         self.clock.advance_to(1.0)
         self.cache = DecisionCache(ttl=TTL, clock=lambda: self.clock.now)
         self.oracle = ParentFences(lambda: self.clock.now)
-        #: (instant, subject filter, resource filter); both None = all.
-        self.invalidations: list[tuple[float, object, object]] = []
+        #: (instant, subject filter); None = all.
+        self.invalidations: list[tuple[float, object]] = []
         self.admitted_at: dict[tuple, float] = {}
         self.refused = 0
 
@@ -115,31 +107,18 @@ class DecisionCacheMachine(RuleBasedStateMachine):
 
     @rule(subject=subjects)
     def invalidate_subject(self, subject):
-        self.invalidate(subject, None)
-
-    @rule(resource=resources)
-    def invalidate_resource(self, resource):
-        self.invalidate(None, resource)
-
-    @rule(subject=subjects, resource=resources)
-    def invalidate_both(self, subject, resource):
-        self.invalidate(subject, resource)
-
-    def invalidate(self, subject, resource):
         held = len(self.cache)
-        dropped = self.cache.invalidate_for(
-            subject_id=subject, resource_id=resource
-        )
+        dropped = self.cache.invalidate_for(subject)
         assert 0 <= dropped <= held
-        self.oracle.invalidate_for(subject_id=subject, resource_id=resource)
-        self.invalidations.append((self.clock.now, subject, resource))
+        self.oracle.invalidate_for(subject)
+        self.invalidations.append((self.clock.now, subject))
 
     @rule()
     def invalidate_all(self):
         self.cache.invalidate_all()
         assert len(self.cache) == 0
         self.oracle.invalidate_all()
-        self.invalidations.append((self.clock.now, None, None))
+        self.invalidations.append((self.clock.now, None))
 
     @rule(span=spans)
     def advance(self, span):
@@ -152,13 +131,11 @@ class DecisionCacheMachine(RuleBasedStateMachine):
         if served is None:
             return
         assert self.clock.now - self.admitted_at[key] < TTL
-        for at, subject, resource in self.invalidations:
-            matched = (subject is None and resource is None) or (
-                cache_key_touches(key, subject_id=subject, resource_id=resource)
-            )
+        for at, subject in self.invalidations:
+            matched = subject is None or cache_key_touches(key, subject)
             assert not (matched and served.issue_instant <= at), (
                 f"served a statement issued at {served.issue_instant} past "
-                f"the invalidation of {(subject, resource)} at {at}"
+                f"the invalidation of {subject} at {at}"
             )
 
     @invariant()
@@ -223,14 +200,6 @@ class TestTheRule:
         assert not cache.admit(typed.cache_key(), statement(4.5))
         assert not cache.admit(second.cache_key(), statement(4.5))
         assert cache.admit(bystander.cache_key(), statement(4.5))
-
-    def test_no_filter_drops_and_fences_nothing(self):
-        clock = clock_at(5.0)
-        cache = cache_at(clock)
-        key = REQUESTS[0].cache_key()
-        assert cache.admit(key, statement(4.0))
-        assert cache.invalidate_for() == 0
-        assert cache.admit(key, statement(4.0))
 
     def test_a_disabled_cache_admits_nothing_and_fences_nothing(self):
         clock = clock_at(5.0)

@@ -104,32 +104,6 @@ class TestPepInvalidationPaths:
         assert removed == 2
         assert pep.authorize_simple("bob", "doc", "read").source == "cache"
 
-    def test_invalidate_decisions_for_resource(self, env):
-        network, pap, pdp, pep = env
-        pep.authorize_simple("alice", "doc", "read")
-        pep.authorize_simple("bob", "doc", "write")
-        pep.authorize_simple("bob", "other", "read")
-        removed = pep.decision_cache.invalidate_for(resource_id="doc")
-        assert removed == 2
-        assert pep.authorize_simple("bob", "other", "read").source == "cache"
-
-    def test_subject_and_resource_filters_union(self, env):
-        network, pap, pdp, pep = env
-        pep.authorize_simple("alice", "a", "read")
-        pep.authorize_simple("bob", "doc", "read")
-        pep.authorize_simple("carol", "b", "read")
-        removed = pep.decision_cache.invalidate_for(
-            subject_id="alice", resource_id="doc"
-        )
-        assert removed == 2
-        assert pep.authorize_simple("carol", "b", "read").source == "cache"
-
-    def test_no_filter_is_a_no_op(self, env):
-        network, pap, pdp, pep = env
-        pep.authorize_simple("alice", "doc", "read")
-        assert pep.decision_cache.invalidate_for() == 0
-        assert len(pep.decision_cache) == 1
-
     def test_unknown_subject_removes_nothing(self, env):
         network, pap, pdp, pep = env
         pep.authorize_simple("alice", "doc", "read")

@@ -1,20 +1,23 @@
 """Module-state lint: no module under ``src/`` mints identifiers from
-state of its own, but the ones listed here.
+state of its own.
 
 "Worlds own their identifiers" (ROADMAP direction 1): a counter at
 module scope is shared by every world in the process, so what one world
 mints depends on what ran before it in the same interpreter, and two
 worlds interleaved perturb each other's ids, bytes and event order.
-This lint is direction 1(a)'s first check, in ``test_memo_lint.py``'s
-allow-list form.  It fails on
+The ``Network`` mints message, query, batch and assertion ids, the
+``KeyStore`` certificate serials.  This lint has ``test_memo_lint.py``'s
+allow-list form, with the allow-list empty.  It fails on
 
 - an ``itertools.count(...)`` evaluated at import time — at module
   level or in a class body, anywhere but inside a function or lambda
   (those run later, per call);
-- a ``global`` statement anywhere under ``src/``.
-
-The allow-list is the mints direction 1 replaces with counters owned by
-a world; an entry goes when its mint does.
+- a ``global`` statement anywhere under ``src/``;
+- a construction under ``src/`` of a type whose id travels on the wire
+  (:data:`MINTED`) that leaves the id to the field's default, and any
+  call of the one builder that does (``for_requests``, for encoding
+  outside a world).  Two queries sharing the default would share a
+  reply: the sender matches replies by ``InResponseTo``.
 """
 
 import ast
@@ -22,14 +25,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: ``module:name`` -> why it may stand, for now.
-ALLOWED = {
-    "repro/simnet/message.py:_message_ids": "ROADMAP direction 1 removes",
-    "repro/saml/xacml_profile.py:_query_ids": "ROADMAP direction 1 removes",
-    "repro/saml/xacml_profile.py:_batch_ids": "ROADMAP direction 1 removes",
-    "repro/saml/assertions.py:_assertion_ids": "ROADMAP direction 1 removes",
-    "repro/wss/pki.py:_serials": "ROADMAP direction 1 removes",
+#: ``module:name`` -> why it may stand.
+ALLOWED: dict[str, str] = {}
+
+#: A type whose instances carry a minted id -> the field holding it.
+MINTED = {
+    "XacmlAuthzDecisionQuery": "query_id",
+    "XacmlAuthzDecisionBatchQuery": "batch_id",
+    "Assertion": "assertion_id",
 }
+#: The builder that keeps the defaults, and the class that owns it.
+BARE_BUILDER = ("XacmlAuthzDecisionBatchQuery", "for_requests")
 
 #: Bodies that run per call, not at import.
 DEFERRED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -98,12 +104,76 @@ def lint(sources) -> list[str]:
     return sorted(name for module, tree in sources for name in state_of(module, tree))
 
 
+def calls_in(node: ast.AST, owner: str = "", function: str = ""):
+    """``(call, enclosing class, enclosing function)`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from calls_in(child, child.name, function)
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls_in(child, owner, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield child, owner, function
+        yield from calls_in(child, owner, function)
+
+
+def unminted(module: str, tree: ast.Module) -> list[str]:
+    """``module:line type`` of every construction of a :data:`MINTED`
+    type that passes no id by keyword, and of every call of the bare
+    builder; constructions inside the bare builder are its own."""
+    found = []
+    for call, owner, function in calls_in(tree):
+        callee = call.func
+        name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+        if name == BARE_BUILDER[1]:
+            found.append(f"{module}:{call.lineno} {name}")
+            continue
+        kind = owner if name == "cls" else name
+        if kind not in MINTED or (owner, function) == BARE_BUILDER:
+            continue
+        if not any(keyword.arg in (MINTED[kind], None) for keyword in call.keywords):
+            found.append(f"{module}:{call.lineno} {kind}")
+    return found
+
+
 def test_module_state_under_src_is_exactly_the_allow_list():
     assert lint(trees()) == sorted(ALLOWED), (
         "module-level state under src/ and the allow-list differ: a world "
-        "should own what it mints; an entry goes when its mint does"
+        "should own what it mints"
     )
-    assert set(ALLOWED.values()) == {"ROADMAP direction 1 removes"}
+
+
+def test_every_minted_id_under_src_is_passed_explicitly():
+    assert [site for module, tree in trees() for site in unminted(module, tree)] == [], (
+        "a construction leaves its id to the field default: mint it from "
+        "the sender's world (network.mint)"
+    )
+
+
+def test_a_forgotten_mint_is_caught():
+    synthetic = """
+class XacmlAuthzDecisionBatchQuery:
+    @classmethod
+    def for_requests(cls, requests):
+        return cls(queries=tuple(XacmlAuthzDecisionQuery(r) for r in requests))
+
+    @classmethod
+    def from_element(cls, element):
+        return cls(queries=(), batch_id=element.get("ID"))
+
+def send(network, request, fields):
+    XacmlAuthzDecisionQuery(request=request, query_id=network.mint("xacmlq"))
+    Assertion(**fields)
+    saml.Assertion(issuer="idp")
+    XacmlAuthzDecisionBatchQuery.for_requests([request])
+    XacmlAuthzDecisionQuery(request=request)
+"""
+    assert unminted("repro/synthetic.py", ast.parse(synthetic)) == [
+        "repro/synthetic.py:14 Assertion",
+        "repro/synthetic.py:15 for_requests",
+        "repro/synthetic.py:16 XacmlAuthzDecisionQuery",
+    ]
 
 
 def test_a_sixth_is_caught():

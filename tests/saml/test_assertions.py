@@ -13,6 +13,7 @@ from repro.saml import (
     sign_assertion,
     validate_assertion,
 )
+from repro.simnet import Network
 from repro.wss import CertificateAuthority, KeyStore, TrustValidator
 from repro.xacml import Decision, RequestContext, ResponseContext
 
@@ -57,7 +58,11 @@ class TestAssertion:
         assert assertion.decision_for("doc", "write") is None
 
     def test_unique_ids(self):
-        assert make_assertion().assertion_id != make_assertion().assertion_id
+        """An issuer's world mints its assertion ids: unique within the
+        world, from ``saml-1`` in every world."""
+        world, other = Network(), Network()
+        assert [world.mint("saml") for _ in range(3)] == ["saml-1", "saml-2", "saml-3"]
+        assert other.mint("saml") == "saml-1"
 
     def test_xml_contains_statements(self):
         xml = make_assertion().to_xml()

@@ -279,25 +279,19 @@ class TestIdentity:
         only: whatever type or issuer the id was sent under, the entry
         is a victim (over-, never under-invalidate)."""
         key = build(RequestContext, adds).cache_key()
-        for category, attribute_id, filters in (
-            (Category.SUBJECT, SUBJECT_ID, {"subject_id": wanted}),
-            (Category.RESOURCE, RESOURCE_ID, {"resource_id": wanted}),
-        ):
-            carried = any(
-                held is category
-                and attribute.attribute_id == attribute_id
-                and any(value.lexical() == wanted for value in attribute.values)
-                for held, attribute in adds
-            )
-            assert cache_key_touches(key, **filters) == carried
-        assert not cache_key_touches(key)
+        carried = any(
+            held is Category.SUBJECT
+            and attribute.attribute_id == SUBJECT_ID
+            and any(value.lexical() == wanted for value in attribute.values)
+            for held, attribute in adds
+        )
+        assert cache_key_touches(key, wanted) == carried
 
-    def test_touches_matches_either_filter(self):
+    def test_touches_matches_the_subject_only(self):
         key = RequestContext.simple("alice", "doc", "read").cache_key()
-        assert cache_key_touches(key, subject_id="alice", resource_id="other")
-        assert cache_key_touches(key, subject_id="bob", resource_id="doc")
-        assert not cache_key_touches(key, subject_id="doc", resource_id="alice")
-        assert not cache_key_touches(key, subject_id="read")
+        assert cache_key_touches(key, "alice")
+        assert not cache_key_touches(key, "doc")
+        assert not cache_key_touches(key, "read")
 
 
 # -- one parsed response per distinct text ----------------------------------------
@@ -501,7 +495,7 @@ class TestShape:
             request.values(Category.SUBJECT, "urn:test:role")
             request.first_value(Category.ENVIRONMENT, "urn:test:tod")
             key = request.cache_key()
-            cache_key_touches(key, subject_id="alice", resource_id="doc")
+            cache_key_touches(key, "alice")
         finally:
             sys.setprofile(None)
         assert entered == []
