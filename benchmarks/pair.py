@@ -1,6 +1,7 @@
 """Paired host-cost runs of two revisions, by one command.
 
     python benchmarks/pair.py --parent REV --workload W --seeds 101-110
+    python benchmarks/pair.py --since "PR 33"
 
 Exports ``--parent`` and ``--change`` (default: the working tree as it
 stands, untracked files included) into two fresh directories, then for
@@ -17,6 +18,16 @@ metric differs in any digit between the two sides of one seed: a change
 that moves the simulated world is not a host-cost change, and its cost
 numbers compare two different workloads.
 
+``--since LABEL`` runs nothing: it reads the trajectory and prints, per
+workload, the cumulative p50 and p90 since the first row labelled LABEL
+— the product of each row's change/parent median ratio.  A row
+measures the PR whose parent commit it names; when several rows name
+one parent (a draft, then the row that replaced it), the last one
+counts.  The report names the rows it multiplied and, from ``git log``,
+the PRs that landed since with no row (gaps): the product spans them
+without their cost.  Paired ratios carry across machines; the product
+is a trend, not a claim.
+
 The revisions are exported with ``git archive`` rather than checked out
 as ``git worktree``s: the repository is left exactly as it was, and a
 run sees the committed files in a new directory, which is how the
@@ -27,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import shutil
 import statistics
 import subprocess
@@ -191,19 +204,104 @@ def record(row: dict, path: Path = TRAJECTORY) -> None:
     )
 
 
+#: A commit that landed a PR, by its subject.
+PR_SUBJECT = re.compile(r"PR (\d+):")
+
+
+def rows_since(rows: list[dict], label: str, workload: str) -> list[dict]:
+    """``workload``'s rows from the first row labelled ``label`` on, in
+    trajectory order, the last per parent commit."""
+    starts = [index for index, row in enumerate(rows) if row["label"] == label]
+    if not starts:
+        raise SystemExit(f"pair.py: no row is labelled {label!r}")
+    latest: dict[str, tuple[int, dict]] = {}
+    for index, row in enumerate(rows):
+        if row["workload"] == workload:
+            latest[row["parent"]] = (index, row)
+    return [row for index, row in sorted(latest.values(), key=lambda kept: kept[0]) if index >= starts[0]]
+
+
+def ratio(row: dict, metric: str) -> Optional[float]:
+    """The row's change/parent median ratio of ``metric``, if it has one."""
+    medians = row["metrics"].get(metric)
+    if medians is None:
+        return None
+    return medians["change"]["median"] / medians["parent"]["median"]
+
+
+def landed_after(parent: str, history: list[tuple[str, str]]) -> list[str]:
+    """The PRs that landed after commit ``parent`` in ``history`` (hash,
+    subject; oldest first), in order; none when ``parent`` is not in it."""
+    hashes = [commit for commit, _ in history]
+    at = next((i for i, commit in enumerate(hashes) if commit.startswith(parent)), len(history))
+    return [f"PR {m.group(1)}" for _, subject in history[at + 1 :] if (m := PR_SUBJECT.match(subject))]
+
+
+def measured_pr(parent: str, history: list[tuple[str, str]]) -> Optional[str]:
+    """The PR a row on ``parent`` measured: the first to land after it.
+    None when none has landed yet (the row measured a working tree)."""
+    return next(iter(landed_after(parent, history)), None)
+
+
+def cumulative(
+    rows: list[dict], label: str, workload: str, history: list[tuple[str, str]]
+) -> dict:
+    """The rows since ``label``, per metric (p50, p90) the product of
+    their ratios and how many rows had one, and the gaps: the PRs that
+    landed after the first row's parent that no row measured."""
+    used = rows_since(rows, label, workload)
+    measured = {measured_pr(row["parent"], history) for row in used}
+    products = {}
+    for metric in ("decision_cost_cu_p50", "decision_cost_cu_p90"):
+        ratios = [r for r in (ratio(row, metric) for row in used) if r is not None]
+        products[metric] = {"product": math.prod(ratios), "rows": len(ratios)}
+    return {
+        "rows": used,
+        "gaps": [pr for pr in landed_after(used[0]["parent"], history) if pr not in measured],
+        "products": products,
+    }
+
+
+def print_cumulative(label: str, workloads: list[str], history: list[tuple[str, str]]) -> None:
+    rows = json.loads(TRAJECTORY.read_text(encoding="utf-8"))["rows"]
+    print(f"# cumulative since {label!r}: product of change/parent median ratios")
+    for workload in workloads:
+        report = cumulative(rows, label, workload, history)
+        figures = "   ".join(
+            f"{metric[-3:]} x{entry['product']:.4f} ({(entry['product'] - 1) * 100:+.1f}%, "
+            f"{entry['rows']} rows)"
+            for metric, entry in report["products"].items()
+        )
+        print(f"{workload:18s} {figures}")
+        for row in report["rows"]:
+            print(
+                f"    {row['label']!r} parent {row['parent']} seeds {row['seeds']} "
+                f"({row.get('pairs', '?')} pairs): p50 x{ratio(row, 'decision_cost_cu_p50'):.4f}"
+            )
+        if report["gaps"]:
+            print(f"    gaps (landed, no row): {', '.join(report['gaps'])}")
+
+
+def git_history() -> list[tuple[str, str]]:
+    """The commits of ``HEAD``'s history, oldest first: hash and subject."""
+    lines = git("log", "--reverse", "--format=%H %s").splitlines()
+    return [(commit, subject) for commit, subject in (line.split(" ", 1) for line in lines)]
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="revision to compare against")
+    parser.add_argument("--parent", help="revision to compare against")
     parser.add_argument(
         "--change", default=None,
         help="revision under test (default: the working tree, uncommitted "
         "and untracked files included)",
     )  # fmt: skip
     parser.add_argument(
-        "--workload", action="append", required=True,
-        help="BENCHMARK.json workload; repeat for several",
+        "--workload", action="append",
+        help="BENCHMARK.json workload; repeat for several (with --since: "
+        "the workloads reported, default all)",
     )  # fmt: skip
-    parser.add_argument("--seeds", required=True, help='e.g. "101-110" or "11,73"')
+    parser.add_argument("--seeds", help='e.g. "101-110" or "11,73"')
     parser.add_argument(
         "--seconds", type=float, default=None,
         help="measured seconds per run (default: BENCHMARK.json run_seconds; "
@@ -214,13 +312,25 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         "--no-record", action="store_true",
         help="print only; leave BENCH_host.json alone",
     )  # fmt: skip
-    return parser.parse_args(argv)
+    parser.add_argument(
+        "--since", metavar="LABEL",
+        help="run nothing: print each workload's cumulative p50 and p90 "
+        "since the first row labelled LABEL",
+    )  # fmt: skip
+    args = parser.parse_args(argv)
+    if args.since is None and not (args.parent and args.workload and args.seeds):
+        parser.error("--parent, --workload and --seeds are required to pair runs")
+    return args
 
 
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
-    seeds = parse_seeds(args.seeds)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.since is not None:
+        workloads = args.workload or [entry["name"] for entry in spec["workloads"]]
+        print_cumulative(args.since, workloads, git_history())
+        return 0
+    seeds = parse_seeds(args.seeds)
     seconds = float(spec["run_seconds"]) if args.seconds is None else args.seconds
     healthy = True
     with tempfile.TemporaryDirectory(prefix="pair-") as scratch:

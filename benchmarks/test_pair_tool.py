@@ -2,6 +2,9 @@
 as a win, what it writes.  The runs themselves are the perf lane's."""
 
 import json
+import math
+
+import pytest
 
 import pair
 
@@ -89,3 +92,65 @@ def test_the_committed_trajectory_is_well_formed():
     for row in trajectory["rows"]:
         assert {"label", "parent", "change", "workload", "seeds", "metrics"} <= set(row)
         assert row["failed"] == 0 and row["simulated_equal"] is True
+
+
+def row(label, parent, p50, p90=None, workload="secure_sync"):
+    metrics = {"decision_cost_cu_p50": {"parent": {"median": 40.0}, "change": {"median": p50}}}
+    if p90 is not None:
+        metrics["decision_cost_cu_p90"] = {"parent": {"median": 50.0}, "change": {"median": p90}}
+    return {"label": label, "parent": parent, "workload": workload, "metrics": metrics}
+
+
+#: Commits, oldest first: PR 3 lands on a1, PR 4 on b2, a re-anchor, PR 6
+#: (PR 5 never landed), PR 7 with no row, then the tip a working tree
+#: change is measured against.
+HISTORY = [
+    ("a1" + "0" * 38, "PR 2: two"),
+    ("b2" + "0" * 38, "PR 3: three"),
+    ("c3" + "0" * 38, "PR 4: four"),
+    ("d4" + "0" * 38, "re-anchor @ PR 4: ROADMAP"),
+    ("e5" + "0" * 38, "PR 6: six"),
+    ("f6" + "0" * 38, "PR 7: seven"),
+]
+TRAJECTORY_ROWS = [
+    row("PR 2", "a0", 99.0),
+    row("PR 3 draft", "a1", 20.0, 25.0),
+    row("PR 3", "a1", 36.0, 45.0),
+    row("PR 3", "a1", 32.0, 40.0, workload="gateway_plain"),
+    row("PR 4", "b2", 44.0),
+    row("PR 6", "d4", 40.0, 55.0),
+    row("PR 8", "f6", 30.0, 50.0),
+]
+
+
+def test_the_cumulative_ratio_multiplies_the_last_row_per_parent_since_the_label():
+    report = pair.cumulative(TRAJECTORY_ROWS, "PR 3", "secure_sync", HISTORY)
+    # The draft is superseded by the later row on the same parent; PR 2's
+    # row is before the label; another workload's rows are not read.
+    assert [r["label"] for r in report["rows"]] == ["PR 3", "PR 4", "PR 6", "PR 8"]
+    p50 = report["products"]["decision_cost_cu_p50"]
+    assert p50["rows"] == 4
+    assert math.isclose(p50["product"], (36 / 40) * (44 / 40) * (40 / 40) * (30 / 40))
+    # A row without p90 (as the early ones were recorded) is left out.
+    p90 = report["products"]["decision_cost_cu_p90"]
+    assert p90["rows"] == 3
+    assert math.isclose(p90["product"], (45 / 50) * (55 / 50) * (50 / 50))
+
+
+def test_a_draft_label_reaches_the_row_that_replaced_it():
+    labels = [r["label"] for r in pair.rows_since(TRAJECTORY_ROWS, "PR 3 draft", "secure_sync")]
+    assert labels == ["PR 3", "PR 4", "PR 6", "PR 8"]
+
+
+def test_the_prs_that_landed_without_a_row_are_the_gaps():
+    report = pair.cumulative(TRAJECTORY_ROWS, "PR 3", "secure_sync", HISTORY)
+    assert report["gaps"] == ["PR 7"]
+    assert pair.measured_pr("d4", HISTORY) == "PR 6"
+    assert pair.measured_pr("f6", HISTORY) is None  # a working tree on the tip
+    gateway = pair.cumulative(TRAJECTORY_ROWS, "PR 3", "gateway_plain", HISTORY)
+    assert gateway["gaps"] == ["PR 4", "PR 6", "PR 7"]
+
+
+def test_an_unknown_label_is_refused():
+    with pytest.raises(SystemExit, match="no row is labelled"):
+        pair.rows_since(TRAJECTORY_ROWS, "PR 99", "secure_sync")

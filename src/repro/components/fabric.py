@@ -750,6 +750,9 @@ class BatchWireCore:
             inflight.job.dispatcher.note_done(inflight.replica)
 
     def _done(self, inflight: _InflightEnvelope, outcome: str) -> None:
+        """Close the envelope's span (nothing when it is untraced).  The
+        reply path, run on every answered envelope, calls it only for a
+        traced one."""
         self.component.network.tracer.envelope_done(inflight.trace, inflight.items, outcome)
 
     def _on_reply(self, inflight: _InflightEnvelope, message: Message) -> None:
@@ -767,7 +770,8 @@ class BatchWireCore:
             self._done(inflight, "reply-rejected")
             job.fail(inflight.items, exc)
             return
-        self._done(inflight, "ok")
+        if inflight.trace is not None:
+            self._done(inflight, "ok")
         job.deliver(inflight.items, statements)
 
     def _on_error(self, inflight: _InflightEnvelope, exc: Exception) -> None:

@@ -45,6 +45,7 @@ classification, the forwarded-envelope profile and the origin checks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
@@ -58,6 +59,7 @@ from ..saml.xacml_profile import (
     XacmlAuthzDecisionBatchStatement,
     XacmlAuthzDecisionQuery,
     XacmlAuthzDecisionStatement,
+    canonical_batch,
     parse_envelope,
     qualified,
     wire_number,
@@ -71,6 +73,7 @@ from ..xacml.context import (
     Status,
     StatusCode,
 )
+from ..xacml.parser import IN_ATTRIBUTE, read_canonical
 from .base import DEFAULT_TIMEOUT, Component, RpcFault
 from .cache import DecisionCache
 from .channel import is_secure_action, secure_action
@@ -92,6 +95,13 @@ FORWARD_TTL = 3
 
 _FORWARD_TAG = qualified("fed:ForwardedBatchQuery")
 _NOT_A_FORWARD = "not a ForwardedBatchQuery"
+#: The wrapper ``to_xml`` writes around a batch, on header values
+#: ``quoteattr`` writes between double quotes unescaped.
+_CANONICAL_FORWARD = re.compile(
+    rf'<fed:ForwardedBatchQuery OriginDomain="({IN_ATTRIBUTE}*)" '
+    rf'OriginGateway="({IN_ATTRIBUTE}*)" TTL="([0-9]+)">'
+)
+_FORWARD_CLOSE = "</fed:ForwardedBatchQuery>"
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,11 @@ class ForwardedBatchQuery:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "ForwardedBatchQuery":
-        """One expat pass for the wrapper and the batch it carries."""
+        """The wrapper and the batch it carries, read in the writers'
+        canonical form by patterns, any other text by one expat pass."""
+        forward = read_canonical(_canonical_forward, xml_text)
+        if forward is not None:
+            return forward
         element = parse_envelope(xml_text, _NOT_A_FORWARD)
         if element.tag != _FORWARD_TAG or len(element) != 1:
             raise ValueError(_NOT_A_FORWARD)
@@ -142,6 +156,20 @@ class ForwardedBatchQuery:
             origin_gateway=attrs["OriginGateway"],
             ttl=wire_number(attrs["TTL"], int, _NOT_A_FORWARD),
         )
+
+
+def _canonical_forward(text: str, start: int) -> Optional[tuple[ForwardedBatchQuery, int]]:
+    """The forward at ``start`` and where it ends, when it is written as
+    ``to_xml`` writes it with canonical values (None otherwise)."""
+    match = _CANONICAL_FORWARD.match(text, start)
+    if match is None:
+        return None
+    inner = canonical_batch(text, match.end())
+    if inner is None or not text.startswith(_FORWARD_CLOSE, inner[1]):
+        return None
+    domain, gateway, ttl = match.groups()
+    forward = ForwardedBatchQuery(inner[0], domain, gateway, wire_number(ttl, int, _NOT_A_FORWARD))
+    return forward, inner[1] + len(_FORWARD_CLOSE)
 
 
 class _ServiceContext:

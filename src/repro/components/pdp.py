@@ -411,15 +411,16 @@ class PolicyDecisionPoint(Component):
         payload = self.channel.seal_reply(
             message, statement.to_xml(), sign=self.config.sign_responses
         )
+        traced = self.network.tracer.enabled
         if cost <= 0:
-            self._trace_service(message, batch_id, decisions, 0.0, 0.0)
+            if traced:
+                self._trace_service(message, batch_id, decisions, 0.0, 0.0)
             self.respond(message, payload)
             return
         start = max(self._busy_until, self.now)
         self._busy_until = start + cost
-        self._trace_service(
-            message, batch_id, decisions, start - self.now, cost
-        )
+        if traced:
+            self._trace_service(message, batch_id, decisions, start - self.now, cost)
 
         def send_reply() -> None:
             if self.alive:
@@ -442,10 +443,9 @@ class PolicyDecisionPoint(Component):
         that into busy-wait (``queued``), per-envelope parse/signature
         work (``overhead``) and the worker-pool decision makespan
         (``eval``) — the figures the latency decomposition joins on.
+        Called only while tracing is on.
         """
         tracer = self.network.tracer
-        if not tracer.enabled:
-            return
         context = TraceContext.parse(message.headers.get(TRACE_HEADER))
         overhead = min(self.config.envelope_overhead, cost) if cost else 0.0
         tracer.emit(

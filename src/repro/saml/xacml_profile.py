@@ -23,21 +23,37 @@ context the XACML serializer wrote; header fields a caller chooses
 (``Issuer``, ``ID``, ``InResponseTo``) are escaped, so any string
 round-trips and benign names keep their bytes.
 
-*Queries take one pass.*  A query message — single, batch, or the
-federation's forwarded batch — is parsed by expat once, whole
-(:func:`parse_envelope`), and the tree is then checked exactly: root tag
+*Queries: the writers' form by pattern, anything else by one pass.*  A
+query message — single, batch, or the federation's forwarded batch — is
+first read by the canonical reader: one scan with patterns compiled
+once, over the wrapper tags, attribute sets and attribute order exactly
+as ``to_xml`` writes them and the request tokens of the XACML
+serializer's own tables (:func:`~repro.xacml.parser.canonical_request`),
+on values of printable ASCII with no ``&``, no ``"<>`` in an attribute
+value and no ``<>]`` in text — where XML's reading is the literal text.
+It stops at the first byte that is not that form (a non-ASCII text, an
+escape, ``ReturnContext="1"``, a ``Count`` the queries do not match)
+and hands the text, whole and unchanged, to the one expat pass
+(:func:`parse_envelope`), whose tree is then checked exactly: root tag
 and attribute set; ``saml:Issuer`` first, text only; every following
 child an ``XACMLAuthzDecisionQuery`` of exactly ``Issuer`` + ``Request``;
 no text or tail between elements, so whitespace, stray elements and
 entity references between them are a malformed envelope; ``Count`` in
 ASCII digits, equal to the queries found.  Each ``<Request>`` element
-goes to the XACML parser's own walk; nothing is parsed twice.  Every
-request the PDP decides arrives this way and all of them are distinct,
-which is why this path was rebuilt: patterns that tiled the batch, plus
-a fresh expat parse of every request fragment, plus the walk, cost
-≈ 38 µs per request of a 16-query batch; one pass over the whole
-envelope costs ≈ 11 and the whole decode ≈ 27 (Intel Xeon, CPython
-3.11).
+goes to the XACML parser's own walk; nothing is parsed twice.  The
+checks after either read are the same functions (the request leaf,
+:func:`_instant`, :func:`wire_number`), so a text both accept reads the
+same, and every refusal comes from the expat path.  Every text the
+writers produce over plain values takes the pattern path (every query
+of the four perf workloads does), and it costs a third to two thirds of
+the pass: 12 µs per single query against 32 for the pass and walk
+(400 captured ``secure_sync`` queries, leaf memo warm), 16 µs per
+request of a 16-query batch against 25 (400 captured ``gateway_plain``
+batches, every subject new).  A text declined at its last byte pays the
+scan and then the pass: 43 µs against 30 (single), 40 against 25 (per
+batch request).  (Patterns that tiled a batch and parsed every request
+fragment again with expat cost ≈ 38 µs per request.  Intel Xeon,
+CPython 3.11.)
 
 *Statements keep tile + memo.*  A statement batch is read by patterns
 compiled once, in one pass whose matches must *tile* the body (each
@@ -64,7 +80,16 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, TypeVar
 
 from ..xacml.context import RequestContext, ResponseContext
-from ..xacml.parser import ParseError, _request_of, parse_request, parse_response
+from ..xacml.parser import (
+    IN_ATTRIBUTE,
+    IN_TEXT,
+    ParseError,
+    _request_of,
+    canonical_request,
+    parse_request,
+    parse_response,
+    read_canonical,
+)
 from ..xacml.serializer import serialize_request, serialize_response
 from ..xmlutil import escape_attr, escape_text, unescape
 
@@ -219,6 +244,84 @@ def _query_of(
     )
 
 
+# -- the canonical reader -------------------------------------------------------------
+
+_CANONICAL_ISSUER = rf"<saml:Issuer>({IN_TEXT}*)</saml:Issuer>"
+#: A query's wrapper up to its request, as ``to_xml`` writes it.
+_CANONICAL_QUERY = re.compile(
+    rf'<xacml-samlp:XACMLAuthzDecisionQuery ID="({IN_ATTRIBUTE}*)" '
+    rf'IssueInstant="({IN_ATTRIBUTE}*)" ReturnContext="(true|false)">{_CANONICAL_ISSUER}'
+)
+_QUERY_CLOSE = "</xacml-samlp:XACMLAuthzDecisionQuery>"
+#: A batch's wrapper up to its first query, as ``to_xml`` writes it.
+_CANONICAL_BATCH = re.compile(
+    rf'<xacml-samlp:XACMLAuthzDecisionBatchQuery ID="({IN_ATTRIBUTE}*)" '
+    rf'IssueInstant="({IN_ATTRIBUTE}*)" Count="([0-9]+)">{_CANONICAL_ISSUER}'
+)
+_BATCH_CLOSE = "</xacml-samlp:XACMLAuthzDecisionBatchQuery>"
+
+
+def _canonical_query(
+    text: str, start: int, read: dict[str, float]
+) -> Optional[tuple["XacmlAuthzDecisionQuery", int]]:
+    """The query at ``start`` and where it ends, when it is written as
+    ``to_xml`` writes it with canonical values (None otherwise; see
+    :func:`~repro.xacml.parser.read_canonical`).  Its request is read by
+    :func:`~repro.xacml.parser.canonical_request`, its instant by
+    :func:`_instant`."""
+    match = _CANONICAL_QUERY.match(text, start)
+    if match is None:
+        return None
+    inner = canonical_request(text, match.end())
+    if inner is None or not text.startswith(_QUERY_CLOSE, inner[1]):
+        return None
+    query_id, instant, return_context, issuer = match.groups()
+    query = XacmlAuthzDecisionQuery(
+        request=inner[0],
+        issuer=issuer,
+        issue_instant=_instant(instant, read, _NOT_A_QUERY),
+        return_context=return_context == "true",
+        query_id=query_id,
+    )
+    return query, inner[1] + len(_QUERY_CLOSE)
+
+
+def _canonical_single(text: str, start: int) -> Optional[tuple["XacmlAuthzDecisionQuery", int]]:
+    """A query sent alone, whose instant is checked on its own."""
+    return _canonical_query(text, start, {})
+
+
+def canonical_batch(
+    text: str, start: int
+) -> Optional[tuple["XacmlAuthzDecisionBatchQuery", int]]:
+    """The batch at ``start`` and where it ends, when it is written as
+    ``to_xml`` writes it with canonical values: its queries, at least
+    one, as :func:`_canonical_query` reads them, as many as ``Count``
+    says (None otherwise)."""
+    match = _CANONICAL_BATCH.match(text, start)
+    if match is None:
+        return None
+    batch_id, instant, count, issuer = match.groups()
+    read: dict[str, float] = {}
+    issue_instant = _instant(instant, read, _NOT_A_BATCH_QUERY)
+    queries: list[XacmlAuthzDecisionQuery] = []
+    position = match.end()
+    while not text.startswith(_BATCH_CLOSE, position):
+        inner = _canonical_query(text, position, read)
+        if inner is None:
+            return None
+        query, position = inner
+        queries.append(query)
+    if len(queries) != wire_number(count, int, _NOT_A_BATCH_QUERY):
+        return None
+    batch = XacmlAuthzDecisionBatchQuery(
+        queries=tuple(queries), issuer=issuer, issue_instant=issue_instant, batch_id=batch_id
+    )
+    return batch, position + len(_BATCH_CLOSE)
+
+
+# -- statements -----------------------------------------------------------------------
+
 _ISSUER = r"<saml:Issuer>([^<]*)</saml:Issuer>"
 #: An echoed request, when present, is everything between the response
 #: and the statement's end, and must be one ``<Request>`` document.
@@ -292,6 +395,9 @@ class XacmlAuthzDecisionQuery:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "XacmlAuthzDecisionQuery":
+        query = read_canonical(_canonical_single, xml_text)
+        if query is not None:
+            return query
         return _query_of(parse_envelope(xml_text, _NOT_A_QUERY), _NOT_A_QUERY, {})
 
 
@@ -404,6 +510,9 @@ class XacmlAuthzDecisionBatchQuery:
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "XacmlAuthzDecisionBatchQuery":
+        batch = read_canonical(canonical_batch, xml_text)
+        if batch is not None:
+            return batch
         return cls.from_element(parse_envelope(xml_text, _NOT_A_BATCH_QUERY))
 
     @classmethod

@@ -18,14 +18,17 @@ the structure (``Category``, ``AttributeId``, each value's
 unknown data type, a text its type cannot read, no values) is a
 :class:`ParseError` with the leaf's message.
 
-Every document and every ``<Request>`` / ``<Response>`` fragment goes
-through expat (``ET.fromstring``): text that is not well-formed XML is a
-:class:`ParseError` whatever the envelope around it looked like.  (A
-``<Request>`` inside a SAML query is read from the element the query's
-own expat pass built, by the same walk, :func:`_request_of`; a
-``<Response>`` text that was accepted before is answered from
-:func:`parse_response`'s bounded memo; a text never seen, or rejected,
-is parsed in full.)  What
+A ``<Request>`` in the writer's canonical form is read by compiled
+patterns (:func:`canonical_request`): one scan, tokens built from the
+serializer's own tables, values of printable ASCII that XML reads as
+the literal text.  Every other document and every ``<Response>``
+fragment goes through expat (``ET.fromstring``): text that is not
+well-formed XML is a :class:`ParseError` whatever the envelope around it
+looked like.  (A non-canonical ``<Request>`` inside a SAML query is read
+from the element the query's own expat pass built, by the same walk,
+:func:`_request_of`; a ``<Response>`` text that was accepted before is
+answered from :func:`parse_response`'s bounded memo; a text never seen,
+or rejected, is parsed in full.)  What
 the Python half adds on top is kept to what the wire needs: URIs
 resolve to ``Category`` / ``DataType`` members through dicts built once,
 and children are looked up by plain tag, which the C accelerator's
@@ -40,10 +43,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 import xml.etree.ElementTree as ET
-from typing import TypeVar, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .attributes import (
+    Attribute,
     AttributeDesignator,
     AttributeValue,
     Category,
@@ -73,7 +78,12 @@ from .expressions import (
 )
 from .policy import Policy, PolicyReference, PolicySet
 from .rules import Rule
-from .serializer import ALL_OF_FUNCTION_ID, ANY_OF_FUNCTION_ID
+from .serializer import (
+    _ATTRIBUTES_OPEN,
+    _VALUE_OPEN,
+    ALL_OF_FUNCTION_ID,
+    ANY_OF_FUNCTION_ID,
+)
 from .targets import AllOf, AnyOf, Target, _match_of, target_of
 
 
@@ -332,6 +342,12 @@ def parse_policy(xml_text: str) -> Union[Policy, PolicySet]:
 
 
 def parse_request(xml_text: str) -> RequestContext:
+    """The request ``xml_text`` is: read by :func:`canonical_request`
+    when the text is the writer's canonical form, by expat and
+    :func:`_request_of` otherwise."""
+    request = read_canonical(canonical_request, xml_text)
+    if request is not None:
+        return request
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -371,6 +387,110 @@ def _request_of(root: ET.Element) -> RequestContext:
                 raise ParseError(str(exc)) from exc
             request.add(category, attribute)
     return request
+
+
+# -- the canonical reader -------------------------------------------------------------
+
+#: One character of a value in the canonical form: printable ASCII, minus
+#: what XML reads as markup, a reference or a character it normalises —
+#: ``"&<>`` in an attribute value, ``&<>]`` in element text.  On such a
+#: value (the caller has checked the text is ASCII) XML's reading is the
+#: literal text, so a pattern that captures it reads what expat reads.
+IN_ATTRIBUTE = r'[^\x00-\x1f\x7f"&<>]'
+IN_TEXT = r"[^\x00-\x1f\x7f&<>\]]"
+_T = TypeVar("_T")
+
+
+def read_canonical(
+    reader: Callable[[str, int], Optional[tuple[_T, int]]], text: str
+) -> Optional[_T]:
+    """What ``reader`` reads of the whole of ``text``, or None.
+
+    A canonical reader returns what it read and where it stopped, or
+    None at the first byte that is not the writers' form.  None here
+    also when the text is not ASCII, when the reader stopped before the
+    end, or when a check it ran (a leaf, an instant, a count) refused a
+    value: the caller then hands the text, whole and unchanged, to its
+    expat path, which accepts or refuses it as it always has.  So an
+    accepted text is read by the same checks either way, and every
+    refusal comes from the expat path.
+    """
+    if not text.isascii():
+        return None
+    try:
+        read = reader(text, 0)
+    except ValueError:
+        return None
+    if read is None or read[1] != len(text):
+        return None
+    return read[0]
+
+
+_CATEGORY_OPENS = "|".join(map(re.escape, _ATTRIBUTES_OPEN.values()))
+_VALUE_OPENS = "|".join(map(re.escape, _VALUE_OPEN.values()))
+_CATEGORY_OF_OPEN = {opening: category for category, opening in _ATTRIBUTES_OPEN.items()}
+_URI_OF_OPEN = {opening: data_type.value for data_type, opening in _VALUE_OPEN.items()}
+_VALUE = rf"(?:{_VALUE_OPENS})(?:>{IN_TEXT}+</AttributeValue>| />)"
+
+
+def _attribute(group: str) -> str:
+    """The pattern of an attribute as the serializer writes it, with its
+    id, ``Issuer`` (present or not) and the issuer's text, its first
+    value's opening tag and text, and any further values, each in a
+    group ``group`` opens: ``"("`` captures them, ``"(?:"`` does not."""
+    return (
+        rf'<Attribute AttributeId="{group}{IN_ATTRIBUTE}*)"{group} Issuer="{group}{IN_ATTRIBUTE}*)")?>'
+        rf"{group}{_VALUE_OPENS})(?:>{group}{IN_TEXT}+)</AttributeValue>| />)"
+        rf"{group}(?:{_VALUE})*)</Attribute>"
+    )
+
+
+#: A category's opening tag, its first attribute's parts and the text
+#: of its further attributes (all one match: the common request has one
+#: attribute per category, and each character is scanned once).
+_CATEGORY = re.compile(
+    rf"({_CATEGORY_OPENS}){_attribute('(')}((?:{_attribute('(?:')})*)</Attributes>"
+)
+_ATTRIBUTE = re.compile(_attribute("("))
+_VALUE_TOKEN = re.compile(rf"({_VALUE_OPENS})(?:>({IN_TEXT}+)<| />)")
+_EMPTY_REQUEST, _REQUEST_OPEN, _REQUEST_CLOSE = "<Request />", "<Request>", "</Request>"
+
+
+def _leaf(
+    attribute_id: str, has_issuer: str, issuer: str, opening: str, value: str, more: str
+) -> Attribute:
+    """The attribute an :data:`_ATTRIBUTE` match's groups spell."""
+    values: tuple[tuple[str, str], ...] = ((_URI_OF_OPEN[opening], value),)
+    if more:
+        values += tuple([(_URI_OF_OPEN[o], v) for o, v in _VALUE_TOKEN.findall(more)])
+    return _attribute_of(attribute_id, issuer if has_issuer else None, values)
+
+
+def canonical_request(text: str, start: int) -> Optional[tuple[RequestContext, int]]:
+    """The request at ``start`` and where it ends, when it is written as
+    the serializer writes it (None otherwise; see :func:`read_canonical`).
+
+    Each attribute is the leaf :func:`_attribute_of` gives for the id,
+    issuer and ``(data-type URI, text)`` values :func:`_request_of`
+    would pass it, so both paths read one request the same.  An unknown
+    category or data type matches no pattern; what the leaf refuses is
+    its ``ValueError``."""
+    request = RequestContext()
+    if text.startswith(_EMPTY_REQUEST, start):
+        return request, start + len(_EMPTY_REQUEST)
+    if not text.startswith(_REQUEST_OPEN, start):
+        return None
+    position = start + len(_REQUEST_OPEN)
+    while (match := _CATEGORY.match(text, position)) is not None:
+        opening, *first, more = match.groups("")
+        category = _CATEGORY_OF_OPEN[opening]
+        request.add(category, _leaf(*first))
+        for attribute in _ATTRIBUTE.findall(more) if more else ():
+            request.add(category, _leaf(*attribute))
+        position = match.end()
+    if position == start + len(_REQUEST_OPEN) or not text.startswith(_REQUEST_CLOSE, position):
+        return None
+    return request, position + len(_REQUEST_CLOSE)
 
 
 #: Distinct response texts :func:`parse_response` remembers.  A PDP

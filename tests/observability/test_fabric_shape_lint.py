@@ -31,8 +31,10 @@ paths (builders and parser), nowhere else under ``src/``.
 
 And to query envelopes: a batch was tiled by patterns and every request
 in it parsed again on its own, a forwarded batch's wrapper by one more
-pattern.  One function runs expat on a query envelope now, and no
-pattern names a ``<Request>``.
+pattern.  One function runs expat on a query envelope now.  Patterns
+read the writers' own form only: the canonical reader scans it once and
+makes no expat call, any other text goes to that one expat pass whole,
+and no pattern outside the reader names a ``<Request>``.
 
 And to replica failover: a PEP could reach its PDP through the
 dispatcher, through a ``pdp_selector`` hook (a heartbeat router, a
@@ -291,9 +293,46 @@ def docstrings(tree: ast.AST):
             yield node.body[0].value
 
 
-def test_no_pattern_tiles_requests():
-    """A ``<Request>`` is read by expat, inside the message it came in:
-    no string in a module that compiles patterns names one."""
+#: The canonical reader, per module: the functions that read the
+#: writers' own form with patterns, and the names its patterns are
+#: held under.
+CANONICAL_READER = {
+    "xacml/parser.py": {
+        "read_canonical", "canonical_request", "_leaf", "_attribute",
+        "_CATEGORY", "_ATTRIBUTE", "_VALUE", "_VALUE_TOKEN",
+        "_EMPTY_REQUEST", "_REQUEST_OPEN", "_REQUEST_CLOSE",
+    },
+    "saml/xacml_profile.py": {"_canonical_query", "_canonical_single", "canonical_batch"},
+    "components/federation.py": {"_canonical_forward"},
+}  # fmt: skip
+#: What reads XML with expat, directly or as the tree path's entry.
+TREE_READERS = EXPAT_ENTRIES | {"parse_envelope", "parse_request", "_request_of", "from_element"}
+
+
+def top_level_owners(tree: ast.Module):
+    """``{id(node): names}``: the names each node's top-level statement
+    defines (a function's or class's name, an assignment's targets)."""
+    owners = {}
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            names = {statement.name}
+        else:
+            names = {
+                node.id
+                for target in getattr(statement, "targets", [getattr(statement, "target", None)])
+                if target is not None
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+            }
+        for node in ast.walk(statement):
+            owners[id(node)] = names
+    return owners
+
+
+def test_only_the_canonical_reader_names_requests_in_patterns():
+    """A ``<Request>`` is named by a pattern only in the canonical
+    reader: no other string in a module that compiles patterns names
+    one (docstrings and the messages of ``raise`` are not patterns)."""
     sites = []
     for path in sorted(REPRO.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -303,19 +342,57 @@ def test_no_pattern_tiles_requests():
         )
         if not imports_re:
             continue
+        module = path.relative_to(REPRO).as_posix()
         skipped = set(map(id, docstrings(tree)))
+        for raised in ast.walk(tree):
+            if isinstance(raised, ast.Raise):
+                skipped.update(map(id, ast.walk(raised)))
+        owners = top_level_owners(tree)
+        reader = CANONICAL_READER.get(module, set())
         sites.extend(
-            f"{path.relative_to(REPRO).as_posix()}:{node.lineno}"
+            f"{module}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and "<Request" in node.value
             and id(node) not in skipped
+            and not owners[id(node)] <= reader
         )
     assert sites == [], (
-        "a pattern names <Request> — queries are decoded by one expat pass "
+        "a pattern outside the canonical reader names <Request> — a query "
+        "is read by the canonical reader or by one expat pass "
         f"(saml.xacml_profile.parse_envelope), never tiled by regex: {sites}"
     )
+
+
+def test_the_canonical_reader_makes_no_expat_call():
+    """Nothing the reader's functions call, within the modules that hold
+    it, reads XML with expat or hands the text to the tree path: it
+    returns None instead, and its caller does that."""
+    defined, reached = {}, set()
+    for module in CANONICAL_READER:
+        tree = ast.parse((REPRO / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = node
+    pending = [name for names in CANONICAL_READER.values() for name in names if name in defined]
+    assert len(pending) == 8, "the lint lost sight of the reader's functions"
+    sites = []
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for call in ast.walk(defined[name]):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            called = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+            if called in TREE_READERS:
+                sites.append(f"{name} calls {called}")
+            elif called in defined:
+                pending.append(called)
+    assert sites == [], f"the canonical reader reaches the tree path: {sites}"
 
 
 def owned_nodes(paths):
