@@ -26,7 +26,9 @@ one parent (a draft, then the row that replaced it), the last one
 counts.  The report names the rows it multiplied and, from ``git log``,
 the PRs that landed since with no row (gaps): the product spans them
 without their cost.  Paired ratios carry across machines; the product
-is a trend, not a claim.
+is a trend, not a claim.  It is also a gate: the exit status is
+non-zero, and the report names the workload, when any workload's
+cumulative p50 is above :data:`DRIFT_LIMIT`.
 
 The revisions are exported with ``git archive`` rather than checked out
 as ``git worktree``s: the repository is left exactly as it was, and a
@@ -58,6 +60,10 @@ SIMULATED = (
     "wire_bytes_per_decision",
 )
 SIDES = ("parent", "change")
+#: ``--since`` fails when a workload's cumulative p50 product is above
+#: this: a drift of more than +5% since the anchor must be paid back or
+#: explained, not accumulated a few per cent per change.
+DRIFT_LIMIT = 1.05
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -255,18 +261,25 @@ def cumulative(
     for metric in ("decision_cost_cu_p50", "decision_cost_cu_p90"):
         ratios = [r for r in (ratio(row, metric) for row in used) if r is not None]
         products[metric] = {"product": math.prod(ratios), "rows": len(ratios)}
+    landed = landed_after(used[0]["parent"], history) if used else []
     return {
         "rows": used,
-        "gaps": [pr for pr in landed_after(used[0]["parent"], history) if pr not in measured],
+        "gaps": [pr for pr in landed if pr not in measured],
         "products": products,
     }
 
 
-def print_cumulative(label: str, workloads: list[str], history: list[tuple[str, str]]) -> None:
+def print_cumulative(label: str, workloads: list[str], history: list[tuple[str, str]]) -> int:
+    """Print each workload's cumulative report; returns the exit status:
+    1 when some workload's p50 product is above :data:`DRIFT_LIMIT`."""
     rows = json.loads(TRAJECTORY.read_text(encoding="utf-8"))["rows"]
     print(f"# cumulative since {label!r}: product of change/parent median ratios")
+    drifted = []
     for workload in workloads:
         report = cumulative(rows, label, workload, history)
+        p50 = report["products"]["decision_cost_cu_p50"]["product"]
+        if p50 > DRIFT_LIMIT:
+            drifted.append(f"{workload} p50 x{p50:.4f}")
         figures = "   ".join(
             f"{metric[-3:]} x{entry['product']:.4f} ({(entry['product'] - 1) * 100:+.1f}%, "
             f"{entry['rows']} rows)"
@@ -280,6 +293,12 @@ def print_cumulative(label: str, workloads: list[str], history: list[tuple[str, 
             )
         if report["gaps"]:
             print(f"    gaps (landed, no row): {', '.join(report['gaps'])}")
+    for figure in drifted:
+        print(
+            f"FAILED CHECK: drift since {label!r}: {figure} is above x{DRIFT_LIMIT}",
+            file=sys.stderr,
+        )
+    return 1 if drifted else 0
 
 
 def git_history() -> list[tuple[str, str]]:
@@ -315,7 +334,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument(
         "--since", metavar="LABEL",
         help="run nothing: print each workload's cumulative p50 and p90 "
-        "since the first row labelled LABEL",
+        "since the first row labelled LABEL; fail when a p50 is above "
+        "DRIFT_LIMIT",
     )  # fmt: skip
     args = parser.parse_args(argv)
     if args.since is None and not (args.parent and args.workload and args.seeds):
@@ -328,8 +348,7 @@ def main(argv: list[str]) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.since is not None:
         workloads = args.workload or [entry["name"] for entry in spec["workloads"]]
-        print_cumulative(args.since, workloads, git_history())
-        return 0
+        return print_cumulative(args.since, workloads, git_history())
     seeds = parse_seeds(args.seeds)
     seconds = float(spec["run_seconds"]) if args.seconds is None else args.seconds
     healthy = True

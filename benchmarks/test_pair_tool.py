@@ -98,7 +98,13 @@ def row(label, parent, p50, p90=None, workload="secure_sync"):
     metrics = {"decision_cost_cu_p50": {"parent": {"median": 40.0}, "change": {"median": p50}}}
     if p90 is not None:
         metrics["decision_cost_cu_p90"] = {"parent": {"median": 50.0}, "change": {"median": p90}}
-    return {"label": label, "parent": parent, "workload": workload, "metrics": metrics}
+    return {
+        "label": label,
+        "parent": parent,
+        "workload": workload,
+        "seeds": "101-103",
+        "metrics": metrics,
+    }
 
 
 #: Commits, oldest first: PR 3 lands on a1, PR 4 on b2, a re-anchor, PR 6
@@ -154,3 +160,34 @@ def test_the_prs_that_landed_without_a_row_are_the_gaps():
 def test_an_unknown_label_is_refused():
     with pytest.raises(SystemExit, match="no row is labelled"):
         pair.rows_since(TRAJECTORY_ROWS, "PR 99", "secure_sync")
+
+
+def since(tmp_path, monkeypatch, rows, label):
+    """``pair.py --since label`` over ``rows`` on :data:`HISTORY`: the
+    exit status."""
+    path = tmp_path / "BENCH_host.json"
+    path.write_text(json.dumps({"about": "synthetic", "rows": rows}))
+    monkeypatch.setattr(pair, "TRAJECTORY", path)
+    monkeypatch.setattr(pair, "git_history", lambda: HISTORY)
+    return pair.main(["--since", label, "--workload", "secure_sync", "--workload", "gateway_plain"])
+
+
+def test_the_drift_gate_passes_a_trajectory_within_the_limit(tmp_path, monkeypatch, capsys):
+    # secure_sync x0.7425, gateway_plain x0.8: both at or below the limit.
+    assert since(tmp_path, monkeypatch, TRAJECTORY_ROWS, "PR 3") == 0
+    assert "FAILED CHECK" not in capsys.readouterr().err
+
+
+def test_the_drift_gate_fails_and_names_a_workload_past_the_limit(
+    tmp_path, monkeypatch, capsys
+):
+    # Since PR 4: x1.1 then x1.0, then a row that gives back less than
+    # it took (x0.96): x1.056 in all.
+    rows = [*TRAJECTORY_ROWS[:-1], row("PR 8", "f6", 38.4)]
+    assert since(tmp_path, monkeypatch, rows, "PR 4") == 1
+    out, err = capsys.readouterr()
+    assert "secure_sync p50 x1.0560" in err and "above x1.05" in err
+    # gateway_plain has no row since PR 4: nothing to multiply, no drift.
+    assert "gateway_plain      p50 x1.0000 (+0.0%, 0 rows)" in out
+    assert "gateway_plain" not in err
+    assert pair.DRIFT_LIMIT == 1.05

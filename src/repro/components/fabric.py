@@ -673,7 +673,11 @@ class BatchWireCore:
         """
         job = job if job is not None else self.job
         dispatcher = job.dispatcher
-        groups = [(None, items)] if dispatcher is None else dispatcher.partition(items)
+        groups = (
+            [(None, items)]
+            if dispatcher is None or dispatcher.placement is None
+            else dispatcher.partition(items)
+        )
         tx_time = 0.0
         for owner, group in groups:
             pinned = (

@@ -377,12 +377,28 @@ class PolicyDecisionPoint(Component):
 
     # -- evaluation ------------------------------------------------------------------
 
+    def _decide(self, queries: Sequence[XacmlAuthzDecisionQuery], then: Callable) -> None:
+        """Decide ``queries`` in order; ``then`` gets their statements.
+
+        With an attribute source (a partition, a resolver or PIPs) a
+        :class:`_Decision` runs, which may ask the PIPs between passes.
+        Without one no pass can miss, so the queries are decided by one
+        engine call, here and now.
+        """
+        if self.partition or self.attribute_resolver or self.pip_addresses:
+            _Decision(self, queries, then).run()
+            return
+        self.decisions_made += len(queries)
+        responses = self.engine.evaluate_batch(
+            [query.request for query in queries], current_time=self.now
+        )
+        then(self._statements(queries, responses))
+
     def _decide_batch(self, queries: Sequence[XacmlAuthzDecisionQuery], then: Callable) -> None:
-        """Decide a batch's queries (see :class:`_Decision`), counted as
-        one batch evaluation."""
+        """Decide a batch's queries, counted as one batch evaluation."""
         self.batch_queries_served += 1
         self.batched_decisions += len(queries)
-        _Decision(self, queries, then).run()
+        self._decide(queries, then)
 
     # -- service-time model -------------------------------------------------------------
 
@@ -514,7 +530,7 @@ class PolicyDecisionPoint(Component):
         return None
 
     def _answer_query(self, query: XacmlAuthzDecisionQuery, reply) -> None:
-        _Decision(self, [query], lambda statements: reply(statements[0], 1, query.query_id)).run()
+        self._decide([query], lambda statements: reply(statements[0], 1, query.query_id))
 
     def _answer_owned_batch(self, batch: XacmlAuthzDecisionBatchQuery, reply) -> None:
         """Answer a peer replica's reforward of slots this replica owns.
@@ -527,16 +543,27 @@ class PolicyDecisionPoint(Component):
         self.owned_batches_served += 1
         self._answer_batch(batch, reply, allow_forward=False)
 
-    def _statement_for(
-        self, query: XacmlAuthzDecisionQuery, engine_response: EngineResponse
-    ) -> XacmlAuthzDecisionStatement:
-        return XacmlAuthzDecisionStatement(
-            response=engine_response.response,
-            in_response_to=query.query_id,
-            issuer=self.name,
-            issue_instant=self.now,
-            request_echo=query.request if query.return_context else None,
-        )
+    def _statements(
+        self,
+        queries: Sequence[XacmlAuthzDecisionQuery],
+        responses: Sequence[EngineResponse],
+    ) -> list[XacmlAuthzDecisionStatement]:
+        """The statements answering decided ``queries``, each response's
+        candidate-set size sampled on the way."""
+        metrics, now = self.network.metrics, self.now
+        statements = []
+        for query, response in zip(queries, responses, strict=True):
+            metrics.record_sample(CANDIDATE_SET_SERIES, response.stats.candidate_set_size)
+            statements.append(
+                XacmlAuthzDecisionStatement(
+                    response=response.response,
+                    in_response_to=query.query_id,
+                    issuer=self.name,
+                    issue_instant=now,
+                    request_echo=query.request if query.return_context else None,
+                )
+            )
+        return statements
 
     def _answer_batch(
         self, batch: XacmlAuthzDecisionBatchQuery, reply, allow_forward: bool = True
@@ -678,7 +705,9 @@ _SHARD_CATEGORY = {"subject": Category.SUBJECT, "resource": Category.RESOURCE}
 
 class _Decision:
     """Queries being decided in order under one store snapshot and one
-    instant; ``then`` gets their statements once each has settled.
+    instant, by a PDP with an attribute source (see
+    :meth:`PolicyDecisionPoint._decide`); ``then`` gets their statements
+    once each has settled.
 
     A pass evaluates every request not yet settled.  Its first miss
     (see :meth:`finder_for`) settles the requests before it; the PIPs
@@ -718,11 +747,10 @@ class _Decision:
             engine = PdpEngine(self.store, engine.policy_combining)
         start = self.index = len(responses)
         self.misses: list[tuple] = []
-        sourced = pdp.partition or pdp.attribute_resolver or pdp.pip_addresses
         passes = engine.evaluate_batch(
             [query.request for query in self.queries[start:]],
             current_time=self.now,
-            finder_for=self.finder_for if sourced else None,
+            finder_for=self.finder_for,
         )
         if self.misses:
             ((key, query),) = self.misses
@@ -730,14 +758,10 @@ class _Decision:
             pdp._ask_pips(query, partial(self.fetched, key, passes[key[0] - start]))
             return
         responses.extend(passes)
-        metrics = pdp.network.metrics
-        for response in responses:
-            metrics.record_sample(CANDIDATE_SET_SERIES, response.stats.candidate_set_size)
-        self.then([pdp._statement_for(*pair) for pair in zip(self.queries, responses, strict=True)])
+        self.then(pdp._statements(self.queries, responses))
 
     def finder_for(self, request: RequestContext) -> AttributeFinder:
-        """The attribute finder of the next request of this pass (a PDP
-        with no partition, resolver or PIP evaluates without one).
+        """The attribute finder of the next request of this pass.
 
         It answers from what the PIPs already said (``bags``), else from
         the partition (sharded: faulting owned state in from the

@@ -146,6 +146,8 @@ class PolicyEnforcementPoint(Component):
         #: The one transport of both entry points: single queries from
         #: :meth:`authorize`, batches from the coalescing queue.
         self._wire = BatchWireCore(self)
+        #: How :meth:`authorize`'s queries travel (see :meth:`_pull_job`).
+        self._pull: Optional[WireJob] = None
         #: Scope prefix of every slot key this PEP mints: its identity.
         #: Keeps entries from different PEPs distinct even inside shared
         #: (gateway-tier) bookkeeping.
@@ -233,11 +235,12 @@ class PolicyEnforcementPoint(Component):
     def _pre_decision(
         self,
         request: RequestContext,
-        cache_key: tuple,
+        cache_key: Optional[tuple],
         then: Callable[[Optional[EnforcementResult]], None],
     ) -> None:
         """Guard + cache front of every path: ``then`` gets the result
-        they settle, or None for 'ask a PDP'."""
+        they settle, or None for 'ask a PDP'.  ``cache_key`` may be None
+        while the cache is off."""
 
         def guarded(reason: Optional[str]) -> None:
             if reason is not None:
@@ -282,7 +285,9 @@ class PolicyEnforcementPoint(Component):
             # covering the whole call.
             trace.set("sync", True)
             trace.set("path", "authorize")
-        cache_key = request.cache_key()
+        # Without a cache nothing reads the key: the cache's get and
+        # admit return at once when it is off.
+        cache_key = request.cache_key() if self.decision_cache.enabled else None
         answer: list[EnforcementResult] = []
 
         def proceed(immediate: Optional[EnforcementResult]) -> None:
@@ -300,20 +305,35 @@ class PolicyEnforcementPoint(Component):
         return answer[0]
 
     def _pull_job(self) -> WireJob:
-        """How ``authorize``'s query travels, through the dispatcher and
-        deadline the PEP holds now."""
-        dispatcher = self.dispatcher
-        return WireJob(
-            select=dispatcher.select if dispatcher is not None else no_replica,
-            # One slot per pull envelope.
-            deliver=lambda slots, answers: self._complete(slots[0], answers[0]),
-            fail=lambda slots, exc: self._complete(slots[0], error=exc),
-            timeout=self.config.pdp_timeout,
-            channel=self.channel,
-            encode=_query_body,
-            open=_open_statement,
-            dispatcher=dispatcher,
-        )
+        """How ``authorize``'s query travels: one job per PEP, rebuilt
+        only when the dispatcher, the deadline or the channel the PEP
+        holds now is not the one it was built from."""
+        job, dispatcher = self._pull, self.dispatcher
+        if (
+            job is None
+            or job.dispatcher is not dispatcher
+            or job.timeout != self.config.pdp_timeout
+            or job.channel is not self.channel
+        ):
+            job = self._pull = WireJob(
+                select=dispatcher.select if dispatcher is not None else no_replica,
+                deliver=self._deliver_pull,
+                fail=self._fail_pull,
+                timeout=self.config.pdp_timeout,
+                channel=self.channel,
+                encode=_query_body,
+                open=_open_statement,
+                dispatcher=dispatcher,
+            )
+        return job
+
+    # One slot per pull envelope.
+
+    def _deliver_pull(self, slots: list[Slot], answers: Sequence) -> None:
+        self._complete(slots[0], answers[0])
+
+    def _fail_pull(self, slots: list[Slot], exc: Exception) -> None:
+        self._complete(slots[0], error=exc)
 
     def _complete(
         self,

@@ -18,26 +18,25 @@ class SimClock:
     advance the clock; everything else reads it.
     """
 
-    def __init__(self) -> None:
-        self._now = 0.0
+    __slots__ = ("now",)
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+    def __init__(self) -> None:
+        #: Current simulated time in seconds.  A plain attribute, read
+        #: on every hop of a decision; only :meth:`advance_to` writes it.
+        self.now = 0.0
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when``.
 
         Raises:
-            ValueError: if ``when`` lies in the past; simulated time is
-                monotonic by construction.
+            ValueError: if ``when`` lies in the past or is not a number;
+                simulated time is monotonic by construction.
         """
-        if when < self._now:
+        if not when >= self.now:
             raise ValueError(
-                f"cannot move clock backwards: now={self._now}, requested={when}"
+                f"cannot move clock backwards: now={self.now}, requested={when}"
             )
-        self._now = when
+        self.now = when
 
     def __repr__(self) -> str:
-        return f"SimClock(t={self._now:.6f})"
+        return f"SimClock(t={self.now:.6f})"

@@ -103,7 +103,7 @@ class EventLoop:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` simulated seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN is refused too: it compares false
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
         entry = EventHandle((self.clock.now + delay, next(self._seq), callback))
         heapq.heappush(self._heap, entry)
@@ -111,7 +111,7 @@ class EventLoop:
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``."""
-        if when < self.clock.now:
+        if not when >= self.clock.now:  # NaN is refused too
             raise ValueError(
                 f"cannot schedule at {when}, clock already at {self.clock.now}"
             )
@@ -140,37 +140,18 @@ class EventLoop:
             self._cancelled = 0
         return True
 
-    def _next_due(self, until: Optional[float]) -> Optional[EventHandle]:
-        """The next live event due by ``until`` (whenever, if None),
-        after popping cancelled entries off the top of the heap."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2] is not None:
-                return head if until is None or head[0] <= until else None
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return None
-
-    def _fire(self) -> None:
-        """Pop the live event on top of the heap and run it."""
-        entry = heapq.heappop(self._heap)
-        callback = entry[2]
-        entry[2] = None
-        self.clock.advance_to(entry[0])
-        callback()
-        self._processed += 1
-
     def step(self) -> bool:
         """Execute the next event, advancing the clock.
 
         Returns:
             True if an event was executed, False if the queue was empty.
+
+        Raises:
+            RuntimeError: the loop is already running (see
+                :meth:`run_until`).
         """
-        if self._next_due(None) is None:
-            return False
-        self._fire()
-        return True
+        fired = self._processed
+        return self._drive(lambda: self._processed > fired, None) > 0
 
     def run_until(
         self,
@@ -233,19 +214,30 @@ class EventLoop:
                 "for another — ask (Component.ask) and continue from the reply"
             )
         self._running = True
+        heap, clock, pop = self._heap, self.clock, heapq.heappop
         try:
             executed = 0
             while predicate is None or not predicate():
-                if self._next_due(until) is None:
-                    if until is not None and self.clock.now < until:
-                        self.clock.advance_to(until)
+                # Cancelled entries on top of the heap are popped here,
+                # as they surface.
+                while heap and heap[0][2] is None:
+                    pop(heap)
+                    self._cancelled -= 1
+                if not heap or (until is not None and heap[0][0] > until):
+                    if until is not None and clock.now < until:
+                        clock.advance_to(until)
                     break
                 if executed >= MAX_EVENTS:
                     raise RuntimeError(
                         f"event loop exceeded {MAX_EVENTS} events; "
                         "likely a self-rescheduling cycle"
                     )
-                self._fire()
+                entry = pop(heap)
+                callback = entry[2]
+                entry[2] = None
+                clock.advance_to(entry[0])
+                callback()
+                self._processed += 1
                 executed += 1
             return executed
         finally:

@@ -13,7 +13,7 @@ over the TBS ("to-be-signed") serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .keys import KeyPair, KeyStore, PublicKey
@@ -38,6 +38,19 @@ class Certificate:
     serial: int
     signature: str
     extensions: tuple[tuple[str, str], ...] = ()
+    #: The hash of the eight fields above, taken once: the token and
+    #: verified-signature memos look a certificate up on every envelope.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fields = (
+            self.subject, self.issuer, self.public_key, self.not_before,
+            self.not_after, self.serial, self.signature, self.extensions,
+        )  # fmt: skip
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def tbs_bytes(self) -> bytes:
         """The byte string the issuer signs (TBSCertificate analogue)."""

@@ -26,6 +26,7 @@ from repro.components import (
     PolicyEnforcementPoint,
     PolicyInformationPoint,
 )
+from repro.components import pdp as pdp_module
 from repro.components.base import Component
 from repro.saml import XacmlAuthzDecisionQuery, XacmlAuthzDecisionStatement
 from repro.simnet import Link, Network
@@ -241,3 +242,58 @@ class TestCrashWhileWaiting:
         (result,) = done
         assert result.decision is Decision.PERMIT and result.source == "pdp"
         assert replicas[0].decisions_made == 0
+
+
+class TestTwoWaysToDecide:
+    """A PDP with an attribute source decides through ``_Decision``,
+    whose passes may stop to ask a PIP; one without decides in one
+    engine call.  On the same store and the same requests, single and
+    batched, both say the same and sample the same candidate sets."""
+
+    REQUESTS = [
+        RequestContext.simple(subject, "doc", action)
+        for subject in ("alice", "bob", "carol")
+        for action in ("read", "write")
+    ]
+
+    def decide(self, monkeypatch, with_pip):
+        network = Network(seed=36)
+        if with_pip:
+            # Knows nobody: every role it is asked for is an empty bag.
+            PolicyInformationPoint("pip", network)
+        pdp = PolicyDecisionPoint(
+            "pdp", network, pip_addresses=["pip"] if with_pip else []
+        )
+        pdp.add_local_policy(suspension_policy())
+        pep = PolicyEnforcementPoint("pep", network, pdp_address="pdp")
+        passes = []
+        run = pdp_module._Decision.run
+        monkeypatch.setattr(
+            pdp_module._Decision, "run", lambda decision: passes.append(1) or run(decision)
+        )
+        singles = [pep.authorize(request).decision for request in self.REQUESTS]
+        pep.enable_batching(max_batch=len(self.REQUESTS), max_delay=0.001)
+        batched = []
+        for index, request in enumerate(self.REQUESTS):
+            pep.submit(request, lambda result, i=index: batched.append((i, result.decision)))
+        network.run(until=network.now + 1.0)
+        return {
+            "singles": singles,
+            "batched": [decision for _, decision in sorted(batched)],
+            "candidate sets": network.metrics.samples[pdp_module.CANDIDATE_SET_SERIES],
+            "decisions made": pdp.decisions_made,
+            "batches served": pdp.batch_queries_served,
+        }, pdp.pip_queries_sent, len(passes)
+
+    def test_a_pdp_with_a_pip_decides_as_one_without(self, monkeypatch):
+        direct, direct_pip_queries, direct_passes = self.decide(monkeypatch, False)
+        sourced, sourced_pip_queries, sourced_passes = self.decide(monkeypatch, True)
+        assert sourced == direct
+        assert direct["singles"] == [Decision.PERMIT, Decision.DENY] * 3
+        assert len(direct["candidate sets"]) == 2 * len(self.REQUESTS)
+        assert direct["batches served"] == 1
+        # Only the sourced PDP runs passes, and asks its PIP for the
+        # role each request's condition reads.
+        assert (direct_passes, direct_pip_queries) == (0, 0)
+        assert sourced_passes > 2 * len(self.REQUESTS)
+        assert sourced_pip_queries == 2 * len(self.REQUESTS)

@@ -373,3 +373,66 @@ def test_a_pep_without_a_pdp_fails_safe_and_schedules_nothing():
     assert result.source == "fail-safe" and "no PDP" in result.detail
     assert (world.network.now, loop.pending) == (now, pending)
     assert world.network.metrics.messages_sent == sent
+
+
+class TestWorkNothingReads:
+    """``authorize`` skips what nothing on its path reads, and still
+    sees every change that something does read."""
+
+    def test_with_the_cache_off_no_cache_key_is_computed(self, monkeypatch):
+        world = build()
+
+        def refuse(request):
+            raise AssertionError("authorize computed a cache key with no cache")
+
+        monkeypatch.setattr(RequestContext, "cache_key", refuse)
+        request = RequestContext.simple("alice", "doc", "read")
+        for _ in range(2):
+            result = world.pep.authorize(request)
+            assert (result.decision, result.source) == (Decision.PERMIT, "pdp")
+        assert world.pep.decision_cache.stats.misses == 2
+
+    def test_with_the_cache_on_a_hit_still_answers_from_it(self, monkeypatch):
+        world = build(decision_cache_ttl=60.0)
+        keys = []
+        cache_key = RequestContext.cache_key
+        monkeypatch.setattr(
+            RequestContext, "cache_key", lambda request: keys.append(1) or cache_key(request)
+        )
+        request = RequestContext.simple("alice", "doc", "read")
+        assert world.pep.authorize(request).source == "pdp"
+        assert world.pep.authorize(request).source == "cache"
+        assert len(keys) == 2
+        assert world.pdps["pdp"].decisions_made == 1
+
+    def test_a_new_dispatcher_after_a_first_decision_takes_the_next(self):
+        world = build(pdps=("pdp-a", "pdp-b"))
+        request = RequestContext.simple("alice", "doc", "read")
+        world.pep.dispatcher = DecisionDispatcher(["pdp-a"])
+        assert world.pep.authorize(request).source == "pdp"
+        world.pep.dispatcher = second = DecisionDispatcher(["pdp-b"])
+        assert world.pep.authorize(request).source == "pdp"
+        assert [pdp.decisions_made for pdp in world.pdps.values()] == [1, 1]
+        assert second.outstanding == {"pdp-b": 0}
+
+    def test_a_new_deadline_after_a_first_decision_takes_the_next(self):
+        world = build(pdp_timeout=0.5)
+        world.pdps["pdp"].config.envelope_overhead = 0.75
+        request = RequestContext.simple("alice", "doc", "read")
+        assert world.pep.authorize(request).source == "fail-safe"
+        world.network.run(until=world.network.now + 5.0)  # the late reply
+        world.pep.config.pdp_timeout = 1.0
+        start = world.network.now
+        assert world.pep.authorize(request).source == "pdp"
+        # Answered past the old deadline, within the new one.
+        assert 0.5 < world.network.now - start < 1.0
+        world.pep.config.pdp_timeout = 0.5
+        assert world.pep.authorize(request).source == "fail-safe"
+
+    def test_one_pull_job_serves_decision_after_decision(self):
+        world = build()
+        request = RequestContext.simple("alice", "doc", "read")
+        world.pep.authorize(request)
+        job = world.pep._pull
+        world.pep.authorize(request)
+        assert world.pep._pull is job

@@ -42,6 +42,15 @@ class TestSimClock:
         with pytest.raises(ValueError):
             clock.advance_to(9.0)
 
+    def test_advance_to_nan_rejected(self):
+        """NaN compares false both ways, so "not backwards" is written
+        as "forwards or level": NaN is neither."""
+        clock = SimClock()
+        clock.advance_to(2.0)
+        with pytest.raises(ValueError):
+            clock.advance_to(float("nan"))
+        assert clock.now == 2.0
+
 
 class TestEventLoop:
     def test_events_fire_in_time_order(self):
@@ -90,6 +99,19 @@ class TestEventLoop:
         assert fired == [index for index in range(300) if index % 3]
         assert loop.pending == 0
 
+    def test_step_fires_the_next_live_event_and_no_other(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(2.0, lambda: fired.append("b"))
+        loop.cancel(loop.schedule(1.0, lambda: fired.append("cancelled")))
+        loop.schedule(1.5, lambda: fired.append("a"))
+        assert loop.step() is True
+        assert (fired, loop.now, loop.processed) == (["a"], 1.5, 1)
+        assert loop.step() is True
+        assert (fired, loop.now, loop.processed) == (["a", "b"], 2.0, 2)
+        assert loop.step() is False
+        assert (loop.now, loop.processed) == (2.0, 2)
+
     def test_clock_advances_to_event_time(self):
         loop = EventLoop()
         seen = []
@@ -101,6 +123,24 @@ class TestEventLoop:
         loop = EventLoop()
         with pytest.raises(ValueError):
             loop.schedule(-1.0, lambda: None)
+
+    def test_a_nan_delay_or_instant_is_refused_and_the_clock_stays(self):
+        """A NaN time once entered the heap (``nan < 0`` is False), and
+        running it set the clock to NaN, after which every schedule
+        passed its check."""
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: None)
+        loop.run()
+        fired = []
+        with pytest.raises(ValueError):
+            loop.schedule(float("nan"), lambda: fired.append("delay"))
+        with pytest.raises(ValueError):
+            loop.schedule_at(float("nan"), lambda: fired.append("instant"))
+        assert loop.pending == 0
+        loop.run()
+        assert (loop.now, fired) == (1.0, [])
+        with pytest.raises(ValueError):
+            loop.schedule_at(0.5, lambda: None)
 
     def test_cancel_prevents_execution(self):
         loop = EventLoop()
@@ -257,8 +297,9 @@ class TestTheLoopRefusesToNest:
             lambda loop: loop.run(),
             lambda loop: loop.run(until=loop.now + 1.0),
             lambda loop: loop.run_until(lambda: False, loop.now + 1.0),
+            lambda loop: loop.step(),
         ],
-        ids=["run", "run-until-time", "run_until"],
+        ids=["run", "run-until-time", "run_until", "step"],
     )
     @pytest.mark.parametrize("outer", ["run", "run_until"])
     def test_a_nested_run_raises(self, inner, outer):
